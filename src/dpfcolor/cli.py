@@ -40,27 +40,10 @@ from .solvers import (
     solve_planar_dpg52,
 )
 
-USAGE_ERRORS = (
-    errors.ParseError,
-    errors.BadBudget,
-    errors.NotInFamily,
-    errors.InvalidPrecoloring,
-    errors.NotAChord,
-    errors.LimitExceeded,
-    errors.BadSpec,
-    errors.InfeasibleParameters,
-    errors.BadParameters,
-    errors.EmptyList,
-    errors.NotTwoConnected,
-    errors.InvalidEmbedding,
-    errors.NotAPartition,
-    errors.PartialColoring,
-    errors.ColorNotInList,
-    errors.InvalidInput,
-    OSError,
-    ValueError,
-)
 DIAGNOSTIC_ERRORS = (errors.TheoremViolation, errors.InternalInvariantViolated)
+# Caught after DIAGNOSTIC_ERRORS, so every other library error is an input
+# or precondition error.
+USAGE_ERRORS = (errors.ColoringError, OSError, ValueError)
 
 
 def _read(path: str) -> str:

@@ -7,7 +7,7 @@ Partial colorings are verified on the subgraph induced by their domain.
 
 from __future__ import annotations
 
-from .covers import Budget, Coloring, Cover, Order, Pair, PairGraph
+from .covers import Budget, Coloring, Cover, Order, PairGraph
 from .degeneracy import eliminate_with_prefix, order_is_valid, strictly_degenerate_order
 from .errors import (
     ColorNotInList,
@@ -54,6 +54,16 @@ def verify_on_domain(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Order 
     return verify_coloring(g.induced(r.keys()), h, f, r)
 
 
+def _check_precoloring(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -> None:
+    """Raise InvalidPrecoloring unless the precoloring verifies on its domain."""
+    try:
+        witness = verify_on_domain(g, h, f, precolored)
+    except ColorNotInList as exc:
+        raise InvalidPrecoloring(str(exc)) from exc
+    if witness is None:
+        raise InvalidPrecoloring("precoloring fails verification on its domain")
+
+
 def residual_budget(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -> Budget:
     """Budget left for the uncolored vertices after discounting matched neighbors.
 
@@ -62,22 +72,15 @@ def residual_budget(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -
     Raises InvalidPrecoloring when the precoloring fails verification on its
     induced subgraph.
     """
-    try:
-        witness = verify_on_domain(g, h, f, precolored)
-    except ColorNotInList as exc:
-        raise InvalidPrecoloring(str(exc)) from exc
-    if witness is None:
-        raise InvalidPrecoloring("precoloring fails verification on its domain")
-    values: dict[Pair, int] = {}
-    for v in g.vertices:
-        if v in precolored:
-            continue
-        colored_nbrs = [x for x in g.adj[v] if x in precolored]
-        for i in f.support(v):
-            hits = sum(1 for x in colored_nbrs if h.matched(v, i, x, precolored[x]))
-            left = f.get(v, i) - hits
-            if left > 0:
-                values[(v, i)] = left
+    _check_precoloring(g, h, f, precolored)
+    return _residuals(g, h, f, precolored)
+
+
+def _residuals(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -> Budget:
+    """residual_budget for a precoloring the caller has already verified."""
+    values = {(v, i): left
+              for v in g.vertices if v not in precolored
+              for i, left in residual_at(g, h, f, precolored, v).items()}
     return Budget(f.s, f.cap, values)
 
 
@@ -132,10 +135,7 @@ def combine_colorings(g: SimpleGraph, h: Cover, f: Budget,
     pg1 = induced_pair_graph(g1, h, f, r1)
     if not order_is_valid(pg1, s1):
         raise InvalidInput("first coloring's witness order is not valid")
-    try:
-        f_star = residual_budget(g, h, f, r1)
-    except InvalidPrecoloring as exc:
-        raise InvalidInput(str(exc)) from exc
+    f_star = _residuals(g, h, f, r1)
     g2 = g.induced(r2.keys())
     pg2 = induced_pair_graph(g2, h, f_star, r2)
     if not order_is_valid(pg2, s2):

@@ -11,10 +11,10 @@ at the front of the order.
 from __future__ import annotations
 
 from .coloring import (
+    _residuals,
     combine_colorings,
     greedy_extend,
     induced_pair_graph,
-    residual_budget,
     verify_on_domain,
 )
 from .covers import (
@@ -116,7 +116,7 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
         raise PreconditionViolated("r0 fails verification on its domain")
 
     v1, vm, vm1 = K[0], K[-1], K[-2]
-    f_star = residual_budget(g, h, f, r0)
+    f_star = _residuals(g, h, f, r0)
 
     # Residual vector of vm trimmed to total exactly 2 (lowest colors kept);
     # solving under the smaller vector is enough since raising budgets never

@@ -27,10 +27,14 @@ def _int(tok: str, no: int, what: str) -> int:
         raise ParseError(no, f"{what} must be an integer, got {tok!r}") from None
 
 
-def parse_graph(text: str) -> SimpleGraph:
+def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[int, ...]],
+                                               tuple[int, ...] | None]:
+    """Graph, rotation lines and outer line of a graph or (with `plane`) plane graph file."""
     n = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
+    rotation: dict[int, tuple[int, ...]] = {}
+    outer: tuple[int, ...] | None = None
     for no, toks in _lines(text):
         if toks[0] == "graph":
             if n is not None:
@@ -56,11 +60,33 @@ def parse_graph(text: str) -> SimpleGraph:
                 raise ParseError(no, f"duplicate edge ({u},{v})")
             seen.add(key)
             edges.append(key)
+        elif plane and toks[0] == "rot":
+            if len(toks) < 2:
+                raise ParseError(no, "expected: rot <v> <neighbors...>")
+            v = _int(toks[1], no, "vertex")
+            if v in rotation:
+                raise ParseError(no, f"duplicate rotation for {v}")
+            rotation[v] = tuple(_int(t, no, "neighbor") for t in toks[2:])
+        elif plane and toks[0] == "outer":
+            if outer is not None:
+                raise ParseError(no, "duplicate outer line")
+            outer = tuple(_int(t, no, "vertex") for t in toks[1:])
         else:
             raise ParseError(no, f"unknown directive {toks[0]!r} in graph file")
     if n is None:
         raise ParseError(1, "missing graph header")
-    return SimpleGraph(n, edges)
+    return SimpleGraph(n, edges), rotation, outer
+
+
+def _plane(g: SimpleGraph, rotation: dict[int, tuple[int, ...]],
+           outer: tuple[int, ...] | None) -> PlaneGraph:
+    if outer is None:
+        raise ParseError(1, "missing outer line")
+    return PlaneGraph(g, rotation, outer)
+
+
+def parse_graph(text: str) -> SimpleGraph:
+    return _read_graph(text, plane=False)[0]
 
 
 def emit_graph(g: SimpleGraph) -> str:
@@ -73,55 +99,14 @@ def emit_graph(g: SimpleGraph) -> str:
 
 def parse_graph_or_plane(text: str) -> SimpleGraph:
     """Underlying simple graph of either a graph file or a plane graph file."""
-    directives = {toks[0] for _, toks in _lines(text)}
-    if directives & {"rot", "outer"}:
-        return parse_plane(text).graph
-    return parse_graph(text)
+    g, rotation, outer = _read_graph(text, plane=True)
+    if rotation or outer is not None:
+        return _plane(g, rotation, outer).graph
+    return g
 
 
 def parse_plane(text: str) -> PlaneGraph:
-    n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    rotation: dict[int, tuple[int, ...]] = {}
-    outer: tuple[int, ...] | None = None
-    for no, toks in _lines(text):
-        if toks[0] == "graph":
-            if n is not None:
-                raise ParseError(no, "duplicate graph header")
-            if len(toks) != 2:
-                raise ParseError(no, "expected: graph <n>")
-            n = _int(toks[1], no, "vertex count")
-        elif toks[0] == "edge":
-            if n is None:
-                raise ParseError(no, "edge before graph header")
-            u = _int(toks[1], no, "endpoint")
-            v = _int(toks[2], no, "endpoint")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ParseError(no, f"bad edge ({u},{v})")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ParseError(no, f"duplicate edge ({u},{v})")
-            seen.add(key)
-            edges.append(key)
-        elif toks[0] == "rot":
-            if len(toks) < 2:
-                raise ParseError(no, "expected: rot <v> <neighbors...>")
-            v = _int(toks[1], no, "vertex")
-            if v in rotation:
-                raise ParseError(no, f"duplicate rotation for {v}")
-            rotation[v] = tuple(_int(t, no, "neighbor") for t in toks[2:])
-        elif toks[0] == "outer":
-            if outer is not None:
-                raise ParseError(no, "duplicate outer line")
-            outer = tuple(_int(t, no, "vertex") for t in toks[1:])
-        else:
-            raise ParseError(no, f"unknown directive {toks[0]!r} in plane graph file")
-    if n is None:
-        raise ParseError(1, "missing graph header")
-    if outer is None:
-        raise ParseError(1, "missing outer line")
-    return PlaneGraph(SimpleGraph(n, edges), rotation, outer)
+    return _plane(*_read_graph(text, plane=True))
 
 
 def emit_plane(pg: PlaneGraph) -> str:
@@ -153,6 +138,8 @@ def parse_cover(text: str) -> Cover:
         elif toks[0] == "list":
             if s is None:
                 raise ParseError(no, "list before cover header")
+            if len(toks) < 2:
+                raise ParseError(no, "expected: list <v> <colors...>")
             v = _int(toks[1], no, "vertex")
             if v in lists:
                 raise ParseError(no, f"duplicate list for {v}")

@@ -161,10 +161,10 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     apex conflicts a single valid chord splits the face instead.  The outer
     cycle and all existing edges are kept.
     """
-    if not is_two_connected(pg.graph):
-        raise NotTwoConnected("triangulation needs a 2-connected plane graph")
     if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
         raise NotTwoConnected("outer face is not a simple cycle")
+    if not is_two_connected(pg.graph):
+        raise NotTwoConnected("triangulation needs a 2-connected plane graph")
     while True:
         fs = faces(pg)
         face = next((f for f in fs.bounded if len(f) > 3), None)
@@ -217,33 +217,37 @@ def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
     return None
 
 
-def _region_vertices(pg: PlaneGraph, fs: FaceSet, start_face: int,
-                     blocked_edge: tuple[int, int]) -> tuple[set[int], set[int]]:
-    """Flood bounded faces from start_face without crossing blocked_edge.
+def _edge_key(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def _face_edges(walk: tuple[int, ...]):
+    return (_edge_key(walk[t], walk[(t + 1) % len(walk)]) for t in range(len(walk)))
+
+
+def _edge_faces(fs: FaceSet) -> dict[tuple[int, int], list[int]]:
+    """Indices of the faces on each side of every edge."""
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for idx, walk in enumerate(fs.faces):
+        for key in _face_edges(walk):
+            edge_faces.setdefault(key, []).append(idx)
+    return edge_faces
+
+
+def _region_vertices(fs: FaceSet, edge_faces: dict[tuple[int, int], list[int]],
+                     start_face: int,
+                     blocked: set[tuple[int, int]]) -> tuple[set[int], set[int]]:
+    """Flood faces from start_face without crossing a blocked edge.
 
     Returns (face indices reached, vertices on those faces).
     """
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for idx, w in enumerate(fs.faces):
-        if idx == fs.outer_index:
-            continue
-        for t in range(len(w)):
-            u, v = w[t], w[(t + 1) % len(w)]
-            key = (u, v) if u < v else (v, u)
-            edge_faces.setdefault(key, []).append(idx)
-    blocked = (blocked_edge if blocked_edge[0] < blocked_edge[1]
-               else (blocked_edge[1], blocked_edge[0]))
     reached = {start_face}
     stack = [start_face]
     while stack:
-        idx = stack.pop()
-        w = fs.faces[idx]
-        for t in range(len(w)):
-            u, v = w[t], w[(t + 1) % len(w)]
-            key = (u, v) if u < v else (v, u)
-            if key == blocked:
+        for key in _face_edges(fs.faces[stack.pop()]):
+            if key in blocked:
                 continue
-            for j in edge_faces.get(key, ()):
+            for j in edge_faces[key]:
                 if j not in reached:
                     reached.add(j)
                     stack.append(j)
@@ -279,8 +283,11 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
                 f_ba = idx
     if f_ab is None or f_ba is None or f_ab == f_ba:
         raise NotAChord(f"({a},{b}) does not separate two bounded regions")
-    reached_ab, verts_ab = _region_vertices(pg, fs, f_ab, (a, b))
-    _, verts_ba = _region_vertices(pg, fs, f_ba, (a, b))
+    # Blocking the outer cycle keeps both floods off the outer face.
+    edge_faces = _edge_faces(fs)
+    blocked = {_edge_key(a, b)} | set(_face_edges(fs.outer))
+    reached_ab, verts_ab = _region_vertices(fs, edge_faces, f_ab, blocked)
+    _, verts_ba = _region_vertices(fs, edge_faces, f_ba, blocked)
     if f_ba in reached_ab:
         raise NotAChord(f"({a},{b}) does not separate two bounded regions")
 
@@ -333,35 +340,12 @@ def find_separating_triangle(pg: PlaneGraph) -> tuple[int, int, int] | None:
         for w in sorted(g.adj[u] & g.adj[v])
         if w > v
     )
+    edge_faces = _edge_faces(fs)
     for (u, v, w) in triangles:
-        tri_edges = {(u, v), (min(v, w), max(v, w)), (min(u, w), max(u, w))}
-        reached = {fs.outer_index}
-        stack = [fs.outer_index]
-        edge_faces: dict[tuple[int, int], list[int]] = {}
-        for idx, walk in enumerate(fs.faces):
-            for t in range(len(walk)):
-                x, y = walk[t], walk[(t + 1) % len(walk)]
-                key = (x, y) if x < y else (y, x)
-                edge_faces.setdefault(key, []).append(idx)
-        while stack:
-            idx = stack.pop()
-            walk = fs.faces[idx]
-            for t in range(len(walk)):
-                x, y = walk[t], walk[(t + 1) % len(walk)]
-                key = (x, y) if x < y else (y, x)
-                if key in tri_edges:
-                    continue
-                for jdx in edge_faces.get(key, ()):
-                    if jdx not in reached:
-                        reached.add(jdx)
-                        stack.append(jdx)
-        outside_verts = set()
-        for idx in reached:
-            outside_verts.update(fs.faces[idx])
-        inside_verts = set()
-        for idx in range(len(fs.faces)):
-            if idx not in reached:
-                inside_verts.update(fs.faces[idx])
+        reached, outside_verts = _region_vertices(fs, edge_faces, fs.outer_index,
+                                                  {(u, v), (v, w), (u, w)})
+        inside_verts = {x for idx, walk in enumerate(fs.faces) if idx not in reached
+                        for x in walk}
         corners = {u, v, w}
         if (inside_verts - corners) and (outside_verts - corners):
             return (u, v, w)

@@ -15,12 +15,12 @@ outer vertex and lowering the budgets along its fan.
 from __future__ import annotations
 
 from .coloring import (
+    _check_precoloring,
     combine_colorings,
     greedy_extend,
     induced_pair_graph,
     order_with_prefix,
     residual_at,
-    verify_on_domain,
 )
 from .covers import (
     Budget,
@@ -33,16 +33,14 @@ from .covers import (
     relabel_order,
 )
 from .cycles import FamilyA, check_family
-from .degeneracy import order_is_valid, strictly_degenerate_order
+from .degeneracy import _orderable, order_is_valid, strictly_degenerate_order
 from .errors import (
     BadBudget,
-    ColorNotInList,
     InternalInvariantViolated,
     InvalidPrecoloring,
     LimitExceeded,
     NoColorAvailable,
     NotInFamily,
-    NotTwoConnected,
     TheoremViolation,
 )
 from .graphs import SimpleGraph
@@ -52,29 +50,12 @@ from .planar import (
     faces,
     fan_neighbors,
     find_chord,
-    is_two_connected,
+    is_two_connected,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     split_on_chord,
     triangulate_interior,
 )
 
 DEFAULT_EXACT_LIMIT = 12
-
-
-def _orderable(masks: list[int], budgets: list[int], alive: int) -> bool:
-    """Greedy elimination on a bitmask pair graph; True iff fully reducible."""
-    while alive:
-        progressed = False
-        m = alive
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if (masks[i] & alive).bit_count() < budgets[i]:
-                alive ^= 1 << i
-                progressed = True
-        if not progressed:
-            return False
-    return True
 
 
 def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
@@ -99,12 +80,7 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         unknown = sorted(set(pre) - set(g.vertices))
         if unknown:
             raise InvalidPrecoloring(f"precolored vertices {unknown} not in the graph")
-        try:
-            witness = verify_on_domain(g, h, f, pre)
-        except ColorNotInList as exc:
-            raise InvalidPrecoloring(str(exc)) from exc
-        if witness is None:
-            raise InvalidPrecoloring("precoloring fails verification on its domain")
+        _check_precoloring(g, h, f, pre)
 
     candidates = {
         v: tuple(sorted(i for i in h.list_of(v) if f.get(v, i) >= 1))
@@ -256,12 +232,7 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     if g.n <= 2:
         result, order = _greedy_seed(g, h, f)
         return result, order
-    if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
-        raise NotTwoConnected("outer face must be a simple cycle")
-    if not is_two_connected(g):
-        raise NotTwoConnected("solver needs a 2-connected plane graph")
-    faces(pg)  # validates the embedding
-    tpg = triangulate_interior(pg)
+    tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
 
     outer = tpg.outer
     p = len(outer)
@@ -412,12 +383,7 @@ def extend_precolored_triangle(pg: PlaneGraph, h: Cover, f: Budget,
     low = [v for v in g.vertices if _list_total(h, f, v) < 4]
     if low:
         raise BadBudget(f"list-restricted budget total below 4 at {low}")
-    try:
-        witness = verify_on_domain(g, h, f, c0)
-    except ColorNotInList as exc:
-        raise InvalidPrecoloring(str(exc)) from exc
-    if witness is None:
-        raise InvalidPrecoloring("triangle precoloring fails verification")
+    _check_precoloring(g, h, f, c0)
     res = solve_exact(g, h, f, precolored=c0, limit=limit)
     if res is None:
         raise TheoremViolation(

@@ -241,6 +241,37 @@ class TestExitCodeMapping:
         assert payload["status"] == "theorem-violation"
         assert payload["diagnostics"]
 
+    def test_any_library_input_error_maps_to_exit_two(self, k4_files, capsys, monkeypatch):
+        import dpfcolor.cli as cli_mod
+        from dpfcolor.errors import NoColorAvailable
+
+        def boom(*args, **kwargs):
+            raise NoColorAvailable("forced for the exit-code test")
+
+        monkeypatch.setattr(cli_mod, "solve_planar_dpg52", boom)
+        code, out, err = run(capsys, "solve-planar", "--plane", k4_files["plane"],
+                             "--cover", k4_files["cover"], "--budget", k4_files["budget"],
+                             "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["diagnostics"] == ["NoColorAvailable: forced for the exit-code test"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which, text", [
+        ("plane", "graph 3\nedge 1\nouter 0 1 2\n"),
+        ("plane", "graph -2\nouter 0 1 2\n"),
+        ("cover", "cover 3\nlist\n"),
+    ], ids=["edge-arity", "negative-n", "bare-list"])
+    def test_malformed_files_exit_two(self, k4_files, tmp_path, capsys, which, text):
+        files = dict(k4_files)
+        files[which] = str(tmp_path / "malformed.txt")
+        (tmp_path / "malformed.txt").write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "solve-planar", "--plane", files["plane"],
+                             "--cover", files["cover"], "--budget", files["budget"])
+        assert code == 2
+        assert err.startswith("ParseError: line ")
+
     def test_reduce_prints_both_sections_without_out_paths(self, tmp_path, capsys):
         g = complete_graph(3)
         lists = {v: {1, 2} for v in g.vertices}

@@ -65,6 +65,16 @@ class TestPlane:
         with pytest.raises(ParseError):
             parse_plane("graph 3\nedge 0 1\nedge 1 2\nedge 0 2\nrot 0 1 2\nrot 1 2 0\nrot 2 0 1\n")
 
+    def test_edge_line_arity_checked(self):
+        with pytest.raises(ParseError) as exc:
+            parse_plane("graph 3\nedge 1\nouter 0 1 2\n")
+        assert exc.value.line == 2
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_plane("graph -2\nouter\n")
+        assert exc.value.line == 1
+
 
 class TestCover:
     def test_round_trip(self):
@@ -82,6 +92,11 @@ class TestCover:
     def test_match_requires_u_less_than_v(self):
         with pytest.raises(ParseError):
             parse_cover("cover 1\nlist 0 1\nlist 1 1\nmatch 1 0 1 1\n")
+
+    def test_bare_list_line_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_cover("cover 3\nlist\n")
+        assert exc.value.line == 2
 
     def test_partial_bijection_enforced(self):
         with pytest.raises(ParseError):

@@ -199,6 +199,24 @@ class TestSeparatingTriangles:
     def test_wheel_has_none(self):
         assert find_separating_triangle(wheel(6)) is None
 
+    def test_matches_networkx_on_stacked_triangulations(self):
+        # In a triangulation a triangle has vertices on both sides exactly
+        # when deleting its corners disconnects the graph.
+        nx = pytest.importorskip("networkx")
+        separated = 0
+        for n in range(4, 40):
+            for seed in range(6):
+                pg = gen_planar_triangulation(n, seed)
+                nxg = nx.Graph(pg.graph.edge_list())
+                triangles = sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(nxg)
+                                   if len(c) == 3)
+                expected = next((t for t in triangles
+                                 if not nx.is_connected(nxg.subgraph(set(nxg) - set(t)))),
+                                None)
+                separated += expected is not None
+                assert find_separating_triangle(pg) == expected, (n, seed)
+        assert separated == 210
+
 
 def test_triangulate_apex_fallback_when_fan_chord_exists():
     # Theta graph (two hubs joined by three paths) plus the hub chord drawn
