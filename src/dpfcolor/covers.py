@@ -18,6 +18,14 @@ Order = tuple[Pair, ...]
 Coloring = Mapping[int, int]
 
 
+def _check_permutations(perms: Mapping[int, Mapping[int, int]]) -> None:
+    """Raise ValueError unless each perms[v] is a bijection of 1..k for some k."""
+    for v, p in perms.items():
+        domain = set(range(1, len(p) + 1))
+        if set(p) != domain or set(p.values()) != domain:
+            raise ValueError(f"renaming at {v} is not a bijection of 1..{len(p)}")
+
+
 class Budget:
     """Sparse per-(vertex, color) degeneracy allowances.
 
@@ -64,23 +72,56 @@ class Budget:
     def items(self) -> list[tuple[Pair, int]]:
         return sorted(self._values.items())
 
+    @classmethod
+    def _trusted(cls, s: int, cap: int, values: dict[Pair, int],
+                 by_vertex: dict[int, dict[int, int]]) -> "Budget":
+        """Wrap valid tables unchecked; rows may be shared, so none is ever mutated."""
+        b = cls.__new__(cls)
+        b.s, b.cap, b._values, b._by_vertex = s, cap, values, by_vertex
+        return b
+
     def assign(self, updates: Mapping[Pair, int]) -> "Budget":
         """New budget with the given entries replaced (0 deletes)."""
         vals = dict(self._values)
-        for key, val in updates.items():
+        by_vertex = dict(self._by_vertex)
+        copied: set[int] = set()
+        for (v, i), val in updates.items():
+            if not 1 <= i <= self.s:
+                raise ValueError(f"color {i} outside 1..{self.s}")
+            if val < 0 or val > self.cap:
+                raise ValueError(f"value {val} for ({v},{i}) outside 0..{self.cap}")
+            if v not in copied:
+                copied.add(v)
+                by_vertex[v] = dict(by_vertex.get(v, ()))
             if val == 0:
-                vals.pop(key, None)
+                vals.pop((v, i), None)
+                by_vertex[v].pop(i, None)
             else:
-                vals[key] = val
-        return Budget(self.s, self.cap, vals)
+                vals[(v, i)] = val
+                by_vertex[v][i] = val
+        return Budget._trusted(self.s, self.cap, vals, by_vertex)
 
     def relabel(self, perms: Mapping[int, Mapping[int, int]]) -> "Budget":
-        """Rename colors per vertex: new index perms[v][i] gets f_i(v)."""
-        vals = {}
-        for (v, i), val in self._values.items():
-            j = perms[v][i] if v in perms else i
-            vals[(v, j)] = val
-        return Budget(self.s, self.cap, vals)
+        """Rename colors per vertex: new index perms[v][i] gets f_i(v).
+
+        Each perms[v] must be a bijection of 1..k for some k; colors above k
+        keep their labels.  A renamed entry outside 1..s raises ValueError.
+        """
+        _check_permutations(perms)
+        vals = dict(self._values)
+        by_vertex = dict(self._by_vertex)
+        for v, p in perms.items():
+            row = by_vertex.get(v)
+            if row is None:
+                continue
+            for i in row:
+                del vals[(v, i)]
+            by_vertex[v] = new_row = {p.get(i, i): val for i, val in row.items()}
+            if new_row and max(new_row) > self.s:
+                raise ValueError(f"color {max(new_row)} outside 1..{self.s}")
+            for j, val in new_row.items():
+                vals[(v, j)] = val
+        return Budget._trusted(self.s, self.cap, vals, by_vertex)
 
     def __eq__(self, other):
         if not isinstance(other, Budget):
@@ -153,19 +194,30 @@ class Cover:
     def relabel(self, perms: Mapping[int, Mapping[int, int]]) -> "Cover":
         """Rename colors inside the fibers of the vertices in `perms`.
 
-        Each perms[v] must be a bijection of 1..s; vertices absent from
-        `perms` keep their labels.  Relabeling is an isomorphism of the
-        cover, so colorability is preserved exactly.
+        Each perms[v] must be a bijection of 1..k for some k; colors above
+        k, and vertices absent from `perms`, keep their labels.  A renamed
+        color outside 1..s raises ValueError.  Relabeling is an isomorphism
+        of the cover, so colorability is preserved exactly and the result
+        needs no further validation: only the renamed fibers and the
+        matchings at them are rebuilt, and the untouched ones are shared
+        with this cover.
         """
-        def rl(v, c):
-            return perms[v][c] if v in perms else c
-
-        lists = {v: frozenset(rl(v, c) for c in cs) for v, cs in self.lists.items()}
-        matchings = {
-            (u, v): [(rl(u, cu), rl(v, cv)) for (cu, cv) in pairs]
-            for (u, v), pairs in self._matchings.items()
-        }
-        return Cover(self.s, lists, matchings)
+        _check_permutations(perms)
+        lists = dict(self.lists)
+        for v, p in perms.items():
+            if v in lists:
+                lists[v] = cs = frozenset(p.get(c, c) for c in lists[v])
+                if cs and max(cs) > self.s:
+                    raise ValueError(f"list of {v} has colors outside 1..{self.s}")
+        matchings = dict(self._matchings)
+        for (u, v), pairs in self._matchings.items():
+            if u in perms or v in perms:
+                pu, pv = perms.get(u, {}), perms.get(v, {})
+                matchings[(u, v)] = frozenset((pu.get(cu, cu), pv.get(cv, cv))
+                                              for cu, cv in pairs)
+        h = Cover.__new__(Cover)
+        h.s, h.lists, h._matchings = self.s, lists, matchings
+        return h
 
     def __eq__(self, other):
         if not isinstance(other, Cover):

@@ -124,9 +124,43 @@ def faces(pg: PlaneGraph) -> FaceSet:
 
 
 def is_two_connected(g: SimpleGraph) -> bool:
-    if g.n < 3 or not g.is_connected():
+    """At least 3 vertices, connected, and no cut vertex.
+
+    One iterative lowpoint DFS (Hopcroft and Tarjan, CACM 1973): a cut
+    vertex exists iff the root has more than one DFS child, or some other
+    vertex v has a child w with low[w] >= disc[v].
+    """
+    if g.n < 3:
         return False
-    return all(g.delete(v).is_connected() for v in g.vertices)
+    adj = g.adj
+    root = g.vertices[0]
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    # The tree edge back to the parent may lower low[w] to disc[v]; that
+    # leaves the test low[w] >= disc[v] unchanged, so it needs no skipping.
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if u == root:
+                root_children += 1
+            elif low[v] >= disc[u]:
+                return False
+            elif low[v] < low[u]:
+                low[u] = low[v]
+    return len(disc) == g.n and root_children == 1
 
 
 def _insert_before(rot: tuple[int, ...], anchor: int, new: int) -> tuple[int, ...]:
@@ -157,51 +191,47 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     """Add chords until every bounded face is a triangle.
 
     Each long face is fanned from its lowest-index vertex; when a fan chord
-    would duplicate an existing edge the next apex is tried, and if every
-    apex conflicts a single valid chord splits the face instead.  The outer
+    would duplicate an existing edge the next apex is tried.  The outer
     cycle and all existing edges are kept.
+
+    Faces are traced once and fanned in trace order: a chord changes only
+    the face it splits, into triangles, so every later face is still a face
+    of the growing graph.  Some apex is always free of conflicts.  In a
+    2-connected plane graph a face is a simple cycle, and the other edges
+    among its vertices lie outside it without crossing, so together with
+    the cycle they form an outerplanar graph; a degree-2 vertex of that
+    graph (an ear) has no edge to any non-neighbor on the face.
     """
     if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
         raise NotTwoConnected("outer face is not a simple cycle")
     if not is_two_connected(pg.graph):
         raise NotTwoConnected("triangulation needs a 2-connected plane graph")
-    while True:
-        fs = faces(pg)
-        face = next((f for f in fs.bounded if len(f) > 3), None)
-        if face is None:
-            return pg
+    long_faces = [f for f in faces(pg).bounded if len(f) > 3]
+    if not long_faces:
+        return pg
+    edges = set(pg.graph.edges)
+    rotation = dict(pg.rotation)
+    for face in long_faces:
         l = len(face)
-        apex_positions = sorted(range(l), key=lambda i: face[i])
-        done = False
-        for ap in apex_positions:
-            targets = [face[(ap + t) % l] for t in range(2, l - 1)]
-            if any(pg.graph.has_edge(face[ap], w) for w in targets):
-                continue
-            # Split triangles off one at a time; after each chord the
-            # remaining face is the apex followed by the untouched tail.
-            cur = tuple(face[(ap + t) % l] for t in range(l))
-            while len(cur) > 3:
-                pg = add_chord(pg, cur, 0, 2)
-                cur = (cur[0],) + cur[2:]
-            done = True
-            break
-        if done:
-            continue
-        # Every apex conflicts: make progress with one valid chord.  A face
-        # of length >= 4 always has one, since chords drawn outside the face
-        # cannot pairwise interleave.
-        for ai in range(l):
-            for bj in range(ai + 2, l):
-                if ai == 0 and bj == l - 1:
-                    continue
-                if not pg.graph.has_edge(face[ai], face[bj]):
-                    pg = add_chord(pg, face, ai, bj)
-                    done = True
-                    break
-            if done:
+        for ap in sorted(range(l), key=face.__getitem__):
+            cyc = face[ap:] + face[:ap]
+            apex = cyc[0]
+            if not any(_edge_key(apex, w) in edges for w in cyc[2:l - 1]):
                 break
-        if not done:
+        else:
             raise InvalidEmbedding(f"face {face} admits no chord")
+        # Chords apex-cyc[t], t = 2..l-2, each splitting one triangle off
+        # the face as add_chord(cur, 0, 2) would: at the apex the new
+        # neighbors land, last first, before cyc[1]; at cyc[t] the apex
+        # lands before cyc[t + 1].
+        rot = rotation[apex]
+        k = rot.index(cyc[1])
+        rotation[apex] = rot[:k] + cyc[l - 2:1:-1] + rot[k:]
+        for t in range(2, l - 1):
+            w = cyc[t]
+            edges.add(_edge_key(apex, w))
+            rotation[w] = _insert_before(rotation[w], cyc[t + 1], apex)
+    return PlaneGraph(SimpleGraph.on_vertices(pg.graph.vertices, edges), rotation, pg.outer)
 
 
 def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:

@@ -162,6 +162,52 @@ def wheel(p: int) -> PlaneGraph:
     return PlaneGraph(g, rot, tuple(range(p)))
 
 
+def grid(k: int, seed: int | None = None) -> PlaneGraph:
+    """k x k grid, every bounded face a quadrilateral.
+
+    Vertex (i, j) is i*k + j drawn at (j, -i); with a seed the labels are
+    shuffled so that lowest-label tie-breaks land in different places.
+    """
+    perm = list(range(k * k))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    rotation = {}
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            v = i * k + j
+            # Clockwise: left, up, right, down.
+            nbrs = [(i, j - 1), (i - 1, j), (i, j + 1), (i + 1, j)]
+            rotation[perm[v]] = tuple(perm[a * k + b] for a, b in nbrs
+                                      if 0 <= a < k and 0 <= b < k)
+            if j + 1 < k:
+                edges.append((perm[v], perm[v + 1]))
+            if i + 1 < k:
+                edges.append((perm[v], perm[v + k]))
+    outer = ([j for j in range(k)] + [i * k + k - 1 for i in range(1, k)]
+             + [(k - 1) * k + j for j in range(k - 2, -1, -1)]
+             + [i * k for i in range(k - 2, 0, -1)])
+    return PlaneGraph(SimpleGraph(k * k, edges), rotation, tuple(perm[v] for v in outer))
+
+
+def thin_triangulation(pg: PlaneGraph, rng: random.Random) -> PlaneGraph:
+    """Remove a random set of interior edges, skipping any whose removal
+    would leave the graph without 2-connectivity."""
+    from dpfcolor.planar import is_two_connected
+
+    outer_edges = {(min(a, b), max(a, b))
+                   for a, b in zip(pg.outer, pg.outer[1:] + pg.outer[:1])}
+    removable = [e for e in sorted(pg.graph.edges) if e not in outer_edges]
+    rng.shuffle(removable)
+    for key in removable[: rng.randint(0, len(removable))]:
+        g = SimpleGraph.on_vertices(pg.graph.vertices, pg.graph.edges - {key})
+        if is_two_connected(g):
+            rot = {w: tuple(x for x in pg.rotation[w] if not (w in key and x in key))
+                   for w in g.vertices}
+            pg = PlaneGraph(g, rot, pg.outer)
+    return pg
+
+
 def naive_cycle_lengths(g: SimpleGraph) -> set[int]:
     """All simple cycle lengths via uncapped recursive path search."""
     lengths: set[int] = set()

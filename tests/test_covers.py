@@ -1,0 +1,171 @@
+"""Renaming colors in covers and budgets, and updating budgets.
+
+`Cover.relabel`, `Budget.relabel` and `Budget.assign` build their results
+without the validating constructors; these tests compare them with objects
+built through `Cover(...)` and `Budget(...)` from the same renamed data.
+"""
+
+import random
+
+import pytest
+
+from dpfcolor import (
+    Budget,
+    Cover,
+    gen_random_budget,
+    gen_random_cover,
+    induced_pair_graph,
+    order_is_valid,
+    verify_coloring,
+)
+from dpfcolor.covers import invert_permutations, relabel_coloring, relabel_order
+
+from oracles import random_graph
+
+
+class TestRelabelNeedsBijections:
+    def test_cover_rejects_collapsing_map(self):
+        h = Cover(3, {0: [1, 2], 1: [1, 3]}, {(0, 1): [(2, 3)]})
+        with pytest.raises(ValueError):
+            h.relabel({0: {1: 1, 2: 1, 3: 3}})
+
+    def test_budget_rejects_collapsing_map(self):
+        f = Budget(3, 2, {(0, 1): 1, (0, 2): 2})
+        with pytest.raises(ValueError):
+            f.relabel({0: {1: 1, 2: 1, 3: 3}})
+
+    @pytest.mark.parametrize("perm", [
+        {1: 4, 2: 2, 3: 3},          # image is not the domain
+        {1: 4, 2: 2, 3: 3, 4: 1},    # a bijection, but color 1 leaves 1..s
+        {2: 3, 3: 2},                # domain is not an initial segment
+        {1: 2, 2: 2},                # not injective
+    ])
+    def test_both_reject_other_bad_renamings(self, perm):
+        h = Cover(3, {0: [1, 2, 3]})
+        f = Budget(3, 2, {(0, 1): 1})
+        with pytest.raises(ValueError):
+            h.relabel({0: perm})
+        with pytest.raises(ValueError):
+            f.relabel({0: perm})
+
+    def test_bijection_of_lower_colors_keeps_the_rest(self):
+        h = Cover(3, {0: [1, 3], 1: [2, 3]}, {(0, 1): [(1, 2), (3, 3)]})
+        f = Budget(3, 2, {(0, 1): 1, (0, 3): 2})
+        swap = {0: {1: 2, 2: 1}}
+        assert h.relabel(swap) == Cover(3, {0: [2, 3], 1: [2, 3]},
+                                        {(0, 1): [(2, 2), (3, 3)]})
+        assert f.relabel(swap) == Budget(3, 2, {(0, 2): 1, (0, 3): 2})
+
+    def test_bijection_beyond_s_is_fine_while_colors_stay_in_range(self):
+        # The planar solver renames a budget with the cover's bijections of
+        # 1..s(cover), which may exceed the budget's own s.
+        f = Budget(2, 2, {(0, 1): 1, (1, 2): 2})
+        assert f.relabel({0: {1: 2, 2: 1, 3: 3}, 1: {1: 1, 2: 2, 3: 3}}) == Budget(
+            2, 2, {(0, 2): 1, (1, 2): 2})
+
+
+class TestAssignValidates:
+    def test_color_out_of_range(self):
+        with pytest.raises(ValueError):
+            Budget(3, 2, {(0, 1): 1}).assign({(0, 4): 1})
+
+    def test_value_out_of_range(self):
+        f = Budget(3, 2, {(0, 1): 1})
+        with pytest.raises(ValueError):
+            f.assign({(0, 2): 3})
+        with pytest.raises(ValueError):
+            f.assign({(0, 2): -1})
+
+
+def _instances(count):
+    """(g, h, f, perms) with seeded random covers, budgets and renamings."""
+    for t in range(count):
+        rng = random.Random(f"covers/{t}")
+        n = rng.randint(2, 12)
+        g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng)
+        s = rng.randint(2, 6)
+        h = gen_random_cover(g, s, rng.randint(1, s), rng.choice([0.0, 0.5, 1.0]),
+                             rng.randrange(10**6))
+        cap = rng.randint(1, 3)
+        f = gen_random_budget(g, s, rng.randint(1, cap), cap, rng.randrange(10**6),
+                              lists=h.lists)
+        perms = {}
+        for v in rng.sample(list(g.vertices), rng.randint(0, n)):
+            image = list(range(1, s + 1))
+            rng.shuffle(image)
+            perms[v] = dict(zip(range(1, s + 1), image))
+        yield rng, g, h, f, perms
+
+
+def _rename(perms, v, c):
+    return perms[v][c] if v in perms else c
+
+
+def _snapshot(h: Cover, f: Budget):
+    return dict(h.lists), h.matching_items(), f.items(), {v: f.support(v) for v in h.lists}
+
+
+class TestTrustedPathsMatchValidatingConstructors:
+    def test_cover_relabel(self):
+        for _, g, h, f, perms in _instances(200):
+            before = _snapshot(h, f)
+            lists = {v: [_rename(perms, v, c) for c in cs] for v, cs in h.lists.items()}
+            matchings = {(u, v): [(_rename(perms, u, cu), _rename(perms, v, cv))
+                                  for cu, cv in pairs]
+                         for (u, v), pairs in h.matching_items()}
+            out = h.relabel(perms)
+            expected = Cover(h.s, lists, matchings)
+            assert out == expected
+            for u, v in g.edge_list():
+                assert out.matching(v, u) == expected.matching(v, u)
+            assert _snapshot(h, f) == before
+
+    def test_budget_relabel(self):
+        for _, g, h, f, perms in _instances(200):
+            before = _snapshot(h, f)
+            values = {(v, _rename(perms, v, i)): val for (v, i), val in f.items()}
+            out = f.relabel(perms)
+            expected = Budget(f.s, f.cap, values)
+            assert out == expected
+            for v in g.vertices:
+                assert out.support(v) == expected.support(v)
+                assert out.total(v) == expected.total(v)
+            assert _snapshot(h, f) == before
+
+    def test_budget_assign(self):
+        for rng, g, h, f, _ in _instances(200):
+            before = _snapshot(h, f)
+            updates = {(v, rng.randint(1, f.s)): rng.randint(0, f.cap)
+                       for v in rng.sample(list(g.vertices), rng.randint(0, g.n))}
+            values = dict(f.items())
+            values.update(updates)
+            out = f.assign(updates)
+            expected = Budget(f.s, f.cap, values)
+            assert out == expected
+            for v in g.vertices:
+                assert out.support(v) == expected.support(v)
+                assert out.total(v) == expected.total(v)
+            assert _snapshot(h, f) == before
+
+    def test_relabel_round_trips(self):
+        for _, g, h, f, perms in _instances(200):
+            inv = invert_permutations(perms)
+            assert h.relabel(perms).relabel(inv) == h
+            assert f.relabel(perms).relabel(inv) == f
+
+
+def test_verdict_is_invariant_under_relabeling():
+    """Renaming colors per vertex is a cover isomorphism: verify_coloring's
+    verdict must not change, and a renamed witness stays a witness."""
+    verdicts = set()
+    for rng, g, h, f, perms in _instances(300):
+        r = {v: rng.choice(sorted(h.lists[v])) for v in g.vertices}
+        order = verify_coloring(g, h, f, r)
+        h2, f2, r2 = h.relabel(perms), f.relabel(perms), relabel_coloring(r, perms)
+        order2 = verify_coloring(g, h2, f2, r2)
+        assert (order is None) == (order2 is None)
+        if order is not None:
+            assert order_is_valid(induced_pair_graph(g, h2, f2, r2),
+                                  relabel_order(order, perms))
+        verdicts.add(order is None)
+    assert verdicts == {True, False}

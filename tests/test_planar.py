@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from dpfcolor import (
     PlaneGraph,
     SimpleGraph,
+    cycle_graph,
     faces,
     fan_neighbors,
     find_chord,
     find_separating_triangle,
     gen_planar_triangulation,
+    path_graph,
     split_on_chord,
     triangulate_interior,
 )
@@ -17,8 +21,9 @@ from dpfcolor.errors import (
     NotOnOuterCycle,
     NotTwoConnected,
 )
+from dpfcolor.planar import is_two_connected
 
-from oracles import polygon, wheel
+from oracles import grid, polygon, random_graph, thin_triangulation, wheel
 
 
 def triangle_pg():
@@ -233,34 +238,57 @@ def test_triangulate_apex_fallback_when_fan_chord_exists():
     assert all(len(f) == 3 for f in faces(out).bounded)
 
 
-def _remove_edge(pg, u, v):
-    key = (u, v) if u < v else (v, u)
-    g2 = SimpleGraph.on_vertices(pg.graph.vertices, pg.graph.edges - {key})
-    rot = {w: tuple(x for x in pg.rotation[w]
-                    if not (w in key and x in key and w != x))
-           for w in g2.vertices}
-    return PlaneGraph(g2, rot, pg.outer)
-
-
 def test_triangulate_recovers_randomly_degraded_triangulations():
-    import random
-    from dpfcolor.planar import is_two_connected
-
     for trial in range(40):
         rng = random.Random(trial)
-        pg = gen_planar_triangulation(rng.randint(5, 12), seed=trial)
-        outer_edges = {(min(a, b), max(a, b))
-                       for a, b in zip(pg.outer, pg.outer[1:] + pg.outer[:1])}
-        removable = [e for e in sorted(pg.graph.edges) if e not in outer_edges]
-        rng.shuffle(removable)
-        for e in removable[: rng.randint(0, len(removable))]:
-            if e in pg.graph.edges:
-                cand = _remove_edge(pg, *e)
-                if is_two_connected(cand.graph):
-                    pg = cand
+        pg = thin_triangulation(gen_planar_triangulation(rng.randint(5, 12), seed=trial), rng)
         out = triangulate_interior(pg)
         fs = faces(out)
         assert all(len(f) == 3 for f in fs.bounded)
         assert out.outer == pg.outer
         assert pg.graph.edges <= out.graph.edges
         assert out.graph.m == 3 * out.graph.n - 3 - len(pg.outer)
+
+
+class TestTwoConnected:
+    """`is_two_connected` against networkx, which shares no code with it."""
+
+    def test_matches_networkx_on_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        seen = set()
+        for t in range(1200):
+            rng = random.Random(f"biconnected/{t}")
+            n = 1 + t % 12
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.9]), rng)
+            nxg = nx.Graph(g.edge_list())
+            nxg.add_nodes_from(g.vertices)
+            expected = n >= 3 and nx.is_biconnected(nxg)
+            assert is_two_connected(g) == expected, (t, g.edge_list())
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_matches_networkx_on_plane_shapes(self):
+        nx = pytest.importorskip("networkx")
+        shapes = [gen_planar_triangulation(n, seed) for n in range(3, 30) for seed in range(3)]
+        shapes += [wheel(p) for p in range(3, 20)] + [polygon(p) for p in range(3, 20)]
+        shapes += [grid(k) for k in range(2, 8)]
+        for pg in shapes:
+            g = pg.graph
+            assert is_two_connected(g) == nx.is_biconnected(nx.Graph(g.edge_list()))
+            assert is_two_connected(g)
+            for v in g.vertices[:3]:
+                h = g.delete(v)
+                assert is_two_connected(h) == (h.n >= 3 and nx.is_biconnected(
+                    nx.Graph(h.edge_list())))
+
+    def test_deep_graphs_need_no_recursion(self):
+        n = 5000
+        assert is_two_connected(cycle_graph(n))
+        assert not is_two_connected(path_graph(n))
+        # Cycles 0..half-1 and 0, half..n-1, sharing only vertex 0.
+        half = n // 2
+        edges = [(i, i + 1) for i in range(half - 1)] + [(half - 1, 0)]
+        edges += [(0, half)] + [(i, i + 1) for i in range(half, n - 1)] + [(n - 1, 0)]
+        g = SimpleGraph(n, edges)
+        assert g.degree(0) == 4 and all(g.degree(v) == 2 for v in range(1, n))
+        assert not is_two_connected(g)
