@@ -176,6 +176,16 @@ class Cover:
         self.lists = clean_lists
         self._matchings = clean
 
+    @classmethod
+    def _trusted(cls, s: int, lists: dict[int, frozenset[int]],
+                 matchings: dict[tuple[int, int], frozenset[Pair]]) -> "Cover":
+        """Wrap valid tables unchecked: lists within 1..s, and nonempty partial
+        bijections keyed (u, v) with u < v between listed colors.  Rows may
+        be shared, so none is ever mutated."""
+        h = cls.__new__(cls)
+        h.s, h.lists, h._matchings = s, lists, matchings
+        return h
+
     def list_of(self, v: int) -> frozenset[int]:
         return self.lists[v]
 
@@ -186,7 +196,9 @@ class Cover:
         return frozenset((cu, cv) for (cv, cu) in self._matchings.get((v, u), frozenset()))
 
     def matched(self, u: int, cu: int, v: int, cv: int) -> bool:
-        return (cu, cv) in self.matching(u, v)
+        if u < v:
+            return (cu, cv) in self._matchings.get((u, v), ())
+        return (cv, cu) in self._matchings.get((v, u), ())
 
     def matching_items(self) -> list[tuple[tuple[int, int], frozenset[Pair]]]:
         return sorted(self._matchings.items())
@@ -215,9 +227,7 @@ class Cover:
                 pu, pv = perms.get(u, {}), perms.get(v, {})
                 matchings[(u, v)] = frozenset((pu.get(cu, cu), pv.get(cv, cv))
                                               for cu, cv in pairs)
-        h = Cover.__new__(Cover)
-        h.s, h.lists, h._matchings = self.s, lists, matchings
-        return h
+        return Cover._trusted(self.s, lists, matchings)
 
     def __eq__(self, other):
         if not isinstance(other, Cover):

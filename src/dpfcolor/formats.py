@@ -15,9 +15,9 @@ from .planar import PlaneGraph
 
 def _lines(text: str):
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield no, toks
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -29,9 +29,12 @@ def _int(tok: str, no: int, what: str) -> int:
 
 def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[int, ...]],
                                                tuple[int, ...] | None]:
-    """Graph, rotation lines and outer line of a graph or (with `plane`) plane graph file."""
+    """Graph, rotation lines and outer line of a graph or (with `plane`) plane graph file.
+
+    Every edge line is checked here, so the graph is built unchecked; the
+    rotations are left to `PlaneGraph`.
+    """
     n = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     rotation: dict[int, tuple[int, ...]] = {}
     outer: tuple[int, ...] | None = None
@@ -59,7 +62,6 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             if key in seen:
                 raise ParseError(no, f"duplicate edge ({u},{v})")
             seen.add(key)
-            edges.append(key)
         elif plane and toks[0] == "rot":
             if len(toks) < 2:
                 raise ParseError(no, "expected: rot <v> <neighbors...>")
@@ -75,7 +77,13 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             raise ParseError(no, f"unknown directive {toks[0]!r} in graph file")
     if n is None:
         raise ParseError(1, "missing graph header")
-    return SimpleGraph(n, edges), rotation, outer
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in seen:
+        adj[u].add(v)
+        adj[v].add(u)
+    g = SimpleGraph._trusted(tuple(range(n)), frozenset(seen),
+                             {v: frozenset(ns) for v, ns in adj.items()})
+    return g, rotation, outer
 
 
 def _plane(g: SimpleGraph, rotation: dict[int, tuple[int, ...]],
@@ -123,9 +131,11 @@ def emit_plane(pg: PlaneGraph) -> str:
 
 
 def parse_cover(text: str) -> Cover:
+    """Cover of a cover file; every line is checked once, here."""
     s = None
-    lists: dict[int, tuple[int, ...]] = {}
-    matchings: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    lists: dict[int, frozenset[int]] = {}
+    # Per edge (u, v): its matching as a map cu -> cv, and the colors of v used.
+    matchings: dict[tuple[int, int], tuple[dict[int, int], set[int]]] = {}
     for no, toks in _lines(text):
         if toks[0] == "cover":
             if s is not None:
@@ -146,9 +156,10 @@ def parse_cover(text: str) -> Cover:
             colors = tuple(_int(t, no, "color") for t in toks[2:])
             if any(not 1 <= c <= s for c in colors):
                 raise ParseError(no, f"color outside 1..{s}")
-            if len(set(colors)) != len(colors):
+            cs = frozenset(colors)
+            if len(cs) != len(colors):
                 raise ParseError(no, "repeated color in list")
-            lists[v] = colors
+            lists[v] = cs
         elif toks[0] == "match":
             if s is None:
                 raise ParseError(no, "match before cover header")
@@ -166,15 +177,20 @@ def parse_cover(text: str) -> Cover:
                 raise ParseError(no, f"color {cu} not in list of {u}")
             if cv not in lists[v]:
                 raise ParseError(no, f"color {cv} not in list of {v}")
-            pairs = matchings.setdefault((u, v), [])
-            if any(cu == x for x, _ in pairs) or any(cv == y for _, y in pairs):
+            edge = matchings.get((u, v))
+            if edge is None:
+                edge = matchings[(u, v)] = ({}, set())
+            pairs, used_v = edge
+            if cu in pairs or cv in used_v:
                 raise ParseError(no, f"matching on ({u},{v}) is not a partial bijection")
-            pairs.append((cu, cv))
+            pairs[cu] = cv
+            used_v.add(cv)
         else:
             raise ParseError(no, f"unknown directive {toks[0]!r} in cover file")
     if s is None:
         raise ParseError(1, "missing cover header")
-    return Cover(s, lists, matchings)
+    return Cover._trusted(s, lists, {e: frozenset(pairs.items())
+                                     for e, (pairs, _) in matchings.items()})
 
 
 def emit_cover(h: Cover) -> str:
@@ -188,8 +204,10 @@ def emit_cover(h: Cover) -> str:
 
 
 def parse_budget(text: str) -> Budget:
+    """Budget of a budget file; every line is checked once, here."""
     s = cap = None
     values: dict[tuple[int, int], int] = {}
+    by_vertex: dict[int, dict[int, int]] = {}
     for no, toks in _lines(text):
         if toks[0] == "budget":
             if s is not None:
@@ -216,11 +234,12 @@ def parse_budget(text: str) -> Budget:
                 raise ParseError(no, f"duplicate entry for ({v},{i})")
             if val:
                 values[(v, i)] = val
+                by_vertex.setdefault(v, {})[i] = val
         else:
             raise ParseError(no, f"unknown directive {toks[0]!r} in budget file")
     if s is None:
         raise ParseError(1, "missing budget header")
-    return Budget(s, cap, values)
+    return Budget._trusted(s, cap, values, by_vertex)
 
 
 def emit_budget(f: Budget) -> str:

@@ -25,6 +25,15 @@ class SimpleGraph:
         g._build(vertices, edges)
         return g
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], edges: frozenset[tuple[int, int]],
+                 adj: dict[int, frozenset[int]]) -> "SimpleGraph":
+        """Wrap valid tables unchecked: sorted vertices, edges (u, v) with
+        u < v between them, and the adjacency sets those edges give."""
+        g = cls.__new__(cls)
+        g.vertices, g.edges, g.adj = vertices, edges, adj
+        return g
+
     def _build(self, vertices, edges):
         vs = sorted(set(vertices))
         vset = set(vs)

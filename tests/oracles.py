@@ -2,7 +2,9 @@
 
 Nothing here shares code paths with the package: order existence is decided
 by exhaustive search over orderings, coloring existence by enumerating all
-representative sets, and forests by direct cycle detection.
+representative sets, and forests by direct cycle detection.  The one
+exception, `scan_eliminate`, is the elimination loop in its plain quadratic
+form, kept as the reference for the order the faster kernel must return.
 """
 
 from __future__ import annotations
@@ -72,6 +74,31 @@ def prefix_order_exists_by_permutations(pg: PairGraph, prefix_idx: set[int]) -> 
             else:
                 return True
     return False
+
+
+def scan_eliminate(pg: PairGraph, rng: random.Random | None = None,
+                   prefix: frozenset[int] = frozenset()):
+    """Reference reverse elimination that rescans every live element per step.
+
+    The library's ready-queue kernel must return the same order: the lowest
+    removable element (or `rng.choice` of the sorted removable ones), with
+    non-prefix elements taken while any remain.  None when stuck.
+    """
+    alive = set(range(pg.n))
+    deg = [len(a) for a in pg.adj]
+    removed: list[int] = []
+    while alive:
+        pool = alive - prefix if prefix and len(alive) > len(prefix) else alive
+        candidates = sorted(i for i in pool if deg[i] < pg.budgets[i])
+        if not candidates:
+            return None
+        i = candidates[0] if rng is None else rng.choice(candidates)
+        alive.discard(i)
+        for j in pg.adj[i]:
+            if j in alive:
+                deg[j] -= 1
+        removed.append(i)
+    return tuple(pg.pairs[i] for i in reversed(removed))
 
 
 def representative_sets(g: SimpleGraph, h: Cover):

@@ -169,3 +169,21 @@ def test_verdict_is_invariant_under_relabeling():
                                   relabel_order(order, perms))
         verdicts.add(order is None)
     assert verdicts == {True, False}
+
+
+def test_matched_agrees_with_matching_in_both_orientations():
+    """`matched` looks the canonical (u < v) matching up directly; it must
+    answer as membership in `matching` does, for every orientation, every
+    color pair (listed or not) and non-edges and loops too."""
+    hits = 0
+    for _, g, h, _, _ in _instances(100):
+        for u in g.vertices:
+            for v in g.vertices:
+                m = h.matching(u, v)
+                for cu in range(0, h.s + 2):
+                    for cv in range(0, h.s + 2):
+                        got = h.matched(u, cu, v, cv)
+                        assert got == ((cu, cv) in m)
+                        assert got == h.matched(v, cv, u, cu)
+                        hits += got
+    assert hits > 0

@@ -11,6 +11,7 @@ from oracles import (
     order_exists_by_prefix_search,
     pair_graph_bits,
     prefix_order_exists_by_permutations,
+    scan_eliminate,
 )
 
 
@@ -147,3 +148,77 @@ def test_seeded_tiebreak_is_reproducible():
     a = strictly_degenerate_order(pg, seed=42)
     b = strictly_degenerate_order(pg, seed=42)
     assert a == b
+
+
+def random_pair_graph(rng, max_vertices=25, max_budget=4, uniform=None):
+    """Seeded pair graph on up to max_vertices vertices with 1..3 colors each.
+
+    Pairs of one vertex are never adjacent, as in a representative set's
+    pair graph; the budget is uniform when `uniform` is given.
+    """
+    nv = rng.randint(1, max_vertices)
+    pairs = [(v, c) for v in range(nv) for c in rng.sample(range(1, 6), rng.randint(1, 3))]
+    density = rng.choice((0.05, 0.1, 0.2, 0.4))
+    edges = [(p, q) for k, p in enumerate(pairs) for q in pairs[k + 1:]
+             if p[0] != q[0] and rng.random() < density]
+    budgets = {p: uniform if uniform is not None else rng.randint(0, max_budget)
+               for p in pairs}
+    return PairGraph(pairs, edges, budgets)
+
+
+class TestReadyQueueMatchesScan:
+    """The ready-queue kernel returns exactly the orders of the per-step scan."""
+
+    GRAPHS = 1200
+
+    def graphs(self, seed):
+        rng = random.Random(seed)
+        return [(rng, random_pair_graph(rng)) for _ in range(self.GRAPHS)]
+
+    def test_default_tiebreak(self):
+        outcomes = set()
+        for _, pg in self.graphs(101):
+            got = strictly_degenerate_order(pg)
+            assert got == scan_eliminate(pg)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_prefix_tiebreak(self):
+        outcomes = set()
+        for rng, pg in self.graphs(202):
+            prefix = frozenset(rng.sample(range(pg.n), rng.randint(0, pg.n)))
+            got = eliminate_with_prefix(pg, [pg.pairs[i] for i in sorted(prefix)])
+            assert got == scan_eliminate(pg, prefix=prefix)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_seeded_tiebreak(self):
+        outcomes = set()
+        for rng, pg in self.graphs(303):
+            seed = rng.randrange(1 << 30)
+            got = strictly_degenerate_order(pg, seed=seed)
+            assert got == scan_eliminate(pg, random.Random(seed))
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+def test_order_exists_iff_max_core_below_uniform_budget():
+    """networkx oracle: with every budget b, an order exists iff the largest
+    core number is below b (the pair graph is (b-1)-degenerate)."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(404)
+    outcomes = set()
+    for _ in range(600):
+        b = rng.randint(0, 5)
+        pg = random_pair_graph(rng, max_vertices=30, uniform=b)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(pg.n))
+        nxg.add_edges_from((i, j) for i in range(pg.n) for j in pg.adj[i] if i < j)
+        exists = max(nx.core_number(nxg).values()) < b
+        got = strictly_degenerate_order(pg)
+        assert (got is not None) == exists
+        if got is not None:
+            assert order_is_valid(pg, got)
+        outcomes.add(exists)
+    assert outcomes == {True, False}
+

@@ -1,6 +1,16 @@
+import random
+
 import pytest
 
-from dpfcolor import Budget, Cover, gen_planar_triangulation, gen_random_cover
+from dpfcolor import (
+    Budget,
+    Cover,
+    PlaneGraph,
+    SimpleGraph,
+    gen_planar_triangulation,
+    gen_random_budget,
+    gen_random_cover,
+)
 from dpfcolor.errors import ParseError
 from dpfcolor.formats import (
     emit_budget,
@@ -138,3 +148,149 @@ class TestColoringAndOrder:
     def test_order_line(self):
         assert emit_order(((0, 1), (2, 3))) == "order (0,1) (2,3)\n"
         assert emit_order(()) == "order\n"
+
+
+# Every error branch of the graph/plane, cover and budget parsers, with the
+# exact line and message.  The parsers build their results unchecked, so
+# these pin that each check still runs, and in which order.
+ERRORS = [
+    # graph and plane files (the shared line reader)
+    (parse_graph, "graph 2\ngraph 2\n", 2, "duplicate graph header"),
+    (parse_graph, "graph\n", 1, "expected: graph <n>"),
+    (parse_graph, "graph 2 3\n", 1, "expected: graph <n>"),
+    (parse_graph, "graph two\n", 1, "vertex count must be an integer, got 'two'"),
+    (parse_graph, "graph -1\n", 1, "vertex count must be nonnegative"),
+    (parse_graph, "# c\nedge 0 1\ngraph 2\n", 2, "edge before graph header"),
+    (parse_graph, "graph 2\nedge 0\n", 2, "expected: edge <u> <v>"),
+    (parse_graph, "graph 2\nedge 0 1 1\n", 2, "expected: edge <u> <v>"),
+    (parse_graph, "graph 2\nedge a 1\n", 2, "endpoint must be an integer, got 'a'"),
+    (parse_graph, "graph 2\nedge 0 b\n", 2, "endpoint must be an integer, got 'b'"),
+    (parse_graph, "graph 2\nedge 0 2\n", 2, "endpoint outside 0..1"),
+    (parse_graph, "graph 2\nedge -1 1\n", 2, "endpoint outside 0..1"),
+    (parse_graph, "graph 2\nedge 1 1\n", 2, "self-loop at 1"),
+    (parse_graph, "graph 3\nedge 0 1\nedge 1 0\n", 3, "duplicate edge (1,0)"),
+    (parse_graph, "graph 3\nrot 0 1 2\n", 2, "unknown directive 'rot' in graph file"),
+    (parse_graph, "\n# only a comment\n", 1, "missing graph header"),
+    (parse_plane, "graph 2\nrot\n", 2, "expected: rot <v> <neighbors...>"),
+    (parse_plane, "graph 2\nrot x 1\n", 2, "vertex must be an integer, got 'x'"),
+    (parse_plane, "graph 2\nrot 0 y\n", 2, "neighbor must be an integer, got 'y'"),
+    (parse_plane, "graph 2\nedge 0 1\nrot 0 1\nrot 0 1\n", 4, "duplicate rotation for 0"),
+    (parse_plane, "graph 2\nouter 0 1\nouter 0 1\n", 3, "duplicate outer line"),
+    (parse_plane, "graph 2\nouter 0 z\n", 2, "vertex must be an integer, got 'z'"),
+    (parse_plane, "graph 2\nface 0 1\n", 2, "unknown directive 'face' in graph file"),
+    (parse_plane, "graph 2\nedge 0 3\nouter\n", 2, "endpoint outside 0..1"),
+    (parse_plane, "graph 2\nedge 0 1\nrot 0 1\nrot 1 0\n", 1, "missing outer line"),
+    # cover files
+    (parse_cover, "cover 2\ncover 2\n", 2, "duplicate cover header"),
+    (parse_cover, "cover\n", 1, "expected: cover <s>"),
+    (parse_cover, "cover s\n", 1, "color count must be an integer, got 's'"),
+    (parse_cover, "cover 0\n", 1, "need at least one color"),
+    (parse_cover, "list 0 1\n", 1, "list before cover header"),
+    (parse_cover, "cover 3\nlist\n", 2, "expected: list <v> <colors...>"),
+    (parse_cover, "cover 3\nlist v 1\n", 2, "vertex must be an integer, got 'v'"),
+    (parse_cover, "cover 3\nlist 0 1\nlist 0 2\n", 3, "duplicate list for 0"),
+    (parse_cover, "cover 3\nlist 0 1 c\n", 2, "color must be an integer, got 'c'"),
+    (parse_cover, "cover 3\nlist 0 1 4\n", 2, "color outside 1..3"),
+    (parse_cover, "cover 3\nlist 0 0 1\n", 2, "color outside 1..3"),
+    (parse_cover, "cover 3\nlist 0 4 4\n", 2, "color outside 1..3"),
+    (parse_cover, "cover 3\nlist 0 2 1 2\n", 2, "repeated color in list"),
+    (parse_cover, "match 0 1 1 1\n", 1, "match before cover header"),
+    (parse_cover, "cover 3\nmatch 0 1 1\n", 2, "expected: match <u> <v> <cu> <cv>"),
+    (parse_cover, "cover 3\nmatch u 1 1 1\n", 2, "vertex must be an integer, got 'u'"),
+    (parse_cover, "cover 3\nmatch 0 v 1 1\n", 2, "vertex must be an integer, got 'v'"),
+    (parse_cover, "cover 3\nmatch 0 1 a 1\n", 2, "color must be an integer, got 'a'"),
+    (parse_cover, "cover 3\nmatch 0 1 1 b\n", 2, "color must be an integer, got 'b'"),
+    (parse_cover, "cover 3\nmatch 1 0 x 1\n", 2, "color must be an integer, got 'x'"),
+    (parse_cover, "cover 3\nmatch 1 0 1 1\n", 2, "match lines need u < v"),
+    (parse_cover, "cover 3\nmatch 1 1 1 1\n", 2, "match lines need u < v"),
+    (parse_cover, "cover 3\nlist 0 1\nmatch 0 1 1 1\n", 3, "match before both list lines"),
+    (parse_cover, "cover 3\nlist 0 1\nlist 1 2\nmatch 0 1 2 2\n", 4, "color 2 not in list of 0"),
+    (parse_cover, "cover 3\nlist 0 1\nlist 1 2\nmatch 0 1 1 1\n", 4, "color 1 not in list of 1"),
+    (parse_cover, "cover 3\nlist 0 1 2\nlist 1 1 2\nmatch 0 1 1 1\nmatch 0 1 1 2\n",
+     5, "matching on (0,1) is not a partial bijection"),
+    (parse_cover, "cover 3\nlist 0 1 2\nlist 1 1 2\nmatch 0 1 1 2\nmatch 0 1 2 2\n",
+     5, "matching on (0,1) is not a partial bijection"),
+    (parse_cover, "cover 3\nlist 0 1\nlist 1 1\nmatch 0 1 1 1\nmatch 0 1 1 1\n",
+     5, "matching on (0,1) is not a partial bijection"),
+    (parse_cover, "cover 3\nfiber 0 1\n", 2, "unknown directive 'fiber' in cover file"),
+    (parse_cover, "# nothing\n", 1, "missing cover header"),
+    # budget files
+    (parse_budget, "budget 2 2\nbudget 2 2\n", 2, "duplicate budget header"),
+    (parse_budget, "budget 2\n", 1, "expected: budget <s> <cap>"),
+    (parse_budget, "budget s 2\n", 1, "color count must be an integer, got 's'"),
+    (parse_budget, "budget 2 c\n", 1, "cap must be an integer, got 'c'"),
+    (parse_budget, "budget 0 2\n", 1, "need s >= 1 and cap >= 0"),
+    (parse_budget, "budget 2 -1\n", 1, "need s >= 1 and cap >= 0"),
+    (parse_budget, "f 0 1 1\n", 1, "f line before budget header"),
+    (parse_budget, "budget 2 2\nf 0 1\n", 2, "expected: f <v> <i> <val>"),
+    (parse_budget, "budget 2 2\nf v 1 1\n", 2, "vertex must be an integer, got 'v'"),
+    (parse_budget, "budget 2 2\nf 0 i 1\n", 2, "color must be an integer, got 'i'"),
+    (parse_budget, "budget 2 2\nf 0 1 x\n", 2, "value must be an integer, got 'x'"),
+    (parse_budget, "budget 2 2\nf 0 3 1\n", 2, "color outside 1..2"),
+    (parse_budget, "budget 2 2\nf 0 0 9\n", 2, "color outside 1..2"),
+    (parse_budget, "budget 2 2\nf 0 1 3\n", 2, "value outside 0..2"),
+    (parse_budget, "budget 2 2\nf 0 1 -1\n", 2, "value outside 0..2"),
+    (parse_budget, "budget 2 2\nf 0 1 1\nf 0 1 2\n", 3, "duplicate entry for (0,1)"),
+    (parse_budget, "budget 2 2\ng 0 1 1\n", 2, "unknown directive 'g' in budget file"),
+    (parse_budget, "", 1, "missing budget header"),
+]
+
+
+@pytest.mark.parametrize("parse,text,line,message", ERRORS,
+                         ids=[f"{p.__name__}-{k}" for k, (p, *_) in enumerate(ERRORS)])
+def test_parse_error_line_and_message(parse, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def _graph_tables(g: SimpleGraph):
+    assert type(g.vertices) is tuple and type(g.edges) is frozenset
+    assert all(type(ns) is frozenset for ns in g.adj.values())
+    return g.vertices, g.edges, g.adj
+
+
+def _cover_tables(h: Cover):
+    assert all(type(cs) is frozenset for cs in h.lists.values())
+    assert all(type(ps) is frozenset and ps for _, ps in h.matching_items())
+    return h.s, h.lists, h.matching_items()
+
+
+def _budget_tables(f: Budget, vertices):
+    return f.s, f.cap, f.items(), [(f.support(v), f.total(v)) for v in vertices]
+
+
+def test_parsed_objects_equal_validated_ones():
+    """parse(emit(x)) equals, table by table, the object the validating
+    constructor builds from the same data."""
+    for seed in range(40):
+        rng = random.Random(f"formats/{seed}")
+        pg = gen_planar_triangulation(rng.randint(3, 40), rng.randrange(10**6))
+        g = pg.graph
+        s = rng.randint(1, 6)
+        cap = rng.randint(1, 3)
+        h = gen_random_cover(g, s, rng.randint(1, s), rng.choice([0.0, 0.5, 1.0]),
+                             rng.randrange(10**6))
+        f = gen_random_budget(g, s, rng.randint(1, cap), cap, rng.randrange(10**6),
+                              lists=h.lists)
+
+        graph = SimpleGraph(g.n, g.edge_list())
+        assert _graph_tables(parse_graph(emit_graph(g))) == _graph_tables(graph)
+        back = parse_plane(emit_plane(pg))
+        plane = PlaneGraph(graph, pg.rotation, pg.outer)
+        assert _graph_tables(back.graph) == _graph_tables(plane.graph)
+        assert (back.rotation, back.outer) == (plane.rotation, plane.outer)
+
+        cover = Cover(s, {v: sorted(cs) for v, cs in h.lists.items()},
+                      {e: sorted(ps) for e, ps in h.matching_items()})
+        parsed = parse_cover(emit_cover(h))
+        assert parsed == cover
+        assert _cover_tables(parsed) == _cover_tables(cover)
+        for u, v in g.edge_list():
+            assert parsed.matching(v, u) == cover.matching(v, u)
+
+        budget = Budget(s, cap, f.items())
+        parsed_f = parse_budget(emit_budget(f))
+        assert parsed_f == budget
+        assert _budget_tables(parsed_f, g.vertices) == _budget_tables(budget, g.vertices)

@@ -174,6 +174,19 @@ class TestSolvePlanar:
             r, order = solve_planar_dpg52(pg, h, f)
             assert all(r[u] != r[v] for u, v in pg.graph.edge_list())
 
+    def test_budget_over_fewer_colors_than_the_cover(self):
+        # Budget s=4 under a 5-color cover: color 5 simply carries budget 0.
+        # Fan steps rename by bijections of the cover's 1..5, which used to
+        # raise "color 5 outside 1..4" from Budget.relabel.
+        for seed in range(20):
+            pg = gen_planar_triangulation(30, seed)
+            h = gen_random_cover(pg.graph, 5, 5, 1.0, seed + 100)
+            f = gen_random_budget(pg.graph, 4, 5, 2, seed + 200)
+            r, order = solve_planar_dpg52(pg, h, f)
+            assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
+            assert verify_coloring(pg.graph, h, f, r) is not None
+            assert f.s == 4
+
     def test_order_starts_with_precolored_pair(self):
         pg = gen_planar_triangulation(9, seed=11)
         h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=11)
