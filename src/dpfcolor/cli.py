@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/true/found, 1 invalid/false/absent, 2 usage or
 parse/precondition error, 3 a guaranteed-colorable instance came back
-uncolorable (or an internal invariant broke).  `--json` replaces the
+uncolorable, an internal invariant broke, or any other exception (such as
+a RecursionError) escaped.  `--json` replaces the
 plain output with a machine-readable report
 {status, witness?, diagnostics[], seed?, stats{nodes, backtracks, millis}}.
 """
@@ -326,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         report.status = "error"
         report.exit_code = 2
+        report.diagnostics.append(f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # a fault of the program: exit 3, no traceback
+        report.status = "internal-error"
+        report.exit_code = 3
         report.diagnostics.append(f"{type(exc).__name__}: {exc}")
     return _finish(report, getattr(args, "json", False), started)
 

@@ -44,16 +44,19 @@ class Budget:
         items = values.items() if isinstance(values, Mapping) else values
         vals: dict[Pair, int] = {}
         by_vertex: dict[int, dict[int, int]] = {}
+        zeros: set[Pair] = set()  # keys given as 0, which `vals` omits
         for (v, i), val in items:
             if not 1 <= i <= s:
                 raise ValueError(f"color {i} outside 1..{s}")
             if val < 0 or val > cap:
                 raise ValueError(f"value {val} for ({v},{i}) outside 0..{cap}")
-            if (v, i) in vals:
+            if (v, i) in vals or (v, i) in zeros:
                 raise ValueError(f"duplicate entry for ({v},{i})")
             if val > 0:
                 vals[(v, i)] = val
                 by_vertex.setdefault(v, {})[i] = val
+            else:
+                zeros.add((v, i))
         self.s = s
         self.cap = cap
         self._values = vals

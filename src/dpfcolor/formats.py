@@ -208,6 +208,7 @@ def parse_budget(text: str) -> Budget:
     s = cap = None
     values: dict[tuple[int, int], int] = {}
     by_vertex: dict[int, dict[int, int]] = {}
+    zeros: set[tuple[int, int]] = set()  # keys given as 0, which `values` omits
     for no, toks in _lines(text):
         if toks[0] == "budget":
             if s is not None:
@@ -230,11 +231,14 @@ def parse_budget(text: str) -> Budget:
                 raise ParseError(no, f"color outside 1..{s}")
             if not 0 <= val <= cap:
                 raise ParseError(no, f"value outside 0..{cap}")
-            if (v, i) in values:
+            key = (v, i)
+            if key in values or key in zeros:
                 raise ParseError(no, f"duplicate entry for ({v},{i})")
             if val:
-                values[(v, i)] = val
+                values[key] = val
                 by_vertex.setdefault(v, {})[i] = val
+            else:
+                zeros.add(key)
         else:
             raise ParseError(no, f"unknown directive {toks[0]!r} in budget file")
     if s is None:

@@ -72,11 +72,12 @@ class SimpleGraph:
     def induced(self, keep: Iterable[int]) -> "SimpleGraph":
         """Induced subgraph on `keep`, preserving vertex ids."""
         kset = set(keep)
-        unknown = kset - set(self.vertices)
+        unknown = kset - self.adj.keys()
         if unknown:
             raise ValueError(f"unknown vertices {sorted(unknown)}")
-        edges = [(u, v) for (u, v) in self.edges if u in kset and v in kset]
-        return SimpleGraph.on_vertices(kset, edges)
+        adj = {v: self.adj[v] & kset for v in sorted(kset)}
+        edges = frozenset((u, w) for u, ns in adj.items() for w in ns if u < w)
+        return SimpleGraph._trusted(tuple(adj), edges, adj)
 
     def delete(self, v: int) -> "SimpleGraph":
         return self.induced(set(self.vertices) - {v})

@@ -53,8 +53,18 @@ class PlaneGraph:
     def n(self) -> int:
         return self.graph.n
 
+    @classmethod
+    def _trusted(cls, graph: SimpleGraph, rotation: dict[int, tuple[int, ...]],
+                 outer: tuple[int, ...]) -> "PlaneGraph":
+        """Wrap valid tables unchecked: rotation[v] a tuple permuting
+        graph.adj[v] for every vertex, keyed in vertex order.  Tables may
+        be shared, so none is ever mutated."""
+        pg = cls.__new__(cls)
+        pg.graph, pg.rotation, pg.outer = graph, rotation, outer
+        return pg
+
     def with_outer(self, outer: Iterable[int]) -> "PlaneGraph":
-        return PlaneGraph(self.graph, self.rotation, outer)
+        return PlaneGraph._trusted(self.graph, self.rotation, tuple(outer))
 
     def __repr__(self):
         return f"PlaneGraph(n={self.n}, m={self.graph.m}, outer={self.outer})"
@@ -251,40 +261,30 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _face_edges(walk: tuple[int, ...]):
-    return (_edge_key(walk[t], walk[(t + 1) % len(walk)]) for t in range(len(walk)))
+def _side(pg: PlaneGraph, cycle: tuple[int, ...]) -> set[int]:
+    """Vertices strictly on one side of a simple cycle of the embedding.
 
-
-def _edge_faces(fs: FaceSet) -> dict[tuple[int, int], list[int]]:
-    """Indices of the faces on each side of every edge."""
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for idx, walk in enumerate(fs.faces):
-        for key in _face_edges(walk):
-            edge_faces.setdefault(key, []).append(idx)
-    return edge_faces
-
-
-def _region_vertices(fs: FaceSet, edge_faces: dict[tuple[int, int], list[int]],
-                     start_face: int,
-                     blocked: set[tuple[int, int]]) -> tuple[set[int], set[int]]:
-    """Flood faces from start_face without crossing a blocked edge.
-
-    Returns (face indices reached, vertices on those faces).
+    At each cycle vertex x, with predecessor p and successor q, the
+    neighbours strictly clockwise after p and before q, off the cycle,
+    leave it on the same side (left of the cycle's direction).  The cycle
+    is a closed curve that no edge crosses, so one search of G - cycle from
+    those seeds reaches exactly that side.
     """
-    reached = {start_face}
-    stack = [start_face]
+    on_cycle = set(cycle)
+    side: set[int] = set()
+    for p, x, q in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
+        rot = pg.rotation[x]
+        k = rot.index(p)
+        turn = rot[k + 1:] + rot[:k]
+        side.update(y for y in turn[:turn.index(q)] if y not in on_cycle)
+    stack = list(side)
+    adj = pg.graph.adj
     while stack:
-        for key in _face_edges(fs.faces[stack.pop()]):
-            if key in blocked:
-                continue
-            for j in edge_faces[key]:
-                if j not in reached:
-                    reached.add(j)
-                    stack.append(j)
-    verts = set()
-    for idx in reached:
-        verts.update(fs.faces[idx])
-    return reached, verts
+        for w in adj[stack.pop()]:
+            if w not in on_cycle and w not in side:
+                side.add(w)
+                stack.append(w)
+    return side
 
 
 def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
@@ -301,42 +301,29 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
     a, b = outer[i], outer[j]
     if not pg.graph.has_edge(a, b):
         raise NotAChord(f"({a},{b}) is not an edge")
-    fs = faces(pg)
-    f_ab = f_ba = None
-    for idx, w in enumerate(fs.faces):
-        if idx == fs.outer_index:
-            continue
-        for t in range(len(w)):
-            if w[t] == a and w[(t + 1) % len(w)] == b:
-                f_ab = idx
-            if w[t] == b and w[(t + 1) % len(w)] == a:
-                f_ba = idx
-    if f_ab is None or f_ba is None or f_ab == f_ba:
+    faces(pg)  # _side holds only for a valid embedding
+    if len(set(outer)) != p:
         raise NotAChord(f"({a},{b}) does not separate two bounded regions")
-    # Blocking the outer cycle keeps both floods off the outer face.
-    edge_faces = _edge_faces(fs)
-    blocked = {_edge_key(a, b)} | set(_face_edges(fs.outer))
-    reached_ab, verts_ab = _region_vertices(fs, edge_faces, f_ab, blocked)
-    _, verts_ba = _region_vertices(fs, edge_faces, f_ba, blocked)
-    if f_ba in reached_ab:
-        raise NotAChord(f"({a},{b}) does not separate two bounded regions")
-
-    outer1 = outer[:i + 1] + outer[j:]
-    outer2 = outer[i:j + 1]
-    arc2 = outer[i + 1]
-    side2, side1 = (verts_ab, verts_ba) if arc2 in verts_ab else (verts_ba, verts_ab)
-    return _restrict(pg, side1, outer1), _restrict(pg, side2, outer2)
+    # Sub-disk 2 is bounded by outer[i..j] and the chord; outer[i - 1] lies
+    # on the other arc, so it tells which side _side returned.
+    arc2 = outer[i:j + 1]
+    inside2 = _side(pg, arc2)
+    if outer[i - 1] in inside2:
+        inside2 = set(pg.graph.vertices).difference(inside2, arc2)
+    side2 = inside2.union(arc2)
+    side1 = set(pg.graph.vertices).difference(inside2, outer[i + 1:j])
+    return _restrict(pg, side1, outer[:i + 1] + outer[j:]), _restrict(pg, side2, arc2)
 
 
 def _restrict(pg: PlaneGraph, keep: set[int], outer: tuple[int, ...]) -> PlaneGraph:
     graph = pg.graph.induced(keep)
     rotation = {v: tuple(u for u in pg.rotation[v] if u in keep) for v in graph.vertices}
-    return PlaneGraph(graph, rotation, outer)
+    return PlaneGraph._trusted(graph, rotation, outer)
 
 
 def delete_vertex(pg: PlaneGraph, v: int, outer: tuple[int, ...]) -> PlaneGraph:
     """Remove one vertex, keeping the induced rotations; caller supplies the new outer face."""
-    return _restrict(pg, set(pg.graph.vertices) - {v}, outer)
+    return _restrict(pg, set(pg.graph.vertices) - {v}, tuple(outer))
 
 
 def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:
@@ -363,20 +350,15 @@ def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:
 def find_separating_triangle(pg: PlaneGraph) -> tuple[int, int, int] | None:
     """First triangle with vertices strictly inside and strictly outside it."""
     g = pg.graph
-    fs = faces(pg)
+    faces(pg)  # _side holds only for a valid embedding
     triangles = sorted(
         (u, v, w)
         for u, v in g.edge_list()
         for w in sorted(g.adj[u] & g.adj[v])
         if w > v
     )
-    edge_faces = _edge_faces(fs)
-    for (u, v, w) in triangles:
-        reached, outside_verts = _region_vertices(fs, edge_faces, fs.outer_index,
-                                                  {(u, v), (v, w), (u, w)})
-        inside_verts = {x for idx, walk in enumerate(fs.faces) if idx not in reached
-                        for x in walk}
-        corners = {u, v, w}
-        if (inside_verts - corners) and (outside_verts - corners):
-            return (u, v, w)
+    for tri in triangles:
+        side = _side(pg, tri)
+        if side and len(side) < g.n - 3:
+            return tri
     return None

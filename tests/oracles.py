@@ -2,9 +2,12 @@
 
 Nothing here shares code paths with the package: order existence is decided
 by exhaustive search over orderings, coloring existence by enumerating all
-representative sets, and forests by direct cycle detection.  The one
-exception, `scan_eliminate`, is the elimination loop in its plain quadratic
-form, kept as the reference for the order the faster kernel must return.
+representative sets, and forests by direct cycle detection.  The
+exceptions are earlier forms of library code, kept as references for what
+the current code must return: `scan_eliminate`, the elimination loop in its
+plain quadratic form, and `flood_split_on_chord` and
+`flood_find_separating_triangle`, which find the sides of a cycle by
+flooding faces and build their pieces through the validating constructors.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
-from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph
+from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph, gen_planar_triangulation
 
 
 def pair_graph_bits(pg: PairGraph) -> tuple[list[int], list[int]]:
@@ -233,6 +236,144 @@ def thin_triangulation(pg: PlaneGraph, rng: random.Random) -> PlaneGraph:
                    for w in g.vertices}
             pg = PlaneGraph(g, rot, pg.outer)
     return pg
+
+
+def triangulated_polygon(p: int, rng: random.Random) -> PlaneGraph:
+    """Convex p-gon with a random triangulation of its interior."""
+    edges = {(min(i, (i + 1) % p), max(i, (i + 1) % p)) for i in range(p)}
+    stack = [list(range(p))]
+    while stack:
+        poly = stack.pop()
+        if len(poly) < 4:
+            continue
+        t = rng.randrange(1, len(poly) - 1)
+        for u, v in ((poly[0], poly[t]), (poly[t], poly[-1])):
+            edges.add((min(u, v), max(u, v)))
+        stack += [poly[:t + 1], poly[t:]]
+    g = SimpleGraph(p, edges)
+    # Clockwise at i in the drawing: i-1 first, then ever smaller labels, i+1 last.
+    rot = {i: tuple(sorted(g.adj[i], key=lambda w: (i - w) % p)) for i in range(p)}
+    return PlaneGraph(g, rot, tuple(range(p)))
+
+
+def glued_triangulations(n1: int, n2: int, seed: int) -> PlaneGraph:
+    """Two stacked triangulations sharing one vertex, the second drawn in a
+    face corner of the first; the outer face is the longest face walk,
+    which passes the shared vertex twice."""
+    from dpfcolor.planar import trace_faces
+
+    rng = random.Random(seed)
+    t1 = gen_planar_triangulation(n1, seed)
+    t2 = gen_planar_triangulation(n2, seed + 1)
+    x1, x2 = rng.randrange(n1), rng.randrange(n2)
+    label = {x2: x1}
+    label.update((v, n1 + k) for k, v in enumerate(v for v in t2.graph.vertices if v != x2))
+    rotation = dict(t1.rotation)
+    rotation.update((label[v], tuple(label[w] for w in rot)) for v, rot in t2.rotation.items())
+    r1, r2 = t1.rotation[x1], rotation[x1]
+    k1, k2 = rng.randrange(len(r1)), rng.randrange(len(r2))
+    rotation[x1] = r1[k1:] + r1[:k1] + r2[k2:] + r2[:k2]
+    edges = list(t1.graph.edges) + [(label[u], label[v]) for u, v in t2.graph.edges]
+    pg = PlaneGraph(SimpleGraph(n1 + n2 - 1, edges), rotation, ())
+    return pg.with_outer(max(trace_faces(pg), key=len))
+
+
+def _face_edges(walk):
+    return (tuple(sorted((walk[t], walk[(t + 1) % len(walk)]))) for t in range(len(walk)))
+
+
+def _edge_faces(fs):
+    """Indices of the faces on each side of every edge."""
+    edge_faces = {}
+    for idx, walk in enumerate(fs.faces):
+        for key in _face_edges(walk):
+            edge_faces.setdefault(key, []).append(idx)
+    return edge_faces
+
+
+def _region_vertices(fs, edge_faces, start_face, blocked):
+    """Flood faces from start_face without crossing a blocked edge.
+
+    Returns (face indices reached, vertices on those faces).
+    """
+    reached = {start_face}
+    stack = [start_face]
+    while stack:
+        for key in _face_edges(fs.faces[stack.pop()]):
+            if key in blocked:
+                continue
+            for j in edge_faces[key]:
+                if j not in reached:
+                    reached.add(j)
+                    stack.append(j)
+    verts = set()
+    for idx in reached:
+        verts.update(fs.faces[idx])
+    return reached, verts
+
+
+def _flood_restrict(pg: PlaneGraph, keep: set, outer) -> PlaneGraph:
+    graph = SimpleGraph.on_vertices(keep, [e for e in pg.graph.edges
+                                           if e[0] in keep and e[1] in keep])
+    return PlaneGraph(graph, {v: tuple(u for u in pg.rotation[v] if u in keep)
+                              for v in graph.vertices}, outer)
+
+
+def flood_split_on_chord(pg: PlaneGraph, chord):
+    """`split_on_chord` by its two bounded chord faces and two face floods."""
+    from dpfcolor.errors import NotAChord
+    from dpfcolor.planar import faces
+
+    outer = pg.outer
+    p = len(outer)
+    i, j = chord
+    if not (0 <= i < j < p) or j - i < 2 or (i == 0 and j == p - 1):
+        raise NotAChord(f"positions {chord} do not name a chord")
+    a, b = outer[i], outer[j]
+    if not pg.graph.has_edge(a, b):
+        raise NotAChord(f"({a},{b}) is not an edge")
+    fs = faces(pg)
+    f_ab = f_ba = None
+    for idx, w in enumerate(fs.faces):
+        if idx == fs.outer_index:
+            continue
+        for t in range(len(w)):
+            if w[t] == a and w[(t + 1) % len(w)] == b:
+                f_ab = idx
+            if w[t] == b and w[(t + 1) % len(w)] == a:
+                f_ba = idx
+    if f_ab is None or f_ba is None or f_ab == f_ba:
+        raise NotAChord(f"({a},{b}) does not separate two bounded regions")
+    # Blocking the outer cycle keeps both floods off the outer face.
+    edge_faces = _edge_faces(fs)
+    blocked = {tuple(sorted((a, b)))} | set(_face_edges(fs.outer))
+    reached_ab, verts_ab = _region_vertices(fs, edge_faces, f_ab, blocked)
+    _, verts_ba = _region_vertices(fs, edge_faces, f_ba, blocked)
+    if f_ba in reached_ab:
+        raise NotAChord(f"({a},{b}) does not separate two bounded regions")
+    side2, side1 = (verts_ab, verts_ba) if outer[i + 1] in verts_ab else (verts_ba, verts_ab)
+    return (_flood_restrict(pg, side1, outer[:i + 1] + outer[j:]),
+            _flood_restrict(pg, side2, outer[i:j + 1]))
+
+
+def flood_find_separating_triangle(pg: PlaneGraph):
+    """`find_separating_triangle` by one face flood from the outer face per triangle."""
+    from dpfcolor.planar import faces
+
+    g = pg.graph
+    fs = faces(pg)
+    triangles = sorted((u, v, w) for u, v in g.edge_list()
+                       for w in sorted(g.adj[u] & g.adj[v]) if w > v)
+    edge_faces = _edge_faces(fs)
+    for (u, v, w) in triangles:
+        reached, outside_verts = _region_vertices(fs, edge_faces, fs.outer_index,
+                                                  {(u, v), (v, w), (u, w)})
+        inside_verts = {x for idx, walk in enumerate(fs.faces) if idx not in reached
+                        for x in walk}
+        corners = {u, v, w}
+        if (inside_verts - corners) and (outside_verts - corners):
+            return (u, v, w)
+    return None
 
 
 def naive_cycle_lengths(g: SimpleGraph) -> set[int]:

@@ -258,6 +258,25 @@ class TestExitCodeMapping:
         assert payload["diagnostics"] == ["NoColorAvailable: forced for the exit-code test"]
         assert "Traceback" not in err
 
+    def test_unexpected_exception_maps_to_exit_three(self, k4_files, capsys, monkeypatch):
+        import dpfcolor.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("forced for the exit-code test")
+
+        monkeypatch.setattr(cli_mod, "solve_planar_dpg52", boom)
+        argv = ["solve-planar", "--plane", k4_files["plane"],
+                "--cover", k4_files["cover"], "--budget", k4_files["budget"]]
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "internal-error"
+        assert payload["diagnostics"] == ["RuntimeError: forced for the exit-code test"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "RuntimeError: forced for the exit-code test\n"
+
     @pytest.mark.parametrize("which, text", [
         ("plane", "graph 3\nedge 1\nouter 0 1 2\n"),
         ("plane", "graph -2\nouter 0 1 2\n"),

@@ -1,8 +1,12 @@
-"""Renaming colors in covers and budgets, and updating budgets.
+"""Renaming colors in covers and budgets, updating budgets, and the other
+objects built without validation.
 
-`Cover.relabel`, `Budget.relabel` and `Budget.assign` build their results
+`Cover.relabel`, `Budget.relabel`, `Budget.assign`, `SimpleGraph.induced`,
+the residual budget of the planar recursion and its plane pieces
+(`split_on_chord`, `delete_vertex`, `with_outer`) build their results
 without the validating constructors; these tests compare them with objects
-built through `Cover(...)` and `Budget(...)` from the same renamed data.
+built through `Cover(...)`, `Budget(...)`, `SimpleGraph.on_vertices(...)`
+and `PlaneGraph(...)` from the same data.
 """
 
 import random
@@ -12,15 +16,22 @@ import pytest
 from dpfcolor import (
     Budget,
     Cover,
+    PlaneGraph,
+    SimpleGraph,
+    fan_neighbors,
+    gen_planar_triangulation,
     gen_random_budget,
     gen_random_cover,
     induced_pair_graph,
     order_is_valid,
+    split_on_chord,
     verify_coloring,
 )
+from dpfcolor.coloring import _residuals, residual_at
 from dpfcolor.covers import invert_permutations, relabel_coloring, relabel_order
+from dpfcolor.planar import delete_vertex
 
-from oracles import random_graph
+from oracles import random_graph, thin_triangulation, triangulated_polygon
 
 
 class TestRelabelNeedsBijections:
@@ -75,6 +86,37 @@ class TestAssignValidates:
             f.assign({(0, 2): 3})
         with pytest.raises(ValueError):
             f.assign({(0, 2): -1})
+
+
+@pytest.mark.parametrize("values", [
+    [((0, 1), 0), ((0, 1), 2)],
+    [((0, 1), 2), ((0, 1), 0)],
+    [((0, 1), 0), ((0, 1), 0)],
+])
+def test_budget_rejects_duplicate_entries_whatever_their_values(values):
+    with pytest.raises(ValueError, match=r"duplicate entry for \(0,1\)"):
+        Budget(2, 2, values)
+
+
+def _graph_tables(g: SimpleGraph):
+    assert type(g.vertices) is tuple and type(g.edges) is frozenset
+    assert all(type(ns) is frozenset for ns in g.adj.values())
+    return g.vertices, g.edges, g.adj
+
+
+def _plane_tables(pg: PlaneGraph):
+    assert type(pg.outer) is tuple
+    assert all(type(rot) is tuple for rot in pg.rotation.values())
+    return _graph_tables(pg.graph), list(pg.rotation.items()), pg.outer
+
+
+def _assert_restriction(pg: PlaneGraph, part: PlaneGraph) -> None:
+    keep = set(part.graph.vertices)
+    graph = SimpleGraph.on_vertices(keep, [(u, v) for u, v in pg.graph.edges
+                                           if u in keep and v in keep])
+    expected = PlaneGraph(graph, {v: [u for u in pg.rotation[v] if u in keep]
+                                  for v in keep}, list(part.outer))
+    assert _plane_tables(part) == _plane_tables(expected)
 
 
 def _instances(count):
@@ -147,6 +189,58 @@ class TestTrustedPathsMatchValidatingConstructors:
                 assert out.total(v) == expected.total(v)
             assert _snapshot(h, f) == before
 
+    def test_induced(self):
+        for rng, g, _, _, _ in _instances(200):
+            keep = rng.sample(list(g.vertices), rng.randint(0, g.n))
+            out = g.induced(keep)
+            expected = SimpleGraph.on_vertices(
+                keep, [(u, v) for u, v in g.edges if u in keep and v in keep])
+            assert _graph_tables(out) == _graph_tables(expected)
+            with pytest.raises(ValueError, match="unknown vertices"):
+                g.induced(keep + [g.n])
+
+    def test_residuals(self):
+        for rng, g, h, f, _ in _instances(200):
+            precolored = {v: rng.choice(sorted(h.lists[v]))
+                          for v in rng.sample(list(g.vertices), rng.randint(0, g.n))}
+            out = _residuals(g, h, f, precolored)
+            expected = Budget(f.s, f.cap, {
+                (v, i): left for v in g.vertices if v not in precolored
+                for i, left in residual_at(g, h, f, precolored, v).items()})
+            assert out == expected
+            for v in g.vertices:
+                assert out.support(v) == expected.support(v)
+                assert out.total(v) == expected.total(v)
+
+    def test_plane_pieces(self):
+        """Each piece equals the PlaneGraph built from the parent's tables
+        restricted to the piece's vertices, and the parent is unchanged."""
+        splits = 0
+        for t in range(200):
+            rng = random.Random(f"plane/{t}")
+            pg = triangulated_polygon(rng.randint(4, 14), rng)
+            if t % 2:
+                pg = thin_triangulation(pg, rng)
+            stacked = gen_planar_triangulation(rng.randint(4, 20), t)
+            before = _plane_tables(pg), _plane_tables(stacked)
+            outer = pg.outer
+            p = len(outer)
+            chords = [(i, j) for i in range(p) for j in range(i + 2, p)
+                      if (i, j) != (0, p - 1) and pg.graph.has_edge(outer[i], outer[j])]
+            if chords:
+                splits += 1
+                for part in split_on_chord(pg, rng.choice(chords)):
+                    _assert_restriction(pg, part)
+            k = rng.randrange(p)
+            _assert_restriction(pg, pg.with_outer(outer[k:] + outer[:k]))
+            v1, v2, v3 = stacked.outer
+            fan = fan_neighbors(stacked, v2)
+            out = delete_vertex(stacked, v2, (v1,) + fan[1:-1] + (v3,))
+            assert v2 not in out.graph.adj and out.graph.n == stacked.graph.n - 1
+            _assert_restriction(stacked, out)
+            assert (_plane_tables(pg), _plane_tables(stacked)) == before
+        assert splits > 150
+
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):
             inv = invert_permutations(perms)
@@ -169,6 +263,25 @@ def test_verdict_is_invariant_under_relabeling():
                                   relabel_order(order, perms))
         verdicts.add(order is None)
     assert verdicts == {True, False}
+
+
+def test_raising_a_budget_entry_keeps_a_witness_valid():
+    """A larger allowance never blocks an order: after raising any single
+    entry of the budget, every valid witness is still valid."""
+    checked = 0
+    for rng, g, h, f, _ in _instances(300):
+        r = {v: rng.choice(sorted(h.lists[v])) for v in g.vertices}
+        order = verify_coloring(g, h, f, r)
+        if order is None:
+            continue
+        for v in g.vertices:
+            for i in (r[v], rng.randint(1, f.s)):
+                values = dict(f.items())
+                values[(v, i)] = f.get(v, i) + 1
+                raised = Budget(f.s, f.cap + 1, values)
+                assert order_is_valid(induced_pair_graph(g, h, raised, r), order)
+                checked += 1
+    assert checked > 500
 
 
 def test_matched_agrees_with_matching_in_both_orientations():

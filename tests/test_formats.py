@@ -233,6 +233,7 @@ ERRORS = [
     (parse_budget, "budget 2 2\nf 0 1 1\nf 0 1 2\n", 3, "duplicate entry for (0,1)"),
     (parse_budget, "budget 2 2\ng 0 1 1\n", 2, "unknown directive 'g' in budget file"),
     (parse_budget, "", 1, "missing budget header"),
+    (parse_budget, "budget 2 2\nf 0 1 0\nf 0 1 2\n", 3, "duplicate entry for (0,1)"),
 ]
 
 

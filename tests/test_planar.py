@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,9 +22,19 @@ from dpfcolor.errors import (
     NotOnOuterCycle,
     NotTwoConnected,
 )
-from dpfcolor.planar import is_two_connected
+from dpfcolor.planar import is_two_connected, trace_faces
 
-from oracles import grid, polygon, random_graph, thin_triangulation, wheel
+from oracles import (
+    flood_find_separating_triangle,
+    flood_split_on_chord,
+    glued_triangulations,
+    grid,
+    polygon,
+    random_graph,
+    thin_triangulation,
+    triangulated_polygon,
+    wheel,
+)
 
 
 def triangle_pg():
@@ -248,6 +259,67 @@ def test_triangulate_recovers_randomly_degraded_triangulations():
         assert out.outer == pg.outer
         assert pg.graph.edges <= out.graph.edges
         assert out.graph.m == 3 * out.graph.n - 3 - len(pg.outer)
+
+
+def _chord_shapes():
+    for t in range(40):
+        rng = random.Random(f"chords/{t}")
+        stacked = gen_planar_triangulation(rng.randint(4, 14), t)
+        fanned = triangulated_polygon(rng.randint(4, 14), rng)
+        yield from (stacked, thin_triangulation(stacked, rng),
+                    fanned, thin_triangulation(fanned, rng),
+                    glued_triangulations(rng.randint(4, 7), rng.randint(4, 7), t))
+    yield from (wheel(p) for p in range(3, 9))
+    for k in range(2, 5):
+        yield from (grid(k, seed=k), triangulate_interior(grid(k, seed=k)))
+
+
+def _outcome(fn):
+    """What fn returns, or the type of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc)
+
+
+def _plane_tables(pg):
+    return pg.graph.vertices, pg.graph.edges, pg.graph.adj, pg.rotation, pg.outer
+
+
+class TestSideSearchMatchesFaceFlood:
+    """`split_on_chord` and `find_separating_triangle` find the sides of a
+    cycle with one search; the face-flood forms in `oracles` are the
+    reference.  Every face of each shape is taken as the outer face in
+    turn, both ways round, so non-simple outer walks occur too."""
+
+    def test_split_on_chord(self):
+        seen = Counter()
+        for pg in _chord_shapes():
+            for walk in trace_faces(pg):
+                for outer in (walk, walk[::-1]):
+                    q = pg.with_outer(outer)
+                    p = len(outer)
+                    chords = [(i, j) for i in range(p) for j in range(i + 2, p)
+                              if (i, j) != (0, p - 1) and pg.graph.has_edge(outer[i], outer[j])]
+                    for chord in chords:
+                        got = _outcome(lambda: [_plane_tables(part)
+                                                for part in split_on_chord(q, chord)])
+                        expected = _outcome(lambda: [_plane_tables(part)
+                                                     for part in flood_split_on_chord(q, chord)])
+                        assert got == expected, (outer, chord)
+                        seen[isinstance(got, list), len(set(outer)) == p] += 1
+        # A chord splits exactly when the outer walk is a simple cycle.
+        assert set(seen) == {(True, True), (False, False)}, seen
+
+    def test_find_separating_triangle(self):
+        found = Counter()
+        for pg in _chord_shapes():
+            for walk in trace_faces(pg):
+                q = pg.with_outer(walk)
+                got = find_separating_triangle(q)
+                assert got == flood_find_separating_triangle(q), walk
+                found[got is not None] += 1
+        assert set(found) == {True, False}
 
 
 class TestTwoConnected:

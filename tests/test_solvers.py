@@ -117,6 +117,34 @@ class TestSolveExact:
                 absent += 1
         assert found and absent  # the sample must exercise both verdicts
 
+    def test_verdict_is_invariant_under_vertex_renumbering(self):
+        """Renumbering the vertices is a graph isomorphism, so the verdict
+        cannot change, and a renumbered answer verifies on the renumbered
+        instance."""
+        verdicts = set()
+        for t in range(150):
+            rng = random.Random(f"renumber/{t}")
+            n = rng.randint(1, 7)
+            g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng)
+            s = rng.randint(1, 4)
+            list_size = rng.randint(1, s)
+            h = gen_random_cover(g, s, list_size, rng.choice([0.5, 1.0]),
+                                 seed=rng.randrange(10**6))
+            f = gen_random_budget(g, s, rng.randint(1, 2 * list_size), 2,
+                                  seed=rng.randrange(10**6), lists=h.lists)
+            new_ids = rng.sample(range(3 * n), n)
+            pi = dict(zip(g.vertices, new_ids))
+            g2 = SimpleGraph.on_vertices(new_ids, [(pi[u], pi[v]) for u, v in g.edges])
+            h2 = Cover(s, {pi[v]: cs for v, cs in h.lists.items()},
+                       {(pi[u], pi[v]): pairs for (u, v), pairs in h.matching_items()})
+            f2 = Budget(s, f.cap, {(pi[v], i): val for (v, i), val in f.items()})
+            got, got2 = solve_exact(g, h, f), solve_exact(g2, h2, f2)
+            assert (got is None) == (got2 is None), t
+            if got2 is not None:
+                assert verify_coloring(g2, h2, f2, got2[0]) is not None
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
+
     def test_deterministic_output(self):
         g = cycle_graph(5)
         h, f = identity_instance(g, (1, 2, 3))
