@@ -27,21 +27,36 @@ def induced_pair_graph(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Pair
     Vertices are the chosen (v, r(v)) pairs; two pairs are adjacent exactly
     when their graph edge's matching links the two chosen colors.  Each
     pair carries the budget f_{r(v)}(v).
+
+    Checks that r colors every vertex (PartialColoring) and then, in vertex
+    order, that each color is in its list (ColorNotInList).  A total
+    coloring has one pair per vertex, so pair k is (g.vertices[k], r(v))
+    and the tables are filled in one pass over the vertices and one
+    matching lookup per edge, with no sort.
     """
-    missing = [v for v in g.vertices if v not in r]
+    verts = g.vertices
+    missing = [v for v in verts if v not in r]
     if missing:
         raise PartialColoring(f"vertices {missing} are uncolored")
-    for v in g.vertices:
-        if r[v] not in h.list_of(v):
-            raise ColorNotInList(f"color {r[v]} not in list of vertex {v}")
-    pairs = [(v, r[v]) for v in g.vertices]
-    edges = [
-        ((u, r[u]), (v, r[v]))
-        for (u, v) in g.edge_list()
-        if h.matched(u, r[u], v, r[v])
-    ]
-    budgets = {(v, r[v]): f.get(v, r[v]) for v in g.vertices}
-    return PairGraph(pairs, edges, budgets)
+    pos = {v: k for k, v in enumerate(verts)}
+    nbrs: list[list[int]] = [[] for _ in verts]
+    matched, adj = h.matched, g.adj
+    for k, v in enumerate(verts):
+        c = r[v]
+        if c not in h.list_of(v):
+            raise ColorNotInList(f"color {c} not in list of vertex {v}")
+        for w in adj[v]:
+            if w > v and matched(v, c, w, r[w]):
+                j = pos[w]
+                nbrs[k].append(j)
+                nbrs[j].append(k)
+    pairs = tuple((v, r[v]) for v in verts)
+    return PairGraph._trusted(
+        pairs,
+        {p: k for k, p in enumerate(pairs)},
+        tuple(map(frozenset, nbrs)),
+        tuple(f.get(v, c) for v, c in pairs),
+    )
 
 
 def verify_coloring(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Order | None:
@@ -125,25 +140,35 @@ def combine_colorings(g: SimpleGraph, h: Cover, f: Budget,
     r1 must verify on G[dom(r1)] with witness s1, and r2 must verify on
     G - dom(r1) against the residual budget with witness s2.  The union is
     then valid with order s1 followed by s2.
+
+    Once the domains are checked, one definition check on the union does
+    the work: when s1 lists exactly r1's pairs, s1 + s2 is valid for the
+    union under f iff s1 is valid on G[dom(r1)] and s2 is valid on the rest
+    under the residual budget (the pairs of s1 placed before an element of
+    s2 are exactly the ones the residual discounts).  That costs one pair
+    graph and one pass over the order.  Only when it fails are the two
+    halves checked on their own, to name the one at fault.
     """
     overlap = sorted(set(r1) & set(r2))
     if overlap:
         raise DomainOverlap(f"vertices {overlap} colored twice")
     if set(r1) | set(r2) != set(g.vertices):
         raise InvalidInput("combined domains do not cover the graph")
-    g1 = g.induced(r1.keys())
-    pg1 = induced_pair_graph(g1, h, f, r1)
-    if not order_is_valid(pg1, s1):
-        raise InvalidInput("first coloring's witness order is not valid")
-    f_star = _residuals(g, h, f, r1)
-    g2 = g.induced(r2.keys())
-    pg2 = induced_pair_graph(g2, h, f_star, r2)
-    if not order_is_valid(pg2, s2):
-        raise InvalidInput("second coloring's witness is not valid under the residual budget")
     union = dict(r1)
     union.update(r2)
     order = s1 + s2
-    if not order_is_valid(induced_pair_graph(g, h, f, union), order):
+    try:
+        valid = (len(s1) == len(r1) and r1.items() == set(s1)
+                 and order_is_valid(induced_pair_graph(g, h, f, union), order))
+    except ColorNotInList:
+        valid = False
+    if not valid:
+        pg1 = induced_pair_graph(g.induced(r1.keys()), h, f, r1)
+        if not order_is_valid(pg1, s1):
+            raise InvalidInput("first coloring's witness order is not valid")
+        pg2 = induced_pair_graph(g.induced(r2.keys()), h, _residuals(g, h, f, r1), r2)
+        if not order_is_valid(pg2, s2):
+            raise InvalidInput("second coloring's witness is not valid under the residual budget")
         raise InternalInvariantViolated("combined order failed the definition check")
     return union, order
 
@@ -158,6 +183,7 @@ def order_with_prefix(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
     bad = sorted(v for v in prefix if r.get(v) != prefix[v])
     if bad:
         raise InvalidInput(f"prefix disagrees with the coloring at {bad}")
-    sub = g.induced(r.keys())
-    pg = induced_pair_graph(sub, h, f, r)
+    if r.keys() != set(g.vertices):
+        g = g.induced(r.keys())
+    pg = induced_pair_graph(g, h, f, r)
     return eliminate_with_prefix(pg, [(v, prefix[v]) for v in sorted(prefix)])

@@ -262,6 +262,15 @@ class PairGraph:
         self.adj = tuple(frozenset(a) for a in adj)
         self.budgets = tuple(budgets.get(p, 0) for p in ps)
 
+    @classmethod
+    def _trusted(cls, pairs: tuple[Pair, ...], index: dict[Pair, int],
+                 adj: tuple[frozenset[int], ...], budgets: tuple[int, ...]) -> "PairGraph":
+        """Wrap valid tables unchecked: sorted distinct pairs, their positions,
+        symmetric loop-free adjacency by position, and a budget per pair."""
+        pg = cls.__new__(cls)
+        pg.pairs, pg.index, pg.adj, pg.budgets = pairs, index, adj, budgets
+        return pg
+
     @property
     def n(self) -> int:
         return len(self.pairs)

@@ -20,19 +20,6 @@ from .errors import (
 from .graphs import SimpleGraph
 
 
-def _canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal representative over rotations and reflection."""
-    if not seq:
-        return seq
-    best = None
-    for cand in (seq, tuple(reversed(seq))):
-        for k in range(len(cand)):
-            rot = cand[k:] + cand[:k]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 class PlaneGraph:
     """Simple graph with a clockwise rotation system and an outer face."""
 
@@ -122,15 +109,29 @@ def faces(pg: PlaneGraph) -> FaceSet:
     if pg.n - pg.graph.m + len(walks) != 2:
         raise InvalidEmbedding(
             f"Euler check failed: {pg.n} - {pg.graph.m} + {len(walks)} != 2")
-    target = _canonical_cycle(pg.outer)
-    outer_index = None
-    for i, w in enumerate(walks):
-        if _canonical_cycle(w) == target:
-            outer_index = i
-            break
+    outer_index = next((i for i, w in enumerate(walks) if _same_cycle(w, pg.outer)), None)
     if outer_index is None:
         raise InvalidEmbedding("designated outer cycle is not a face")
     return FaceSet(tuple(walks), outer_index)
+
+
+def _same_cycle(walk: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    """Whether the walk reads as `outer` from some start, either way round.
+
+    Only starts at an occurrence of outer[0] can match, so a walk costs
+    O(p) per such occurrence: one for a simple walk, a few for a walk that
+    passes a cut vertex more than once.
+    """
+    if len(walk) != len(outer):
+        return False
+    head = outer[0]
+    for w in (walk, walk[::-1]):
+        k = -1
+        for _ in range(w.count(head)):
+            k = w.index(head, k + 1)
+            if w[k:] + w[:k] == outer:
+                return True
+    return False
 
 
 def is_two_connected(g: SimpleGraph) -> bool:
@@ -245,15 +246,22 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
 
 
 def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
-    """Positions (i, j) on the outer cycle of its lexicographically first chord."""
+    """Positions (i, j) on the outer cycle of its lexicographically first chord.
+
+    Scans, for each position i, only the neighbours of outer[i] that lie on
+    the outer cycle, so the search costs O(sum of outer degrees).
+    """
     outer = pg.outer
     p = len(outer)
-    for i in range(p):
-        for j in range(i + 2, p):
-            if i == 0 and j == p - 1:
-                continue
-            if pg.graph.has_edge(outer[i], outer[j]):
-                return (i, j)
+    at: dict[int, list[int]] = {}
+    for t, v in enumerate(outer):
+        at.setdefault(v, []).append(t)
+    adj = pg.graph.adj
+    for i, v in enumerate(outer):
+        js = [j for w in adj.get(v, ()) for j in at.get(w, ())
+              if j >= i + 2 and (i, j) != (0, p - 1)]
+        if js:
+            return (i, min(js))
     return None
 
 

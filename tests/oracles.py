@@ -4,10 +4,19 @@ Nothing here shares code paths with the package: order existence is decided
 by exhaustive search over orderings, coloring existence by enumerating all
 representative sets, and forests by direct cycle detection.  The
 exceptions are earlier forms of library code, kept as references for what
-the current code must return: `scan_eliminate`, the elimination loop in its
-plain quadratic form, and `flood_split_on_chord` and
-`flood_find_separating_triangle`, which find the sides of a cycle by
-flooding faces and build their pieces through the validating constructors.
+the current code must return:
+
+- `scan_eliminate`, the elimination loop in its plain quadratic form;
+- `flood_split_on_chord` and `flood_find_separating_triangle`, which find
+  the sides of a cycle by flooding faces and build their pieces through
+  the validating constructors;
+- `sorted_induced_pair_graph`, which builds the pair graph from the sorted
+  edge list through `PairGraph.__init__`;
+- `three_check_combine_colorings`, which checks the first coloring, the
+  residual one and the union separately;
+- `canonical_faces`, which finds the outer face by comparing the minimal
+  rotation or reflection of every walk;
+- `scan_find_chord`, which tries every pair of outer positions.
 """
 
 from __future__ import annotations
@@ -447,3 +456,87 @@ def fan_configuration_instance(seed: int, k: int):
         if res is None:
             continue
         return g, h, f, tuple(K), res[0]
+
+
+def sorted_induced_pair_graph(g: SimpleGraph, h: Cover, f: Budget, r) -> PairGraph:
+    """`induced_pair_graph` from the sorted edge list through `PairGraph.__init__`."""
+    from dpfcolor.errors import ColorNotInList, PartialColoring
+
+    missing = [v for v in g.vertices if v not in r]
+    if missing:
+        raise PartialColoring(f"vertices {missing} are uncolored")
+    for v in g.vertices:
+        if r[v] not in h.list_of(v):
+            raise ColorNotInList(f"color {r[v]} not in list of vertex {v}")
+    pairs = [(v, r[v]) for v in g.vertices]
+    edges = [((u, r[u]), (v, r[v])) for (u, v) in g.edge_list()
+             if h.matched(u, r[u], v, r[v])]
+    budgets = {(v, r[v]): f.get(v, r[v]) for v in g.vertices}
+    return PairGraph(pairs, edges, budgets)
+
+
+def three_check_combine_colorings(g: SimpleGraph, h: Cover, f: Budget, r1, s1, r2, s2):
+    """`combine_colorings` checking r1, the residual coloring and the union apart."""
+    from dpfcolor.coloring import _residuals
+    from dpfcolor.degeneracy import order_is_valid
+    from dpfcolor.errors import DomainOverlap, InternalInvariantViolated, InvalidInput
+
+    overlap = sorted(set(r1) & set(r2))
+    if overlap:
+        raise DomainOverlap(f"vertices {overlap} colored twice")
+    if set(r1) | set(r2) != set(g.vertices):
+        raise InvalidInput("combined domains do not cover the graph")
+    pg1 = sorted_induced_pair_graph(g.induced(r1.keys()), h, f, r1)
+    if not order_is_valid(pg1, s1):
+        raise InvalidInput("first coloring's witness order is not valid")
+    f_star = _residuals(g, h, f, r1)
+    pg2 = sorted_induced_pair_graph(g.induced(r2.keys()), h, f_star, r2)
+    if not order_is_valid(pg2, s2):
+        raise InvalidInput("second coloring's witness is not valid under the residual budget")
+    union = dict(r1)
+    union.update(r2)
+    order = s1 + s2
+    if not order_is_valid(sorted_induced_pair_graph(g, h, f, union), order):
+        raise InternalInvariantViolated("combined order failed the definition check")
+    return union, order
+
+
+def _canonical_cycle(seq):
+    """Minimal representative over rotations and reflection."""
+    if not seq:
+        return seq
+    return min(cand[k:] + cand[:k] for cand in (seq, tuple(reversed(seq)))
+               for k in range(len(cand)))
+
+
+def canonical_faces(pg: PlaneGraph):
+    """`faces`, matching the outer cycle by its canonical rotation."""
+    from dpfcolor.errors import InvalidEmbedding
+    from dpfcolor.planar import FaceSet, trace_faces
+
+    if not pg.graph.is_connected():
+        raise InvalidEmbedding("graph is not connected")
+    if pg.n == 1:
+        return FaceSet(((),), 0)
+    walks = trace_faces(pg)
+    if pg.n - pg.graph.m + len(walks) != 2:
+        raise InvalidEmbedding(
+            f"Euler check failed: {pg.n} - {pg.graph.m} + {len(walks)} != 2")
+    target = _canonical_cycle(pg.outer)
+    for i, w in enumerate(walks):
+        if _canonical_cycle(w) == target:
+            return FaceSet(tuple(walks), i)
+    raise InvalidEmbedding("designated outer cycle is not a face")
+
+
+def scan_find_chord(pg: PlaneGraph):
+    """`find_chord` by trying every pair of outer positions in order."""
+    outer = pg.outer
+    p = len(outer)
+    for i in range(p):
+        for j in range(i + 2, p):
+            if i == 0 and j == p - 1:
+                continue
+            if pg.graph.has_edge(outer[i], outer[j]):
+                return (i, j)
+    return None

@@ -16,6 +16,7 @@ from dpfcolor import (
     residual_budget,
     verify_coloring,
 )
+from dpfcolor.degeneracy import strictly_degenerate_order
 from dpfcolor.errors import (
     ColorNotInList,
     DomainOverlap,
@@ -25,7 +26,12 @@ from dpfcolor.errors import (
     PartialColoring,
 )
 
-from oracles import random_graph
+from oracles import (
+    random_graph,
+    scan_eliminate,
+    sorted_induced_pair_graph,
+    three_check_combine_colorings,
+)
 
 
 def c4_identity():
@@ -295,3 +301,169 @@ def test_residual_never_exceeds_budget():
         for v in g.vertices:
             for i in range(1, s + 1):
                 assert fs.get(v, i) <= f.get(v, i)
+
+
+def _outcome(fn):
+    """What fn returns, or the class and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _fields(pg):
+    return pg.pairs, pg.index, pg.adj, pg.budgets
+
+
+def sparse_instance(rng):
+    """Seeded graph with non-contiguous vertex ids, a cover whose matchings
+    are often sparse or empty, and a budget with only some entries set."""
+    from dpfcolor import gen_random_cover
+
+    big = random_graph(rng.randint(1, 12), rng.choice([0.2, 0.5, 0.9]), rng)
+    g = big.induced(v for v in big.vertices if rng.random() < 0.8)
+    s = rng.randint(1, 4)
+    h = gen_random_cover(big, s, rng.randint(1, s), rng.choice([0.0, 0.3, 0.6, 1.0]),
+                         seed=rng.randrange(10**6))
+    f = Budget(s, 2, {(v, i): rng.randint(0, 2) for v in big.vertices
+                      for i in range(1, s + 1) if rng.random() < 0.6})
+    r = {v: rng.choice(sorted(h.list_of(v))) for v in big.vertices}
+    return g, h, f, r
+
+
+class TestVertexIndexedPairGraph:
+    """`induced_pair_graph` fills its tables by vertex; the sorted-edge
+    construction through `PairGraph.__init__` in `oracles` is the reference."""
+
+    def test_fields_and_witnesses_match_sorted_construction(self):
+        outcomes = set()
+        for t in range(400):
+            rng = random.Random(f"pair-graph/{t}")
+            g, h, f, r = sparse_instance(rng)
+            got = induced_pair_graph(g, h, f, r)
+            expected = sorted_induced_pair_graph(g, h, f, r)
+            assert _fields(got) == _fields(expected), t
+            witness = strictly_degenerate_order(got)
+            assert witness == scan_eliminate(expected), t
+            assert (strictly_degenerate_order(got, seed=t)
+                    == scan_eliminate(expected, random.Random(t))), t
+            outcomes.add((witness is None, any(got.adj)))
+        assert outcomes == {(a, b) for a in (True, False) for b in (True, False)}
+
+    def test_error_precedence_matches(self):
+        seen = set()
+        for t in range(300):
+            rng = random.Random(f"pair-graph-errors/{t}")
+            g, h, f, r = sparse_instance(rng)
+            for v in g.vertices:
+                x = rng.random()
+                if x < 0.1:
+                    del r[v]
+                elif x < 0.25:
+                    r[v] = rng.choice([0, h.s + 1] + sorted(set(range(1, h.s + 1))
+                                                             - h.list_of(v)))
+            got = _outcome(lambda: _fields(induced_pair_graph(g, h, f, r)))
+            expected = _outcome(lambda: _fields(sorted_induced_pair_graph(g, h, f, r)))
+            assert got == expected, t
+            seen.add(got[0] if isinstance(got[0], type) else "ok")
+        assert seen == {PartialColoring, ColorNotInList, "ok"}
+
+
+def verified_instance(rng):
+    """Seeded (g, h, f, witness) of a coloring that verifies; most budget
+    entries are positive so that random colorings often do."""
+    while True:
+        g, h, _, _ = sparse_instance(rng)
+        f = Budget(h.s, 2, {(v, i): rng.choice([0, 1, 1, 2, 2])
+                            for v in g.vertices for i in h.list_of(v)})
+        for _ in range(20):
+            r = {v: rng.choice(sorted(h.list_of(v))) for v in g.vertices}
+            witness = verify_coloring(g, h, f, r)
+            if witness is not None:
+                return g, h, f, witness
+
+
+def _combine_cases(h, f, witness, rng):
+    """A valid split of a verified coloring, then corrupted copies of it."""
+    if len(witness) < 2:
+        return
+    k = rng.randint(0, len(witness))
+    s1, s2 = witness[:k], witness[k:]
+    r1, r2 = dict(s1), dict(s2)
+    yield "valid", (r1, s1, r2, s2)
+    yield "s1 reversed", (r1, s1[::-1], r2, s2)
+    yield "s2 reversed", (r1, s1, r2, s2[::-1])
+    if s1 and s2:
+        yield "pairs swapped", (r1, s1[:-1] + s2[:1], r2, s1[-1:] + s2[1:])
+        yield "s1 short", (r1, s1[:-1], r2, s2)
+        yield "s2 short", (r1, s1, r2, s2[:-1])
+        yield "overlap", (r1, s1, {**r2, s1[0][0]: s1[0][1]}, s2)
+        yield "domain gap", (r1, s1, dict(s2[1:]), s2[1:])
+    # A color outside its list in one half or both; in the second half
+    # also behind a broken first witness, which must still be reported first.
+    rs, orders = [dict(r1), dict(r2)], [s1, s2]
+    for part in (0, 1):
+        if not orders[part]:
+            continue
+        v, c = orders[part][rng.randrange(len(orders[part]))]
+        bad = rng.choice(sorted(set(range(1, h.s + 2)) - h.list_of(v)))
+        rs[part][v] = bad
+        orders[part] = tuple((x, bad if x == v else cx) for x, cx in orders[part])
+        one = [r1, s1, r2, s2]
+        one[2 * part:2 * part + 2] = rs[part], orders[part]
+        yield f"color outside list in part {part + 1}", tuple(one)
+    if s2:
+        yield "s1 reversed, color outside list in part 2", (r1, s1[::-1], rs[1], orders[1])
+    if s1 and s2:
+        yield "colors outside lists in both parts", (rs[0], orders[0], rs[1], orders[1])
+    # Lowered budgets break the union check too, in either half.
+    low = Budget(f.s, f.cap, [(key, val - 1) for key, val in f.items()])
+    yield "lowered budget", (r1, s1, r2, s2, low)
+
+
+class TestSingleUnionCheck:
+    """`combine_colorings` checks the union once and the halves only on
+    failure; the three-check form in `oracles` is the reference."""
+
+    def test_same_result_or_same_error(self):
+        seen = {}
+        for t in range(300):
+            rng = random.Random(f"combine/{t}")
+            g, h, f, witness = verified_instance(rng)
+            for kind, args in _combine_cases(h, f, witness, rng):
+                r1, s1, r2, s2, *budget = args
+                fb = budget[0] if budget else f
+                got = _outcome(lambda: combine_colorings(g, h, fb, r1, s1, r2, s2))
+                expected = _outcome(
+                    lambda: three_check_combine_colorings(g, h, fb, r1, s1, r2, s2))
+                assert got == expected, (t, kind)
+                outcome = got if isinstance(got[0], type) else "ok"
+                seen.setdefault(kind, set()).add(outcome)
+        assert seen["valid"] == {"ok"}
+        errors = set().union(*seen.values()) - {"ok"}
+        first = (InvalidInput, "first coloring's witness order is not valid")
+        assert {first,
+                (InvalidInput, "second coloring's witness is not valid under the residual budget"),
+                (InvalidInput, "combined domains do not cover the graph")} <= errors
+        assert {cls for cls, _ in errors} == {InvalidInput, ColorNotInList, DomainOverlap}
+        assert first in seen["pairs swapped"]
+
+    def test_success_path_builds_no_subgraph_or_residual(self, monkeypatch):
+        import dpfcolor.coloring as coloring
+
+        cases = []
+        for t in range(100):
+            rng = random.Random(f"combine/{t}")
+            g, h, f, witness = verified_instance(rng)
+            cases += [(g, h, f) + args for kind, args in _combine_cases(h, f, witness, rng)
+                      if kind == "valid"]
+        assert len(cases) > 50
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the success path")
+
+        monkeypatch.setattr(SimpleGraph, "induced", forbidden)
+        monkeypatch.setattr(coloring, "_residuals", forbidden)
+        for g, h, f, r1, s1, r2, s2 in cases:
+            union, order = combine_colorings(g, h, f, r1, s1, r2, s2)
+            assert order == s1 + s2 and union == {**r1, **r2}

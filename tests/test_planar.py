@@ -25,12 +25,14 @@ from dpfcolor.errors import (
 from dpfcolor.planar import is_two_connected, trace_faces
 
 from oracles import (
+    canonical_faces,
     flood_find_separating_triangle,
     flood_split_on_chord,
     glued_triangulations,
     grid,
     polygon,
     random_graph,
+    scan_find_chord,
     thin_triangulation,
     triangulated_polygon,
     wheel,
@@ -320,6 +322,73 @@ class TestSideSearchMatchesFaceFlood:
                 assert got == flood_find_separating_triangle(q), walk
                 found[got is not None] += 1
         assert set(found) == {True, False}
+
+
+def _rotations(walk):
+    for w in (walk, walk[::-1]):
+        for k in range(len(w)):
+            yield w[k:] + w[:k]
+
+
+def _error_outcome(fn):
+    """What fn returns, or the class and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOuterFaceMatch:
+    """`faces` finds the outer face by cyclic comparison; the canonical-form
+    search in `oracles` is the reference.  Every face is taken as the outer
+    one, both ways round and from a random start."""
+
+    def test_same_outer_index_or_same_error(self):
+        seen = Counter()
+        for t, pg in enumerate(_chord_shapes()):
+            rng = random.Random(f"outer-match/{t}")
+            walks = trace_faces(pg)
+            candidates = []
+            for w in walks:
+                k = rng.randrange(len(w))
+                candidates += [w, w[::-1], w[k:] + w[:k], (w[k:] + w[:k])[::-1]]
+            # Cycles that are not faces: triangles around stacked vertices,
+            # face walks with a corner changed or cut short, and no walk.
+            candidates += [tuple(sorted(pg.graph.adj[v])) for v in pg.graph.vertices[:4]
+                           if pg.graph.degree(v) == 3]
+            for w in rng.sample(walks, min(3, len(walks))):
+                k = rng.randrange(len(w))
+                candidates.append(w[:k] + (rng.choice(pg.graph.vertices),) + w[k + 1:])
+                candidates.append(w[:-1])
+            candidates.append(())
+            for outer in candidates:
+                q = pg.with_outer(outer)
+                got = _error_outcome(lambda: faces(q).outer_index)
+                assert got == _error_outcome(lambda: canonical_faces(q).outer_index), outer
+                seen[isinstance(got, int), len(set(outer)) == len(outer)] += 1
+        assert set(seen) == {(a, b) for a in (True, False) for b in (True, False)}, seen
+
+    def test_broken_embeddings_give_the_same_error(self):
+        pg = gen_planar_triangulation(8, seed=4)
+        rot = dict(pg.rotation)
+        rot[0] = rot[0][1::-1] + rot[0][2:]
+        g = SimpleGraph(4, [(0, 1), (2, 3)])
+        for q in (PlaneGraph(pg.graph, rot, pg.outer),
+                  PlaneGraph(g, {0: (1,), 1: (0,), 2: (3,), 3: (2,)}, (0, 1)),
+                  PlaneGraph(SimpleGraph(1), {}, (0,))):
+            got = _error_outcome(lambda: faces(q).outer_index)
+            assert got == _error_outcome(lambda: canonical_faces(q).outer_index)
+
+
+def test_find_chord_matches_pairwise_scan():
+    found = Counter()
+    for pg in _chord_shapes():
+        for walk in trace_faces(pg):
+            for outer in _rotations(walk):
+                got = find_chord(pg.with_outer(outer))
+                assert got == scan_find_chord(pg.with_outer(outer)), outer
+                found[got is not None] += 1
+    assert set(found) == {True, False}
 
 
 class TestTwoConnected:

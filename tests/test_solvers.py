@@ -355,3 +355,34 @@ def test_triangle_precoloring_outside_lists_raises_invalid_precoloring():
     f = budget_list(lists)
     with pytest.raises(InvalidPrecoloring):
         extend_precolored_triangle(pg, h, f, {0: 9, 1: 2, 2: 3})
+
+
+def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
+    """A chord split checks its combined order itself: an order corrupted
+    inside one split fails there, not only in the final check."""
+    import dpfcolor.solvers as solvers
+    from dpfcolor.errors import InternalInvariantViolated
+
+    from oracles import triangulated_polygon
+
+    original = solvers.order_with_prefix
+    corrupted = []
+
+    def swap_last_two(g, h, f, r, prefix):
+        order = original(g, h, f, r, prefix)
+        if not corrupted and order is not None and len(order) > 3:
+            swapped = order[:-2] + (order[-1], order[-2])
+            if not order_is_valid(induced_pair_graph(g, h, f, r), swapped):
+                corrupted.append(swapped)
+                return swapped
+        return order
+
+    pg = triangulated_polygon(40, random.Random(0))
+    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
+    f = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
+    solve_planar_dpg52(pg, h, f)  # solves when nothing is corrupted
+    monkeypatch.setattr(solvers, "order_with_prefix", swap_last_two)
+    with pytest.raises(InternalInvariantViolated, match="^chord combination failed: second "
+                       "coloring's witness is not valid under the residual budget$"):
+        solve_planar_dpg52(pg, h, f)
+    assert len(corrupted) == 1
