@@ -10,13 +10,18 @@ triangulations, random triangulated polygons and grids (the last two from
 `perfbench/shapes.py`), and polygons fanned by `triangulate_interior`.
 Covers use 5 colors, lists of 5 and density 1.0; budgets have total 5 and
 cap 2.  A case that raises, or runs longer than TIMEOUT_S, records its
-error instead of a time: a fanned polygon with p >= 1000 still exhausts
-the default recursion limit.
+error instead of a time.  The solver keeps its pending steps on a work
+stack, so no case meets the recursion limit, but the steps waiting on that
+stack hold memory that grows about as n^2 on grids and fanned polygons.
+Each case process therefore caps its address space at MEMORY_CAP_BYTES,
+and a case over the cap records a MemoryError instead of pushing the
+machine into swap or the kernel's out-of-memory killer.  Every case
+records its process's peak resident set size.
 
 The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{shape, n,
-     vertices, seed, total_ms} or {shape, n, seed, error}],
+     vertices, seed, total_ms, peak_rss_mb} or {shape, n, seed, error, ...}],
      growth: {shape: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
@@ -34,6 +39,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -48,6 +54,7 @@ SHAPES = ("stacked", "polygon", "fanned", "grid")
 SIZES = (500, 1000, 2000, 4000)
 SEED = 1
 TIMEOUT_S = 600
+MEMORY_CAP_BYTES = 3 << 30
 
 
 # -- one case, in its own process -------------------------------------------
@@ -66,6 +73,18 @@ def build(dp, shape: str, n: int, seed: int):
     raise ValueError(f"unknown shape {shape}")
 
 
+def cap_memory(limit: int) -> None:
+    """Lower this process's address-space limit to `limit` bytes."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def run_case(shape: str, n: int, seed: int) -> dict:
     import dpfcolor as dp
 
@@ -78,11 +97,13 @@ def run_case(shape: str, n: int, seed: int) -> dict:
         coloring, _ = dp.solve_planar_dpg52(pg, h, f)
         if dp.verify_coloring(pg.graph, h, f, coloring) is None:
             raise AssertionError("solver output failed verification")
-    except Exception as exc:  # RecursionError included: it is a result here
+    except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
         case["error_after_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
+        case["peak_rss_mb"] = peak_rss_mb()
         return case
     case["total_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
+    case["peak_rss_mb"] = peak_rss_mb()
     return case
 
 
@@ -119,6 +140,10 @@ def describe(case: dict) -> str:
     return case["error"].split(":")[0]
 
 
+def describe_memory(case: dict) -> str:
+    return f"{case['peak_rss_mb']:.0f} MB" if "peak_rss_mb" in case else ""
+
+
 def print_delta(old: dict, new: dict) -> None:
     before = {(c["shape"], c["n"]): c for c in old["cases"]}
     print(f"change against {old.get('label')} ({old.get('commit')}):")
@@ -145,6 +170,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     src = args.src.resolve()
     if args.case:
+        cap_memory(MEMORY_CAP_BYTES)
         sys.path.insert(0, str(src))
         print(json.dumps(run_case(args.case[0], int(args.case[1]), SEED)))
         return 0
@@ -155,7 +181,8 @@ def main(argv=None) -> int:
     for shape in SHAPES:
         for n in SIZES:
             case = spawn(shape, n, src)
-            print(f"{shape:8} n={case['n']:<5} {describe(case)}", flush=True)
+            print(f"{shape:8} n={case['n']:<5} {describe(case)} {describe_memory(case)}",
+                  flush=True)
             cases.append(case)
     growth = {}
     for shape in SHAPES:

@@ -312,6 +312,14 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
     faces(pg)  # _side holds only for a valid embedding
     if len(set(outer)) != p:
         raise NotAChord(f"({a},{b}) does not separate two bounded regions")
+    return _split(pg, chord)
+
+
+def _split(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
+    """split_on_chord without its checks, for a valid embedding whose outer
+    cycle is simple and a chord given by valid positions."""
+    outer = pg.outer
+    i, j = chord
     # Sub-disk 2 is bounded by outer[i..j] and the chord; outer[i - 1] lies
     # on the other arc, so it tells which side _side returned.
     arc2 = outer[i:j + 1]
@@ -330,8 +338,23 @@ def _restrict(pg: PlaneGraph, keep: set[int], outer: tuple[int, ...]) -> PlaneGr
 
 
 def delete_vertex(pg: PlaneGraph, v: int, outer: tuple[int, ...]) -> PlaneGraph:
-    """Remove one vertex, keeping the induced rotations; caller supplies the new outer face."""
-    return _restrict(pg, set(pg.graph.vertices) - {v}, tuple(outer))
+    """Remove one vertex, keeping the induced rotations; caller supplies the new outer face.
+
+    Only the rows of v's neighbours are rebuilt; every other adjacency and
+    rotation row is shared with pg.
+    """
+    g = pg.graph
+    nbrs = g.adj[v]
+    adj = dict(g.adj)
+    rotation = dict(pg.rotation)
+    del adj[v], rotation[v]
+    for u in nbrs:
+        adj[u] = adj[u] - {v}
+        rotation[u] = tuple(w for w in rotation[u] if w != v)
+    k = g.vertices.index(v)
+    graph = SimpleGraph._trusted(g.vertices[:k] + g.vertices[k + 1:],
+                                 g.edges.difference(_edge_key(u, v) for u in nbrs), adj)
+    return PlaneGraph._trusted(graph, rotation, tuple(outer))
 
 
 def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:

@@ -8,8 +8,9 @@ sub-pair-graph keeps it valid.
 solve_planar_dpg52 realizes the constructive argument that planar graphs
 are colorable whenever every vertex has budget total at least 5 with
 values capped at 2: triangulate the interior, precolor one outer edge,
-then recurse by splitting on outer-cycle chords or deleting the second
-outer vertex and lowering the budgets along its fan.
+then repeatedly split on outer-cycle chords or delete the second outer
+vertex and lower the budgets along its fan.  The steps of that recursion
+wait on an explicit work stack, so its depth costs heap, not Python stack.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ from .errors import (
 from .graphs import SimpleGraph
 from .planar import (
     PlaneGraph,
+    _split,
     delete_vertex,
     faces,
     fan_neighbors,
     find_chord,
     is_two_connected,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
-    split_on_chord,
+    split_on_chord,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     triangulate_interior,
 )
 
@@ -218,7 +220,7 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     The instance is guaranteed colorable; the solver triangulates bounded
     faces (added edges carry empty matchings, so the pair graph is
     unchanged), precolors the lexicographically smallest outer edge and
-    recurses.  Output always passes verification.
+    extends the precoloring step by step.  Output always passes verification.
     """
     g = pg.graph
     for (_, _), val in f.items():
@@ -258,9 +260,38 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
 
 def _extend(pg: PlaneGraph, h: Cover, f: Budget,
             pre: tuple[tuple[int, int], tuple[int, int]]) -> tuple[dict[int, int], Order]:
-    """Recursive step on a near-triangulation whose outer cycle starts and
-    ends with the two precolored vertices; the returned order keeps the
-    precolored pairs first."""
+    """Solve a near-triangulation whose outer cycle starts and ends with the
+    two precolored vertices; the returned order keeps the precolored pairs
+    first.
+
+    Each step of the construction is a frame (`_step`) that yields the
+    sub-instances it needs solved and receives their solutions.  The frames
+    wait on an explicit work stack, so the Python stack stays flat however
+    deep the construction goes.
+    """
+    stack = [_step(pg, h, f, pre)]
+    solved = None
+    while stack:
+        try:
+            sub = stack[-1].send(solved)
+        except StopIteration as done:
+            stack.pop()
+            solved = done.value
+        else:
+            stack.append(_step(*sub))
+            solved = None
+    return solved
+
+
+def _step(pg: PlaneGraph, h: Cover, f: Budget,
+          pre: tuple[tuple[int, int], tuple[int, int]]):
+    """One frame of `_extend`: a base triangle, a chord split or a fan step.
+
+    A split frame solves piece 1, orients piece 2 by the order of the chord
+    ends in piece 1's witness and solves it, then concatenates.  A fan frame
+    solves the instance without the pivot v2 and reinserts v2.  Each frame
+    returns a valid order of its own piece under its own cover and budget.
+    """
     (v1, a), (vp, b) = pre
     g = pg.graph
     outer = pg.outer
@@ -274,14 +305,16 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
 
     chord = find_chord(pg)
     if chord is not None:
+        # The solver splits only near-triangulations it built itself from the
+        # validated input, so the split needs no embedding or cycle check.
         i, j = chord
-        pg1, pg2 = split_on_chord(pg, chord)
-        r1, s1 = _extend(pg1, h, f, pre)
+        pg1, pg2 = _split(pg, chord)
+        r1, s1 = yield pg1, h, f, pre
         vi, vj = outer[i], outer[j]
         pos = {v: t for t, (v, _) in enumerate(s1)}
         first, second = (vi, vj) if pos[vi] < pos[vj] else (vj, vi)
         pg2 = _orient_outer(pg2, first, second)
-        r2, s2 = _extend(pg2, h, f, ((first, r1[first]), (second, r1[second])))
+        r2, s2 = yield pg2, h, f, ((first, r1[first]), (second, r1[second]))
         s2p = order_with_prefix(pg2.graph, h, f, r2,
                                 {first: r1[first], second: r1[second]})
         if s2p is None:
@@ -295,7 +328,7 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
             raise InternalInvariantViolated(f"chord combination failed: {exc}") from exc
 
     # Chordless outer cycle: delete the second outer vertex, lower budgets
-    # along its fan, recurse, and reinsert its pair.
+    # along its fan, solve the rest, and reinsert its pair.
     p = len(outer)
     v2, v3 = outer[1], outer[2]
     fan = fan_neighbors(pg, v2)
@@ -340,7 +373,7 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
     f_adj = f2.assign(updates)
 
     new_outer = (v1,) + tuple(U) + outer[2:]
-    r_sub, s_sub = _extend(delete_vertex(pg, v2, new_outer), h2, f_adj, pre2)
+    r_sub, s_sub = yield delete_vertex(pg, v2, new_outer), h2, f_adj, pre2
     if s_sub[0] != pre2[0] or s_sub[1] != pre2[1]:
         raise InternalInvariantViolated("recursive order lost its precolored prefix")
 
@@ -358,11 +391,35 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
     r_full = dict(r_sub)
     r_full[v2] = t
 
-    if not order_is_valid(induced_pair_graph(g, h2, f2, r_full), order2):
+    if not _reinsertion_valid(g, h2, f2, r_full, order2, v2):
         raise InternalInvariantViolated(
             f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
     inv = invert_permutations(perms)
     return relabel_coloring(r_full, inv), relabel_order(order2, inv)
+
+
+def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
+                       order: Order, v: int) -> bool:
+    """The definition check order_is_valid(induced_pair_graph(g, h, f, r),
+    order) after v's pair was inserted into a valid order of the rest.
+
+    Precondition: order lists r's pairs, and without (v, r(v)) it is a valid
+    order of G - v under a budget that differs from f only at neighbours
+    of v.  A pair away from N[v] then has the same earlier matched
+    neighbours and the same budget as there, so only v's color and the
+    pairs of N[v] need counting, in O(sum of their degrees) after one
+    position map.
+    """
+    if r[v] not in h.list_of(v):
+        return False
+    pos = {u: k for k, (u, _) in enumerate(order)}
+    adj, matched = g.adj, h.matched
+    for x in (v, *adj[v]):
+        cx, kx = r[x], pos[x]
+        earlier = sum(1 for w in adj[x] if pos[w] < kx and matched(x, cx, w, r[w]))
+        if earlier >= f.get(x, cx):
+            return False
+    return True
 
 
 def extend_precolored_triangle(pg: PlaneGraph, h: Cover, f: Budget,

@@ -16,7 +16,9 @@ the current code must return:
   residual one and the union separately;
 - `canonical_faces`, which finds the outer face by comparing the minimal
   rotation or reflection of every walk;
-- `scan_find_chord`, which tries every pair of outer positions.
+- `scan_find_chord`, which tries every pair of outer positions;
+- `whole_graph_reinsertion_check`, which checks a fan step's reinsertion
+  on the pair graph of the whole piece.
 """
 
 from __future__ import annotations
@@ -540,3 +542,12 @@ def scan_find_chord(pg: PlaneGraph):
             if pg.graph.has_edge(outer[i], outer[j]):
                 return (i, j)
     return None
+
+
+def whole_graph_reinsertion_check(g: SimpleGraph, h: Cover, f: Budget, r, order) -> bool:
+    """The fan step's reinsertion check as the definition check on the pair
+    graph of the whole piece, pivot included."""
+    from dpfcolor.coloring import induced_pair_graph
+    from dpfcolor.degeneracy import order_is_valid
+
+    return order_is_valid(induced_pair_graph(g, h, f, r), order)

@@ -238,6 +238,10 @@ class TestTrustedPathsMatchValidatingConstructors:
             out = delete_vertex(stacked, v2, (v1,) + fan[1:-1] + (v3,))
             assert v2 not in out.graph.adj and out.graph.n == stacked.graph.n - 1
             _assert_restriction(stacked, out)
+            # Rows away from the deleted vertex are shared, not copied.
+            for u in set(out.graph.vertices) - stacked.graph.adj[v2]:
+                assert out.graph.adj[u] is stacked.graph.adj[u]
+                assert out.rotation[u] is stacked.rotation[u]
             assert (_plane_tables(pg), _plane_tables(stacked)) == before
         assert splits > 150
 

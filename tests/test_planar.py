@@ -22,7 +22,7 @@ from dpfcolor.errors import (
     NotOnOuterCycle,
     NotTwoConnected,
 )
-from dpfcolor.planar import is_two_connected, trace_faces
+from dpfcolor.planar import _split, is_two_connected, trace_faces
 
 from oracles import (
     canonical_faces,
@@ -288,6 +288,13 @@ def _plane_tables(pg):
     return pg.graph.vertices, pg.graph.edges, pg.graph.adj, pg.rotation, pg.outer
 
 
+def _outer_chords(pg):
+    outer = pg.outer
+    p = len(outer)
+    return [(i, j) for i in range(p) for j in range(i + 2, p)
+            if (i, j) != (0, p - 1) and pg.graph.has_edge(outer[i], outer[j])]
+
+
 class TestSideSearchMatchesFaceFlood:
     """`split_on_chord` and `find_separating_triangle` find the sides of a
     cycle with one search; the face-flood forms in `oracles` are the
@@ -301,14 +308,14 @@ class TestSideSearchMatchesFaceFlood:
                 for outer in (walk, walk[::-1]):
                     q = pg.with_outer(outer)
                     p = len(outer)
-                    chords = [(i, j) for i in range(p) for j in range(i + 2, p)
-                              if (i, j) != (0, p - 1) and pg.graph.has_edge(outer[i], outer[j])]
-                    for chord in chords:
+                    for chord in _outer_chords(q):
                         got = _outcome(lambda: [_plane_tables(part)
                                                 for part in split_on_chord(q, chord)])
                         expected = _outcome(lambda: [_plane_tables(part)
                                                      for part in flood_split_on_chord(q, chord)])
                         assert got == expected, (outer, chord)
+                        if isinstance(got, list):  # the solver's unchecked core agrees
+                            assert got == [_plane_tables(part) for part in _split(q, chord)]
                         seen[isinstance(got, list), len(set(outer)) == p] += 1
         # A chord splits exactly when the outer walk is a simple cycle.
         assert set(seen) == {(True, True), (False, False)}, seen
@@ -336,6 +343,27 @@ def _error_outcome(fn):
         return fn()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def test_split_on_chord_keeps_its_checks():
+    """The solver splits through `_split`, which skips the embedding and
+    simple-cycle checks; the public `split_on_chord` keeps both."""
+    pg = triangulate_interior(polygon(6))
+    chord = find_chord(pg)
+    v = pg.outer[chord[0]]
+    rot = dict(pg.rotation)
+    rot[v] = rot[v][1::-1] + rot[v][2:]
+    with pytest.raises(InvalidEmbedding):
+        split_on_chord(PlaneGraph(pg.graph, rot, pg.outer), chord)
+    rejected = 0
+    for pg in _chord_shapes():
+        for walk in trace_faces(pg):
+            if len(set(walk)) != len(walk):
+                for chord in _outer_chords(pg.with_outer(walk)):
+                    with pytest.raises(NotAChord, match="does not separate"):
+                        split_on_chord(pg.with_outer(walk), chord)
+                    rejected += 1
+    assert rejected > 0
 
 
 class TestOuterFaceMatch:

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -19,10 +21,12 @@ from dpfcolor import (
     order_is_valid,
     solve_exact,
     solve_planar_dpg52,
+    triangulate_interior,
     verify_coloring,
 )
 from dpfcolor.errors import (
     BadBudget,
+    InternalInvariantViolated,
     InvalidPrecoloring,
     LimitExceeded,
     NotInFamily,
@@ -31,7 +35,14 @@ from dpfcolor.errors import (
 )
 from dpfcolor.planar import delete_vertex, fan_neighbors
 
-from oracles import coloring_exists_by_enumeration, polygon, random_graph, wheel
+from oracles import (
+    coloring_exists_by_enumeration,
+    grid,
+    polygon,
+    random_graph,
+    wheel,
+    whole_graph_reinsertion_check,
+)
 
 
 def identity_instance(g, colors, value=1, cap=None):
@@ -386,3 +397,158 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
                        "coloring's witness is not valid under the residual budget$"):
         solve_planar_dpg52(pg, h, f)
     assert len(corrupted) == 1
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("shape", ["fanned-400", "grid-20"])
+def test_deep_instances_need_no_deep_python_stack(shape):
+    """A fanned polygon splits on chord after chord and a grid peels one fan
+    pivot per step, so the construction runs hundreds of steps deep; its
+    frames wait on a work stack, not on the Python stack."""
+    pg = triangulate_interior(polygon(400)) if shape == "fanned-400" else grid(20)
+    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=4)
+    f = gen_random_budget(pg.graph, 5, 5, 2, seed=5, lists=h.lists)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        r, order = solve_planar_dpg52(pg, h, f)
+        assert verify_coloring(pg.graph, h, f, r) is not None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
+
+
+def _fan_instances():
+    """Seeded instances whose construction takes fan steps of both cases."""
+    shapes = [gen_planar_triangulation(20 + 10 * seed, seed) for seed in range(6)]
+    shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7, 8)]
+    shapes += [wheel(p) for p in (4, 5, 7, 9)]
+    for t, pg in enumerate(shapes):
+        h = gen_random_cover(pg.graph, 5, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2], seed=t)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
+        yield pg, h, f
+
+
+def _record_checks(monkeypatch):
+    """Record the inputs and verdict of every fan-step reinsertion check."""
+    import dpfcolor.solvers as solvers
+
+    calls = []
+    check = solvers._reinsertion_valid
+
+    def record(g, h, f, r, order, v):
+        verdict = check(g, h, f, r, order, v)
+        calls.append(((g, h, f, dict(r), order, v), verdict))
+        return verdict
+
+    monkeypatch.setattr(solvers, "_reinsertion_valid", record)
+    return check, calls
+
+
+def _other_colors_and_places(h, r, order, v):
+    """The pivot given each other color of its list, and the pivot moved to
+    the other place the fan step may put it (third, or last)."""
+    k = next(t for t, (u, _) in enumerate(order) if u == v)
+    for c in sorted(h.list_of(v) - {r[v]}):
+        yield {**r, v: c}, order[:k] + ((v, c),) + order[k + 1:]
+    rest = order[:k] + order[k + 1:]
+    moved = rest + (order[k],) if k == 2 else rest[:2] + (order[k],) + rest[2:]
+    if moved != order:
+        yield r, moved
+
+
+def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
+    """Solve with one U budget entry of the given fan step left unlowered.
+
+    Returns the InternalInvariantViolated raised (or None), the corrupted
+    step's pivot, outer length and case, and the recorded checks.
+    """
+    import dpfcolor.solvers as solvers
+
+    _, calls = _record_checks(monkeypatch)
+    assign, delete = Budget.assign, solvers.delete_vertex
+    fault = {}
+
+    def lower_all_but_one(self, updates):
+        fault["calls"] = fault.get("calls", 0) + 1
+        lowered = sorted(key for key, val in updates.items() if val < self.get(*key))
+        if fault["calls"] == step + 1 and lowered:
+            kept = rng.choice(lowered)
+            fault["case21"] = all(i == 1 for _, i in updates)
+            updates = {key: val for key, val in updates.items() if key != kept}
+        return assign(self, updates)
+
+    def note_pivot(pg, v, outer):
+        if "case21" in fault and "pivot" not in fault:
+            fault["pivot"], fault["p"] = v, len(pg.outer)
+        return delete(pg, v, outer)
+
+    monkeypatch.setattr(Budget, "assign", lower_all_but_one)
+    monkeypatch.setattr(solvers, "delete_vertex", note_pivot)
+    try:
+        solve_planar_dpg52(pg, h, f)
+        raised = None
+    except InternalInvariantViolated as exc:
+        raised = exc
+    finally:
+        monkeypatch.undo()
+    return raised, fault, calls
+
+
+def _first_broken_reinsertion(monkeypatch):
+    for t, (pg, h, f) in enumerate(_fan_instances()):
+        for step in range(12):
+            raised, fault, calls = _solve_with_unlowered_budget(
+                monkeypatch, pg, h, f, step, random.Random(f"fault/{t}/{step}"))
+            if raised is not None and str(raised).startswith("reinserting"):
+                return pg, h, f, raised, fault, calls
+    pytest.fail("no unlowered budget broke a reinsertion")
+
+
+class TestLocalReinsertionCheck:
+    """A fan step checks only its pivot's neighbourhood after reinserting
+    the pivot.  On real reinsertions from seeded solver runs, and on
+    variants corrupted in the step's own parts, that verdict must equal the
+    definition check on the pair graph of the whole piece."""
+
+    def test_matches_whole_graph_check(self, monkeypatch):
+        check, calls = _record_checks(monkeypatch)
+        for pg, h, f in _fan_instances():
+            solve_planar_dpg52(pg, h, f)
+        verdicts = Counter()
+        for (g, h, f, r, order, v), verdict in calls:
+            assert verdict and whole_graph_reinsertion_check(g, h, f, r, order)
+            for r2, order2 in _other_colors_and_places(h, r, order, v):
+                got = check(g, h, f, r2, order2, v)
+                assert got == whole_graph_reinsertion_check(g, h, f, r2, order2), (order2, v)
+                verdicts[got] += 1
+        assert len(calls) > 100
+        assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+    def test_matches_whole_graph_check_after_unlowered_budget(self, monkeypatch):
+        outcomes = Counter()
+        for t, (pg, h, f) in enumerate(_fan_instances()):
+            rng = random.Random(f"unlowered/{t}")
+            for step in range(0, 40, 2):
+                raised, _, calls = _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng)
+                for (g, h2, f2, r, order, v), verdict in calls:
+                    assert verdict == whole_graph_reinsertion_check(g, h2, f2, r, order)
+                    outcomes[verdict] += 1
+                outcomes[type(raised).__name__] += 1
+        assert outcomes[False] > 10 and outcomes[True] > 1000, outcomes
+
+    def test_fault_in_one_fan_step_is_caught_at_that_step(self, monkeypatch):
+        pg, h, f, raised, fault, calls = _first_broken_reinsertion(monkeypatch)
+        assert str(raised) == ("reinserting the fan pivot broke the order "
+                               f"(p={fault['p']}, case21={fault['case21']})")
+        (g, h2, f2, r, order, v), verdict = calls[-1]
+        assert v == fault["pivot"] and not verdict
+        assert not whole_graph_reinsertion_check(g, h2, f2, r, order)
+        assert solve_planar_dpg52(pg, h, f)  # the same instance solves without the fault
