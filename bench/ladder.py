@@ -5,7 +5,11 @@
 
 For each shape and each size n = 500, 1000, 2000 and 4000, a fresh Python
 process builds the instance, runs `solve_planar_dpg52` and `verify_coloring`
-on it and reports the wall time of the two calls.  The shapes are stacked
+on it and reports the wall time of the two calls (op "solve").  Two more
+rungs time verification alone on stacked triangulations of n = 4000, 16000
+and 64000 with a valid coloring: `verify_coloring` on the objects (op
+"verify"), and `dpfcolor verify --json` run in-process through `cli.main`
+on the files the emitters write, parsing included (op "verify_cli").  The shapes are stacked
 triangulations, random triangulated polygons and grids (the last two from
 `perfbench/shapes.py`), and polygons fanned by `triangulate_interior`.
 Covers use 5 colors, lists of 5 and density 1.0; budgets have total 5 and
@@ -20,14 +24,15 @@ records its process's peak resident set size.
 
 The results go to `BENCH_<label>.json` next to this script:
 
-    {label, written, python, cpus, commit, dirty, cases: [{shape, n,
-     vertices, seed, total_ms, peak_rss_mb} or {shape, n, seed, error, ...}],
-     growth: {shape: exponent}}
+    {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
+     vertices, seed, total_ms, peak_rss_mb} or {op, shape, n, seed, error, ...}],
+     growth: {shape or op: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
-slope of log(total_ms) against log(vertices) over the shape's successful
-cases.  The script then prints the change against the other
+slope of log(total_ms) against log(vertices) over the successful cases of a
+shape (op "solve") or of op "verify" or "verify_cli".  Files written before
+the verify rungs have cases without "op"; they count as "solve".  The script then prints the change against the other
 `BENCH_*.json` in that directory with the latest `written` time.  It
 needs only the standard library.
 """
@@ -35,6 +40,8 @@ needs only the standard library.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -42,6 +49,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,6 +60,8 @@ from perfbench.tracing import slope  # noqa: E402
 
 SHAPES = ("stacked", "polygon", "fanned", "grid")
 SIZES = (500, 1000, 2000, 4000)
+VERIFY_OPS = ("verify", "verify_cli")
+VERIFY_SIZES = (4000, 16000, 64000)
 SEED = 1
 TIMEOUT_S = 600
 MEMORY_CAP_BYTES = 3 << 30
@@ -85,41 +95,92 @@ def peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def run_case(shape: str, n: int, seed: int) -> dict:
+def stacking_coloring(g, h, f) -> dict[int, int]:
+    """A valid coloring of a stacked triangulation: in vertex order each
+    vertex has at most three earlier neighbours and budget total 5, so some
+    list color always has budget left."""
+    r: dict[int, int] = {}
+    for v in g.vertices:
+        r[v] = next(c for c in sorted(h.lists[v])
+                    if sum(1 for u in g.adj[v] if u in r and h.matched(v, c, u, r[u]))
+                    < f.get(v, c))
+    return r
+
+
+def solve(dp, pg, h, f) -> float:
+    t0 = time.perf_counter()
+    coloring, _ = dp.solve_planar_dpg52(pg, h, f)
+    if dp.verify_coloring(pg.graph, h, f, coloring) is None:
+        raise AssertionError("solver output failed verification")
+    return time.perf_counter() - t0
+
+
+def verify(dp, pg, h, f) -> float:
+    r = stacking_coloring(pg.graph, h, f)
+    t0 = time.perf_counter()
+    if dp.verify_coloring(pg.graph, h, f, r) is None:
+        raise AssertionError("the stacking coloring failed verification")
+    return time.perf_counter() - t0
+
+
+def verify_cli(dp, pg, h, f) -> float:
+    """`dpfcolor verify --json` in-process on emitted files; only the command
+    is timed, not writing its files."""
+    from dpfcolor import cli, formats
+
+    r = stacking_coloring(pg.graph, h, f)
+    texts = {"graph": formats.emit_plane(pg), "cover": formats.emit_cover(h),
+             "budget": formats.emit_budget(f), "coloring": formats.emit_coloring(r)}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["verify", "--json"]
+        for part, text in texts.items():
+            path = os.path.join(tmp, f"{part}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv += ["--" + part, path]
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+    if code != 0:
+        raise AssertionError(f"dpfcolor verify exited {code}: {out.getvalue()[:200]}")
+    return elapsed
+
+
+OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli}
+
+
+def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     import dpfcolor as dp
 
     pg = build(dp, shape, n, seed)
     h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
     f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
-    case = {"shape": shape, "n": n, "vertices": pg.n, "seed": seed}
+    case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
     t0 = time.perf_counter()
     try:
-        coloring, _ = dp.solve_planar_dpg52(pg, h, f)
-        if dp.verify_coloring(pg.graph, h, f, coloring) is None:
-            raise AssertionError("solver output failed verification")
+        case["total_ms"] = round(OPS[op](dp, pg, h, f) * 1e3, 1)
     except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
         case["error_after_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
-        case["peak_rss_mb"] = peak_rss_mb()
-        return case
-    case["total_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
     case["peak_rss_mb"] = peak_rss_mb()
     return case
 
 
 # -- the ladder ---------------------------------------------------------------
 
-def spawn(shape: str, n: int, src: Path) -> dict:
-    cmd = [sys.executable, __file__, "--case", shape, str(n), "--src", str(src)]
+def spawn(op: str, shape: str, n: int, src: Path) -> dict:
+    cmd = [sys.executable, __file__, "--case", op, shape, str(n), "--src", str(src)]
+    failed = {"op": op, "shape": shape, "n": n, "seed": SEED}
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return {"shape": shape, "n": n, "seed": SEED, "error": f"timeout after {TIMEOUT_S} s"}
+        return failed | {"error": f"timeout after {TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {"shape": shape, "n": n, "seed": SEED,
-                "error": f"exit {proc.returncode}: {tail}"}
+        return failed | {"error": f"exit {proc.returncode}: {tail}"}
     return json.loads(lines[-1])
 
 
@@ -144,12 +205,28 @@ def describe_memory(case: dict) -> str:
     return f"{case['peak_rss_mb']:.0f} MB" if "peak_rss_mb" in case else ""
 
 
+def case_key(case: dict) -> tuple[str, str, int]:
+    return case.get("op", "solve"), case["shape"], case["n"]
+
+
+def series(case: dict) -> str:
+    """What a case's growth exponent is taken over: its shape for op
+    "solve", its op otherwise."""
+    op, shape, _ = case_key(case)
+    return shape if op == "solve" else op
+
+
+def case_name(case: dict) -> str:
+    op, shape, n = case_key(case)
+    return f"{op:10} {shape:8} n={n:<5}"
+
+
 def print_delta(old: dict, new: dict) -> None:
-    before = {(c["shape"], c["n"]): c for c in old["cases"]}
+    before = {case_key(c): c for c in old["cases"]}
     print(f"change against {old.get('label')} ({old.get('commit')}):")
     for case in new["cases"]:
-        prev = before.get((case["shape"], case["n"]))
-        line = f"  {case['shape']:8} n={case['n']:<5} "
+        prev = before.get(case_key(case))
+        line = f"  {case_name(case)} "
         if prev is None:
             print(line + f"(new) {describe(case)}")
             continue
@@ -157,8 +234,8 @@ def print_delta(old: dict, new: dict) -> None:
         if "total_ms" in case and "total_ms" in prev:
             line += f" ({case['total_ms'] / prev['total_ms']:.2f} of the time)"
         print(line)
-    for shape, exp in new["growth"].items():
-        print(f"  growth {shape:8} {old['growth'].get(shape)} -> {exp}")
+    for name, exp in new["growth"].items():
+        print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}")
 
 
 def main(argv=None) -> int:
@@ -166,29 +243,30 @@ def main(argv=None) -> int:
     ap.add_argument("--label", help="name of the BENCH_<label>.json to write")
     ap.add_argument("--src", type=Path, default=HERE.parent / "src",
                     help="directory holding the dpfcolor package to measure")
-    ap.add_argument("--case", nargs=2, metavar=("SHAPE", "N"), help=argparse.SUPPRESS)
+    ap.add_argument("--case", nargs=3, metavar=("OP", "SHAPE", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = args.src.resolve()
     if args.case:
         cap_memory(MEMORY_CAP_BYTES)
         sys.path.insert(0, str(src))
-        print(json.dumps(run_case(args.case[0], int(args.case[1]), SEED)))
+        op, shape, n = args.case
+        print(json.dumps(run_case(op, shape, int(n), SEED)))
         return 0
     if not args.label:
         ap.error("--label is required")
 
+    rungs = ([("solve", shape, n) for shape in SHAPES for n in SIZES]
+             + [(op, "stacked", n) for op in VERIFY_OPS for n in VERIFY_SIZES])
     cases = []
-    for shape in SHAPES:
-        for n in SIZES:
-            case = spawn(shape, n, src)
-            print(f"{shape:8} n={case['n']:<5} {describe(case)} {describe_memory(case)}",
-                  flush=True)
-            cases.append(case)
+    for rung in rungs:
+        case = spawn(*rung, src)
+        print(f"{case_name(case)} {describe(case)} {describe_memory(case)}", flush=True)
+        cases.append(case)
     growth = {}
-    for shape in SHAPES:
+    for name in SHAPES + VERIFY_OPS:
         points = [(c["vertices"], c["total_ms"]) for c in cases
-                  if c["shape"] == shape and "total_ms" in c]
-        growth[shape] = round(slope(points), 3) if len(points) > 1 else None
+                  if series(c) == name and "total_ms" in c]
+        growth[name] = round(slope(points), 3) if len(points) > 1 else None
     commit, dirty = git_state(src)
     result = {"label": args.label,
               "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

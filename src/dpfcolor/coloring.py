@@ -60,8 +60,16 @@ def induced_pair_graph(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Pair
 
 
 def verify_coloring(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Order | None:
-    """Witness order for a total coloring, or None if it is not valid."""
-    return strictly_degenerate_order(induced_pair_graph(g, h, f, r))
+    """Witness order for a total coloring, or None if it is not valid.
+
+    Raises PartialColoring when r misses a vertex of g and InvalidInput when
+    it colors a vertex g does not have.
+    """
+    pg = induced_pair_graph(g, h, f, r)
+    if len(r) != g.n:  # every vertex of g is colored, so r has extra keys
+        stray = sorted(v for v in r if v not in g.adj)
+        raise InvalidInput(f"vertices {stray} are not in the graph")
+    return strictly_degenerate_order(pg)
 
 
 def verify_on_domain(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Order | None:

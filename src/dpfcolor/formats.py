@@ -1,8 +1,17 @@
 """Text formats for graphs, plane graphs, covers, budgets and colorings.
 
-All files are UTF-8 with LF line endings; `#` starts a comment and blank
-lines are ignored.  Emitters produce canonical ascending order so that
-parse(emit(x)) == x and equal objects serialize to identical bytes.
+Files are UTF-8.  A line ends at any line break `str.splitlines` knows
+(LF, CRLF, CR, form feed, U+2028 and the rest), tokens are split at any
+whitespace `str.split` knows, and an integer is any token `int()` accepts,
+so `+1`, `1_0` and non-ASCII digits read as numbers.  `#` starts a comment
+and blank lines are ignored.  A malformed file raises ParseError naming the
+first faulty line; a missing header or outer line is reported at line 1.
+Emitters produce canonical ascending order so that parse(emit(x)) == x and
+equal objects serialize to identical bytes.
+
+Each parser is one loop over the lines.  A line's integers are converted
+inline; only when a conversion fails is the line walked again, by
+`_int_error`, to name the token at fault.
 """
 
 from __future__ import annotations
@@ -13,18 +22,19 @@ from .graphs import SimpleGraph
 from .planar import PlaneGraph
 
 
-def _lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            yield no, toks
+def _int_error(no: int, toks: list[str], *names: str) -> ParseError:
+    """The error for the first of toks[1:] that int() rejects.
 
-
-def _int(tok: str, no: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(no, f"{what} must be an integer, got {tok!r}") from None
+    names[k] names toks[k + 1], and the last name names every later token.
+    Called only after int() has rejected one of them.
+    """
+    last = len(names) - 1
+    for k, tok in enumerate(toks[1:]):
+        try:
+            int(tok)
+        except ValueError:
+            return ParseError(no, f"{names[min(k, last)]} must be an integer, got {tok!r}")
+    raise AssertionError(f"line {no} has no malformed integer")
 
 
 def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[int, ...]],
@@ -38,22 +48,23 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
     seen: set[tuple[int, int]] = set()
     rotation: dict[int, tuple[int, ...]] = {}
     outer: tuple[int, ...] | None = None
-    for no, toks in _lines(text):
-        if toks[0] == "graph":
-            if n is not None:
-                raise ParseError(no, "duplicate graph header")
-            if len(toks) != 2:
-                raise ParseError(no, "expected: graph <n>")
-            n = _int(toks[1], no, "vertex count")
-            if n < 0:
-                raise ParseError(no, "vertex count must be nonnegative")
-        elif toks[0] == "edge":
+    for no, raw in enumerate(text.splitlines(), 1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
+            continue
+        d = toks[0]
+        if d == "edge":
             if n is None:
                 raise ParseError(no, "edge before graph header")
             if len(toks) != 3:
                 raise ParseError(no, "expected: edge <u> <v>")
-            u = _int(toks[1], no, "endpoint")
-            v = _int(toks[2], no, "endpoint")
+            try:
+                u = int(toks[1])
+                v = int(toks[2])
+            except ValueError:
+                raise _int_error(no, toks, "endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(no, f"endpoint outside 0..{n - 1}")
             if u == v:
@@ -62,19 +73,39 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             if key in seen:
                 raise ParseError(no, f"duplicate edge ({u},{v})")
             seen.add(key)
-        elif plane and toks[0] == "rot":
+        elif d == "graph":
+            if n is not None:
+                raise ParseError(no, "duplicate graph header")
+            if len(toks) != 2:
+                raise ParseError(no, "expected: graph <n>")
+            try:
+                n = int(toks[1])
+            except ValueError:
+                raise _int_error(no, toks, "vertex count") from None
+            if n < 0:
+                raise ParseError(no, "vertex count must be nonnegative")
+        elif plane and d == "rot":
             if len(toks) < 2:
                 raise ParseError(no, "expected: rot <v> <neighbors...>")
-            v = _int(toks[1], no, "vertex")
+            try:
+                v = int(toks[1])
+            except ValueError:
+                raise _int_error(no, toks, "vertex") from None
             if v in rotation:
                 raise ParseError(no, f"duplicate rotation for {v}")
-            rotation[v] = tuple(_int(t, no, "neighbor") for t in toks[2:])
-        elif plane and toks[0] == "outer":
+            try:
+                rotation[v] = tuple(map(int, toks[2:]))
+            except ValueError:
+                raise _int_error(no, toks, "vertex", "neighbor") from None
+        elif plane and d == "outer":
             if outer is not None:
                 raise ParseError(no, "duplicate outer line")
-            outer = tuple(_int(t, no, "vertex") for t in toks[1:])
+            try:
+                outer = tuple(map(int, toks[1:]))
+            except ValueError:
+                raise _int_error(no, toks, "vertex") from None
         else:
-            raise ParseError(no, f"unknown directive {toks[0]!r} in graph file")
+            raise ParseError(no, f"unknown directive {d!r} in graph file")
     if n is None:
         raise ParseError(1, "missing graph header")
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
@@ -134,63 +165,84 @@ def parse_cover(text: str) -> Cover:
     """Cover of a cover file; every line is checked once, here."""
     s = None
     lists: dict[int, frozenset[int]] = {}
-    # Per edge (u, v): its matching as a map cu -> cv, and the colors of v used.
-    matchings: dict[tuple[int, int], tuple[dict[int, int], set[int]]] = {}
-    for no, toks in _lines(text):
-        if toks[0] == "cover":
-            if s is not None:
-                raise ParseError(no, "duplicate cover header")
-            if len(toks) != 2:
-                raise ParseError(no, "expected: cover <s>")
-            s = _int(toks[1], no, "color count")
-            if s < 1:
-                raise ParseError(no, "need at least one color")
-        elif toks[0] == "list":
+    # Per edge (u, v): its matching as a map cu -> cv.  A matching holds at
+    # most s pairs, so `cv in pairs.values()` scans at most s colors.
+    matchings: dict[tuple[int, int], dict[int, int]] = {}
+    for no, raw in enumerate(text.splitlines(), 1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
+            continue
+        d = toks[0]
+        if d == "match":
+            if s is None:
+                raise ParseError(no, "match before cover header")
+            if len(toks) != 5:
+                raise ParseError(no, "expected: match <u> <v> <cu> <cv>")
+            try:
+                u = int(toks[1])
+                v = int(toks[2])
+                cu = int(toks[3])
+                cv = int(toks[4])
+            except ValueError:
+                raise _int_error(no, toks, "vertex", "vertex", "color") from None
+            if u >= v:
+                raise ParseError(no, "match lines need u < v")
+            list_u = lists.get(u)
+            list_v = lists.get(v)
+            if list_u is None or list_v is None:
+                raise ParseError(no, "match before both list lines")
+            if cu not in list_u:
+                raise ParseError(no, f"color {cu} not in list of {u}")
+            if cv not in list_v:
+                raise ParseError(no, f"color {cv} not in list of {v}")
+            key = (u, v)
+            pairs = matchings.get(key)
+            if pairs is None:
+                matchings[key] = {cu: cv}
+            elif cu in pairs or cv in pairs.values():
+                raise ParseError(no, f"matching on ({u},{v}) is not a partial bijection")
+            else:
+                pairs[cu] = cv
+        elif d == "list":
             if s is None:
                 raise ParseError(no, "list before cover header")
             if len(toks) < 2:
                 raise ParseError(no, "expected: list <v> <colors...>")
-            v = _int(toks[1], no, "vertex")
+            try:
+                v = int(toks[1])
+            except ValueError:
+                raise _int_error(no, toks, "vertex") from None
             if v in lists:
                 raise ParseError(no, f"duplicate list for {v}")
-            colors = tuple(_int(t, no, "color") for t in toks[2:])
-            if any(not 1 <= c <= s for c in colors):
+            try:
+                colors = list(map(int, toks[2:]))
+            except ValueError:
+                raise _int_error(no, toks, "vertex", "color") from None
+            if colors and (min(colors) < 1 or max(colors) > s):
                 raise ParseError(no, f"color outside 1..{s}")
             cs = frozenset(colors)
             if len(cs) != len(colors):
                 raise ParseError(no, "repeated color in list")
             lists[v] = cs
-        elif toks[0] == "match":
-            if s is None:
-                raise ParseError(no, "match before cover header")
-            if len(toks) != 5:
-                raise ParseError(no, "expected: match <u> <v> <cu> <cv>")
-            u = _int(toks[1], no, "vertex")
-            v = _int(toks[2], no, "vertex")
-            cu = _int(toks[3], no, "color")
-            cv = _int(toks[4], no, "color")
-            if u >= v:
-                raise ParseError(no, "match lines need u < v")
-            if u not in lists or v not in lists:
-                raise ParseError(no, "match before both list lines")
-            if cu not in lists[u]:
-                raise ParseError(no, f"color {cu} not in list of {u}")
-            if cv not in lists[v]:
-                raise ParseError(no, f"color {cv} not in list of {v}")
-            edge = matchings.get((u, v))
-            if edge is None:
-                edge = matchings[(u, v)] = ({}, set())
-            pairs, used_v = edge
-            if cu in pairs or cv in used_v:
-                raise ParseError(no, f"matching on ({u},{v}) is not a partial bijection")
-            pairs[cu] = cv
-            used_v.add(cv)
+        elif d == "cover":
+            if s is not None:
+                raise ParseError(no, "duplicate cover header")
+            if len(toks) != 2:
+                raise ParseError(no, "expected: cover <s>")
+            try:
+                s = int(toks[1])
+            except ValueError:
+                raise _int_error(no, toks, "color count") from None
+            if s < 1:
+                raise ParseError(no, "need at least one color")
         else:
-            raise ParseError(no, f"unknown directive {toks[0]!r} in cover file")
+            raise ParseError(no, f"unknown directive {d!r} in cover file")
     if s is None:
         raise ParseError(1, "missing cover header")
     return Cover._trusted(s, lists, {e: frozenset(pairs.items())
-                                     for e, (pairs, _) in matchings.items()})
+                                     for e, pairs in matchings.items()})
 
 
 def emit_cover(h: Cover) -> str:
@@ -209,24 +261,24 @@ def parse_budget(text: str) -> Budget:
     values: dict[tuple[int, int], int] = {}
     by_vertex: dict[int, dict[int, int]] = {}
     zeros: set[tuple[int, int]] = set()  # keys given as 0, which `values` omits
-    for no, toks in _lines(text):
-        if toks[0] == "budget":
-            if s is not None:
-                raise ParseError(no, "duplicate budget header")
-            if len(toks) != 3:
-                raise ParseError(no, "expected: budget <s> <cap>")
-            s = _int(toks[1], no, "color count")
-            cap = _int(toks[2], no, "cap")
-            if s < 1 or cap < 0:
-                raise ParseError(no, "need s >= 1 and cap >= 0")
-        elif toks[0] == "f":
+    for no, raw in enumerate(text.splitlines(), 1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
+            continue
+        d = toks[0]
+        if d == "f":
             if s is None:
                 raise ParseError(no, "f line before budget header")
             if len(toks) != 4:
                 raise ParseError(no, "expected: f <v> <i> <val>")
-            v = _int(toks[1], no, "vertex")
-            i = _int(toks[2], no, "color")
-            val = _int(toks[3], no, "value")
+            try:
+                v = int(toks[1])
+                i = int(toks[2])
+                val = int(toks[3])
+            except ValueError:
+                raise _int_error(no, toks, "vertex", "color", "value") from None
             if not 1 <= i <= s:
                 raise ParseError(no, f"color outside 1..{s}")
             if not 0 <= val <= cap:
@@ -236,11 +288,27 @@ def parse_budget(text: str) -> Budget:
                 raise ParseError(no, f"duplicate entry for ({v},{i})")
             if val:
                 values[key] = val
-                by_vertex.setdefault(v, {})[i] = val
+                row = by_vertex.get(v)
+                if row is None:
+                    by_vertex[v] = {i: val}
+                else:
+                    row[i] = val
             else:
                 zeros.add(key)
+        elif d == "budget":
+            if s is not None:
+                raise ParseError(no, "duplicate budget header")
+            if len(toks) != 3:
+                raise ParseError(no, "expected: budget <s> <cap>")
+            try:
+                s = int(toks[1])
+                cap = int(toks[2])
+            except ValueError:
+                raise _int_error(no, toks, "color count", "cap") from None
+            if s < 1 or cap < 0:
+                raise ParseError(no, "need s >= 1 and cap >= 0")
         else:
-            raise ParseError(no, f"unknown directive {toks[0]!r} in budget file")
+            raise ParseError(no, f"unknown directive {d!r} in budget file")
     if s is None:
         raise ParseError(1, "missing budget header")
     return Budget._trusted(s, cap, values, by_vertex)
@@ -254,13 +322,21 @@ def emit_budget(f: Budget) -> str:
 
 def parse_coloring(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
-    for no, toks in _lines(text):
+    for no, raw in enumerate(text.splitlines(), 1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
+            continue
         if toks[0] != "color":
             raise ParseError(no, f"unknown directive {toks[0]!r} in coloring file")
         if len(toks) != 3:
             raise ParseError(no, "expected: color <v> <c>")
-        v = _int(toks[1], no, "vertex")
-        c = _int(toks[2], no, "color")
+        try:
+            v = int(toks[1])
+            c = int(toks[2])
+        except ValueError:
+            raise _int_error(no, toks, "vertex", "color") from None
         if v in out:
             raise ParseError(no, f"vertex {v} colored twice")
         out[v] = c

@@ -18,7 +18,10 @@ the current code must return:
   rotation or reflection of every walk;
 - `scan_find_chord`, which tries every pair of outer positions;
 - `whole_graph_reinsertion_check`, which checks a fan step's reinsertion
-  on the pair graph of the whole piece.
+  on the pair graph of the whole piece;
+- `token_read_graph`, `token_parse_cover`, `token_parse_budget` and
+  `token_parse_coloring`, the parsers that read lines through a generator
+  and convert every token by its own checked call.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import random
 from itertools import permutations, product
 
 from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph, gen_planar_triangulation
+from dpfcolor.errors import ParseError
 
 
 def pair_graph_bits(pg: PairGraph) -> tuple[list[int], list[int]]:
@@ -551,3 +555,198 @@ def whole_graph_reinsertion_check(g: SimpleGraph, h: Cover, f: Budget, r, order)
     from dpfcolor.degeneracy import order_is_valid
 
     return order_is_valid(induced_pair_graph(g, h, f, r), order)
+
+
+def _token_lines(text: str):
+    for no, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield no, toks
+
+
+def _token_int(tok: str, no: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(no, f"{what} must be an integer, got {tok!r}") from None
+
+
+def token_read_graph(text: str, plane: bool) -> tuple[SimpleGraph,
+                                                     dict[int, tuple[int, ...]],
+                                                     tuple[int, ...] | None]:
+    """Graph, rotation lines and outer line of a graph or (with `plane`) plane graph file.
+
+    Every edge line is checked here, so the graph is built unchecked; the
+    rotations are left to `PlaneGraph`.
+    """
+    n = None
+    seen: set[tuple[int, int]] = set()
+    rotation: dict[int, tuple[int, ...]] = {}
+    outer: tuple[int, ...] | None = None
+    for no, toks in _token_lines(text):
+        if toks[0] == "graph":
+            if n is not None:
+                raise ParseError(no, "duplicate graph header")
+            if len(toks) != 2:
+                raise ParseError(no, "expected: graph <n>")
+            n = _token_int(toks[1], no, "vertex count")
+            if n < 0:
+                raise ParseError(no, "vertex count must be nonnegative")
+        elif toks[0] == "edge":
+            if n is None:
+                raise ParseError(no, "edge before graph header")
+            if len(toks) != 3:
+                raise ParseError(no, "expected: edge <u> <v>")
+            u = _token_int(toks[1], no, "endpoint")
+            v = _token_int(toks[2], no, "endpoint")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(no, f"endpoint outside 0..{n - 1}")
+            if u == v:
+                raise ParseError(no, f"self-loop at {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ParseError(no, f"duplicate edge ({u},{v})")
+            seen.add(key)
+        elif plane and toks[0] == "rot":
+            if len(toks) < 2:
+                raise ParseError(no, "expected: rot <v> <neighbors...>")
+            v = _token_int(toks[1], no, "vertex")
+            if v in rotation:
+                raise ParseError(no, f"duplicate rotation for {v}")
+            rotation[v] = tuple(_token_int(t, no, "neighbor") for t in toks[2:])
+        elif plane and toks[0] == "outer":
+            if outer is not None:
+                raise ParseError(no, "duplicate outer line")
+            outer = tuple(_token_int(t, no, "vertex") for t in toks[1:])
+        else:
+            raise ParseError(no, f"unknown directive {toks[0]!r} in graph file")
+    if n is None:
+        raise ParseError(1, "missing graph header")
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in seen:
+        adj[u].add(v)
+        adj[v].add(u)
+    g = SimpleGraph._trusted(tuple(range(n)), frozenset(seen),
+                             {v: frozenset(ns) for v, ns in adj.items()})
+    return g, rotation, outer
+
+
+def token_parse_cover(text: str) -> Cover:
+    """Cover of a cover file; every line is checked once, here."""
+    s = None
+    lists: dict[int, frozenset[int]] = {}
+    # Per edge (u, v): its matching as a map cu -> cv, and the colors of v used.
+    matchings: dict[tuple[int, int], tuple[dict[int, int], set[int]]] = {}
+    for no, toks in _token_lines(text):
+        if toks[0] == "cover":
+            if s is not None:
+                raise ParseError(no, "duplicate cover header")
+            if len(toks) != 2:
+                raise ParseError(no, "expected: cover <s>")
+            s = _token_int(toks[1], no, "color count")
+            if s < 1:
+                raise ParseError(no, "need at least one color")
+        elif toks[0] == "list":
+            if s is None:
+                raise ParseError(no, "list before cover header")
+            if len(toks) < 2:
+                raise ParseError(no, "expected: list <v> <colors...>")
+            v = _token_int(toks[1], no, "vertex")
+            if v in lists:
+                raise ParseError(no, f"duplicate list for {v}")
+            colors = tuple(_token_int(t, no, "color") for t in toks[2:])
+            if any(not 1 <= c <= s for c in colors):
+                raise ParseError(no, f"color outside 1..{s}")
+            cs = frozenset(colors)
+            if len(cs) != len(colors):
+                raise ParseError(no, "repeated color in list")
+            lists[v] = cs
+        elif toks[0] == "match":
+            if s is None:
+                raise ParseError(no, "match before cover header")
+            if len(toks) != 5:
+                raise ParseError(no, "expected: match <u> <v> <cu> <cv>")
+            u = _token_int(toks[1], no, "vertex")
+            v = _token_int(toks[2], no, "vertex")
+            cu = _token_int(toks[3], no, "color")
+            cv = _token_int(toks[4], no, "color")
+            if u >= v:
+                raise ParseError(no, "match lines need u < v")
+            if u not in lists or v not in lists:
+                raise ParseError(no, "match before both list lines")
+            if cu not in lists[u]:
+                raise ParseError(no, f"color {cu} not in list of {u}")
+            if cv not in lists[v]:
+                raise ParseError(no, f"color {cv} not in list of {v}")
+            edge = matchings.get((u, v))
+            if edge is None:
+                edge = matchings[(u, v)] = ({}, set())
+            pairs, used_v = edge
+            if cu in pairs or cv in used_v:
+                raise ParseError(no, f"matching on ({u},{v}) is not a partial bijection")
+            pairs[cu] = cv
+            used_v.add(cv)
+        else:
+            raise ParseError(no, f"unknown directive {toks[0]!r} in cover file")
+    if s is None:
+        raise ParseError(1, "missing cover header")
+    return Cover._trusted(s, lists, {e: frozenset(pairs.items())
+                                     for e, (pairs, _) in matchings.items()})
+
+
+def token_parse_budget(text: str) -> Budget:
+    """Budget of a budget file; every line is checked once, here."""
+    s = cap = None
+    values: dict[tuple[int, int], int] = {}
+    by_vertex: dict[int, dict[int, int]] = {}
+    zeros: set[tuple[int, int]] = set()  # keys given as 0, which `values` omits
+    for no, toks in _token_lines(text):
+        if toks[0] == "budget":
+            if s is not None:
+                raise ParseError(no, "duplicate budget header")
+            if len(toks) != 3:
+                raise ParseError(no, "expected: budget <s> <cap>")
+            s = _token_int(toks[1], no, "color count")
+            cap = _token_int(toks[2], no, "cap")
+            if s < 1 or cap < 0:
+                raise ParseError(no, "need s >= 1 and cap >= 0")
+        elif toks[0] == "f":
+            if s is None:
+                raise ParseError(no, "f line before budget header")
+            if len(toks) != 4:
+                raise ParseError(no, "expected: f <v> <i> <val>")
+            v = _token_int(toks[1], no, "vertex")
+            i = _token_int(toks[2], no, "color")
+            val = _token_int(toks[3], no, "value")
+            if not 1 <= i <= s:
+                raise ParseError(no, f"color outside 1..{s}")
+            if not 0 <= val <= cap:
+                raise ParseError(no, f"value outside 0..{cap}")
+            key = (v, i)
+            if key in values or key in zeros:
+                raise ParseError(no, f"duplicate entry for ({v},{i})")
+            if val:
+                values[key] = val
+                by_vertex.setdefault(v, {})[i] = val
+            else:
+                zeros.add(key)
+        else:
+            raise ParseError(no, f"unknown directive {toks[0]!r} in budget file")
+    if s is None:
+        raise ParseError(1, "missing budget header")
+    return Budget._trusted(s, cap, values, by_vertex)
+
+
+def token_parse_coloring(text: str) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for no, toks in _token_lines(text):
+        if toks[0] != "color":
+            raise ParseError(no, f"unknown directive {toks[0]!r} in coloring file")
+        if len(toks) != 3:
+            raise ParseError(no, "expected: color <v> <c>")
+        v = _token_int(toks[1], no, "vertex")
+        c = _token_int(toks[2], no, "color")
+        if v in out:
+            raise ParseError(no, f"vertex {v} colored twice")
+        out[v] = c
+    return out

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfcolor.cli import main
 from dpfcolor.formats import emit_budget, emit_coloring, emit_cover, emit_graph, emit_plane
@@ -11,6 +17,8 @@ from dpfcolor import (
     gen_planar_triangulation,
     identity_cover,
 )
+
+from strategies import directive_texts, instance_texts, mutated
 
 
 @pytest.fixture()
@@ -75,6 +83,54 @@ class TestVerify:
                            "--coloring", k4_files["coloring"])
         assert code == 2
         assert "line 3" in err
+
+    def test_coloring_of_a_vertex_not_in_the_graph_exits_two(self, tmp_path, capsys):
+        g = complete_graph(3)
+        lists = {v: {1, 2, 3} for v in g.vertices}
+        argv = ["verify", "--json"]
+        for name, text in [("graph", emit_graph(g)),
+                           ("cover", emit_cover(identity_cover(g, lists))),
+                           ("budget", emit_budget(budget_list(lists))),
+                           ("coloring", emit_coloring({0: 1, 1: 2, 2: 3, 7: 9}))]:
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+            argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["diagnostics"] == ["InvalidInput: vertices [7] are not in the graph"]
+        assert "witness" not in payload
+
+
+STATUS_OF_EXIT = {0: "valid", 1: "invalid", 2: "error"}
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 50), as_json=st.booleans(), data=st.data())
+def test_fuzzed_verify_exits_with_a_documented_code(seed, as_json, data):
+    """`dpfcolor verify` on a small instance's files, some of them edited a
+    little or replaced by directive-shaped text: exit 0, 1 or 2 with the
+    matching status, never a traceback and never an internal error."""
+    texts = instance_texts(seed)
+    parts = {"graph": data.draw(st.sampled_from(["graph", "plane"])),
+             "cover": "cover", "budget": "budget", "coloring": "coloring"}
+    disturbed = data.draw(st.sets(st.sampled_from(sorted(parts))))
+    argv = ["verify"] + (["--json"] if as_json else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, part in parts.items():
+            text = texts[part]
+            if flag in disturbed:
+                text = data.draw(st.one_of(mutated(text), directive_texts()))
+            path = Path(tmp) / f"{flag}.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            argv += [f"--{flag}", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in STATUS_OF_EXIT, err.getvalue() or out.getvalue()
+    if as_json:
+        assert json.loads(out.getvalue())["status"] == STATUS_OF_EXIT[code]
 
 
 class TestSolvers:

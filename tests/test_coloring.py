@@ -103,6 +103,15 @@ class TestVerifyColoring:
         assert order is not None
         assert order_is_valid(induced_pair_graph(g, h, f, {v: 1 for v in range(4)}), order)
 
+    def test_vertex_outside_the_graph_rejected(self):
+        g, h = c4_identity()
+        f = unit_budget(g, 2, (1, 2))
+        with pytest.raises(InvalidInput, match=r"^vertices \[7\] are not in the graph$"):
+            verify_coloring(g, h, f, {0: 1, 1: 2, 2: 1, 3: 2, 7: 9})
+        # A missing vertex is reported first, also when the sizes agree.
+        with pytest.raises(PartialColoring):
+            verify_coloring(g, h, f, {0: 1, 1: 2, 2: 1, 7: 9})
+
 
 class TestResidualBudget:
     def edge_instance(self, f1_v=2, matched=True):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfcolor import (
     Budget,
@@ -11,8 +13,9 @@ from dpfcolor import (
     gen_random_budget,
     gen_random_cover,
 )
-from dpfcolor.errors import ParseError
+from dpfcolor.errors import InvalidEmbedding, ParseError
 from dpfcolor.formats import (
+    _read_graph,
     emit_budget,
     emit_coloring,
     emit_cover,
@@ -26,6 +29,9 @@ from dpfcolor.formats import (
     parse_plane,
 )
 from dpfcolor.graphs import complete_graph
+
+from oracles import token_parse_budget, token_parse_coloring, token_parse_cover, token_read_graph
+from strategies import format_texts, instance_texts
 
 
 TRIANGLE = "graph 3\nedge 0 1\nedge 0 2\nedge 1 2\n"
@@ -295,3 +301,125 @@ def test_parsed_objects_equal_validated_ones():
         parsed_f = parse_budget(emit_budget(f))
         assert parsed_f == budget
         assert _budget_tables(parsed_f, g.vertices) == _budget_tables(budget, g.vertices)
+
+
+# -- the one-pass parsers against the per-token ones (tests/oracles.py) ------
+
+def _read_tables(result):
+    g, rotation, outer = result
+    return _graph_tables(g), list(rotation.items()), outer
+
+
+def _cover_key_order(h: Cover):
+    return _cover_tables(h), list(h.lists), list(h._matchings)
+
+
+def _budget_rows(f: Budget):
+    return (f.s, f.cap, list(f._values.items()),
+            [(v, list(row.items())) for v, row in f._by_vertex.items()])
+
+
+PARSER_PAIRS = {
+    "graph": (lambda t: _read_graph(t, False), lambda t: token_read_graph(t, False), _read_tables),
+    "plane": (lambda t: _read_graph(t, True), lambda t: token_read_graph(t, True), _read_tables),
+    "cover": (parse_cover, token_parse_cover, _cover_key_order),
+    "budget": (parse_budget, token_parse_budget, _budget_rows),
+    "coloring": (parse_coloring, token_parse_coloring, lambda r: list(r.items())),
+}
+
+
+def _outcome(parse, tables, text):
+    try:
+        return "parsed", tables(parse(text))
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+def assert_same_as_token_parsers(text: str) -> None:
+    for part, (parse, reference, tables) in PARSER_PAIRS.items():
+        assert _outcome(parse, tables, text) == _outcome(reference, tables, text), (part, text)
+
+
+# Lines with more than one fault: the parser must report the one its checks
+# meet first, e.g. a repeated vertex before a bad token after it.
+SEVERAL_FAULTS = [
+    "cover 3\nlist 0 1\nlist 0 c\n",
+    "graph 2\nrot 0 1\nrot 0 y\n",
+    "graph 2\nedge 0 1\nrot 0 1\nrot 0\n",
+    "cover 3\nlist 0 1\nlist 0\n",
+    "cover 3\nmatch 0 1 x\n",
+    "cover 3\nlist 0 1\nlist 1 2\nmatch 1 0 x y\n",
+    "cover 3\nlist x y\n",
+    "cover x y\n",
+    "cover 3\ncover x\n",
+    "budget 2 2\nf 0 x\n",
+    "budget 2 2\nf 0 9 x\n",
+    "budget x\n",
+    "budget x -1\n",
+    "graph x y\n",
+    "graph 2\ngraph x\n",
+    "graph 2\nedge x\n",
+    "graph 2\nedge 5 x\n",
+    "graph 2\nrot x y\n",
+    "graph 2\nouter 0 x y\n",
+    "graph 2\nouter 0\nouter x\n",
+    "color 0\n",
+    "color x 1 2\n",
+    "color 0 1\ncolor 0 x\n",
+]
+LINE_BREAKS = ["\r\n", "\r", "\x0c", "\x1c", "\u2028"]
+
+
+@pytest.mark.parametrize("text", [text for _, text, *_ in ERRORS] + SEVERAL_FAULTS)
+def test_same_result_or_error_as_token_parsers(text):
+    assert_same_as_token_parsers(text)
+    for brk in LINE_BREAKS:
+        assert_same_as_token_parsers(text.replace("\n", brk))
+    spelled = text.replace("\n", " # c\n").replace(" 1", "\t+1").replace(" 0", " \u0660")
+    assert_same_as_token_parsers(spelled)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_emitted_files_parse_as_with_token_parsers(seed):
+    for text in instance_texts(seed).values():
+        assert_same_as_token_parsers(text)
+        assert_same_as_token_parsers(text.replace("\n", "\r\n").replace(" 1", " 1_0"))
+
+
+@settings(max_examples=400)
+@given(text=format_texts("plane") | format_texts("cover") | format_texts("budget")
+       | format_texts("coloring"))
+def test_fuzzed_texts_parse_as_with_token_parsers(text):
+    assert_same_as_token_parsers(text)
+
+
+# -- round trips of whatever parses -------------------------------------------
+
+def _plane_tables(pg: PlaneGraph):
+    return _graph_tables(pg.graph), pg.rotation, pg.outer
+
+
+ROUND_TRIPS = {
+    "graph": (parse_graph, emit_graph, _graph_tables),
+    "plane": (parse_plane, emit_plane, _plane_tables),
+    "cover": (parse_cover, emit_cover, _cover_tables),
+    "budget": (parse_budget, emit_budget, lambda f: (f.s, f.cap, f.items(), f._by_vertex)),
+    "coloring": (parse_coloring, emit_coloring, lambda r: r),
+}
+
+
+@pytest.mark.parametrize("part", sorted(ROUND_TRIPS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_any_text_fails_to_parse_or_round_trips(part, data):
+    """Every text either raises ParseError (or, for a plane graph, the
+    embedding's InvalidEmbedding) or parses to x with parse(emit(x)) equal
+    to x, table by table."""
+    parse, emit, tables = ROUND_TRIPS[part]
+    text = data.draw(format_texts(part))
+    try:
+        x = parse(text)
+    except (ParseError, InvalidEmbedding) as exc:
+        assert part == "plane" or isinstance(exc, ParseError)
+        return
+    assert tables(parse(emit(x))) == tables(x)
