@@ -228,11 +228,13 @@ def print_delta(old: dict, new: dict) -> None:
         prev = before.get(case_key(case))
         line = f"  {case_name(case)} "
         if prev is None:
-            print(line + f"(new) {describe(case)}")
+            print(line + f"(new) {describe(case)} {describe_memory(case)}")
             continue
         line += f"{describe(prev):>16} -> {describe(case):<16}"
         if "total_ms" in case and "total_ms" in prev:
             line += f" ({case['total_ms'] / prev['total_ms']:.2f} of the time)"
+        if "peak_rss_mb" in case or "peak_rss_mb" in prev:
+            line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         print(line)
     for name, exp in new["growth"].items():
         print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}")

@@ -101,10 +101,8 @@ def residual_budget(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -
 
 def _residuals(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -> Budget:
     """residual_budget for a precoloring the caller has already verified."""
-    by_vertex = {v: row for v in g.vertices if v not in precolored
-                 if (row := residual_at(g, h, f, precolored, v))}
-    values = {(v, i): left for v, row in by_vertex.items() for i, left in row.items()}
-    return Budget._trusted(f.s, f.cap, values, by_vertex)
+    return Budget._trusted(f.s, f.cap, {v: row for v in g.vertices if v not in precolored
+                                        if (row := residual_at(g, h, f, precolored, v))})
 
 
 def residual_at(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring,

@@ -33,7 +33,7 @@ class Budget:
     is at most `cap`.
     """
 
-    __slots__ = ("s", "cap", "_values", "_by_vertex")
+    __slots__ = ("s", "cap", "_rows")
 
     def __init__(self, s: int, cap: int,
                  values: Mapping[Pair, int] | Iterable[tuple[Pair, int]] = ()):
@@ -42,51 +42,49 @@ class Budget:
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         items = values.items() if isinstance(values, Mapping) else values
-        vals: dict[Pair, int] = {}
-        by_vertex: dict[int, dict[int, int]] = {}
-        zeros: set[Pair] = set()  # keys given as 0, which `vals` omits
+        rows: dict[int, dict[int, int]] = {}
+        zeros: set[Pair] = set()  # keys given as 0, which `rows` omits
         for (v, i), val in items:
             if not 1 <= i <= s:
                 raise ValueError(f"color {i} outside 1..{s}")
             if val < 0 or val > cap:
                 raise ValueError(f"value {val} for ({v},{i}) outside 0..{cap}")
-            if (v, i) in vals or (v, i) in zeros:
+            if i in rows.get(v, ()) or (v, i) in zeros:
                 raise ValueError(f"duplicate entry for ({v},{i})")
             if val > 0:
-                vals[(v, i)] = val
-                by_vertex.setdefault(v, {})[i] = val
+                rows.setdefault(v, {})[i] = val
             else:
                 zeros.add((v, i))
         self.s = s
         self.cap = cap
-        self._values = vals
-        self._by_vertex = by_vertex
+        self._rows = rows
 
     def get(self, v: int, i: int) -> int:
-        return self._values.get((v, i), 0)
+        row = self._rows.get(v)
+        return row.get(i, 0) if row else 0
 
     def total(self, v: int) -> int:
         """|f(v)|: the sum of the vertex's values over all colors."""
-        return sum(self._by_vertex.get(v, {}).values())
+        return sum(self._rows.get(v, {}).values())
 
     def support(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._by_vertex.get(v, {})))
+        return tuple(sorted(self._rows.get(v, ())))
 
     def items(self) -> list[tuple[Pair, int]]:
-        return sorted(self._values.items())
+        return sorted(((v, i), val) for v, row in self._rows.items() for i, val in row.items())
 
     @classmethod
-    def _trusted(cls, s: int, cap: int, values: dict[Pair, int],
-                 by_vertex: dict[int, dict[int, int]]) -> "Budget":
-        """Wrap valid tables unchecked; rows may be shared, so none is ever mutated."""
+    def _trusted(cls, s: int, cap: int, rows: dict[int, dict[int, int]]) -> "Budget":
+        """Wrap a valid table unchecked: nonempty rows v -> {i: f_i(v)} with
+        i in 1..s and values in 1..cap.  Rows may be shared, so none is ever
+        mutated."""
         b = cls.__new__(cls)
-        b.s, b.cap, b._values, b._by_vertex = s, cap, values, by_vertex
+        b.s, b.cap, b._rows = s, cap, rows
         return b
 
     def assign(self, updates: Mapping[Pair, int]) -> "Budget":
         """New budget with the given entries replaced (0 deletes)."""
-        vals = dict(self._values)
-        by_vertex = dict(self._by_vertex)
+        rows = dict(self._rows)
         copied: set[int] = set()
         for (v, i), val in updates.items():
             if not 1 <= i <= self.s:
@@ -95,14 +93,15 @@ class Budget:
                 raise ValueError(f"value {val} for ({v},{i}) outside 0..{self.cap}")
             if v not in copied:
                 copied.add(v)
-                by_vertex[v] = dict(by_vertex.get(v, ()))
+                rows[v] = dict(rows.get(v, ()))
             if val == 0:
-                vals.pop((v, i), None)
-                by_vertex[v].pop(i, None)
+                rows[v].pop(i, None)
             else:
-                vals[(v, i)] = val
-                by_vertex[v][i] = val
-        return Budget._trusted(self.s, self.cap, vals, by_vertex)
+                rows[v][i] = val
+        for v in copied:
+            if not rows[v]:
+                del rows[v]
+        return Budget._trusted(self.s, self.cap, rows)
 
     def relabel(self, perms: Mapping[int, Mapping[int, int]]) -> "Budget":
         """Rename colors per vertex: new index perms[v][i] gets f_i(v).
@@ -111,28 +110,24 @@ class Budget:
         keep their labels.  A renamed entry outside 1..s raises ValueError.
         """
         _check_permutations(perms)
-        vals = dict(self._values)
-        by_vertex = dict(self._by_vertex)
+        rows = dict(self._rows)
         for v, p in perms.items():
-            row = by_vertex.get(v)
+            row = rows.get(v)
             if row is None:
                 continue
-            for i in row:
-                del vals[(v, i)]
-            by_vertex[v] = new_row = {p.get(i, i): val for i, val in row.items()}
-            if new_row and max(new_row) > self.s:
+            rows[v] = new_row = {p.get(i, i): val for i, val in row.items()}
+            if max(new_row) > self.s:
                 raise ValueError(f"color {max(new_row)} outside 1..{self.s}")
-            for j, val in new_row.items():
-                vals[(v, j)] = val
-        return Budget._trusted(self.s, self.cap, vals, by_vertex)
+        return Budget._trusted(self.s, self.cap, rows)
 
     def __eq__(self, other):
         if not isinstance(other, Budget):
             return NotImplemented
-        return (self.s, self.cap, self._values) == (other.s, other.cap, other._values)
+        return (self.s, self.cap, self._rows) == (other.s, other.cap, other._rows)
 
     def __repr__(self):
-        return f"Budget(s={self.s}, cap={self.cap}, entries={len(self._values)})"
+        entries = sum(map(len, self._rows.values()))
+        return f"Budget(s={self.s}, cap={self.cap}, entries={entries})"
 
 
 class Cover:
@@ -190,7 +185,8 @@ class Cover:
         return h
 
     def list_of(self, v: int) -> frozenset[int]:
-        return self.lists[v]
+        """The list of v; a vertex without one has the empty list."""
+        return self.lists.get(v, frozenset())
 
     def matching(self, u: int, v: int) -> frozenset[Pair]:
         """Matched color pairs oriented (color of u, color of v)."""

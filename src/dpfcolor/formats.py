@@ -45,7 +45,7 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
     rotations are left to `PlaneGraph`.
     """
     n = None
-    seen: set[tuple[int, int]] = set()
+    adj: dict[int, set[int]] = {}  # rows of vertices with an edge so far
     rotation: dict[int, tuple[int, ...]] = {}
     outer: tuple[int, ...] | None = None
     for no, raw in enumerate(text.splitlines(), 1):
@@ -69,10 +69,18 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
                 raise ParseError(no, f"endpoint outside 0..{n - 1}")
             if u == v:
                 raise ParseError(no, f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            row = adj.get(u)
+            if row is None:
+                adj[u] = {v}
+            elif v in row:
                 raise ParseError(no, f"duplicate edge ({u},{v})")
-            seen.add(key)
+            else:
+                row.add(v)
+            row = adj.get(v)
+            if row is None:
+                adj[v] = {u}
+            else:
+                row.add(u)
         elif d == "graph":
             if n is not None:
                 raise ParseError(no, "duplicate graph header")
@@ -108,12 +116,7 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             raise ParseError(no, f"unknown directive {d!r} in graph file")
     if n is None:
         raise ParseError(1, "missing graph header")
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in seen:
-        adj[u].add(v)
-        adj[v].add(u)
-    g = SimpleGraph._trusted(tuple(range(n)), frozenset(seen),
-                             {v: frozenset(ns) for v, ns in adj.items()})
+    g = SimpleGraph._trusted(tuple(range(n)), {v: frozenset(adj.get(v, ())) for v in range(n)})
     return g, rotation, outer
 
 
@@ -258,9 +261,8 @@ def emit_cover(h: Cover) -> str:
 def parse_budget(text: str) -> Budget:
     """Budget of a budget file; every line is checked once, here."""
     s = cap = None
-    values: dict[tuple[int, int], int] = {}
-    by_vertex: dict[int, dict[int, int]] = {}
-    zeros: set[tuple[int, int]] = set()  # keys given as 0, which `values` omits
+    rows: dict[int, dict[int, int]] = {}
+    zeros: set[tuple[int, int]] = set()  # keys given as 0, which `rows` omits
     for no, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -283,18 +285,15 @@ def parse_budget(text: str) -> Budget:
                 raise ParseError(no, f"color outside 1..{s}")
             if not 0 <= val <= cap:
                 raise ParseError(no, f"value outside 0..{cap}")
-            key = (v, i)
-            if key in values or key in zeros:
+            row = rows.get(v)
+            if (row is not None and i in row) or (v, i) in zeros:
                 raise ParseError(no, f"duplicate entry for ({v},{i})")
-            if val:
-                values[key] = val
-                row = by_vertex.get(v)
-                if row is None:
-                    by_vertex[v] = {i: val}
-                else:
-                    row[i] = val
+            if not val:
+                zeros.add((v, i))
+            elif row is None:
+                rows[v] = {i: val}
             else:
-                zeros.add(key)
+                row[i] = val
         elif d == "budget":
             if s is not None:
                 raise ParseError(no, "duplicate budget header")
@@ -311,7 +310,7 @@ def parse_budget(text: str) -> Budget:
             raise ParseError(no, f"unknown directive {d!r} in budget file")
     if s is None:
         raise ParseError(1, "missing budget header")
-    return Budget._trusted(s, cap, values, by_vertex)
+    return Budget._trusted(s, cap, rows)
 
 
 def emit_budget(f: Budget) -> str:

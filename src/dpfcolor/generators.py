@@ -78,12 +78,13 @@ def gen_random_budget(g: SimpleGraph, s: int, sum_min: int, cap: int, seed: int,
     """Random budget with every vertex total exactly sum_min, values <= cap.
 
     When `lists` is given the support of each vertex's budget stays inside
-    its list, encoding "color not available" as a zero entry.
+    its list, encoding "color not available" as a zero entry; a vertex
+    missing from `lists` has the empty list.
     """
     rng = random.Random(seed)
     values = {}
     for v in g.vertices:
-        support = sorted(lists[v]) if lists is not None else list(range(1, s + 1))
+        support = sorted(lists.get(v, ())) if lists is not None else list(range(1, s + 1))
         if sum_min > cap * len(support):
             raise InfeasibleParameters(
                 f"cannot reach total {sum_min} with cap {cap} over {len(support)} colors")

@@ -13,7 +13,7 @@ class SimpleGraph:
     subgraph operations.
     """
 
-    __slots__ = ("vertices", "edges", "adj")
+    __slots__ = ("vertices", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self._build(range(n), edges)
@@ -26,31 +26,31 @@ class SimpleGraph:
         return g
 
     @classmethod
-    def _trusted(cls, vertices: tuple[int, ...], edges: frozenset[tuple[int, int]],
-                 adj: dict[int, frozenset[int]]) -> "SimpleGraph":
-        """Wrap valid tables unchecked: sorted vertices, edges (u, v) with
-        u < v between them, and the adjacency sets those edges give."""
+    def _trusted(cls, vertices: tuple[int, ...], adj: dict[int, frozenset[int]]) -> "SimpleGraph":
+        """Wrap a valid table unchecked: sorted vertices, and symmetric
+        loop-free adjacency sets keyed by exactly those vertices in that
+        order.  Rows may be shared, so none is ever mutated."""
         g = cls.__new__(cls)
-        g.vertices, g.edges, g.adj = vertices, edges, adj
+        g.vertices, g.adj = vertices, adj
         return g
 
     def _build(self, vertices, edges):
         vs = sorted(set(vertices))
-        vset = set(vs)
-        norm = set()
+        adj: dict[int, set[int]] = {v: set() for v in vs}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u},{v}) uses an unknown vertex")
-            norm.add((u, v) if u < v else (v, u))
-        adj = {v: set() for v in vs}
-        for u, v in norm:
             adj[u].add(v)
             adj[v].add(u)
         self.vertices = tuple(vs)
-        self.edges = frozenset(norm)
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges (u, v) with u < v, derived from `adj` in O(m) per access."""
+        return frozenset((u, w) for u, ns in self.adj.items() for w in ns if u < w)
 
     @property
     def n(self) -> int:
@@ -58,13 +58,13 @@ class SimpleGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj.values())) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        return v in self.adj.get(u, ())
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -76,8 +76,7 @@ class SimpleGraph:
         if unknown:
             raise ValueError(f"unknown vertices {sorted(unknown)}")
         adj = {v: self.adj[v] & kset for v in sorted(kset)}
-        edges = frozenset((u, w) for u, ns in adj.items() for w in ns if u < w)
-        return SimpleGraph._trusted(tuple(adj), edges, adj)
+        return SimpleGraph._trusted(tuple(adj), adj)
 
     def delete(self, v: int) -> "SimpleGraph":
         return self.induced(set(self.vertices) - {v})
@@ -97,7 +96,7 @@ class SimpleGraph:
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self.adj == other.adj
 
     def __hash__(self):
         return hash((self.vertices, self.edges))

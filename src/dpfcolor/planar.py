@@ -191,11 +191,13 @@ def add_chord(pg: PlaneGraph, face: tuple[int, ...], ai: int, bi: int) -> PlaneG
     next_a, next_b = face[(ai + 1) % l], face[(bi + 1) % l]
     if pg.graph.has_edge(a, b):
         raise NotAChord(f"edge ({a},{b}) already exists")
-    graph = SimpleGraph.on_vertices(pg.graph.vertices, list(pg.graph.edges) + [(a, b)])
+    adj = dict(pg.graph.adj)
+    adj[a] = adj[a] | {b}
+    adj[b] = adj[b] | {a}
     rotation = dict(pg.rotation)
     rotation[a] = _insert_before(rotation[a], next_a, b)
     rotation[b] = _insert_before(rotation[b], next_b, a)
-    return PlaneGraph(graph, rotation, pg.outer)
+    return PlaneGraph(SimpleGraph._trusted(pg.graph.vertices, adj), rotation, pg.outer)
 
 
 def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
@@ -220,14 +222,14 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     long_faces = [f for f in faces(pg).bounded if len(f) > 3]
     if not long_faces:
         return pg
-    edges = set(pg.graph.edges)
+    adj = dict(pg.graph.adj)
     rotation = dict(pg.rotation)
     for face in long_faces:
         l = len(face)
         for ap in sorted(range(l), key=face.__getitem__):
             cyc = face[ap:] + face[:ap]
             apex = cyc[0]
-            if not any(_edge_key(apex, w) in edges for w in cyc[2:l - 1]):
+            if adj[apex].isdisjoint(cyc[2:l - 1]):
                 break
         else:
             raise InvalidEmbedding(f"face {face} admits no chord")
@@ -238,11 +240,12 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
         rot = rotation[apex]
         k = rot.index(cyc[1])
         rotation[apex] = rot[:k] + cyc[l - 2:1:-1] + rot[k:]
+        adj[apex] = adj[apex].union(cyc[2:l - 1])
         for t in range(2, l - 1):
             w = cyc[t]
-            edges.add(_edge_key(apex, w))
+            adj[w] = adj[w] | {apex}
             rotation[w] = _insert_before(rotation[w], cyc[t + 1], apex)
-    return PlaneGraph(SimpleGraph.on_vertices(pg.graph.vertices, edges), rotation, pg.outer)
+    return PlaneGraph(SimpleGraph._trusted(pg.graph.vertices, adj), rotation, pg.outer)
 
 
 def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
@@ -263,10 +266,6 @@ def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
         if js:
             return (i, min(js))
     return None
-
-
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _side(pg: PlaneGraph, cycle: tuple[int, ...]) -> set[int]:
@@ -352,8 +351,7 @@ def delete_vertex(pg: PlaneGraph, v: int, outer: tuple[int, ...]) -> PlaneGraph:
         adj[u] = adj[u] - {v}
         rotation[u] = tuple(w for w in rotation[u] if w != v)
     k = g.vertices.index(v)
-    graph = SimpleGraph._trusted(g.vertices[:k] + g.vertices[k + 1:],
-                                 g.edges.difference(_edge_key(u, v) for u in nbrs), adj)
+    graph = SimpleGraph._trusted(g.vertices[:k] + g.vertices[k + 1:], adj)
     return PlaneGraph._trusted(graph, rotation, tuple(outer))
 
 

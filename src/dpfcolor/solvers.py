@@ -229,7 +229,7 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     if f.s < h.s:
         # Fan steps rename colors by bijections of the cover's 1..s; colors
         # the budget does not index carry 0, so widen it to the cover's s.
-        f = Budget._trusted(h.s, f.cap, f._values, f._by_vertex)
+        f = Budget._trusted(h.s, f.cap, f._rows)
     low = [v for v in g.vertices if _list_total(h, f, v) < 5]
     if low:
         raise BadBudget(f"list-restricted budget total below 5 at {low}")

@@ -626,8 +626,7 @@ def token_read_graph(text: str, plane: bool) -> tuple[SimpleGraph,
     for u, v in seen:
         adj[u].add(v)
         adj[v].add(u)
-    g = SimpleGraph._trusted(tuple(range(n)), frozenset(seen),
-                             {v: frozenset(ns) for v, ns in adj.items()})
+    g = SimpleGraph._trusted(tuple(range(n)), {v: frozenset(ns) for v, ns in adj.items()})
     return g, rotation, outer
 
 
@@ -734,7 +733,7 @@ def token_parse_budget(text: str) -> Budget:
             raise ParseError(no, f"unknown directive {toks[0]!r} in budget file")
     if s is None:
         raise ParseError(1, "missing budget header")
-    return Budget._trusted(s, cap, values, by_vertex)
+    return Budget._trusted(s, cap, by_vertex)
 
 
 def token_parse_coloring(text: str) -> dict[int, int]:

@@ -65,14 +65,38 @@ def instance_texts(seed: int) -> dict[str, str]:
     h = gen_random_cover(g, s, rng.randint(1, s), rng.choice([0.0, 0.5, 1.0]),
                          rng.randrange(10**6))
     f = gen_random_budget(g, s, 1, 2, rng.randrange(10**6), lists=h.lists)
+    r = _greedy_coloring(g, h, f, g.vertices, rng)
+    return {"graph": emit_graph(g), "plane": emit_plane(pg), "cover": emit_cover(h),
+            "budget": emit_budget(f), "coloring": emit_coloring(r)}
+
+
+def solver_texts(seed: int) -> dict[str, str]:
+    """The files of a small seeded instance that meets the planar solvers'
+    preconditions: lists of 3 to 5 of 5 colors, budgets of total 5 and cap
+    2, and as `precolored` a coloring of the outer triangle that verifies
+    on its own."""
+    rng = random.Random(f"strategies/solvers/{seed}")
+    pg = gen_planar_triangulation(rng.randint(3, 7), rng.randrange(10**6))
+    g = pg.graph
+    h = gen_random_cover(g, 5, rng.randint(3, 5), rng.choice([0.0, 0.5, 1.0]),
+                         rng.randrange(10**6))
+    f = gen_random_budget(g, 5, 5, 2, rng.randrange(10**6), lists=h.lists)
+    pre = _greedy_coloring(g, h, f, pg.outer, rng)
+    return {"graph": emit_graph(g), "plane": emit_plane(pg), "cover": emit_cover(h),
+            "budget": emit_budget(f), "precolored": emit_coloring(pre)}
+
+
+def _greedy_coloring(g, h, f, vertices, rng: random.Random) -> dict[int, int]:
+    """Colors `vertices` in turn: a list color whose budget exceeds its
+    matched earlier neighbours where there is one, a random list color
+    elsewhere."""
     r: dict[int, int] = {}
-    for v in g.vertices:
+    for v in vertices:
         colors = sorted(h.lists[v])
         r[v] = next((c for c in colors
                      if sum((c, r[u]) in h.matching(v, u) for u in g.adj[v] if u in r)
                      < f.get(v, c)), rng.choice(colors))
-    return {"graph": emit_graph(g), "plane": emit_plane(pg), "cover": emit_cover(h),
-            "budget": emit_budget(f), "coloring": emit_coloring(r)}
+    return r
 
 
 @st.composite

@@ -18,7 +18,7 @@ from dpfcolor import (
     identity_cover,
 )
 
-from strategies import directive_texts, instance_texts, mutated
+from strategies import directive_texts, instance_texts, mutated, solver_texts
 
 
 @pytest.fixture()
@@ -102,6 +102,35 @@ class TestVerify:
         assert "witness" not in payload
 
 
+@pytest.mark.parametrize("command, code", [
+    ("verify", 2), ("solve-exact", 1), ("solve-planar", 2), ("gen-budget", 2)])
+def test_vertex_without_a_list_line_has_the_empty_list(k4_files, tmp_path, capsys,
+                                                       command, code):
+    """A cover file with no list line for vertex 3 reads as one whose
+    `list 3` line names no color: ColorNotInList, absent, BadBudget and
+    InfeasibleParameters, not an internal error."""
+    kept = [line for line in Path(k4_files["cover"]).read_text().splitlines()
+            if not (line.startswith("list 3")
+                    or (line.startswith("match ") and "3" in line.split()[1:3]))]
+    outcomes = []
+    for name, lines in [("omitted", kept), ("empty", kept + ["list 3"])]:
+        cover = tmp_path / f"{name}.txt"
+        cover.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files = ["--cover", str(cover), "--budget", k4_files["budget"]]
+        argv = {
+            "verify": ["verify", "--graph", k4_files["graph"], *files,
+                       "--coloring", k4_files["coloring"]],
+            "solve-exact": ["solve-exact", "--graph", k4_files["graph"], *files],
+            "solve-planar": ["solve-planar", "--plane", k4_files["plane"], *files],
+            "gen-budget": ["gen", "budget", "--graph", k4_files["graph"], "--colors", "5",
+                           "--sum-min", "5", "--cap", "2", "--seed", "4",
+                           "--cover", str(cover)],
+        }[command]
+        outcomes.append(run(capsys, *argv))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code, outcomes[0]
+
+
 STATUS_OF_EXIT = {0: "valid", 1: "invalid", 2: "error"}
 
 
@@ -131,6 +160,75 @@ def test_fuzzed_verify_exits_with_a_documented_code(seed, as_json, data):
     assert code in STATUS_OF_EXIT, err.getvalue() or out.getvalue()
     if as_json:
         assert json.loads(out.getvalue())["status"] == STATUS_OF_EXIT[code]
+
+
+# Per command: its file flags with the instance file each reads, and the
+# JSON status of each exit code it may give on any input.
+FUZZED_COMMANDS = {
+    "solve-exact": ({"graph": "graph", "cover": "cover", "budget": "budget"},
+                    {0: "found", 1: "absent", 2: "error"}),
+    "solve-planar": ({"plane": "plane", "cover": "cover", "budget": "budget"},
+                     {0: "found", 2: "error"}),
+    "extend-triangle": ({"plane": "plane", "cover": "cover", "budget": "budget",
+                         "precolored": "precolored"}, {0: "found", 2: "error"}),
+    "reduce": ({"graph": "graph", "lists": "cover"}, {0: "ok", 2: "error"}),
+    "check-family": ({"graph": "graph"}, {0: "true", 1: "false", 2: "error"}),
+}
+
+
+def _fuzzed_options(command: str, data) -> tuple[list[str], dict[str, str]]:
+    """Options of one fuzzed run, and any file flags they add."""
+    if command == "solve-exact" and data.draw(st.booleans()):
+        return [], {"precolored": "precolored"}
+    if command == "reduce":
+        mode = data.draw(st.sampled_from(["list", "forest", "mixed"]))
+        options = ["--mode", mode]
+        for flag in ("--d", "--k"):
+            if mode == "mixed" and data.draw(st.booleans()):
+                options += [flag, str(data.draw(st.integers(-1, 4)))]
+        return options, {}
+    if command == "check-family":
+        family = data.draw(st.sampled_from(["noadj34", "family-a", "no-cycle-lengths"]))
+        options = ["--family", family]
+        lengths = data.draw(st.sampled_from(
+            [None, "4,6,7,9", "4,6,8,9", "4,7,8,9", "4,6,9", "4,x,8,9", ""]))
+        if lengths is not None:
+            options += ["--lengths", lengths]
+        return options, {}
+    return [], {}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
+@settings(max_examples=60)
+@given(seed=st.integers(0, 50), as_json=st.booleans(), data=st.data())
+def test_fuzzed_commands_exit_with_a_documented_code(command, seed, as_json, data):
+    """Each other command on a small instance's files, some of them edited
+    a little or replaced by directive-shaped text: exit 0, 1 or 2 as the
+    command may, with the matching status, never a traceback, never an
+    internal error and never a theorem violation."""
+    parts, status_of_exit = FUZZED_COMMANDS[command]
+    options, more_parts = _fuzzed_options(command, data)
+    parts = {**parts, **more_parts}
+    if parts.get("graph") == "graph":
+        parts["graph"] = data.draw(st.sampled_from(["graph", "plane"]))
+    texts = solver_texts(seed)
+    disturbed = data.draw(st.sets(st.sampled_from(sorted(parts))))
+    argv = [command] + options + (["--json"] if as_json else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, part in parts.items():
+            text = texts[part]
+            if flag in disturbed:
+                text = data.draw(st.one_of(mutated(text), directive_texts()))
+            path = Path(tmp) / f"{flag}.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            argv += [f"--{flag}", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in status_of_exit, err.getvalue() or out.getvalue()
+    if as_json:
+        assert json.loads(out.getvalue())["status"] == status_of_exit[code]
 
 
 class TestSolvers:

@@ -7,6 +7,11 @@ the residual budget of the planar recursion and its plane pieces
 without the validating constructors; these tests compare them with objects
 built through `Cover(...)`, `Budget(...)`, `SimpleGraph.on_vertices(...)`
 and `PlaneGraph(...)` from the same data.
+
+A graph stores only its adjacency sets, and `edges` is derived from them;
+a budget stores only its per-vertex rows, and a row is never empty.  So
+comparing the adjacency and the rows (as `==` does) checks every stored
+table, including that `Budget.assign` drops a row it empties.
 """
 
 import random

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,11 +13,19 @@ from dpfcolor import (
     complete_graph,
     cycle_graph,
     enumerate_cycles,
+    gen_planar_triangulation,
     path_graph,
 )
 from dpfcolor.errors import BadSpec, LimitExceeded
 
-from oracles import naive_cycle_lengths, random_graph
+from oracles import (
+    grid,
+    naive_cycle_lengths,
+    random_graph,
+    thin_triangulation,
+    triangulated_polygon,
+    wheel,
+)
 
 
 def count_cycles_by_subsets(g, length):
@@ -120,3 +129,69 @@ class TestFamilies:
             lengths = naive_cycle_lengths(g)
             for ss in spec_sets:
                 assert check_family(g, NoCycleLengths(ss)) == (not (lengths & ss))
+
+
+# -- networkx as an independent oracle ------------------------------------------
+
+def _nx_cycles(g, max_len):
+    """Cycles of length 3..max_len by length, in enumerate_cycles' canonical
+    form, from networkx's simple_cycles."""
+    nx = pytest.importorskip("networkx")
+    out = {}
+    for c in nx.simple_cycles(nx.Graph(g.edge_list()), length_bound=max_len):
+        k = c.index(min(c))
+        c = c[k:] + c[:k]
+        if c[1] > c[-1]:
+            c = c[:1] + c[:0:-1]
+        out.setdefault(len(c), []).append(tuple(c))
+    return {length: sorted(cs) for length, cs in out.items()}
+
+
+def _nx_in_family(cycles, spec):
+    """The family's definition read off networkx's cycles of length <= 9."""
+    by_len = {length: [frozenset(map(frozenset, zip(c, c[1:] + c[:1]))) for c in cs]
+              for length, cs in cycles.items()}
+    threes, fours, fives = (by_len.get(length, []) for length in (3, 4, 5))
+    if isinstance(spec, NoAdj34):
+        return not any(t & q for t in threes for q in fours)
+    if isinstance(spec, FamilyA):
+        return not any(t & q and t & p and q & p for t in threes for q in fours for p in fives)
+    return not any(by_len.get(length) for length in spec.lengths)
+
+
+def _oracle_graphs():
+    rng = random.Random("cycles/networkx")
+    for _ in range(40):
+        yield random_graph(rng.randint(3, 9), rng.choice([0.2, 0.35, 0.5]), rng)
+    for t in range(10):
+        stacked = gen_planar_triangulation(rng.randint(4, 9), t)
+        yield from (stacked.graph, thin_triangulation(stacked, rng).graph,
+                    triangulated_polygon(rng.randint(4, 9), rng).graph)
+    yield from (wheel(p).graph for p in range(3, 8))
+    yield from (grid(k, seed=k).graph for k in (2, 3))
+
+
+def test_enumerate_cycles_matches_networkx():
+    checked = 0
+    for g in _oracle_graphs():
+        for max_len in range(3, 10):
+            expected = _nx_cycles(g, max_len)
+            assert enumerate_cycles(g, max_len) == expected, (g.edge_list(), max_len)
+            checked += sum(map(len, expected.values()))
+    assert checked > 1000
+
+
+SPECS = [NoAdj34(), FamilyA()] + [NoCycleLengths(ls) for ls in
+                                  ({4, 6, 7, 9}, {4, 6, 8, 9}, {4, 7, 8, 9})]
+
+
+def test_check_family_matches_networkx():
+    verdicts = Counter()
+    for g in _oracle_graphs():
+        cycles = _nx_cycles(g, 9)
+        for spec in SPECS:
+            expected = _nx_in_family(cycles, spec)
+            assert check_family(g, spec) == expected, (g.edge_list(), spec)
+            verdicts[spec, expected] += 1
+    # Every spec meets graphs on both sides.
+    assert len(verdicts) == 2 * len(SPECS), verdicts

@@ -315,8 +315,7 @@ def _cover_key_order(h: Cover):
 
 
 def _budget_rows(f: Budget):
-    return (f.s, f.cap, list(f._values.items()),
-            [(v, list(row.items())) for v, row in f._by_vertex.items()])
+    return f.s, f.cap, [(v, list(row.items())) for v, row in f._rows.items()]
 
 
 PARSER_PAIRS = {
@@ -403,7 +402,7 @@ ROUND_TRIPS = {
     "graph": (parse_graph, emit_graph, _graph_tables),
     "plane": (parse_plane, emit_plane, _plane_tables),
     "cover": (parse_cover, emit_cover, _cover_tables),
-    "budget": (parse_budget, emit_budget, lambda f: (f.s, f.cap, f.items(), f._by_vertex)),
+    "budget": (parse_budget, emit_budget, lambda f: (f.s, f.cap, f.items(), f._rows)),
     "coloring": (parse_coloring, emit_coloring, lambda r: r),
 }
 

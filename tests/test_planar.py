@@ -331,6 +331,30 @@ class TestSideSearchMatchesFaceFlood:
         assert set(found) == {True, False}
 
 
+def test_split_pieces_are_plane_graphs_by_networkx():
+    """Both pieces of every chord split of every simple face walk of the
+    corpus, through `split_on_chord` and through the solver's `_split`, are
+    planar by networkx's check_planarity, and their rotation systems pass
+    PlanarEmbedding.check_structure."""
+    nx = pytest.importorskip("networkx")
+    pieces = 0
+    for pg in _chord_shapes():
+        for walk in trace_faces(pg):
+            if len(set(walk)) != len(walk):
+                continue
+            for outer in (walk, walk[::-1]):
+                q = pg.with_outer(outer)
+                for chord in _outer_chords(q):
+                    for part in (*split_on_chord(q, chord), *_split(q, chord)):
+                        nxg = nx.Graph(part.graph.edge_list())
+                        assert nx.check_planarity(nxg)[0], (outer, chord)
+                        emb = nx.PlanarEmbedding()
+                        emb.set_data({v: list(rot) for v, rot in part.rotation.items()})
+                        emb.check_structure()
+                        pieces += 1
+    assert pieces > 1000, pieces
+
+
 def _rotations(walk):
     for w in (walk, walk[::-1]):
         for k in range(len(w)):
