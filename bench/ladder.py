@@ -3,9 +3,10 @@
     python3 bench/ladder.py --label mychange
     python3 bench/ladder.py --label base --src /path/to/other/checkout/src
 
-For each shape and each size n = 500, 1000, 2000 and 4000, a fresh Python
-process builds the instance, runs `solve_planar_dpg52` and `verify_coloring`
-on it and reports the wall time of the two calls (op "solve").  Two more
+For each shape and each size n = 500, 1000, 2000, 4000 and 8000, a fresh
+Python process builds the instance, runs `solve_planar_dpg52` and
+`verify_coloring` on it and reports the wall time of the two calls (op
+"solve").  Two more
 rungs time verification alone on stacked triangulations of n = 4000, 16000
 and 64000 with a valid coloring: `verify_coloring` on the objects (op
 "verify"), and `dpfcolor verify --json` run in-process through `cli.main`
@@ -26,12 +27,14 @@ The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
      vertices, seed, total_ms, peak_rss_mb} or {op, shape, n, seed, error, ...}],
-     growth: {shape or op: exponent}}
+     growth: {shape or op: exponent}, rss_growth: {shape or op: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
 slope of log(total_ms) against log(vertices) over the successful cases of a
-shape (op "solve") or of op "verify" or "verify_cli".  Files written before
+shape (op "solve") or of op "verify" or "verify_cli"; rss_growth is the
+same slope for log(peak_rss_mb), which includes the interpreter's own few
+tens of MB and so reads low on the small rungs.  Files written before
 the verify rungs have cases without "op"; they count as "solve".  The script then prints the change against the other
 `BENCH_*.json` in that directory with the latest `written` time.  It
 needs only the standard library.
@@ -59,7 +62,7 @@ from perfbench import shapes  # noqa: E402
 from perfbench.tracing import slope  # noqa: E402
 
 SHAPES = ("stacked", "polygon", "fanned", "grid")
-SIZES = (500, 1000, 2000, 4000)
+SIZES = (500, 1000, 2000, 4000, 8000)
 VERIFY_OPS = ("verify", "verify_cli")
 VERIFY_SIZES = (4000, 16000, 64000)
 SEED = 1
@@ -237,7 +240,8 @@ def print_delta(old: dict, new: dict) -> None:
             line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         print(line)
     for name, exp in new["growth"].items():
-        print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}")
+        print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
+              f"  rss {old.get('rss_growth', {}).get(name)} -> {new['rss_growth'][name]}")
 
 
 def main(argv=None) -> int:
@@ -264,17 +268,18 @@ def main(argv=None) -> int:
         case = spawn(*rung, src)
         print(f"{case_name(case)} {describe(case)} {describe_memory(case)}", flush=True)
         cases.append(case)
-    growth = {}
+    growth, rss_growth = {}, {}
     for name in SHAPES + VERIFY_OPS:
-        points = [(c["vertices"], c["total_ms"]) for c in cases
-                  if series(c) == name and "total_ms" in c]
-        growth[name] = round(slope(points), 3) if len(points) > 1 else None
+        done = [c for c in cases if series(c) == name and "total_ms" in c]
+        for table, key in ((growth, "total_ms"), (rss_growth, "peak_rss_mb")):
+            points = [(c["vertices"], c[key]) for c in done]
+            table[name] = round(slope(points), 3) if len(points) > 1 else None
     commit, dirty = git_state(src)
     result = {"label": args.label,
               "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "python": platform.python_version(),
               "cpus": os.cpu_count(), "commit": commit, "dirty": dirty,
-              "cases": cases, "growth": growth}
+              "cases": cases, "growth": growth, "rss_growth": rss_growth}
     out = HERE / f"BENCH_{args.label}.json"
     others = [json.loads(p.read_text()) for p in HERE.glob("BENCH_*.json") if p != out]
     out.write_text(json.dumps(result, indent=1) + "\n")

@@ -4,6 +4,13 @@ A plane graph is a simple graph plus a clockwise cyclic neighbor order per
 vertex and a designated outer face.  Faces are traced by following, from
 each directed edge (u, v), the dart (v, w) where w is the successor of u
 in the rotation at v; this visits every dart exactly once.
+
+The planar recursion works on pieces built by `_piece`, which rebuilds
+only the rows of vertices that lose a neighbour and shares the rest with
+the parent.  After a chord split those are the chord's two ends: the
+chord and the two outer arcs bound two closed sub-disks, and an edge from
+one sub-disk's inside to the other's would have to cross the chord or the
+outer face.  After a fan step they are the deleted pivot's neighbours.
 """
 
 from __future__ import annotations
@@ -316,7 +323,8 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
 
 def _split(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
     """split_on_chord without its checks, for a valid embedding whose outer
-    cycle is simple and a chord given by valid positions."""
+    cycle is simple and a chord given by valid positions.  Piece 2's outer
+    walk runs from outer[i] to outer[j]."""
     outer = pg.outer
     i, j = chord
     # Sub-disk 2 is bounded by outer[i..j] and the chord; outer[i - 1] lies
@@ -327,32 +335,36 @@ def _split(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGra
         inside2 = set(pg.graph.vertices).difference(inside2, arc2)
     side2 = inside2.union(arc2)
     side1 = set(pg.graph.vertices).difference(inside2, outer[i + 1:j])
-    return _restrict(pg, side1, outer[:i + 1] + outer[j:]), _restrict(pg, side2, arc2)
+    ends = (outer[i], outer[j])
+    return (_piece(pg, side1, outer[:i + 1] + outer[j:], ends),
+            _piece(pg, side2, arc2, ends))
 
 
-def _restrict(pg: PlaneGraph, keep: set[int], outer: tuple[int, ...]) -> PlaneGraph:
-    graph = pg.graph.induced(keep)
-    rotation = {v: tuple(u for u in pg.rotation[v] if u in keep) for v in graph.vertices}
-    return PlaneGraph._trusted(graph, rotation, outer)
+def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
+           cut: Iterable[int]) -> PlaneGraph:
+    """The plane graph induced on `keep`, with the given outer walk.
+
+    `cut` must hold every kept vertex with a neighbour outside `keep`:
+    only those rows are rebuilt, and every other adjacency and rotation
+    row is shared with pg.  Dropping vertices keeps the induced rotations
+    a plane embedding.  A chord split cuts at the chord's two ends, since
+    the chord and the outer arcs bound two closed sub-disks that no other
+    edge joins; deleting a vertex cuts at its neighbours.
+    """
+    adj = dict(pg.graph.adj)
+    rotation = dict(pg.rotation)
+    for v in adj.keys() - keep:
+        del adj[v], rotation[v]
+    for v in cut:
+        adj[v] = adj[v] & keep
+        rotation[v] = tuple(u for u in rotation[v] if u in keep)
+    return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, tuple(outer))
 
 
 def delete_vertex(pg: PlaneGraph, v: int, outer: tuple[int, ...]) -> PlaneGraph:
-    """Remove one vertex, keeping the induced rotations; caller supplies the new outer face.
-
-    Only the rows of v's neighbours are rebuilt; every other adjacency and
-    rotation row is shared with pg.
-    """
-    g = pg.graph
-    nbrs = g.adj[v]
-    adj = dict(g.adj)
-    rotation = dict(pg.rotation)
-    del adj[v], rotation[v]
-    for u in nbrs:
-        adj[u] = adj[u] - {v}
-        rotation[u] = tuple(w for w in rotation[u] if w != v)
-    k = g.vertices.index(v)
-    graph = SimpleGraph._trusted(g.vertices[:k] + g.vertices[k + 1:], adj)
-    return PlaneGraph._trusted(graph, rotation, tuple(outer))
+    """Remove one vertex, keeping the induced rotations; caller supplies the new outer face."""
+    adj = pg.graph.adj
+    return _piece(pg, adj.keys() - {v}, outer, adj[v])
 
 
 def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:

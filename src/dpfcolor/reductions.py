@@ -29,10 +29,10 @@ def canonicalize_lists(assignment: Mapping[int, Iterable[Hashable]],
 
 def identity_cover(g: SimpleGraph, lists: ListAssignment, s: int | None = None) -> Cover:
     """Cover whose edges match exactly equal colors on shared list entries."""
-    clean = {v: frozenset(lists[v]) for v in g.vertices}
-    for v, colors in clean.items():
-        if not colors:
-            raise EmptyList(f"vertex {v} has an empty list")
+    clean = {v: frozenset(lists.get(v, ())) for v in g.vertices}
+    empty = [v for v, colors in clean.items() if not colors]
+    if empty:
+        raise EmptyList(f"no list or an empty list at vertices {empty}")
     if s is None:
         s = max(c for colors in clean.values() for c in colors)
     matchings = {}

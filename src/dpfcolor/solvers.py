@@ -200,20 +200,6 @@ def _greedy_seed(g: SimpleGraph, h: Cover, f: Budget) -> tuple[dict[int, int], O
     return partial, order
 
 
-def _orient_outer(pg: PlaneGraph, start: int, end: int) -> PlaneGraph:
-    outer = pg.outer
-    k = outer.index(start)
-    fwd = outer[k:] + outer[:k]
-    if fwd[-1] == end:
-        return pg.with_outer(fwd)
-    rev = tuple(reversed(outer))
-    k = rev.index(start)
-    fwd = rev[k:] + rev[:k]
-    if fwd[-1] == end:
-        return pg.with_outer(fwd)
-    raise InternalInvariantViolated(f"({start},{end}) is not an outer edge")
-
-
 def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, int], Order]:
     """Color a plane graph whose budgets total >= 5 per vertex with cap 2.
 
@@ -240,14 +226,16 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
         return result, order
     tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
 
+    # Precolor the lexicographically smallest outer edge (v1, vp): walk the
+    # outer cycle from its least vertex v1 towards its larger neighbour, so
+    # that the walk ends at vp.
     outer = tpg.outer
-    p = len(outer)
-    cyc = sorted(
-        (min(outer[t], outer[(t + 1) % p]), max(outer[t], outer[(t + 1) % p]))
-        for t in range(p)
-    )
-    v1, vp = cyc[0]
-    tpg = _orient_outer(tpg, v1, vp)
+    k = outer.index(min(outer))
+    walk = outer[k:] + outer[:k]
+    if walk[1] < walk[-1]:
+        walk = walk[:1] + walk[:0:-1]
+    tpg = tpg.with_outer(walk)
+    v1, vp = walk[0], walk[-1]
     a = min(i for i in sorted(h.list_of(v1)) if f.get(v1, i) >= 1)
     res_p = residual_at(g, h, f, {v1: a}, vp)
     b = min(i for i in sorted(res_p) if i in h.list_of(vp))
@@ -310,10 +298,12 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         i, j = chord
         pg1, pg2 = _split(pg, chord)
         r1, s1 = yield pg1, h, f, pre
-        vi, vj = outer[i], outer[j]
-        pos = {v: t for t, (v, _) in enumerate(s1)}
-        first, second = (vi, vj) if pos[vi] < pos[vj] else (vj, vi)
-        pg2 = _orient_outer(pg2, first, second)
+        # Piece 2's outer walk runs from vi to vj; it must start with
+        # whichever of the two comes first in s1.
+        first, second = vi, vj = outer[i], outer[j]
+        if next(v for v, _ in s1 if v == vi or v == vj) == vj:
+            first, second = vj, vi
+            pg2 = pg2.with_outer(pg2.outer[::-1])
         r2, s2 = yield pg2, h, f, ((first, r1[first]), (second, r1[second]))
         s2p = order_with_prefix(pg2.graph, h, f, r2,
                                 {first: r1[first], second: r1[second]})
@@ -377,16 +367,10 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     if s_sub[0] != pre2[0] or s_sub[1] != pre2[1]:
         raise InternalInvariantViolated("recursive order lost its precolored prefix")
 
-    if case21:
-        t = 1
-        if p == 3:
-            order2 = s_sub[:2] + ((v2, 1),) + s_sub[2:]
-        else:
-            if residual_at(g, h2, f2, r_sub, v2).get(1, 0) < 1:
-                raise InternalInvariantViolated("greedy color 1 unavailable at the fan pivot")
-            order2 = s_sub + ((v2, 1),)
+    t = 1 if case21 or r_sub.get(v3) != 1 else 2
+    if case21 and p > 3:
+        order2 = s_sub + ((v2, t),)
     else:
-        t = 1 if r_sub.get(v3) != 1 else 2
         order2 = s_sub[:2] + ((v2, t),) + s_sub[2:]
     r_full = dict(r_sub)
     r_full[v2] = t

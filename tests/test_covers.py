@@ -6,7 +6,9 @@ the residual budget of the planar recursion and its plane pieces
 (`split_on_chord`, `delete_vertex`, `with_outer`) build their results
 without the validating constructors; these tests compare them with objects
 built through `Cover(...)`, `Budget(...)`, `SimpleGraph.on_vertices(...)`
-and `PlaneGraph(...)` from the same data.
+and `PlaneGraph(...)` from the same data.  A plane piece must also share
+(`is`) every row of its parent except those of the vertices that lose a
+neighbour.
 
 A graph stores only its adjacency sets, and `edges` is derived from them;
 a budget stores only its per-vertex rows, and a row is never empty.  So
@@ -29,6 +31,7 @@ from dpfcolor import (
     gen_random_cover,
     induced_pair_graph,
     order_is_valid,
+    solve_planar_dpg52,
     split_on_chord,
     verify_coloring,
 )
@@ -36,7 +39,7 @@ from dpfcolor.coloring import _residuals, residual_at
 from dpfcolor.covers import invert_permutations, relabel_coloring, relabel_order
 from dpfcolor.planar import delete_vertex
 
-from oracles import random_graph, thin_triangulation, triangulated_polygon
+from oracles import grid, random_graph, thin_triangulation, triangulated_polygon, wheel
 
 
 class TestRelabelNeedsBijections:
@@ -103,6 +106,31 @@ def test_budget_rejects_duplicate_entries_whatever_their_values(values):
         Budget(2, 2, values)
 
 
+def _both_ways(u, v, pairs):
+    """One matching given keyed (u, v) and keyed (v, u) with its pairs flipped."""
+    return [{(u, v): pairs}, {(v, u): [(cv, cu) for cu, cv in pairs]}]
+
+
+@pytest.mark.parametrize("s, lists, matchings, message", [
+    (2, {0: [1]}, {(0, 0): [(1, 1)]}, "loop at 0"),
+    (2, {0: [1]}, {(0, 1): [(1, 1)]}, "without a list"),
+    (2, {0: [1]}, {(1, 0): [(1, 1)]}, "without a list"),
+    (2, {0: [1], 1: [1]}, {(0, 1): [(2, 1)]}, "color 2 not in list of 0"),
+    (2, {0: [1], 1: [1]}, {(0, 1): [(1, 2)]}, "color 2 not in list of 1"),
+    (2, {0: [1, 2], 1: [1, 2]}, {(0, 1): [(1, 2), (1, 2)]}, "partial bijection"),
+    *[(2, {0: [1, 2], 1: [1, 2]}, m, "partial bijection")
+      for pairs in ([(1, 1), (1, 2)], [(1, 1), (2, 1)]) for m in _both_ways(0, 1, pairs)],
+    (2, {0: [3]}, {}, r"outside 1\.\.2"),
+    (2, {0: [0, 1]}, {}, r"outside 1\.\.2"),
+    (0, {}, {}, "at least one color"),
+])
+def test_cover_rejects_bad_tables(s, lists, matchings, message):
+    with pytest.raises(ValueError, match=message):
+        Cover(s, lists, matchings)
+    with pytest.raises(ValueError, match=message):
+        Cover(s, lists, list(matchings.items()))
+
+
 def _graph_tables(g: SimpleGraph):
     assert type(g.vertices) is tuple and type(g.edges) is frozenset
     assert all(type(ns) is frozenset for ns in g.adj.values())
@@ -122,6 +150,13 @@ def _assert_restriction(pg: PlaneGraph, part: PlaneGraph) -> None:
     expected = PlaneGraph(graph, {v: [u for u in pg.rotation[v] if u in keep]
                                   for v in keep}, list(part.outer))
     assert _plane_tables(part) == _plane_tables(expected)
+
+
+def _assert_shares_rows(pg: PlaneGraph, part: PlaneGraph, cut) -> None:
+    """Every adjacency and rotation row of `part` outside `cut` is pg's own."""
+    for v in set(part.graph.vertices).difference(cut):
+        assert part.graph.adj[v] is pg.graph.adj[v], v
+        assert part.rotation[v] is pg.rotation[v], v
 
 
 def _instances(count):
@@ -234,8 +269,11 @@ class TestTrustedPathsMatchValidatingConstructors:
                       if (i, j) != (0, p - 1) and pg.graph.has_edge(outer[i], outer[j])]
             if chords:
                 splits += 1
-                for part in split_on_chord(pg, rng.choice(chords)):
+                i, j = rng.choice(chords)
+                for part in split_on_chord(pg, (i, j)):
                     _assert_restriction(pg, part)
+                    # Only the chord ends lose neighbours.
+                    _assert_shares_rows(pg, part, (outer[i], outer[j]))
             k = rng.randrange(p)
             _assert_restriction(pg, pg.with_outer(outer[k:] + outer[:k]))
             v1, v2, v3 = stacked.outer
@@ -244,11 +282,47 @@ class TestTrustedPathsMatchValidatingConstructors:
             assert v2 not in out.graph.adj and out.graph.n == stacked.graph.n - 1
             _assert_restriction(stacked, out)
             # Rows away from the deleted vertex are shared, not copied.
-            for u in set(out.graph.vertices) - stacked.graph.adj[v2]:
-                assert out.graph.adj[u] is stacked.graph.adj[u]
-                assert out.rotation[u] is stacked.rotation[u]
+            _assert_shares_rows(stacked, out, stacked.graph.adj[v2])
             assert (_plane_tables(pg), _plane_tables(stacked)) == before
         assert splits > 150
+
+    def test_solver_pieces(self, monkeypatch):
+        """Every piece the planar solver builds is the restriction of its
+        parent and shares all rows but those of the vertices that lose a
+        neighbour: the chord ends of a split, the pivot's neighbours of a
+        fan step."""
+        import dpfcolor.solvers as solvers
+
+        split, delete = solvers._split, solvers.delete_vertex
+        seen = {"split": 0, "fan": 0}
+
+        def checked_split(pg, chord):
+            parts = split(pg, chord)
+            seen["split"] += 1
+            for part in parts:
+                _assert_restriction(pg, part)
+                _assert_shares_rows(pg, part, (pg.outer[chord[0]], pg.outer[chord[1]]))
+            return parts
+
+        def checked_delete(pg, v, outer):
+            part = delete(pg, v, outer)
+            seen["fan"] += 1
+            _assert_restriction(pg, part)
+            _assert_shares_rows(pg, part, pg.graph.adj[v])
+            return part
+
+        monkeypatch.setattr(solvers, "_split", checked_split)
+        monkeypatch.setattr(solvers, "delete_vertex", checked_delete)
+        shapes = [gen_planar_triangulation(10 + 10 * t, t) for t in range(5)]
+        shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7)]
+        shapes += [wheel(p) for p in (4, 6, 9)]
+        shapes += [triangulated_polygon(p, random.Random(f"pieces/{p}")) for p in (5, 9, 16)]
+        for t, pg in enumerate(shapes):
+            h = gen_random_cover(pg.graph, 5, 5, (1.0, 0.5)[t % 2], seed=t)
+            f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
+            r, _ = solve_planar_dpg52(pg, h, f)
+            assert verify_coloring(pg.graph, h, f, r) is not None
+        assert seen["split"] > 100 and seen["fan"] > 40, seen
 
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):

@@ -39,6 +39,10 @@ class TestIdentityCover:
         with pytest.raises(EmptyList):
             identity_cover(complete_graph(2), {0: set(), 1: {1}})
 
+    def test_missing_list_rejected(self):
+        with pytest.raises(EmptyList, match=r"vertices \[2\]"):
+            identity_cover(complete_graph(3), {0: [1], 1: [2]})
+
 
 class TestBudgets:
     def test_list_encoding(self):
