@@ -146,6 +146,7 @@ class Cover:
                 raise ValueError(f"list of {v} has colors outside 1..{s}")
             clean_lists[v] = cs
         clean: dict[tuple[int, int], frozenset[Pair]] = {}
+        empty: set[tuple[int, int]] = set()  # edges given an empty matching, which `clean` omits
         items = matchings.items() if isinstance(matchings, Mapping) else matchings
         for (u, v), pairs in items:
             if u == v:
@@ -153,6 +154,8 @@ class Cover:
             if u > v:
                 u, v = v, u
                 pairs = [(cv, cu) for (cu, cv) in pairs]
+            if (u, v) in clean or (u, v) in empty:
+                raise ValueError(f"duplicate matching for ({u},{v})")
             if u not in clean_lists or v not in clean_lists:
                 raise ValueError(f"matching ({u},{v}) on a vertex without a list")
             seen_u: set[int] = set()
@@ -170,6 +173,8 @@ class Cover:
                 norm.add((cu, cv))
             if norm:
                 clean[(u, v)] = frozenset(norm)
+            else:
+                empty.add((u, v))
         self.s = s
         self.lists = clean_lists
         self._matchings = clean

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .coloring import (
     _check_precoloring,
-    combine_colorings,
+    combine_colorings,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     greedy_extend,
     induced_pair_graph,
     order_with_prefix,
@@ -276,9 +276,16 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     """One frame of `_extend`: a base triangle, a chord split or a fan step.
 
     A split frame solves piece 1, orients piece 2 by the order of the chord
-    ends in piece 1's witness and solves it, then concatenates.  A fan frame
-    solves the instance without the pivot v2 and reinserts v2.  Each frame
-    returns a valid order of its own piece under its own cover and budget.
+    ends in piece 1's witness and solves it, re-orders piece 2 so that the
+    chord pairs head it, and concatenates.  A fan frame solves the instance
+    without the pivot v2 and reinserts v2.  Each frame returns a valid order
+    of its own piece under its own cover and budget, and checks only what it
+    built itself; its children have checked the rest.  A split frame checks
+    piece 2's re-ordered witness on piece 2 alone (`_split_valid`): piece
+    2's inner vertices have no neighbour outside it and come after all of
+    piece 1 in the concatenation.  A fan frame checks the pivot's closed
+    neighbourhood (`_reinsertion_valid`).  Both checks are one count of
+    earlier matched neighbours (`_fewer_earlier`).
     """
     (v1, a), (vp, b) = pre
     g = pg.graph
@@ -304,18 +311,15 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         if next(v for v, _ in s1 if v == vi or v == vj) == vj:
             first, second = vj, vi
             pg2 = pg2.with_outer(pg2.outer[::-1])
-        r2, s2 = yield pg2, h, f, ((first, r1[first]), (second, r1[second]))
-        s2p = order_with_prefix(pg2.graph, h, f, r2,
-                                {first: r1[first], second: r1[second]})
+        head = ((first, r1[first]), (second, r1[second]))
+        r2, _ = yield pg2, h, f, head
+        s2p = order_with_prefix(pg2.graph, h, f, r2, dict(head))
         if s2p is None:
             raise InternalInvariantViolated("shared chord pair cannot head the order")
-        inner = {v: c for v, c in r2.items() if v not in (vi, vj)}
-        try:
-            return combine_colorings(g, h, f, r1, s1, inner, s2p[2:])
-        except InternalInvariantViolated:
-            raise
-        except Exception as exc:  # combine preconditions are guaranteed here
-            raise InternalInvariantViolated(f"chord combination failed: {exc}") from exc
+        if not _split_valid(pg2.graph, h, f, r2, s2p, head):
+            raise InternalInvariantViolated("chord combination failed: second coloring's "
+                                            "witness is not valid under the residual budget")
+        return {**r1, **r2}, s1 + s2p[2:]
 
     # Chordless outer cycle: delete the second outer vertex, lower budgets
     # along its fan, solve the rest, and reinsert its pair.
@@ -391,14 +395,44 @@ def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
     order of G - v under a budget that differs from f only at neighbours
     of v.  A pair away from N[v] then has the same earlier matched
     neighbours and the same budget as there, so only v's color and the
-    pairs of N[v] need counting, in O(sum of their degrees) after one
-    position map.
+    pairs of N[v] need counting.
     """
-    if r[v] not in h.list_of(v):
-        return False
+    return r[v] in h.list_of(v) and _fewer_earlier(g, h, f, r, order, (v, *g.adj[v]))
+
+
+def _split_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
+                 order: Order, head: Order) -> bool:
+    """Whether s1 + order[2:] is a valid order of the union of a chord
+    split's two pieces, given piece 2's graph g, coloring r and order.
+
+    Precondition: s1 is a valid order of piece 1 whose chord-end pairs are
+    `head`, and r's colors are in their lists.  Piece 2's inner vertices
+    have no neighbour outside piece 2 (the cut argument in `planar`), the
+    pieces share only the chord, and in s1 + order[2:] every inner vertex
+    of piece 2 comes after all of s1.  So each inner pair has the same
+    earlier matched neighbours there as in `order`, and each pair of piece
+    1 the same as in s1.  The union order is therefore valid iff `order`
+    starts with the two pairs of `head`, lists exactly r's pairs (so r
+    agrees with piece 1 at the chord ends) and every inner vertex of piece
+    2 passes the count.  The chord ends are counted too, so the verdict is
+    also the definition check of `order` on piece 2.  All of it costs
+    O(|piece 2| + its edges).  Malformed tables give False.
+    """
+    return (set(order[:2]) == set(head) and len(order) == len(r) and dict(order) == r
+            and r.keys() == g.adj.keys() and _fewer_earlier(g, h, f, r, order, g.vertices))
+
+
+def _fewer_earlier(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, order: Order, xs) -> bool:
+    """Whether every x in xs has fewer earlier matched neighbours in `order`
+    than f(x, r(x)): the definition check restricted to the pairs of xs.
+
+    This is the solver's one step check: a fan frame counts over N[v2], a
+    split frame over all of piece 2.  `order` must list one pair of every
+    vertex of g.  Costs one position map plus O(sum of the degrees over xs).
+    """
     pos = {u: k for k, (u, _) in enumerate(order)}
     adj, matched = g.adj, h.matched
-    for x in (v, *adj[v]):
+    for x in xs:
         cx, kx = r[x], pos[x]
         earlier = sum(1 for w in adj[x] if pos[w] < kx and matched(x, cx, w, r[w]))
         if earlier >= f.get(x, cx):

@@ -123,12 +123,24 @@ def _both_ways(u, v, pairs):
     (2, {0: [3]}, {}, r"outside 1\.\.2"),
     (2, {0: [0, 1]}, {}, r"outside 1\.\.2"),
     (0, {}, {}, "at least one color"),
+    (2, {0: [1, 2], 1: [1, 2]}, {(0, 1): [(1, 1)], (1, 0): [(2, 2)]},
+     r"duplicate matching for \(0,1\)"),
+    (2, {0: [1, 2], 1: [1, 2]}, {(0, 1): [], (1, 0): [(2, 2)]},
+     r"duplicate matching for \(0,1\)"),
+    (2, {0: [1, 2], 1: [1, 2]}, {(1, 0): [(1, 2)], (0, 1): []},
+     r"duplicate matching for \(0,1\)"),
+    (2, {0: [1, 2], 1: [1, 2]}, [((0, 1), [(1, 1)]), ((0, 1), [(2, 1)])],
+     r"duplicate matching for \(0,1\)"),
+    (2, {0: [1, 2], 1: [1, 2]}, [((0, 1), [(1, 1)]), ((0, 1), [(1, 1)])],
+     r"duplicate matching for \(0,1\)"),
 ])
 def test_cover_rejects_bad_tables(s, lists, matchings, message):
-    with pytest.raises(ValueError, match=message):
-        Cover(s, lists, matchings)
-    with pytest.raises(ValueError, match=message):
-        Cover(s, lists, list(matchings.items()))
+    """Each table is given as a mapping and as an item list; a list that
+    repeats a key has no mapping form."""
+    forms = [matchings, list(matchings.items())] if isinstance(matchings, dict) else [matchings]
+    for form in forms:
+        with pytest.raises(ValueError, match=message):
+            Cover(s, lists, form)
 
 
 def _graph_tables(g: SimpleGraph):

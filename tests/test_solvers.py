@@ -27,6 +27,7 @@ from dpfcolor import (
 from dpfcolor.errors import (
     BadBudget,
     InternalInvariantViolated,
+    InvalidInput,
     InvalidPrecoloring,
     LimitExceeded,
     NotInFamily,
@@ -40,6 +41,8 @@ from oracles import (
     grid,
     polygon,
     random_graph,
+    three_check_combine_colorings,
+    triangulated_polygon,
     wheel,
     whole_graph_reinsertion_check,
 )
@@ -552,3 +555,182 @@ class TestLocalReinsertionCheck:
         assert v == fault["pivot"] and not verdict
         assert not whole_graph_reinsertion_check(g, h2, f2, r, order)
         assert solve_planar_dpg52(pg, h, f)  # the same instance solves without the fault
+
+
+def _split_instances():
+    """Seeded instances whose construction takes many chord splits."""
+    shapes = [triangulated_polygon(12 + 8 * t, random.Random(f"splits/{t}")) for t in range(6)]
+    shapes += [gen_planar_triangulation(20 + 10 * seed, seed) for seed in range(3)]
+    shapes += [grid(k, seed=k) for k in (4, 6)]
+    shapes += [wheel(p) for p in (6, 9)]
+    for t, pg in enumerate(shapes):
+        h = gen_random_cover(pg.graph, 5, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2], seed=t)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 70, lists=h.lists)
+        yield pg, h, f
+
+
+def _record_splits(monkeypatch):
+    """Record every chord split check: the split piece's graph, piece 1's
+    solution, and the check's inputs and verdict.  The tables are keyed by
+    id and keep every keyed object alive, so no id is reused."""
+    import dpfcolor.solvers as solvers
+
+    split, step, check = solvers._split, solvers._step, solvers._split_valid
+    parents, results, calls = {}, {}, []
+
+    def record_split(pg, chord):
+        pg1, pg2 = split(pg, chord)
+        parents[id(pg2.graph)] = pg2.graph, pg.graph, pg1
+        return pg1, pg2
+
+    def record_step(pg, h, f, pre):
+        result = yield from step(pg, h, f, pre)
+        results[id(pg)] = pg, result
+        return result
+
+    def record_check(g2, h, f, r2, s2p, head):
+        verdict = check(g2, h, f, r2, s2p, head)
+        _, g, pg1 = parents[id(g2)]
+        r1, s1 = results[id(pg1)][1]
+        calls.append(((g, g2, h, f, r1, s1, dict(r2), s2p, head), verdict))
+        return verdict
+
+    monkeypatch.setattr(solvers, "_split", record_split)
+    monkeypatch.setattr(solvers, "_step", record_step)
+    monkeypatch.setattr(solvers, "_split_valid", record_check)
+    return check, calls
+
+
+def _split_variants(h, r2, s2p, rng):
+    """s2p with two inner pairs swapped, an inner color changed within its
+    list, a chord pair moved out of the first two places, a pair dropped and
+    a pair repeated (appended, or over an inner pair); each with the coloring
+    it claims."""
+    n = len(s2p)
+    for _ in range(3):
+        if n > 3:
+            k, m = sorted(rng.sample(range(2, n), 2))
+            yield r2, s2p[:k] + (s2p[m],) + s2p[k + 1:m] + (s2p[k],) + s2p[m + 1:]
+    for k in rng.sample(range(2, n), min(2, n - 2)):
+        v, c = s2p[k]
+        for c2 in sorted(h.list_of(v) - {c}):
+            yield {**r2, v: c2}, s2p[:k] + ((v, c2),) + s2p[k + 1:]
+    k = rng.randrange(2, n)
+    chord = rng.randrange(2)
+    rest = s2p[:chord] + s2p[chord + 1:]
+    yield r2, rest[:k] + (s2p[chord],) + rest[k:]
+    k = rng.randrange(n)
+    yield r2, s2p[:k] + s2p[k + 1:]
+    yield r2, s2p + (s2p[k],)
+    m = rng.randrange(2, n)
+    if m != k:
+        yield r2, s2p[:m] + (s2p[k],) + s2p[m + 1:]
+
+
+def _union_verdict(g, h, f, r1, s1, r2, s2p, head):
+    """Whether s1 + s2p[2:] is valid on the union of both pieces, by the
+    three-check oracle of `combine_colorings`."""
+    ends = {v for v, _ in head}
+    inner = {v: c for v, c in r2.items() if v not in ends}
+    try:
+        three_check_combine_colorings(g, h, f, r1, s1, inner, s2p[2:])
+    except (InvalidInput, InternalInvariantViolated):
+        return False
+    return True
+
+
+class TestLocalSplitCheck:
+    """A chord split checks piece 2's re-ordered witness on piece 2 alone.
+    On every split of seeded solves, and on variants corrupted in the
+    split's own parts, that verdict must equal the definition check on
+    piece 2's pair graph (for an order that starts with the chord pairs) and
+    the check of the concatenated order on the union of both pieces."""
+
+    def test_matches_piece_and_union_checks(self, monkeypatch):
+        check, calls = _record_splits(monkeypatch)
+        for pg, h, f in _split_instances():
+            solve_planar_dpg52(pg, h, f)
+        verdicts = Counter()
+        for t, ((g, g2, h, f, r1, s1, r2, s2p, head), verdict) in enumerate(calls):
+            assert verdict and _union_verdict(g, h, f, r1, s1, r2, s2p, head)
+            rng = random.Random(f"split/{t}")
+            for r2x, s2x in _split_variants(h, r2, s2p, rng):
+                got = check(g2, h, f, r2x, s2x, head)
+                on_piece = (set(s2x[:2]) == set(head)
+                            and order_is_valid(induced_pair_graph(g2, h, f, r2x), s2x))
+                assert got == on_piece, (s2x, head)
+                assert got == _union_verdict(g, h, f, r1, s1, r2x, s2x, head), (s2x, head)
+                verdicts[got] += 1
+        assert len(calls) > 100
+        assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+    def test_pair_graphs_are_built_on_pieces_and_once_on_the_input(self, monkeypatch):
+        import dpfcolor.coloring as coloring
+        import dpfcolor.solvers as solvers
+
+        built, pieces = [], []
+        build, split = coloring.induced_pair_graph, solvers._split
+
+        def record_build(g, h, f, r):
+            built.append(g)
+            return build(g, h, f, r)
+
+        def record_split(pg, chord):
+            pg1, pg2 = split(pg, chord)
+            pieces.append(pg2.graph)
+            return pg1, pg2
+
+        monkeypatch.setattr(coloring, "induced_pair_graph", record_build)
+        monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
+        monkeypatch.setattr(solvers, "_split", record_split)
+        splits = 0
+        for pg, h, f in _split_instances():
+            built.clear()
+            pieces.clear()
+            solve_planar_dpg52(pg, h, f)
+            assert [g is pg.graph for g in built].count(True) == 1
+            assert built[-1] is pg.graph
+            assert sorted(map(id, built[:-1])) == sorted(map(id, pieces))
+            splits += len(pieces)
+        assert splits > 100
+
+    def test_split_without_a_prefix_first_order_is_caught(self, monkeypatch):
+        import dpfcolor.solvers as solvers
+
+        original, calls = solvers.order_with_prefix, []
+
+        def none_at_the_third(g, h, f, r, prefix):
+            calls.append(g)
+            return None if len(calls) == 3 else original(g, h, f, r, prefix)
+
+        pg, h, f = next(_split_instances())
+        monkeypatch.setattr(solvers, "order_with_prefix", none_at_the_third)
+        with pytest.raises(InternalInvariantViolated,
+                           match="^shared chord pair cannot head the order$"):
+            solve_planar_dpg52(pg, h, f)
+        assert len(calls) == 3
+
+    def test_invalid_final_order_is_caught(self, monkeypatch):
+        """The final definition check stays: an order the steps let through
+        broken still fails on the whole input."""
+        import dpfcolor.solvers as solvers
+
+        original, swapped = solvers._extend, []
+
+        def swap_two(pg, h, f, pre):
+            r, order = original(pg, h, f, pre)
+            pairs = induced_pair_graph(pg.graph, h, f, r)
+            for k in range(2, len(order)):
+                for m in range(k + 1, len(order)):
+                    bad = order[:k] + (order[m],) + order[k + 1:m] + (order[k],) + order[m + 1:]
+                    if not order_is_valid(pairs, bad):
+                        swapped.append(bad)
+                        return r, bad
+            return r, order
+
+        pg, h, f = next(_split_instances())
+        monkeypatch.setattr(solvers, "_extend", swap_two)
+        with pytest.raises(InternalInvariantViolated,
+                           match="^planar construction produced an invalid order$"):
+            solve_planar_dpg52(pg, h, f)
+        assert len(swapped) == 1
