@@ -21,12 +21,15 @@ stack hold memory that grows about as n^2 on grids and fanned polygons.
 Each case process therefore caps its address space at MEMORY_CAP_BYTES,
 and a case over the cap records a MemoryError instead of pushing the
 machine into swap or the kernel's out-of-memory killer.  Every case
-records its process's peak resident set size.
+records its process's peak resident set size, and how many full (gen-2)
+collections the cyclic garbage collector made during the timed calls, as
+a delta of `gc.get_stats()`.
 
 The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
-     vertices, seed, total_ms, peak_rss_mb} or {op, shape, n, seed, error, ...}],
+     vertices, seed, total_ms, gen2_collections, peak_rss_mb}
+     or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -110,23 +114,36 @@ def stacking_coloring(g, h, f) -> dict[int, int]:
     return r
 
 
-def solve(dp, pg, h, f) -> float:
-    t0 = time.perf_counter()
-    coloring, _ = dp.solve_planar_dpg52(pg, h, f)
-    if dp.verify_coloring(pg.graph, h, f, coloring) is None:
-        raise AssertionError("solver output failed verification")
-    return time.perf_counter() - t0
+class Span:
+    """Wall time and full (gen-2) garbage collections of a `with` block."""
+
+    def __enter__(self) -> "Span":
+        self.gen2 = gc.get_stats()[2]["collections"]
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.seconds = time.perf_counter() - self.t0
+        self.gen2 = gc.get_stats()[2]["collections"] - self.gen2
 
 
-def verify(dp, pg, h, f) -> float:
+def solve(dp, pg, h, f) -> Span:
+    with Span() as span:
+        coloring, _ = dp.solve_planar_dpg52(pg, h, f)
+        if dp.verify_coloring(pg.graph, h, f, coloring) is None:
+            raise AssertionError("solver output failed verification")
+    return span
+
+
+def verify(dp, pg, h, f) -> Span:
     r = stacking_coloring(pg.graph, h, f)
-    t0 = time.perf_counter()
-    if dp.verify_coloring(pg.graph, h, f, r) is None:
-        raise AssertionError("the stacking coloring failed verification")
-    return time.perf_counter() - t0
+    with Span() as span:
+        if dp.verify_coloring(pg.graph, h, f, r) is None:
+            raise AssertionError("the stacking coloring failed verification")
+    return span
 
 
-def verify_cli(dp, pg, h, f) -> float:
+def verify_cli(dp, pg, h, f) -> Span:
     """`dpfcolor verify --json` in-process on emitted files; only the command
     is timed, not writing its files."""
     from dpfcolor import cli, formats
@@ -142,13 +159,11 @@ def verify_cli(dp, pg, h, f) -> float:
                 fh.write(text)
             argv += ["--" + part, path]
         out = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(out):
+        with Span() as span, contextlib.redirect_stdout(out):
             code = cli.main(argv)
-        elapsed = time.perf_counter() - t0
     if code != 0:
         raise AssertionError(f"dpfcolor verify exited {code}: {out.getvalue()[:200]}")
-    return elapsed
+    return span
 
 
 OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli}
@@ -163,7 +178,9 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
     t0 = time.perf_counter()
     try:
-        case["total_ms"] = round(OPS[op](dp, pg, h, f) * 1e3, 1)
+        span = OPS[op](dp, pg, h, f)
+        case["total_ms"] = round(span.seconds * 1e3, 1)
+        case["gen2_collections"] = span.gen2
     except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
         case["error_after_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
@@ -208,6 +225,10 @@ def describe_memory(case: dict) -> str:
     return f"{case['peak_rss_mb']:.0f} MB" if "peak_rss_mb" in case else ""
 
 
+def describe_gc(case: dict) -> str:
+    return f"gen-2 {case['gen2_collections']}" if "gen2_collections" in case else ""
+
+
 def case_key(case: dict) -> tuple[str, str, int]:
     return case.get("op", "solve"), case["shape"], case["n"]
 
@@ -238,6 +259,8 @@ def print_delta(old: dict, new: dict) -> None:
             line += f" ({case['total_ms'] / prev['total_ms']:.2f} of the time)"
         if "peak_rss_mb" in case or "peak_rss_mb" in prev:
             line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
+        if "gen2_collections" in case:
+            line += f"  {describe_gc(prev) or 'gen-2 ?'} -> {case['gen2_collections']}"
         print(line)
     for name, exp in new["growth"].items():
         print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
@@ -266,7 +289,8 @@ def main(argv=None) -> int:
     cases = []
     for rung in rungs:
         case = spawn(*rung, src)
-        print(f"{case_name(case)} {describe(case)} {describe_memory(case)}", flush=True)
+        print(f"{case_name(case)} {describe(case)} {describe_memory(case)} {describe_gc(case)}",
+              flush=True)
         cases.append(case)
     growth, rss_growth = {}, {}
     for name in SHAPES + VERIFY_OPS:

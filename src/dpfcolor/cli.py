@@ -11,6 +11,7 @@ plain output with a machine-readable report
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -220,7 +221,9 @@ def _cmd_gen(args, report: Report) -> None:
     report.plain = [text.rstrip("\n")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="dpfcolor",
         description="Correspondence coloring with variable degeneracy budgets.")

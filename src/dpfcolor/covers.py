@@ -5,6 +5,10 @@ matching between the two fibers {u} x L(u) and {v} x L(v).  Fiber cliques
 are never materialized: a representative set picks exactly one pair per
 fiber, so clique edges can never appear in an induced pair graph.
 
+Each edge's matching is stored as a plain dict {cu: cv} from the colors of
+its smaller endpoint to those of the larger.  Such a dict holds only ints,
+so the cyclic garbage collector never tracks it.
+
 Colorings are plain dicts vertex -> color; witness orders are tuples of
 (vertex, color) pairs.
 """
@@ -16,6 +20,8 @@ from typing import Iterable, Mapping
 Pair = tuple[int, int]
 Order = tuple[Pair, ...]
 Coloring = Mapping[int, int]
+
+_NO_MATCHES: dict[int, int] = {}  # the matching of an unmatched edge; never mutated
 
 
 def _check_permutations(perms: Mapping[int, Mapping[int, int]]) -> None:
@@ -145,7 +151,7 @@ class Cover:
             if any(not 1 <= c <= s for c in cs):
                 raise ValueError(f"list of {v} has colors outside 1..{s}")
             clean_lists[v] = cs
-        clean: dict[tuple[int, int], frozenset[Pair]] = {}
+        clean: dict[tuple[int, int], dict[int, int]] = {}
         empty: set[tuple[int, int]] = set()  # edges given an empty matching, which `clean` omits
         items = matchings.items() if isinstance(matchings, Mapping) else matchings
         for (u, v), pairs in items:
@@ -158,21 +164,19 @@ class Cover:
                 raise ValueError(f"duplicate matching for ({u},{v})")
             if u not in clean_lists or v not in clean_lists:
                 raise ValueError(f"matching ({u},{v}) on a vertex without a list")
-            seen_u: set[int] = set()
+            norm: dict[int, int] = {}
             seen_v: set[int] = set()
-            norm = set()
             for cu, cv in pairs:
                 if cu not in clean_lists[u]:
                     raise ValueError(f"matched color {cu} not in list of {u}")
                 if cv not in clean_lists[v]:
                     raise ValueError(f"matched color {cv} not in list of {v}")
-                if cu in seen_u or cv in seen_v:
+                if cu in norm or cv in seen_v:
                     raise ValueError(f"matching ({u},{v}) is not a partial bijection")
-                seen_u.add(cu)
+                norm[cu] = cv
                 seen_v.add(cv)
-                norm.add((cu, cv))
             if norm:
-                clean[(u, v)] = frozenset(norm)
+                clean[(u, v)] = norm
             else:
                 empty.add((u, v))
         self.s = s
@@ -181,10 +185,11 @@ class Cover:
 
     @classmethod
     def _trusted(cls, s: int, lists: dict[int, frozenset[int]],
-                 matchings: dict[tuple[int, int], frozenset[Pair]]) -> "Cover":
+                 matchings: dict[tuple[int, int], dict[int, int]]) -> "Cover":
         """Wrap valid tables unchecked: lists within 1..s, and nonempty partial
-        bijections keyed (u, v) with u < v between listed colors.  Rows may
-        be shared, so none is ever mutated."""
+        bijections keyed (u, v) with u < v, each an injective dict {cu: cv}
+        between listed colors of u and v.  Rows may be shared, so none is
+        ever mutated."""
         h = cls.__new__(cls)
         h.s, h.lists, h._matchings = s, lists, matchings
         return h
@@ -194,18 +199,20 @@ class Cover:
         return self.lists.get(v, frozenset())
 
     def matching(self, u: int, v: int) -> frozenset[Pair]:
-        """Matched color pairs oriented (color of u, color of v)."""
+        """Matched color pairs oriented (color of u, color of v), built on each call."""
         if u < v:
-            return self._matchings.get((u, v), frozenset())
-        return frozenset((cu, cv) for (cv, cu) in self._matchings.get((v, u), frozenset()))
+            return frozenset(self._matchings.get((u, v), _NO_MATCHES).items())
+        m = self._matchings.get((v, u), _NO_MATCHES)
+        return frozenset(zip(m.values(), m.keys()))
 
     def matched(self, u: int, cu: int, v: int, cv: int) -> bool:
         if u < v:
-            return (cu, cv) in self._matchings.get((u, v), ())
-        return (cv, cu) in self._matchings.get((v, u), ())
+            return self._matchings.get((u, v), _NO_MATCHES).get(cu) == cv
+        return self._matchings.get((v, u), _NO_MATCHES).get(cv) == cu
 
     def matching_items(self) -> list[tuple[tuple[int, int], frozenset[Pair]]]:
-        return sorted(self._matchings.items())
+        """Each matched edge (u, v), u < v, with its pairs (cu, cv), in edge order."""
+        return [(e, frozenset(m.items())) for e, m in sorted(self._matchings.items())]
 
     def relabel(self, perms: Mapping[int, Mapping[int, int]]) -> "Cover":
         """Rename colors inside the fibers of the vertices in `perms`.
@@ -229,8 +236,7 @@ class Cover:
         for (u, v), pairs in self._matchings.items():
             if u in perms or v in perms:
                 pu, pv = perms.get(u, {}), perms.get(v, {})
-                matchings[(u, v)] = frozenset((pu.get(cu, cu), pv.get(cv, cv))
-                                              for cu, cv in pairs)
+                matchings[(u, v)] = {pu.get(cu, cu): pv.get(cv, cv) for cu, cv in pairs.items()}
         return Cover._trusted(self.s, lists, matchings)
 
     def __eq__(self, other):

@@ -168,8 +168,9 @@ def parse_cover(text: str) -> Cover:
     """Cover of a cover file; every line is checked once, here."""
     s = None
     lists: dict[int, frozenset[int]] = {}
-    # Per edge (u, v): its matching as a map cu -> cv.  A matching holds at
-    # most s pairs, so `cv in pairs.values()` scans at most s colors.
+    # Per edge (u, v): its matching as a map cu -> cv, the table `Cover` keeps,
+    # so it is handed over as it is.  A matching holds at most s pairs, so
+    # `cv in pairs.values()` scans at most s colors.
     matchings: dict[tuple[int, int], dict[int, int]] = {}
     for no, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
@@ -244,8 +245,7 @@ def parse_cover(text: str) -> Cover:
             raise ParseError(no, f"unknown directive {d!r} in cover file")
     if s is None:
         raise ParseError(1, "missing cover header")
-    return Cover._trusted(s, lists, {e: frozenset(pairs.items())
-                                     for e, pairs in matchings.items()})
+    return Cover._trusted(s, lists, matchings)
 
 
 def emit_cover(h: Cover) -> str:

@@ -689,8 +689,7 @@ def token_parse_cover(text: str) -> Cover:
             raise ParseError(no, f"unknown directive {toks[0]!r} in cover file")
     if s is None:
         raise ParseError(1, "missing cover header")
-    return Cover._trusted(s, lists, {e: frozenset(pairs.items())
-                                     for e, (pairs, _) in matchings.items()})
+    return Cover._trusted(s, lists, {e: pairs for e, (pairs, _) in matchings.items()})
 
 
 def token_parse_budget(text: str) -> Budget:

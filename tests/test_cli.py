@@ -475,6 +475,35 @@ def test_json_reports_identical_apart_from_millis(tmp_path, capsys):
     assert p1 == p2
 
 
+def test_commands_repeat_alike_in_one_process(k4_files, capsys):
+    """The parser is built once per process, so a second pass over the same
+    argv lists, a usage error among them, gives the same exit codes and output."""
+    commands = [
+        ["verify", "--graph", k4_files["graph"], "--cover", k4_files["cover"],
+         "--budget", k4_files["budget"], "--coloring", k4_files["coloring"]],
+        ["solve-exact", "--graph", k4_files["graph"], "--cover", k4_files["cover"],
+         "--budget", k4_files["budget"]],
+        ["verify", "--graph", k4_files["graph"]],
+        ["gen", "triangulation", "--n", "6", "--seed", "3"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in commands:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        return seen
+
+    first = outcomes()
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]
+    assert "required" in first[2][2]
+    assert outcomes() == first
+
+
 def test_graph_flags_accept_plane_files(tmp_path, capsys):
     from dpfcolor import gen_planar_triangulation
     from dpfcolor.formats import emit_plane

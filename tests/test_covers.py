@@ -16,6 +16,7 @@ comparing the adjacency and the rows (as `==` does) checks every stored
 table, including that `Budget.assign` drops a row it empties.
 """
 
+import gc
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from dpfcolor import (
 )
 from dpfcolor.coloring import _residuals, residual_at
 from dpfcolor.covers import invert_permutations, relabel_coloring, relabel_order
+from dpfcolor.formats import emit_cover, parse_cover
 from dpfcolor.planar import delete_vertex
 
 from oracles import grid, random_graph, thin_triangulation, triangulated_polygon, wheel
@@ -395,3 +397,71 @@ def test_matched_agrees_with_matching_in_both_orientations():
                         assert got == h.matched(v, cv, u, cu)
                         hits += got
     assert hits > 0
+
+
+def _random_covers(count: int):
+    """Seeded covers from the validating constructor, with the (u, cu, v, cv)
+    facts their matchings were given as, in both orientations.  Edges are
+    given in either orientation, and some get an empty matching."""
+    rng = random.Random(12)
+    for _ in range(count):
+        n, s = rng.randint(2, 8), rng.randint(1, 6)
+        lists = {v: rng.sample(range(1, s + 1), rng.randint(0, s)) for v in range(n)}
+        given, facts = {}, set()
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.3:
+                    continue
+                k = rng.randint(0, min(len(lists[u]), len(lists[v])))
+                pairs = list(zip(rng.sample(lists[u], k), rng.sample(lists[v], k)))
+                facts.update((u, cu, v, cv) for cu, cv in pairs)
+                facts.update((v, cv, u, cu) for cu, cv in pairs)
+                if rng.random() < 0.5:
+                    given[(u, v)] = pairs
+                else:
+                    given[(v, u)] = [(cv, cu) for cu, cv in pairs]
+        yield rng, Cover(s, lists, given), facts
+
+
+def _assert_answers(h: Cover, facts: set) -> None:
+    n = max(h.lists) + 1
+    for u in range(n):
+        for v in range(n):
+            expected = frozenset((cu, cv) for a, cu, b, cv in facts if (a, b) == (u, v))
+            assert h.matching(u, v) == expected
+            for cu in range(h.s + 2):
+                for cv in range(h.s + 2):
+                    assert h.matched(u, cu, v, cv) == ((u, cu, v, cv) in facts)
+
+
+def _assert_untracked(h: Cover) -> None:
+    for m in h._matchings.values():
+        assert type(m) is dict and m
+        assert not gc.is_tracked(m)
+
+
+def test_stored_matchings_are_untracked_dicts_that_answer_as_given():
+    """Each stored matching is a nonempty dict {cu: cv} of ints, which the
+    cyclic garbage collector never tracks, whichever path built the cover.
+    `matched` and `matching` in both orientations answer as the pairs the
+    cover was built from, empty matchings included."""
+    matched_edges = 0
+    for rng, h, facts in _random_covers(150):
+        _assert_untracked(h)
+        _assert_answers(h, facts)
+        parsed = parse_cover(emit_cover(h))
+        _assert_untracked(parsed)
+        _assert_answers(parsed, facts)
+        perms = {}
+        for v in rng.sample(sorted(h.lists), rng.randint(0, len(h.lists))):
+            image = rng.sample(range(1, h.s + 1), h.s)
+            perms[v] = dict(zip(range(1, h.s + 1), image))
+        out = h.relabel(perms)
+        _assert_untracked(out)
+        _assert_answers(out, {(u, _rename(perms, u, cu), v, _rename(perms, v, cv))
+                              for u, cu, v, cv in facts})
+        matched_edges += len(h._matchings)
+    assert matched_edges > 400
+    for seed in range(5):
+        g = gen_planar_triangulation(30, seed).graph
+        _assert_untracked(gen_random_cover(g, 5, 4, 0.7, seed))
