@@ -10,9 +10,16 @@ Python process builds the instance, runs `solve_planar_dpg52` and
 rungs time verification alone on stacked triangulations of n = 4000, 16000
 and 64000 with a valid coloring: `verify_coloring` on the objects (op
 "verify"), and `dpfcolor verify --json` run in-process through `cli.main`
-on the files the emitters write, parsing included (op "verify_cli").  The shapes are stacked
-triangulations, random triangulated polygons and grids (the last two from
-`perfbench/shapes.py`), and polygons fanned by `triangulate_interior`.
+on the files the emitters write, parsing included (op "verify_cli").  The
+exact solver has rungs of its own (op "exact"): `solve_exact` with
+`limit = n` on a DP 4-coloring of a stacked triangulation of n = 32, 64,
+128 and 256 vertices (4 colors, lists of 4, density 1.0, every budget 1;
+cover seed 8, budget seed 9), timed alone and verified afterwards, with
+its node and backtrack counts and nodes per second.  A stacked
+triangulation is 3-degenerate, so such a coloring always exists.  The
+shapes are stacked triangulations, random triangulated polygons and grids
+(the last two from `perfbench/shapes.py`), and polygons fanned by
+`triangulate_interior`.
 Covers use 5 colors, lists of 5 and density 1.0; budgets have total 5 and
 cap 2.  A case that raises, or runs longer than TIMEOUT_S, records its
 error instead of a time.  The solver keeps its pending steps on a work
@@ -29,18 +36,20 @@ The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
      vertices, seed, total_ms, gen2_collections, peak_rss_mb}
+     (op "exact" adds nodes, backtracks and nodes_per_s)
      or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
 slope of log(total_ms) against log(vertices) over the successful cases of a
-shape (op "solve") or of op "verify" or "verify_cli"; rss_growth is the
+shape (op "solve") or of one of the other ops; rss_growth is the
 same slope for log(peak_rss_mb), which includes the interpreter's own few
 tens of MB and so reads low on the small rungs.  Files written before
-the verify rungs have cases without "op"; they count as "solve".  The script then prints the change against the other
-`BENCH_*.json` in that directory with the latest `written` time.  It
-needs only the standard library.
+the verify rungs have cases without "op"; they count as "solve".  The
+script then prints the change against the other `BENCH_*.json` in that
+directory with the latest `written` time.  It needs only the standard
+library.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ SHAPES = ("stacked", "polygon", "fanned", "grid")
 SIZES = (500, 1000, 2000, 4000, 8000)
 VERIFY_OPS = ("verify", "verify_cli")
 VERIFY_SIZES = (4000, 16000, 64000)
+EXACT_SIZES = (32, 64, 128, 256)
 SEED = 1
 TIMEOUT_S = 600
 MEMORY_CAP_BYTES = 3 << 30
@@ -166,7 +176,20 @@ def verify_cli(dp, pg, h, f) -> Span:
     return span
 
 
-OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli}
+def exact(dp, pg, _h, _f) -> Span:
+    """`solve_exact` alone on a DP 4-coloring with unit budgets; its counters go on the span."""
+    h = dp.gen_random_cover(pg.graph, 4, 4, 1.0, seed=8)
+    f = dp.gen_random_budget(pg.graph, 4, 4, 1, seed=9, lists=h.lists)
+    stats: dict = {}
+    with Span() as span:
+        found = dp.solve_exact(pg.graph, h, f, limit=pg.n, stats=stats)
+    if found is None or dp.verify_coloring(pg.graph, h, f, found[0]) is None:
+        raise AssertionError("the exact solver found no valid coloring")
+    span.counters = {**stats, "nodes_per_s": round(stats["nodes"] / span.seconds)}
+    return span
+
+
+OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "exact": exact}
 
 
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
@@ -181,6 +204,7 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
         span = OPS[op](dp, pg, h, f)
         case["total_ms"] = round(span.seconds * 1e3, 1)
         case["gen2_collections"] = span.gen2
+        case.update(getattr(span, "counters", {}))
     except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
         case["error_after_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
@@ -229,6 +253,12 @@ def describe_gc(case: dict) -> str:
     return f"gen-2 {case['gen2_collections']}" if "gen2_collections" in case else ""
 
 
+def describe_search(case: dict) -> str:
+    if "nodes" not in case:
+        return ""
+    return f"{case['nodes']} nodes {case['backtracks']} backtracks {case['nodes_per_s']}/s"
+
+
 def case_key(case: dict) -> tuple[str, str, int]:
     return case.get("op", "solve"), case["shape"], case["n"]
 
@@ -261,6 +291,8 @@ def print_delta(old: dict, new: dict) -> None:
             line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         if "gen2_collections" in case:
             line += f"  {describe_gc(prev) or 'gen-2 ?'} -> {case['gen2_collections']}"
+        if "nodes" in case:
+            line += f"  {describe_search(prev) or 'nodes ?'} -> {describe_search(case)}"
         print(line)
     for name, exp in new["growth"].items():
         print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
@@ -285,15 +317,16 @@ def main(argv=None) -> int:
         ap.error("--label is required")
 
     rungs = ([("solve", shape, n) for shape in SHAPES for n in SIZES]
-             + [(op, "stacked", n) for op in VERIFY_OPS for n in VERIFY_SIZES])
+             + [(op, "stacked", n) for op in VERIFY_OPS for n in VERIFY_SIZES]
+             + [("exact", "stacked", n) for n in EXACT_SIZES])
     cases = []
     for rung in rungs:
         case = spawn(*rung, src)
-        print(f"{case_name(case)} {describe(case)} {describe_memory(case)} {describe_gc(case)}",
-              flush=True)
+        print(f"{case_name(case)} {describe(case)} {describe_memory(case)} {describe_gc(case)}"
+              f" {describe_search(case)}", flush=True)
         cases.append(case)
     growth, rss_growth = {}, {}
-    for name in SHAPES + VERIFY_OPS:
+    for name in SHAPES + VERIFY_OPS + ("exact",):
         done = [c for c in cases if series(c) == name and "total_ms" in c]
         for table, key in ((growth, "total_ms"), (rss_growth, "peak_rss_mb")):
             points = [(c["vertices"], c[key]) for c in done]

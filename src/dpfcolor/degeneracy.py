@@ -17,7 +17,10 @@ elimination costs O((n + m) log n) instead of a sort per step.
 
 The exact solver tests orderability millions of times on small pair graphs,
 so `_orderable` keeps a bitmask form of the same loop that answers only
-whether an order exists.
+whether an order exists.  It runs on the masks of the solver's whole
+candidate pair graph, built once per search, restricted to the pairs whose
+bits are set in `alive`: a pair's degree is its mask's popcount within
+`alive`, and pairs outside `alive` are never read.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 solve_exact enumerates representative sets in a fixed vertex order and
 prunes any partial set whose induced pair graph is already unorderable;
 that prune is sound because restricting a valid order to an induced
-sub-pair-graph keeps it valid.
+sub-pair-graph keeps it valid.  It builds one bitmask pair graph over all
+candidate pairs per call, so a partial set is a single int of pair bits,
+and it backtracks on an explicit stack instead of recursing.
 
 solve_planar_dpg52 realizes the constructive argument that planar graphs
 are colorable whenever every vertex has budget total at least 5 with
@@ -70,6 +72,15 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     when the partial pair graph is unorderable, or when some uncolored
     vertex has zero residual everywhere and no candidate pair of it can be
     added without making the partial pair graph unorderable.
+
+    One bitmask pair graph is built per call: the precolored pairs, then
+    every candidate pair (v, c) with f(v, c) >= 1 in search order, each
+    with one bit, its budget and the int mask of the pairs its edges'
+    matchings link it to.  A partial coloring is the int `alive` of its
+    pairs' bits, so both tests read the shared masks restricted to
+    `alive`.  The search runs on an explicit stack of (alive before this
+    depth, iterator over the depth's untried candidates): undoing a choice
+    is popping an entry, and the depth costs no Python stack.
     """
     if g.n > limit:
         raise LimitExceeded(f"{g.n} vertices exceed the exact-solver limit {limit}")
@@ -92,94 +103,57 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         return None
     todo = sorted(candidates, key=lambda v: (-g.degree(v), v))
 
-    # Incremental state: stack of chosen pairs with symmetric adjacency
-    # masks, plus matched-neighbor counts for the uncolored vertices.
-    chosen: dict[int, int] = {}
-    stack: list[tuple[int, int]] = []
-    masks: list[int] = []
-    budgets: list[int] = []
-    counts: dict[tuple[int, int], int] = {}
+    # The pair graph; slots[d] holds the indices of todo[d]'s candidates,
+    # and the empty slot past the last vertex marks a complete coloring.
+    pairs = [(v, pre[v]) for v in sorted(pre)]
+    slots = []
+    for v in todo:
+        slots.append(range(len(pairs), len(pairs) + len(candidates[v])))
+        pairs += [(v, c) for c in candidates[v]]
+    slots.append(range(0))
+    index = {p: k for k, p in enumerate(pairs)}
+    budgets = [f.get(v, c) for v, c in pairs]
+    masks = [0] * len(pairs)
+    for u, v in g.edges:
+        for cu, cv in h.matching(u, v):
+            i, j = index.get((u, cu)), index.get((v, cv))
+            if i is not None and j is not None:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
 
-    def mask_against(v: int, c: int) -> int:
-        m = 0
-        for t, (w, cw) in enumerate(stack):
-            if w in g.adj[v] and h.matched(v, c, w, cw):
-                m |= 1 << t
-        return m
-
-    def orderable_with(v: int, c: int) -> bool:
-        extra = mask_against(v, c)
-        k = len(stack)
-        tmp = [masks[t] | ((extra >> t & 1) << k) for t in range(k)]
-        tmp.append(extra)
-        return _orderable(tmp, budgets + [f.get(v, c)], (1 << (k + 1)) - 1)
-
-    def push(v: int, c: int) -> None:
-        m = mask_against(v, c)
-        k = len(stack)
-        for t in range(k):
-            if m >> t & 1:
-                masks[t] |= 1 << k
-        stack.append((v, c))
-        masks.append(m)
-        budgets.append(f.get(v, c))
-        chosen[v] = c
-        for w in g.adj[v]:
-            if w in candidates and w not in chosen:
-                for i in candidates[w]:
-                    if h.matched(w, i, v, c):
-                        counts[(w, i)] = counts.get((w, i), 0) + 1
-
-    def pop() -> None:
-        v, c = stack.pop()
-        k = len(stack)
-        masks.pop()
-        budgets.pop()
-        for t in range(k):
-            masks[t] &= ~(1 << k)
-        del chosen[v]
-        for w in g.adj[v]:
-            if w in candidates and w not in chosen:
-                for i in candidates[w]:
-                    if h.matched(w, i, v, c):
-                        counts[(w, i)] -= 1
-
-    def doomed() -> bool:
-        # A vertex with zero residual everywhere must still admit some
-        # candidate pair that keeps the partial pair graph orderable.
-        for w in todo:
-            if w in chosen:
-                continue
-            total = sum(max(0, f.get(w, i) - counts.get((w, i), 0))
-                        for i in candidates[w])
-            if total == 0 and not any(orderable_with(w, i) for i in candidates[w]):
+    def doomed(alive: int, depth: int) -> bool:
+        # A vertex with zero residual everywhere (each of its candidate
+        # pairs has at least its budget of matched colored neighbours) must
+        # still admit some candidate pair that keeps the pair graph orderable.
+        for slot in slots[depth:len(todo)]:
+            if all(budgets[k] <= (masks[k] & alive).bit_count() for k in slot) and not any(
+                    _orderable(masks, budgets, alive | 1 << k) for k in slot):
                 return True
         return False
 
-    for v in sorted(pre):
-        push(v, pre[v])
-
-    def search(depth: int) -> bool:
-        if depth == len(todo):
-            return True
-        v = todo[depth]
-        for c in candidates[v]:
+    stack = [((1 << len(pre)) - 1, iter(slots[0]))]
+    while 0 < len(stack) <= len(todo):
+        before, untried = stack[-1]
+        depth = len(stack)  # vertices of todo colored once this entry picks
+        for k in untried:
             counters["nodes"] += 1
-            if not orderable_with(v, c):
-                continue
-            push(v, c)
-            if not doomed() and search(depth + 1):
-                return True
-            pop()
-            counters["backtracks"] += 1
-        return False
+            alive = before | 1 << k
+            if _orderable(masks, budgets, alive):
+                if not doomed(alive, depth):
+                    stack.append((alive, iter(slots[depth])))
+                    break
+                counters["backtracks"] += 1
+        else:
+            stack.pop()
+            if stack:
+                counters["backtracks"] += 1
 
-    found = search(0)
     if stats is not None:
         stats.update(counters)
-    if not found:
+    if not stack:
         return None
-    result = dict(chosen)
+    alive = stack[-1][0]
+    result = dict(p for k, p in enumerate(pairs) if alive >> k & 1)
     pg = induced_pair_graph(g, h, f, result)
     witness = strictly_degenerate_order(pg)
     if witness is None:
@@ -187,8 +161,14 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     return result, witness
 
 
-def _list_total(h: Cover, f: Budget, v: int) -> int:
-    return sum(f.get(v, i) for i in h.list_of(v))
+def _check_budget(g: SimpleGraph, h: Cover, f: Budget, total: int) -> None:
+    """Raise BadBudget unless every budget value is at most 2 and every
+    vertex's budget summed over its list is at least `total`."""
+    if any(val > 2 for row in f._rows.values() for val in row.values()):
+        raise BadBudget("budget values must be capped at 2")
+    low = [v for v in g.vertices if sum(f.get(v, i) for i in h.list_of(v)) < total]
+    if low:
+        raise BadBudget(f"list-restricted budget total below {total} at {low}")
 
 
 def _greedy_seed(g: SimpleGraph, h: Cover, f: Budget) -> tuple[dict[int, int], Order]:
@@ -209,16 +189,11 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     extends the precoloring step by step.  Output always passes verification.
     """
     g = pg.graph
-    for (_, _), val in f.items():
-        if val > 2:
-            raise BadBudget("budget values must be capped at 2")
+    _check_budget(g, h, f, 5)
     if f.s < h.s:
         # Fan steps rename colors by bijections of the cover's 1..s; colors
         # the budget does not index carry 0, so widen it to the cover's s.
         f = Budget._trusted(h.s, f.cap, f._rows)
-    low = [v for v in g.vertices if _list_total(h, f, v) < 5]
-    if low:
-        raise BadBudget(f"list-restricted budget total below 5 at {low}")
     if not g.is_connected():
         raise BadBudget("graph must be connected")
     if g.n <= 2:
@@ -456,12 +431,7 @@ def extend_precolored_triangle(pg: PlaneGraph, h: Cover, f: Budget,
     dom = sorted(c0)
     if len(dom) != 3 or not all(g.has_edge(u, v) for u in dom for v in dom if u < v):
         raise InvalidPrecoloring("precolored domain is not a 3-cycle")
-    for (_, _), val in f.items():
-        if val > 2:
-            raise BadBudget("budget values must be capped at 2")
-    low = [v for v in g.vertices if _list_total(h, f, v) < 4]
-    if low:
-        raise BadBudget(f"list-restricted budget total below 4 at {low}")
+    _check_budget(g, h, f, 4)
     _check_precoloring(g, h, f, c0)
     res = solve_exact(g, h, f, precolored=c0, limit=limit)
     if res is None:

@@ -12,6 +12,7 @@ from dpfcolor.cli import main
 from dpfcolor.formats import emit_budget, emit_coloring, emit_cover, emit_graph, emit_plane
 from dpfcolor import (
     Budget,
+    SimpleGraph,
     budget_list,
     complete_graph,
     gen_planar_triangulation,
@@ -243,6 +244,20 @@ class TestSolvers:
                            "--budget", str(tmp_path / "f.txt"))
         assert code == 1
         assert out.strip() == "absent"
+
+    def test_solve_exact_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        g = SimpleGraph(1100)
+        lists = {v: {1} for v in g.vertices}
+        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
+        (tmp_path / "h.txt").write_text(emit_cover(identity_cover(g, lists)), encoding="utf-8")
+        (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
+        code, out, err = run(capsys, "solve-exact", "--graph", str(tmp_path / "g.txt"),
+                             "--cover", str(tmp_path / "h.txt"),
+                             "--budget", str(tmp_path / "f.txt"), "--limit", "2000", "--json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["status"] == "found"
+        assert (payload["stats"]["nodes"], payload["stats"]["backtracks"]) == (1100, 0)
 
     def test_solve_planar_output_reverifies(self, k4_files, tmp_path, capsys):
         code, out, _ = run(capsys, "solve-planar", "--plane", k4_files["plane"],

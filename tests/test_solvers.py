@@ -164,6 +164,45 @@ class TestSolveExact:
         h, f = identity_instance(g, (1, 2, 3))
         assert solve_exact(g, h, f) == solve_exact(g, h, f)
 
+    def test_search_depth_needs_no_python_stack(self):
+        """The search goes one level deeper per vertex; its levels wait on
+        an explicit stack, so a depth past the recursion limit solves."""
+        n = 1100
+        g = SimpleGraph(n)
+        h, f = identity_instance(g, (1,))
+        stats = {}
+        r, order = solve_exact(g, h, f, limit=n, stats=stats)
+        assert verify_coloring(g, h, f, r) is not None
+        assert order_is_valid(induced_pair_graph(g, h, f, r), order)
+        assert stats == {"nodes": n, "backtracks": 0}
+
+    def test_matchings_are_read_once_per_call(self, monkeypatch):
+        """The search reads the cover only through masks built once per
+        call, so `Cover.matched` is called at most 2·m·s² + m times (the
+        final witness costs m) however many nodes the search visits."""
+        calls = Counter()
+        matched = Cover.matched
+
+        def counting(self, *args):
+            calls["matched"] += 1
+            return matched(self, *args)
+
+        monkeypatch.setattr(Cover, "matched", counting)
+        n, m, s = 12, 32, 3
+        most_nodes = 0
+        for t in range(20):
+            rng = random.Random(f"matched-locality/{t}")
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = SimpleGraph(n, rng.sample(pairs, m))
+            h = gen_random_cover(g, s, s, 1.0, rng.randrange(10**6))
+            f = gen_random_budget(g, s, s, 1, rng.randrange(10**6), lists=h.lists)
+            calls.clear()
+            stats = {}
+            solve_exact(g, h, f, stats=stats)
+            assert calls["matched"] <= 2 * m * s * s + m, (t, stats)
+            most_nodes = max(most_nodes, stats["nodes"])
+        assert most_nodes > 100  # deep enough that a per-node lookup would pass the bound
+
 
 class TestSolvePlanar:
     def test_triangle_identity_five_colors(self):
