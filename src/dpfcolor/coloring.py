@@ -7,7 +7,7 @@ Partial colorings are verified on the subgraph induced by their domain.
 
 from __future__ import annotations
 
-from .covers import Budget, Coloring, Cover, Order, PairGraph
+from .covers import _NO_MATCHES, Budget, Coloring, Cover, Order, PairGraph
 from .degeneracy import eliminate_with_prefix, order_is_valid, strictly_degenerate_order
 from .errors import (
     ColorNotInList,
@@ -32,7 +32,7 @@ def induced_pair_graph(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Pair
     order, that each color is in its list (ColorNotInList).  A total
     coloring has one pair per vertex, so pair k is (g.vertices[k], r(v))
     and the tables are filled in one pass over the vertices and one
-    matching lookup per edge, with no sort.
+    lookup of the edge's matching dict per edge, with no sort.
     """
     verts = g.vertices
     missing = [v for v in verts if v not in r]
@@ -40,13 +40,13 @@ def induced_pair_graph(g: SimpleGraph, h: Cover, f: Budget, r: Coloring) -> Pair
         raise PartialColoring(f"vertices {missing} are uncolored")
     pos = {v: k for k, v in enumerate(verts)}
     nbrs: list[list[int]] = [[] for _ in verts]
-    matched, adj = h.matched, g.adj
+    matchings, adj = h._matchings, g.adj
     for k, v in enumerate(verts):
         c = r[v]
         if c not in h.list_of(v):
             raise ColorNotInList(f"color {c} not in list of vertex {v}")
         for w in adj[v]:
-            if w > v and matched(v, c, w, r[w]):
+            if w > v and matchings.get((v, w), _NO_MATCHES).get(c) == r[w]:
                 j = pos[w]
                 nbrs[k].append(j)
                 nbrs[j].append(k)

@@ -139,7 +139,7 @@ class Budget:
 class Cover:
     """Color lists plus per-edge partial matchings between fibers."""
 
-    __slots__ = ("s", "lists", "_matchings")
+    __slots__ = ("s", "lists", "_matchings", "_at")
 
     def __init__(self, s: int, lists: Mapping[int, Iterable[int]],
                  matchings: Mapping[tuple[int, int], Iterable[Pair]] = ()):
@@ -182,17 +182,37 @@ class Cover:
         self.s = s
         self.lists = clean_lists
         self._matchings = clean
+        self._at = None
 
     @classmethod
     def _trusted(cls, s: int, lists: dict[int, frozenset[int]],
-                 matchings: dict[tuple[int, int], dict[int, int]]) -> "Cover":
+                 matchings: dict[tuple[int, int], dict[int, int]],
+                 at: dict[int, tuple[tuple[int, int], ...]] | None = None) -> "Cover":
         """Wrap valid tables unchecked: lists within 1..s, and nonempty partial
         bijections keyed (u, v) with u < v, each an injective dict {cu: cv}
         between listed colors of u and v.  Rows may be shared, so none is
-        ever mutated."""
+        ever mutated.
+
+        `at`, when given, must be the index of `matchings`' keys by
+        endpoint (see `_edges_at`); without it the index is built on first
+        use.  Relabeling keeps every key, so a relabeled cover shares its
+        parent's index."""
         h = cls.__new__(cls)
-        h.s, h.lists, h._matchings = s, lists, matchings
+        h.s, h.lists, h._matchings, h._at = s, lists, matchings, at
         return h
+
+    def _edges_at(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Each vertex with a matched edge -> the keys (u, v) of its matched
+        edges.  Built by one pass over the matchings on first use and then
+        kept; it reads only the keys, which no cover ever changes."""
+        if self._at is None:
+            at: dict[int, list[tuple[int, int]]] = {}
+            for e in self._matchings:
+                u, v = e
+                at.setdefault(u, []).append(e)
+                at.setdefault(v, []).append(e)
+            self._at = {v: tuple(es) for v, es in at.items()}
+        return self._at
 
     def list_of(self, v: int) -> frozenset[int]:
         """The list of v; a vertex without one has the empty list."""
@@ -224,6 +244,12 @@ class Cover:
         needs no further validation: only the renamed fibers and the
         matchings at them are rebuilt, and the untouched ones are shared
         with this cover.
+
+        The matchings at the renamed vertices are found through the
+        cover's index of matched edges by endpoint (`_edges_at`), so a
+        call reads only those, not every matching.  The result shares the
+        index, since relabeling changes no edge key; a chain of relabels
+        therefore pays for the index once, on the first cover that lacks it.
         """
         _check_permutations(perms)
         lists = dict(self.lists)
@@ -232,12 +258,13 @@ class Cover:
                 lists[v] = cs = frozenset(p.get(c, c) for c in lists[v])
                 if cs and max(cs) > self.s:
                     raise ValueError(f"list of {v} has colors outside 1..{self.s}")
+        at = self._edges_at()
         matchings = dict(self._matchings)
-        for (u, v), pairs in self._matchings.items():
-            if u in perms or v in perms:
-                pu, pv = perms.get(u, {}), perms.get(v, {})
-                matchings[(u, v)] = {pu.get(cu, cu): pv.get(cv, cv) for cu, cv in pairs.items()}
-        return Cover._trusted(self.s, lists, matchings)
+        for e in {e for v in perms for e in at.get(v, ())}:
+            u, v = e
+            pu, pv = perms.get(u, {}), perms.get(v, {})
+            matchings[e] = {pu.get(cu, cu): pv.get(cv, cv) for cu, cv in self._matchings[e].items()}
+        return Cover._trusted(self.s, lists, matchings, at)
 
     def __eq__(self, other):
         if not isinstance(other, Cover):

@@ -20,7 +20,10 @@ so `_orderable` keeps a bitmask form of the same loop that answers only
 whether an order exists.  It runs on the masks of the solver's whole
 candidate pair graph, built once per search, restricted to the pairs whose
 bits are set in `alive`: a pair's degree is its mask's popcount within
-`alive`, and pairs outside `alive` are never read.
+`alive`, and pairs outside `alive` are never read.  The search only ever
+adds one pair to a set it already found orderable, so it asks
+`_orderable_with`, which stops as soon as the added pair is removable;
+`_orderable`, the whole elimination, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -127,6 +130,32 @@ def _orderable(masks: list[int], budgets: list[int], alive: int) -> bool:
             m ^= low
             if (masks[i] & alive).bit_count() < budgets[i]:
                 alive ^= 1 << i
+                progressed = True
+        if not progressed:
+            return False
+    return True
+
+
+def _orderable_with(masks: list[int], budgets: list[int], alive: int, k: int) -> bool:
+    """Whether alive | 1 << k is orderable, given that `alive` is.
+
+    Elimination on alive | 1 << k succeeds iff it removes k at some point:
+    what is left then is a subset of `alive`, and a subset of an orderable
+    set is orderable (its pairs keep their budgets and lose neighbours).
+    So the loop stops as soon as k is removable.
+    """
+    bit = 1 << k
+    alive |= bit
+    mask, budget = masks[k], budgets[k]
+    while (mask & alive).bit_count() >= budget:
+        progressed = False
+        m = alive ^ bit
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            if (masks[i] & alive).bit_count() < budgets[i]:
+                alive ^= low
                 progressed = True
         if not progressed:
             return False

@@ -13,6 +13,9 @@ values capped at 2: triangulate the interior, precolor one outer edge,
 then repeatedly split on outer-cycle chords or delete the second outer
 vertex and lower the budgets along its fan.  The steps of that recursion
 wait on an explicit work stack, so its depth costs heap, not Python stack.
+Each step pays only for its own piece: a chord split builds piece 2's
+pair graph once and both orders and checks piece 2 on it, and a fan step
+renames only the matchings at the vertices it renames.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .coloring import (
     combine_colorings,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     greedy_extend,
     induced_pair_graph,
-    order_with_prefix,
+    order_with_prefix,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     residual_at,
 )
 from .covers import (
@@ -30,13 +33,19 @@ from .covers import (
     Coloring,
     Cover,
     Order,
+    PairGraph,
     complete_permutation,
     invert_permutations,
     relabel_coloring,
     relabel_order,
 )
 from .cycles import FamilyA, check_family
-from .degeneracy import _orderable, order_is_valid, strictly_degenerate_order
+from .degeneracy import (
+    _orderable_with,
+    eliminate_with_prefix,
+    order_is_valid,
+    strictly_degenerate_order,
+)
 from .errors import (
     BadBudget,
     InternalInvariantViolated,
@@ -61,6 +70,9 @@ from .planar import (
 
 DEFAULT_EXACT_LIMIT = 12
 
+_SPLIT_FAILED = ("chord combination failed: second coloring's witness is not valid "
+                 "under the residual budget")
+
 
 def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
                 precolored: Coloring | None = None,
@@ -78,9 +90,12 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     with one bit, its budget and the int mask of the pairs its edges'
     matchings link it to.  A partial coloring is the int `alive` of its
     pairs' bits, so both tests read the shared masks restricted to
-    `alive`.  The search runs on an explicit stack of (alive before this
-    depth, iterator over the depth's untried candidates): undoing a choice
-    is popping an entry, and the depth costs no Python stack.
+    `alive`.  Each orderability test adds one pair to a set already found
+    orderable (the precoloring is checked first), so it stops as soon as
+    the added pair is removable (`_orderable_with`).  The search runs on an
+    explicit stack of (alive before this depth, iterator over the depth's
+    untried candidates): undoing a choice is popping an entry, and the
+    depth costs no Python stack.
     """
     if g.n > limit:
         raise LimitExceeded(f"{g.n} vertices exceed the exact-solver limit {limit}")
@@ -127,7 +142,7 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         # still admit some candidate pair that keeps the pair graph orderable.
         for slot in slots[depth:len(todo)]:
             if all(budgets[k] <= (masks[k] & alive).bit_count() for k in slot) and not any(
-                    _orderable(masks, budgets, alive | 1 << k) for k in slot):
+                    _orderable_with(masks, budgets, alive, k) for k in slot):
                 return True
         return False
 
@@ -138,7 +153,7 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         for k in untried:
             counters["nodes"] += 1
             alive = before | 1 << k
-            if _orderable(masks, budgets, alive):
+            if _orderable_with(masks, budgets, before, k):
                 if not doomed(alive, depth):
                     stack.append((alive, iter(slots[depth])))
                     break
@@ -214,7 +229,11 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     a = min(i for i in sorted(h.list_of(v1)) if f.get(v1, i) >= 1)
     res_p = residual_at(g, h, f, {v1: a}, vp)
     b = min(i for i in sorted(res_p) if i in h.list_of(vp))
-    result, order = _extend(tpg, h, f, ((v1, a), (vp, b)))
+    # Fan steps relabel the cover through its index of matched edges by
+    # endpoint, built on first use; a copy sharing the input's tables keeps
+    # that index, so the caller's cover is left as it was.
+    result, order = _extend(tpg, Cover._trusted(h.s, h.lists, h._matchings), f,
+                            ((v1, a), (vp, b)))
 
     if not order_is_valid(induced_pair_graph(g, h, f, result), order):
         raise InternalInvariantViolated("planar construction produced an invalid order")
@@ -255,12 +274,16 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     chord pairs head it, and concatenates.  A fan frame solves the instance
     without the pivot v2 and reinserts v2.  Each frame returns a valid order
     of its own piece under its own cover and budget, and checks only what it
-    built itself; its children have checked the rest.  A split frame checks
-    piece 2's re-ordered witness on piece 2 alone (`_split_valid`): piece
-    2's inner vertices have no neighbour outside it and come after all of
-    piece 1 in the concatenation.  A fan frame checks the pivot's closed
-    neighbourhood (`_reinsertion_valid`).  Both checks are one count of
-    earlier matched neighbours (`_fewer_earlier`).
+    built itself; its children have checked the rest.
+
+    A split frame builds piece 2's pair graph once.  It checks that piece
+    2's coloring keeps the chord ends' colors from piece 1, re-orders piece
+    2 on that pair graph (`eliminate_with_prefix`), and checks the new
+    order on the same pair graph (`_split_valid`, which gives why piece 2
+    alone decides the union).  A fan frame renames colors around v2 with
+    `Cover.relabel`, which rebuilds only the matchings at the renamed
+    vertices, and after reinserting v2 counts earlier matched neighbours
+    over v2's closed neighbourhood only (`_reinsertion_valid`).
     """
     (v1, a), (vp, b) = pre
     g = pg.graph
@@ -288,12 +311,14 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             pg2 = pg2.with_outer(pg2.outer[::-1])
         head = ((first, r1[first]), (second, r1[second]))
         r2, _ = yield pg2, h, f, head
-        s2p = order_with_prefix(pg2.graph, h, f, r2, dict(head))
+        pairs = induced_pair_graph(pg2.graph, h, f, r2)
+        if any(r2[v] != c for v, c in head):  # a child moved a chord end's color
+            raise InternalInvariantViolated(_SPLIT_FAILED)
+        s2p = eliminate_with_prefix(pairs, head)
         if s2p is None:
             raise InternalInvariantViolated("shared chord pair cannot head the order")
-        if not _split_valid(pg2.graph, h, f, r2, s2p, head):
-            raise InternalInvariantViolated("chord combination failed: second coloring's "
-                                            "witness is not valid under the residual budget")
+        if not _split_valid(pairs, r2, s2p, head):
+            raise InternalInvariantViolated(_SPLIT_FAILED)
         return {**r1, **r2}, s1 + s2p[2:]
 
     # Chordless outer cycle: delete the second outer vertex, lower budgets
@@ -370,49 +395,41 @@ def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
     order of G - v under a budget that differs from f only at neighbours
     of v.  A pair away from N[v] then has the same earlier matched
     neighbours and the same budget as there, so only v's color and the
-    pairs of N[v] need counting.
+    pairs of N[v] need counting: each must have fewer earlier matched
+    neighbours than its budget.  Costs one position map plus O(sum of the
+    degrees over N[v]).
     """
-    return r[v] in h.list_of(v) and _fewer_earlier(g, h, f, r, order, (v, *g.adj[v]))
-
-
-def _split_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
-                 order: Order, head: Order) -> bool:
-    """Whether s1 + order[2:] is a valid order of the union of a chord
-    split's two pieces, given piece 2's graph g, coloring r and order.
-
-    Precondition: s1 is a valid order of piece 1 whose chord-end pairs are
-    `head`, and r's colors are in their lists.  Piece 2's inner vertices
-    have no neighbour outside piece 2 (the cut argument in `planar`), the
-    pieces share only the chord, and in s1 + order[2:] every inner vertex
-    of piece 2 comes after all of s1.  So each inner pair has the same
-    earlier matched neighbours there as in `order`, and each pair of piece
-    1 the same as in s1.  The union order is therefore valid iff `order`
-    starts with the two pairs of `head`, lists exactly r's pairs (so r
-    agrees with piece 1 at the chord ends) and every inner vertex of piece
-    2 passes the count.  The chord ends are counted too, so the verdict is
-    also the definition check of `order` on piece 2.  All of it costs
-    O(|piece 2| + its edges).  Malformed tables give False.
-    """
-    return (set(order[:2]) == set(head) and len(order) == len(r) and dict(order) == r
-            and r.keys() == g.adj.keys() and _fewer_earlier(g, h, f, r, order, g.vertices))
-
-
-def _fewer_earlier(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, order: Order, xs) -> bool:
-    """Whether every x in xs has fewer earlier matched neighbours in `order`
-    than f(x, r(x)): the definition check restricted to the pairs of xs.
-
-    This is the solver's one step check: a fan frame counts over N[v2], a
-    split frame over all of piece 2.  `order` must list one pair of every
-    vertex of g.  Costs one position map plus O(sum of the degrees over xs).
-    """
+    if r[v] not in h.list_of(v):
+        return False
     pos = {u: k for k, (u, _) in enumerate(order)}
     adj, matched = g.adj, h.matched
-    for x in xs:
+    for x in (v, *adj[v]):
         cx, kx = r[x], pos[x]
         earlier = sum(1 for w in adj[x] if pos[w] < kx and matched(x, cx, w, r[w]))
         if earlier >= f.get(x, cx):
             return False
     return True
+
+
+def _split_valid(pairs: PairGraph, r: Coloring, order: Order, head: Order) -> bool:
+    """Whether s1 + order[2:] is a valid order of the union of a chord
+    split's two pieces, given piece 2's coloring r, its pair graph `pairs`
+    and its order.
+
+    Precondition: s1 is a valid order of piece 1 whose chord-end pairs are
+    `head`, and `pairs` is induced_pair_graph of piece 2 under r.  Piece 2's
+    inner vertices have no neighbour outside piece 2 (the cut argument in
+    `planar`), the pieces share only the chord, and in s1 + order[2:] every
+    inner vertex of piece 2 comes after all of s1.  So each inner pair has
+    the same earlier matched neighbours there as in `order`, and each pair
+    of piece 1 the same as in s1.  The union order is therefore valid iff
+    `order` starts with the two pairs of `head`, lists exactly r's pairs (so
+    r agrees with piece 1 at the chord ends and has no key outside piece 2)
+    and is a valid order of piece 2: the definition check on `pairs`, which
+    costs O(|piece 2| + its edges) and reads no matching.
+    """
+    return (set(order[:2]) == set(head) and len(r) == pairs.n
+            and order_is_valid(pairs, order))
 
 
 def extend_precolored_triangle(pg: PlaneGraph, h: Cover, f: Budget,

@@ -19,6 +19,8 @@ the current code must return:
 - `scan_find_chord`, which tries every pair of outer positions;
 - `whole_graph_reinsertion_check`, which checks a fan step's reinsertion
   on the pair graph of the whole piece;
+- `definition_relabel`, which renames every list and every matching of a
+  cover and builds the result through `Cover(...)`;
 - `token_read_graph`, `token_parse_cover`, `token_parse_budget` and
   `token_parse_coloring`, the parsers that read lines through a generator
   and convert every token by its own checked call.
@@ -555,6 +557,19 @@ def whole_graph_reinsertion_check(g: SimpleGraph, h: Cover, f: Budget, r, order)
     from dpfcolor.degeneracy import order_is_valid
 
     return order_is_valid(induced_pair_graph(g, h, f, r), order)
+
+
+def definition_relabel(h: Cover, perms) -> Cover:
+    """`h.relabel(perms)` by its definition: every list and every matched
+    pair of the cover renamed, colors a renaming does not map keeping their
+    labels, and the result built through the validating constructor."""
+    def rename(v, c):
+        return perms[v].get(c, c) if v in perms else c
+
+    lists = {v: [rename(v, c) for c in cs] for v, cs in h.lists.items()}
+    matchings = {(u, v): [(rename(u, cu), rename(v, cv)) for cu, cv in pairs]
+                 for (u, v), pairs in h.matching_items()}
+    return Cover(h.s, lists, matchings)
 
 
 def _token_lines(text: str):

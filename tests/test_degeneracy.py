@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dpfcolor import PairGraph, order_is_valid, strictly_degenerate_order
-from dpfcolor.degeneracy import eliminate_with_prefix
+from dpfcolor.degeneracy import _orderable, _orderable_with, eliminate_with_prefix
 
 from oracles import (
     order_exists_by_permutations,
@@ -222,3 +223,23 @@ def test_order_exists_iff_max_core_below_uniform_budget():
         outcomes.add(exists)
     assert outcomes == {True, False}
 
+
+
+def test_orderable_with_one_more_pair_matches_full_elimination():
+    """`_orderable_with(masks, budgets, alive, k)`, for an orderable `alive`,
+    answers as the full elimination `_orderable` on alive | 1 << k, on
+    seeded random bitmask pair graphs and k inside and outside `alive`."""
+    rng = random.Random(505)
+    verdicts = Counter()
+    for _ in range(400):
+        masks, budgets = pair_graph_bits(random_pair_graph(rng, max_vertices=12, max_budget=3))
+        n = len(masks)
+        for _ in range(6):
+            alive = sum(1 << i for i in range(n) if rng.random() < rng.random())
+            if not _orderable(masks, budgets, alive):
+                continue
+            for k in range(n):
+                got = _orderable_with(masks, budgets, alive, k)
+                assert got == _orderable(masks, budgets, alive | 1 << k), (masks, budgets, alive, k)
+                verdicts[got, bool(alive >> k & 1)] += 1
+    assert min(verdicts[True, False], verdicts[False, False], verdicts[True, True]) > 500, verdicts

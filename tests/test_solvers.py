@@ -38,6 +38,7 @@ from dpfcolor.planar import delete_vertex, fan_neighbors
 
 from oracles import (
     coloring_exists_by_enumeration,
+    definition_relabel,
     grid,
     polygon,
     random_graph,
@@ -418,14 +419,14 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
 
     from oracles import triangulated_polygon
 
-    original = solvers.order_with_prefix
+    original = solvers.eliminate_with_prefix
     corrupted = []
 
-    def swap_last_two(g, h, f, r, prefix):
-        order = original(g, h, f, r, prefix)
+    def swap_last_two(pairs, prefix):
+        order = original(pairs, prefix)
         if not corrupted and order is not None and len(order) > 3:
             swapped = order[:-2] + (order[-1], order[-2])
-            if not order_is_valid(induced_pair_graph(g, h, f, r), swapped):
+            if not order_is_valid(pairs, swapped):
                 corrupted.append(swapped)
                 return swapped
         return order
@@ -434,7 +435,7 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
     h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
     f = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
     solve_planar_dpg52(pg, h, f)  # solves when nothing is corrupted
-    monkeypatch.setattr(solvers, "order_with_prefix", swap_last_two)
+    monkeypatch.setattr(solvers, "eliminate_with_prefix", swap_last_two)
     with pytest.raises(InternalInvariantViolated, match="^chord combination failed: second "
                        "coloring's witness is not valid under the residual budget$"):
         solve_planar_dpg52(pg, h, f)
@@ -596,6 +597,79 @@ class TestLocalReinsertionCheck:
         assert solve_planar_dpg52(pg, h, f)  # the same instance solves without the fault
 
 
+class _WalkCountingTable(dict):
+    """A matching table that counts the Python-level walks over it: `for`
+    loops, `items()` and `values()`.  `dict(table)` reads a dict subclass
+    with its own `__iter__` through `keys()`, which is left uncounted: that
+    is the plain copy each relabel makes of the table it renames in."""
+
+    walks = [0]
+
+    def __iter__(self):
+        self.walks[0] += 1
+        return super().__iter__()
+
+    def items(self):
+        self.walks[0] += 1
+        return super().items()
+
+    def values(self):
+        self.walks[0] += 1
+        return super().values()
+
+
+def _record_relabels(monkeypatch):
+    """Record the input and output of every `Cover.relabel`."""
+    relabel, calls = Cover.relabel, []
+
+    def record(h, perms):
+        out = relabel(h, perms)
+        calls.append((h, perms, out))
+        return out
+
+    monkeypatch.setattr(Cover, "relabel", record)
+    return calls
+
+
+class TestLocalFanRelabel:
+    """A fan step renames only the matchings at the vertices it renames,
+    found through the cover's index of matched edges by endpoint, which a
+    relabeled cover inherits."""
+
+    def test_each_fan_relabel_equals_the_definition(self, monkeypatch):
+        calls = _record_relabels(monkeypatch)
+        for pg, h, f in _fan_instances():
+            solve_planar_dpg52(pg, h, f)
+        for h, perms, out in calls:
+            assert out == definition_relabel(h, perms)
+            fresh = Cover._trusted(out.s, out.lists, dict(out._matchings))._edges_at()
+            assert {v: set(es) for v, es in out._edges_at().items()} == {
+                v: set(es) for v, es in fresh.items()}
+        assert len(calls) > 100
+
+    def test_one_solve_walks_the_matching_table_at_most_once(self, monkeypatch):
+        trusted = Cover._trusted.__func__
+
+        def counting(cls, s, lists, matchings, *rest):
+            if not isinstance(matchings, _WalkCountingTable):
+                matchings = _WalkCountingTable(matchings)
+            return trusted(cls, s, lists, matchings, *rest)
+
+        monkeypatch.setattr(Cover, "_trusted", classmethod(counting))
+        calls = _record_relabels(monkeypatch)
+        fan_steps = []
+        for pg, h, f in _fan_instances():
+            h = Cover._trusted(h.s, h.lists, h._matchings)
+            before = dict(h._matchings)
+            calls.clear()
+            _WalkCountingTable.walks[0] = 0
+            solve_planar_dpg52(pg, h, f)
+            assert _WalkCountingTable.walks[0] <= 1, (len(calls), _WalkCountingTable.walks)
+            assert h._at is None and dict(h._matchings) == before  # the caller's cover
+            fan_steps.append(len(calls))
+        assert max(fan_steps) > 20 and sum(fan_steps) > 100, fan_steps
+
+
 def _split_instances():
     """Seeded instances whose construction takes many chord splits."""
     shapes = [triangulated_polygon(12 + 8 * t, random.Random(f"splits/{t}")) for t in range(6)]
@@ -610,31 +684,41 @@ def _split_instances():
 
 def _record_splits(monkeypatch):
     """Record every chord split check: the split piece's graph, piece 1's
-    solution, and the check's inputs and verdict.  The tables are keyed by
-    id and keep every keyed object alive, so no id is reused."""
+    solution, and the check's inputs and verdict.  The check reads piece 2's
+    pair graph, which the split frame builds with `induced_pair_graph`, so
+    each pair graph is traced back to its piece's graph.  The tables are
+    keyed by id and keep every keyed object alive, so no id is reused."""
     import dpfcolor.solvers as solvers
 
     split, step, check = solvers._split, solvers._step, solvers._split_valid
-    parents, results, calls = {}, {}, []
+    build = solvers.induced_pair_graph
+    parents, graphs, results, calls = {}, {}, {}, []
 
     def record_split(pg, chord):
         pg1, pg2 = split(pg, chord)
         parents[id(pg2.graph)] = pg2.graph, pg.graph, pg1
         return pg1, pg2
 
+    def record_build(g, h, f, r):
+        pairs = build(g, h, f, r)
+        graphs[id(pairs)] = pairs, g, h, f
+        return pairs
+
     def record_step(pg, h, f, pre):
         result = yield from step(pg, h, f, pre)
         results[id(pg)] = pg, result
         return result
 
-    def record_check(g2, h, f, r2, s2p, head):
-        verdict = check(g2, h, f, r2, s2p, head)
+    def record_check(pairs, r2, s2p, head):
+        verdict = check(pairs, r2, s2p, head)
+        _, g2, h, f = graphs[id(pairs)]
         _, g, pg1 = parents[id(g2)]
         r1, s1 = results[id(pg1)][1]
         calls.append(((g, g2, h, f, r1, s1, dict(r2), s2p, head), verdict))
         return verdict
 
     monkeypatch.setattr(solvers, "_split", record_split)
+    monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
     monkeypatch.setattr(solvers, "_step", record_step)
     monkeypatch.setattr(solvers, "_split_valid", record_check)
     return check, calls
@@ -694,7 +778,7 @@ class TestLocalSplitCheck:
             assert verdict and _union_verdict(g, h, f, r1, s1, r2, s2p, head)
             rng = random.Random(f"split/{t}")
             for r2x, s2x in _split_variants(h, r2, s2p, rng):
-                got = check(g2, h, f, r2x, s2x, head)
+                got = check(induced_pair_graph(g2, h, f, r2x), r2x, s2x, head)
                 on_piece = (set(s2x[:2]) == set(head)
                             and order_is_valid(induced_pair_graph(g2, h, f, r2x), s2x))
                 assert got == on_piece, (s2x, head)
@@ -736,18 +820,68 @@ class TestLocalSplitCheck:
     def test_split_without_a_prefix_first_order_is_caught(self, monkeypatch):
         import dpfcolor.solvers as solvers
 
-        original, calls = solvers.order_with_prefix, []
+        original, calls = solvers.eliminate_with_prefix, []
 
-        def none_at_the_third(g, h, f, r, prefix):
-            calls.append(g)
-            return None if len(calls) == 3 else original(g, h, f, r, prefix)
+        def none_at_the_third(pairs, prefix):
+            calls.append(pairs)
+            return None if len(calls) == 3 else original(pairs, prefix)
 
         pg, h, f = next(_split_instances())
-        monkeypatch.setattr(solvers, "order_with_prefix", none_at_the_third)
+        monkeypatch.setattr(solvers, "eliminate_with_prefix", none_at_the_third)
         with pytest.raises(InternalInvariantViolated,
                            match="^shared chord pair cannot head the order$"):
             solve_planar_dpg52(pg, h, f)
         assert len(calls) == 3
+
+    def test_piece_coloring_that_moves_a_chord_end_is_an_internal_fault(
+            self, monkeypatch, tmp_path, capsys):
+        """Piece 2's solution must keep the chord ends' colors from piece 1.
+        A child that changes one (to another color of its list) is a fault
+        of the program: the split raises InternalInvariantViolated with the
+        combination message, and the CLI exits 3, not 2 (an input error)."""
+        import json
+
+        import dpfcolor.solvers as solvers
+        from dpfcolor.cli import main
+        from dpfcolor.formats import emit_budget, emit_cover, emit_plane
+
+        split, step = solvers._split, solvers._step
+        second_pieces, moved = {}, []
+
+        def record_split(pg, chord):
+            pg1, pg2 = split(pg, chord)
+            second_pieces[id(pg2.graph)] = pg2.graph
+            return pg1, pg2
+
+        def move_a_chord_end(pg, h, f, pre):
+            r, order = yield from step(pg, h, f, pre)
+            if not moved and id(pg.graph) in second_pieces:
+                v, c = pre[0]
+                r = {**r, v: min(h.list_of(v) - {c})}
+                moved.append(v)
+            return r, order
+
+        pg, h, f = next(_split_instances())
+        solve_planar_dpg52(pg, h, f)  # solves when nothing is moved
+        monkeypatch.setattr(solvers, "_split", record_split)
+        monkeypatch.setattr(solvers, "_step", move_a_chord_end)
+        with pytest.raises(InternalInvariantViolated, match="^chord combination failed: second "
+                           "coloring's witness is not valid under the residual budget$"):
+            solve_planar_dpg52(pg, h, f)
+        assert len(moved) == 1
+
+        paths = []
+        for name, text in [("plane", emit_plane(pg)), ("cover", emit_cover(h)),
+                           ("budget", emit_budget(f))]:
+            paths += [f"--{name}", str(tmp_path / name)]
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        moved.clear()
+        assert main(["solve-planar", *paths, "--json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "theorem-violation"
+        assert payload["diagnostics"][0].startswith(
+            "InternalInvariantViolated: chord combination failed")
+        assert len(moved) == 1
 
     def test_invalid_final_order_is_caught(self, monkeypatch):
         """The final definition check stays: an order the steps let through
