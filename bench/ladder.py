@@ -23,8 +23,8 @@ shapes are stacked triangulations, random triangulated polygons and grids
 Covers use 5 colors, lists of 5 and density 1.0; budgets have total 5 and
 cap 2.  A case that raises, or runs longer than TIMEOUT_S, records its
 error instead of a time.  The solver keeps its pending steps on a work
-stack, so no case meets the recursion limit, but the steps waiting on that
-stack hold memory that grows about as n^2 on grids and fanned polygons.
+stack, so no case meets the recursion limit, but on grids the fan steps
+waiting on that stack hold memory that grows much faster than n.
 Each case process therefore caps its address space at MEMORY_CAP_BYTES,
 and a case over the cap records a MemoryError instead of pushing the
 machine into swap or the kernel's out-of-memory killer.  Every case

@@ -10,7 +10,10 @@ only the rows of vertices that lose a neighbour and shares the rest with
 the parent.  After a chord split those are the chord's two ends: the
 chord and the two outer arcs bound two closed sub-disks, and an edge from
 one sub-disk's inside to the other's would have to cross the chord or the
-outer face.  After a fan step they are the deleted pivot's neighbours.
+outer face.  After a fan step they are the deleted pivot's neighbours, and
+so they are when a chord cuts off a bare triangle: the solver then deletes
+the triangle's degree-2 vertex with `delete_vertex` and builds no second
+piece.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ then repeatedly split on outer-cycle chords or delete the second outer
 vertex and lower the budgets along its fan.  The steps of that recursion
 wait on an explicit work stack, so its depth costs heap, not Python stack.
 Each step pays only for its own piece: a chord split builds piece 2's
-pair graph once and both orders and checks piece 2 on it, and a fan step
-renames only the matchings at the vertices it renames.
+pair graph once and both orders and checks piece 2 on it, a chord that
+cuts off a bare triangle colors the triangle's third vertex in place, and
+a fan step renames only the matchings at the vertices it renames.
 """
 
 from __future__ import annotations
@@ -276,6 +277,15 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     of its own piece under its own cover and budget, and checks only what it
     built itself; its children have checked the rest.
 
+    Most chords cut off a bare triangle, and that side is colored in place
+    by the base case's greedy step, never built as a piece or a frame.
+    When piece 2 is the triangle vi x vj, the frame solves G - x and
+    appends x: its only neighbours are the chord ends, which piece 1's
+    order already holds, so the greedy color keeps that order valid and
+    needs no pair graph.  When piece 1 is the triangle v1 w vp, the frame
+    colors w right after the precolored pair and takes G less the degree-2
+    end of the outer walk as piece 2, which the usual split check covers.
+
     A split frame builds piece 2's pair graph once.  It checks that piece
     2's coloring keeps the chord ends' colors from piece 1, re-orders piece
     2 on that pair graph (`eliminate_with_prefix`), and checks the new
@@ -284,28 +294,56 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     `Cover.relabel`, which rebuilds only the matchings at the renamed
     vertices, and after reinserting v2 counts earlier matched neighbours
     over v2's closed neighbourhood only (`_reinsertion_valid`).
+
+    A suspended frame keeps its locals alive, so a split frame lets go of
+    its own piece, and of piece 1, before it yields piece 1: while piece 1
+    is solved it holds only piece 2 (or the bare triangle) and the chord
+    ends.
     """
     (v1, a), (vp, b) = pre
     g = pg.graph
     outer = pg.outer
 
     if g.n == 3:
-        v2 = next(v for v in outer if v not in (v1, vp))
-        try:
-            return greedy_extend(g, h, f, {v1: a, vp: b}, (pre[0], pre[1]), v2)
-        except NoColorAvailable as exc:
-            raise InternalInvariantViolated(f"base case failed: {exc}") from exc
+        return _color_third(g, h, f, pre, next(v for v in outer if v not in (v1, vp)))
 
     chord = find_chord(pg)
     if chord is not None:
         # The solver splits only near-triangulations it built itself from the
         # validated input, so the split needs no embedding or cycle check.
         i, j = chord
-        pg1, pg2 = _split(pg, chord)
-        r1, s1 = yield pg1, h, f, pre
+        p = len(outer)
+        vi, vj = outer[i], outer[j]
+        # Piece 1 is the bare triangle v1 w vp when the chord cuts off an end
+        # of the outer walk that has no other neighbour.
+        ear = (vp if chord == (0, p - 2) and len(g.adj[vp]) == 2 else
+               v1 if chord == (1, p - 1) and len(g.adj[v1]) == 2 else None)
+        if ear is not None:
+            r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi)
+        if j == i + 2 and len(g.adj[outer[i + 1]]) == 2:
+            # Piece 2 is the bare triangle vi x vj: color x after piece 1.
+            x = outer[i + 1]
+            triangle = g.induced(outer[i:j + 1])
+            if ear is None:
+                # Piece 1 waits in a list that the yield empties, so that no
+                # name of this frame keeps it alive while it is solved.
+                rest = [delete_vertex(pg, x, outer[:i + 1] + outer[j:])]
+                del pg, g, outer
+                r1, s1 = yield rest.pop(), h, f, pre
+            r2, s2 = _color_third(triangle, h, f, ((vi, r1[vi]), (vj, r1[vj])), x)
+            r1[x] = r2[x]
+            return r1, s1 + s2[2:]
+        if ear is not None:
+            pg2 = delete_vertex(pg, ear, outer[i:j + 1])
+            del pg, g, outer
+        else:
+            pieces = list(_split(pg, chord))
+            del pg, g, outer
+            r1, s1 = yield pieces.pop(0), h, f, pre
+            pg2, = pieces
         # Piece 2's outer walk runs from vi to vj; it must start with
         # whichever of the two comes first in s1.
-        first, second = vi, vj = outer[i], outer[j]
+        first, second = vi, vj
         if next(v for v, _ in s1 if v == vi or v == vj) == vj:
             first, second = vj, vi
             pg2 = pg2.with_outer(pg2.outer[::-1])
@@ -384,6 +422,17 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
     inv = invert_permutations(perms)
     return relabel_coloring(r_full, inv), relabel_order(order2, inv)
+
+
+def _color_third(g: SimpleGraph, h: Cover, f: Budget,
+                 pre: tuple[tuple[int, int], tuple[int, int]],
+                 v: int) -> tuple[dict[int, int], Order]:
+    """The base case: color v, adjacent to both precolored vertices of `pre`,
+    greedily after them.  g need only hold v's row."""
+    try:
+        return greedy_extend(g, h, f, dict(pre), pre, v)
+    except NoColorAvailable as exc:
+        raise InternalInvariantViolated(f"base case failed: {exc}") from exc
 
 
 def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,

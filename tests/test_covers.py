@@ -303,12 +303,13 @@ class TestTrustedPathsMatchValidatingConstructors:
     def test_solver_pieces(self, monkeypatch):
         """Every piece the planar solver builds is the restriction of its
         parent and shares all rows but those of the vertices that lose a
-        neighbour: the chord ends of a split, the pivot's neighbours of a
-        fan step."""
+        neighbour: the chord ends of a split, the deleted vertex's
+        neighbours of a fan step or of a chord that cuts off a bare
+        triangle."""
         import dpfcolor.solvers as solvers
 
         split, delete = solvers._split, solvers.delete_vertex
-        seen = {"split": 0, "fan": 0}
+        seen = {"split": 0, "fan": 0, "ear": 0}
 
         def checked_split(pg, chord):
             parts = split(pg, chord)
@@ -320,23 +321,26 @@ class TestTrustedPathsMatchValidatingConstructors:
 
         def checked_delete(pg, v, outer):
             part = delete(pg, v, outer)
-            seen["fan"] += 1
+            # A fan pivot has inner neighbours; a chord that cuts off a bare
+            # triangle deletes the triangle's degree-2 vertex.
+            seen["fan" if len(pg.graph.adj[v]) > 2 else "ear"] += 1
             _assert_restriction(pg, part)
             _assert_shares_rows(pg, part, pg.graph.adj[v])
             return part
 
         monkeypatch.setattr(solvers, "_split", checked_split)
         monkeypatch.setattr(solvers, "delete_vertex", checked_delete)
-        shapes = [gen_planar_triangulation(10 + 10 * t, t) for t in range(5)]
+        shapes = [gen_planar_triangulation(10 + 10 * t, t) for t in range(8)]
         shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7)]
         shapes += [wheel(p) for p in (4, 6, 9)]
-        shapes += [triangulated_polygon(p, random.Random(f"pieces/{p}")) for p in (5, 9, 16)]
+        shapes += [triangulated_polygon(p, random.Random(f"pieces/{p}"))
+                   for p in (5, 9, 16, 24, 32, 40, 48)]
         for t, pg in enumerate(shapes):
             h = gen_random_cover(pg.graph, 5, 5, (1.0, 0.5)[t % 2], seed=t)
             f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
             r, _ = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None
-        assert seen["split"] > 100 and seen["fan"] > 40, seen
+        assert seen["split"] > 100 and seen["fan"] > 40 and seen["ear"] > 200, seen
 
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):

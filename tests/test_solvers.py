@@ -468,6 +468,87 @@ def test_deep_instances_need_no_deep_python_stack(shape):
     assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
 
 
+def _chord_only_instances():
+    """A fanned 1000-gon, each of whose splits cuts off one bare triangle,
+    and a random triangulated 1000-gon, whose splits cut pieces of every
+    size.  Neither takes a fan step."""
+    shapes = [triangulate_interior(polygon(1000)),
+              triangulated_polygon(1000, random.Random("chords/1000"))]
+    for t, pg in enumerate(shapes):
+        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 10, lists=h.lists)
+        yield pg, h, f
+
+
+def test_no_split_builds_a_bare_triangle(monkeypatch):
+    """A chord that cuts off a bare triangle colors the triangle's third
+    vertex in place: no split builds a 3-vertex piece, and no split frame
+    a 3-vertex pair graph."""
+    import dpfcolor.solvers as solvers
+
+    split, delete, build = solvers._split, solvers.delete_vertex, solvers.induced_pair_graph
+    built = Counter()
+
+    def record_split(pg, chord):
+        parts = split(pg, chord)
+        built.update(("piece", part.n) for part in parts)
+        return parts
+
+    def record_delete(pg, v, outer):
+        part = delete(pg, v, outer)
+        built["piece", part.n] += 1
+        return part
+
+    def record_build(g, h, f, r):
+        pairs = build(g, h, f, r)
+        built["pairs", pairs.n] += 1
+        return pairs
+
+    monkeypatch.setattr(solvers, "_split", record_split)
+    monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+    monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
+    for pg, h, f in _chord_only_instances():
+        built.clear()
+        r, _ = solve_planar_dpg52(pg, h, f)
+        assert verify_coloring(pg.graph, h, f, r) is not None
+        assert sum(k for (what, n), k in built.items() if what == "piece") > 500
+        assert built["piece", 3] == 0 and built["pairs", 3] == 0, sorted(built.items())[:4]
+
+
+def test_split_frames_release_what_they_no_longer_read(monkeypatch):
+    """A frame waiting on piece 1 holds only piece 2 and the chord ends, so
+    however deep the construction goes, few large pieces are alive at once.
+    Every graph `planar` builds is weakly referenced, and at each build the
+    live ones with more than n/10 vertices are counted.  The pieces that
+    waiting frames hold and the piece being split have disjoint insides, so
+    at most 10 of them are that large; the input's triangulation and the
+    two pieces of the split under way make 13."""
+    import weakref
+
+    import dpfcolor.planar as planar
+
+    refs, peak = [], [0]
+
+    class Tracked(SimpleGraph):
+        __slots__ = ("__weakref__",)
+
+        @classmethod
+        def _trusted(cls, vertices, adj):
+            g = super()._trusted(vertices, adj)
+            live = [x for ref in refs if (x := ref()) is not None] + [g]
+            refs[:] = map(weakref.ref, live)
+            peak[0] = max(peak[0], sum(1 for x in live if 10 * x.n > n))
+            return g
+
+    instances = list(_chord_only_instances())
+    monkeypatch.setattr(planar, "SimpleGraph", Tracked)
+    for pg, h, f in instances:
+        n, peak[0] = pg.n, 0
+        r, _ = solve_planar_dpg52(pg, h, f)
+        assert verify_coloring(pg.graph, h, f, r) is not None
+        assert 0 < peak[0] <= 13, peak
+
+
 def _fan_instances():
     """Seeded instances whose construction takes fan steps of both cases."""
     shapes = [gen_planar_triangulation(20 + 10 * seed, seed) for seed in range(6)]
@@ -682,22 +763,45 @@ def _split_instances():
         yield pg, h, f
 
 
+def _is_ear(pg, v):
+    """Whether deleting v from pg cuts off piece 1 of a chord split, the
+    bare triangle at an end of the outer walk.  A fan step deletes the
+    second outer vertex, and a split whose piece 2 is a bare triangle an
+    inner vertex of the walk; neither deletes a precolored end."""
+    return v in (pg.outer[0], pg.outer[-1])
+
+
 def _record_splits(monkeypatch):
     """Record every chord split check: the split piece's graph, piece 1's
     solution, and the check's inputs and verdict.  The check reads piece 2's
     pair graph, which the split frame builds with `induced_pair_graph`, so
-    each pair graph is traced back to its piece's graph.  The tables are
-    keyed by id and keep every keyed object alive, so no id is reused."""
+    each pair graph is traced back to its piece's graph.  Piece 2 comes from
+    `_split`, or from `delete_vertex` when piece 1 is the bare triangle at
+    an end of the outer walk; that triangle is solved in place by
+    `greedy_extend` on the parent's graph.  The tables are keyed by id and
+    keep every keyed object alive, so no id is reused."""
     import dpfcolor.solvers as solvers
 
     split, step, check = solvers._split, solvers._step, solvers._split_valid
-    build = solvers.induced_pair_graph
-    parents, graphs, results, calls = {}, {}, {}, []
+    build, delete, greedy = solvers.induced_pair_graph, solvers.delete_vertex, solvers.greedy_extend
+    parents, graphs, results, colored, calls = {}, {}, {}, {}, []
 
     def record_split(pg, chord):
         pg1, pg2 = split(pg, chord)
-        parents[id(pg2.graph)] = pg2.graph, pg.graph, pg1
+        parents[id(pg2.graph)] = pg2.graph, pg.graph, lambda: results[id(pg1)][1]
         return pg1, pg2
+
+    def record_delete(pg, v, outer):
+        part = delete(pg, v, outer)
+        if _is_ear(pg, v):
+            solved = colored[id(pg.graph)][1]
+            parents[id(part.graph)] = part.graph, pg.graph, lambda: solved
+        return part
+
+    def record_greedy(g, h, f, partial, order, v):
+        result = greedy(g, h, f, partial, order, v)
+        colored[id(g)] = g, result
+        return result
 
     def record_build(g, h, f, r):
         pairs = build(g, h, f, r)
@@ -712,12 +816,14 @@ def _record_splits(monkeypatch):
     def record_check(pairs, r2, s2p, head):
         verdict = check(pairs, r2, s2p, head)
         _, g2, h, f = graphs[id(pairs)]
-        _, g, pg1 = parents[id(g2)]
-        r1, s1 = results[id(pg1)][1]
+        _, g, solved = parents[id(g2)]
+        r1, s1 = solved()
         calls.append(((g, g2, h, f, r1, s1, dict(r2), s2p, head), verdict))
         return verdict
 
     monkeypatch.setattr(solvers, "_split", record_split)
+    monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+    monkeypatch.setattr(solvers, "greedy_extend", record_greedy)
     monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
     monkeypatch.setattr(solvers, "_step", record_step)
     monkeypatch.setattr(solvers, "_split_valid", record_check)
@@ -792,7 +898,7 @@ class TestLocalSplitCheck:
         import dpfcolor.solvers as solvers
 
         built, pieces = [], []
-        build, split = coloring.induced_pair_graph, solvers._split
+        build, split, delete = coloring.induced_pair_graph, solvers._split, solvers.delete_vertex
 
         def record_build(g, h, f, r):
             built.append(g)
@@ -803,9 +909,16 @@ class TestLocalSplitCheck:
             pieces.append(pg2.graph)
             return pg1, pg2
 
+        def record_delete(pg, v, outer):
+            part = delete(pg, v, outer)
+            if _is_ear(pg, v):
+                pieces.append(part.graph)
+            return part
+
         monkeypatch.setattr(coloring, "induced_pair_graph", record_build)
         monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
         monkeypatch.setattr(solvers, "_split", record_split)
+        monkeypatch.setattr(solvers, "delete_vertex", record_delete)
         splits = 0
         for pg, h, f in _split_instances():
             built.clear()
