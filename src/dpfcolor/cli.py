@@ -24,7 +24,6 @@ from .formats import (
     emit_budget,
     emit_coloring,
     emit_cover,
-    emit_graph,
     emit_order,
     emit_plane,
     parse_budget,

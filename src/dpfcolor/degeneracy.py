@@ -16,14 +16,15 @@ same choice a fresh scan of all live elements would make, and the default
 elimination costs O((n + m) log n) instead of a sort per step.
 
 The exact solver tests orderability millions of times on small pair graphs,
-so `_orderable` keeps a bitmask form of the same loop that answers only
+so `_orderable_with` keeps a bitmask form of the same loop that answers only
 whether an order exists.  It runs on the masks of the solver's whole
 candidate pair graph, built once per search, restricted to the pairs whose
 bits are set in `alive`: a pair's degree is its mask's popcount within
 `alive`, and pairs outside `alive` are never read.  The search only ever
-adds one pair to a set it already found orderable, so it asks
-`_orderable_with`, which stops as soon as the added pair is removable;
-`_orderable`, the whole elimination, is the reference it is tested against.
+adds one pair to a set it already found orderable, so `_orderable_with`
+stops as soon as the added pair is removable.  The whole bitmask
+elimination it is tested against lives with the test oracles
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -117,23 +118,6 @@ def eliminate_with_prefix(pg: PairGraph, prefix: Iterable[Pair]) -> Order | None
     a prefix-first order exists.
     """
     return _eliminate(pg, prefix=frozenset(pg.index[p] for p in prefix))
-
-
-def _orderable(masks: list[int], budgets: list[int], alive: int) -> bool:
-    """Greedy elimination on a bitmask pair graph; True iff fully reducible."""
-    while alive:
-        progressed = False
-        m = alive
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if (masks[i] & alive).bit_count() < budgets[i]:
-                alive ^= 1 << i
-                progressed = True
-        if not progressed:
-            return False
-    return True
 
 
 def _orderable_with(masks: list[int], budgets: list[int], alive: int, k: int) -> bool:

@@ -42,7 +42,7 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
     """Graph, rotation lines and outer line of a graph or (with `plane`) plane graph file.
 
     Every edge line is checked here, so the graph is built unchecked; the
-    rotations are left to `PlaneGraph`.
+    rotations and the outer walk are left to `PlaneGraph`.
     """
     n = None
     adj: dict[int, set[int]] = {}  # rows of vertices with an edge so far

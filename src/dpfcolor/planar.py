@@ -37,14 +37,22 @@ class PlaneGraph:
 
     def __init__(self, graph: SimpleGraph, rotation: Mapping[int, Iterable[int]],
                  outer: Iterable[int]):
+        adj = graph.adj
         rot = {v: tuple(rotation.get(v, ())) for v in graph.vertices}
         for v in graph.vertices:
-            if len(rot[v]) != len(set(rot[v])) or set(rot[v]) != graph.adj[v]:
+            if len(rot[v]) != len(set(rot[v])) or set(rot[v]) != adj[v]:
                 raise InvalidEmbedding(
                     f"rotation at {v} is not a permutation of its neighbors")
+        for v in rotation:
+            if v not in adj:
+                raise InvalidEmbedding(f"rotation given at {v}, which is not a vertex")
+        outer = tuple(outer)
+        for v in outer:
+            if v not in adj:
+                raise InvalidEmbedding(f"outer walk names {v}, which is not a vertex")
         self.graph = graph
         self.rotation = rot
-        self.outer = tuple(outer)
+        self.outer = outer
 
     @property
     def n(self) -> int:

@@ -16,7 +16,9 @@ wait on an explicit work stack, so its depth costs heap, not Python stack.
 Each step pays only for its own piece: a chord split builds piece 2's
 pair graph once and both orders and checks piece 2 on it, a chord that
 cuts off a bare triangle colors the triangle's third vertex in place, and
-a fan step renames only the matchings at the vertices it renames.
+a fan step renames colors in a table of names, not in the cover.  So every
+step reads the caller's cover and a budget in input colors, and returns
+input colors: nothing is copied to be renamed or translated back.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from .covers import (
     Order,
     PairGraph,
     complete_permutation,
-    invert_permutations,
-    relabel_coloring,
-    relabel_order,
 )
 from .cycles import FamilyA, check_family
 from .degeneracy import (
@@ -52,7 +51,6 @@ from .errors import (
     InternalInvariantViolated,
     InvalidPrecoloring,
     LimitExceeded,
-    NoColorAvailable,
     NotInFamily,
     TheoremViolation,
 )
@@ -206,10 +204,6 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     """
     g = pg.graph
     _check_budget(g, h, f, 5)
-    if f.s < h.s:
-        # Fan steps rename colors by bijections of the cover's 1..s; colors
-        # the budget does not index carry 0, so widen it to the cover's s.
-        f = Budget._trusted(h.s, f.cap, f._rows)
     if not g.is_connected():
         raise BadBudget("graph must be connected")
     if g.n <= 2:
@@ -230,11 +224,7 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     a = min(i for i in sorted(h.list_of(v1)) if f.get(v1, i) >= 1)
     res_p = residual_at(g, h, f, {v1: a}, vp)
     b = min(i for i in sorted(res_p) if i in h.list_of(vp))
-    # Fan steps relabel the cover through its index of matched edges by
-    # endpoint, built on first use; a copy sharing the input's tables keeps
-    # that index, so the caller's cover is left as it was.
-    result, order = _extend(tpg, Cover._trusted(h.s, h.lists, h._matchings), f,
-                            ((v1, a), (vp, b)))
+    result, order = _extend(tpg, h, f, ((v1, a), (vp, b)))
 
     if not order_is_valid(induced_pair_graph(g, h, f, result), order):
         raise InternalInvariantViolated("planar construction produced an invalid order")
@@ -252,7 +242,7 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
     wait on an explicit work stack, so the Python stack stays flat however
     deep the construction goes.
     """
-    stack = [_step(pg, h, f, pre)]
+    stack = [_step(pg, h, f, pre, {})]
     solved = None
     while stack:
         try:
@@ -267,15 +257,22 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
 
 
 def _step(pg: PlaneGraph, h: Cover, f: Budget,
-          pre: tuple[tuple[int, int], tuple[int, int]]):
+          pre: tuple[tuple[int, int], tuple[int, int]], names: dict[int, dict[int, int]]):
     """One frame of `_extend`: a base triangle, a chord split or a fan step.
 
     A split frame solves piece 1, orients piece 2 by the order of the chord
     ends in piece 1's witness and solves it, re-orders piece 2 so that the
     chord pairs head it, and concatenates.  A fan frame solves the instance
     without the pivot v2 and reinserts v2.  Each frame returns a valid order
-    of its own piece under its own cover and budget, and checks only what it
-    built itself; its children have checked the rest.
+    of its own piece under the input cover and its own budget, in input
+    colors, and checks only what it built itself; its children have checked
+    the rest.
+
+    `names` maps a vertex to {input color: name}; a vertex it lacks names
+    each color by itself.  Fan steps rename colors only there
+    (`_fan_colors`), and every choice the construction makes by the lowest
+    color reads the lowest name, so each frame chooses as it would on a
+    cover renamed by the table.
 
     Most chords cut off a bare triangle, and that side is colored in place
     by the base case's greedy step, never built as a piece or a frame.
@@ -290,22 +287,23 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     2's coloring keeps the chord ends' colors from piece 1, re-orders piece
     2 on that pair graph (`eliminate_with_prefix`), and checks the new
     order on the same pair graph (`_split_valid`, which gives why piece 2
-    alone decides the union).  A fan frame renames colors around v2 with
-    `Cover.relabel`, which rebuilds only the matchings at the renamed
-    vertices, and after reinserting v2 counts earlier matched neighbours
-    over v2's closed neighbourhood only (`_reinsertion_valid`).
+    alone decides the union).  A fan frame takes its child's name table
+    and budget from `_fan_colors`, gives v2 a color by name, and after
+    reinserting v2 counts earlier matched neighbours over v2's closed
+    neighbourhood only (`_reinsertion_valid`).
 
     A suspended frame keeps its locals alive, so a split frame lets go of
     its own piece, and of piece 1, before it yields piece 1: while piece 1
     is solved it holds only piece 2 (or the bare triangle) and the chord
-    ends.
+    ends.  No comprehension here reads a local: that would make the local
+    a cell, which every frame allocates, split frames included.
     """
-    (v1, a), (vp, b) = pre
+    (v1, _), (vp, _) = pre
     g = pg.graph
     outer = pg.outer
 
     if g.n == 3:
-        return _color_third(g, h, f, pre, next(v for v in outer if v not in (v1, vp)))
+        return _color_third(g, h, f, pre, outer[1], names)
 
     chord = find_chord(pg)
     if chord is not None:
@@ -319,7 +317,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         ear = (vp if chord == (0, p - 2) and len(g.adj[vp]) == 2 else
                v1 if chord == (1, p - 1) and len(g.adj[v1]) == 2 else None)
         if ear is not None:
-            r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi)
+            r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi, names)
         if j == i + 2 and len(g.adj[outer[i + 1]]) == 2:
             # Piece 2 is the bare triangle vi x vj: color x after piece 1.
             x = outer[i + 1]
@@ -329,8 +327,8 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
                 # name of this frame keeps it alive while it is solved.
                 rest = [delete_vertex(pg, x, outer[:i + 1] + outer[j:])]
                 del pg, g, outer
-                r1, s1 = yield rest.pop(), h, f, pre
-            r2, s2 = _color_third(triangle, h, f, ((vi, r1[vi]), (vj, r1[vj])), x)
+                r1, s1 = yield rest.pop(), h, f, pre, names
+            r2, s2 = _color_third(triangle, h, f, ((vi, r1[vi]), (vj, r1[vj])), x, names)
             r1[x] = r2[x]
             return r1, s1 + s2[2:]
         if ear is not None:
@@ -339,18 +337,21 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         else:
             pieces = list(_split(pg, chord))
             del pg, g, outer
-            r1, s1 = yield pieces.pop(0), h, f, pre
+            r1, s1 = yield pieces.pop(0), h, f, pre, names
             pg2, = pieces
         # Piece 2's outer walk runs from vi to vj; it must start with
         # whichever of the two comes first in s1.
         first, second = vi, vj
-        if next(v for v, _ in s1 if v == vi or v == vj) == vj:
+        for v, _ in s1:
+            if v == vi or v == vj:
+                break
+        if v == vj:
             first, second = vj, vi
             pg2 = pg2.with_outer(pg2.outer[::-1])
         head = ((first, r1[first]), (second, r1[second]))
-        r2, _ = yield pg2, h, f, head
+        r2, _ = yield pg2, h, f, head, names
         pairs = induced_pair_graph(pg2.graph, h, f, r2)
-        if any(r2[v] != c for v, c in head):  # a child moved a chord end's color
+        if r2[first] != r1[first] or r2[second] != r1[second]:  # a child moved a chord end
             raise InternalInvariantViolated(_SPLIT_FAILED)
         s2p = eliminate_with_prefix(pairs, head)
         if s2p is None:
@@ -367,72 +368,102 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     if fan[0] != v1 or fan[-1] != v3:
         raise InternalInvariantViolated("fan does not run from v1 to v3")
     U = fan[1:-1]
+    names, f_adj, case21, one, two, one3 = _fan_colors(g, h, f, pre, names, v2, U, v3, p)
 
-    res2 = {i: val for i, val in residual_at(g, h, f, {v1: a, vp: b}, v2).items()
+    new_outer = (v1,) + U + outer[2:]
+    r, s_sub = yield delete_vertex(pg, v2, new_outer), h, f_adj, pre, names
+    if s_sub[0] != pre[0] or s_sub[1] != pre[1]:
+        raise InternalInvariantViolated("recursive order lost its precolored prefix")
+
+    r[v2] = t = one if case21 or r.get(v3) != one3 else two
+    if case21 and p > 3:
+        order = s_sub + ((v2, t),)
+    else:
+        order = s_sub[:2] + ((v2, t),) + s_sub[2:]
+    if not _reinsertion_valid(g, h, f, r, order, v2):
+        raise InternalInvariantViolated(
+            f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
+    return r, order
+
+
+def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
+                pre: tuple[tuple[int, int], tuple[int, int]],
+                names: dict[int, dict[int, int]], v2: int, U: tuple[int, ...], v3: int,
+                p: int) -> tuple[dict[int, dict[int, int]], Budget, bool, int, int | None, int]:
+    """The renaming and the budget of a fan step whose pivot is v2, its fan
+    neighbours U and v3, on an outer cycle of length p.
+
+    The construction names colors so that v2's best residual color is 1 (in
+    case 2.2 its next one is 2) and each fan neighbour's color matched to
+    v2's color named k is named k too.  `names` maps v -> {input color:
+    name}; a vertex it lacks names each color by itself.  Every choice
+    reads names where a renamed cover would read labels: ties go to the
+    lowest name, as on that cover.
+
+    Returns the child's name table (this one with the entries of U and v3
+    renamed and v2's dropped), the child's budget (U's positive entries at
+    the colors named 1, and in case 2.2 also 2, lowered), whether the step
+    is case 2.1, v2's colors now named 1 and 2 (the second None in case
+    2.1) and v3's color now named 1.
+    """
+    s = h.s
+    at2 = _names_at(names, v2, s)
+    res2 = {i: val for i, val in residual_at(g, h, f, dict(pre), v2).items()
             if i in h.list_of(v2)}
     if not res2:
         raise InternalInvariantViolated("fan pivot has no residual color")
     best = max(res2.values())
-    cstar = min(i for i, val in res2.items() if val == best)
+    cstar = min((i for i, val in res2.items() if val == best), key=at2.get)
     case21 = (p == 3) or (best >= 2)
-    swap = {cstar: 1}
+    swap = {at2[cstar]: 1}
+    second = None
     if not case21:
-        others = sorted(i for i, val in res2.items() if i != cstar)
+        others = [i for i in res2 if i != cstar]
         if not others:
             raise InternalInvariantViolated("fan pivot lacks a second residual color")
-        swap[others[0]] = 2
-    sigma = complete_permutation(swap, h.s)
+        second = min(others, key=at2.get)
+        swap[at2[second]] = 2
+    sigma = complete_permutation(swap, s)
+    at2 = {i: sigma[k] for i, k in at2.items()}
 
-    # Rename each fan neighbor's fiber so its matching with v2 pairs equal
-    # color indices; v1 and vp keep their labels unless they sit on the fan.
-    perms = {v2: sigma}
-    for u in list(U) + [v3]:
-        aligned = {cu: sigma[c2] for (c2, cu) in h.matching(v2, u)}
-        perms[u] = complete_permutation(aligned, h.s)
-    h2 = h.relabel(perms)
-    f2 = f.relabel(perms)
-    b2 = perms[vp][b] if vp in perms else b
-    pre2 = ((v1, a), (vp, b2))
+    # Rename each fan neighbour's fiber so that its matching with v2 pairs
+    # equal names; v1 and vp keep theirs unless they sit on the fan.
+    child = dict(names)
+    child.pop(v2, None)
+    for u in (*U, v3):
+        at = _names_at(names, u, s)
+        aligned = {at[cu]: at2[c2] for c2, cu in h.matching(v2, u)}
+        perm = complete_permutation(aligned, s)
+        child[u] = {i: perm[k] for i, k in at.items()}
 
+    lowered = (1,) if case21 else (1, 2)
     updates: dict[tuple[int, int], int] = {}
-    if case21:
-        for u in U:
-            updates[(u, 1)] = 0
-    else:
-        for u in U:
-            updates[(u, 1)] = max(0, f2.get(u, 1) - 1)
-            updates[(u, 2)] = max(0, f2.get(u, 2) - 1)
-    f_adj = f2.assign(updates)
+    for u in U:
+        for i, k in child[u].items():
+            if k in lowered and (val := f.get(u, i)):
+                updates[(u, i)] = 0 if case21 else val - 1
+    one3 = next(i for i, k in child[v3].items() if k == 1)
+    return child, f.assign(updates), case21, cstar, second, one3
 
-    new_outer = (v1,) + tuple(U) + outer[2:]
-    r_sub, s_sub = yield delete_vertex(pg, v2, new_outer), h2, f_adj, pre2
-    if s_sub[0] != pre2[0] or s_sub[1] != pre2[1]:
-        raise InternalInvariantViolated("recursive order lost its precolored prefix")
 
-    t = 1 if case21 or r_sub.get(v3) != 1 else 2
-    if case21 and p > 3:
-        order2 = s_sub + ((v2, t),)
-    else:
-        order2 = s_sub[:2] + ((v2, t),) + s_sub[2:]
-    r_full = dict(r_sub)
-    r_full[v2] = t
-
-    if not _reinsertion_valid(g, h2, f2, r_full, order2, v2):
-        raise InternalInvariantViolated(
-            f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
-    inv = invert_permutations(perms)
-    return relabel_coloring(r_full, inv), relabel_order(order2, inv)
+def _names_at(names: dict[int, dict[int, int]], v: int, s: int) -> dict[int, int]:
+    """v's row of a name table: {input color: name} over 1..s."""
+    return names.get(v) or {i: i for i in range(1, s + 1)}
 
 
 def _color_third(g: SimpleGraph, h: Cover, f: Budget,
                  pre: tuple[tuple[int, int], tuple[int, int]],
-                 v: int) -> tuple[dict[int, int], Order]:
+                 v: int, names: dict[int, dict[int, int]]) -> tuple[dict[int, int], Order]:
     """The base case: color v, adjacent to both precolored vertices of `pre`,
-    greedily after them.  g need only hold v's row."""
-    try:
-        return greedy_extend(g, h, f, dict(pre), pre, v)
-    except NoColorAvailable as exc:
-        raise InternalInvariantViolated(f"base case failed: {exc}") from exc
+    after them with its lowest-named residual color of its list.  The pair
+    keeps the order valid, since its earlier matched neighbours are exactly
+    the ones the residual discounts.  g need only hold v's row."""
+    r = dict(pre)
+    choices = [i for i in residual_at(g, h, f, r, v) if i in h.list_of(v)]
+    if not choices:
+        raise InternalInvariantViolated(f"base case failed: no residual color for vertex {v}")
+    r[v] = c = min(choices, key=names[v].get) if v in names else min(choices)
+    return r, pre + ((v, c),)
 
 
 def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,

@@ -7,6 +7,8 @@ exceptions are earlier forms of library code, kept as references for what
 the current code must return:
 
 - `scan_eliminate`, the elimination loop in its plain quadratic form;
+- `bitmask_orderable`, the whole elimination on a bitmask pair graph,
+  which `degeneracy._orderable_with` must answer as;
 - `flood_split_on_chord` and `flood_find_separating_triangle`, which find
   the sides of a cycle by flooding faces and build their pieces through
   the validating constructors;
@@ -19,8 +21,6 @@ the current code must return:
 - `scan_find_chord`, which tries every pair of outer positions;
 - `whole_graph_reinsertion_check`, which checks a fan step's reinsertion
   on the pair graph of the whole piece;
-- `definition_relabel`, which renames every list and every matching of a
-  cover and builds the result through `Cover(...)`;
 - `token_read_graph`, `token_parse_cover`, `token_parse_budget` and
   `token_parse_coloring`, the parsers that read lines through a generator
   and convert every token by its own checked call.
@@ -77,6 +77,24 @@ def order_exists_by_prefix_search(masks: list[int], budgets: list[int]) -> bool:
         return False
 
     return rec(0)
+
+
+def bitmask_orderable(masks: list[int], budgets: list[int], alive: int) -> bool:
+    """Greedy elimination on a bitmask pair graph restricted to `alive`;
+    True iff fully reducible."""
+    while alive:
+        progressed = False
+        m = alive
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            if (masks[i] & alive).bit_count() < budgets[i]:
+                alive ^= 1 << i
+                progressed = True
+        if not progressed:
+            return False
+    return True
 
 
 def prefix_order_exists_by_permutations(pg: PairGraph, prefix_idx: set[int]) -> bool:
@@ -557,19 +575,6 @@ def whole_graph_reinsertion_check(g: SimpleGraph, h: Cover, f: Budget, r, order)
     from dpfcolor.degeneracy import order_is_valid
 
     return order_is_valid(induced_pair_graph(g, h, f, r), order)
-
-
-def definition_relabel(h: Cover, perms) -> Cover:
-    """`h.relabel(perms)` by its definition: every list and every matched
-    pair of the cover renamed, colors a renaming does not map keeping their
-    labels, and the result built through the validating constructor."""
-    def rename(v, c):
-        return perms[v].get(c, c) if v in perms else c
-
-    lists = {v: [rename(v, c) for c in cs] for v, cs in h.lists.items()}
-    matchings = {(u, v): [(rename(u, cu), rename(v, cv)) for cu, cv in pairs]
-                 for (u, v), pairs in h.matching_items()}
-    return Cover(h.s, lists, matchings)
 
 
 def _token_lines(text: str):

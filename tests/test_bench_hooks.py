@@ -7,6 +7,7 @@ renames one of them would only show when the benchmark runs with
 workloads' outputs must keep the digests `perfbench/notes.json` records.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -19,6 +20,7 @@ import dpfcolor
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "dpfcolor"
 
 
 def _tracing():
@@ -47,6 +49,47 @@ def test_every_traced_name_resolves():
     assert len(names) > 40
     assert missing == []
 
+
+
+def _unused_imports(tree: ast.Module, module: str, patched: set[tuple[str, str]]) -> list[str]:
+    """The names the module imports that it neither reads, nor lists in
+    `__all__`, nor leaves for the tracer to patch under its own name."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        unused += [f"{module}.{name}" for name in names
+                   if name not in read and name not in exported and (module, name) not in patched]
+    return unused
+
+
+def test_every_import_is_used():
+    """No linter runs here, so this is the unused-import check: every name a
+    module of the package imports is read there, exported through
+    `__all__`, or patched by the tracer under that module's name."""
+    tracing = _tracing()
+    patched = {(owner, attr) for owner, attr, _ in tracing.SPANS + tracing.COUNTS}
+    patched |= set(tracing.DEPTH_ONLY)
+    sample = ast.parse("import os\nfrom m import a, b as c\nprint(a)\n")
+    assert _unused_imports(sample, "m", set()) == ["m.os", "m.c"]
+    assert _unused_imports(sample, "m", {("m", "os"), ("m", "c")}) == []
+    unused, modules = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        module = "dpfcolor" if path.stem == "__init__" else f"dpfcolor.{path.stem}"
+        unused += _unused_imports(ast.parse(path.read_text(encoding="utf-8")), module, patched)
+        modules += 1
+    assert modules > 10
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", ["planar_fan", "planar_chord"])

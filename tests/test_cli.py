@@ -85,6 +85,29 @@ class TestVerify:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("command", ["verify", "solve-planar"])
+    @pytest.mark.parametrize("tail, message", [
+        ("rot 7 1 2\nouter 0 1 2\n", "rotation given at 7, which is not a vertex"),
+        ("outer 0 1 9\n", "outer walk names 9, which is not a vertex"),
+    ], ids=["rotation-key", "outer-vertex"])
+    def test_plane_file_naming_a_missing_vertex_exits_two(self, tmp_path, capsys, command,
+                                                          tail, message):
+        g = complete_graph(3)
+        lists = {v: {1, 2, 3, 4, 5} for v in g.vertices}
+        plane = emit_graph(g) + "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\n" + tail
+        files = [("graph" if command == "verify" else "plane", plane),
+                 ("cover", emit_cover(identity_cover(g, lists))),
+                 ("budget", emit_budget(budget_list(lists)))]
+        if command == "verify":
+            files.append(("coloring", emit_coloring({0: 1, 1: 2, 2: 3})))
+        argv = [command, "--json"]
+        for name, text in files:
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+            argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [f"InvalidEmbedding: {message}"]
+
     def test_coloring_of_a_vertex_not_in_the_graph_exits_two(self, tmp_path, capsys):
         g = complete_graph(3)
         lists = {v: {1, 2, 3} for v in g.vertices}

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpfcolor import PairGraph, order_is_valid, strictly_degenerate_order
-from dpfcolor.degeneracy import _orderable, _orderable_with, eliminate_with_prefix
+from dpfcolor.degeneracy import _orderable_with, eliminate_with_prefix
 
 from oracles import (
+    bitmask_orderable,
     order_exists_by_permutations,
     order_exists_by_prefix_search,
     pair_graph_bits,
@@ -227,7 +228,7 @@ def test_order_exists_iff_max_core_below_uniform_budget():
 
 def test_orderable_with_one_more_pair_matches_full_elimination():
     """`_orderable_with(masks, budgets, alive, k)`, for an orderable `alive`,
-    answers as the full elimination `_orderable` on alive | 1 << k, on
+    answers as the full elimination `bitmask_orderable` on alive | 1 << k, on
     seeded random bitmask pair graphs and k inside and outside `alive`."""
     rng = random.Random(505)
     verdicts = Counter()
@@ -236,10 +237,11 @@ def test_orderable_with_one_more_pair_matches_full_elimination():
         n = len(masks)
         for _ in range(6):
             alive = sum(1 << i for i in range(n) if rng.random() < rng.random())
-            if not _orderable(masks, budgets, alive):
+            if not bitmask_orderable(masks, budgets, alive):
                 continue
             for k in range(n):
                 got = _orderable_with(masks, budgets, alive, k)
-                assert got == _orderable(masks, budgets, alive | 1 << k), (masks, budgets, alive, k)
+                assert got == bitmask_orderable(masks, budgets, alive | 1 << k), (
+                    masks, budgets, alive, k)
                 verdicts[got, bool(alive >> k & 1)] += 1
     assert min(verdicts[True, False], verdicts[False, False], verdicts[True, True]) > 500, verdicts

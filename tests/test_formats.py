@@ -252,6 +252,22 @@ def test_parse_error_line_and_message(parse, text, line, message):
     assert str(exc.value) == f"line {line}: {message}"
 
 
+# Plane files that parse but name a vertex the graph lacks: the embedding
+# rejects them instead of dropping the line.
+TRIANGLE_ROTATIONS = "graph 3\nedge 0 1\nedge 1 2\nedge 0 2\nrot 0 1 2\nrot 1 2 0\nrot 2 0 1\n"
+EMBEDDING_ERRORS = [
+    (TRIANGLE_ROTATIONS + "rot 7 1 2\nouter 0 1 2\n", "rotation given at 7, which is not a vertex"),
+    (TRIANGLE_ROTATIONS + "outer 0 1 9\n", "outer walk names 9, which is not a vertex"),
+]
+
+
+@pytest.mark.parametrize("text,message", EMBEDDING_ERRORS, ids=["rotation-key", "outer-vertex"])
+def test_plane_file_naming_a_missing_vertex_is_rejected(text, message):
+    with pytest.raises(InvalidEmbedding, match=f"^{message}$"):
+        parse_plane(text)
+    assert parse_plane(TRIANGLE_ROTATIONS + "outer 0 1 2\n").outer == (0, 1, 2)
+
+
 def _graph_tables(g: SimpleGraph):
     assert type(g.vertices) is tuple and type(g.edges) is frozenset
     assert all(type(ns) is frozenset for ns in g.adj.values())

@@ -71,6 +71,16 @@ class TestFaces:
         with pytest.raises(InvalidEmbedding):
             PlaneGraph(g, {0: (1,), 1: (2, 0), 2: (0, 1)}, (0, 1, 2))
 
+    @pytest.mark.parametrize("rotation, outer, message", [
+        ({0: (1, 2), 1: (2, 0), 2: (0, 1), 7: (1, 2)}, (0, 1, 2),
+         "rotation given at 7, which is not a vertex"),
+        ({0: (1, 2), 1: (2, 0), 2: (0, 1)}, (0, 1, 9), "outer walk names 9, which is not a vertex"),
+    ], ids=["rotation-key", "outer-vertex"])
+    def test_embedding_names_only_vertices_of_the_graph(self, rotation, outer, message):
+        g = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(InvalidEmbedding, match=f"^{message}$"):
+            PlaneGraph(g, rotation, outer)
+
     def test_disconnected_rejected(self):
         g = SimpleGraph(4, [(0, 1), (2, 3)])
         pg = PlaneGraph(g, {0: (1,), 1: (0,), 2: (3,), 3: (2,)}, (0, 1))

@@ -38,7 +38,6 @@ from dpfcolor.planar import delete_vertex, fan_neighbors
 
 from oracles import (
     coloring_exists_by_enumeration,
-    definition_relabel,
     grid,
     polygon,
     random_graph,
@@ -597,17 +596,22 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
     import dpfcolor.solvers as solvers
 
     _, calls = _record_checks(monkeypatch)
-    assign, delete = Budget.assign, solvers.delete_vertex
+    assign, delete, fan_colors = Budget.assign, solvers.delete_vertex, solvers._fan_colors
     fault = {}
 
     def lower_all_but_one(self, updates):
         fault["calls"] = fault.get("calls", 0) + 1
         lowered = sorted(key for key, val in updates.items() if val < self.get(*key))
         if fault["calls"] == step + 1 and lowered:
-            kept = rng.choice(lowered)
-            fault["case21"] = all(i == 1 for _, i in updates)
+            fault["kept"] = kept = rng.choice(lowered)
             updates = {key: val for key, val in updates.items() if key != kept}
         return assign(self, updates)
+
+    def note_case(*args):
+        out = fan_colors(*args)
+        if "kept" in fault and "case21" not in fault:
+            fault["case21"] = out[2]
+        return out
 
     def note_pivot(pg, v, outer):
         if "case21" in fault and "pivot" not in fault:
@@ -615,6 +619,7 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
         return delete(pg, v, outer)
 
     monkeypatch.setattr(Budget, "assign", lower_all_but_one)
+    monkeypatch.setattr(solvers, "_fan_colors", note_case)
     monkeypatch.setattr(solvers, "delete_vertex", note_pivot)
     try:
         solve_planar_dpg52(pg, h, f)
@@ -678,77 +683,41 @@ class TestLocalReinsertionCheck:
         assert solve_planar_dpg52(pg, h, f)  # the same instance solves without the fault
 
 
-class _WalkCountingTable(dict):
-    """A matching table that counts the Python-level walks over it: `for`
-    loops, `items()` and `values()`.  `dict(table)` reads a dict subclass
-    with its own `__iter__` through `keys()`, which is left uncounted: that
-    is the plain copy each relabel makes of the table it renames in."""
+class TestFanNames:
+    """A fan step renames colors in a table of names, not in the cover:
+    every frame reads the caller's cover and returns input colors."""
 
-    walks = [0]
+    def test_frames_read_the_input_cover_and_return_input_colors(self, monkeypatch):
+        import dpfcolor.solvers as solvers
 
-    def __iter__(self):
-        self.walks[0] += 1
-        return super().__iter__()
+        step, fan_colors = solvers._step, solvers._fan_colors
+        covers, colorings, fan_steps = [], [], []
 
-    def items(self):
-        self.walks[0] += 1
-        return super().items()
+        def record_step(pg, h, f, pre, names):
+            covers.append(h)
+            r, order = yield from step(pg, h, f, pre, names)
+            colorings.append(dict(r))
+            return r, order
 
-    def values(self):
-        self.walks[0] += 1
-        return super().values()
+        def count_fan_step(g, h, f, pre, names, v2, *rest):
+            fan_steps.append(v2)
+            return fan_colors(g, h, f, pre, names, v2, *rest)
 
-
-def _record_relabels(monkeypatch):
-    """Record the input and output of every `Cover.relabel`."""
-    relabel, calls = Cover.relabel, []
-
-    def record(h, perms):
-        out = relabel(h, perms)
-        calls.append((h, perms, out))
-        return out
-
-    monkeypatch.setattr(Cover, "relabel", record)
-    return calls
-
-
-class TestLocalFanRelabel:
-    """A fan step renames only the matchings at the vertices it renames,
-    found through the cover's index of matched edges by endpoint, which a
-    relabeled cover inherits."""
-
-    def test_each_fan_relabel_equals_the_definition(self, monkeypatch):
-        calls = _record_relabels(monkeypatch)
+        monkeypatch.setattr(solvers, "_step", record_step)
+        monkeypatch.setattr(solvers, "_fan_colors", count_fan_step)
         for pg, h, f in _fan_instances():
+            lists, rows = dict(h.lists), {v: dict(row) for v, row in f._rows.items()}
+            matchings = {e: dict(m) for e, m in h._matchings.items()}
+            covers.clear()
+            colorings.clear()
             solve_planar_dpg52(pg, h, f)
-        for h, perms, out in calls:
-            assert out == definition_relabel(h, perms)
-            fresh = Cover._trusted(out.s, out.lists, dict(out._matchings))._edges_at()
-            assert {v: set(es) for v, es in out._edges_at().items()} == {
-                v: set(es) for v, es in fresh.items()}
-        assert len(calls) > 100
-
-    def test_one_solve_walks_the_matching_table_at_most_once(self, monkeypatch):
-        trusted = Cover._trusted.__func__
-
-        def counting(cls, s, lists, matchings, *rest):
-            if not isinstance(matchings, _WalkCountingTable):
-                matchings = _WalkCountingTable(matchings)
-            return trusted(cls, s, lists, matchings, *rest)
-
-        monkeypatch.setattr(Cover, "_trusted", classmethod(counting))
-        calls = _record_relabels(monkeypatch)
-        fan_steps = []
-        for pg, h, f in _fan_instances():
-            h = Cover._trusted(h.s, h.lists, h._matchings)
-            before = dict(h._matchings)
-            calls.clear()
-            _WalkCountingTable.walks[0] = 0
-            solve_planar_dpg52(pg, h, f)
-            assert _WalkCountingTable.walks[0] <= 1, (len(calls), _WalkCountingTable.walks)
-            assert h._at is None and dict(h._matchings) == before  # the caller's cover
-            fan_steps.append(len(calls))
-        assert max(fan_steps) > 20 and sum(fan_steps) > 100, fan_steps
+            assert covers and all(seen is h for seen in covers)
+            assert h.lists == lists and h._matchings == matchings and f._rows == rows
+            assert len(colorings) == len(covers)
+            for r in colorings:
+                bad = {v: c for v, c in r.items() if c not in h.list_of(v)}
+                assert not bad, bad
+        assert len(fan_steps) > 100
 
 
 def _split_instances():
@@ -778,12 +747,12 @@ def _record_splits(monkeypatch):
     each pair graph is traced back to its piece's graph.  Piece 2 comes from
     `_split`, or from `delete_vertex` when piece 1 is the bare triangle at
     an end of the outer walk; that triangle is solved in place by
-    `greedy_extend` on the parent's graph.  The tables are keyed by id and
+    `_color_third` on the parent's graph.  The tables are keyed by id and
     keep every keyed object alive, so no id is reused."""
     import dpfcolor.solvers as solvers
 
     split, step, check = solvers._split, solvers._step, solvers._split_valid
-    build, delete, greedy = solvers.induced_pair_graph, solvers.delete_vertex, solvers.greedy_extend
+    build, delete, third = solvers.induced_pair_graph, solvers.delete_vertex, solvers._color_third
     parents, graphs, results, colored, calls = {}, {}, {}, {}, []
 
     def record_split(pg, chord):
@@ -798,8 +767,8 @@ def _record_splits(monkeypatch):
             parents[id(part.graph)] = part.graph, pg.graph, lambda: solved
         return part
 
-    def record_greedy(g, h, f, partial, order, v):
-        result = greedy(g, h, f, partial, order, v)
+    def record_third(g, h, f, pre, v, names):
+        result = third(g, h, f, pre, v, names)
         colored[id(g)] = g, result
         return result
 
@@ -808,8 +777,8 @@ def _record_splits(monkeypatch):
         graphs[id(pairs)] = pairs, g, h, f
         return pairs
 
-    def record_step(pg, h, f, pre):
-        result = yield from step(pg, h, f, pre)
+    def record_step(pg, h, f, pre, names):
+        result = yield from step(pg, h, f, pre, names)
         results[id(pg)] = pg, result
         return result
 
@@ -823,7 +792,7 @@ def _record_splits(monkeypatch):
 
     monkeypatch.setattr(solvers, "_split", record_split)
     monkeypatch.setattr(solvers, "delete_vertex", record_delete)
-    monkeypatch.setattr(solvers, "greedy_extend", record_greedy)
+    monkeypatch.setattr(solvers, "_color_third", record_third)
     monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
     monkeypatch.setattr(solvers, "_step", record_step)
     monkeypatch.setattr(solvers, "_split_valid", record_check)
@@ -966,8 +935,8 @@ class TestLocalSplitCheck:
             second_pieces[id(pg2.graph)] = pg2.graph
             return pg1, pg2
 
-        def move_a_chord_end(pg, h, f, pre):
-            r, order = yield from step(pg, h, f, pre)
+        def move_a_chord_end(pg, h, f, pre, names):
+            r, order = yield from step(pg, h, f, pre, names)
             if not moved and id(pg.graph) in second_pieces:
                 v, c = pre[0]
                 r = {**r, v: min(h.list_of(v) - {c})}
