@@ -32,21 +32,33 @@ records its process's peak resident set size, and how many full (gen-2)
 collections the cyclic garbage collector made during the timed calls, as
 a delta of `gc.get_stats()`.
 
+On a shared host the speed of a core drifts by up to a factor of two, so
+a ladder file compared with one written at another time would report that
+drift as change.  Each case therefore times `perfbench/run.py`'s
+calibration loop (`Speedometer`) CALIBRATION_SAMPLES times just before and
+just after its operation and records `scaled_ms`, its time rescaled to the
+calibration's reference speed by the mean of the two medians, beside the
+wall time `total_ms`.  One 1.4 ms sample a side proved too noisy: on
+four of the six verify rungs it left the scaled times spread wider across
+runs than the wall times.  The growth fits and the printed change use
+`scaled_ms` wherever every case compared has it.
+
 The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
-     vertices, seed, total_ms, gen2_collections, peak_rss_mb}
+     vertices, seed, total_ms, scaled_ms, gen2_collections, peak_rss_mb}
      (op "exact" adds nodes, backtracks and nodes_per_s)
      or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
-slope of log(total_ms) against log(vertices) over the successful cases of a
+slope of log(scaled_ms) against log(vertices) over the successful cases of a
 shape (op "solve") or of one of the other ops; rss_growth is the
 same slope for log(peak_rss_mb), which includes the interpreter's own few
 tens of MB and so reads low on the small rungs.  Files written before
-the verify rungs have cases without "op"; they count as "solve".  The
+the verify rungs have cases without "op"; they count as "solve", and
+files written before the calibration have no `scaled_ms`.  The
 script then prints the change against the other `BENCH_*.json` in that
 directory with the latest `written` time.  It needs only the standard
 library.
@@ -63,6 +75,7 @@ import math
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -72,6 +85,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 from perfbench import shapes  # noqa: E402
+from perfbench.run import Speedometer  # noqa: E402
 from perfbench.tracing import slope  # noqa: E402
 
 SHAPES = ("stacked", "polygon", "fanned", "grid")
@@ -81,6 +95,7 @@ VERIFY_SIZES = (4000, 16000, 64000)
 EXACT_SIZES = (32, 64, 128, 256)
 SEED = 1
 TIMEOUT_S = 600
+CALIBRATION_SAMPLES = 25
 MEMORY_CAP_BYTES = 3 << 30
 
 
@@ -122,6 +137,12 @@ def stacking_coloring(g, h, f) -> dict[int, int]:
                     if sum(1 for u in g.adj[v] if u in r and h.matched(v, c, u, r[u]))
                     < f.get(v, c))
     return r
+
+
+def calibration_s(speed: Speedometer) -> float:
+    """Median time of CALIBRATION_SAMPLES calibration loops run now."""
+    return statistics.median(speed.samples[speed.sample()]
+                             for _ in range(CALIBRATION_SAMPLES))
 
 
 class Span:
@@ -199,10 +220,14 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
     f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
     case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
+    speed = Speedometer()  # its first sample warms the calibration loop up
+    before = calibration_s(speed)
     t0 = time.perf_counter()
     try:
         span = OPS[op](dp, pg, h, f)
+        scale = 2 * speed.REFERENCE_S / (before + calibration_s(speed))
         case["total_ms"] = round(span.seconds * 1e3, 1)
+        case["scaled_ms"] = round(span.seconds * 1e3 * scale, 1)
         case["gen2_collections"] = span.gen2
         case.update(getattr(span, "counters", {}))
     except Exception as exc:  # MemoryError included: it is a result here
@@ -240,9 +265,16 @@ def git_state(src: Path) -> tuple[str, bool]:
 
 
 def describe(case: dict) -> str:
+    if "scaled_ms" in case:
+        return f"{case['total_ms']:.0f} ms ({case['scaled_ms']:.0f} scaled)"
     if "total_ms" in case:
         return f"{case['total_ms']:.0f} ms"
     return case["error"].split(":")[0]
+
+
+def time_key(*cases: dict) -> str:
+    """The time to compare cases by: scaled_ms if every one has it."""
+    return "scaled_ms" if all("scaled_ms" in c for c in cases) else "total_ms"
 
 
 def describe_memory(case: dict) -> str:
@@ -284,9 +316,10 @@ def print_delta(old: dict, new: dict) -> None:
         if prev is None:
             print(line + f"(new) {describe(case)} {describe_memory(case)}")
             continue
-        line += f"{describe(prev):>16} -> {describe(case):<16}"
+        line += f"{describe(prev):>24} -> {describe(case):<24}"
         if "total_ms" in case and "total_ms" in prev:
-            line += f" ({case['total_ms'] / prev['total_ms']:.2f} of the time)"
+            key = time_key(case, prev)
+            line += f" ({case[key] / prev[key]:.2f} of the {key[:-3]} time)"
         if "peak_rss_mb" in case or "peak_rss_mb" in prev:
             line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         if "gen2_collections" in case:
@@ -297,6 +330,18 @@ def print_delta(old: dict, new: dict) -> None:
     for name, exp in new["growth"].items():
         print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
               f"  rss {old.get('rss_growth', {}).get(name)} -> {new['rss_growth'][name]}")
+
+
+def fits(cases: list[dict]) -> tuple[dict, dict]:
+    """Time and RSS growth exponents of each shape's and each other op's
+    successful cases."""
+    growth, rss_growth = {}, {}
+    for name in SHAPES + VERIFY_OPS + ("exact",):
+        done = [c for c in cases if series(c) == name and "total_ms" in c]
+        for table, key in ((growth, time_key(*done)), (rss_growth, "peak_rss_mb")):
+            points = [(c["vertices"], c[key]) for c in done]
+            table[name] = round(slope(points), 3) if len(points) > 1 else None
+    return growth, rss_growth
 
 
 def main(argv=None) -> int:
@@ -325,12 +370,7 @@ def main(argv=None) -> int:
         print(f"{case_name(case)} {describe(case)} {describe_memory(case)} {describe_gc(case)}"
               f" {describe_search(case)}", flush=True)
         cases.append(case)
-    growth, rss_growth = {}, {}
-    for name in SHAPES + VERIFY_OPS + ("exact",):
-        done = [c for c in cases if series(c) == name and "total_ms" in c]
-        for table, key in ((growth, "total_ms"), (rss_growth, "peak_rss_mb")):
-            points = [(c["vertices"], c[key]) for c in done]
-            table[name] = round(slope(points), 3) if len(points) > 1 else None
+    growth, rss_growth = fits(cases)
     commit, dirty = git_state(src)
     result = {"label": args.label,
               "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -118,21 +118,34 @@ def residual_at(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring,
     return out
 
 
+def _greedy_color(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
+                  row: dict[int, int] | None = None) -> int | None:
+    """The greedy rule: v's color of its list with positive residual budget
+    after r and the lowest name, or None when it has none.  `row` maps v's
+    input colors to names ({input color: name}); without it each color
+    names itself.  Appending v's pair to a valid order of r's pairs keeps
+    it valid, since the pair's earlier matched neighbours are exactly the
+    ones the residual discounts."""
+    lst = h.list_of(v)
+    return min((i for i in residual_at(g, h, f, r, v) if i in lst),
+               key=row.get if row else None, default=None)
+
+
 def greedy_extend(g: SimpleGraph, h: Cover, f: Budget, partial: Coloring,
                   order: Order, v: int) -> tuple[dict[int, int], Order]:
-    """Color one more vertex greedily and append it to the witness order.
+    """Color one more vertex by the greedy rule (`_greedy_color`) and append
+    it to the witness order.
 
-    Picks the lowest color of v's list with positive residual budget; the
-    extended order stays valid because the new element's earlier matched
-    neighbors are exactly the discounted ones.
+    Raises InvalidInput when v is not a vertex of g and NoColorAvailable
+    when v has no residual color of its list.
     """
+    if v not in g.adj:
+        raise InvalidInput(f"vertex {v} is not in the graph")
     if v in partial:
         raise ValueError(f"vertex {v} is already colored")
-    residual = residual_at(g, h, f, partial, v)
-    choices = sorted(i for i in residual if i in h.list_of(v))
-    if not choices:
+    i = _greedy_color(g, h, f, partial, v)
+    if i is None:
         raise NoColorAvailable(f"no residual color for vertex {v}")
-    i = choices[0]
     extended = dict(partial)
     extended[v] = i
     return extended, order + ((v, i),)

@@ -3,35 +3,26 @@
 Given an ordered vertex list K = v1..vm inside G whose degrees satisfy the
 three conditions checked below, any valid coloring of G - K extends to all
 of G when every vertex has budget total at least k.  The construction
-renames fibers so the matchings of vm toward v1 and v_{m-1} pair equal
-color indices, then either colors greedily through vm or places vm's pair
-at the front of the order.
+names colors, as the planar fan step does, so the matchings of vm toward
+v1 and v_{m-1} pair equal names, then either colors greedily through vm or
+places vm's pair at the front of the order.  The cover, the budgets and
+the coloring stay in input colors.
 """
 
 from __future__ import annotations
 
 from .coloring import (
+    _greedy_color,
     _residuals,
     combine_colorings,
-    greedy_extend,
     induced_pair_graph,
     verify_on_domain,
 )
-from .covers import (
-    Budget,
-    Coloring,
-    Cover,
-    Order,
-    complete_permutation,
-    invert_permutations,
-    relabel_coloring,
-    relabel_order,
-)
+from .covers import Budget, Coloring, Cover, Order, complete_permutation
 from .degeneracy import order_is_valid
 from .errors import (
     BadIndex,
     InternalInvariantViolated,
-    NoColorAvailable,
     NotInduced,
     PreconditionViolated,
 )
@@ -130,7 +121,9 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
     if sum(b1.values()) < 3:
         raise InternalInvariantViolated("residual of v1 dropped below 3")
 
-    # Pick the color where v1 strictly out-budgets vm and rename it to 1.
+    # Pick the color where v1 strictly out-budgets vm and name it 1.  Each
+    # of v1, v_{m-1} and vm gets a name table {input color: name} in which
+    # matched colors share a name, as in the planar fan step.
     c = min(i for i in range(1, h.s + 1) if b1.get(i, 0) > bm.get(i, 0))
     case_two = bm.get(c, 0) >= 1
     swap = {c: 1}
@@ -138,44 +131,29 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
         c2 = min(i for i in bm if i != c)
         swap[c2] = 2
     tau = complete_permutation(swap, h.s)
-
-    perms = {
-        v1: {i: tau[pi1[i]] for i in pi1},
-        vm1: {i: tau[pi2[i]] for i in pi2},
-        vm: tau,
-    }
-    h2 = h.relabel(perms)
-    f2 = f.relabel(perms)
-    f_star2 = f_star.relabel(perms)
+    names = {v1: {i: tau[j] for i, j in pi1.items()},
+             vm1: {i: tau[j] for i, j in pi2.items()},
+             vm: tau}
 
     # Replace vm's residual entries with the trimmed vector.
-    updates = {(vm, i): 0 for i in f_star2.support(vm)}
-    updates.update({(vm, tau[i]): val for i, val in bm.items()})
-    fsub = f_star2.assign(updates)
+    fsub = f_star.assign({(vm, i): bm.get(i, 0) for i in f_star.support(vm)})
 
     gk = g.induced(K)
-    if fsub.get(v1, 1) < 1:
+    one = next(i for i, name in names[v1].items() if name == 1)
+    if fsub.get(v1, one) < 1:
         raise InternalInvariantViolated("color 1 of v1 lost its residual")
-    partial: dict[int, int] = {v1: 1}
-    order: Order = ((v1, 1),)
-    try:
-        for idx in range(1, len(K) - 1):
-            partial, order = greedy_extend(gk, h2, fsub, partial, order, K[idx])
-        if case_two:
-            t = 2 if partial[vm1] != 2 else 1
-            order = ((vm, t),) + order
-            partial[vm] = t
-        else:
-            partial, order = greedy_extend(gk, h2, fsub, partial, order, vm)
-    except NoColorAvailable as exc:
-        raise InternalInvariantViolated(f"greedy step failed: {exc}") from exc
-    if not order_is_valid(induced_pair_graph(gk, h2, fsub, partial), order):
+    partial = {v1: one}
+    order: Order = ((v1, one),)
+    for v in K[1:-1] if case_two else K[1:]:
+        i = _greedy_color(gk, h, fsub, partial, v, names.get(v))
+        if i is None:
+            raise InternalInvariantViolated(f"greedy step failed: no residual color for vertex {v}")
+        partial[v] = i
+        order += ((v, i),)
+    if case_two:
+        t = 2 if names[vm1][partial[vm1]] != 2 else 1
+        partial[vm] = cm = next(i for i, name in tau.items() if name == t)
+        order = ((vm, cm),) + order
+    if not order_is_valid(induced_pair_graph(gk, h, fsub, partial), order):
         raise InternalInvariantViolated("constructed configuration order is invalid")
-
-    union, full_order = combine_colorings(g, h2, f2, r0, s0, partial, order)
-    inv = invert_permutations(perms)
-    result = relabel_coloring(union, inv)
-    result_order = relabel_order(full_order, inv)
-    if not order_is_valid(induced_pair_graph(g, h, f, result), result_order):
-        raise InternalInvariantViolated("final order failed the definition check")
-    return result, result_order
+    return combine_colorings(g, h, f, r0, s0, partial, order)

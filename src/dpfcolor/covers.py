@@ -262,6 +262,9 @@ class PairGraph:
         for p, q in edges:
             if p == q:
                 raise ValueError(f"self-loop at pair {p}")
+            for x in (p, q):
+                if x not in index:
+                    raise ValueError(f"edge at pair {x}, which is not a pair of the graph")
             i, j = index[p], index[q]
             adj[i].add(j)
             adj[j].add(i)
@@ -309,15 +312,3 @@ def complete_permutation(partial: Mapping[int, int], s: int) -> dict[int, int]:
     full.update(zip(free_src, free_tgt))
     return full
 
-
-def invert_permutations(perms: Mapping[int, Mapping[int, int]]) -> dict[int, dict[int, int]]:
-    return {v: {d: c for c, d in p.items()} for v, p in perms.items()}
-
-
-def relabel_coloring(coloring: Coloring,
-                     perms: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
-    return {v: (perms[v][c] if v in perms else c) for v, c in coloring.items()}
-
-
-def relabel_order(order: Order, perms: Mapping[int, Mapping[int, int]]) -> Order:
-    return tuple((v, perms[v][c] if v in perms else c) for v, c in order)

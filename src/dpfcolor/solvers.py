@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from .coloring import (
     _check_precoloring,
+    _greedy_color,
     combine_colorings,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     greedy_extend,
     induced_pair_graph,
@@ -185,11 +186,13 @@ def _check_budget(g: SimpleGraph, h: Cover, f: Budget, total: int) -> None:
         raise BadBudget(f"list-restricted budget total below {total} at {low}")
 
 
-def _greedy_seed(g: SimpleGraph, h: Cover, f: Budget) -> tuple[dict[int, int], Order]:
-    """Greedy coloring for the trivial 1- and 2-vertex cases."""
+def _greedy_seed(g: SimpleGraph, h: Cover, f: Budget,
+                 vertices: tuple[int, ...]) -> tuple[dict[int, int], Order]:
+    """Color `vertices` one after another by the greedy rule: the whole of a
+    1- or 2-vertex graph, or the precolored outer edge."""
     partial: dict[int, int] = {}
     order: Order = ()
-    for v in g.vertices:
+    for v in vertices:
         partial, order = greedy_extend(g, h, f, partial, order, v)
     return partial, order
 
@@ -207,24 +210,20 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     if not g.is_connected():
         raise BadBudget("graph must be connected")
     if g.n <= 2:
-        result, order = _greedy_seed(g, h, f)
-        return result, order
+        return _greedy_seed(g, h, f, g.vertices)
     tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
 
-    # Precolor the lexicographically smallest outer edge (v1, vp): walk the
-    # outer cycle from its least vertex v1 towards its larger neighbour, so
-    # that the walk ends at vp.
+    # Precolor the lexicographically smallest outer edge (v1, vp), greedily:
+    # walk the outer cycle from its least vertex v1 towards its larger
+    # neighbour, so that the walk ends at vp.
     outer = tpg.outer
     k = outer.index(min(outer))
     walk = outer[k:] + outer[:k]
     if walk[1] < walk[-1]:
         walk = walk[:1] + walk[:0:-1]
     tpg = tpg.with_outer(walk)
-    v1, vp = walk[0], walk[-1]
-    a = min(i for i in sorted(h.list_of(v1)) if f.get(v1, i) >= 1)
-    res_p = residual_at(g, h, f, {v1: a}, vp)
-    b = min(i for i in sorted(res_p) if i in h.list_of(vp))
-    result, order = _extend(tpg, h, f, ((v1, a), (vp, b)))
+    _, pre = _greedy_seed(g, h, f, (walk[0], walk[-1]))
+    result, order = _extend(tpg, h, f, pre)
 
     if not order_is_valid(induced_pair_graph(g, h, f, result), order):
         raise InternalInvariantViolated("planar construction produced an invalid order")
@@ -455,14 +454,12 @@ def _color_third(g: SimpleGraph, h: Cover, f: Budget,
                  pre: tuple[tuple[int, int], tuple[int, int]],
                  v: int, names: dict[int, dict[int, int]]) -> tuple[dict[int, int], Order]:
     """The base case: color v, adjacent to both precolored vertices of `pre`,
-    after them with its lowest-named residual color of its list.  The pair
-    keeps the order valid, since its earlier matched neighbours are exactly
-    the ones the residual discounts.  g need only hold v's row."""
+    after them by the greedy rule on v's names.  g need only hold v's row."""
     r = dict(pre)
-    choices = [i for i in residual_at(g, h, f, r, v) if i in h.list_of(v)]
-    if not choices:
+    c = _greedy_color(g, h, f, r, v, names.get(v))
+    if c is None:
         raise InternalInvariantViolated(f"base case failed: no residual color for vertex {v}")
-    r[v] = c = min(choices, key=names[v].get) if v in names else min(choices)
+    r[v] = c
     return r, pre + ((v, c),)
 
 

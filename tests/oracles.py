@@ -19,6 +19,9 @@ the current code must return:
 - `canonical_faces`, which finds the outer face by comparing the minimal
   rotation or reflection of every walk;
 - `scan_find_chord`, which tries every pair of outer positions;
+- `relabel_extend_over_configuration`, the configuration extension on
+  relabeled copies of the cover and budgets, translated back through
+  `invert_permutations`, `relabel_coloring` and `relabel_order`;
 - `whole_graph_reinsertion_check`, which checks a fan step's reinsertion
   on the pair graph of the whole piece;
 - `token_read_graph`, `token_parse_cover`, `token_parse_budget` and
@@ -482,6 +485,122 @@ def fan_configuration_instance(seed: int, k: int):
         if res is None:
             continue
         return g, h, f, tuple(K), res[0]
+
+
+
+def invert_permutations(perms):
+    """The inverse of each vertex's renaming {color: new color}."""
+    return {v: {d: c for c, d in p.items()} for v, p in perms.items()}
+
+
+def relabel_coloring(coloring, perms):
+    """A coloring with each renamed vertex's color renamed."""
+    return {v: (perms[v][c] if v in perms else c) for v, c in coloring.items()}
+
+
+def relabel_order(order, perms):
+    """A witness order with each renamed vertex's color renamed."""
+    return tuple((v, perms[v][c] if v in perms else c) for v, c in order)
+
+
+def relabel_extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int, K, r0):
+    """`extend_over_configuration` as it was written on relabeled copies:
+    it renames colors in copies of the cover, the budget and the residual
+    budget, colors K on them and translates the coloring and the order
+    back through the inverse renaming."""
+    from dpfcolor.coloring import (
+        _residuals,
+        combine_colorings,
+        greedy_extend,
+        induced_pair_graph,
+        verify_on_domain,
+    )
+    from dpfcolor.configurations import _reduce_to_two, check_configuration_conditions
+    from dpfcolor.covers import complete_permutation
+    from dpfcolor.degeneracy import order_is_valid
+    from dpfcolor.errors import (
+        InternalInvariantViolated,
+        NoColorAvailable,
+        PreconditionViolated,
+    )
+    K = tuple(K)
+    if not check_configuration_conditions(g, f, k, K):
+        raise PreconditionViolated("configuration conditions do not hold")
+    if f.cap > 2:
+        raise PreconditionViolated(f"budget cap {f.cap} exceeds 2")
+    low = [v for v in g.vertices if f.total(v) < k]
+    if low:
+        raise PreconditionViolated(f"budget total below {k} at {low}")
+    if set(r0) != set(g.vertices) - set(K):
+        raise PreconditionViolated("r0 must color exactly the vertices outside K")
+    s0 = verify_on_domain(g, h, f, r0)
+    if s0 is None:
+        raise PreconditionViolated("r0 fails verification on its domain")
+
+    v1, vm, vm1 = K[0], K[-1], K[-2]
+    f_star = _residuals(g, h, f, r0)
+
+    # Residual vector of vm trimmed to total exactly 2 (lowest colors kept);
+    # solving under the smaller vector is enough since raising budgets never
+    # invalidates an order.
+    bm = _reduce_to_two({i: f_star.get(vm, i) for i in f_star.support(vm)})
+
+    # Align the fibers of v1 and v_{m-1} with vm's colors.
+    pi1 = complete_permutation({c1: cm for cm, c1 in h.matching(vm, v1)}, h.s)
+    pi2 = complete_permutation({c2: cm for cm, c2 in h.matching(vm, vm1)}, h.s)
+    b1 = {pi1[i]: f_star.get(v1, i) for i in f_star.support(v1)}
+    if sum(b1.values()) < 3:
+        raise InternalInvariantViolated("residual of v1 dropped below 3")
+
+    # Pick the color where v1 strictly out-budgets vm and rename it to 1.
+    c = min(i for i in range(1, h.s + 1) if b1.get(i, 0) > bm.get(i, 0))
+    case_two = bm.get(c, 0) >= 1
+    swap = {c: 1}
+    if case_two:
+        c2 = min(i for i in bm if i != c)
+        swap[c2] = 2
+    tau = complete_permutation(swap, h.s)
+
+    perms = {
+        v1: {i: tau[pi1[i]] for i in pi1},
+        vm1: {i: tau[pi2[i]] for i in pi2},
+        vm: tau,
+    }
+    h2 = h.relabel(perms)
+    f2 = f.relabel(perms)
+    f_star2 = f_star.relabel(perms)
+
+    # Replace vm's residual entries with the trimmed vector.
+    updates = {(vm, i): 0 for i in f_star2.support(vm)}
+    updates.update({(vm, tau[i]): val for i, val in bm.items()})
+    fsub = f_star2.assign(updates)
+
+    gk = g.induced(K)
+    if fsub.get(v1, 1) < 1:
+        raise InternalInvariantViolated("color 1 of v1 lost its residual")
+    partial: dict[int, int] = {v1: 1}
+    order = ((v1, 1),)
+    try:
+        for idx in range(1, len(K) - 1):
+            partial, order = greedy_extend(gk, h2, fsub, partial, order, K[idx])
+        if case_two:
+            t = 2 if partial[vm1] != 2 else 1
+            order = ((vm, t),) + order
+            partial[vm] = t
+        else:
+            partial, order = greedy_extend(gk, h2, fsub, partial, order, vm)
+    except NoColorAvailable as exc:
+        raise InternalInvariantViolated(f"greedy step failed: {exc}") from exc
+    if not order_is_valid(induced_pair_graph(gk, h2, fsub, partial), order):
+        raise InternalInvariantViolated("constructed configuration order is invalid")
+
+    union, full_order = combine_colorings(g, h2, f2, r0, s0, partial, order)
+    inv = invert_permutations(perms)
+    result = relabel_coloring(union, inv)
+    result_order = relabel_order(full_order, inv)
+    if not order_is_valid(induced_pair_graph(g, h, f, result), result_order):
+        raise InternalInvariantViolated("final order failed the definition check")
+    return result, result_order
 
 
 def sorted_induced_pair_graph(g: SimpleGraph, h: Cover, f: Budget, r) -> PairGraph:

@@ -112,3 +112,31 @@ def test_planar_workloads_keep_their_seed_1_digests(name, monkeypatch, tmp_path)
     notes = json.loads((ROOT / "perfbench" / "notes.json").read_text(encoding="utf-8"))
     expected = notes["workloads"][name]["digest_seed_1"]
     assert f"sha256 {digest.hexdigest()} over {digest.covered()} instances" == expected
+
+
+def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
+    """Every ladder figure comes from `bench/ladder.py`.  Run each of its ops
+    at a tiny size in this process, fit the growth, and print the change
+    between two results, with and without the calibrated times."""
+    monkeypatch.setattr(sys, "path", [str(ROOT), *sys.path])  # ladder.py imports perfbench
+    spec = importlib.util.spec_from_file_location("bench_ladder", ROOT / "bench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    sizes = {"solve": 30, "verify": 40, "verify_cli": 40, "exact": 16}
+    assert set(sizes) == set(ladder.OPS)
+    cases = [ladder.run_case(op, "stacked", n, ladder.SEED) for op, n in sizes.items()]
+    for case in cases:
+        assert "error" not in case, case
+        assert case["total_ms"] >= 0 and case["scaled_ms"] >= 0 and case["peak_rss_mb"] > 0
+    assert cases[-1]["nodes"] > 0
+    growth, rss_growth = ladder.fits(cases * 2)
+    assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.VERIFY_OPS, "exact"}
+    new = {"label": "new", "commit": "b", "cases": cases, "growth": growth,
+           "rss_growth": rss_growth}
+    old = {"label": "old", "commit": "a", "growth": {},
+           "cases": [{k: v for k, v in c.items() if k != "scaled_ms"} for c in cases]}
+    ladder.print_delta(new, new)
+    ladder.print_delta(old, new)
+    out = capsys.readouterr().out
+    assert out.count("of the scaled time") == len(cases), out
+    assert out.count("of the total time") == len(cases), out

@@ -177,6 +177,17 @@ class TestGreedyExtend:
         with pytest.raises(NoColorAvailable):
             greedy_extend(g, h, f, {0: 1}, ((0, 1),), 1)
 
+    def test_unknown_vertex_is_invalid_input(self):
+        """As in verify_coloring, a vertex the graph lacks is InvalidInput,
+        not a KeyError from the residual lookup."""
+        g = complete_graph(3)
+        h = Cover(3, {v: {1, 2, 3} for v in g.vertices})
+        f = unit_budget(g, 3, (1, 2, 3))
+        with pytest.raises(InvalidInput, match="vertex 7 is not in the graph"):
+            greedy_extend(g, h, f, {}, (), 7)
+        with pytest.raises(InvalidInput, match="vertex 7 is not in the graph"):
+            greedy_extend(g, h, f, {0: 1}, ((0, 1),), 7)
+
     def test_result_reverifies(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from dpfcolor import (
@@ -10,7 +12,7 @@ from dpfcolor import (
 )
 from dpfcolor.errors import BadIndex, NotInduced, PreconditionViolated
 
-from oracles import fan_configuration_instance
+from oracles import fan_configuration_instance, relabel_extend_over_configuration
 
 
 def fan_graph(extra_v1_external=0):
@@ -111,6 +113,39 @@ class TestExtension:
         if not check_configuration_conditions(g, f, 3, reversed_K):
             with pytest.raises(PreconditionViolated):
                 extend_over_configuration(g, h, f, 3, reversed_K, r0)
+
+
+def _outcome(extend, *args):
+    """What an extension returns, or the class and message of what it raises."""
+    try:
+        r, order = extend(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(r.items()), order
+
+
+class TestNamesMatchRelabeledCopies:
+    def test_same_outcome_as_the_relabeled_construction(self):
+        """The extension names colors in input colors; the reference renames
+        copies of the cover and budgets and translates back.  On 320 seeded
+        instances, each with K as given and reversed, both must return the
+        same coloring (insertion order included) and order, or raise the
+        same error.  Case two (vm's pair first in K's order) must occur, as
+        must case one."""
+        seen = Counter()
+        for k in (3, 4, 5, 6):
+            for seed in range(80):
+                g, h, f, K, r0 = fan_configuration_instance(seed, k)
+                for order_of_K in (K, K[::-1]):
+                    args = (g, h, f, k, order_of_K, r0)
+                    got = _outcome(extend_over_configuration, *args)
+                    assert got == _outcome(relabel_extend_over_configuration, *args), (k, seed)
+                    if isinstance(got[0], type):
+                        seen[got[0].__name__] += 1
+                    else:
+                        seen["case two" if got[1][len(r0)][0] == order_of_K[-1] else "case one"] += 1
+        assert seen["case one"] > 100 and seen["case two"] > 30, seen
+        assert seen["PreconditionViolated"] > 100, seen
 
 
 class TestExtensionSpecExamples:

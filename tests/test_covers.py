@@ -37,7 +37,6 @@ from dpfcolor import (
     verify_coloring,
 )
 from dpfcolor.coloring import _residuals, residual_at
-from dpfcolor.covers import invert_permutations, relabel_coloring, relabel_order
 from dpfcolor.formats import emit_cover, parse_cover
 from dpfcolor.planar import delete_vertex
 
@@ -344,7 +343,7 @@ class TestTrustedPathsMatchValidatingConstructors:
 
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):
-            inv = invert_permutations(perms)
+            inv = {v: {d: c for c, d in p.items()} for v, p in perms.items()}
             assert h.relabel(perms).relabel(inv) == h
             assert f.relabel(perms).relabel(inv) == f
 
@@ -356,12 +355,13 @@ def test_verdict_is_invariant_under_relabeling():
     for rng, g, h, f, perms in _instances(300):
         r = {v: rng.choice(sorted(h.lists[v])) for v in g.vertices}
         order = verify_coloring(g, h, f, r)
-        h2, f2, r2 = h.relabel(perms), f.relabel(perms), relabel_coloring(r, perms)
+        h2, f2 = h.relabel(perms), f.relabel(perms)
+        r2 = {v: _rename(perms, v, c) for v, c in r.items()}
         order2 = verify_coloring(g, h2, f2, r2)
         assert (order is None) == (order2 is None)
         if order is not None:
             assert order_is_valid(induced_pair_graph(g, h2, f2, r2),
-                                  relabel_order(order, perms))
+                                  tuple((v, _rename(perms, v, c)) for v, c in order))
         verdicts.add(order is None)
     assert verdicts == {True, False}
 

@@ -27,6 +27,16 @@ def build(n, edge_idx_pairs, budgets):
     return PairGraph(pairs, edges, {pairs[i]: b for i, b in enumerate(budgets)})
 
 
+@pytest.mark.parametrize("edge", [((0, 1), (1, 1)), ((1, 1), (0, 1))])
+def test_edge_at_an_unknown_pair_is_rejected(edge):
+    """An edge must join two of the given pairs, as a self-loop must not
+    join a pair to itself: either is a ValueError that names the pair."""
+    with pytest.raises(ValueError, match=r"edge at pair \(1, 1\), which is not a pair"):
+        PairGraph([(0, 1)], [edge], {})
+    with pytest.raises(ValueError, match=r"self-loop at pair \(0, 1\)"):
+        PairGraph([(0, 1)], [((0, 1), (0, 1))], {})
+
+
 def test_edgeless_all_budget_one_any_order():
     pg = build(3, [], [1, 1, 1])
     order = strictly_degenerate_order(pg)
