@@ -37,6 +37,10 @@ def check_configuration_conditions(g: SimpleGraph, f: Budget, k: int,
     (ii)  deg_G(vm) <= k and vm's neighbors inside K are exactly v1, v_{m-1};
     (iii) each middle v_i has at most k-1 neighbors among its predecessors
           in K and the vertices outside K combined.
+
+    The budget `f` is accepted but not read: the verdict depends on g, k
+    and K alone.  `extend_over_configuration` checks its budget itself
+    (values capped at 2, total at least k at every vertex).
     """
     if k < 3:
         raise BadIndex(f"need k >= 3, got {k}")

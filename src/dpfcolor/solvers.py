@@ -18,7 +18,11 @@ pair graph once and both orders and checks piece 2 on it, a chord that
 cuts off a bare triangle colors the triangle's third vertex in place, and
 a fan step renames colors in a table of names, not in the cover.  So every
 step reads the caller's cover and a budget in input colors, and returns
-input colors: nothing is copied to be renamed or translated back.
+input colors: nothing is copied to be renamed or translated back.  Only a
+step whose witness order something reads builds one: the root, and a
+piece 1 whose split asks which chord end comes first.  The steps inside a
+piece 2 return colorings alone, since its split re-orders and checks the
+whole of piece 2 on piece 2's pair graph.
 """
 
 from __future__ import annotations
@@ -241,7 +245,7 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
     wait on an explicit work stack, so the Python stack stays flat however
     deep the construction goes.
     """
-    stack = [_step(pg, h, f, pre, {})]
+    stack = [_step(pg, h, f, pre, {}, True)]
     solved = None
     while stack:
         try:
@@ -256,16 +260,32 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
 
 
 def _step(pg: PlaneGraph, h: Cover, f: Budget,
-          pre: tuple[tuple[int, int], tuple[int, int]], names: dict[int, dict[int, int]]):
+          pre: tuple[tuple[int, int], tuple[int, int]], names: dict[int, dict[int, int]],
+          want: bool):
     """One frame of `_extend`: a base triangle, a chord split or a fan step.
 
     A split frame solves piece 1, orients piece 2 by the order of the chord
     ends in piece 1's witness and solves it, re-orders piece 2 so that the
     chord pairs head it, and concatenates.  A fan frame solves the instance
-    without the pivot v2 and reinserts v2.  Each frame returns a valid order
-    of its own piece under the input cover and its own budget, in input
-    colors, and checks only what it built itself; its children have checked
-    the rest.
+    without the pivot v2 and reinserts v2.  Each frame returns its piece's
+    coloring in input colors and, if it wants one, a valid order of its
+    piece under the input cover and its own budget; it checks only what it
+    built itself, and its children have checked the rest.
+
+    `want` says whether the caller reads the returned order.  The root
+    wants it.  A fan child, and the rest of a split whose piece 2 is a bare
+    triangle, inherit the flag.  Piece 2 never wants it, since its split
+    frame re-orders the whole of piece 2.  Piece 1 wants its order if the
+    frame does, or if the frame must ask which chord end comes first in it;
+    the precolored pair heads every order, so the answer is fixed when a
+    chord end is v1 or vp.  A frame that wants no order returns (coloring,
+    None).  It builds no pair graph, re-orders nothing and runs neither
+    `_split_valid` nor `_reinsertion_valid`, but it still checks that piece
+    2 keeps the chord ends' colors.  Its output is checked above it: the
+    nearest frame above that wants its order is a split frame whose piece 2
+    holds this frame's piece, and it re-orders and checks all of piece 2 on
+    piece 2's pair graph under its own budget.  The final check in
+    `solve_planar_dpg52` covers the whole input.
 
     `names` maps a vertex to {input color: name}; a vertex it lacks names
     each color by itself.  Fan steps rename colors only there
@@ -282,27 +302,32 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     colors w right after the precolored pair and takes G less the degree-2
     end of the outer walk as piece 2, which the usual split check covers.
 
-    A split frame builds piece 2's pair graph once.  It checks that piece
-    2's coloring keeps the chord ends' colors from piece 1, re-orders piece
-    2 on that pair graph (`eliminate_with_prefix`), and checks the new
-    order on the same pair graph (`_split_valid`, which gives why piece 2
-    alone decides the union).  A fan frame takes its child's name table
-    and budget from `_fan_colors`, gives v2 a color by name, and after
-    reinserting v2 counts earlier matched neighbours over v2's closed
-    neighbourhood only (`_reinsertion_valid`).
+    A split frame that wants its order builds piece 2's pair graph once.
+    It checks that piece 2's coloring keeps the chord ends' colors from
+    piece 1, re-orders piece 2 on that pair graph (`eliminate_with_prefix`),
+    and checks the new order on the same pair graph (`_split_valid`, which
+    gives why piece 2 alone decides the union).  A fan frame takes its
+    child's name table and budget from `_fan_colors`, gives v2 a color by
+    name, and if it wants its order counts earlier matched neighbours over
+    v2's closed neighbourhood only after reinserting v2
+    (`_reinsertion_valid`).
 
-    A suspended frame keeps its locals alive, so a split frame lets go of
-    its own piece, and of piece 1, before it yields piece 1: while piece 1
-    is solved it holds only piece 2 (or the bare triangle) and the chord
-    ends.  No comprehension here reads a local: that would make the local
-    a cell, which every frame allocates, split frames included.
+    A suspended frame keeps its locals alive, so a frame lets go of what it
+    no longer reads before it yields.  A split frame lets go of its own
+    piece and of piece 1, so that while piece 1 is solved it holds only
+    piece 2 (or the bare triangle) and the chord ends.  A frame that wants
+    no order also lets go of piece 2, its budgets and its name table before
+    it yields piece 2 or its fan child, since it reads only colorings after.
+    No comprehension here reads a local: that would make the local a cell,
+    which every frame allocates, split frames included.
     """
     (v1, _), (vp, _) = pre
     g = pg.graph
     outer = pg.outer
 
     if g.n == 3:
-        return _color_third(g, h, f, pre, outer[1], names)
+        r, order = _color_third(g, h, f, pre, outer[1], names)
+        return r, order if want else None
 
     chord = find_chord(pg)
     if chord is not None:
@@ -326,32 +351,42 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
                 # name of this frame keeps it alive while it is solved.
                 rest = [delete_vertex(pg, x, outer[:i + 1] + outer[j:])]
                 del pg, g, outer
-                r1, s1 = yield rest.pop(), h, f, pre, names
+                r1, s1 = yield rest.pop(), h, f, pre, names, want
             r2, s2 = _color_third(triangle, h, f, ((vi, r1[vi]), (vj, r1[vj])), x, names)
             r1[x] = r2[x]
-            return r1, s1 + s2[2:]
+            return r1, s1 + s2[2:] if want else None
+        # Which chord end comes first in piece 1's order is a question only
+        # when neither is v1 or vp, which head every order.
+        ask = vi != v1 and vj != vp
         if ear is not None:
             pg2 = delete_vertex(pg, ear, outer[i:j + 1])
             del pg, g, outer
         else:
             pieces = list(_split(pg, chord))
             del pg, g, outer
-            r1, s1 = yield pieces.pop(0), h, f, pre, names
+            r1, s1 = yield pieces.pop(0), h, f, pre, names, want or ask
             pg2, = pieces
         # Piece 2's outer walk runs from vi to vj; it must start with
         # whichever of the two comes first in s1.
         first, second = vi, vj
-        for v, _ in s1:
-            if v == vi or v == vj:
-                break
+        v = vi if vi == v1 else vj
+        if ask:
+            for v, _ in s1:
+                if v == vi or v == vj:
+                    break
         if v == vj:
             first, second = vj, vi
             pg2 = pg2.with_outer(pg2.outer[::-1])
         head = ((first, r1[first]), (second, r1[second]))
-        r2, _ = yield pg2, h, f, head, names
-        pairs = induced_pair_graph(pg2.graph, h, f, r2)
+        rest = [(pg2, h, f, head, names, False)]
+        if not want:
+            del pg2, f, names
+        r2, _ = yield rest.pop()
         if r2[first] != r1[first] or r2[second] != r1[second]:  # a child moved a chord end
             raise InternalInvariantViolated(_SPLIT_FAILED)
+        if not want:
+            return {**r1, **r2}, None
+        pairs = induced_pair_graph(pg2.graph, h, f, r2)
         s2p = eliminate_with_prefix(pairs, head)
         if s2p is None:
             raise InternalInvariantViolated("shared chord pair cannot head the order")
@@ -369,12 +404,17 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     U = fan[1:-1]
     names, f_adj, case21, one, two, one3 = _fan_colors(g, h, f, pre, names, v2, U, v3, p)
 
-    new_outer = (v1,) + U + outer[2:]
-    r, s_sub = yield delete_vertex(pg, v2, new_outer), h, f_adj, pre, names
+    # The child waits in a list that the yield empties, as a split's piece 1.
+    rest = [(delete_vertex(pg, v2, (v1,) + U + outer[2:]), h, f_adj, pre, names, want)]
+    if not want:
+        del pg, g, outer, f, f_adj, names
+    r, s_sub = yield rest.pop()
+    r[v2] = t = one if case21 or r.get(v3) != one3 else two
+    if not want:
+        return r, None
     if s_sub[0] != pre[0] or s_sub[1] != pre[1]:
         raise InternalInvariantViolated("recursive order lost its precolored prefix")
 
-    r[v2] = t = one if case21 or r.get(v3) != one3 else two
     if case21 and p > 3:
         order = s_sub + ((v2, t),)
     else:

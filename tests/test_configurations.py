@@ -62,6 +62,21 @@ class TestConditions:
         g2 = SimpleGraph(8, edges)
         assert not check_configuration_conditions(g2, flat_budget(g2, 4), 4, [0, 1, 2, 3, 4])
 
+    def test_verdict_does_not_depend_on_the_budget(self):
+        """The budget is accepted but not read: an empty budget, one far
+        below k and one at k give the same verdict on passing and failing
+        configurations alike."""
+        graphs = [fan_graph(), fan_graph(extra_v1_external=1), fan_graph(extra_v1_external=2)]
+        graphs.append(SimpleGraph(5, list(fan_graph().edges) + [(2, 4)]))
+        verdicts = []
+        for g in graphs:
+            budgets = [flat_budget(g, 4), flat_budget(g, 1), Budget(4, 2, {}),
+                       Budget(9, 2, {(v, 9): 2 for v in g.vertices})]
+            got = {check_configuration_conditions(g, f, 4, [0, 1, 2, 3, 4]) for f in budgets}
+            assert len(got) == 1, g
+            verdicts += got
+        assert verdicts == [True, True, False, False]
+
     def test_k_below_three_raises(self):
         g = fan_graph()
         with pytest.raises(BadIndex):

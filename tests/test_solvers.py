@@ -412,7 +412,9 @@ def test_triangle_precoloring_outside_lists_raises_invalid_precoloring():
 
 def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
     """A chord split checks its combined order itself: an order corrupted
-    inside one split fails there, not only in the final check."""
+    inside one split fails there, not only in the final check.  The first
+    re-ordered piece 2 that some swap of two adjacent inner pairs makes
+    invalid gets the last such swap."""
     import dpfcolor.solvers as solvers
     from dpfcolor.errors import InternalInvariantViolated
 
@@ -421,20 +423,21 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
     original = solvers.eliminate_with_prefix
     corrupted = []
 
-    def swap_last_two(pairs, prefix):
+    def swap_two(pairs, prefix):
         order = original(pairs, prefix)
-        if not corrupted and order is not None and len(order) > 3:
-            swapped = order[:-2] + (order[-1], order[-2])
-            if not order_is_valid(pairs, swapped):
-                corrupted.append(swapped)
-                return swapped
+        if not corrupted and order is not None:
+            for k in range(len(order) - 2, 1, -1):
+                swapped = order[:k] + (order[k + 1], order[k]) + order[k + 2:]
+                if not order_is_valid(pairs, swapped):
+                    corrupted.append(swapped)
+                    return swapped
         return order
 
     pg = triangulated_polygon(40, random.Random(0))
     h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
     f = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
     solve_planar_dpg52(pg, h, f)  # solves when nothing is corrupted
-    monkeypatch.setattr(solvers, "eliminate_with_prefix", swap_last_two)
+    monkeypatch.setattr(solvers, "eliminate_with_prefix", swap_two)
     with pytest.raises(InternalInvariantViolated, match="^chord combination failed: second "
                        "coloring's witness is not valid under the residual budget$"):
         solve_planar_dpg52(pg, h, f)
@@ -549,14 +552,37 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
 
 
 def _fan_instances():
-    """Seeded instances whose construction takes fan steps of both cases."""
+    """Seeded instances whose construction takes fan steps of both cases,
+    more than 100 of them in frames that want their order."""
     shapes = [gen_planar_triangulation(20 + 10 * seed, seed) for seed in range(6)]
     shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7, 8)]
     shapes += [wheel(p) for p in (4, 5, 7, 9)]
+    shapes += [gen_planar_triangulation(20, seed) for seed in range(6, 36)]
+    shapes += [grid(10, seed=seed) for seed in range(10)]
     for t, pg in enumerate(shapes):
         h = gen_random_cover(pg.graph, 5, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2], seed=t)
         f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
         yield pg, h, f
+
+
+def _track_wants(monkeypatch):
+    """Wrap `_step` so that the last entry of the returned list says whether
+    the running frame wants its order.  Frames run one at a time, at the top
+    of the work stack, and each runs its code up to its first yield in the
+    send that starts it, after its wrapper has pushed its flag.  A frame
+    that raises leaves its entry, below the next solve's."""
+    import dpfcolor.solvers as solvers
+
+    step, running = solvers._step, []
+
+    def tracked(pg, h, f, pre, names, want):
+        running.append(want)
+        result = yield from step(pg, h, f, pre, names, want)
+        running.pop()
+        return result
+
+    monkeypatch.setattr(solvers, "_step", tracked)
+    return running
 
 
 def _record_checks(monkeypatch):
@@ -589,6 +615,8 @@ def _other_colors_and_places(h, r, order, v):
 
 def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
     """Solve with one U budget entry of the given fan step left unlowered.
+    Steps are counted over the fan frames that want their order, the ones
+    that check their reinsertion.
 
     Returns the InternalInvariantViolated raised (or None), the corrupted
     step's pivot, outer length and case, and the recorded checks.
@@ -596,10 +624,13 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
     import dpfcolor.solvers as solvers
 
     _, calls = _record_checks(monkeypatch)
+    running = _track_wants(monkeypatch)
     assign, delete, fan_colors = Budget.assign, solvers.delete_vertex, solvers._fan_colors
     fault = {}
 
     def lower_all_but_one(self, updates):
+        if not running[-1]:
+            return assign(self, updates)
         fault["calls"] = fault.get("calls", 0) + 1
         lowered = sorted(key for key, val in updates.items() if val < self.get(*key))
         if fault["calls"] == step + 1 and lowered:
@@ -693,9 +724,9 @@ class TestFanNames:
         step, fan_colors = solvers._step, solvers._fan_colors
         covers, colorings, fan_steps = [], [], []
 
-        def record_step(pg, h, f, pre, names):
+        def record_step(pg, h, f, pre, names, want):
             covers.append(h)
-            r, order = yield from step(pg, h, f, pre, names)
+            r, order = yield from step(pg, h, f, pre, names, want)
             colorings.append(dict(r))
             return r, order
 
@@ -721,11 +752,13 @@ class TestFanNames:
 
 
 def _split_instances():
-    """Seeded instances whose construction takes many chord splits."""
+    """Seeded instances whose construction takes many chord splits, more
+    than 100 of them in frames that want their order."""
     shapes = [triangulated_polygon(12 + 8 * t, random.Random(f"splits/{t}")) for t in range(6)]
     shapes += [gen_planar_triangulation(20 + 10 * seed, seed) for seed in range(3)]
     shapes += [grid(k, seed=k) for k in (4, 6)]
     shapes += [wheel(p) for p in (6, 9)]
+    shapes += [triangulated_polygon(60 + 8 * t, random.Random(f"splits/{t}")) for t in range(6, 14)]
     for t, pg in enumerate(shapes):
         h = gen_random_cover(pg.graph, 5, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2], seed=t)
         f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 70, lists=h.lists)
@@ -777,8 +810,8 @@ def _record_splits(monkeypatch):
         graphs[id(pairs)] = pairs, g, h, f
         return pairs
 
-    def record_step(pg, h, f, pre, names):
-        result = yield from step(pg, h, f, pre, names)
+    def record_step(pg, h, f, pre, names, want):
+        result = yield from step(pg, h, f, pre, names, want)
         results[id(pg)] = pg, result
         return result
 
@@ -868,6 +901,7 @@ class TestLocalSplitCheck:
 
         built, pieces = [], []
         build, split, delete = coloring.induced_pair_graph, solvers._split, solvers.delete_vertex
+        running = _track_wants(monkeypatch)
 
         def record_build(g, h, f, r):
             built.append(g)
@@ -875,12 +909,13 @@ class TestLocalSplitCheck:
 
         def record_split(pg, chord):
             pg1, pg2 = split(pg, chord)
-            pieces.append(pg2.graph)
+            if running[-1]:
+                pieces.append(pg2.graph)
             return pg1, pg2
 
         def record_delete(pg, v, outer):
             part = delete(pg, v, outer)
-            if _is_ear(pg, v):
+            if _is_ear(pg, v) and running[-1]:
                 pieces.append(part.graph)
             return part
 
@@ -904,16 +939,16 @@ class TestLocalSplitCheck:
 
         original, calls = solvers.eliminate_with_prefix, []
 
-        def none_at_the_third(pairs, prefix):
+        def none_at_the_second(pairs, prefix):
             calls.append(pairs)
-            return None if len(calls) == 3 else original(pairs, prefix)
+            return None if len(calls) == 2 else original(pairs, prefix)
 
         pg, h, f = next(_split_instances())
-        monkeypatch.setattr(solvers, "eliminate_with_prefix", none_at_the_third)
+        monkeypatch.setattr(solvers, "eliminate_with_prefix", none_at_the_second)
         with pytest.raises(InternalInvariantViolated,
                            match="^shared chord pair cannot head the order$"):
             solve_planar_dpg52(pg, h, f)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_piece_coloring_that_moves_a_chord_end_is_an_internal_fault(
             self, monkeypatch, tmp_path, capsys):
@@ -935,8 +970,8 @@ class TestLocalSplitCheck:
             second_pieces[id(pg2.graph)] = pg2.graph
             return pg1, pg2
 
-        def move_a_chord_end(pg, h, f, pre, names):
-            r, order = yield from step(pg, h, f, pre, names)
+        def move_a_chord_end(pg, h, f, pre, names, want):
+            r, order = yield from step(pg, h, f, pre, names, want)
             if not moved and id(pg.graph) in second_pieces:
                 v, c = pre[0]
                 r = {**r, v: min(h.list_of(v) - {c})}
@@ -989,3 +1024,127 @@ class TestLocalSplitCheck:
                            match="^planar construction produced an invalid order$"):
             solve_planar_dpg52(pg, h, f)
         assert len(swapped) == 1
+
+
+class TestOrdersOnDemand:
+    """Only the root and the frames whose order some caller reads build an
+    order.  Piece 2 of a split is re-ordered whole by its split frame, so no
+    frame inside it re-eliminates or re-checks unless a split there asks
+    which chord end comes first in its piece 1, and a fault there is still
+    caught by the nearest split frame that wants its order."""
+
+    @pytest.mark.parametrize("k", [45, 50])
+    def test_grid_pair_graphs_stay_linear(self, k, monkeypatch):
+        """The pair graphs the split frames build sum to at most 15·n
+        vertices on a deep grid; re-ordering every nested piece 2 built
+        221·n at k = 45 and 281·n at k = 50."""
+        import dpfcolor.solvers as solvers
+
+        build, built = solvers.induced_pair_graph, []
+
+        def record_build(g, h, f, r):
+            built.append(g)
+            return build(g, h, f, r)
+
+        pg = grid(k, seed=k)
+        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=k)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=k + 1, lists=h.lists)
+        monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
+        r, order = solve_planar_dpg52(pg, h, f)
+        assert verify_coloring(pg.graph, h, f, r) is not None
+        assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
+        assert built[-1] is pg.graph
+        assert sum(g.n for g in built[:-1]) <= 15 * pg.n
+
+    def test_no_frame_below_a_piece_2_yield_re_eliminates(self, monkeypatch):
+        """A frame's order is read if it is the root, or a piece 1 whose
+        chord ends are both inside the outer walk (its split frame asks
+        which comes first), or if it is not a piece 2 and its parent's order
+        is read.  That is derived here from the pieces `_split` and
+        `delete_vertex` build, not from the solver's flag: only frames whose
+        order is read may re-eliminate or check a reinsertion, so none below
+        a piece-2 yield does unless an asked piece 1 lies between."""
+        import dpfcolor.solvers as solvers
+
+        step, split, delete = solvers._step, solvers._split, solvers.delete_vertex
+        eliminate, reinsert = solvers.eliminate_with_prefix, solvers._reinsertion_valid
+        second, asked, read, seen = {}, {}, [], Counter()
+
+        def record_split(pg, chord):
+            pg1, pg2 = split(pg, chord)
+            i, j = chord
+            if pg.outer[i] != pg.outer[0] and pg.outer[j] != pg.outer[-1]:
+                asked[id(pg1.graph)] = pg1.graph
+            second[id(pg2.graph)] = pg2.graph
+            return pg1, pg2
+
+        def record_delete(pg, v, outer):
+            part = delete(pg, v, outer)
+            if _is_ear(pg, v):
+                second[id(part.graph)] = part.graph
+            return part
+
+        def record_step(pg, *rest):
+            parent = not read or read[-1]
+            read.append(id(pg.graph) in asked or parent and id(pg.graph) not in second)
+            seen["read" if read[-1] else "unread"] += 1
+            result = yield from step(pg, *rest)
+            read.pop()
+            return result
+
+        def record_eliminate(pairs, prefix):
+            seen["eliminate", read[-1]] += 1
+            return eliminate(pairs, prefix)
+
+        def record_reinsert(*args):
+            seen["reinsert", read[-1]] += 1
+            return reinsert(*args)
+
+        monkeypatch.setattr(solvers, "_split", record_split)
+        monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+        monkeypatch.setattr(solvers, "_step", record_step)
+        monkeypatch.setattr(solvers, "eliminate_with_prefix", record_eliminate)
+        monkeypatch.setattr(solvers, "_reinsertion_valid", record_reinsert)
+        shapes = [grid(12, seed=12), triangulated_polygon(200, random.Random("below/200")),
+                  gen_planar_triangulation(200, 3)]
+        for t, pg in enumerate(shapes):
+            h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t)
+            f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 1, lists=h.lists)
+            r, _ = solve_planar_dpg52(pg, h, f)
+            assert verify_coloring(pg.graph, h, f, r) is not None
+        assert seen["eliminate", False] == seen["reinsert", False] == 0, seen
+        assert seen["unread"] > 300 and seen["eliminate", True] > 10, seen
+        assert seen["reinsert", True] > 10, seen
+
+    def test_fault_in_a_subtree_without_an_order_is_caught(self, monkeypatch):
+        """A frame that wants no order, below another that wants none,
+        returns one inner vertex in a color of its list that the input
+        budget forbids.  No frame of that subtree checks anything but chord
+        ends, so the split frame that re-orders the enclosing piece 2 must
+        raise: the forbidden pair can never be eliminated."""
+        import dpfcolor.solvers as solvers
+
+        running = _track_wants(monkeypatch)
+        step, faults = solvers._step, []
+
+        def forbid_one_color(pg, h, f, pre, names, want):
+            r, order = yield from step(pg, h, f, pre, names, want)
+            if not faults and not want and not running[-1]:  # the parent wants none either
+                ends = {v for v, _ in pre}
+                for v in sorted(set(r) - ends):
+                    forbidden = sorted(c for c in h.list_of(v) if not f_in.get(v, c))
+                    if forbidden:
+                        faults.append((v, r[v], forbidden[0]))
+                        r = {**r, v: forbidden[0]}
+                        break
+            return r, order
+
+        pg = grid(12, seed=12)
+        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
+        f_in = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
+        assert solve_planar_dpg52(pg, h, f_in)  # solves when nothing is forbidden
+        monkeypatch.setattr(solvers, "_step", forbid_one_color)
+        with pytest.raises(InternalInvariantViolated,
+                           match="^shared chord pair cannot head the order$"):
+            solve_planar_dpg52(pg, h, f_in)
+        assert len(faults) == 1, faults
