@@ -22,9 +22,11 @@ candidate pair graph, built once per search, restricted to the pairs whose
 bits are set in `alive`: a pair's degree is its mask's popcount within
 `alive`, and pairs outside `alive` are never read.  The search only ever
 adds one pair to a set it already found orderable, so `_orderable_with`
-stops as soon as the added pair is removable.  The whole bitmask
-elimination it is tested against lives with the test oracles
-(`tests/oracles.py`).
+stops as soon as the added pair is removable.  The search calls it once
+per node on the pair it tries, and again on the candidates of an uncolored
+vertex only when its residual counters show every one of them at zero
+residual.  The whole bitmask elimination it is tested against lives with
+the test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations

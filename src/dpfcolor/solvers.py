@@ -5,7 +5,9 @@ prunes any partial set whose induced pair graph is already unorderable;
 that prune is sound because restricting a valid order to an induced
 sub-pair-graph keeps it valid.  It builds one bitmask pair graph over all
 candidate pairs per call, so a partial set is a single int of pair bits,
-and it backtracks on an explicit stack instead of recursing.
+and it backtracks on an explicit stack instead of recursing.  Each stack
+entry carries the partial set's residual counters as bit planes, so a
+node never rescans the uncolored vertices' candidates.
 
 solve_planar_dpg52 realizes the constructive argument that planar graphs
 are colorable whenever every vertex has budget total at least 5 with
@@ -89,23 +91,32 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     vertex has zero residual everywhere and no candidate pair of it can be
     added without making the partial pair graph unorderable.
 
-    One bitmask pair graph is built per call: the precolored pairs, then
-    every candidate pair (v, c) with f(v, c) >= 1 in search order, each
-    with one bit, its budget and the int mask of the pairs its edges'
-    matchings link it to.  A partial coloring is the int `alive` of its
-    pairs' bits, so both tests read the shared masks restricted to
-    `alive`.  Each orderability test adds one pair to a set already found
-    orderable (the precoloring is checked first), so it stops as soon as
-    the added pair is removable (`_orderable_with`).  The search runs on an
-    explicit stack of (alive before this depth, iterator over the depth's
-    untried candidates): undoing a choice is popping an entry, and the
-    depth costs no Python stack.
+    One bitmask pair graph is built per call, in one pass over the cover's
+    and the budget's tables: the precolored pairs, then every candidate
+    pair (v, c) with f(v, c) >= 1 in search order, each with one bit, its
+    budget and the int mask of the pairs its edges' matchings link it to.
+    A partial coloring is the int `alive` of its pairs' bits.  Each
+    orderability test adds one pair to a set already found orderable (the
+    precoloring is checked first), so it stops as soon as the added pair
+    is removable (`_orderable_with`).
+
+    The zero-residual test reads saturating counters kept beside `alive`:
+    bit k of planes[t] is set when pair k has at least t + 1 matched
+    neighbours in `alive`, so adding a pair updates every counter with one
+    AND and one OR per plane.  Only the vertices whose every candidate can
+    reach zero residual (its budget is at most its mask's popcount) are
+    watched, so there are as many planes as the largest budget among their
+    candidates.  A watched vertex's candidates are a contiguous range of
+    bits, and it is at zero residual everywhere when that range's slot
+    mask misses every pair still below its budget; nothing is rescanned.
+    The search runs on an explicit stack of (alive before this depth, its
+    planes, iterator over the depth's untried candidates): undoing a
+    choice is popping an entry, and the depth costs no Python stack.
     """
     if g.n > limit:
         raise LimitExceeded(f"{g.n} vertices exceed the exact-solver limit {limit}")
-    counters = {"nodes": 0, "backtracks": 0}
     if stats is not None:
-        stats.update(counters)
+        stats.update(nodes=0, backtracks=0)
 
     pre = dict(precolored) if precolored else {}
     if pre:
@@ -114,61 +125,93 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
             raise InvalidPrecoloring(f"precolored vertices {unknown} not in the graph")
         _check_precoloring(g, h, f, pre)
 
-    candidates = {
-        v: tuple(sorted(i for i in h.list_of(v) if f.get(v, i) >= 1))
-        for v in g.vertices if v not in pre
-    }
-    if any(not cs for cs in candidates.values()):
+    rows, lists = f._rows, h.lists  # budget rows hold only values >= 1
+    candidates = {v: sorted(rows.get(v, {}).keys() & lists.get(v, ()))
+                  for v in g.vertices if v not in pre}
+    if not all(candidates.values()):
         return None
     todo = sorted(candidates, key=lambda v: (-g.degree(v), v))
 
-    # The pair graph; slots[d] holds the indices of todo[d]'s candidates,
-    # and the empty slot past the last vertex marks a complete coloring.
+    # The pair graph; at[v] maps v's colors to their pair indices, slots[d]
+    # holds the indices of todo[d]'s candidates, and the empty slot past
+    # the last vertex marks a complete coloring.
     pairs = [(v, pre[v]) for v in sorted(pre)]
+    budgets = [rows[v][c] for v, c in pairs]
+    at = {v: {c: k} for k, (v, c) in enumerate(pairs)}
     slots = []
     for v in todo:
-        slots.append(range(len(pairs), len(pairs) + len(candidates[v])))
-        pairs += [(v, c) for c in candidates[v]]
+        cs = candidates[v]
+        at[v] = {c: len(pairs) + i for i, c in enumerate(cs)}
+        slots.append(range(len(pairs), len(pairs) + len(cs)))
+        pairs += [(v, c) for c in cs]
+        budgets += [rows[v][c] for c in cs]
     slots.append(range(0))
-    index = {p: k for k, p in enumerate(pairs)}
-    budgets = [f.get(v, c) for v, c in pairs]
     masks = [0] * len(pairs)
-    for u, v in g.edges:
-        for cu, cv in h.matching(u, v):
-            i, j = index.get((u, cu)), index.get((v, cv))
-            if i is not None and j is not None:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    matchings = h._matchings
+    for v, here in at.items():
+        for w in g.adj[v]:
+            if w > v and (m := matchings.get((v, w))):
+                there = at[w]
+                for c, i in here.items():
+                    j = there.get(m.get(c))
+                    if j is not None:
+                        masks[i] |= 1 << j
+                        masks[j] |= 1 << i
 
-    def doomed(alive: int, depth: int) -> bool:
+    # The watched slots, as (slot mask, slot) in search order; those of
+    # todo[d:] start at watched[watch_from[d]].  below[t] holds the
+    # watched pairs of budget t + 1.
+    watched, watch_from = [], []
+    for slot in slots:
+        watch_from.append(len(watched))
+        if slot and all(budgets[k] <= masks[k].bit_count() for k in slot):
+            watched.append((((1 << len(slot)) - 1) << slot.start, slot))
+    below = [0] * max((budgets[k] for _, slot in watched for k in slot), default=0)
+    for _, slot in watched:
+        for k in slot:
+            below[budgets[k] - 1] |= 1 << k
+
+    def add(planes: list[int], mask: int) -> list[int]:
+        # Each neighbour in `mask` gains one: plane t takes the pairs that
+        # were in plane t - 1 (plane -1 holds every pair).
+        return [p | q & mask for p, q in zip(planes, [-1, *planes])]
+
+    def doomed(alive: int, planes: list[int], depth: int) -> bool:
         # A vertex with zero residual everywhere (each of its candidate
         # pairs has at least its budget of matched colored neighbours) must
         # still admit some candidate pair that keeps the pair graph orderable.
-        for slot in slots[depth:len(todo)]:
-            if all(budgets[k] <= (masks[k] & alive).bit_count() for k in slot) and not any(
+        short = 0  # watched pairs still below their budget
+        for b, p in zip(below, planes):
+            short |= b & ~p
+        for slot_mask, slot in watched[watch_from[depth]:]:
+            if not short & slot_mask and not any(
                     _orderable_with(masks, budgets, alive, k) for k in slot):
                 return True
         return False
 
-    stack = [((1 << len(pre)) - 1, iter(slots[0]))]
+    planes = [0] * len(below)
+    for k in range(len(pre)):
+        planes = add(planes, masks[k])
+    nodes = backtracks = 0
+    stack = [((1 << len(pre)) - 1, planes, iter(slots[0]))]
     while 0 < len(stack) <= len(todo):
-        before, untried = stack[-1]
+        before, planes, untried = stack[-1]
         depth = len(stack)  # vertices of todo colored once this entry picks
         for k in untried:
-            counters["nodes"] += 1
-            alive = before | 1 << k
+            nodes += 1
             if _orderable_with(masks, budgets, before, k):
-                if not doomed(alive, depth):
-                    stack.append((alive, iter(slots[depth])))
+                alive, grown = before | 1 << k, add(planes, masks[k])
+                if not doomed(alive, grown, depth):
+                    stack.append((alive, grown, iter(slots[depth])))
                     break
-                counters["backtracks"] += 1
+                backtracks += 1
         else:
             stack.pop()
             if stack:
-                counters["backtracks"] += 1
+                backtracks += 1
 
     if stats is not None:
-        stats.update(counters)
+        stats.update(nodes=nodes, backtracks=backtracks)
     if not stack:
         return None
     alive = stack[-1][0]

@@ -9,6 +9,9 @@ the current code must return:
 - `scan_eliminate`, the elimination loop in its plain quadratic form;
 - `bitmask_orderable`, the whole elimination on a bitmask pair graph,
   which `degeneracy._orderable_with` must answer as;
+- `reference_solve_exact`, the exact search that rescans every uncolored
+  vertex's candidates at every node to find one with zero residual
+  everywhere;
 - `flood_split_on_chord` and `flood_find_separating_triangle`, which find
   the sides of a cycle by flooding faces and build their pieces through
   the validating constructors;
@@ -35,7 +38,10 @@ import random
 from itertools import permutations, product
 
 from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph, gen_planar_triangulation
-from dpfcolor.errors import ParseError
+from dpfcolor.coloring import _check_precoloring, induced_pair_graph
+from dpfcolor.degeneracy import _orderable_with, strictly_degenerate_order
+from dpfcolor.errors import InternalInvariantViolated, InvalidPrecoloring, LimitExceeded, ParseError
+from dpfcolor.solvers import DEFAULT_EXACT_LIMIT
 
 
 def pair_graph_bits(pg: PairGraph) -> tuple[list[int], list[int]]:
@@ -168,6 +174,93 @@ def coloring_exists_by_enumeration(g: SimpleGraph, h: Cover, f: Budget,
         if order_exists_by_prefix_search(masks, budgets):
             return True
     return False
+
+
+def reference_solve_exact(g: SimpleGraph, h: Cover, f: Budget,
+                          precolored: dict | None = None,
+                          limit: int = DEFAULT_EXACT_LIMIT,
+                          stats: dict | None = None):
+    """`solve_exact` as it was when `doomed` rescanned every uncolored
+    vertex's candidates at every node, and the pair graph was built from
+    `g.edges`, `Cover.matching` and `Budget.get`.  The library's search
+    must return the same coloring, order and `stats`."""
+    if g.n > limit:
+        raise LimitExceeded(f"{g.n} vertices exceed the exact-solver limit {limit}")
+    counters = {"nodes": 0, "backtracks": 0}
+    if stats is not None:
+        stats.update(counters)
+
+    pre = dict(precolored) if precolored else {}
+    if pre:
+        unknown = sorted(set(pre) - set(g.vertices))
+        if unknown:
+            raise InvalidPrecoloring(f"precolored vertices {unknown} not in the graph")
+        _check_precoloring(g, h, f, pre)
+
+    candidates = {
+        v: tuple(sorted(i for i in h.list_of(v) if f.get(v, i) >= 1))
+        for v in g.vertices if v not in pre
+    }
+    if any(not cs for cs in candidates.values()):
+        return None
+    todo = sorted(candidates, key=lambda v: (-g.degree(v), v))
+
+    # The pair graph; slots[d] holds the indices of todo[d]'s candidates,
+    # and the empty slot past the last vertex marks a complete coloring.
+    pairs = [(v, pre[v]) for v in sorted(pre)]
+    slots = []
+    for v in todo:
+        slots.append(range(len(pairs), len(pairs) + len(candidates[v])))
+        pairs += [(v, c) for c in candidates[v]]
+    slots.append(range(0))
+    index = {p: k for k, p in enumerate(pairs)}
+    budgets = [f.get(v, c) for v, c in pairs]
+    masks = [0] * len(pairs)
+    for u, v in g.edges:
+        for cu, cv in h.matching(u, v):
+            i, j = index.get((u, cu)), index.get((v, cv))
+            if i is not None and j is not None:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+
+    def doomed(alive: int, depth: int) -> bool:
+        # A vertex with zero residual everywhere (each of its candidate
+        # pairs has at least its budget of matched colored neighbours) must
+        # still admit some candidate pair that keeps the pair graph orderable.
+        for slot in slots[depth:len(todo)]:
+            if all(budgets[k] <= (masks[k] & alive).bit_count() for k in slot) and not any(
+                    _orderable_with(masks, budgets, alive, k) for k in slot):
+                return True
+        return False
+
+    stack = [((1 << len(pre)) - 1, iter(slots[0]))]
+    while 0 < len(stack) <= len(todo):
+        before, untried = stack[-1]
+        depth = len(stack)  # vertices of todo colored once this entry picks
+        for k in untried:
+            counters["nodes"] += 1
+            alive = before | 1 << k
+            if _orderable_with(masks, budgets, before, k):
+                if not doomed(alive, depth):
+                    stack.append((alive, iter(slots[depth])))
+                    break
+                counters["backtracks"] += 1
+        else:
+            stack.pop()
+            if stack:
+                counters["backtracks"] += 1
+
+    if stats is not None:
+        stats.update(counters)
+    if not stack:
+        return None
+    alive = stack[-1][0]
+    result = dict(p for k, p in enumerate(pairs) if alive >> k & 1)
+    pg = induced_pair_graph(g, h, f, result)
+    witness = strictly_degenerate_order(pg)
+    if witness is None:
+        raise InternalInvariantViolated("search accepted an unorderable coloring")
+    return result, witness
 
 
 def is_forest(g: SimpleGraph, subset) -> bool:

@@ -92,13 +92,15 @@ def test_every_import_is_used():
     assert unused == []
 
 
-@pytest.mark.parametrize("name", ["planar_fan", "planar_chord"])
+@pytest.mark.parametrize("name", ["planar_fan", "planar_chord", "exact_desk", "verify_files"])
 def test_planar_workloads_keep_their_seed_1_digests(name, monkeypatch, tmp_path):
-    """The golden corpus has no grids and no random triangulated polygons,
-    but the planar workloads do.  Rebuild the rounds that seed 1's digest
-    covers, solve and check each instance as `perfbench/run.py` does, and
-    compare the digest with the one `perfbench/notes.json` records."""
+    """The golden corpus has no grids, no random triangulated polygons and
+    no instances near the exact solver's colorability threshold, but the
+    workloads do.  Rebuild the rounds that seed 1's digest covers, run and
+    check each instance as `perfbench/run.py` does, and compare the digest
+    with the one `perfbench/notes.json` records."""
     monkeypatch.setattr(sys, "path", [str(ROOT), *sys.path])  # run.py imports perfbench
+    importlib.import_module("dpfcolor.cli")  # verify_files finds the CLI in sys.modules
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)

@@ -41,6 +41,7 @@ from oracles import (
     grid,
     polygon,
     random_graph,
+    reference_solve_exact,
     three_check_combine_colorings,
     triangulated_polygon,
     wheel,
@@ -166,8 +167,11 @@ class TestSolveExact:
 
     def test_search_depth_needs_no_python_stack(self):
         """The search goes one level deeper per vertex; its levels wait on
-        an explicit stack, so a depth past the recursion limit solves."""
-        n = 1100
+        an explicit stack, so a depth past the recursion limit solves.  No
+        pair of an edgeless graph has a neighbour, so none can reach zero
+        residual and the zero-residual test watches no vertex: a node does
+        no work per uncolored vertex, and n = 2,200 makes n nodes."""
+        n = 2200
         g = SimpleGraph(n)
         h, f = identity_instance(g, (1,))
         stats = {}
@@ -175,6 +179,69 @@ class TestSolveExact:
         assert verify_coloring(g, h, f, r) is not None
         assert order_is_valid(induced_pair_graph(g, h, f, r), order)
         assert stats == {"nodes": n, "backtracks": 0}
+
+    def test_agrees_with_the_rescanning_search(self):
+        """The residual counters carried on the search stack must steer the
+        search exactly as rescanning every uncolored vertex's candidates at
+        every node did: the same coloring, order and `stats` on seeded
+        instances, a third of them precolored.  Caps up to 3 need up to
+        three counter planes."""
+        absent = backtracked = cap_3 = precolored = 0
+        for t in range(2400):
+            rng = random.Random(f"counter-planes/{t}")
+            n = rng.randint(0, 11)
+            g = random_graph(n, rng.random(), rng)
+            s, cap = rng.randint(1, 4), rng.randint(1, 3)
+            list_size = rng.randint(1, s)
+            h = gen_random_cover(g, s, list_size, rng.choice([0.5, 1.0]),
+                                 seed=rng.randrange(10**6))
+            f = gen_random_budget(g, s, rng.randint(1, cap * list_size), cap,
+                                  seed=rng.randrange(10**6), lists=h.lists)
+            pre = None
+            if n and rng.random() < 1 / 3:
+                chosen = rng.sample(g.vertices, rng.randint(1, min(n, 3)))
+                pre = {v: rng.choice(sorted(h.list_of(v))) for v in chosen}
+            answers = []
+            for solve in (solve_exact, reference_solve_exact):
+                stats = {}
+                try:
+                    answers.append((solve(g, h, f, precolored=pre, stats=stats), stats))
+                except InvalidPrecoloring as exc:
+                    answers.append((str(exc), stats))
+            assert answers[0] == answers[1], t
+            got, stats = answers[0]
+            absent += got is None
+            backtracked += stats["backtracks"] > 0
+            cap_3 += cap == 3
+            precolored += pre is not None and not isinstance(got, str)
+        assert absent > 200 and backtracked > 200 and cap_3 > 300 and precolored > 400
+
+    def test_pair_graph_is_built_from_the_tables(self, monkeypatch):
+        """The search builds its pair graph from the cover's matchings and
+        the budget's rows directly: it asks no `Cover.matching`, and asks
+        `Budget.get` only for the final witness's n pairs."""
+        calls = Counter()
+
+        def counting(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(Cover, "matching", counting("matching", Cover.matching))
+        monkeypatch.setattr(Budget, "get", counting("get", Budget.get))
+        verdicts = set()
+        for t in range(10):
+            rng = random.Random(f"tables/{t}")
+            g = random_graph(10, 0.4, rng)
+            h = gen_random_cover(g, 3, 3, 1.0, rng.randrange(10**6))
+            f = gen_random_budget(g, 3, 3, 1, rng.randrange(10**6), lists=h.lists)
+            calls.clear()
+            found = solve_exact(g, h, f)
+            assert calls["matching"] == 0
+            assert calls["get"] == (g.n if found is not None else 0)
+            verdicts.add(found is None)
+        assert verdicts == {True, False}
 
     def test_matchings_are_read_once_per_call(self, monkeypatch):
         """The search reads the cover only through masks built once per
