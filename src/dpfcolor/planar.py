@@ -10,10 +10,14 @@ only the rows of vertices that lose a neighbour and shares the rest with
 the parent.  After a chord split those are the chord's two ends: the
 chord and the two outer arcs bound two closed sub-disks, and an edge from
 one sub-disk's inside to the other's would have to cross the chord or the
-outer face.  After a fan step they are the deleted pivot's neighbours, and
-so they are when a chord cuts off a bare triangle: the solver then deletes
-the triangle's degree-2 vertex with `delete_vertex` and builds no second
-piece.
+outer face.  After a fan step they are the deleted pivot's neighbours.
+
+A chord that cuts off a bare triangle builds no piece at all.  The solver
+copies a piece's tables once into `_Tables` and deletes each such
+triangle's degree-2 vertex from them in place, replacing the two rows it
+changes.  `find_chord` is one scan over outer positions, and after such a
+deletion `_Tables.chord` resumes it at the position of the chord just
+used, since no earlier position can gain a chord.
 """
 
 from __future__ import annotations
@@ -267,23 +271,80 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
 
 
 def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
-    """Positions (i, j) on the outer cycle of its lexicographically first chord.
+    """Positions (i, j) on the outer cycle of its lexicographically first chord."""
+    return _chord_from(pg.graph.adj, pg.outer, set(pg.outer), 0)
 
-    Scans, for each position i, only the neighbours of outer[i] that lie on
-    the outer cycle, so the search costs O(sum of outer degrees).
+
+def _chord_from(adj: Mapping[int, frozenset[int]], outer: tuple[int, ...],
+                on_outer: set[int], start: int) -> tuple[int, int] | None:
+    """find_chord's scan from position `start`, when no earlier position of
+    `outer` has a chord; `on_outer` is the set of its vertices.
+
+    On a simple walk, outer[i]'s neighbours on the walk other than its two
+    walk neighbours all lie at positions j >= i + 2, since none before i has
+    a chord.  So one set intersection per position tells whether it has a
+    chord, and only then a forward walk finds the smallest j.  Each
+    position costs O(min(deg, p)) at C level.  A walk that repeats a vertex
+    is walked forward at every position.
     """
-    outer = pg.outer
     p = len(outer)
-    at: dict[int, list[int]] = {}
-    for t, v in enumerate(outer):
-        at.setdefault(v, []).append(t)
-    adj = pg.graph.adj
-    for i, v in enumerate(outer):
-        js = [j for w in adj.get(v, ()) for j in at.get(w, ())
-              if j >= i + 2 and (i, j) != (0, p - 1)]
-        if js:
-            return (i, min(js))
+    simple = len(on_outer) == p
+    for i in range(start, p - 2):
+        near = adj[outer[i]] & on_outer
+        if simple and len(near) == (outer[i - 1] in near) + (outer[i + 1] in near):
+            continue
+        for j in range(i + 2, p - 1 if i == 0 else p):
+            if outer[j] in near:
+                return i, j
     return None
+
+
+class _Tables:
+    """A piece's adjacency and rotation tables and outer walk, copied once so
+    that degree-2 outer vertices can be deleted in place.
+
+    The dicts are the copy's own, but their rows are shared with the piece,
+    so a deletion replaces the rows it changes and never mutates one.
+    Deleting outer[i + 1] changes only the rows of outer[i] and
+    outer[i + 2], so no position before i gains a chord: the scan for the
+    next chord resumes at i.
+    """
+
+    __slots__ = ("adj", "rotation", "outer", "on_outer")
+
+    def __init__(self, pg: PlaneGraph):
+        self.adj = dict(pg.graph.adj)
+        self.rotation = dict(pg.rotation)
+        self.outer = pg.outer
+        self.on_outer = set(pg.outer)
+
+    def chord(self, start: int) -> tuple[int, int] | None:
+        """The first chord, when no position before `start` has one."""
+        return _chord_from(self.adj, self.outer, self.on_outer, start)
+
+    def delete(self, i: int) -> frozenset[int]:
+        """Delete outer[i + 1], whose only neighbours are outer[i] and
+        outer[i + 2], and return its adjacency row.  Costs O(p) for the
+        outer walk and O(deg) for each neighbour's rows, all at C level."""
+        outer = self.outer
+        x = outer[i + 1]
+        self.outer = outer[:i + 1] + outer[i + 2:]
+        self.on_outer.discard(x)
+        adj, rotation = self.adj, self.rotation
+        del rotation[x]
+        row = adj.pop(x)
+        for u in row:
+            adj[u] = adj[u] - {x}
+            rot = rotation[u]
+            k = rot.index(x)
+            rotation[u] = rot[:k] + rot[k + 1:]
+        return row
+
+    def plane(self) -> PlaneGraph:
+        """The current piece, sharing these tables: delete nothing after."""
+        adj = self.adj
+        return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), self.rotation,
+                                   self.outer)
 
 
 def _side(pg: PlaneGraph, cycle: tuple[int, ...]) -> set[int]:

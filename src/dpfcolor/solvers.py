@@ -16,15 +16,16 @@ then repeatedly split on outer-cycle chords or delete the second outer
 vertex and lower the budgets along its fan.  The steps of that recursion
 wait on an explicit work stack, so its depth costs heap, not Python stack.
 Each step pays only for its own piece: a chord split builds piece 2's
-pair graph once and both orders and checks piece 2 on it, a chord that
-cuts off a bare triangle colors the triangle's third vertex in place, and
-a fan step renames colors in a table of names, not in the cover.  So every
-step reads the caller's cover and a budget in input colors, and returns
-input colors: nothing is copied to be renamed or translated back.  Only a
-step whose witness order something reads builds one: the root, and a
-piece 1 whose split asks which chord end comes first.  The steps inside a
-piece 2 return colorings alone, since its split re-orders and checks the
-whole of piece 2 on piece 2's pair graph.
+pair graph once and both orders and checks piece 2 on it, one step cuts
+off a whole run of bare triangles in place and colors their third
+vertices once the rest is solved, and a fan step renames colors in a
+table of names, not in the cover.  So every step reads the caller's cover
+and a budget in input colors, and returns input colors: nothing is copied
+to be renamed or translated back.  Only a step whose witness order
+something reads builds one: the root, and a piece 1 whose split asks which
+chord end comes first.  The steps inside a piece 2 return colorings alone,
+since its split re-orders and checks the whole of piece 2 on piece 2's
+pair graph.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .graphs import SimpleGraph
 from .planar import (
     PlaneGraph,
     _split,
+    _Tables,
     delete_vertex,
     faces,
     fan_neighbors,
@@ -226,9 +228,11 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
 def _check_budget(g: SimpleGraph, h: Cover, f: Budget, total: int) -> None:
     """Raise BadBudget unless every budget value is at most 2 and every
     vertex's budget summed over its list is at least `total`."""
-    if any(val > 2 for row in f._rows.values() for val in row.values()):
+    rows, lists = f._rows, h.lists  # budget rows hold only values >= 1
+    if any(val > 2 for row in rows.values() for val in row.values()):
         raise BadBudget("budget values must be capped at 2")
-    low = [v for v in g.vertices if sum(f.get(v, i) for i in h.list_of(v)) < total]
+    low = [v for v in g.vertices
+           if sum(val for i, val in rows.get(v, {}).items() if i in lists.get(v, ())) < total]
     if low:
         raise BadBudget(f"list-restricted budget total below {total} at {low}")
 
@@ -305,7 +309,8 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
 def _step(pg: PlaneGraph, h: Cover, f: Budget,
           pre: tuple[tuple[int, int], tuple[int, int]], names: dict[int, dict[int, int]],
           want: bool):
-    """One frame of `_extend`: a base triangle, a chord split or a fan step.
+    """One frame of `_extend`: a run of bare triangles, then a base
+    triangle, a chord split or a fan step.
 
     A split frame solves piece 1, orients piece 2 by the order of the chord
     ends in piece 1's witness and solves it, re-orders piece 2 so that the
@@ -315,35 +320,39 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     piece under the input cover and its own budget; it checks only what it
     built itself, and its children have checked the rest.
 
+    Most chords cut off a bare triangle vi x vj, where x = outer[i + 1] has
+    no other neighbour, and such a chord is never split on.  While the first
+    chord is one, the frame deletes x in place (`_Tables`, one copy of the
+    piece's tables per frame) and resumes the chord scan at i.  When the
+    run stops, the frame takes the step above on what is left.  After that
+    step returns, it colors the cut vertices, last cut first, by the base
+    case's greedy rule and appends them to its order: each one's only
+    neighbours at its cut are vi and vj, which the order already holds, and
+    the vertices cut before it come after it, so its pair keeps the order
+    valid and needs no pair graph.  When piece 1 is the triangle v1 w vp,
+    the frame colors w right after the precolored pair and takes G less the
+    degree-2 end of the outer walk as piece 2, which the usual split check
+    covers.
+
     `want` says whether the caller reads the returned order.  The root
-    wants it.  A fan child, and the rest of a split whose piece 2 is a bare
-    triangle, inherit the flag.  Piece 2 never wants it, since its split
-    frame re-orders the whole of piece 2.  Piece 1 wants its order if the
-    frame does, or if the frame must ask which chord end comes first in it;
-    the precolored pair heads every order, so the answer is fixed when a
-    chord end is v1 or vp.  A frame that wants no order returns (coloring,
-    None).  It builds no pair graph, re-orders nothing and runs neither
-    `_split_valid` nor `_reinsertion_valid`, but it still checks that piece
-    2 keeps the chord ends' colors.  Its output is checked above it: the
-    nearest frame above that wants its order is a split frame whose piece 2
-    holds this frame's piece, and it re-orders and checks all of piece 2 on
-    piece 2's pair graph under its own budget.  The final check in
-    `solve_planar_dpg52` covers the whole input.
+    wants it, and a fan child inherits the flag.  Piece 2 never wants it,
+    since its split frame re-orders the whole of piece 2.  Piece 1 wants its
+    order if the frame does, or if the frame must ask which chord end comes
+    first in it; the precolored pair heads every order, so the answer is
+    fixed when a chord end is v1 or vp.  A frame that wants no order returns
+    (coloring, None).  It builds no pair graph, re-orders nothing and runs
+    neither `_split_valid` nor `_reinsertion_valid`, but it still checks
+    that piece 2 keeps the chord ends' colors.  Its output is checked above
+    it: the nearest frame above that wants its order is a split frame whose
+    piece 2 holds this frame's piece, and it re-orders and checks all of
+    piece 2 on piece 2's pair graph under its own budget.  The final check
+    in `solve_planar_dpg52` covers the whole input.
 
     `names` maps a vertex to {input color: name}; a vertex it lacks names
     each color by itself.  Fan steps rename colors only there
     (`_fan_colors`), and every choice the construction makes by the lowest
     color reads the lowest name, so each frame chooses as it would on a
     cover renamed by the table.
-
-    Most chords cut off a bare triangle, and that side is colored in place
-    by the base case's greedy step, never built as a piece or a frame.
-    When piece 2 is the triangle vi x vj, the frame solves G - x and
-    appends x: its only neighbours are the chord ends, which piece 1's
-    order already holds, so the greedy color keeps that order valid and
-    needs no pair graph.  When piece 1 is the triangle v1 w vp, the frame
-    colors w right after the precolored pair and takes G less the degree-2
-    end of the outer walk as piece 2, which the usual split check covers.
 
     A split frame that wants its order builds piece 2's pair graph once.
     It checks that piece 2's coloring keeps the chord ends' colors from
@@ -356,55 +365,57 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     (`_reinsertion_valid`).
 
     A suspended frame keeps its locals alive, so a frame lets go of what it
-    no longer reads before it yields.  A split frame lets go of its own
-    piece and of piece 1, so that while piece 1 is solved it holds only
-    piece 2 (or the bare triangle) and the chord ends.  A frame that wants
-    no order also lets go of piece 2, its budgets and its name table before
-    it yields piece 2 or its fan child, since it reads only colorings after.
+    no longer reads before it yields.  A frame keeps of its run only the cut
+    vertices' rows, budget rows and name rows (`_peeled_tables`).  A split
+    frame lets go of its own piece and of piece 1, so that while piece 1 is
+    solved it holds only piece 2 and the chord ends.  A frame that wants no
+    order also lets go of piece 2, its budgets and its name table before it
+    yields piece 2 or its fan child, since it reads only colorings after.
     No comprehension here reads a local: that would make the local a cell,
     which every frame allocates, split frames included.
     """
     (v1, _), (vp, _) = pre
     g = pg.graph
     outer = pg.outer
+    chord = None if g.n == 3 else find_chord(pg)
+    peeled = None
+    if _cuts_off_a_triangle(chord, g.adj, outer):
+        # Cut off the run's triangles in place, and resume the chord scan at
+        # the position of the chord just used.
+        tables, cut = _Tables(pg), {}
+        while _cuts_off_a_triangle(chord, tables.adj, tables.outer):
+            i = chord[0]
+            x = tables.outer[i + 1]
+            cut[x] = tables.delete(i)
+            chord = tables.chord(i)
+        pg = tables.plane()
+        del tables
+        g = pg.graph
+        outer = pg.outer
+        peeled = _peeled_tables(cut, f, names)
 
     if g.n == 3:
         r, order = _color_third(g, h, f, pre, outer[1], names)
-        return r, order if want else None
-
-    chord = find_chord(pg)
-    if chord is not None:
+    elif chord is not None:
         # The solver splits only near-triangulations it built itself from the
         # validated input, so the split needs no embedding or cycle check.
         i, j = chord
         p = len(outer)
         vi, vj = outer[i], outer[j]
+        # Which chord end comes first in piece 1's order is a question only
+        # when neither is v1 or vp, which head every order.
+        ask = vi != v1 and vj != vp
         # Piece 1 is the bare triangle v1 w vp when the chord cuts off an end
         # of the outer walk that has no other neighbour.
         ear = (vp if chord == (0, p - 2) and len(g.adj[vp]) == 2 else
                v1 if chord == (1, p - 1) and len(g.adj[v1]) == 2 else None)
         if ear is not None:
             r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi, names)
-        if j == i + 2 and len(g.adj[outer[i + 1]]) == 2:
-            # Piece 2 is the bare triangle vi x vj: color x after piece 1.
-            x = outer[i + 1]
-            triangle = g.induced(outer[i:j + 1])
-            if ear is None:
-                # Piece 1 waits in a list that the yield empties, so that no
-                # name of this frame keeps it alive while it is solved.
-                rest = [delete_vertex(pg, x, outer[:i + 1] + outer[j:])]
-                del pg, g, outer
-                r1, s1 = yield rest.pop(), h, f, pre, names, want
-            r2, s2 = _color_third(triangle, h, f, ((vi, r1[vi]), (vj, r1[vj])), x, names)
-            r1[x] = r2[x]
-            return r1, s1 + s2[2:] if want else None
-        # Which chord end comes first in piece 1's order is a question only
-        # when neither is v1 or vp, which head every order.
-        ask = vi != v1 and vj != vp
-        if ear is not None:
             pg2 = delete_vertex(pg, ear, outer[i:j + 1])
             del pg, g, outer
         else:
+            # Piece 1 waits in a list that the yield empties, so that no name
+            # of this frame keeps it alive while it is solved.
             pieces = list(_split(pg, chord))
             del pg, g, outer
             r1, s1 = yield pieces.pop(0), h, f, pre, names, want or ask
@@ -427,45 +438,84 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         r2, _ = yield rest.pop()
         if r2[first] != r1[first] or r2[second] != r1[second]:  # a child moved a chord end
             raise InternalInvariantViolated(_SPLIT_FAILED)
-        if not want:
-            return {**r1, **r2}, None
-        pairs = induced_pair_graph(pg2.graph, h, f, r2)
-        s2p = eliminate_with_prefix(pairs, head)
-        if s2p is None:
-            raise InternalInvariantViolated("shared chord pair cannot head the order")
-        if not _split_valid(pairs, r2, s2p, head):
-            raise InternalInvariantViolated(_SPLIT_FAILED)
-        return {**r1, **r2}, s1 + s2p[2:]
-
-    # Chordless outer cycle: delete the second outer vertex, lower budgets
-    # along its fan, solve the rest, and reinsert its pair.
-    p = len(outer)
-    v2, v3 = outer[1], outer[2]
-    fan = fan_neighbors(pg, v2)
-    if fan[0] != v1 or fan[-1] != v3:
-        raise InternalInvariantViolated("fan does not run from v1 to v3")
-    U = fan[1:-1]
-    names, f_adj, case21, one, two, one3 = _fan_colors(g, h, f, pre, names, v2, U, v3, p)
-
-    # The child waits in a list that the yield empties, as a split's piece 1.
-    rest = [(delete_vertex(pg, v2, (v1,) + U + outer[2:]), h, f_adj, pre, names, want)]
-    if not want:
-        del pg, g, outer, f, f_adj, names
-    r, s_sub = yield rest.pop()
-    r[v2] = t = one if case21 or r.get(v3) != one3 else two
-    if not want:
-        return r, None
-    if s_sub[0] != pre[0] or s_sub[1] != pre[1]:
-        raise InternalInvariantViolated("recursive order lost its precolored prefix")
-
-    if case21 and p > 3:
-        order = s_sub + ((v2, t),)
+        r, order = {**r1, **r2}, None
+        if want:
+            pairs = induced_pair_graph(pg2.graph, h, f, r2)
+            s2p = eliminate_with_prefix(pairs, head)
+            if s2p is None:
+                raise InternalInvariantViolated("shared chord pair cannot head the order")
+            if not _split_valid(pairs, r2, s2p, head):
+                raise InternalInvariantViolated(_SPLIT_FAILED)
+            order = s1 + s2p[2:]
     else:
-        order = s_sub[:2] + ((v2, t),) + s_sub[2:]
-    if not _reinsertion_valid(g, h, f, r, order, v2):
-        raise InternalInvariantViolated(
-            f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
-    return r, order
+        # Chordless outer cycle: delete the second outer vertex, lower
+        # budgets along its fan, solve the rest, and reinsert its pair.
+        p = len(outer)
+        v2, v3 = outer[1], outer[2]
+        fan = fan_neighbors(pg, v2)
+        if fan[0] != v1 or fan[-1] != v3:
+            raise InternalInvariantViolated("fan does not run from v1 to v3")
+        U = fan[1:-1]
+        names, f_adj, case21, one, two, one3 = _fan_colors(g, h, f, pre, names, v2, U, v3, p)
+
+        # The child waits in a list that the yield empties, as a split's
+        # piece 1.
+        rest = [(delete_vertex(pg, v2, (v1,) + U + outer[2:]), h, f_adj, pre, names, want)]
+        if not want:
+            del pg, g, outer, f, f_adj, names
+        r, s_sub = yield rest.pop()
+        r[v2] = t = one if case21 or r.get(v3) != one3 else two
+        order = None
+        if want:
+            if s_sub[0] != pre[0] or s_sub[1] != pre[1]:
+                raise InternalInvariantViolated("recursive order lost its precolored prefix")
+            if case21 and p > 3:
+                order = s_sub + ((v2, t),)
+            else:
+                order = s_sub[:2] + ((v2, t),) + s_sub[2:]
+            if not _reinsertion_valid(g, h, f, r, order, v2):
+                raise InternalInvariantViolated(
+                    f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
+
+    if peeled is not None:
+        colored = _color_peeled(*peeled, h, r)
+        if want:
+            order += tuple(colored)
+    return r, order if want else None
+
+
+def _cuts_off_a_triangle(chord: tuple[int, int] | None, adj: dict[int, frozenset[int]],
+                         outer: tuple[int, ...]) -> bool:
+    """Whether the chord cuts off the bare triangle outer[i] x outer[i + 2],
+    where x = outer[i + 1] has no other neighbour."""
+    return chord is not None and chord[1] == chord[0] + 2 and len(adj[outer[chord[0] + 1]]) == 2
+
+
+def _peeled_tables(cut: dict[int, frozenset[int]], f: Budget, names: dict[int, dict[int, int]]
+                ) -> tuple[SimpleGraph, Budget, dict[int, dict[int, int]]]:
+    """What coloring a run's cut vertices reads: their rows at the cut, as
+    a graph that holds only those rows, and their budget and name rows."""
+    rows = f._rows
+    return (SimpleGraph._trusted(tuple(cut), cut),
+            Budget._trusted(f.s, f.cap, {x: rows[x] for x in cut if x in rows}),
+            {x: names[x] for x in cut if x in names})
+
+
+def _color_peeled(g: SimpleGraph, f: Budget, names: dict[int, dict[int, int]], h: Cover,
+                r: dict[int, int]) -> list[tuple[int, int]]:
+    """Color a run's cut vertices in r, last cut first, by the base case's
+    greedy rule, and return their pairs in that order.
+
+    Each was cut with its two neighbours as its only ones, and the vertices
+    cut before it are colored after it, so its earlier matched neighbours
+    are the ones `_greedy_color` discounts on its row at the cut: appending
+    its pair keeps a valid order valid.
+    """
+    colored = []
+    for x in reversed(g.adj):
+        r[x] = c = _greedy_or_fail(g, h, f, r, x, names)
+        colored.append((x, c))
+    return colored
 
 
 def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
@@ -539,11 +589,17 @@ def _color_third(g: SimpleGraph, h: Cover, f: Budget,
     """The base case: color v, adjacent to both precolored vertices of `pre`,
     after them by the greedy rule on v's names.  g need only hold v's row."""
     r = dict(pre)
+    r[v] = c = _greedy_or_fail(g, h, f, r, v, names)
+    return r, pre + ((v, c),)
+
+
+def _greedy_or_fail(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
+                    names: dict[int, dict[int, int]]) -> int:
+    """v's color by the greedy rule on v's names, after r."""
     c = _greedy_color(g, h, f, r, v, names.get(v))
     if c is None:
         raise InternalInvariantViolated(f"base case failed: no residual color for vertex {v}")
-    r[v] = c
-    return r, pre + ((v, c),)
+    return c
 
 
 def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,

@@ -304,11 +304,15 @@ class TestTrustedPathsMatchValidatingConstructors:
         parent and shares all rows but those of the vertices that lose a
         neighbour: the chord ends of a split, the deleted vertex's
         neighbours of a fan step or of a chord that cuts off a bare
-        triangle."""
+        triangle.  Triangles cut off in place leave the same piece, and
+        leave the tables they were copied from unchanged."""
+        import dpfcolor.planar as planar
         import dpfcolor.solvers as solvers
 
         split, delete = solvers._split, solvers.delete_vertex
+        copy, peel = planar._Tables.__init__, planar._Tables.delete
         seen = {"split": 0, "fan": 0, "ear": 0}
+        copied = []
 
         def checked_split(pg, chord):
             parts = split(pg, chord)
@@ -320,15 +324,37 @@ class TestTrustedPathsMatchValidatingConstructors:
 
         def checked_delete(pg, v, outer):
             part = delete(pg, v, outer)
-            # A fan pivot has inner neighbours; a chord that cuts off a bare
-            # triangle deletes the triangle's degree-2 vertex.
+            # A fan pivot has inner neighbours; a chord that cuts off piece 1,
+            # the bare triangle at an end of the outer walk, deletes its
+            # degree-2 end.
             seen["fan" if len(pg.graph.adj[v]) > 2 else "ear"] += 1
             _assert_restriction(pg, part)
             _assert_shares_rows(pg, part, pg.graph.adj[v])
             return part
 
+        def checked_copy(tables, pg):
+            copy(tables, pg)
+            copied.append((pg, _plane_tables(pg)))
+
+        def checked_peel(tables, i):
+            adj = tables.adj
+            before = PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), dict(adj)),
+                                         dict(tables.rotation), tables.outer)
+            x = before.outer[i + 1]
+            row = peel(tables, i)
+            seen["ear"] += 1
+            part = tables.plane()
+            assert row == before.graph.adj[x] == {before.outer[i], before.outer[i + 2]}
+            assert part.outer == before.outer[:i + 1] + before.outer[i + 2:]
+            _assert_restriction(before, part)
+            _assert_shares_rows(before, part, row)
+            assert _plane_tables(part) == _plane_tables(delete(before, x, part.outer))
+            return row
+
         monkeypatch.setattr(solvers, "_split", checked_split)
         monkeypatch.setattr(solvers, "delete_vertex", checked_delete)
+        monkeypatch.setattr(planar._Tables, "__init__", checked_copy)
+        monkeypatch.setattr(planar._Tables, "delete", checked_peel)
         shapes = [gen_planar_triangulation(10 + 10 * t, t) for t in range(8)]
         shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7)]
         shapes += [wheel(p) for p in (4, 6, 9)]
@@ -340,6 +366,7 @@ class TestTrustedPathsMatchValidatingConstructors:
             r, _ = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None
         assert seen["split"] > 100 and seen["fan"] > 40 and seen["ear"] > 200, seen
+        assert copied and all(_plane_tables(pg) == tables for pg, tables in copied)
 
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):

@@ -42,6 +42,7 @@ from oracles import (
     polygon,
     random_graph,
     reference_solve_exact,
+    scan_find_chord,
     three_check_combine_colorings,
     triangulated_polygon,
     wheel,
@@ -367,6 +368,32 @@ class TestSolvePlanar:
         with pytest.raises(BadBudget):
             solve_planar_dpg52(pg, h, f)
 
+    def test_budget_messages_name_the_fault(self):
+        """Both BadBudget messages, with the low vertices in vertex order.
+        A budget entry at a color outside a vertex's list does not count
+        towards its total, and a value above 2 is named before any total."""
+        pg = gen_planar_triangulation(8, seed=2)
+        lists = {v: {1, 2, 3, 4, 5} for v in pg.graph.vertices}
+        lists[6] = {1, 2, 3, 4}
+        h = identity_cover(pg.graph, lists, s=6)
+        values = {(v, c): 1 for v in pg.graph.vertices for c in lists[v]}
+        values[6, 6] = 2
+        del values[5, 5], values[2, 1]
+        f = Budget(6, 2, values)
+        with pytest.raises(BadBudget,
+                           match=r"^list-restricted budget total below 5 at \[2, 5, 6\]$"):
+            solve_planar_dpg52(pg, h, f)
+        with pytest.raises(BadBudget, match="^budget values must be capped at 2$"):
+            solve_planar_dpg52(pg, h, Budget(6, 3, {**values, (3, 1): 3}))
+        k4 = gen_planar_triangulation(4, seed=0)
+        lists = {v: {1, 2, 3, 4} for v in k4.graph.vertices}
+        values = {(v, c): 1 for v in k4.graph.vertices for c in lists[v]}
+        del values[3, 2], values[1, 4]
+        with pytest.raises(BadBudget,
+                           match=r"^list-restricted budget total below 4 at \[1, 3\]$"):
+            extend_precolored_triangle(k4, identity_cover(k4.graph, lists),
+                                       Budget(4, 1, values), {0: 1, 1: 2, 2: 3})
+
     def test_cut_vertex_rejected(self):
         # two triangles glued at a vertex
         g = SimpleGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
@@ -549,13 +576,104 @@ def _chord_only_instances():
         yield pg, h, f
 
 
+def _run_instances():
+    """`_chord_only_instances`, wheels and fanned polygons: shapes whose
+    construction cuts off runs of bare triangles at many positions."""
+    yield from _chord_only_instances()
+    shapes = [wheel(p) for p in (4, 5, 9, 40, 300)]
+    shapes += [triangulate_interior(polygon(p)) for p in (4, 5, 9, 40, 300)]
+    for t, pg in enumerate(shapes):
+        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t + 20)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 30, lists=h.lists)
+        yield pg, h, f
+
+
+def test_resumed_chord_scan_matches_pairwise_scan(monkeypatch):
+    """A frame that cuts off a run of bare triangles in place resumes the
+    chord scan at the position of the chord just used: the positions before
+    it keep their rows, and so gain no chord, and its row lost the deleted
+    vertex.  At every step of every run, the resumed scan must start there
+    and find the chord that the scan of every pair of outer positions finds
+    on the current piece."""
+    import dpfcolor.planar as planar
+
+    copy, peel, chord = planar._Tables.__init__, planar._Tables.delete, planar._Tables.chord
+    runs, cut_at = [], []
+
+    def new_run(tables, pg):
+        copy(tables, pg)
+        runs.append(0)
+
+    def record_peel(tables, i):
+        cut_at.append(i)
+        return peel(tables, i)
+
+    def checked_chord(tables, start):
+        assert start == cut_at.pop(), start
+        got = chord(tables, start)
+        adj = tables.adj
+        piece = PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), tables.rotation,
+                                    tables.outer)
+        assert got == scan_find_chord(piece), (start, got)
+        runs[-1] += 1
+        return got
+
+    monkeypatch.setattr(planar._Tables, "__init__", new_run)
+    monkeypatch.setattr(planar._Tables, "delete", record_peel)
+    monkeypatch.setattr(planar._Tables, "chord", checked_chord)
+    for pg, h, f in _run_instances():
+        r, order = solve_planar_dpg52(pg, h, f)
+        assert verify_coloring(pg.graph, h, f, r) is not None
+    assert not cut_at
+    assert sum(1 for k in runs if k >= 2) > 90, Counter(runs).most_common(5)
+
+
+@pytest.mark.parametrize("shape", ["fanned", "wheel"])
+def test_deep_fans_cut_their_triangles_in_linear_scans(shape, monkeypatch):
+    """A fanned 5000-gon and a wheel of 5000 vertices solve and verify.
+    Their constructions are runs of triangles cut off at one hub, each run
+    in one frame that resumes its chord scan where the last chord was: the
+    scan visits at most 4·n outer positions over the whole solve (n on the
+    fanned polygon, 2·n on the wheel), in at most 10 frames (1 and 2).
+    Counts, not wall time, are bounded."""
+    import dpfcolor.planar as planar
+    import dpfcolor.solvers as solvers
+
+    scan, step = planar._chord_from, solvers._step
+    visited, frames = [0], [0]
+
+    def count_positions(adj, outer, on_outer, start):
+        got = scan(adj, outer, on_outer, start)
+        visited[0] += (got[0] + 1 if got else len(outer)) - start
+        return got
+
+    def count_frames(*args):
+        frames[0] += 1
+        return (yield from step(*args))
+
+    pg = triangulate_interior(polygon(5000)) if shape == "fanned" else wheel(4999)
+    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=6)
+    f = gen_random_budget(pg.graph, 5, 5, 2, seed=7, lists=h.lists)
+    monkeypatch.setattr(planar, "_chord_from", count_positions)
+    monkeypatch.setattr(solvers, "_step", count_frames)
+    r, order = solve_planar_dpg52(pg, h, f)
+    assert pg.n == 5000
+    assert verify_coloring(pg.graph, h, f, r) is not None
+    assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
+    assert visited[0] <= 4 * pg.n, visited
+    assert frames[0] <= 10, frames
+
+
 def test_no_split_builds_a_bare_triangle(monkeypatch):
-    """A chord that cuts off a bare triangle colors the triangle's third
+    """A chord that cuts off a bare triangle deletes the triangle's third
     vertex in place: no split builds a 3-vertex piece, and no split frame
-    a 3-vertex pair graph."""
+    a 3-vertex pair graph.  Each triangle cut off in place counts as a
+    piece towards the floor."""
+    import dpfcolor.planar as planar
     import dpfcolor.solvers as solvers
 
     split, delete, build = solvers._split, solvers.delete_vertex, solvers.induced_pair_graph
+    peel = planar._Tables.delete
     built = Counter()
 
     def record_split(pg, chord):
@@ -568,6 +686,10 @@ def test_no_split_builds_a_bare_triangle(monkeypatch):
         built["piece", part.n] += 1
         return part
 
+    def record_peel(tables, i):
+        built["peeled"] += 1
+        return peel(tables, i)
+
     def record_build(g, h, f, r):
         pairs = build(g, h, f, r)
         built["pairs", pairs.n] += 1
@@ -575,28 +697,38 @@ def test_no_split_builds_a_bare_triangle(monkeypatch):
 
     monkeypatch.setattr(solvers, "_split", record_split)
     monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+    monkeypatch.setattr(planar._Tables, "delete", record_peel)
     monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
     for pg, h, f in _chord_only_instances():
         built.clear()
         r, _ = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
-        assert sum(k for (what, n), k in built.items() if what == "piece") > 500
+        pieces = sum(k for key, k in built.items() if key[0] == "piece")
+        assert pieces + built["peeled"] > 500
         assert built["piece", 3] == 0 and built["pairs", 3] == 0, sorted(built.items())[:4]
 
 
 def test_split_frames_release_what_they_no_longer_read(monkeypatch):
     """A frame waiting on piece 1 holds only piece 2 and the chord ends, so
     however deep the construction goes, few large pieces are alive at once.
-    Every graph `planar` builds is weakly referenced, and at each build the
-    live ones with more than n/10 vertices are counted.  The pieces that
-    waiting frames hold and the piece being split have disjoint insides, so
-    at most 10 of them are that large; the input's triangulation and the
-    two pieces of the split under way make 13."""
+    Every graph `planar` builds, and every copy of a piece's tables that a
+    frame cuts triangles from in place, is weakly referenced, and at each
+    build the live ones with more than n/10 vertices are counted.  The
+    pieces that waiting frames hold and the piece being split have disjoint
+    insides, so at most 10 of them are that large; the input's
+    triangulation and the two pieces of the split under way make 13."""
     import weakref
 
     import dpfcolor.planar as planar
+    import dpfcolor.solvers as solvers
 
     refs, peak = [], [0]
+
+    def count(new):
+        live = [x for ref in refs if (x := ref()) is not None] + [new]
+        refs[:] = map(weakref.ref, live)
+        size = [x.n if isinstance(x, SimpleGraph) else len(x.adj) for x in live]
+        peak[0] = max(peak[0], sum(1 for k in size if 10 * k > n))
 
     class Tracked(SimpleGraph):
         __slots__ = ("__weakref__",)
@@ -604,13 +736,19 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
         @classmethod
         def _trusted(cls, vertices, adj):
             g = super()._trusted(vertices, adj)
-            live = [x for ref in refs if (x := ref()) is not None] + [g]
-            refs[:] = map(weakref.ref, live)
-            peak[0] = max(peak[0], sum(1 for x in live if 10 * x.n > n))
+            count(g)
             return g
+
+    class TrackedTables(planar._Tables):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, pg):
+            super().__init__(pg)
+            count(self)
 
     instances = list(_chord_only_instances())
     monkeypatch.setattr(planar, "SimpleGraph", Tracked)
+    monkeypatch.setattr(solvers, "_Tables", TrackedTables)
     for pg, h, f in instances:
         n, peak[0] = pg.n, 0
         r, _ = solve_planar_dpg52(pg, h, f)
