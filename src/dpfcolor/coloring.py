@@ -107,15 +107,37 @@ def _residuals(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring) -> Bud
 
 def residual_at(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring,
                 v: int) -> dict[int, int]:
-    """Residual values of a single uncolored vertex, without re-verification."""
-    colored_nbrs = [x for x in g.adj[v] if x in precolored]
-    out = {}
-    for i in f.support(v):
-        hits = sum(1 for x in colored_nbrs if h.matched(v, i, x, precolored[x]))
-        left = f.get(v, i) - hits
-        if left > 0:
-            out[i] = left
-    return out
+    """Residual values of a single uncolored vertex, without re-verification:
+    {i: f_i(v) - hits} over v's positive budget entries, in ascending color
+    order, where hits counts v's colored neighbours x whose edge matches
+    (v, i) to (x, r(x)).
+
+    One pass over v's neighbours: each colored one costs one lookup of its
+    edge's matching dict, which names the color of v it hits (a key lookup
+    when v is the larger endpoint, a scan of the dict's at most s items
+    when it is the smaller one).  So the cost is O(deg(v)) lookups plus
+    sorting v's budget row, not one `Cover.matched` call per color and
+    neighbour.
+    """
+    row = f._rows.get(v)
+    if not row:
+        return {}
+    matchings, hits = h._matchings, {}
+    for x in g.adj[v]:
+        cx = precolored.get(x)
+        if cx is None:
+            continue
+        if x < v:
+            i = matchings.get((x, v), _NO_MATCHES).get(cx)
+        else:
+            i = None
+            for c, cw in matchings.get((v, x), _NO_MATCHES).items():
+                if cw == cx:
+                    i = c
+                    break
+        if i is not None:
+            hits[i] = hits.get(i, 0) + 1
+    return {i: left for i in sorted(row) if (left := row[i] - hits.get(i, 0)) > 0}
 
 
 def _greedy_color(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
@@ -136,13 +158,13 @@ def greedy_extend(g: SimpleGraph, h: Cover, f: Budget, partial: Coloring,
     """Color one more vertex by the greedy rule (`_greedy_color`) and append
     it to the witness order.
 
-    Raises InvalidInput when v is not a vertex of g and NoColorAvailable
-    when v has no residual color of its list.
+    Raises InvalidInput when v is not a vertex of g or is already colored,
+    and NoColorAvailable when v has no residual color of its list.
     """
     if v not in g.adj:
         raise InvalidInput(f"vertex {v} is not in the graph")
     if v in partial:
-        raise ValueError(f"vertex {v} is already colored")
+        raise InvalidInput(f"vertex {v} is already colored")
     i = _greedy_color(g, h, f, partial, v)
     if i is None:
         raise NoColorAvailable(f"no residual color for vertex {v}")

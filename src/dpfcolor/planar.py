@@ -5,19 +5,21 @@ vertex and a designated outer face.  Faces are traced by following, from
 each directed edge (u, v), the dart (v, w) where w is the successor of u
 in the rotation at v; this visits every dart exactly once.
 
-The planar recursion works on pieces built by `_piece`, which rebuilds
-only the rows of vertices that lose a neighbour and shares the rest with
-the parent.  After a chord split those are the chord's two ends: the
-chord and the two outer arcs bound two closed sub-disks, and an edge from
-one sub-disk's inside to the other's would have to cross the chord or the
-outer face.  After a fan step they are the deleted pivot's neighbours.
+The planar recursion's pieces rebuild only the rows of vertices that lose
+a neighbour and share the rest with the parent.  A chord split (`_piece`)
+rebuilds the chord's two ends: the chord and the two outer arcs bound two
+closed sub-disks, and an edge from one sub-disk's inside to the other's
+would have to cross the chord or the outer face.  A fan step
+(`delete_vertex`) rebuilds the deleted pivot's neighbours, each of which
+drops the pivot from its rows by position (`_drop`): O(deg) per
+neighbour, besides one C-level copy of the two dicts.
 
 A chord that cuts off a bare triangle builds no piece at all.  The solver
 copies a piece's tables once into `_Tables` and deletes each such
-triangle's degree-2 vertex from them in place, replacing the two rows it
-changes.  `find_chord` is one scan over outer positions, and after such a
-deletion `_Tables.chord` resumes it at the position of the chord just
-used, since no earlier position can gain a chord.
+triangle's degree-2 vertex from them in place with the same `_drop`.
+`find_chord` is one scan over outer positions, and after such a deletion
+`_Tables.chord` resumes it at the position of the chord just used, since
+no earlier position can gain a chord.
 """
 
 from __future__ import annotations
@@ -97,14 +99,17 @@ class FaceSet:
 
 def trace_faces(pg: PlaneGraph) -> list[tuple[int, ...]]:
     """Raw face walks from the rotation system, deterministic order."""
+    rotation = pg.rotation
     succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, rot in sorted(pg.rotation.items()):
+    for v, rot in rotation.items():
         d = len(rot)
         for k, u in enumerate(rot):
             succ[(u, v)] = (v, rot[(k + 1) % d])
     faces = []
     seen: set[tuple[int, int]] = set()
-    for dart in sorted(succ):
+    # The darts in sorted order: each rotation row permutes its vertex's
+    # neighbours, so the darts out of u are (u, v) for v in rotation[u].
+    for dart in ((u, v) for u in sorted(rotation) for v in sorted(rotation[u])):
         if dart in seen:
             continue
         walk = []
@@ -267,7 +272,9 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
             w = cyc[t]
             adj[w] = adj[w] | {apex}
             rotation[w] = _insert_before(rotation[w], cyc[t + 1], apex)
-    return PlaneGraph(SimpleGraph._trusted(pg.graph.vertices, adj), rotation, pg.outer)
+    # pg's tables were checked on the way in and by faces(), and the chords
+    # follow the rotation rule, so the result needs no second check.
+    return PlaneGraph._trusted(SimpleGraph._trusted(pg.graph.vertices, adj), rotation, pg.outer)
 
 
 def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
@@ -304,7 +311,8 @@ class _Tables:
     that degree-2 outer vertices can be deleted in place.
 
     The dicts are the copy's own, but their rows are shared with the piece,
-    so a deletion replaces the rows it changes and never mutates one.
+    so a deletion replaces the rows it changes and never mutates one
+    (`_drop`, as `delete_vertex` does).
     Deleting outer[i + 1] changes only the rows of outer[i] and
     outer[i + 2], so no position before i gains a chord: the scan for the
     next chord resumes at i.
@@ -330,15 +338,7 @@ class _Tables:
         x = outer[i + 1]
         self.outer = outer[:i + 1] + outer[i + 2:]
         self.on_outer.discard(x)
-        adj, rotation = self.adj, self.rotation
-        del rotation[x]
-        row = adj.pop(x)
-        for u in row:
-            adj[u] = adj[u] - {x}
-            rot = rotation[u]
-            k = rot.index(x)
-            rotation[u] = rot[:k] + rot[k + 1:]
-        return row
+        return _drop(self.adj, self.rotation, x)
 
     def plane(self) -> PlaneGraph:
         """The current piece, sharing these tables: delete nothing after."""
@@ -429,14 +429,35 @@ def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
         del adj[v], rotation[v]
     for v in cut:
         adj[v] = adj[v] & keep
-        rotation[v] = tuple(u for u in rotation[v] if u in keep)
+        rotation[v] = tuple(filter(keep.__contains__, rotation[v]))
     return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, tuple(outer))
 
 
+def _drop(adj: dict[int, frozenset[int]], rotation: dict[int, tuple[int, ...]],
+          x: int) -> frozenset[int]:
+    """Delete x from a copy's adjacency and rotation dicts and return its
+    adjacency row.  Each neighbour's rows are replaced, never mutated, by
+    rows without x, which its rotation row drops by position: O(deg) per
+    neighbour at C level, however large the graph."""
+    del rotation[x]
+    row = adj.pop(x)
+    for u in row:
+        adj[u] = adj[u] - {x}
+        rot = rotation[u]
+        k = rot.index(x)
+        rotation[u] = rot[:k] + rot[k + 1:]
+    return row
+
+
 def delete_vertex(pg: PlaneGraph, v: int, outer: tuple[int, ...]) -> PlaneGraph:
-    """Remove one vertex, keeping the induced rotations; caller supplies the new outer face."""
-    adj = pg.graph.adj
-    return _piece(pg, adj.keys() - {v}, outer, adj[v])
+    """Remove one vertex, keeping the induced rotations; caller supplies the new outer face.
+
+    Copies the two dicts once (O(n) at C level) and rebuilds only the rows
+    of v's neighbours (`_drop`); every other row is shared with pg.
+    """
+    adj, rotation = dict(pg.graph.adj), dict(pg.rotation)
+    _drop(adj, rotation, v)
+    return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, tuple(outer))
 
 
 def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:

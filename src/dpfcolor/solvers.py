@@ -40,12 +40,13 @@ from .coloring import (
     residual_at,
 )
 from .covers import (
+    _NO_MATCHES,
     Budget,
     Coloring,
     Cover,
     Order,
     PairGraph,
-    complete_permutation,
+    _complete_injective,
 )
 from .cycles import FamilyA, check_family
 from .degeneracy import (
@@ -537,6 +538,11 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
     the colors named 1, and in case 2.2 also 2, lowered), whether the step
     is case 2.1, v2's colors now named 1 and 2 (the second None in case
     2.1) and v3's color now named 1.
+
+    Each fan neighbour costs one read of its edge's matching dict and O(s)
+    work to complete its map of names, with no set built and no check of
+    an injectivity that holds by construction (`_complete_injective`).
+    The child's budget still copies the table of rows (`Budget.assign`).
     """
     s = h.s
     at2 = _names_at(names, v2, s)
@@ -555,24 +561,34 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
             raise InternalInvariantViolated("fan pivot lacks a second residual color")
         second = min(others, key=at2.get)
         swap[at2[second]] = 2
-    sigma = complete_permutation(swap, s)
+    sigma = _complete_injective(swap, s)
     at2 = {i: sigma[k] for i, k in at2.items()}
 
     # Rename each fan neighbour's fiber so that its matching with v2 pairs
-    # equal names; v1 and vp keep theirs unless they sit on the fan.
+    # equal names; v1 and vp keep theirs unless they sit on the fan.  A
+    # matching is injective and so are both name rows, so each map of names
+    # is too.
     child = dict(names)
     child.pop(v2, None)
+    matchings = h._matchings
     for u in (*U, v3):
         at = _names_at(names, u, s)
-        aligned = {at[cu]: at2[c2] for c2, cu in h.matching(v2, u)}
-        perm = complete_permutation(aligned, s)
+        if v2 < u:
+            pairs = matchings.get((v2, u), _NO_MATCHES).items()
+        else:
+            m = matchings.get((u, v2), _NO_MATCHES)
+            pairs = zip(m.values(), m.keys())
+        aligned = {at[cu]: at2[c2] for c2, cu in pairs}
+        perm = _complete_injective(aligned, s)
         child[u] = {i: perm[k] for i, k in at.items()}
 
     lowered = (1,) if case21 else (1, 2)
     updates: dict[tuple[int, int], int] = {}
+    rows = f._rows
     for u in U:
+        row = rows.get(u, {})
         for i, k in child[u].items():
-            if k in lowered and (val := f.get(u, i)):
+            if k in lowered and (val := row.get(i)):
                 updates[(u, i)] = 0 if case21 else val - 1
     one3 = next(i for i, k in child[v3].items() if k == 1)
     return child, f.assign(updates), case21, cstar, second, one3

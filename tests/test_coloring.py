@@ -188,6 +188,15 @@ class TestGreedyExtend:
         with pytest.raises(InvalidInput, match="vertex 7 is not in the graph"):
             greedy_extend(g, h, f, {0: 1}, ((0, 1),), 7)
 
+    def test_colored_vertex_is_invalid_input(self):
+        """Extending at a vertex the partial coloring already colors is an
+        out-of-contract input, so it gets the typed error the CLI maps."""
+        g = complete_graph(3)
+        h = Cover(3, {v: {1, 2, 3} for v in g.vertices})
+        f = unit_budget(g, 3, (1, 2, 3))
+        with pytest.raises(InvalidInput, match="vertex 0 is already colored"):
+            greedy_extend(g, h, f, {0: 1}, ((0, 1),), 0)
+
     def test_result_reverifies(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -37,8 +37,9 @@ from dpfcolor import (
     verify_coloring,
 )
 from dpfcolor.coloring import _residuals, residual_at
+from dpfcolor.covers import _complete_injective, complete_permutation
 from dpfcolor.formats import emit_cover, parse_cover
-from dpfcolor.planar import delete_vertex
+from dpfcolor.planar import _piece, delete_vertex
 
 from oracles import grid, random_graph, thin_triangulation, triangulated_polygon, wheel
 
@@ -496,3 +497,78 @@ def test_stored_matchings_are_untracked_dicts_that_answer_as_given():
     for seed in range(5):
         g = gen_planar_triangulation(30, seed).graph
         _assert_untracked(gen_random_cover(g, 5, 4, 0.7, seed))
+
+
+class TestColorKernelsMatchReferences:
+    """The planar solver's color steps read matching dicts and rows directly
+    (`residual_at`, the fan step's completion of name maps, `delete_vertex`).
+    Each is compared here with a reference that shares none of its code:
+    a brute-force count over `Cover.matching` pairs, `complete_permutation`,
+    and the induced piece that `_piece` builds from a keep set."""
+
+    def test_residual_at_counts_as_brute_force(self):
+        """On random covers, with a random precoloring that colors non-neighbours
+        and uses colors outside the lists, and with some budget rows dropped,
+        residual_at gives the brute-force residual, items in ascending color
+        order.  Both orientations of a matched edge must hit."""
+        hits = {"smaller": 0, "larger": 0}
+        rowless = 0
+        for rng, g, h, f, _ in _instances(300):
+            # Rows lose some vertices and keep their colors in shuffled order.
+            drop = set(rng.sample(list(g.vertices), rng.randint(0, g.n // 2)))
+            items = [(k, val) for k, val in f.items() if k[0] not in drop]
+            rng.shuffle(items)
+            f = Budget(f.s, f.cap, items)
+            precolored = {v: rng.choice(sorted(h.lists[v]) if h.lists[v] and rng.random() < 0.8
+                                        else range(1, h.s + 1))
+                          for v in rng.sample(list(g.vertices), rng.randint(0, g.n))}
+            for v in g.vertices:
+                if v in precolored:
+                    continue
+                expected = {}
+                for (u, i), val in f.items():
+                    if u != v:
+                        continue
+                    matched = [x for x in g.adj[v]
+                               if x in precolored and (i, precolored[x]) in h.matching(v, x)]
+                    for x in matched:
+                        hits["smaller" if v < x else "larger"] += 1
+                    if val - len(matched) > 0:
+                        expected[i] = val - len(matched)
+                rowless += not f.support(v)
+                assert list(residual_at(g, h, f, precolored, v).items()) == list(expected.items())
+        assert hits["smaller"] > 100 and hits["larger"] > 100 and rowless > 150
+
+    def test_trusted_completion_is_complete_permutation(self):
+        """Same dict, item order included, on random injective maps, s = 1..8."""
+        rng = random.Random("complete")
+        for s in range(1, 9):
+            for _ in range(200):
+                k = rng.randint(0, s)
+                partial = dict(zip(rng.sample(range(1, s + 1), k), rng.sample(range(1, s + 1), k)))
+                out = _complete_injective(partial, s)
+                assert list(out.items()) == list(complete_permutation(partial, s).items())
+
+    @pytest.mark.parametrize("shape", ["stacked", "grid", "wheel"])
+    def test_delete_vertex_is_the_induced_piece(self, shape):
+        """For every inner vertex v, delete_vertex gives the tables of
+        `_piece(pg, V - {v}, outer, adj[v])`, with key order, and shares every
+        row away from v's neighbours with pg, which stays unchanged."""
+        if shape == "stacked":
+            graphs = [gen_planar_triangulation(n, n) for n in range(4, 24)]
+        elif shape == "grid":
+            graphs = [grid(k, seed=k) for k in range(3, 8)]
+        else:
+            graphs = [wheel(p) for p in range(3, 12)]
+        deleted = 0
+        for pg in graphs:
+            before = _plane_tables(pg)
+            adj = pg.graph.adj
+            for v in set(adj).difference(pg.outer):
+                out = delete_vertex(pg, v, pg.outer)
+                expected = _piece(pg, adj.keys() - {v}, pg.outer, adj[v])
+                assert _plane_tables(out) == _plane_tables(expected)  # key order included
+                _assert_shares_rows(pg, out, adj[v])
+                deleted += 1
+            assert _plane_tables(pg) == before
+        assert deleted >= {"stacked": 200, "grid": 55, "wheel": 9}[shape]
