@@ -12,6 +12,27 @@ equal objects serialize to identical bytes.
 Each parser is one loop over the lines.  A line's integers are converted
 inline; only when a conversion fails is the line walked again, by
 `_int_error`, to name the token at fault.
+
+Graph, cover and budget files name each vertex and color many times, so
+their parsers convert through `_Ints`, a memo made afresh per call that
+runs `int()` once per distinct token; a repeated token then costs one
+dict lookup, about half an `int()` call.  A token `int()` rejects is never
+stored, so `_int_error` still names it.  Coloring files name each vertex
+once, where the memo would only add its misses, so `parse_coloring` calls
+`int()` directly.
+
+`parse_cover` reads match lines in runs: emitted covers list each edge's
+matches together, and a line on the edge of the line before it skips what
+depends only on the edge (the `u < v` check, both list lookups, the key
+tuple and the matching lookup).  Match lines may come in any order; a line
+that starts a run pays those lookups.  Injectivity is one lookup in the
+run's inverse matching cv -> cu.  A run on a new edge drops its inverse
+when it ends; a run that returns to an edge inverts its matching once and
+keeps that inverse for later returns, so no order of the lines makes the
+check quadratic.  An inverse holds only ints, so the garbage collector does
+not track it, and its size follows the pairs matched; a bitmask of the
+used colors would follow the color numbers instead (125 KB per edge for a
+color near 10^6).
 """
 
 from __future__ import annotations
@@ -20,6 +41,16 @@ from .covers import Budget, Coloring, Cover, Order
 from .errors import ParseError
 from .graphs import SimpleGraph
 from .planar import PlaneGraph
+
+
+class _Ints(dict):
+    """token -> int(token), converted on the first lookup of each token."""
+
+    __slots__ = ()
+
+    def __missing__(self, tok: str) -> int:
+        self[tok] = n = int(tok)
+        return n
 
 
 def _int_error(no: int, toks: list[str], *names: str) -> ParseError:
@@ -48,6 +79,7 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
     adj: dict[int, set[int]] = {}  # rows of vertices with an edge so far
     rotation: dict[int, tuple[int, ...]] = {}
     outer: tuple[int, ...] | None = None
+    ints = _Ints()
     for no, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -61,8 +93,8 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             if len(toks) != 3:
                 raise ParseError(no, "expected: edge <u> <v>")
             try:
-                u = int(toks[1])
-                v = int(toks[2])
+                u = ints[toks[1]]
+                v = ints[toks[2]]
             except ValueError:
                 raise _int_error(no, toks, "endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
@@ -96,20 +128,20 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             if len(toks) < 2:
                 raise ParseError(no, "expected: rot <v> <neighbors...>")
             try:
-                v = int(toks[1])
+                v = ints[toks[1]]
             except ValueError:
                 raise _int_error(no, toks, "vertex") from None
             if v in rotation:
                 raise ParseError(no, f"duplicate rotation for {v}")
             try:
-                rotation[v] = tuple(map(int, toks[2:]))
+                rotation[v] = tuple(map(ints.__getitem__, toks[2:]))
             except ValueError:
                 raise _int_error(no, toks, "vertex", "neighbor") from None
         elif plane and d == "outer":
             if outer is not None:
                 raise ParseError(no, "duplicate outer line")
             try:
-                outer = tuple(map(int, toks[1:]))
+                outer = tuple(map(ints.__getitem__, toks[1:]))
             except ValueError:
                 raise _int_error(no, toks, "vertex") from None
         else:
@@ -169,9 +201,15 @@ def parse_cover(text: str) -> Cover:
     s = None
     lists: dict[int, frozenset[int]] = {}
     # Per edge (u, v): its matching as a map cu -> cv, the table `Cover` keeps,
-    # so it is handed over as it is.  A matching holds at most s pairs, so
-    # `cv in pairs.values()` scans at most s colors.
+    # so it is handed over as it is.
     matchings: dict[tuple[int, int], dict[int, int]] = {}
+    # The run: the edge of the last match line, its two lists, its matching
+    # and that matching's inverse cv -> cu.  Only a line on another edge
+    # looks these up again.  `inverses` keeps the inverse of each edge that
+    # a later run has returned to.
+    ru = rv = list_u = list_v = pairs = inverse = None
+    inverses: dict[tuple[int, int], dict[int, int]] = {}
+    ints = _Ints()
     for no, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -185,43 +223,54 @@ def parse_cover(text: str) -> Cover:
             if len(toks) != 5:
                 raise ParseError(no, "expected: match <u> <v> <cu> <cv>")
             try:
-                u = int(toks[1])
-                v = int(toks[2])
-                cu = int(toks[3])
-                cv = int(toks[4])
+                u = ints[toks[1]]
+                v = ints[toks[2]]
+                cu = ints[toks[3]]
+                cv = ints[toks[4]]
             except ValueError:
                 raise _int_error(no, toks, "vertex", "vertex", "color") from None
-            if u >= v:
-                raise ParseError(no, "match lines need u < v")
-            list_u = lists.get(u)
-            list_v = lists.get(v)
-            if list_u is None or list_v is None:
-                raise ParseError(no, "match before both list lines")
+            if u != ru or v != rv:
+                # A new run: check its edge and look up what depends on it.
+                # A list never changes once given, so both hold for every
+                # later line of the run.
+                if u >= v:
+                    raise ParseError(no, "match lines need u < v")
+                list_u = lists.get(u)
+                list_v = lists.get(v)
+                if list_u is None or list_v is None:
+                    raise ParseError(no, "match before both list lines")
+                ru = u
+                rv = v
+                key = (u, v)
+                pairs = matchings.get(key)
+                if pairs is None:
+                    pairs = matchings[key] = {}
+                    inverse = {}
+                else:
+                    inverse = inverses.get(key)
+                    if inverse is None:
+                        inverse = inverses[key] = dict(zip(pairs.values(), pairs))
             if cu not in list_u:
                 raise ParseError(no, f"color {cu} not in list of {u}")
             if cv not in list_v:
                 raise ParseError(no, f"color {cv} not in list of {v}")
-            key = (u, v)
-            pairs = matchings.get(key)
-            if pairs is None:
-                matchings[key] = {cu: cv}
-            elif cu in pairs or cv in pairs.values():
+            if cu in pairs or cv in inverse:
                 raise ParseError(no, f"matching on ({u},{v}) is not a partial bijection")
-            else:
-                pairs[cu] = cv
+            pairs[cu] = cv
+            inverse[cv] = cu
         elif d == "list":
             if s is None:
                 raise ParseError(no, "list before cover header")
             if len(toks) < 2:
                 raise ParseError(no, "expected: list <v> <colors...>")
             try:
-                v = int(toks[1])
+                v = ints[toks[1]]
             except ValueError:
                 raise _int_error(no, toks, "vertex") from None
             if v in lists:
                 raise ParseError(no, f"duplicate list for {v}")
             try:
-                colors = list(map(int, toks[2:]))
+                colors = list(map(ints.__getitem__, toks[2:]))
             except ValueError:
                 raise _int_error(no, toks, "vertex", "color") from None
             if colors and (min(colors) < 1 or max(colors) > s):
@@ -263,6 +312,7 @@ def parse_budget(text: str) -> Budget:
     s = cap = None
     rows: dict[int, dict[int, int]] = {}
     zeros: set[tuple[int, int]] = set()  # keys given as 0, which `rows` omits
+    ints = _Ints()
     for no, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -276,9 +326,9 @@ def parse_budget(text: str) -> Budget:
             if len(toks) != 4:
                 raise ParseError(no, "expected: f <v> <i> <val>")
             try:
-                v = int(toks[1])
-                i = int(toks[2])
-                val = int(toks[3])
+                v = ints[toks[1]]
+                i = ints[toks[2]]
+                val = ints[toks[3]]
             except ValueError:
                 raise _int_error(no, toks, "vertex", "color", "value") from None
             if not 1 <= i <= s:

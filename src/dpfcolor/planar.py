@@ -46,7 +46,9 @@ class PlaneGraph:
         adj = graph.adj
         rot = {v: tuple(rotation.get(v, ())) for v in graph.vertices}
         for v in graph.vertices:
-            if len(rot[v]) != len(set(rot[v])) or set(rot[v]) != adj[v]:
+            row = rot[v]
+            nbrs = set(row)
+            if len(row) != len(nbrs) or nbrs != adj[v]:
                 raise InvalidEmbedding(
                     f"rotation at {v} is not a permutation of its neighbors")
         for v in rotation:

@@ -119,6 +119,27 @@ class TestCover:
             parse_cover("cover 2\nlist 0 1 2\nlist 1 1 2\n"
                         "match 0 1 1 1\nmatch 0 1 1 2\n")
 
+    @pytest.mark.parametrize("resumed", [False, True], ids=["one-run", "resumed-run"])
+    def test_repeated_image_on_an_edge_of_many_colors(self, resumed):
+        """One edge matched on 19,999 of s = 20,000 colors, then a line that
+        repeats an image: at the end of one run, or in a run that resumes
+        the edge after another edge.  A check that scans the matching's
+        images would be quadratic here (seconds at this size)."""
+        s = 20_000
+        colors = " ".join(map(str, range(1, s + 1)))
+        lines = [f"cover {s}"] + [f"list {v} {colors}" for v in range(3)]
+        lines += [f"match 0 1 {c} {c}" for c in range(1, s // 2)]
+        if resumed:
+            lines.append("match 0 2 1 1")
+        lines += [f"match 0 1 {c} {c}" for c in range(s // 2, s)]
+        lines.append(f"match 0 1 {s} {1 if resumed else s - 1}")
+        with pytest.raises(ParseError) as exc:
+            parse_cover("\n".join(lines) + "\n")
+        assert exc.value.line == len(lines)
+        assert str(exc.value) == f"line {len(lines)}: matching on (0,1) is not a partial bijection"
+        assert parse_cover("\n".join(lines[:-1]) + "\n").matching(0, 1) == frozenset(
+            (c, c) for c in range(1, s))
+
 
 class TestBudget:
     def test_round_trip_and_sparsity(self):
@@ -399,6 +420,82 @@ def test_emitted_files_parse_as_with_token_parsers(seed):
     for text in instance_texts(seed).values():
         assert_same_as_token_parsers(text)
         assert_same_as_token_parsers(text.replace("\n", "\r\n").replace(" 1", " 1_0"))
+
+
+# Cover files whose match lines leave the emitted order: `parse_cover` reads
+# match lines in runs of one edge, and a run that ends, resumes or meets a
+# fault must read as the token parser reads it.  The last texts spell one
+# integer in several ways, which the per-parse integer memo must keep apart
+# as tokens and equal as numbers.
+LISTS = "cover 4\nlist 0 1 2 3\nlist 1 1 2 3\nlist 2 1 2 3 4\n"
+RUN_TEXTS = [
+    # an edge resumed after another edge, and image 1 free again on (0,2)
+    LISTS + "match 0 1 1 1\nmatch 0 1 2 2\nmatch 0 2 1 1\nmatch 0 1 3 3\n"
+            "match 1 2 1 4\nmatch 0 2 2 2\nmatch 1 2 3 3\n",
+    # list lines between two match lines of one edge
+    "cover 3\nlist 0 1 2\nlist 1 1 2\nmatch 0 1 1 2\nlist 2 3\nlist 3 1\n"
+    "match 0 1 2 1\nmatch 0 2 1 3\nmatch 1 3 2 1\n",
+    # faults inside a resumed run: a duplicate cu, a duplicate cv, a color
+    # outside either list
+    LISTS + "match 0 1 1 1\nmatch 0 2 1 1\nmatch 0 1 1 2\n",
+    LISTS + "match 0 1 1 1\nmatch 0 2 1 1\nmatch 0 1 2 1\n",
+    # the same, with the repeated cv matched on the edge's second run
+    LISTS + "match 0 1 1 1\nmatch 0 2 1 1\nmatch 0 1 2 2\nmatch 0 2 2 2\nmatch 0 1 3 2\n",
+    LISTS + "match 0 1 1 1\nmatch 0 2 1 4\nmatch 0 1 2 2\nmatch 0 1 4 3\n",
+    LISTS + "match 0 1 1 1\nmatch 0 2 1 4\nmatch 0 1 2 2\nmatch 0 1 3 4\n",
+    # faults that start a new run after a good one
+    LISTS + "match 0 1 1 1\nmatch 1 1 2 2\n",
+    LISTS + "match 0 1 1 1\nmatch 0 3 2 2\n",
+    LISTS + "match 0 1 1 1\nmatch 0 1 x 2\n",
+    LISTS + "match 0 1 1 1\nmatch 0 y 2 2\n",
+    # one run that ends where only u or only v changes
+    LISTS + "match 0 2 1 1\nmatch 1 2 1 2\nmatch 1 2 2 1\nmatch 0 2 2 2\nmatch 0 1 2 1\n",
+    # one integer spelled 1, +1, 01 and ١ (Arabic-Indic one) in one run
+    LISTS + "match 0 1 1 2\nmatch 0 +1 2 3\nmatch 0 01 3 1\nmatch 0 ١ 2 2\n",
+    LISTS + "match 0 1 1 2\nmatch 0 +1 2 3\nmatch 00 01 3 ١\n",
+    LISTS + "match 0 1 1 2\nmatch +0 ١ +2 1\nmatch 0 01 3 +2\n",
+    # colors whose numbers dwarf the pairs matched: the injectivity check
+    # must cost memory by pairs, not by color number
+    "cover 1000000000000000000\nlist 0 1 1000000000000000000\nlist 1 1 1000000000000000000\n"
+    "match 0 1 1 1000000000000000000\nmatch 0 1 1000000000000000000 1\n"
+    "match 0 1 1000000000000000000 1000000000000000000\n",
+    "graph 3\nedge 0 1\nedge +0 02\nedge ١ 2\nedge 01 2\n",
+    "budget 2 2\nf 1 1 1\nf +1 2 1\nf 01 ١ 2\n",
+]
+
+
+@pytest.mark.parametrize("text", RUN_TEXTS)
+def test_match_runs_parse_as_with_token_parsers(text):
+    assert_same_as_token_parsers(text)
+    for brk in LINE_BREAKS:
+        assert_same_as_token_parsers(text.replace("\n", brk))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffled_match_lines_parse_as_with_token_parsers(seed):
+    """Emitted covers with their match lines shuffled, as given and with
+    one match line repeated at a random later position."""
+    rng = random.Random(f"formats/shuffled/{seed}")
+    if seed < 10:
+        text = instance_texts(seed)["cover"]
+    else:
+        g = gen_planar_triangulation(rng.randint(10, 60), rng.randrange(10**6)).graph
+        text = emit_cover(gen_random_cover(g, 5, rng.randint(2, 5), rng.choice([0.5, 1.0]),
+                                           rng.randrange(10**6)))
+    lines = text.splitlines()
+    head = [line for line in lines if not line.startswith("match")]
+    matches = [line for line in lines if line.startswith("match")]
+    rng.shuffle(matches)
+    texts = ["\n".join(head + matches) + "\n"]
+    if matches:
+        k = rng.randrange(len(matches))
+        again = matches[:]
+        again.insert(rng.randint(k + 1, len(matches)), matches[k])
+        texts.append("\n".join(head + again) + "\n")
+    for shuffled in texts:
+        assert_same_as_token_parsers(shuffled)
+        for brk in LINE_BREAKS:
+            assert_same_as_token_parsers(shuffled.replace("\n", brk))
 
 
 @settings(max_examples=400)
