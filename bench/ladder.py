@@ -17,6 +17,11 @@ exact solver has rungs of its own (op "exact"): `solve_exact` with
 cover seed 8, budget seed 9), timed alone and verified afterwards, with
 its node and backtrack counts and nodes per second.  A stacked
 triangulation is 3-degenerate, so such a coloring always exists.  The
+rungs of op "exact_path" time `solve_exact` the same way on a path of
+n = 550, 1100, 2200 and 4400 vertices with an identity cover of 2 colors
+and every budget 1, a proper 2-coloring: the search goes one level deeper
+per vertex and never backtracks, so its nodes per second show what a node
+costs as the partial coloring grows.  The
 shapes are stacked triangulations, random triangulated polygons and grids
 (the last two from `perfbench/shapes.py`), and polygons fanned by
 `triangulate_interior`.
@@ -47,7 +52,7 @@ The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
      vertices, seed, total_ms, scaled_ms, gen2_collections, peak_rss_mb}
-     (op "exact" adds nodes, backtracks and nodes_per_s)
+     (ops "exact" and "exact_path" add nodes, backtracks and nodes_per_s)
      or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent}}
 
@@ -93,6 +98,7 @@ SIZES = (500, 1000, 2000, 4000, 8000)
 VERIFY_OPS = ("verify", "verify_cli")
 VERIFY_SIZES = (4000, 16000, 64000)
 EXACT_SIZES = (32, 64, 128, 256)
+EXACT_PATH_SIZES = (550, 1100, 2200, 4400)
 SEED = 1
 TIMEOUT_S = 600
 CALIBRATION_SAMPLES = 25
@@ -112,6 +118,10 @@ def build(dp, shape: str, n: int, seed: int):
         return dp.triangulate_interior(dp.PlaneGraph(g, rot, tuple(range(n))))
     if shape == "grid":
         return shapes.grid(dp, round(math.sqrt(n)), seed)
+    if shape == "path":
+        g = dp.SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
+        rot = {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)}
+        return dp.PlaneGraph(g, rot, tuple(range(n)) + tuple(range(n - 2, 0, -1)))
     raise ValueError(f"unknown shape {shape}")
 
 
@@ -197,20 +207,35 @@ def verify_cli(dp, pg, h, f) -> Span:
     return span
 
 
-def exact(dp, pg, _h, _f) -> Span:
-    """`solve_exact` alone on a DP 4-coloring with unit budgets; its counters go on the span."""
-    h = dp.gen_random_cover(pg.graph, 4, 4, 1.0, seed=8)
-    f = dp.gen_random_budget(pg.graph, 4, 4, 1, seed=9, lists=h.lists)
+def search(dp, g, h, f) -> Span:
+    """`solve_exact` alone with `limit = n`; its counters go on the span."""
     stats: dict = {}
     with Span() as span:
-        found = dp.solve_exact(pg.graph, h, f, limit=pg.n, stats=stats)
-    if found is None or dp.verify_coloring(pg.graph, h, f, found[0]) is None:
+        found = dp.solve_exact(g, h, f, limit=g.n, stats=stats)
+    if found is None or dp.verify_coloring(g, h, f, found[0]) is None:
         raise AssertionError("the exact solver found no valid coloring")
     span.counters = {**stats, "nodes_per_s": round(stats["nodes"] / span.seconds)}
     return span
 
 
-OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "exact": exact}
+def exact(dp, pg, _h, _f) -> Span:
+    """`solve_exact` on a DP 4-coloring with unit budgets."""
+    h = dp.gen_random_cover(pg.graph, 4, 4, 1.0, seed=8)
+    f = dp.gen_random_budget(pg.graph, 4, 4, 1, seed=9, lists=h.lists)
+    return search(dp, pg.graph, h, f)
+
+
+def exact_path(dp, pg, _h, _f) -> Span:
+    """`solve_exact` on a proper 2-coloring of a path: an identity cover of
+    2 colors and every budget 1."""
+    g = pg.graph
+    h = dp.identity_cover(g, {v: {1, 2} for v in g.vertices}, s=2)
+    f = dp.Budget(2, 1, {(v, c): 1 for v in g.vertices for c in (1, 2)})
+    return search(dp, g, h, f)
+
+
+OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "exact": exact,
+       "exact_path": exact_path}
 
 
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
@@ -314,7 +339,7 @@ def print_delta(old: dict, new: dict) -> None:
         prev = before.get(case_key(case))
         line = f"  {case_name(case)} "
         if prev is None:
-            print(line + f"(new) {describe(case)} {describe_memory(case)}")
+            print(line + f"(new) {describe(case)} {describe_memory(case)} {describe_search(case)}")
             continue
         line += f"{describe(prev):>24} -> {describe(case):<24}"
         if "total_ms" in case and "total_ms" in prev:
@@ -336,7 +361,7 @@ def fits(cases: list[dict]) -> tuple[dict, dict]:
     """Time and RSS growth exponents of each shape's and each other op's
     successful cases."""
     growth, rss_growth = {}, {}
-    for name in SHAPES + VERIFY_OPS + ("exact",):
+    for name in SHAPES + VERIFY_OPS + ("exact", "exact_path"):
         done = [c for c in cases if series(c) == name and "total_ms" in c]
         for table, key in ((growth, time_key(*done)), (rss_growth, "peak_rss_mb")):
             points = [(c["vertices"], c[key]) for c in done]
@@ -363,7 +388,8 @@ def main(argv=None) -> int:
 
     rungs = ([("solve", shape, n) for shape in SHAPES for n in SIZES]
              + [(op, "stacked", n) for op in VERIFY_OPS for n in VERIFY_SIZES]
-             + [("exact", "stacked", n) for n in EXACT_SIZES])
+             + [("exact", "stacked", n) for n in EXACT_SIZES]
+             + [("exact_path", "path", n) for n in EXACT_PATH_SIZES])
     cases = []
     for rung in rungs:
         case = spawn(*rung, src)

@@ -21,12 +21,20 @@ whether an order exists.  It runs on the masks of the solver's whole
 candidate pair graph, built once per search, restricted to the pairs whose
 bits are set in `alive`: a pair's degree is its mask's popcount within
 `alive`, and pairs outside `alive` are never read.  The search only ever
-adds one pair to a set it already found orderable, so `_orderable_with`
-stops as soon as the added pair is removable.  The search calls it once
-per node on the pair it tries, and again on the candidates of an uncolored
-vertex only when its residual counters show every one of them at zero
-residual.  The whole bitmask elimination it is tested against lives with
-the test oracles (`tests/oracles.py`).
+adds one pair k to a set it already found orderable, and the elimination
+on the larger set succeeds exactly when it removes k, so `_orderable_with`
+stops as soon as k is removable.  Until then it reads only k's connected
+component inside `alive`: removing a pair outside that component lowers
+no degree inside it, and since the elimination's outcome does not depend
+on the order of removals, eliminating the component alone removes k
+exactly when eliminating all of `alive` would.  The component is grown
+from k one frontier at a time, each step the union of the frontier's
+masks, so a probe costs the size of k's component, not of the partial
+coloring.  The search calls it once per node on the pair it tries, and
+again on the candidates of an uncolored vertex only when its residual
+counters show every one of them at zero residual.  The whole bitmask
+elimination it is tested against lives with the test oracles
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -128,21 +136,36 @@ def _orderable_with(masks: list[int], budgets: list[int], alive: int, k: int) ->
     Elimination on alive | 1 << k succeeds iff it removes k at some point:
     what is left then is a subset of `alive`, and a subset of an orderable
     set is orderable (its pairs keep their budgets and lose neighbours).
-    So the loop stops as soon as k is removable.
+    So the loop stops as soon as k is removable.  Only removals inside k's
+    connected component can lower k's count, and a removal outside it
+    changes no degree inside it, so the sweeps run on that component
+    alone: grown from k with one mask union per frontier pair, it is the
+    live set from then on, and a sweep that removes nothing from it ends
+    the test.
     """
-    bit = 1 << k
-    alive |= bit
-    mask, budget = masks[k], budgets[k]
-    while (mask & alive).bit_count() >= budget:
-        progressed = False
-        m = alive ^ bit
+    mask, budget, bit = masks[k], budgets[k], 1 << k
+    if (mask & alive).bit_count() < budget:
+        return True
+    comp = frontier = mask & alive
+    comp |= bit
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~comp
+        comp |= frontier
+    while True:
+        left = comp
+        m = comp ^ bit
         while m:
             low = m & -m
             i = low.bit_length() - 1
             m ^= low
-            if (masks[i] & alive).bit_count() < budgets[i]:
-                alive ^= low
-                progressed = True
-        if not progressed:
+            if (masks[i] & comp).bit_count() < budgets[i]:
+                comp ^= low
+        if (mask & comp).bit_count() < budget:
+            return True
+        if comp == left:
             return False
-    return True

@@ -101,7 +101,8 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     A partial coloring is the int `alive` of its pairs' bits.  Each
     orderability test adds one pair to a set already found orderable (the
     precoloring is checked first), so it stops as soon as the added pair
-    is removable (`_orderable_with`).
+    is removable, and it eliminates only inside that pair's connected
+    component (`_orderable_with`).
 
     The zero-residual test reads saturating counters kept beside `alive`:
     bit k of planes[t] is set when pair k has at least t + 1 matched
@@ -109,10 +110,13 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     AND and one OR per plane.  Only the vertices whose every candidate can
     reach zero residual (its budget is at most its mask's popcount) are
     watched, so there are as many planes as the largest budget among their
-    candidates.  A watched vertex's candidates are a contiguous range of
-    bits, and it is at zero residual everywhere when that range's slot
-    mask misses every pair still below its budget; nothing is rescanned.
-    The search runs on an explicit stack of (alive before this depth, its
+    candidates.  A node ANDs each plane with the watched pairs of its
+    budget to get the mask of watched pairs at zero residual.  A watched
+    vertex's candidates are a contiguous range of bits, so ANDing that mask
+    with its own shifts, once per slot length, leaves set exactly the first
+    bits of the slots wholly at zero residual, and only the uncolored
+    vertices among those are probed: no slot is walked one by one.  The
+    search runs on an explicit stack of (alive before this depth, its
     planes, iterator over the depth's untried candidates): undoing a
     choice is popping an entry, and the depth costs no Python stack.
     """
@@ -137,7 +141,7 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
 
     # The pair graph; at[v] maps v's colors to their pair indices, slots[d]
     # holds the indices of todo[d]'s candidates, and the empty slot past
-    # the last vertex marks a complete coloring.
+    # the last vertex, starting past every pair, marks a complete coloring.
     pairs = [(v, pre[v]) for v in sorted(pre)]
     budgets = [rows[v][c] for v, c in pairs]
     at = {v: {c: k} for k, (v, c) in enumerate(pairs)}
@@ -148,7 +152,7 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         slots.append(range(len(pairs), len(pairs) + len(cs)))
         pairs += [(v, c) for c in cs]
         budgets += [rows[v][c] for c in cs]
-    slots.append(range(0))
+    slots.append(range(len(pairs), len(pairs)))
     masks = [0] * len(pairs)
     matchings = h._matchings
     for v, here in at.items():
@@ -161,18 +165,17 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
                         masks[i] |= 1 << j
                         masks[j] |= 1 << i
 
-    # The watched slots, as (slot mask, slot) in search order; those of
-    # todo[d:] start at watched[watch_from[d]].  below[t] holds the
-    # watched pairs of budget t + 1.
-    watched, watch_from = [], []
+    # The watched slots: below[t] holds their pairs of budget t + 1, and
+    # starts lists (length, first bits of the watched slots of that
+    # length) by ascending length.
+    below, firsts = [], {}
     for slot in slots:
-        watch_from.append(len(watched))
         if slot and all(budgets[k] <= masks[k].bit_count() for k in slot):
-            watched.append((((1 << len(slot)) - 1) << slot.start, slot))
-    below = [0] * max((budgets[k] for _, slot in watched for k in slot), default=0)
-    for _, slot in watched:
-        for k in slot:
-            below[budgets[k] - 1] |= 1 << k
+            firsts[len(slot)] = firsts.get(len(slot), 0) | 1 << slot.start
+            for k in slot:
+                below += [0] * (budgets[k] - len(below))
+                below[budgets[k] - 1] |= 1 << k
+    starts = sorted(firsts.items())
 
     def add(planes: list[int], mask: int) -> list[int]:
         # Each neighbour in `mask` gains one: plane t takes the pairs that
@@ -183,13 +186,27 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         # A vertex with zero residual everywhere (each of its candidate
         # pairs has at least its budget of matched colored neighbours) must
         # still admit some candidate pair that keeps the pair graph orderable.
-        short = 0  # watched pairs still below their budget
+        zero = 0  # watched pairs at zero residual
         for b, p in zip(below, planes):
-            short |= b & ~p
-        for slot_mask, slot in watched[watch_from[depth]:]:
-            if not short & slot_mask and not any(
-                    _orderable_with(masks, budgets, alive, k) for k in slot):
-                return True
+            zero |= b & p
+        if not zero:
+            return False
+        # run holds the pairs whose next `length` bits are all in `zero`;
+        # a slot is wholly at zero residual when its first bit is in the
+        # run of its length.  Slots of colored vertices lie below `lo`.
+        run, length, lo = zero, 1, slots[depth].start
+        for size, first in starts:
+            while length < size:
+                run &= zero >> length
+                length += 1
+            hits = (run & first) >> lo
+            while hits:
+                low = hits & -hits
+                i = lo + low.bit_length() - 1
+                if not any(_orderable_with(masks, budgets, alive, k)
+                           for k in range(i, i + size)):
+                    return True
+                hits ^= low
         return False
 
     planes = [0] * len(below)

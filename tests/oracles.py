@@ -11,7 +11,9 @@ the current code must return:
   which `degeneracy._orderable_with` must answer as;
 - `reference_solve_exact`, the exact search that rescans every uncolored
   vertex's candidates at every node to find one with zero residual
-  everywhere;
+  everywhere, and tests each added pair by the whole elimination
+  `bitmask_orderable`, so it shares no orderability code with the search
+  it checks;
 - `flood_split_on_chord` and `flood_find_separating_triangle`, which find
   the sides of a cycle by flooding faces and build their pieces through
   the validating constructors;
@@ -39,7 +41,7 @@ from itertools import permutations, product
 
 from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph, gen_planar_triangulation
 from dpfcolor.coloring import _check_precoloring, induced_pair_graph
-from dpfcolor.degeneracy import _orderable_with, strictly_degenerate_order
+from dpfcolor.degeneracy import strictly_degenerate_order
 from dpfcolor.errors import InternalInvariantViolated, InvalidPrecoloring, LimitExceeded, ParseError
 from dpfcolor.solvers import DEFAULT_EXACT_LIMIT
 
@@ -182,8 +184,10 @@ def reference_solve_exact(g: SimpleGraph, h: Cover, f: Budget,
                           stats: dict | None = None):
     """`solve_exact` as it was when `doomed` rescanned every uncolored
     vertex's candidates at every node, and the pair graph was built from
-    `g.edges`, `Cover.matching` and `Budget.get`.  The library's search
-    must return the same coloring, order and `stats`."""
+    `g.edges`, `Cover.matching` and `Budget.get`, with every orderability
+    test a whole elimination of the partial set plus the tried pair
+    (`bitmask_orderable`).  The library's search must return the same
+    coloring, order and `stats`."""
     if g.n > limit:
         raise LimitExceeded(f"{g.n} vertices exceed the exact-solver limit {limit}")
     counters = {"nodes": 0, "backtracks": 0}
@@ -229,7 +233,7 @@ def reference_solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         # still admit some candidate pair that keeps the pair graph orderable.
         for slot in slots[depth:len(todo)]:
             if all(budgets[k] <= (masks[k] & alive).bit_count() for k in slot) and not any(
-                    _orderable_with(masks, budgets, alive, k) for k in slot):
+                    bitmask_orderable(masks, budgets, alive | 1 << k) for k in slot):
                 return True
         return False
 
@@ -240,7 +244,7 @@ def reference_solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         for k in untried:
             counters["nodes"] += 1
             alive = before | 1 << k
-            if _orderable_with(masks, budgets, before, k):
+            if bitmask_orderable(masks, budgets, alive):
                 if not doomed(alive, depth):
                     stack.append((alive, iter(slots[depth])))
                     break

@@ -124,15 +124,18 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("bench_ladder", ROOT / "bench" / "ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    sizes = {"solve": 30, "verify": 40, "verify_cli": 40, "exact": 16}
+    sizes = {"solve": ("stacked", 30), "verify": ("stacked", 40),
+             "verify_cli": ("stacked", 40), "exact": ("stacked", 16), "exact_path": ("path", 20)}
     assert set(sizes) == set(ladder.OPS)
-    cases = [ladder.run_case(op, "stacked", n, ladder.SEED) for op, n in sizes.items()]
+    cases = [ladder.run_case(op, shape, n, ladder.SEED) for op, (shape, n) in sizes.items()]
     for case in cases:
         assert "error" not in case, case
         assert case["total_ms"] >= 0 and case["scaled_ms"] >= 0 and case["peak_rss_mb"] > 0
-    assert cases[-1]["nodes"] > 0
+    assert cases[-2]["nodes"] > 0
+    assert (cases[-1]["nodes"], cases[-1]["backtracks"]) == (30, 0)
     growth, rss_growth = ladder.fits(cases * 2)
-    assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.VERIFY_OPS, "exact"}
+    assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.VERIFY_OPS,
+                                              "exact", "exact_path"}
     new = {"label": "new", "commit": "b", "cases": cases, "growth": growth,
            "rss_growth": rss_growth}
     old = {"label": "old", "commit": "a", "growth": {},

@@ -255,3 +255,123 @@ def test_orderable_with_one_more_pair_matches_full_elimination():
                     masks, budgets, alive, k)
                 verdicts[got, bool(alive >> k & 1)] += 1
     assert min(verdicts[True, False], verdicts[False, False], verdicts[True, True]) > 500, verdicts
+
+
+class ReadLog(list):
+    """A list of masks that records every index read from it."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def component(masks, live, k):
+    """k's connected component inside the index set `live`, and its depth:
+    the largest distance from k within it, by breadth-first search."""
+    seen, layer, depth = {k}, [k], 0
+    while True:
+        layer = sorted({j for i in layer for j in live - seen if masks[i] >> j & 1})
+        if not layer:
+            return seen, depth
+        seen.update(layer)
+        depth += 1
+
+
+def random_masks(rng, n, density, max_budget):
+    """A seeded bitmask pair graph on n pairs, each pair of pairs an edge
+    with probability `density`, with budgets 1..max_budget."""
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks, [rng.randint(1, max_budget) for _ in range(n)]
+
+
+def disjoint_union(graphs):
+    """The masks and budgets of the disjoint union of bitmask pair graphs,
+    each shifted past the ones before it."""
+    masks, budgets = [], []
+    for g_masks, g_budgets in graphs:
+        masks += [m << len(budgets) for m in g_masks]
+        budgets += g_budgets
+    return masks, budgets
+
+
+class TestOrderableWithReadsOnlyTheComponent:
+    """`_orderable_with` eliminates only inside the tried pair's component:
+    it still answers as the whole elimination, and reads no mask outside
+    that component."""
+
+    def test_disjoint_unions_match_full_elimination(self):
+        """On seeded disjoint unions of random pair graphs, with floors on
+        the probes that grow a component: both verdicts, a component short
+        of all of `alive`, and one reaching two or more steps from k."""
+        rng = random.Random(606)
+        verdicts, strict, deep = Counter(), 0, 0
+        for _ in range(200):
+            masks, budgets = disjoint_union(
+                random_masks(rng, rng.randint(1, 12), rng.choice((0.15, 0.25, 0.4)), 3)
+                for _ in range(rng.randint(2, 4)))
+            n = len(masks)
+            for _ in range(8):
+                density = rng.random()
+                alive = sum(1 << i for i in range(n) if rng.random() < density)
+                if not bitmask_orderable(masks, budgets, alive):
+                    continue
+                for k in range(n):
+                    log = ReadLog(masks)
+                    got = _orderable_with(log, budgets, alive, k)
+                    live = alive | 1 << k
+                    assert got == bitmask_orderable(masks, budgets, live), (masks, budgets, alive, k)
+                    if (masks[k] & alive).bit_count() < budgets[k]:
+                        continue  # removable at once: no component is grown
+                    live_set = {i for i in range(n) if live >> i & 1}
+                    comp, depth = component(masks, live_set, k)
+                    assert log.read <= comp, (masks, budgets, alive, k)
+                    verdicts[got] += 1
+                    strict += comp < live_set
+                    deep += depth >= 2
+        assert min(verdicts[True], verdicts[False]) > 400, verdicts
+        assert strict > 1500 and deep > 700, (strict, deep)
+
+    @pytest.mark.parametrize("length", [2, 3, 5, 9])
+    @pytest.mark.parametrize("stuck", [False, True])
+    @pytest.mark.parametrize("labels", ["outward", "inward", "shuffled"])
+    def test_k_is_freed_only_through_a_chain(self, length, stuck, labels):
+        """k (budget 1) hangs on a chain p1 .. pL of budget-2 pairs, so k is
+        freed only once p1 goes, p1 only once p2 goes, and so on.  The chain
+        ends free, so it unravels from pL back to k, or on a triangle core
+        that holds pL in place: then k is never freed, although without k
+        the chain unravels from p1 and the core after it.  A pair x outside
+        `alive` touches every chain pair, and an alive edge u-w lies in
+        another component; the test must read neither."""
+        chain = ["k"] + [f"p{i}" for i in range(1, length + 1)]
+        names = chain + ["a", "b", "c"] * stuck + ["x", "u", "w"]
+        edges = list(zip(chain, chain[1:])) + [(p, "x") for p in chain[1:]] + [("u", "w")]
+        budget = {"k": 1, "x": 1, "u": 2, "w": 2, **{p: 2 for p in chain[1:]}}
+        if stuck:
+            edges += [(chain[-1], "a"), ("a", "b"), ("b", "c"), ("a", "c")]
+            budget.update(a=3, b=2, c=2)
+        if labels == "inward":
+            names = names[::-1]
+        elif labels == "shuffled":
+            random.Random(f"{length}/{stuck}").shuffle(names)
+        index = {p: i for i, p in enumerate(names)}
+        masks = [0] * len(names)
+        for p, q in edges:
+            masks[index[p]] |= 1 << index[q]
+            masks[index[q]] |= 1 << index[p]
+        budgets = [budget[p] for p in names]
+        k = index["k"]
+        alive = sum(1 << index[p] for p in names if p not in ("k", "x"))
+        assert bitmask_orderable(masks, budgets, alive)
+        assert bitmask_orderable(masks, budgets, alive | 1 << k) is not stuck
+        log = ReadLog(masks)
+        assert _orderable_with(log, budgets, alive, k) is not stuck
+        assert log.read <= {index[p] for p in names if p not in ("x", "u", "w")}

@@ -34,6 +34,8 @@ from dpfcolor.errors import (
     NotTwoConnected,
     TheoremViolation,
 )
+from dpfcolor import solvers
+from dpfcolor.degeneracy import _orderable_with
 from dpfcolor.planar import delete_vertex, fan_neighbors
 
 from oracles import (
@@ -181,6 +183,22 @@ class TestSolveExact:
         assert order_is_valid(induced_pair_graph(g, h, f, r), order)
         assert stats == {"nodes": n, "backtracks": 0}
 
+    def test_deep_path_search(self):
+        """A path of n = 2,200 vertices, an identity cover of 2 colors and
+        every budget 1 ask for a proper 2-coloring.  Every vertex is
+        watched, since each of its pairs can reach zero residual, and every
+        other vertex first tries the color of its colored neighbour, a probe
+        that fails on a component of two pairs.  The search makes 3n/2
+        nodes and never backtracks."""
+        n = 2200
+        g = SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
+        h, f = identity_instance(g, (1, 2))
+        stats = {}
+        r, order = solve_exact(g, h, f, limit=n, stats=stats)
+        assert verify_coloring(g, h, f, r) is not None
+        assert order_is_valid(induced_pair_graph(g, h, f, r), order)
+        assert stats == {"nodes": 3300, "backtracks": 0}
+
     def test_agrees_with_the_rescanning_search(self):
         """The residual counters carried on the search stack must steer the
         search exactly as rescanning every uncolored vertex's candidates at
@@ -216,6 +234,53 @@ class TestSolveExact:
             cap_3 += cap == 3
             precolored += pre is not None and not isinstance(got, str)
         assert absent > 200 and backtracked > 200 and cap_3 > 300 and precolored > 400
+
+    def test_probes_only_uncolored_slots_wholly_at_zero_residual(self, monkeypatch):
+        """Every orderability test the search makes is either a node's, on a
+        candidate of the next vertex to color, or a probe of a later vertex
+        all of whose candidates are at zero residual.  Each call's `alive`
+        holds one pair of each colored vertex, so the test finds the depth
+        and the residuals from the call alone, with its own numbering of
+        the pairs."""
+        calls = []
+
+        def recording(masks, budgets, alive, k):
+            calls.append((alive, k))
+            return _orderable_with(masks, budgets, alive, k)
+
+        monkeypatch.setattr(solvers, "_orderable_with", recording)
+        later = 0
+        for t in range(300):
+            rng = random.Random(f"probes/{t}")
+            n = rng.randint(2, 11)
+            g = random_graph(n, rng.random(), rng)
+            s = rng.randint(2, 4)
+            list_size = rng.randint(2, s)
+            h = gen_random_cover(g, s, list_size, 1.0, seed=rng.randrange(10**6))
+            f = gen_random_budget(g, s, rng.randint(1, 2 * list_size), 2,
+                                  seed=rng.randrange(10**6), lists=h.lists)
+            calls.clear()
+            solve_exact(g, h, f)
+            todo = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+            pairs = [(v, c) for v in todo for c in sorted(h.list_of(v)) if f.get(v, c) >= 1]
+            slot_of = [todo.index(v) for v, _ in pairs]
+
+            def count(alive, i):
+                v, c = pairs[i]
+                return sum(alive >> j & 1 for j, (w, d) in enumerate(pairs)
+                           if w in g.adj[v] and h.matched(v, c, w, d))
+
+            for alive, k in calls:
+                colored = {slot_of[i] for i in range(len(pairs)) if alive >> i & 1}
+                depth = len(colored)
+                assert colored == set(range(depth)), t
+                if slot_of[k] == depth:
+                    continue  # a node's try, or a probe of the next vertex
+                assert slot_of[k] > depth, t
+                slot = [i for i in range(len(pairs)) if slot_of[i] == slot_of[k]]
+                assert all(count(alive, i) >= f.get(*pairs[i]) for i in slot), t
+                later += 1
+        assert later > 400, later
 
     def test_pair_graph_is_built_from_the_tables(self, monkeypatch):
         """The search builds its pair graph from the cover's matchings and
