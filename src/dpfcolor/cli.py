@@ -96,6 +96,13 @@ def _finish(report: Report, as_json: bool, started: float) -> int:
     return report.exit_code
 
 
+def _found(report: Report, coloring: Coloring, order: Order) -> None:
+    """Record a solver's coloring and witness order as the outcome "found"."""
+    report.status, report.exit_code = "found", 0
+    report.witness = _witness_json(coloring, order)
+    report.plain = [emit_coloring(coloring).rstrip("\n"), emit_order(order).rstrip("\n")]
+
+
 def _cmd_verify(args, report: Report) -> None:
     g = parse_graph_or_plane(_read(args.graph))
     h = parse_cover(_read(args.cover))
@@ -123,22 +130,14 @@ def _cmd_solve_exact(args, report: Report) -> None:
         report.status, report.exit_code = "absent", 1
         report.plain = ["absent"]
     else:
-        coloring, order = res
-        report.status, report.exit_code = "found", 0
-        report.witness = _witness_json(coloring, order)
-        report.plain = [emit_coloring(coloring).rstrip("\n"),
-                        emit_order(order).rstrip("\n")]
+        _found(report, *res)
 
 
 def _cmd_solve_planar(args, report: Report) -> None:
     pg = parse_plane(_read(args.plane))
     h = parse_cover(_read(args.cover))
     f = parse_budget(_read(args.budget))
-    coloring, order = solve_planar_dpg52(pg, h, f)
-    report.status, report.exit_code = "found", 0
-    report.witness = _witness_json(coloring, order)
-    report.plain = [emit_coloring(coloring).rstrip("\n"),
-                    emit_order(order).rstrip("\n")]
+    _found(report, *solve_planar_dpg52(pg, h, f))
 
 
 def _cmd_extend_triangle(args, report: Report) -> None:
@@ -146,11 +145,7 @@ def _cmd_extend_triangle(args, report: Report) -> None:
     h = parse_cover(_read(args.cover))
     f = parse_budget(_read(args.budget))
     c0 = parse_coloring(_read(args.precolored))
-    coloring, order = extend_precolored_triangle(pg, h, f, c0, limit=args.limit)
-    report.status, report.exit_code = "found", 0
-    report.witness = _witness_json(coloring, order)
-    report.plain = [emit_coloring(coloring).rstrip("\n"),
-                    emit_order(order).rstrip("\n")]
+    _found(report, *extend_precolored_triangle(pg, h, f, c0, limit=args.limit))
 
 
 def _cmd_reduce(args, report: Report) -> None:

@@ -7,6 +7,8 @@ Partial colorings are verified on the subgraph induced by their domain.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .covers import _NO_MATCHES, Budget, Coloring, Cover, Order, PairGraph
 from .degeneracy import eliminate_with_prefix, order_is_valid, strictly_degenerate_order
 from .errors import (
@@ -151,6 +153,26 @@ def _greedy_color(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
     lst = h.list_of(v)
     return min((i for i in residual_at(g, h, f, r, v) if i in lst),
                key=row.get if row else None, default=None)
+
+
+def _color_greedily(g: SimpleGraph, h: Cover, f: Budget, r: dict[int, int],
+                    vertices: Iterable[int], names: dict[int, dict[int, int]]) -> Order:
+    """Color each of `vertices` in turn into r by the greedy rule on its
+    names (`_greedy_color`), and return their pairs in that order.
+
+    The one greedy placement of the constructive steps: the planar base
+    case, a run's cut vertices and the configuration extension.  Raises
+    InternalInvariantViolated naming the first vertex with no residual
+    color; the vertices placed before it stay colored in r.
+    """
+    placed = []
+    for v in vertices:
+        c = _greedy_color(g, h, f, r, v, names.get(v))
+        if c is None:
+            raise InternalInvariantViolated(f"greedy step failed: no residual color for vertex {v}")
+        r[v] = c
+        placed.append((v, c))
+    return tuple(placed)
 
 
 def greedy_extend(g: SimpleGraph, h: Cover, f: Budget, partial: Coloring,

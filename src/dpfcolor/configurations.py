@@ -4,15 +4,16 @@ Given an ordered vertex list K = v1..vm inside G whose degrees satisfy the
 three conditions checked below, any valid coloring of G - K extends to all
 of G when every vertex has budget total at least k.  The construction
 names colors, as the planar fan step does, so the matchings of vm toward
-v1 and v_{m-1} pair equal names, then either colors greedily through vm or
-places vm's pair at the front of the order.  The cover, the budgets and
-the coloring stay in input colors.
+v1 and v_{m-1} pair equal names, then colors v2.. by the greedy placement
+the planar steps use (`coloring._color_greedily`), either through vm or
+up to v_{m-1}, placing vm's pair at the front of the order.  The cover, the
+budgets and the coloring stay in input colors.
 """
 
 from __future__ import annotations
 
 from .coloring import (
-    _greedy_color,
+    _color_greedily,
     _residuals,
     combine_colorings,
     induced_pair_graph,
@@ -147,13 +148,8 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
     if fsub.get(v1, one) < 1:
         raise InternalInvariantViolated("color 1 of v1 lost its residual")
     partial = {v1: one}
-    order: Order = ((v1, one),)
-    for v in K[1:-1] if case_two else K[1:]:
-        i = _greedy_color(gk, h, fsub, partial, v, names.get(v))
-        if i is None:
-            raise InternalInvariantViolated(f"greedy step failed: no residual color for vertex {v}")
-        partial[v] = i
-        order += ((v, i),)
+    order = ((v1, one),) + _color_greedily(gk, h, fsub, partial, K[1:-1] if case_two else K[1:],
+                                           names)
     if case_two:
         t = 2 if names[vm1][partial[vm1]] != 2 else 1
         partial[vm] = cm = next(i for i, name in tau.items() if name == t)

@@ -200,10 +200,15 @@ class Cover:
 
     def matching(self, u: int, v: int) -> frozenset[Pair]:
         """Matched color pairs oriented (color of u, color of v), built on each call."""
+        return frozenset(self._pairs(u, v))
+
+    def _pairs(self, u: int, v: int) -> Iterable[Pair]:
+        """The matched pairs of edge uv oriented (color of u, color of v),
+        read off the stored dict without building a set."""
         if u < v:
-            return frozenset(self._matchings.get((u, v), _NO_MATCHES).items())
+            return self._matchings.get((u, v), _NO_MATCHES).items()
         m = self._matchings.get((v, u), _NO_MATCHES)
-        return frozenset(zip(m.values(), m.keys()))
+        return zip(m.values(), m.keys())
 
     def matched(self, u: int, cu: int, v: int, cv: int) -> bool:
         if u < v:

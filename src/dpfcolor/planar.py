@@ -208,27 +208,6 @@ def _insert_before(rot: tuple[int, ...], anchor: int, new: int) -> tuple[int, ..
     return rot[:i] + (new,) + rot[i:]
 
 
-def add_chord(pg: PlaneGraph, face: tuple[int, ...], ai: int, bi: int) -> PlaneGraph:
-    """Split a face along the chord between positions ai and bi.
-
-    In the rotation at each endpoint the new neighbor is inserted before
-    that endpoint's successor on the face, which keeps both sub-faces
-    consistent with the dart-successor rule.
-    """
-    l = len(face)
-    a, b = face[ai], face[bi]
-    next_a, next_b = face[(ai + 1) % l], face[(bi + 1) % l]
-    if pg.graph.has_edge(a, b):
-        raise NotAChord(f"edge ({a},{b}) already exists")
-    adj = dict(pg.graph.adj)
-    adj[a] = adj[a] | {b}
-    adj[b] = adj[b] | {a}
-    rotation = dict(pg.rotation)
-    rotation[a] = _insert_before(rotation[a], next_a, b)
-    rotation[b] = _insert_before(rotation[b], next_b, a)
-    return PlaneGraph(SimpleGraph._trusted(pg.graph.vertices, adj), rotation, pg.outer)
-
-
 def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     """Add chords until every bounded face is a triangle.
 
@@ -263,9 +242,10 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
         else:
             raise InvalidEmbedding(f"face {face} admits no chord")
         # Chords apex-cyc[t], t = 2..l-2, each splitting one triangle off
-        # the face as add_chord(cur, 0, 2) would: at the apex the new
-        # neighbors land, last first, before cyc[1]; at cyc[t] the apex
-        # lands before cyc[t + 1].
+        # the face: at each end of a chord the other end lands before that
+        # end's successor on the face, so at the apex the new neighbors
+        # land, last first, before cyc[1], and at cyc[t] the apex lands
+        # before cyc[t + 1].
         rot = rotation[apex]
         k = rot.index(cyc[1])
         rotation[apex] = rot[:k] + cyc[l - 2:1:-1] + rot[k:]

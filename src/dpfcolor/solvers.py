@@ -19,7 +19,9 @@ Each step pays only for its own piece: a chord split builds piece 2's
 pair graph once and both orders and checks piece 2 on it, one step cuts
 off a whole run of bare triangles in place and colors their third
 vertices once the rest is solved, and a fan step renames colors in a
-table of names, not in the cover.  So every step reads the caller's cover
+table of names, not in the cover.  The base case and the cut vertices are
+colored by the one greedy placement, `coloring._color_greedily`, which
+the configuration extension shares.  So every step reads the caller's cover
 and a budget in input colors, and returns input colors: nothing is copied
 to be renamed or translated back.  Only a step whose witness order
 something reads builds one: the root, and a piece 1 whose split asks which
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from .coloring import (
     _check_precoloring,
-    _greedy_color,
+    _color_greedily,
     combine_colorings,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     greedy_extend,
     induced_pair_graph,
@@ -40,7 +42,6 @@ from .coloring import (
     residual_at,
 )
 from .covers import (
-    _NO_MATCHES,
     Budget,
     Coloring,
     Cover,
@@ -343,14 +344,12 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     chord is one, the frame deletes x in place (`_Tables`, one copy of the
     piece's tables per frame) and resumes the chord scan at i.  When the
     run stops, the frame takes the step above on what is left.  After that
-    step returns, it colors the cut vertices, last cut first, by the base
-    case's greedy rule and appends them to its order: each one's only
-    neighbours at its cut are vi and vj, which the order already holds, and
-    the vertices cut before it come after it, so its pair keeps the order
-    valid and needs no pair graph.  When piece 1 is the triangle v1 w vp,
-    the frame colors w right after the precolored pair and takes G less the
-    degree-2 end of the outer walk as piece 2, which the usual split check
-    covers.
+    step returns, it colors the cut vertices, last cut first, by
+    `_color_greedily`, the base case's greedy placement, and appends them to
+    its order with no pair graph (`_peeled_tables` gives why that order is
+    valid).  When piece 1 is the triangle v1 w vp, the frame colors w right
+    after the precolored pair and takes G less the degree-2 end of the outer
+    walk as piece 2, which the usual split check covers.
 
     `want` says whether the caller reads the returned order.  The root
     wants it, and a fan child inherits the flag.  Piece 2 never wants it,
@@ -496,9 +495,10 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
                     f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
 
     if peeled is not None:
-        colored = _color_peeled(*peeled, h, r)
+        cut_g, cut_f, cut_names = peeled
+        colored = _color_greedily(cut_g, h, cut_f, r, reversed(cut_g.adj), cut_names)
         if want:
-            order += tuple(colored)
+            order += colored
     return r, order if want else None
 
 
@@ -512,28 +512,19 @@ def _cuts_off_a_triangle(chord: tuple[int, int] | None, adj: dict[int, frozenset
 def _peeled_tables(cut: dict[int, frozenset[int]], f: Budget, names: dict[int, dict[int, int]]
                 ) -> tuple[SimpleGraph, Budget, dict[int, dict[int, int]]]:
     """What coloring a run's cut vertices reads: their rows at the cut, as
-    a graph that holds only those rows, and their budget and name rows."""
+    a graph that holds only those rows, and their budget and name rows.
+
+    The frame colors them last cut first (`_color_greedily` on these
+    tables) and appends their pairs to its order.  Each cut vertex's only
+    neighbours at its cut are vi and vj, which the order already holds, and
+    the vertices cut before it are colored after it, so its earlier matched
+    neighbours are the ones the greedy rule discounts on its row at the
+    cut: appending its pair keeps the order valid.
+    """
     rows = f._rows
     return (SimpleGraph._trusted(tuple(cut), cut),
             Budget._trusted(f.s, f.cap, {x: rows[x] for x in cut if x in rows}),
             {x: names[x] for x in cut if x in names})
-
-
-def _color_peeled(g: SimpleGraph, f: Budget, names: dict[int, dict[int, int]], h: Cover,
-                r: dict[int, int]) -> list[tuple[int, int]]:
-    """Color a run's cut vertices in r, last cut first, by the base case's
-    greedy rule, and return their pairs in that order.
-
-    Each was cut with its two neighbours as its only ones, and the vertices
-    cut before it are colored after it, so its earlier matched neighbours
-    are the ones `_greedy_color` discounts on its row at the cut: appending
-    its pair keeps a valid order valid.
-    """
-    colored = []
-    for x in reversed(g.adj):
-        r[x] = c = _greedy_or_fail(g, h, f, r, x, names)
-        colored.append((x, c))
-    return colored
 
 
 def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
@@ -587,15 +578,9 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
     # is too.
     child = dict(names)
     child.pop(v2, None)
-    matchings = h._matchings
     for u in (*U, v3):
         at = _names_at(names, u, s)
-        if v2 < u:
-            pairs = matchings.get((v2, u), _NO_MATCHES).items()
-        else:
-            m = matchings.get((u, v2), _NO_MATCHES)
-            pairs = zip(m.values(), m.keys())
-        aligned = {at[cu]: at2[c2] for c2, cu in pairs}
+        aligned = {at[cu]: at2[c2] for c2, cu in h._pairs(v2, u)}
         perm = _complete_injective(aligned, s)
         child[u] = {i: perm[k] for i, k in at.items()}
 
@@ -620,19 +605,9 @@ def _color_third(g: SimpleGraph, h: Cover, f: Budget,
                  pre: tuple[tuple[int, int], tuple[int, int]],
                  v: int, names: dict[int, dict[int, int]]) -> tuple[dict[int, int], Order]:
     """The base case: color v, adjacent to both precolored vertices of `pre`,
-    after them by the greedy rule on v's names.  g need only hold v's row."""
+    after them by `_color_greedily` on v's names.  g need only hold v's row."""
     r = dict(pre)
-    r[v] = c = _greedy_or_fail(g, h, f, r, v, names)
-    return r, pre + ((v, c),)
-
-
-def _greedy_or_fail(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
-                    names: dict[int, dict[int, int]]) -> int:
-    """v's color by the greedy rule on v's names, after r."""
-    c = _greedy_color(g, h, f, r, v, names.get(v))
-    if c is None:
-        raise InternalInvariantViolated(f"base case failed: no residual color for vertex {v}")
-    return c
+    return r, pre + _color_greedily(g, h, f, r, (v,), names)
 
 
 def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,

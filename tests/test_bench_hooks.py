@@ -145,3 +145,46 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("of the scaled time") == len(cases), out
     assert out.count("of the total time") == len(cases), out
+
+
+_LOC_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment on its own line
+class Box:
+    """Class docstring."""
+
+    size = 3
+
+
+def area(width,
+         height):
+    """Function docstring,
+
+    over three lines."""
+    text = """a string that is not a docstring
+spans two lines"""
+    return max(width,
+               height,
+               len(text))
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path, capsys):
+    """`bench/loc.py` gives ROADMAP's count: docstrings, comments and blank
+    lines do not count; every line of a call or a string spread over
+    several lines does."""
+    spec = importlib.util.spec_from_file_location("bench_loc", ROOT / "bench" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    # import, class, size, def (2 lines), text (2 lines), return (3 lines)
+    assert loc.code_lines(_LOC_SAMPLE) == 10
+    (tmp_path / "a.py").write_text(_LOC_SAMPLE, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n", encoding="utf-8")
+    assert loc.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["10", "1", "11"]
+    assert lines[-1].endswith("total")

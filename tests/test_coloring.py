@@ -13,13 +13,16 @@ from dpfcolor import (
     induced_pair_graph,
     order_is_valid,
     order_with_prefix,
+    path_graph,
     residual_budget,
     verify_coloring,
 )
+from dpfcolor.coloring import _color_greedily
 from dpfcolor.degeneracy import strictly_degenerate_order
 from dpfcolor.errors import (
     ColorNotInList,
     DomainOverlap,
+    InternalInvariantViolated,
     InvalidInput,
     InvalidPrecoloring,
     NoColorAvailable,
@@ -229,6 +232,57 @@ class TestGreedyExtend:
                 for c in (1, 2):
                     hit = 1 if (v in g.adj[v0] and h.matched(v, c, v0, partial[v0])) else 0
                     assert direct.get(v, c) == max(0, fs.get(v, c) - hit)
+
+
+class TestColorGreedily:
+    """The one greedy placement of the constructive steps."""
+
+    def test_no_residual_color_names_the_vertex_and_keeps_earlier_ones(self):
+        g = path_graph(3)
+        h = Cover(1, {v: {1} for v in g.vertices}, {e: [(1, 1)] for e in g.edge_list()})
+        f = Budget(1, 1, {(v, 1): 1 for v in g.vertices})
+        r = {}
+        with pytest.raises(InternalInvariantViolated,
+                           match="^greedy step failed: no residual color for vertex 1$"):
+            _color_greedily(g, h, f, r, (0, 1, 2), {})
+        assert r == {0: 1}
+
+    def test_colors_in_the_given_order(self):
+        # Both lists are {1, 2}; only color 1 is matched across the edge, and
+        # it has budget 1, so whichever vertex comes second must take 2.
+        g = SimpleGraph(2, [(0, 1)])
+        h = Cover(2, {0: {1, 2}, 1: {1, 2}}, {(0, 1): [(1, 1)]})
+        f = unit_budget(g, 2, (1, 2))
+        r = {}
+        assert _color_greedily(g, h, f, r, (0, 1), {}) == ((0, 1), (1, 2))
+        assert r == {0: 1, 1: 2}
+        r = {}
+        assert _color_greedily(g, h, f, r, (1, 0), {}) == ((1, 1), (0, 2))
+        assert r == {1: 1, 0: 2}
+        # A name table decides ties: naming color 2 first at vertex 0 makes it take 2.
+        r = {}
+        assert _color_greedily(g, h, f, r, (0, 1), {0: {1: 2, 2: 1}}) == ((0, 2), (1, 1))
+
+    def test_matches_repeated_greedy_extend(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 7), 0.5, rng)
+            lists = {v: {1, 2, 3} for v in g.vertices}
+            h = Cover(3, lists, {e: [(1, 1), (2, 2), (3, 3)] for e in g.edge_list()})
+            f = Budget(3, 2, {(v, c): rng.randint(1, 2) for v in g.vertices for c in (1, 2, 3)})
+            vertices = list(g.vertices)
+            rng.shuffle(vertices)
+            partial, order = {}, ()
+            try:
+                for v in vertices:
+                    partial, order = greedy_extend(g, h, f, partial, order, v)
+            except NoColorAvailable:
+                with pytest.raises(InternalInvariantViolated, match=f"vertex {v}$"):
+                    _color_greedily(g, h, f, {}, vertices, {})
+                continue
+            r = {}
+            assert _color_greedily(g, h, f, r, vertices, {}) == order
+            assert r == partial
 
 
 class TestCombine:

@@ -130,6 +130,35 @@ class TestExtension:
                 extend_over_configuration(g, h, f, 3, reversed_K, r0)
 
 
+def test_greedy_fault_names_its_vertex(monkeypatch):
+    """The extension's greedy placements are the planar steps' one: a
+    placement that finds no residual color raises InternalInvariantViolated
+    naming that vertex."""
+    from dpfcolor import coloring
+    from dpfcolor.errors import InternalInvariantViolated
+
+    g, h, f, K, r0 = fan_configuration_instance(0, 4)
+    greedy = coloring._greedy_color
+    placed = []
+
+    def record(g, h, f, r, v, row=None):
+        placed.append(v)
+        return greedy(g, h, f, r, v, row)
+
+    monkeypatch.setattr(coloring, "_greedy_color", record)
+    extend_over_configuration(g, h, f, 4, K, r0)
+    assert placed and set(placed) <= set(K[1:])
+    victim = placed[-1]
+
+    def fail_at_victim(g, h, f, r, v, row=None):
+        return None if v == victim else greedy(g, h, f, r, v, row)
+
+    monkeypatch.setattr(coloring, "_greedy_color", fail_at_victim)
+    with pytest.raises(InternalInvariantViolated,
+                       match=f"^greedy step failed: no residual color for vertex {victim}$"):
+        extend_over_configuration(g, h, f, 4, K, r0)
+
+
 def _outcome(extend, *args):
     """What an extension returns, or the class and message of what it raises."""
     try:

@@ -504,15 +504,15 @@ class TestExtendTriangle:
         assert verify_coloring(pg.graph, h, f, r) is not None
 
     def test_house_graph_not_in_family(self):
-        pg = polygon(5)
-        from dpfcolor.planar import add_chord, faces as pfaces
-        inner = pfaces(pg).bounded[0]
-        pg2 = add_chord(pg, inner, inner.index(0), inner.index(2))
-        lists = {v: {1, 2, 3, 4} for v in pg2.graph.vertices}
-        h = identity_cover(pg2.graph, lists)
+        # The 5-cycle with the chord 0-2: a triangle beside a 4-cycle.
+        pg = PlaneGraph(SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+                        {0: (4, 2, 1), 1: (0, 2), 2: (1, 0, 3), 3: (2, 4), 4: (3, 0)},
+                        (0, 1, 2, 3, 4))
+        lists = {v: {1, 2, 3, 4} for v in pg.graph.vertices}
+        h = identity_cover(pg.graph, lists)
         f = budget_list(lists)
         with pytest.raises(NotInFamily):
-            extend_precolored_triangle(pg2, h, f, {0: 1, 1: 2, 2: 3})
+            extend_precolored_triangle(pg, h, f, {0: 1, 1: 2, 2: 3})
 
     def test_invalid_precoloring_rejected(self):
         pg, h, f = self.k4_instance()
@@ -601,6 +601,37 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
                        "coloring's witness is not valid under the residual budget$"):
         solve_planar_dpg52(pg, h, f)
     assert len(corrupted) == 1
+
+
+def test_greedy_fault_names_its_vertex(monkeypatch):
+    """A greedy placement that finds no residual color stops the solve with
+    InternalInvariantViolated naming that vertex.  The fault is injected
+    into the last placement of a solve that has base cases, runs of cut
+    triangles and fan steps."""
+    from dpfcolor import coloring
+
+    pg = gen_planar_triangulation(30, seed=2)
+    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=2)
+    f = gen_random_budget(pg.graph, 5, 5, 2, seed=2, lists=h.lists)
+    greedy = coloring._greedy_color
+    placed = []
+
+    def record(g, h, f, r, v, row=None):
+        placed.append(v)
+        return greedy(g, h, f, r, v, row)
+
+    monkeypatch.setattr(coloring, "_greedy_color", record)
+    solve_planar_dpg52(pg, h, f)
+    assert len(placed) > 2  # the first two color the precolored outer edge
+    victim = placed[-1]
+
+    def fail_at_victim(g, h, f, r, v, row=None):
+        return None if v == victim else greedy(g, h, f, r, v, row)
+
+    monkeypatch.setattr(coloring, "_greedy_color", fail_at_victim)
+    with pytest.raises(InternalInvariantViolated,
+                       match=f"^greedy step failed: no residual color for vertex {victim}$"):
+        solve_planar_dpg52(pg, h, f)
 
 
 def _stack_depth():
