@@ -95,10 +95,18 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
     vertex has zero residual everywhere and no candidate pair of it can be
     added without making the partial pair graph unorderable.
 
-    One bitmask pair graph is built per call, in one pass over the cover's
-    and the budget's tables: the precolored pairs, then every candidate
-    pair (v, c) with f(v, c) >= 1 in search order, each with one bit, its
-    budget and the int mask of the pairs its edges' matchings link it to.
+    One bitmask pair graph is built per call: the precolored pairs, then
+    every candidate pair (v, c), c in v's list with f(v, c) >= 1, in search
+    order, each with one bit, its budget and the int mask of the pairs its
+    edges' matchings link it to.  The set-up costs one pass over g's
+    vertices, which numbers the pairs, and one over g's edges, which reads
+    each edge's matching dict once and ORs a precomputed bit into both ends
+    of each link; the watched slots below then take at most one popcount
+    per pair.  It walks g, never the cover's whole matching table: a cover
+    may span a larger graph than g, with vertices outside g and matchings
+    on non-edges of g, and the set-up still costs only what g and its
+    candidates cost.
+
     A partial coloring is the int `alive` of its pairs' bits.  Each
     orderability test adds one pair to a set already found orderable (the
     precoloring is checked first), so it stops as soon as the added pair
@@ -133,49 +141,54 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
             raise InvalidPrecoloring(f"precolored vertices {unknown} not in the graph")
         _check_precoloring(g, h, f, pre)
 
-    rows, lists = f._rows, h.lists  # budget rows hold only values >= 1
-    candidates = {v: sorted(rows.get(v, {}).keys() & lists.get(v, ()))
-                  for v in g.vertices if v not in pre}
-    if not all(candidates.values()):
-        return None
-    todo = sorted(candidates, key=lambda v: (-g.degree(v), v))
+    rows, lists, adj = f._rows, h.lists, g.adj  # budget rows hold only values >= 1
+    todo = sorted([v for v in g.vertices if v not in pre], key=lambda v: (-len(adj[v]), v))
 
     # The pair graph; at[v] maps v's colors to their pair indices, slots[d]
-    # holds the indices of todo[d]'s candidates, and the empty slot past
-    # the last vertex, starting past every pair, marks a complete coloring.
+    # holds the indices of todo[d]'s candidates (none: no coloring), and
+    # the empty slot past the last vertex, starting past every pair, marks
+    # a complete coloring.
     pairs = [(v, pre[v]) for v in sorted(pre)]
     budgets = [rows[v][c] for v, c in pairs]
     at = {v: {c: k} for k, (v, c) in enumerate(pairs)}
     slots = []
     for v in todo:
-        cs = candidates[v]
-        at[v] = {c: len(pairs) + i for i, c in enumerate(cs)}
-        slots.append(range(len(pairs), len(pairs) + len(cs)))
-        pairs += [(v, c) for c in cs]
-        budgets += [rows[v][c] for c in cs]
+        row, here, first = rows.get(v, {}), {}, len(pairs)
+        at[v] = here
+        for c in sorted(row.keys() & lists.get(v, ())):
+            here[c] = len(pairs)
+            pairs.append((v, c))
+            budgets.append(row[c])
+        if len(pairs) == first:
+            return None
+        slots.append(range(first, len(pairs)))
     slots.append(range(len(pairs), len(pairs)))
-    masks = [0] * len(pairs)
+    bit, masks = [1 << k for k in range(len(pairs))], [0] * len(pairs)
     matchings = h._matchings
     for v, here in at.items():
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w > v and (m := matchings.get((v, w))):
                 there = at[w]
-                for c, i in here.items():
-                    j = there.get(m.get(c))
-                    if j is not None:
-                        masks[i] |= 1 << j
-                        masks[j] |= 1 << i
+                for c, d in m.items():
+                    if (i := here.get(c)) is not None and (j := there.get(d)) is not None:
+                        masks[i] |= bit[j]
+                        masks[j] |= bit[i]
 
     # The watched slots: below[t] holds their pairs of budget t + 1, and
     # starts lists (length, first bits of the watched slots of that
     # length) by ascending length.
     below, firsts = [], {}
-    for slot in slots:
-        if slot and all(budgets[k] <= masks[k].bit_count() for k in slot):
-            firsts[len(slot)] = firsts.get(len(slot), 0) | 1 << slot.start
+    for slot in slots[:-1]:
+        for k in slot:
+            if budgets[k] > masks[k].bit_count():
+                break
+        else:  # every candidate can reach zero residual
+            firsts[len(slot)] = firsts.get(len(slot), 0) | bit[slot.start]
             for k in slot:
-                below += [0] * (budgets[k] - len(below))
-                below[budgets[k] - 1] |= 1 << k
+                b = budgets[k]
+                if b > len(below):
+                    below += [0] * (b - len(below))
+                below[b - 1] |= bit[k]
     starts = sorted(firsts.items())
 
     def add(planes: list[int], mask: int) -> list[int]:
@@ -235,8 +248,10 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
         stats.update(nodes=nodes, backtracks=backtracks)
     if not stack:
         return None
-    alive = stack[-1][0]
-    result = dict(p for k, p in enumerate(pairs) if alive >> k & 1)
+    alive, result = stack[-1][0], {}
+    while alive:  # one step per colored vertex, in pair order
+        v, c = pairs[(alive & -alive).bit_length() - 1]
+        result[v], alive = c, alive & (alive - 1)
     pg = induced_pair_graph(g, h, f, result)
     witness = strictly_degenerate_order(pg)
     if witness is None:
@@ -663,7 +678,10 @@ def extend_precolored_triangle(pg: PlaneGraph, h: Cover, f: Budget,
     3-, 4- and 5-cycles, budgets totalling >= 4 with cap 2.
 
     Delegates to the exact solver; by the family guarantee an extension
-    exists, so an absent answer raises TheoremViolation.
+    exists, so an absent answer raises TheoremViolation.  The solver
+    verifies c0 itself, so c0 is verified here only when the solver would
+    stop at its vertex limit first: an invalid precoloring is reported as
+    such either way, and verified once.
     """
     g = pg.graph
     faces(pg)  # the family claim is about plane graphs; validate the embedding
@@ -673,7 +691,8 @@ def extend_precolored_triangle(pg: PlaneGraph, h: Cover, f: Budget,
     if len(dom) != 3 or not all(g.has_edge(u, v) for u in dom for v in dom if u < v):
         raise InvalidPrecoloring("precolored domain is not a 3-cycle")
     _check_budget(g, h, f, 4)
-    _check_precoloring(g, h, f, c0)
+    if g.n > limit:
+        _check_precoloring(g, h, f, c0)
     res = solve_exact(g, h, f, precolored=c0, limit=limit)
     if res is None:
         raise TheoremViolation(

@@ -173,13 +173,18 @@ spans two lines"""
 '''
 
 
+def _loc():
+    spec = importlib.util.spec_from_file_location("bench_loc", ROOT / "bench" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    return loc
+
+
 def test_loc_counts_code_lines_only(tmp_path, capsys):
     """`bench/loc.py` gives ROADMAP's count: docstrings, comments and blank
     lines do not count; every line of a call or a string spread over
     several lines does."""
-    spec = importlib.util.spec_from_file_location("bench_loc", ROOT / "bench" / "loc.py")
-    loc = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(loc)
+    loc = _loc()
     # import, class, size, def (2 lines), text (2 lines), return (3 lines)
     assert loc.code_lines(_LOC_SAMPLE) == 10
     (tmp_path / "a.py").write_text(_LOC_SAMPLE, encoding="utf-8")
@@ -188,3 +193,12 @@ def test_loc_counts_code_lines_only(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["10", "1", "11"]
     assert lines[-1].endswith("total")
+
+
+def test_planar_and_solvers_stay_under_the_code_line_ceiling():
+    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 678 code
+    lines, as `bench/loc.py` counts them."""
+    loc = _loc()
+    total = sum(loc.code_lines((SRC / name).read_text(encoding="utf-8"))
+                for name in ("planar.py", "solvers.py"))
+    assert total <= 678, total

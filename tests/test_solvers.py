@@ -34,7 +34,8 @@ from dpfcolor.errors import (
     NotTwoConnected,
     TheoremViolation,
 )
-from dpfcolor import solvers
+from dpfcolor import coloring, solvers
+from dpfcolor.cycles import FamilyA, check_family
 from dpfcolor.degeneracy import _orderable_with
 from dpfcolor.planar import delete_vertex, fan_neighbors
 
@@ -229,11 +230,86 @@ class TestSolveExact:
                     answers.append((str(exc), stats))
             assert answers[0] == answers[1], t
             got, stats = answers[0]
+            if isinstance(got, tuple):  # `==` on dicts ignores their key order
+                assert list(got[0].items()) == list(answers[1][0][0].items()), t
             absent += got is None
             backtracked += stats["backtracks"] > 0
             cap_3 += cap == 3
             precolored += pre is not None and not isinstance(got, str)
         assert absent > 200 and backtracked > 200 and cap_3 > 300 and precolored > 400
+
+    def test_covers_wider_than_the_graph(self):
+        """The cover and the budget may span a larger graph G than g: g is
+        an induced subgraph of G, with some of its edges dropped in half the
+        cases, so the cover has vertices outside g and matchings on edges
+        that g lacks.  The search must read only g's, returning what the
+        rescanning search returns (coloring, key order, order and `stats`)
+        and what it returns itself on the cover restricted to g."""
+        outside = dropped = absent = precolored = 0
+        for t in range(300):
+            rng = random.Random(f"wide-cover/{t}")
+            big = random_graph(rng.randint(2, 14), rng.uniform(0.2, 1.0), rng)
+            keep = rng.sample(big.vertices, rng.randint(0, min(big.n - 1, 11)))
+            g = big.induced(keep)
+            if rng.random() < 1 / 2:
+                g = SimpleGraph.on_vertices(keep, [e for e in g.edges if rng.random() < 0.6])
+            s, cap = rng.randint(1, 4), rng.randint(1, 2)
+            list_size = rng.randint(1, s)
+            h = gen_random_cover(big, s, list_size, rng.choice([0.5, 1.0]),
+                                 seed=rng.randrange(10**6))
+            f = gen_random_budget(big, s, rng.randint(1, cap * list_size), cap,
+                                  seed=rng.randrange(10**6),
+                                  lists=rng.choice([h.lists, None]))
+            narrow = Cover(s, {v: h.lists[v] for v in g.vertices},
+                           {(u, v): h.matching(u, v) for u, v in g.edges})
+            pre = None
+            if g.n and rng.random() < 1 / 3:
+                chosen = rng.sample(g.vertices, rng.randint(1, min(g.n, 3)))
+                pre = {v: rng.choice(sorted(h.list_of(v))) for v in chosen}
+            answers = []
+            for solve, cover in ((solve_exact, h), (reference_solve_exact, h),
+                                 (solve_exact, narrow)):
+                stats = {}
+                try:
+                    got = solve(g, cover, f, precolored=pre, stats=stats)
+                except InvalidPrecoloring as exc:
+                    got = str(exc)
+                keys = list(got[0]) if isinstance(got, tuple) else None
+                answers.append((got, keys, stats))
+            assert answers[0] == answers[1] == answers[2], t
+            matched = {e for e in h._matchings if set(e) & set(keep)}
+            outside += any(not set(e) <= set(keep) for e in matched)
+            dropped += any(set(e) <= set(keep) and not g.has_edge(*e) for e in matched)
+            absent += answers[0][0] is None
+            precolored += pre is not None and isinstance(answers[0][0], tuple)
+        assert outside > 150 and dropped > 30 and absent > 40 and precolored > 30, (
+            outside, dropped, absent, precolored)
+
+    def test_set_up_never_iterates_the_whole_matching_table(self):
+        """On a 12-vertex g whose cover spans a 20,000-edge supergraph, the
+        set-up looks up g's edges and never walks the cover's table: a table
+        that refuses iteration changes nothing."""
+
+        class Unlistable(dict):
+            def _refuse(self, *args):
+                raise AssertionError("the whole matching table was iterated")
+            __iter__ = keys = values = items = _refuse
+
+        rng = random.Random("wide-table")
+        pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
+        big = SimpleGraph(300, rng.sample(pairs, 20_000))
+        h = gen_random_cover(big, 4, 4, 1.0, seed=rng.randrange(10**6))
+        f = gen_random_budget(big, 4, 6, 2, seed=rng.randrange(10**6), lists=h.lists)
+        guarded = Cover._trusted(h.s, h.lists, Unlistable(h._matchings))
+        with pytest.raises(AssertionError):
+            list(guarded._matchings.items())
+        g = big.induced(range(12))
+        pre = {0: min(c for c in h.lists[0] if f.get(0, c))}
+        stats, guarded_stats = {}, {}
+        found = solve_exact(g, h, f, precolored=pre, stats=stats)
+        assert found is not None and g.m > 20
+        assert solve_exact(g, guarded, f, precolored=pre, stats=guarded_stats) == found
+        assert guarded_stats == stats
 
     def test_probes_only_uncolored_slots_wholly_at_zero_residual(self, monkeypatch):
         """Every orderability test the search makes is either a node's, on a
@@ -520,6 +596,69 @@ class TestExtendTriangle:
             extend_precolored_triangle(pg, h, f, {0: 1, 1: 1, 2: 3})
         with pytest.raises(InvalidPrecoloring):
             extend_precolored_triangle(pg, h, f, {0: 1, 1: 2})
+
+    @staticmethod
+    def record_verifications(monkeypatch):
+        """The precolorings `verify_on_domain` is called on, in call order."""
+        calls = []
+        verify = coloring.verify_on_domain
+
+        def recording(g, h, f, r):
+            calls.append(r)
+            return verify(g, h, f, r)
+
+        monkeypatch.setattr(coloring, "verify_on_domain", recording)
+        return calls
+
+    def test_precoloring_is_verified_once(self, monkeypatch):
+        """The solver verifies the precolored triangle, so extending it
+        verifies it once, not once more beforehand."""
+        calls = self.record_verifications(monkeypatch)
+        pg, h, f = self.k4_instance()
+        extend_precolored_triangle(pg, h, f, {0: 1, 1: 2, 2: 3})
+        assert calls == [{0: 1, 1: 2, 2: 3}]
+
+    @staticmethod
+    def chorded_13_cycle():
+        """The 13-cycle with the chord 0-2: one triangle and no 4- or
+        5-cycle, so it is in family A, and past the default exact limit."""
+        n = 13
+        rotation = {v: (v - 1, v + 1) for v in range(3, n - 1)}
+        rotation.update({0: (n - 1, 2, 1), 1: (0, 2), 2: (1, 0, 3), n - 1: (n - 2, 0)})
+        edges = [(v, (v + 1) % n) for v in range(n)] + [(0, 2)]
+        pg = PlaneGraph(SimpleGraph(n, edges), rotation, range(n))
+        lists = {v: {1, 2, 3, 4} for v in pg.graph.vertices}
+        return pg, identity_cover(pg.graph, lists), budget_list(lists)
+
+    def test_errors_past_the_limit_stay_as_they_were(self, monkeypatch):
+        """Each public function reports what it reported when both verified
+        the precoloring: an invalid triangle past the vertex limit is an
+        invalid precoloring to `extend_precolored_triangle` and past the
+        limit to `solve_exact`, and a valid one past the limit is past the
+        limit to both.  Past the limit the precoloring is verified once."""
+        calls = self.record_verifications(monkeypatch)
+        pg, h, f = self.chorded_13_cycle()
+        assert check_family(pg.graph, FamilyA())
+        bad, good = {0: 1, 1: 1, 2: 3}, {0: 1, 1: 2, 2: 3}
+        invalid = "^precoloring fails verification on its domain$"
+        past = "^13 vertices exceed the exact-solver limit 12$"
+        with pytest.raises(InvalidPrecoloring, match=invalid):
+            extend_precolored_triangle(pg, h, f, bad, limit=12)
+        assert calls == [bad]
+        with pytest.raises(LimitExceeded, match=past):
+            solve_exact(pg.graph, h, f, precolored=bad, limit=12)
+        with pytest.raises(LimitExceeded, match=past):
+            extend_precolored_triangle(pg, h, f, good, limit=12)
+        with pytest.raises(InvalidPrecoloring, match="^color 9 not in list of vertex 0$"):
+            extend_precolored_triangle(pg, h, f, {0: 9, 1: 2, 2: 3}, limit=12)
+        for pre in (bad, {0: 9, 1: 2, 2: 3}):
+            with pytest.raises(InvalidPrecoloring) as via_extension:
+                extend_precolored_triangle(pg, h, f, pre, limit=13)
+            with pytest.raises(InvalidPrecoloring) as via_search:
+                solve_exact(pg.graph, h, f, precolored=pre, limit=13)
+            assert str(via_extension.value) == str(via_search.value)
+        r, order = extend_precolored_triangle(pg, h, f, good, limit=13)
+        assert verify_coloring(pg.graph, h, f, r) is not None
 
     def test_low_budget_rejected(self):
         pg, _, _ = self.k4_instance()
