@@ -112,21 +112,28 @@ def residual_at(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring,
     """Residual values of a single uncolored vertex, without re-verification:
     {i: f_i(v) - hits} over v's positive budget entries, in ascending color
     order, where hits counts v's colored neighbours x whose edge matches
-    (v, i) to (x, r(x)).
-
-    One pass over v's neighbours: each colored one costs one lookup of its
-    edge's matching dict, which names the color of v it hits (a key lookup
-    when v is the larger endpoint, a scan of the dict's at most s items
-    when it is the smaller one).  So the cost is O(deg(v)) lookups plus
-    sorting v's budget row, not one `Cover.matched` call per color and
-    neighbour.
+    (v, i) to (x, r(x)) (`_hits`).  Costs O(deg(v)) lookups plus sorting
+    v's budget row, not one `Cover.matched` call per color and neighbour.
     """
     row = f._rows.get(v)
     if not row:
         return {}
+    hits = _hits(g, h, precolored, v)
+    return {i: left for i in sorted(row) if (left := row[i] - hits.get(i, 0)) > 0}
+
+
+def _hits(g: SimpleGraph, h: Cover, r: Coloring, v: int) -> dict[int, int]:
+    """{i: the number of v's colored neighbours x whose edge matches (v, i)
+    to (x, r(x))}, over the colors i that some neighbour hits.
+
+    One pass over v's neighbours: each colored one costs one lookup of its
+    edge's matching dict, which names the color of v it hits (a key lookup
+    when v is the larger endpoint, a scan of the dict's at most s items
+    when it is the smaller one).
+    """
     matchings, hits = h._matchings, {}
     for x in g.adj[v]:
-        cx = precolored.get(x)
+        cx = r.get(x)
         if cx is None:
             continue
         if x < v:
@@ -139,7 +146,7 @@ def residual_at(g: SimpleGraph, h: Cover, f: Budget, precolored: Coloring,
                     break
         if i is not None:
             hits[i] = hits.get(i, 0) + 1
-    return {i: left for i in sorted(row) if (left := row[i] - hits.get(i, 0)) > 0}
+    return hits
 
 
 def _greedy_color(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
@@ -149,9 +156,17 @@ def _greedy_color(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
     input colors to names ({input color: name}); without it each color
     names itself.  Appending v's pair to a valid order of r's pairs keeps
     it valid, since the pair's earlier matched neighbours are exactly the
-    ones the residual discounts."""
-    lst = h.list_of(v)
-    return min((i for i in residual_at(g, h, f, r, v) if i in lst),
+    ones the residual discounts.
+
+    It reads v's budget row against its hit counts (`_hits`, as
+    `residual_at` does) and takes the minimum directly: names are distinct,
+    so no residual dict and no sort are needed.
+    """
+    budget = f._rows.get(v)
+    if not budget:
+        return None
+    lst, hits = h.list_of(v), _hits(g, h, r, v)
+    return min((i for i, val in budget.items() if val > hits.get(i, 0) and i in lst),
                key=row.get if row else None, default=None)
 
 

@@ -316,13 +316,3 @@ def complete_permutation(partial: Mapping[int, int], s: int) -> dict[int, int]:
     full = dict(partial)
     full.update(zip(free_src, free_tgt))
     return full
-
-
-def _complete_injective(partial: Mapping[int, int], s: int) -> dict[int, int]:
-    """complete_permutation for a map already known to be injective on
-    1..s, unchecked: the same dict, item order included."""
-    used = set(partial.values())
-    full = dict(partial)
-    full.update(zip([c for c in range(1, s + 1) if c not in partial],
-                    [d for d in range(1, s + 1) if d not in used]))
-    return full

@@ -7,9 +7,10 @@ in the rotation at v; this visits every dart exactly once.
 
 The planar recursion's pieces rebuild only the rows of vertices that lose
 a neighbour and share the rest with the parent.  A chord split (`_piece`)
-rebuilds the chord's two ends: the chord and the two outer arcs bound two
-closed sub-disks, and an edge from one sub-disk's inside to the other's
-would have to cross the chord or the outer face.  A fan step
+builds each piece's dicts from that piece's own vertices, in sorted order,
+and rebuilds the chord's two ends: the chord and the two outer arcs bound
+two closed sub-disks, and an edge from one sub-disk's inside to the
+other's would have to cross the chord or the outer face.  A fan step
 (`delete_vertex`) rebuilds the deleted pivot's neighbours, each of which
 drops the pivot from its rows by position (`_drop`): O(deg) per
 neighbour, besides one C-level copy of the two dicts.
@@ -20,6 +21,9 @@ triangle's degree-2 vertex from them in place with the same `_drop`.
 `find_chord` is one scan over outer positions, and after such a deletion
 `_Tables.chord` resumes it at the position of the chord just used, since
 no earlier position can gain a chord.
+
+`find_separating_triangle` reads one face trace: a triangle separates
+exactly when its vertex triple is not a 3-face.
 """
 
 from __future__ import annotations
@@ -400,15 +404,16 @@ def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
 
     `cut` must hold every kept vertex with a neighbour outside `keep`:
     only those rows are rebuilt, and every other adjacency and rotation
-    row is shared with pg.  Dropping vertices keeps the induced rotations
+    row is shared with pg.  The dicts are built from `keep` alone, in
+    sorted order, as a SimpleGraph's vertices are, so a piece costs its own
+    size, not its parent's.  Dropping vertices keeps the induced rotations
     a plane embedding.  A chord split cuts at the chord's two ends, since
     the chord and the outer arcs bound two closed sub-disks that no other
     edge joins; deleting a vertex cuts at its neighbours.
     """
-    adj = dict(pg.graph.adj)
-    rotation = dict(pg.rotation)
-    for v in adj.keys() - keep:
-        del adj[v], rotation[v]
+    adj0, rot0, verts = pg.graph.adj, pg.rotation, sorted(keep)
+    adj = {v: adj0[v] for v in verts}
+    rotation = {v: rot0[v] for v in verts}
     for v in cut:
         adj[v] = adj[v] & keep
         rotation[v] = tuple(filter(keep.__contains__, rotation[v]))
@@ -464,17 +469,14 @@ def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:
 
 
 def find_separating_triangle(pg: PlaneGraph) -> tuple[int, int, int] | None:
-    """First triangle with vertices strictly inside and strictly outside it."""
+    """First triangle with vertices strictly inside and strictly outside it.
+
+    A triangle with no vertex on one side bounds a face there, since any
+    edge on that side would join two of its own vertices.  So a triangle
+    separates exactly when its vertex triple is not a 3-face, and one face
+    trace (which also validates the embedding) answers for every triangle.
+    """
     g = pg.graph
-    faces(pg)  # _side holds only for a valid embedding
-    triangles = sorted(
-        (u, v, w)
-        for u, v in g.edge_list()
-        for w in sorted(g.adj[u] & g.adj[v])
-        if w > v
-    )
-    for tri in triangles:
-        side = _side(pg, tri)
-        if side and len(side) < g.n - 3:
-            return tri
-    return None
+    bare = {frozenset(w) for w in faces(pg).faces if len(w) == 3}
+    triangles = sorted((u, v, w) for u, v in g.edge_list() for w in g.adj[u] & g.adj[v] if w > v)
+    return next((tri for tri in triangles if frozenset(tri) not in bare), None)

@@ -19,9 +19,11 @@ Each step pays only for its own piece: a chord split builds piece 2's
 pair graph once and both orders and checks piece 2 on it, one step cuts
 off a whole run of bare triangles in place and colors their third
 vertices once the rest is solved, and a fan step renames colors in a
-table of names, not in the cover.  The base case and the cut vertices are
-colored by the one greedy placement, `coloring._color_greedily`, which
-the configuration extension shares.  So every step reads the caller's cover
+table of names, not in the cover, and builds only the rows it changes:
+the fan neighbours' name rows, read off their matchings with the pivot,
+and their budget rows.  The base case and the cut vertices are colored
+by the one greedy placement, `coloring._color_greedily`, which the
+configuration extension shares.  So every step reads the caller's cover
 and a budget in input colors, and returns input colors: nothing is copied
 to be renamed or translated back.  Only a step whose witness order
 something reads builds one: the root, and a piece 1 whose split asks which
@@ -47,7 +49,6 @@ from .covers import (
     Cover,
     Order,
     PairGraph,
-    _complete_injective,
 )
 from .cycles import FamilyA, check_family
 from .degeneracy import (
@@ -62,6 +63,7 @@ from .errors import (
     InvalidPrecoloring,
     LimitExceeded,
     NotInFamily,
+    NotTwoConnected,
     TheoremViolation,
 )
 from .graphs import SimpleGraph
@@ -293,7 +295,7 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     g = pg.graph
     _check_budget(g, h, f, 5)
     if not g.is_connected():
-        raise BadBudget("graph must be connected")
+        raise NotTwoConnected("graph must be connected")
     if g.n <= 2:
         return _greedy_seed(g, h, f, g.vertices)
     tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
@@ -562,10 +564,10 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
     is case 2.1, v2's colors now named 1 and 2 (the second None in case
     2.1) and v3's color now named 1.
 
-    Each fan neighbour costs one read of its edge's matching dict and O(s)
-    work to complete its map of names, with no set built and no check of
-    an injectivity that holds by construction (`_complete_injective`).
-    The child's budget still copies the table of rows (`Budget.assign`).
+    Each fan neighbour's row is read straight off its edge's matching dict
+    (`_name_row`): only the colors left unmatched pay for a completion.  The
+    child's budget copies the table of rows once at C level and builds only
+    U's rows, with no update dict and no re-check (`_fan_budget`).
     """
     s = h.s
     at2 = _names_at(names, v2, s)
@@ -576,39 +578,65 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
     best = max(res2.values())
     cstar = min((i for i, val in res2.items() if val == best), key=at2.get)
     case21 = (p == 3) or (best >= 2)
-    swap = {at2[cstar]: 1}
     second = None
     if not case21:
         others = [i for i in res2 if i != cstar]
         if not others:
             raise InternalInvariantViolated("fan pivot lacks a second residual color")
         second = min(others, key=at2.get)
-        swap[at2[second]] = 2
-    sigma = _complete_injective(swap, s)
-    at2 = {i: sigma[k] for i, k in at2.items()}
+    at2 = _name_row({cstar: 1} if case21 else {cstar: 1, second: 2}, names.get(v2), s)
 
     # Rename each fan neighbour's fiber so that its matching with v2 pairs
-    # equal names; v1 and vp keep theirs unless they sit on the fan.  A
-    # matching is injective and so are both name rows, so each map of names
-    # is too.
+    # equal names; v1 and vp keep theirs unless they sit on the fan.
     child = dict(names)
     child.pop(v2, None)
     for u in (*U, v3):
-        at = _names_at(names, u, s)
-        aligned = {at[cu]: at2[c2] for c2, cu in h._pairs(v2, u)}
-        perm = _complete_injective(aligned, s)
-        child[u] = {i: perm[k] for i, k in at.items()}
-
-    lowered = (1,) if case21 else (1, 2)
-    updates: dict[tuple[int, int], int] = {}
-    rows = f._rows
-    for u in U:
-        row = rows.get(u, {})
-        for i, k in child[u].items():
-            if k in lowered and (val := row.get(i)):
-                updates[(u, i)] = 0 if case21 else val - 1
+        child[u] = _name_row({cu: at2[c2] for c2, cu in h._pairs(v2, u)}, names.get(u), s)
     one3 = next(i for i, k in child[v3].items() if k == 1)
-    return child, f.assign(updates), case21, cstar, second, one3
+    return child, _fan_budget(f, U, child, case21), case21, cstar, second, one3
+
+
+def _name_row(row: dict[int, int], at: dict[int, int] | None, s: int) -> dict[int, int]:
+    """A vertex's row of a fan step's name table, given `row`, the new names
+    of some of its colors, and `at`, its old row (None: each color names
+    itself).  The other colors, by old name, take the unused names in
+    ascending order.
+
+    `row` must be injective.  v2's best residual colors take 1 and 2, and a
+    fan neighbour's colors matched to v2 take v2's new names of their
+    partners, which a matching and v2's row keep injective.  The result is
+    the old row composed with the completion of the map from old names to
+    new ones (`covers.complete_permutation`), built without that map: only
+    a row with fewer than s named colors pays for a sort.
+    """
+    if len(row) < s:
+        used = set(row.values())
+        row.update(zip(sorted((i for i in range(1, s + 1) if i not in row),
+                              key=at.get if at else None),
+                       [k for k in range(1, s + 1) if k not in used]))
+    return row
+
+
+def _fan_budget(f: Budget, U: tuple[int, ...], names: dict[int, dict[int, int]],
+                case21: bool) -> Budget:
+    """The budget of a fan step's child: f with each entry of U named 1
+    dropped in case 2.1, and each named 1 or 2 lowered by one in case 2.2,
+    given the child's name table.  An entry that reaches 0 is dropped, and
+    so is a row that ends empty.
+
+    Copies the table of rows once and builds only U's rows, unchecked:
+    lowering keeps every value in 1..cap.
+    """
+    lowered, cut = ((1,), 2) if case21 else ((1, 2), 1)  # values are at most 2
+    rows = dict(f._rows)
+    for u in U:
+        if u in rows:
+            at = names[u]
+            rows[u] = {i: left for i, val in rows[u].items()
+                       if (left := val - cut if at.get(i) in lowered else val) > 0}
+            if not rows[u]:
+                del rows[u]
+    return Budget._trusted(f.s, f.cap, rows)
 
 
 def _names_at(names: dict[int, dict[int, int]], v: int, s: int) -> dict[int, int]:

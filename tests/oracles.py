@@ -17,6 +17,10 @@ the current code must return:
 - `flood_split_on_chord` and `flood_find_separating_triangle`, which find
   the sides of a cycle by flooding faces and build their pieces through
   the validating constructors;
+- `side_find_separating_triangle`, which searches one side of every
+  triangle (`planar._side`) instead of reading the face trace;
+- `composed_name_row`, a fan step's new name row as the old row composed
+  with the completed map of renamed names (`covers.complete_permutation`);
 - `sorted_induced_pair_graph`, which builds the pair graph from the sorted
   edge list through `PairGraph.__init__`;
 - `three_check_combine_colorings`, which checks the first coloring, the
@@ -509,6 +513,32 @@ def flood_find_separating_triangle(pg: PlaneGraph):
         if (inside_verts - corners) and (outside_verts - corners):
             return (u, v, w)
     return None
+
+
+def side_find_separating_triangle(pg: PlaneGraph):
+    """`find_separating_triangle` by a search of one side of every triangle:
+    it separates when that side and the rest both hold a vertex."""
+    from dpfcolor.planar import _side, faces
+
+    g = pg.graph
+    faces(pg)  # _side holds only for a valid embedding
+    triangles = sorted((u, v, w) for u, v in g.edge_list()
+                       for w in sorted(g.adj[u] & g.adj[v]) if w > v)
+    for tri in triangles:
+        side = _side(pg, tri)
+        if side and len(side) < g.n - 3:
+            return tri
+    return None
+
+
+def composed_name_row(row, at, s: int) -> dict[int, int]:
+    """A vertex's row of a fan step's name table: its old row `at` composed
+    with the map that sends the old name of each color in `row` to that
+    color's new name, completed to a bijection of 1..s."""
+    from dpfcolor.covers import complete_permutation
+
+    perm = complete_permutation({at[c]: k for c, k in row.items()}, s)
+    return {i: perm[k] for i, k in at.items()}
 
 
 def naive_cycle_lengths(g: SimpleGraph) -> set[int]:

@@ -37,7 +37,6 @@ from dpfcolor import (
     verify_coloring,
 )
 from dpfcolor.coloring import _residuals, residual_at
-from dpfcolor.covers import _complete_injective, complete_permutation
 from dpfcolor.formats import emit_cover, parse_cover
 from dpfcolor.planar import _piece, delete_vertex
 
@@ -501,10 +500,11 @@ def test_stored_matchings_are_untracked_dicts_that_answer_as_given():
 
 class TestColorKernelsMatchReferences:
     """The planar solver's color steps read matching dicts and rows directly
-    (`residual_at`, the fan step's completion of name maps, `delete_vertex`).
-    Each is compared here with a reference that shares none of its code:
-    a brute-force count over `Cover.matching` pairs, `complete_permutation`,
-    and the induced piece that `_piece` builds from a keep set."""
+    (`residual_at`, `delete_vertex`).  Each is compared here with a
+    reference that shares none of its code: a brute-force count over
+    `Cover.matching` pairs, and the induced piece that `_piece` builds from
+    a keep set.  The fan step's name rows are compared with the composed
+    completion in `test_solvers.TestFanNames`."""
 
     def test_residual_at_counts_as_brute_force(self):
         """On random covers, with a random precoloring that colors non-neighbours
@@ -538,16 +538,6 @@ class TestColorKernelsMatchReferences:
                 rowless += not f.support(v)
                 assert list(residual_at(g, h, f, precolored, v).items()) == list(expected.items())
         assert hits["smaller"] > 100 and hits["larger"] > 100 and rowless > 150
-
-    def test_trusted_completion_is_complete_permutation(self):
-        """Same dict, item order included, on random injective maps, s = 1..8."""
-        rng = random.Random("complete")
-        for s in range(1, 9):
-            for _ in range(200):
-                k = rng.randint(0, s)
-                partial = dict(zip(rng.sample(range(1, s + 1), k), rng.sample(range(1, s + 1), k)))
-                out = _complete_injective(partial, s)
-                assert list(out.items()) == list(complete_permutation(partial, s).items())
 
     @pytest.mark.parametrize("shape", ["stacked", "grid", "wheel"])
     def test_delete_vertex_is_the_induced_piece(self, shape):

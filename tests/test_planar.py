@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpfcolor import (
     PlaneGraph,
@@ -33,6 +35,7 @@ from oracles import (
     polygon,
     random_graph,
     scan_find_chord,
+    side_find_separating_triangle,
     thin_triangulation,
     triangulated_polygon,
     wheel,
@@ -306,10 +309,11 @@ def _outer_chords(pg):
 
 
 class TestSideSearchMatchesFaceFlood:
-    """`split_on_chord` and `find_separating_triangle` find the sides of a
-    cycle with one search; the face-flood forms in `oracles` are the
-    reference.  Every face of each shape is taken as the outer face in
-    turn, both ways round, so non-simple outer walks occur too."""
+    """`split_on_chord` finds the sides of a cycle with one search, and
+    `find_separating_triangle` reads one face trace; the face-flood forms
+    in `oracles` are the reference.  Every face of each shape is taken as
+    the outer face in turn, both ways round, so non-simple outer walks
+    occur too."""
 
     def test_split_on_chord(self):
         seen = Counter()
@@ -339,6 +343,55 @@ class TestSideSearchMatchesFaceFlood:
                 assert got == flood_find_separating_triangle(q), walk
                 found[got is not None] += 1
         assert set(found) == {True, False}
+
+
+def _separating_shapes():
+    """Seeded shapes with and without separating triangles: stacked and
+    thinned triangulations, triangulated polygons, glued triangulations
+    (whose glued corner face is no longer a face), wheels and grids."""
+    yield from _chord_shapes()
+    for t in range(20):
+        rng = random.Random(f"separating/{t}")
+        yield gen_planar_triangulation(rng.randint(20, 60), t)
+        yield glued_triangulations(rng.randint(3, 12), rng.randint(3, 12), t)
+    for k in range(5, 9):
+        yield triangulate_interior(grid(k, seed=k))
+
+
+class TestSeparatingTrianglesFromOneFaceTrace:
+    """`find_separating_triangle` reads the face trace once: a triangle
+    separates exactly when its vertex triple is not a 3-face.  The side
+    search it replaced (`oracles.side_find_separating_triangle`) is the
+    reference, with every face taken as the outer face in turn."""
+
+    def test_matches_side_search_on_seeded_shapes(self):
+        found = Counter()
+        for pg in _separating_shapes():
+            for walk in trace_faces(pg):
+                q = pg.with_outer(walk)
+                got = find_separating_triangle(q)
+                assert got == side_find_separating_triangle(q), walk
+                found[got is not None] += 1
+        assert found[True] > 500 and found[False] > 500, found
+
+    @given(kind=st.sampled_from(["stacked", "thin", "fanned", "glued", "grid"]),
+           seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_matches_side_search(self, kind, seed, data):
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        pg = {"stacked": lambda: gen_planar_triangulation(n, seed),
+              "thin": lambda: thin_triangulation(gen_planar_triangulation(n, seed), rng),
+              "fanned": lambda: triangulated_polygon(n, rng),
+              "glued": lambda: glued_triangulations(n // 2 + 2, n // 3 + 2, seed),
+              "grid": lambda: triangulate_interior(grid(2 + n // 8, seed=seed))}[kind]()
+        q = pg.with_outer(data.draw(st.sampled_from(trace_faces(pg))))
+        assert find_separating_triangle(q) == side_find_separating_triangle(q)
+
+    def test_rejects_an_invalid_embedding_as_the_side_search_does(self):
+        pg = gen_planar_triangulation(6, seed=1)
+        bad = pg.with_outer(pg.outer[:2])  # not a face
+        assert _outcome(lambda: find_separating_triangle(bad)) == _outcome(
+            lambda: side_find_separating_triangle(bad)) == InvalidEmbedding
 
 
 def test_split_pieces_are_plane_graphs_by_networkx():

@@ -41,6 +41,7 @@ from dpfcolor.planar import delete_vertex, fan_neighbors
 
 from oracles import (
     coloring_exists_by_enumeration,
+    composed_name_row,
     grid,
     polygon,
     random_graph,
@@ -545,6 +546,32 @@ class TestSolvePlanar:
         f = Budget(3, 2, {(v, c): 2 for v in g.vertices for c in (1, 2, 3)})
         with pytest.raises(NotTwoConnected):
             solve_planar_dpg52(pg, h, f)
+
+    def test_disconnected_rejected_as_not_two_connected(self, tmp_path, capsys):
+        """A disconnected graph fails the solver's 2-connectivity
+        precondition, not its budget one.  The CLI exits 2, an input error."""
+        import json
+
+        from dpfcolor.cli import main
+        from dpfcolor.formats import emit_budget, emit_cover, emit_plane
+
+        # two disjoint triangles
+        g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        rot = {0: (1, 2), 1: (2, 0), 2: (0, 1), 3: (4, 5), 4: (5, 3), 5: (3, 4)}
+        pg = PlaneGraph(g, rot, (0, 1, 2))
+        lists = {v: {1, 2, 3} for v in g.vertices}
+        h = identity_cover(g, lists)
+        f = Budget(3, 2, {(v, c): 2 for v in g.vertices for c in (1, 2, 3)})
+        with pytest.raises(NotTwoConnected, match="^graph must be connected$"):
+            solve_planar_dpg52(pg, h, f)
+        paths = []
+        for name, text in [("plane", emit_plane(pg)), ("cover", emit_cover(h)),
+                           ("budget", emit_budget(f))]:
+            paths += [f"--{name}", str(tmp_path / name)]
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["solve-planar", *paths, "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"] == ["NotTwoConnected: graph must be connected"]
 
     def test_always_succeeds_on_mixed_random_instances(self):
         rng = random.Random(999)
@@ -1054,7 +1081,8 @@ def _other_colors_and_places(h, r, order, v):
 
 
 def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
-    """Solve with one U budget entry of the given fan step left unlowered.
+    """Solve with one U budget entry of the given fan step left unlowered,
+    restored in the budget that `_fan_budget` builds for the step's child.
     Steps are counted over the fan frames that want their order, the ones
     that check their reinsertion.
 
@@ -1065,18 +1093,21 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
 
     _, calls = _record_checks(monkeypatch)
     running = _track_wants(monkeypatch)
-    assign, delete, fan_colors = Budget.assign, solvers.delete_vertex, solvers._fan_colors
+    lower, delete, fan_colors = solvers._fan_budget, solvers.delete_vertex, solvers._fan_colors
     fault = {}
 
-    def lower_all_but_one(self, updates):
+    def lower_all_but_one(f, U, names, case21):
+        out = lower(f, U, names, case21)
         if not running[-1]:
-            return assign(self, updates)
+            return out
         fault["calls"] = fault.get("calls", 0) + 1
-        lowered = sorted(key for key, val in updates.items() if val < self.get(*key))
+        lowered = sorted((u, i) for u in U for i in f.support(u) if out.get(u, i) < f.get(u, i))
         if fault["calls"] == step + 1 and lowered:
-            fault["kept"] = kept = rng.choice(lowered)
-            updates = {key: val for key, val in updates.items() if key != kept}
-        return assign(self, updates)
+            fault["kept"] = (u, i) = rng.choice(lowered)
+            rows = dict(out._rows)
+            rows[u] = {**rows.get(u, {}), i: f.get(u, i)}
+            out = Budget._trusted(out.s, out.cap, rows)
+        return out
 
     def note_case(*args):
         out = fan_colors(*args)
@@ -1089,7 +1120,7 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
             fault["pivot"], fault["p"] = v, len(pg.outer)
         return delete(pg, v, outer)
 
-    monkeypatch.setattr(Budget, "assign", lower_all_but_one)
+    monkeypatch.setattr(solvers, "_fan_budget", lower_all_but_one)
     monkeypatch.setattr(solvers, "_fan_colors", note_case)
     monkeypatch.setattr(solvers, "delete_vertex", note_pivot)
     try:
@@ -1157,6 +1188,34 @@ class TestLocalReinsertionCheck:
 class TestFanNames:
     """A fan step renames colors in a table of names, not in the cover:
     every frame reads the caller's cover and returns input colors."""
+
+    def test_name_rows_match_the_composed_completion(self):
+        """`_name_row` against the old row composed with the completed map of
+        renamed names, on random name rows: a fan neighbour's rows from
+        lists shorter than s and matching densities from 0 to 1, and the
+        pivot's rows with its best colors named 1 (and 2), each with and
+        without an old row."""
+        rng = random.Random("fan rows")
+        completed = Counter()
+        for trial in range(3000):
+            s = rng.randint(1, 8)
+            at2 = dict(zip(range(1, s + 1), rng.sample(range(1, s + 1), s)))
+            at = dict(zip(range(1, s + 1), rng.sample(range(1, s + 1), s)))
+            if trial % 10 == 9:  # the pivot: one or two best colors
+                row = dict(zip(rng.sample(range(1, s + 1), min(s, rng.randint(1, 2))), (1, 2)))
+            else:  # a fan neighbour: its colors matched to the pivot
+                full = trial % 5 == 0  # whole lists, as in the benchmark's covers
+                list2 = rng.sample(range(1, s + 1), s if full else rng.randint(0, s))
+                listu = rng.sample(range(1, s + 1), s if full else rng.randint(0, s))
+                density = (1.0 if full or trial % 4 == 1 else 0.0 if trial % 4 == 2
+                           else rng.random())
+                row = {cu: at2[c2] for c2, cu in zip(list2, listu) if rng.random() < density}
+            old = None if trial % 3 == 0 else at
+            identity = {i: i for i in range(1, s + 1)}
+            expected = composed_name_row(row, old or identity, s)
+            assert solvers._name_row(dict(row), old, s) == expected, (s, row, old)
+            completed[len(row) < s] += 1
+        assert completed[True] > 2000 and completed[False] > 100, completed
 
     def test_frames_read_the_input_cover_and_return_input_colors(self, monkeypatch):
         import dpfcolor.solvers as solvers
