@@ -6,11 +6,15 @@
 For each shape and each size n = 500, 1000, 2000, 4000 and 8000, a fresh
 Python process builds the instance, runs `solve_planar_dpg52` and
 `verify_coloring` on it and reports the wall time of the two calls (op
-"solve").  Two more
-rungs time verification alone on stacked triangulations of n = 4000, 16000
-and 64000 with a valid coloring: `verify_coloring` on the objects (op
-"verify"), and `dpfcolor verify --json` run in-process through `cli.main`
-on the files the emitters write, parsing included (op "verify_cli").  The
+"solve").  Three more
+rungs run on stacked triangulations of n = 4000, 16000 and 64000.  Two
+time verification alone with a valid coloring: `verify_coloring` on the
+objects (op "verify"), and `dpfcolor verify --json` run in-process through
+`cli.main` on the files the emitters write, parsing included (op
+"verify_cli").  The third runs `dpfcolor solve-planar --json` in-process
+through `cli.main` on the emitted plane graph, cover and budget files
+(op "solve_cli"): parsing, the solver with its final definition check,
+and the JSON report.  The
 exact solver has rungs of its own (op "exact"): `solve_exact` with
 `limit = n` on a DP 4-coloring of a stacked triangulation of n = 32, 64,
 128 and 256 vertices (4 colors, lists of 4, density 1.0, every budget 1;
@@ -95,8 +99,8 @@ from perfbench.tracing import slope  # noqa: E402
 
 SHAPES = ("stacked", "polygon", "fanned", "grid")
 SIZES = (500, 1000, 2000, 4000, 8000)
-VERIFY_OPS = ("verify", "verify_cli")
-VERIFY_SIZES = (4000, 16000, 64000)
+STACKED_OPS = ("verify", "verify_cli", "solve_cli")
+STACKED_SIZES = (4000, 16000, 64000)
 EXACT_SIZES = (32, 64, 128, 256)
 EXACT_PATH_SIZES = (550, 1100, 2200, 4400)
 SEED = 1
@@ -184,16 +188,14 @@ def verify(dp, pg, h, f) -> Span:
     return span
 
 
-def verify_cli(dp, pg, h, f) -> Span:
-    """`dpfcolor verify --json` in-process on emitted files; only the command
-    is timed, not writing its files."""
-    from dpfcolor import cli, formats
+def run_cli(command: str, texts: dict[str, str]) -> Span:
+    """`dpfcolor COMMAND --json` in-process through `cli.main`, with one
+    `--PART PATH` per entry of `texts` naming a file that holds it; only
+    the command is timed, not writing its files."""
+    from dpfcolor import cli
 
-    r = stacking_coloring(pg.graph, h, f)
-    texts = {"graph": formats.emit_plane(pg), "cover": formats.emit_cover(h),
-             "budget": formats.emit_budget(f), "coloring": formats.emit_coloring(r)}
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["verify", "--json"]
+        argv = [command, "--json"]
         for part, text in texts.items():
             path = os.path.join(tmp, f"{part}.txt")
             with open(path, "w", encoding="utf-8") as fh:
@@ -203,8 +205,28 @@ def verify_cli(dp, pg, h, f) -> Span:
         with Span() as span, contextlib.redirect_stdout(out):
             code = cli.main(argv)
     if code != 0:
-        raise AssertionError(f"dpfcolor verify exited {code}: {out.getvalue()[:200]}")
+        raise AssertionError(f"dpfcolor {command} exited {code}: {out.getvalue()[:200]}")
     return span
+
+
+def verify_cli(dp, pg, h, f) -> Span:
+    """`dpfcolor verify --json` on emitted files of a valid coloring."""
+    from dpfcolor import formats
+
+    r = stacking_coloring(pg.graph, h, f)
+    return run_cli("verify", {"graph": formats.emit_plane(pg), "cover": formats.emit_cover(h),
+                              "budget": formats.emit_budget(f),
+                              "coloring": formats.emit_coloring(r)})
+
+
+def solve_cli(dp, pg, h, f) -> Span:
+    """`dpfcolor solve-planar --json` on emitted files; exit 0 means a
+    coloring was found and passed the solver's final check."""
+    from dpfcolor import formats
+
+    return run_cli("solve-planar", {"plane": formats.emit_plane(pg),
+                                    "cover": formats.emit_cover(h),
+                                    "budget": formats.emit_budget(f)})
 
 
 def search(dp, g, h, f) -> Span:
@@ -234,8 +256,8 @@ def exact_path(dp, pg, _h, _f) -> Span:
     return search(dp, g, h, f)
 
 
-OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "exact": exact,
-       "exact_path": exact_path}
+OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "solve_cli": solve_cli,
+       "exact": exact, "exact_path": exact_path}
 
 
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
@@ -361,7 +383,7 @@ def fits(cases: list[dict]) -> tuple[dict, dict]:
     """Time and RSS growth exponents of each shape's and each other op's
     successful cases."""
     growth, rss_growth = {}, {}
-    for name in SHAPES + VERIFY_OPS + ("exact", "exact_path"):
+    for name in SHAPES + STACKED_OPS + ("exact", "exact_path"):
         done = [c for c in cases if series(c) == name and "total_ms" in c]
         for table, key in ((growth, time_key(*done)), (rss_growth, "peak_rss_mb")):
             points = [(c["vertices"], c[key]) for c in done]
@@ -387,7 +409,7 @@ def main(argv=None) -> int:
         ap.error("--label is required")
 
     rungs = ([("solve", shape, n) for shape in SHAPES for n in SIZES]
-             + [(op, "stacked", n) for op in VERIFY_OPS for n in VERIFY_SIZES]
+             + [(op, "stacked", n) for op in STACKED_OPS for n in STACKED_SIZES]
              + [("exact", "stacked", n) for n in EXACT_SIZES]
              + [("exact_path", "path", n) for n in EXACT_PATH_SIZES])
     cases = []

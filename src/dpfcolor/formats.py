@@ -37,6 +37,8 @@ color near 10^6).
 
 from __future__ import annotations
 
+import sys
+
 from .covers import Budget, Coloring, Cover, Order
 from .errors import ParseError
 from .graphs import SimpleGraph
@@ -124,6 +126,8 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
                 raise _int_error(no, toks, "vertex count") from None
             if n < 0:
                 raise ParseError(no, "vertex count must be nonnegative")
+            if n > sys.maxsize:  # range(n) would have no length
+                raise ParseError(no, f"vertex count must be at most {sys.maxsize}")
         elif plane and d == "rot":
             if len(toks) < 2:
                 raise ParseError(no, "expected: rot <v> <neighbors...>")

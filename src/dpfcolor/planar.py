@@ -6,11 +6,15 @@ each directed edge (u, v), the dart (v, w) where w is the successor of u
 in the rotation at v; this visits every dart exactly once.
 
 The planar recursion's pieces rebuild only the rows of vertices that lose
-a neighbour and share the rest with the parent.  A chord split (`_piece`)
-builds each piece's dicts from that piece's own vertices, in sorted order,
-and rebuilds the chord's two ends: the chord and the two outer arcs bound
+a neighbour and share the rest with the parent.  A chord split (`_split`)
+rebuilds only the chord's two ends: the chord and the two outer arcs bound
 two closed sub-disks, and an edge from one sub-disk's inside to the
-other's would have to cross the chord or the outer face.  A fan step
+other's would have to cross the chord or the outer face.  It searches the
+two insides in lockstep and stops when the smaller is exhausted, builds
+that piece's dicts from its own vertices in sorted order (`_piece`), and
+the larger piece's by one C-level copy of the parent's dicts less the
+smaller piece's vertices off the chord.  So a split costs the smaller
+piece's size in Python, besides that copy.  A fan step
 (`delete_vertex`) rebuilds the deleted pivot's neighbours, each of which
 drops the pivot from its rows by position (`_drop`): O(deg) per
 neighbour, besides one C-level copy of the two dicts.
@@ -29,6 +33,7 @@ exactly when its vertex triple is not a 3-face.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -333,32 +338,6 @@ class _Tables:
                                    self.outer)
 
 
-def _side(pg: PlaneGraph, cycle: tuple[int, ...]) -> set[int]:
-    """Vertices strictly on one side of a simple cycle of the embedding.
-
-    At each cycle vertex x, with predecessor p and successor q, the
-    neighbours strictly clockwise after p and before q, off the cycle,
-    leave it on the same side (left of the cycle's direction).  The cycle
-    is a closed curve that no edge crosses, so one search of G - cycle from
-    those seeds reaches exactly that side.
-    """
-    on_cycle = set(cycle)
-    side: set[int] = set()
-    for p, x, q in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
-        rot = pg.rotation[x]
-        k = rot.index(p)
-        turn = rot[k + 1:] + rot[:k]
-        side.update(y for y in turn[:turn.index(q)] if y not in on_cycle)
-    stack = list(side)
-    adj = pg.graph.adj
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in on_cycle and w not in side:
-                side.add(w)
-                stack.append(w)
-    return side
-
-
 def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
     """Split along an outer-cycle chord into the two closed sub-disks.
 
@@ -373,7 +352,7 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
     a, b = outer[i], outer[j]
     if not pg.graph.has_edge(a, b):
         raise NotAChord(f"({a},{b}) is not an edge")
-    faces(pg)  # _side holds only for a valid embedding
+    faces(pg)  # _split holds only for a valid embedding
     if len(set(outer)) != p:
         raise NotAChord(f"({a},{b}) does not separate two bounded regions")
     return _split(pg, chord)
@@ -382,20 +361,63 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
 def _split(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
     """split_on_chord without its checks, for a valid embedding whose outer
     cycle is simple and a chord given by valid positions.  Piece 2's outer
-    walk runs from outer[i] to outer[j]."""
-    outer = pg.outer
+    walk runs from outer[i] to outer[j].
+
+    The insides of the two sub-disks are searched in lockstep, one vertex
+    per side per turn, until one side is exhausted (Even and Shiloach, "An
+    on-line edge-deletion problem", J. ACM 28(1), 1981), so the search
+    reads O(rows of the smaller piece).  Side 1's search starts from its
+    arc's inner vertices outer[j + 1:] + outer[:i], side 2's from
+    outer[i + 1:j], and neither enters the outer walk.  Each chord end's
+    inner neighbours seed the two searches too, split by its rotation read
+    from the other end round: those before the first of its two outer
+    neighbours lie on that neighbour's side, those after the second on the
+    other's.  These seeds reach inner vertices that touch no arc vertex,
+    which a plane graph that is not a near-triangulation may have.
+
+    The exhausted side's piece is built fresh by `_piece`.  The other piece
+    is one C-level copy of pg's two dicts less the first piece's vertices
+    off the chord, with only the chord ends' rows rebuilt, since no other
+    vertex of it has a neighbour in the first.  Both pieces equal what
+    `_piece` builds from each side, dict key order included, since pg's
+    dicts are keyed in vertex order.
+    """
+    outer, adj0, rot0 = pg.outer, pg.graph.adj, pg.rotation
     i, j = chord
-    # Sub-disk 2 is bounded by outer[i..j] and the chord; outer[i - 1] lies
-    # on the other arc, so it tells which side _side returned.
-    arc2 = outer[i:j + 1]
-    inside2 = _side(pg, arc2)
-    if outer[i - 1] in inside2:
-        inside2 = set(pg.graph.vertices).difference(inside2, arc2)
-    side2 = inside2.union(arc2)
-    side1 = set(pg.graph.vertices).difference(inside2, outer[i + 1:j])
-    ends = (outer[i], outer[j])
-    return (_piece(pg, side1, outer[:i + 1] + outer[j:], ends),
-            _piece(pg, side2, arc2, ends))
+    ends = a, b = outer[i], outer[j]
+    walks = (outer[:i + 1] + outer[j:], outer[i:j + 1])
+    arcs = (outer[j + 1:] + outer[:i], outer[i + 1:j])
+    work, found, seen = (list(arcs[0]), list(arcs[1])), ([], []), set(outer)
+    # Index 0 is side 1 and index 1 side 2.  Each arc starts and ends next
+    # to the chord ends: a's outer neighbours are arcs[0][-1] on side 1 and
+    # arcs[1][0] on side 2, b's are arcs[0][0] and arcs[1][-1].
+    for x, y, one, two in ((a, b, arcs[0][-1], arcs[1][0]), (b, a, arcs[0][0], arcs[1][-1])):
+        k = rot0[x].index(y)
+        turn = rot0[x][k + 1:] + rot0[x][:k]
+        m = min(turn.index(one), turn.index(two))
+        for s, seeds in ((turn[m] == two, turn[:m]), (turn[m] == one, turn[m + 2:])):
+            fresh = [w for w in seeds if w not in seen]
+            seen.update(fresh)
+            found[s].extend(fresh)
+            work[s].extend(fresh)
+    while work[0] and work[1]:
+        for stack, got in zip(work, found):
+            for w in adj0[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    got.append(w)
+                    stack.append(w)
+    s = 0 if not work[0] else 1
+    gone = set(found[s]).union(arcs[s])
+    adj, rotation = dict(adj0), dict(rot0)
+    for v in gone:
+        del adj[v], rotation[v]
+    for v in ends:
+        adj[v] = adj[v] - gone
+        rotation[v] = tuple(filterfalse(gone.__contains__, rotation[v]))
+    pieces = [_piece(pg, gone.union(ends), walks[s], ends),
+              PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, walks[1 - s])]
+    return pieces[s], pieces[1 - s]
 
 
 def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
@@ -407,9 +429,10 @@ def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
     row is shared with pg.  The dicts are built from `keep` alone, in
     sorted order, as a SimpleGraph's vertices are, so a piece costs its own
     size, not its parent's.  Dropping vertices keeps the induced rotations
-    a plane embedding.  A chord split cuts at the chord's two ends, since
-    the chord and the outer arcs bound two closed sub-disks that no other
-    edge joins; deleting a vertex cuts at its neighbours.
+    a plane embedding.  `_split` builds its smaller piece so, cut at the
+    chord's two ends, since the chord and the outer arcs bound two closed
+    sub-disks that no other edge joins; deleting a vertex cuts at its
+    neighbours.
     """
     adj0, rot0, verts = pg.graph.adj, pg.rotation, sorted(keep)
     adj = {v: adj0[v] for v in verts}
@@ -459,13 +482,10 @@ def fan_neighbors(pg: PlaneGraph, v: int) -> tuple[int, ...]:
     d = len(rot)
     i1 = rot.index(prev)
     if rot[(i1 + 1) % d] == nxt and d > 2:
-        seq = tuple(rot[(i1 - t) % d] for t in range(d))
-    elif rot[(i1 - 1) % d] == nxt or d == 2:
-        seq = tuple(rot[(i1 + t) % d] for t in range(d))
-    else:
-        raise InvalidEmbedding(
-            f"outer neighbors of {v} are not adjacent in its rotation")
-    return seq
+        return tuple(rot[(i1 - t) % d] for t in range(d))
+    if rot[(i1 - 1) % d] == nxt or d == 2:
+        return tuple(rot[(i1 + t) % d] for t in range(d))
+    raise InvalidEmbedding(f"outer neighbors of {v} are not adjacent in its rotation")
 
 
 def find_separating_triangle(pg: PlaneGraph) -> tuple[int, int, int] | None:

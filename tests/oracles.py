@@ -17,8 +17,11 @@ the current code must return:
 - `flood_split_on_chord` and `flood_find_separating_triangle`, which find
   the sides of a cycle by flooding faces and build their pieces through
   the validating constructors;
-- `side_find_separating_triangle`, which searches one side of every
-  triangle (`planar._side`) instead of reading the face trace;
+- `side`, the search of one side of a cycle that `planar._split` used
+  before it searched both sides in lockstep; `side_split`, that old split
+  (one side searched, both pieces built by `planar._piece`); and
+  `side_find_separating_triangle`, which searches one side of every
+  triangle instead of reading the face trace;
 - `composed_name_row`, a fan step's new name row as the old row composed
   with the completed map of renamed names (`covers.complete_permutation`);
 - `sorted_induced_pair_graph`, which builds the pair graph from the sorted
@@ -41,6 +44,7 @@ the current code must return:
 from __future__ import annotations
 
 import random
+import sys
 from itertools import permutations, product
 
 from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph, gen_planar_triangulation
@@ -518,17 +522,64 @@ def flood_find_separating_triangle(pg: PlaneGraph):
 def side_find_separating_triangle(pg: PlaneGraph):
     """`find_separating_triangle` by a search of one side of every triangle:
     it separates when that side and the rest both hold a vertex."""
-    from dpfcolor.planar import _side, faces
+    from dpfcolor.planar import faces
 
     g = pg.graph
-    faces(pg)  # _side holds only for a valid embedding
+    faces(pg)  # side() holds only for a valid embedding
     triangles = sorted((u, v, w) for u, v in g.edge_list()
                        for w in sorted(g.adj[u] & g.adj[v]) if w > v)
     for tri in triangles:
-        side = _side(pg, tri)
-        if side and len(side) < g.n - 3:
+        inside = side(pg, tri)
+        if inside and len(inside) < g.n - 3:
             return tri
     return None
+
+
+def side(pg: PlaneGraph, cycle: tuple[int, ...]) -> set[int]:
+    """Vertices strictly on one side of a simple cycle of the embedding.
+
+    At each cycle vertex x, with predecessor p and successor q, the
+    neighbours strictly clockwise after p and before q, off the cycle,
+    leave it on the same side (left of the cycle's direction).  The cycle
+    is a closed curve that no edge crosses, so one search of G - cycle from
+    those seeds reaches exactly that side.
+    """
+    on_cycle = set(cycle)
+    inside: set[int] = set()
+    for p, x, q in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
+        rot = pg.rotation[x]
+        k = rot.index(p)
+        turn = rot[k + 1:] + rot[:k]
+        inside.update(y for y in turn[:turn.index(q)] if y not in on_cycle)
+    stack = list(inside)
+    adj = pg.graph.adj
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in on_cycle and w not in inside:
+                inside.add(w)
+                stack.append(w)
+    return inside
+
+
+def side_split(pg: PlaneGraph, chord):
+    """The chord split as `planar._split` made it before its lockstep
+    search: one search of sub-disk 2's side (`side`), whichever side is
+    larger, and a fresh `_piece` for each sub-disk."""
+    from dpfcolor.planar import _piece
+
+    outer = pg.outer
+    i, j = chord
+    # Sub-disk 2 is bounded by outer[i..j] and the chord; outer[i - 1] lies
+    # on the other arc, so it tells which side the search returned.
+    arc2 = outer[i:j + 1]
+    inside2 = side(pg, arc2)
+    if outer[i - 1] in inside2:
+        inside2 = set(pg.graph.vertices).difference(inside2, arc2)
+    side2 = inside2.union(arc2)
+    side1 = set(pg.graph.vertices).difference(inside2, outer[i + 1:j])
+    ends = (outer[i], outer[j])
+    return (_piece(pg, side1, outer[:i + 1] + outer[j:], ends),
+            _piece(pg, side2, arc2, ends))
 
 
 def composed_name_row(row, at, s: int) -> dict[int, int]:
@@ -858,6 +909,8 @@ def token_read_graph(text: str, plane: bool) -> tuple[SimpleGraph,
             n = _token_int(toks[1], no, "vertex count")
             if n < 0:
                 raise ParseError(no, "vertex count must be nonnegative")
+            if n > sys.maxsize:
+                raise ParseError(no, f"vertex count must be at most {sys.maxsize}")
         elif toks[0] == "edge":
             if n is None:
                 raise ParseError(no, "edge before graph header")

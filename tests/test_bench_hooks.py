@@ -125,7 +125,8 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     sizes = {"solve": ("stacked", 30), "verify": ("stacked", 40),
-             "verify_cli": ("stacked", 40), "exact": ("stacked", 16), "exact_path": ("path", 20)}
+             "verify_cli": ("stacked", 40), "solve_cli": ("stacked", 40),
+             "exact": ("stacked", 16), "exact_path": ("path", 20)}
     assert set(sizes) == set(ladder.OPS)
     cases = [ladder.run_case(op, shape, n, ladder.SEED) for op, (shape, n) in sizes.items()]
     for case in cases:
@@ -134,7 +135,7 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     assert cases[-2]["nodes"] > 0
     assert (cases[-1]["nodes"], cases[-1]["backtracks"]) == (30, 0)
     growth, rss_growth = ladder.fits(cases * 2)
-    assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.VERIFY_OPS,
+    assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.STACKED_OPS,
                                               "exact", "exact_path"}
     new = {"label": "new", "commit": "b", "cases": cases, "growth": growth,
            "rss_growth": rss_growth}

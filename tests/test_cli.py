@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -482,6 +483,23 @@ class TestExitCodeMapping:
                              "--cover", files["cover"], "--budget", files["budget"])
         assert code == 2
         assert err.startswith("ParseError: line ")
+
+    @pytest.mark.parametrize("command", ["check-family", "solve-planar"])
+    def test_oversized_vertex_count_exits_two(self, k4_files, tmp_path, capsys, command):
+        """A vertex count past sys.maxsize is a malformed file (exit 2), not
+        an internal error (exit 3) from the OverflowError of range(n)."""
+        huge = tmp_path / "huge.txt"
+        huge.write_text("graph 9999999999999999999\nouter 0 1 2\n", encoding="utf-8")
+        argv = {"check-family": ["--graph", str(huge), "--family", "noadj34"],
+                "solve-planar": ["--plane", str(huge), "--cover", k4_files["cover"],
+                                 "--budget", k4_files["budget"]]}[command]
+        code, out, err = run(capsys, command, *argv, "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert payload["diagnostics"] == [
+            f"ParseError: line 1: vertex count must be at most {sys.maxsize}"]
+        assert "Traceback" not in err
 
     def test_reduce_prints_both_sections_without_out_paths(self, tmp_path, capsys):
         g = complete_graph(3)

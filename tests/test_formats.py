@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,11 @@ ERRORS = [
     (parse_graph, "graph 2 3\n", 1, "expected: graph <n>"),
     (parse_graph, "graph two\n", 1, "vertex count must be an integer, got 'two'"),
     (parse_graph, "graph -1\n", 1, "vertex count must be nonnegative"),
+    # A count past sys.maxsize has no range length.
+    (parse_graph, "graph 9999999999999999999\n", 1,
+     f"vertex count must be at most {sys.maxsize}"),
+    (parse_plane, "graph 9999999999999999999\nouter 0 1 2\n", 1,
+     f"vertex count must be at most {sys.maxsize}"),
     (parse_graph, "# c\nedge 0 1\ngraph 2\n", 2, "edge before graph header"),
     (parse_graph, "graph 2\nedge 0\n", 2, "expected: edge <u> <v>"),
     (parse_graph, "graph 2\nedge 0 1 1\n", 2, "expected: edge <u> <v>"),

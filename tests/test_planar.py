@@ -36,6 +36,7 @@ from oracles import (
     random_graph,
     scan_find_chord,
     side_find_separating_triangle,
+    side_split,
     thin_triangulation,
     triangulated_polygon,
     wheel,
@@ -309,7 +310,7 @@ def _outer_chords(pg):
 
 
 class TestSideSearchMatchesFaceFlood:
-    """`split_on_chord` finds the sides of a cycle with one search, and
+    """`split_on_chord` searches the two sides of a chord in lockstep, and
     `find_separating_triangle` reads one face trace; the face-flood forms
     in `oracles` are the reference.  Every face of each shape is taken as
     the outer face in turn, both ways round, so non-simple outer walks
@@ -345,6 +346,84 @@ class TestSideSearchMatchesFaceFlood:
         assert set(found) == {True, False}
 
 
+def _keyed_tables(pg):
+    """A plane graph's tables, with the key order of its two dicts."""
+    return (*_plane_tables(pg), list(pg.graph.adj), list(pg.rotation))
+
+
+def _drawn_shape(kind, seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    return {"stacked": lambda: gen_planar_triangulation(n, seed),
+            "thin": lambda: thin_triangulation(gen_planar_triangulation(n, seed), rng),
+            "fanned": lambda: triangulated_polygon(n, rng),
+            "glued": lambda: glued_triangulations(n // 2 + 2, n // 3 + 2, seed),
+            "grid": lambda: triangulate_interior(grid(2 + n // 8, seed=seed))}[kind]()
+
+
+SHAPE_KINDS = st.sampled_from(["stacked", "thin", "fanned", "glued", "grid"])
+
+
+class TestSplitSearchesTheSmallerSide:
+    """`_split` searches the two sub-disks in lockstep, builds the piece of
+    the side exhausted first by `_piece` and the other from a copy of the
+    parent's dicts.  The split it replaced (`oracles.side_split`: one side
+    searched, both pieces built by `_piece`) is the reference, on every
+    table and on the key order of both dicts, and the parent's tables stay
+    as they were."""
+
+    @staticmethod
+    def _check_every_chord(pg, walks):
+        """Split on every chord of each simple walk, both ways round."""
+        splits = 0
+        for walk in walks:
+            if len(set(walk)) != len(walk):
+                continue
+            for outer in (walk, walk[::-1]):
+                q = pg.with_outer(outer)
+                before = _keyed_tables(q)
+                for chord in _outer_chords(q):
+                    got = [_keyed_tables(part) for part in _split(q, chord)]
+                    assert got == [_keyed_tables(part) for part in side_split(q, chord)], \
+                        (outer, chord)
+                    assert _keyed_tables(q) == before
+                    splits += 1
+        return splits
+
+    def test_matches_side_split_on_seeded_shapes(self):
+        assert sum(self._check_every_chord(pg, trace_faces(pg)) for pg in _chord_shapes()) > 900
+
+    @given(kind=SHAPE_KINDS, seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_matches_side_split(self, kind, seed, data):
+        pg = _drawn_shape(kind, seed)
+        self._check_every_chord(pg, [data.draw(st.sampled_from(trace_faces(pg)))])
+
+    def test_reads_rows_of_the_smaller_piece_only(self):
+        """On a triangulated 2000-gon, every chord split reads at most 4
+        adjacency rows of the parent per vertex of its smaller piece.  The
+        rows are counted by a dict that counts `__getitem__`, which a
+        C-level `dict(rows)` copy does not call."""
+
+        class CountingRows(dict):
+            reads = 0
+
+            def __getitem__(self, v):
+                self.reads += 1
+                return dict.__getitem__(self, v)
+
+        pg = triangulated_polygon(2000, random.Random("smaller-side"))
+        rows = CountingRows(pg.graph.adj)
+        q = PlaneGraph._trusted(SimpleGraph._trusted(pg.graph.vertices, rows), pg.rotation,
+                                pg.outer)
+        worst = 0.0
+        for i, x in enumerate(q.outer):  # on this polygon, outer[k] == k
+            for j in sorted(w for w in pg.graph.adj[x] if w > i + 1 and (i, w) != (0, 1999)):
+                rows.reads = 0
+                pieces = _split(q, (i, j))
+                worst = max(worst, rows.reads / min(part.n for part in pieces))
+        assert 0 < worst <= 4, worst
+
+
 def _separating_shapes():
     """Seeded shapes with and without separating triangles: stacked and
     thinned triangulations, triangulated polygons, glued triangulations
@@ -374,16 +453,9 @@ class TestSeparatingTrianglesFromOneFaceTrace:
                 found[got is not None] += 1
         assert found[True] > 500 and found[False] > 500, found
 
-    @given(kind=st.sampled_from(["stacked", "thin", "fanned", "glued", "grid"]),
-           seed=st.integers(0, 10 ** 6), data=st.data())
+    @given(kind=SHAPE_KINDS, seed=st.integers(0, 10 ** 6), data=st.data())
     def test_matches_side_search(self, kind, seed, data):
-        rng = random.Random(seed)
-        n = rng.randint(4, 30)
-        pg = {"stacked": lambda: gen_planar_triangulation(n, seed),
-              "thin": lambda: thin_triangulation(gen_planar_triangulation(n, seed), rng),
-              "fanned": lambda: triangulated_polygon(n, rng),
-              "glued": lambda: glued_triangulations(n // 2 + 2, n // 3 + 2, seed),
-              "grid": lambda: triangulate_interior(grid(2 + n // 8, seed=seed))}[kind]()
+        pg = _drawn_shape(kind, seed)
         q = pg.with_outer(data.draw(st.sampled_from(trace_faces(pg))))
         assert find_separating_triangle(q) == side_find_separating_triangle(q)
 
