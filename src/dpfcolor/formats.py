@@ -75,7 +75,8 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
     """Graph, rotation lines and outer line of a graph or (with `plane`) plane graph file.
 
     Every edge line is checked here, so the graph is built unchecked; the
-    rotations and the outer walk are left to `PlaneGraph`.
+    rotations and the outer walk are left to `PlaneGraph`.  A vertex count
+    whose tables do not fit in memory is an error of the header line.
     """
     n = None
     adj: dict[int, set[int]] = {}  # rows of vertices with an edge so far
@@ -121,7 +122,7 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             if len(toks) != 2:
                 raise ParseError(no, "expected: graph <n>")
             try:
-                n = int(toks[1])
+                n, header = int(toks[1]), no
             except ValueError:
                 raise _int_error(no, toks, "vertex count") from None
             if n < 0:
@@ -152,7 +153,10 @@ def _read_graph(text: str, plane: bool) -> tuple[SimpleGraph, dict[int, tuple[in
             raise ParseError(no, f"unknown directive {d!r} in graph file")
     if n is None:
         raise ParseError(1, "missing graph header")
-    g = SimpleGraph._trusted(tuple(range(n)), {v: frozenset(adj.get(v, ())) for v in range(n)})
+    try:
+        g = SimpleGraph._trusted(tuple(range(n)), {v: frozenset(adj.get(v, ())) for v in range(n)})
+    except MemoryError:  # the tables of n vertices do not fit in memory
+        raise ParseError(header, f"vertex count {n} does not fit in memory") from None
     return g, rotation, outer
 
 

@@ -14,17 +14,20 @@ two insides in lockstep and stops when the smaller is exhausted, builds
 that piece's dicts from its own vertices in sorted order (`_piece`), and
 the larger piece's by one C-level copy of the parent's dicts less the
 smaller piece's vertices off the chord.  So a split costs the smaller
-piece's size in Python, besides that copy.  A fan step
-(`delete_vertex`) rebuilds the deleted pivot's neighbours, each of which
-drops the pivot from its rows by position (`_drop`): O(deg) per
-neighbour, besides one C-level copy of the two dicts.
+piece's size in Python, besides that copy.
 
-A chord that cuts off a bare triangle builds no piece at all.  The solver
-copies a piece's tables once into `_Tables` and deletes each such
-triangle's degree-2 vertex from them in place with the same `_drop`.
-`find_chord` is one scan over outer positions, and after such a deletion
-`_Tables.chord` resumes it at the position of the chord just used, since
-no earlier position can gain a chord.
+Between splits the solver edits a piece's own tables in place.  A fan
+step deletes its pivot with `_drop`, which rebuilds only the pivot's
+neighbours' rows, each dropping the pivot by position: O(deg) per
+neighbour, with no copy of the dicts (`delete_vertex` is the same
+deletion on a copy).  A chord that cuts off a bare triangle builds no
+piece at all: `_cut_run` deletes the triangle's degree-2 vertex, and the
+next ones that the same hub cuts off, and rebuilds the hub's rows and the
+outer walk once per run.  `find_chord` is one scan over outer positions
+(`_chord_from`).  After a run the scan resumes at the run's position,
+since no earlier position can gain a chord, and after a fan step it looks
+only at the positions up to the pivot's inner neighbours, since every new
+chord ends at one of them.
 
 `find_separating_triangle` reads one face trace: a triangle separates
 exactly when its vertex triple is not a 3-face.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidEmbedding,
@@ -80,7 +83,9 @@ class PlaneGraph:
                  outer: tuple[int, ...]) -> "PlaneGraph":
         """Wrap valid tables unchecked: rotation[v] a tuple permuting
         graph.adj[v] for every vertex, keyed in vertex order.  Tables may
-        be shared, so none is ever mutated."""
+        be shared, so none is mutated, but by the planar solver's frames:
+        each edits the dicts of the piece it owns, which no other object
+        holds, and replaces rows without mutating them."""
         pg = cls.__new__(cls)
         pg.graph, pg.rotation, pg.outer = graph, rotation, outer
         return pg
@@ -273,10 +278,13 @@ def find_chord(pg: PlaneGraph) -> tuple[int, int] | None:
     return _chord_from(pg.graph.adj, pg.outer, set(pg.outer), 0)
 
 
-def _chord_from(adj: Mapping[int, frozenset[int]], outer: tuple[int, ...],
-                on_outer: set[int], start: int) -> tuple[int, int] | None:
+def _chord_from(adj: Mapping[int, frozenset[int]], outer: Sequence[int],
+                on_outer: set[int], start: int, stop: int | None = None
+                ) -> tuple[int, int] | None:
     """find_chord's scan from position `start`, when no earlier position of
-    `outer` has a chord; `on_outer` is the set of its vertices.
+    `outer` has a chord; `on_outer` is the set of its vertices.  With
+    `stop`, the scan ends before that position, when no position from
+    there on can start a chord.
 
     On a simple walk, outer[i]'s neighbours on the walk other than its two
     walk neighbours all lie at positions j >= i + 2, since none before i has
@@ -287,7 +295,7 @@ def _chord_from(adj: Mapping[int, frozenset[int]], outer: tuple[int, ...],
     """
     p = len(outer)
     simple = len(on_outer) == p
-    for i in range(start, p - 2):
+    for i in range(start, p - 2 if stop is None else min(stop, p - 2)):
         near = adj[outer[i]] & on_outer
         if simple and len(near) == (outer[i - 1] in near) + (outer[i + 1] in near):
             continue
@@ -297,45 +305,38 @@ def _chord_from(adj: Mapping[int, frozenset[int]], outer: tuple[int, ...],
     return None
 
 
-class _Tables:
-    """A piece's adjacency and rotation tables and outer walk, copied once so
-    that degree-2 outer vertices can be deleted in place.
+def _cut_run(adj: dict[int, frozenset[int]], rotation: dict[int, tuple[int, ...]],
+             outer: list[int], on_outer: set[int], i: int,
+             cut: dict[int, frozenset[int]]) -> None:
+    """Delete outer[i + 1] from a piece's own tables, in place, while it is
+    the third vertex of a bare triangle outer[i] x outer[i + 2] that the
+    first chord cuts off, and record each deleted vertex's adjacency row in
+    `cut`.  Call it when the first chord is (i, i + 2) and outer[i + 1] has
+    degree 2.
 
-    The dicts are the copy's own, but their rows are shared with the piece,
-    so a deletion replaces the rows it changes and never mutates one
-    (`_drop`, as `delete_vertex` does).
-    Deleting outer[i + 1] changes only the rows of outer[i] and
-    outer[i + 2], so no position before i gains a chord: the scan for the
-    next chord resumes at i.
+    A deletion changes only the rows of outer[i] and outer[i + 2], so no
+    position before i gains a chord, and the next first chord is (i, i + 2)
+    again exactly when the new outer[i + 2] is a neighbour of outer[i]
+    inside the walk's bounds.  So the run stays at one vertex a, its hub,
+    and each further cut costs one membership test.  The hub's rows and the
+    outer walk are rebuilt once, when the run ends, so a run of k cuts at a
+    hub of degree d on a walk of length p costs O(k + d + p) at C level,
+    not O(k·(d + p)).  Until then the hub's adjacency row still holds the
+    cut vertices, which no membership test asks for.
     """
-
-    __slots__ = ("adj", "rotation", "outer", "on_outer")
-
-    def __init__(self, pg: PlaneGraph):
-        self.adj = dict(pg.graph.adj)
-        self.rotation = dict(pg.rotation)
-        self.outer = pg.outer
-        self.on_outer = set(pg.outer)
-
-    def chord(self, start: int) -> tuple[int, int] | None:
-        """The first chord, when no position before `start` has one."""
-        return _chord_from(self.adj, self.outer, self.on_outer, start)
-
-    def delete(self, i: int) -> frozenset[int]:
-        """Delete outer[i + 1], whose only neighbours are outer[i] and
-        outer[i + 2], and return its adjacency row.  Costs O(p) for the
-        outer walk and O(deg) for each neighbour's rows, all at C level."""
-        outer = self.outer
-        x = outer[i + 1]
-        self.outer = outer[:i + 1] + outer[i + 2:]
-        self.on_outer.discard(x)
-        return _drop(self.adj, self.rotation, x)
-
-    def plane(self) -> PlaneGraph:
-        """The current piece, sharing these tables: delete nothing after."""
-        adj = self.adj
-        return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), self.rotation,
-                                   self.outer)
+    a, k = outer[i], i + 1
+    end = len(outer) - 1 if i == 0 else len(outer)  # (0, p - 1) is the walk edge vp v1
+    while True:
+        cut[outer[k]] = _drop(adj, rotation, outer[k], a)
+        k += 1
+        # The walk is now outer[:i + 1] + outer[k:]: its position i + 2 holds outer[k + 1].
+        if not (k + 1 < end and outer[k + 1] in adj[a] and len(adj[outer[k]]) == 2):
+            break
+    gone = outer[i + 1:k]
+    del outer[i + 1:k]
+    on_outer.difference_update(gone)
+    adj[a] = adj[a].difference(gone)
+    rotation[a] = tuple(filterfalse(set(gone).__contains__, rotation[a]))
 
 
 def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
@@ -444,18 +445,20 @@ def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
 
 
 def _drop(adj: dict[int, frozenset[int]], rotation: dict[int, tuple[int, ...]],
-          x: int) -> frozenset[int]:
-    """Delete x from a copy's adjacency and rotation dicts and return its
-    adjacency row.  Each neighbour's rows are replaced, never mutated, by
-    rows without x, which its rotation row drops by position: O(deg) per
-    neighbour at C level, however large the graph."""
+          x: int, hub: int | None = None) -> frozenset[int]:
+    """Delete x from a piece's own adjacency and rotation dicts and return
+    its adjacency row.  Each neighbour's rows but the hub's are replaced,
+    never mutated, by rows without x, which its rotation row drops by
+    position: O(deg) per neighbour at C level, however large the graph.
+    `_cut_run` rebuilds its hub's rows itself, once per run."""
     del rotation[x]
     row = adj.pop(x)
     for u in row:
-        adj[u] = adj[u] - {x}
-        rot = rotation[u]
-        k = rot.index(x)
-        rotation[u] = rot[:k] + rot[k + 1:]
+        if u != hub:
+            adj[u] = adj[u] - {x}
+            rot = rotation[u]
+            k = rot.index(x)
+            rotation[u] = rot[:k] + rot[k + 1:]
     return row
 
 

@@ -15,21 +15,24 @@ values capped at 2: triangulate the interior, precolor one outer edge,
 then repeatedly split on outer-cycle chords or delete the second outer
 vertex and lower the budgets along its fan.  The steps of that recursion
 wait on an explicit work stack, so its depth costs heap, not Python stack.
-Each step pays only for its own piece: a chord split builds piece 2's
-pair graph once and both orders and checks piece 2 on it, one step cuts
-off a whole run of bare triangles in place and colors their third
-vertices once the rest is solved, and a fan step renames colors in a
-table of names, not in the cover, and builds only the rows it changes:
-the fan neighbours' name rows, read off their matchings with the pivot,
-and their budget rows.  The base case and the cut vertices are colored
-by the one greedy placement, `coloring._color_greedily`, which the
-configuration extension shares.  So every step reads the caller's cover
-and a budget in input colors, and returns input colors: nothing is copied
-to be renamed or translated back.  Only a step whose witness order
-something reads builds one: the root, and a piece 1 whose split asks which
-chord end comes first.  The steps inside a piece 2 return colorings alone,
-since its split re-orders and checks the whole of piece 2 on piece 2's
-pair graph.
+The solve copies the caller's tables once, and each frame owns its piece
+and edits it in place: it cuts off a whole run of bare triangles and
+takes every fan step on its own tables, and yields only at a chord split,
+whose pieces its children own.  A fan step renames colors in the solve's
+one table of names, not in the cover, and lowers budgets in its one
+budget table; it replaces only the fan neighbours' rows, the name rows
+read off their matchings with the pivot.  A chord split builds piece 2's
+pair graph once and both orders and checks piece 2 on it.  When a
+frame's split or base case returns, it unwinds its run: it reinserts its
+fan pivots and colors its cut vertices, last step first.  The base case
+and the cut vertices are colored by the one greedy placement,
+`coloring._color_greedily`, which the configuration extension shares.
+So every step reads the caller's cover and a budget in input colors, and
+returns input colors: nothing is copied to be renamed or translated back.
+Only a step whose witness order something reads builds one: the root,
+and a piece 1 whose split asks which chord end comes first.  The steps
+inside a piece 2 return colorings alone, since its split re-orders and
+checks the whole of piece 2 on piece 2's pair graph.
 """
 
 from __future__ import annotations
@@ -69,12 +72,14 @@ from .errors import (
 from .graphs import SimpleGraph
 from .planar import (
     PlaneGraph,
+    _chord_from,
+    _cut_run,
+    _drop,
     _split,
-    _Tables,
-    delete_vertex,
+    delete_vertex,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     faces,
     fan_neighbors,
-    find_chord,
+    find_chord,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     is_two_connected,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     split_on_chord,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     triangulate_interior,
@@ -326,9 +331,13 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
     Each step of the construction is a frame (`_step`) that yields the
     sub-instances it needs solved and receives their solutions.  The frames
     wait on an explicit work stack, so the Python stack stays flat however
-    deep the construction goes.
+    deep the construction goes.  The frames edit their tables in place, so
+    pg's two dicts and f's table of rows are copied here once, at C level,
+    and pg, h and f stay as they are.
     """
-    stack = [_step(pg, h, f, pre, {}, True)]
+    stack = [_step(PlaneGraph._trusted(SimpleGraph._trusted(pg.graph.vertices, dict(pg.graph.adj)),
+                                       dict(pg.rotation), pg.outer),
+                   h, Budget._trusted(f.s, f.cap, dict(f._rows)), pre, {}, True)]
     solved = None
     while stack:
         try:
@@ -345,92 +354,125 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
 def _step(pg: PlaneGraph, h: Cover, f: Budget,
           pre: tuple[tuple[int, int], tuple[int, int]], names: dict[int, dict[int, int]],
           want: bool):
-    """One frame of `_extend`: a run of bare triangles, then a base
-    triangle, a chord split or a fan step.
+    """One frame of `_extend`: a run of bare-triangle cuts and fan steps on
+    the frame's own piece, in place, then a base triangle or a chord split.
 
-    A split frame solves piece 1, orients piece 2 by the order of the chord
-    ends in piece 1's witness and solves it, re-orders piece 2 so that the
-    chord pairs head it, and concatenates.  A fan frame solves the instance
-    without the pivot v2 and reinserts v2.  Each frame returns its piece's
-    coloring in input colors and, if it wants one, a valid order of its
-    piece under the input cover and its own budget; it checks only what it
-    built itself, and its children have checked the rest.
+    The frame owns pg's adjacency and rotation dicts and edits them in
+    place, on an outer walk it keeps as a list; no other frame reads them.
+    f's table of rows and the name table `names` are the solve's own, one
+    of each, and every frame edits them in place: a fan step replaces the
+    rows of its pivot's neighbours, and no other vertex's.  A vertex's
+    budget row is lowered at most once, while it is inner: the fan step
+    puts it on the outer walk, and a vertex on the outer walk stays on the
+    walk of every piece that holds it.  A frame yields only at a chord
+    split.  When the split or the base case returns, the frame unwinds its
+    run last step first: it reinserts each fan pivot and colors each
+    stretch of cut vertices, as a frame per step would.
 
     Most chords cut off a bare triangle vi x vj, where x = outer[i + 1] has
     no other neighbour, and such a chord is never split on.  While the first
-    chord is one, the frame deletes x in place (`_Tables`, one copy of the
-    piece's tables per frame) and resumes the chord scan at i.  When the
-    run stops, the frame takes the step above on what is left.  After that
-    step returns, it colors the cut vertices, last cut first, by
-    `_color_greedily`, the base case's greedy placement, and appends them to
-    its order with no pair graph (`_peeled_tables` gives why that order is
-    valid).  When piece 1 is the triangle v1 w vp, the frame colors w right
-    after the precolored pair and takes G less the degree-2 end of the outer
-    walk as piece 2, which the usual split check covers.
+    chord is one, the frame deletes x in place (`_cut_run`, which rebuilds
+    the hub vi's rows and the walk once per run) and resumes the chord
+    scan at i.  A cut vertex is colored when the frame unwinds, last cut
+    first, by `_color_greedily`, the base case's greedy placement, and its
+    pair is appended to the order with no pair graph: its only neighbours
+    at its cut are vi and vj, which the order already holds, and the
+    vertices cut before it are colored after it, so its earlier matched
+    neighbours are the ones the greedy rule discounts on its row at the
+    cut.  Its rows stay as they were at the cut, since only the piece's
+    vertices are edited after.
+
+    A fan step deletes the second outer vertex v2 in place, puts its inner
+    neighbours U on the walk, renames U's and v3's colors in the name table
+    and lowers U's budget rows (`_fan_colors`).  The walk had no chord, so
+    every chord now has an end in U, and the scan looks only at positions
+    0..|U|.  On the way back it gives v2 a color by name and, if the frame
+    wants its order, counts earlier matched neighbours over v2's closed
+    neighbourhood only (`_reinsertion_valid`), on the rows of N[v2] kept at
+    the step (`_neighbourhood`).  `names` maps a vertex to {input color:
+    name}; a vertex it lacks, or maps to None, names each color by itself.
+    Every choice the construction makes by the lowest color reads the
+    lowest name, so each step chooses as it would on a cover renamed by
+    the table.
+
+    A split frame solves piece 1, orients piece 2 by the order of the chord
+    ends in piece 1's witness and solves it, re-orders piece 2 so that the
+    chord pairs head it, and concatenates.  The pieces share only the chord
+    ends, whose rows piece 1 leaves as piece 2 reads them: their budget
+    rows stay, since they lie on the outer walk, and a name row piece 1
+    renames is never read in piece 2, where they are precolored.  A step
+    reads a precolored vertex's name row only as v3 of a fan step on a
+    triangle, which is case 2.1, where the pivot takes its color named 1
+    whatever v3's row says.  When piece 1 is the triangle v1 w vp, the frame colors w right after the precolored pair
+    and deletes the degree-2 end of the outer walk in place: what is left is
+    piece 2, which the usual split check covers.  Each frame returns its
+    piece's coloring in input colors and, if it wants one, a valid order
+    of its piece under the input cover and its own budget; it checks only
+    what it built itself, and its children have checked the rest.
 
     `want` says whether the caller reads the returned order.  The root
-    wants it, and a fan child inherits the flag.  Piece 2 never wants it,
-    since its split frame re-orders the whole of piece 2.  Piece 1 wants its
-    order if the frame does, or if the frame must ask which chord end comes
-    first in it; the precolored pair heads every order, so the answer is
-    fixed when a chord end is v1 or vp.  A frame that wants no order returns
-    (coloring, None).  It builds no pair graph, re-orders nothing and runs
-    neither `_split_valid` nor `_reinsertion_valid`, but it still checks
-    that piece 2 keeps the chord ends' colors.  Its output is checked above
-    it: the nearest frame above that wants its order is a split frame whose
-    piece 2 holds this frame's piece, and it re-orders and checks all of
-    piece 2 on piece 2's pair graph under its own budget.  The final check
-    in `solve_planar_dpg52` covers the whole input.
+    wants it.  Piece 2 never wants it, since its split frame re-orders the
+    whole of piece 2.  Piece 1 wants its order if the frame does, or if the
+    frame must ask which chord end comes first in it; the precolored pair
+    heads every order, so the answer is fixed when a chord end is v1 or vp.
+    A frame that wants no order returns (coloring, None).  It builds no
+    pair graph, re-orders nothing and runs neither `_split_valid` nor
+    `_reinsertion_valid`, but it still checks that piece 2 keeps the chord
+    ends' colors.  Its output is checked above it: the nearest frame above
+    that wants its order is a split frame whose piece 2 holds this frame's
+    piece, and it re-orders and checks all of piece 2 on piece 2's pair
+    graph under its own budget.  The final check in `solve_planar_dpg52`
+    covers the whole input.  A split frame that wants its order builds
+    piece 2's pair graph once, on piece 2 as it was at the split: before
+    it yields piece 2, whose frames edit it, it copies piece 2's adjacency
+    dict and keeps the budget rows of piece 2's inner vertices, the only
+    ones those frames lower (`_inner_rows`), and it puts them back in the
+    table when piece 2 returns.  It checks that piece 2's coloring keeps
+    the chord ends' colors from piece 1, re-orders piece 2 on that pair
+    graph (`eliminate_with_prefix`), and checks the new order on the same
+    pair graph (`_split_valid`, which gives why piece 2 alone decides the
+    union).
 
-    `names` maps a vertex to {input color: name}; a vertex it lacks names
-    each color by itself.  Fan steps rename colors only there
-    (`_fan_colors`), and every choice the construction makes by the lowest
-    color reads the lowest name, so each frame chooses as it would on a
-    cover renamed by the table.
-
-    A split frame that wants its order builds piece 2's pair graph once.
-    It checks that piece 2's coloring keeps the chord ends' colors from
-    piece 1, re-orders piece 2 on that pair graph (`eliminate_with_prefix`),
-    and checks the new order on the same pair graph (`_split_valid`, which
-    gives why piece 2 alone decides the union).  A fan frame takes its
-    child's name table and budget from `_fan_colors`, gives v2 a color by
-    name, and if it wants its order counts earlier matched neighbours over
-    v2's closed neighbourhood only after reinserting v2
-    (`_reinsertion_valid`).
-
-    A suspended frame keeps its locals alive, so a frame lets go of what it
-    no longer reads before it yields.  A frame keeps of its run only the cut
-    vertices' rows, budget rows and name rows (`_peeled_tables`).  A split
-    frame lets go of its own piece and of piece 1, so that while piece 1 is
-    solved it holds only piece 2 and the chord ends.  A frame that wants no
-    order also lets go of piece 2, its budgets and its name table before it
-    yields piece 2 or its fan child, since it reads only colorings after.
-    No comprehension here reads a local: that would make the local a cell,
-    which every frame allocates, split frames included.
+    A suspended frame keeps its locals alive, so a frame lets go of its
+    tables before it yields, and keeps of its run only the cut vertices'
+    rows and, if it wants its order, N[v2]'s rows for each fan step.  While
+    piece 1 is solved it holds only piece 2, and while piece 2 is solved
+    only what its pair graph reads, if it wants its order.  No comprehension here reads a local: that would make the
+    local a cell, which every frame allocates, split frames included.
     """
     (v1, _), (vp, _) = pre
-    g = pg.graph
-    outer = pg.outer
-    chord = None if g.n == 3 else find_chord(pg)
-    peeled = None
-    if _cuts_off_a_triangle(chord, g.adj, outer):
-        # Cut off the run's triangles in place, and resume the chord scan at
-        # the position of the chord just used.
-        tables, cut = _Tables(pg), {}
-        while _cuts_off_a_triangle(chord, tables.adj, tables.outer):
-            i = chord[0]
-            x = tables.outer[i + 1]
-            cut[x] = tables.delete(i)
-            chord = tables.chord(i)
-        pg = tables.plane()
-        del tables
-        g = pg.graph
-        outer = pg.outer
-        peeled = _peeled_tables(cut, f, names)
+    g, rotation, outer = pg.graph, pg.rotation, list(pg.outer)
+    adj, on_outer = g.adj, set(outer)
+    steps = []  # stretches of cut vertices (their rows) and fan steps, in order
+    chord = None if len(adj) == 3 else _chord_from(adj, outer, on_outer, 0)
+    while len(adj) > 3:
+        if chord is None:
+            # Chordless outer cycle: delete the second outer vertex and lower
+            # budgets along its fan; its pair is reinserted on the way back.
+            p = len(outer)
+            v2, v3 = outer[1], outer[2]
+            fan = fan_neighbors(PlaneGraph._trusted(g, rotation, outer), v2)
+            if fan[0] != v1 or fan[-1] != v3:
+                raise InternalInvariantViolated("fan does not run from v1 to v3")
+            U = fan[1:-1]
+            seen = _neighbourhood(adj, f, v2) if want else None
+            steps.append((v2, v3, p, seen, *_fan_colors(g, h, f, pre, names, v2, U, v3, p)))
+            _drop(adj, rotation, v2)
+            outer[1:2] = U
+            on_outer.discard(v2)
+            on_outer.update(U)
+            chord = _chord_from(adj, outer, on_outer, 0, len(U) + 1)
+        elif chord[1] == chord[0] + 2 and len(adj[outer[chord[0] + 1]]) == 2:  # a bare triangle
+            if not steps or type(steps[-1]) is not dict:
+                steps.append({})
+            _cut_run(adj, rotation, outer, on_outer, chord[0], steps[-1])
+            chord = _chord_from(adj, outer, on_outer, chord[0])
+        else:
+            break
 
-    if g.n == 3:
+    if len(adj) == 3:
         r, order = _color_third(g, h, f, pre, outer[1], names)
-    elif chord is not None:
+    else:
         # The solver splits only near-triangulations it built itself from the
         # validated input, so the split needs no embedding or cycle check.
         i, j = chord
@@ -441,19 +483,19 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         ask = vi != v1 and vj != vp
         # Piece 1 is the bare triangle v1 w vp when the chord cuts off an end
         # of the outer walk that has no other neighbour.
-        ear = (vp if chord == (0, p - 2) and len(g.adj[vp]) == 2 else
-               v1 if chord == (1, p - 1) and len(g.adj[v1]) == 2 else None)
+        ear = (p - 1 if chord == (0, p - 2) and len(adj[vp]) == 2 else
+               0 if chord == (1, p - 1) and len(adj[v1]) == 2 else None)
         if ear is not None:
             r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi, names)
-            pg2 = delete_vertex(pg, ear, outer[i:j + 1])
-            del pg, g, outer
-        else:
+            _drop(adj, rotation, outer.pop(ear))
+        pieces = [PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, tuple(outer))]
+        del pg, g, adj, rotation, outer, on_outer
+        if ear is None:
             # Piece 1 waits in a list that the yield empties, so that no name
             # of this frame keeps it alive while it is solved.
-            pieces = list(_split(pg, chord))
-            del pg, g, outer
+            pieces = list(_split(pieces.pop(), chord))
             r1, s1 = yield pieces.pop(0), h, f, pre, names, want or ask
-            pg2, = pieces
+        pg2 = pieces.pop()
         # Piece 2's outer walk runs from vi to vj; it must start with
         # whichever of the two comes first in s1.
         first, second = vi, vj
@@ -467,88 +509,64 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             pg2 = pg2.with_outer(pg2.outer[::-1])
         head = ((first, r1[first]), (second, r1[second]))
         rest = [(pg2, h, f, head, names, False)]
-        if not want:
-            del pg2, f, names
+        if want:  # piece 2's frames edit its tables and lower its inner rows
+            g2 = SimpleGraph._trusted(pg2.graph.vertices, dict(pg2.graph.adj))
+            inner = _inner_rows(f, g2.vertices, pg2.outer)
+        del pg2
         r2, _ = yield rest.pop()
         if r2[first] != r1[first] or r2[second] != r1[second]:  # a child moved a chord end
             raise InternalInvariantViolated(_SPLIT_FAILED)
         r, order = {**r1, **r2}, None
         if want:
-            pairs = induced_pair_graph(pg2.graph, h, f, r2)
+            f._rows.update(inner)
+            pairs = induced_pair_graph(g2, h, f, r2)
             s2p = eliminate_with_prefix(pairs, head)
             if s2p is None:
                 raise InternalInvariantViolated("shared chord pair cannot head the order")
             if not _split_valid(pairs, r2, s2p, head):
                 raise InternalInvariantViolated(_SPLIT_FAILED)
             order = s1 + s2p[2:]
-    else:
-        # Chordless outer cycle: delete the second outer vertex, lower
-        # budgets along its fan, solve the rest, and reinsert its pair.
-        p = len(outer)
-        v2, v3 = outer[1], outer[2]
-        fan = fan_neighbors(pg, v2)
-        if fan[0] != v1 or fan[-1] != v3:
-            raise InternalInvariantViolated("fan does not run from v1 to v3")
-        U = fan[1:-1]
-        names, f_adj, case21, one, two, one3 = _fan_colors(g, h, f, pre, names, v2, U, v3, p)
 
-        # The child waits in a list that the yield empties, as a split's
-        # piece 1.
-        rest = [(delete_vertex(pg, v2, (v1,) + U + outer[2:]), h, f_adj, pre, names, want)]
-        if not want:
-            del pg, g, outer, f, f_adj, names
-        r, s_sub = yield rest.pop()
+    for step in reversed(steps):
+        if type(step) is dict:  # cut vertices, last cut first
+            colored = _color_greedily(SimpleGraph._trusted(tuple(step), step), h, f, r,
+                                      reversed(step), names)
+            order = order + colored if want else None
+            continue
+        v2, v3, p, seen, case21, one, two, one3 = step
         r[v2] = t = one if case21 or r.get(v3) != one3 else two
-        order = None
         if want:
-            if s_sub[0] != pre[0] or s_sub[1] != pre[1]:
+            if order[0] != pre[0] or order[1] != pre[1]:
                 raise InternalInvariantViolated("recursive order lost its precolored prefix")
-            if case21 and p > 3:
-                order = s_sub + ((v2, t),)
-            else:
-                order = s_sub[:2] + ((v2, t),) + s_sub[2:]
-            if not _reinsertion_valid(g, h, f, r, order, v2):
+            order = (order + ((v2, t),) if case21 and p > 3 else
+                     order[:2] + ((v2, t),) + order[2:])
+            if not _reinsertion_valid(seen[0], h, seen[1], r, order, v2):
                 raise InternalInvariantViolated(
                     f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
-
-    if peeled is not None:
-        cut_g, cut_f, cut_names = peeled
-        colored = _color_greedily(cut_g, h, cut_f, r, reversed(cut_g.adj), cut_names)
-        if want:
-            order += colored
     return r, order if want else None
 
 
-def _cuts_off_a_triangle(chord: tuple[int, int] | None, adj: dict[int, frozenset[int]],
-                         outer: tuple[int, ...]) -> bool:
-    """Whether the chord cuts off the bare triangle outer[i] x outer[i + 2],
-    where x = outer[i + 1] has no other neighbour."""
-    return chord is not None and chord[1] == chord[0] + 2 and len(adj[outer[chord[0] + 1]]) == 2
+def _neighbourhood(adj: dict[int, frozenset[int]], f: Budget, v: int
+                   ) -> tuple[dict[int, frozenset[int]], dict[int, dict[int, int]]]:
+    """The adjacency and budget rows of N[v] before a fan step deletes its
+    pivot v, which `_reinsertion_valid` reads when v is reinserted."""
+    around, rows = (v, *adj[v]), f._rows
+    return {x: adj[x] for x in around}, {x: rows.get(x, {}) for x in around}
 
 
-def _peeled_tables(cut: dict[int, frozenset[int]], f: Budget, names: dict[int, dict[int, int]]
-                ) -> tuple[SimpleGraph, Budget, dict[int, dict[int, int]]]:
-    """What coloring a run's cut vertices reads: their rows at the cut, as
-    a graph that holds only those rows, and their budget and name rows.
-
-    The frame colors them last cut first (`_color_greedily` on these
-    tables) and appends their pairs to its order.  Each cut vertex's only
-    neighbours at its cut are vi and vj, which the order already holds, and
-    the vertices cut before it are colored after it, so its earlier matched
-    neighbours are the ones the greedy rule discounts on its row at the
-    cut: appending its pair keeps the order valid.
-    """
+def _inner_rows(f: Budget, vertices: tuple[int, ...], outer: tuple[int, ...]
+                ) -> dict[int, dict[int, int]]:
+    """f's rows of the vertices off the outer walk: the only rows the frames
+    of a piece with these vertices and this walk lower."""
     rows = f._rows
-    return (SimpleGraph._trusted(tuple(cut), cut),
-            Budget._trusted(f.s, f.cap, {x: rows[x] for x in cut if x in rows}),
-            {x: names[x] for x in cut if x in names})
+    return {v: rows[v] for v in set(vertices).difference(outer) if v in rows}
 
 
 def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
                 pre: tuple[tuple[int, int], tuple[int, int]],
                 names: dict[int, dict[int, int]], v2: int, U: tuple[int, ...], v3: int,
-                p: int) -> tuple[dict[int, dict[int, int]], Budget, bool, int, int | None, int]:
-    """The renaming and the budget of a fan step whose pivot is v2, its fan
+                p: int) -> tuple[bool, int, int | None, int]:
+    """Rename and lower, in place, for a fan step whose pivot is v2, its fan
     neighbours U and v3, on an outer cycle of length p.
 
     The construction names colors so that v2's best residual color is 1 (in
@@ -558,19 +576,16 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
     reads names where a renamed cover would read labels: ties go to the
     lowest name, as on that cover.
 
-    Returns the child's name table (this one with the entries of U and v3
-    renamed and v2's dropped), the child's budget (U's positive entries at
-    the colors named 1, and in case 2.2 also 2, lowered), whether the step
-    is case 2.1, v2's colors now named 1 and 2 (the second None in case
-    2.1) and v3's color now named 1.
-
-    Each fan neighbour's row is read straight off its edge's matching dict
-    (`_name_row`): only the colors left unmatched pay for a completion.  The
-    child's budget copies the table of rows once at C level and builds only
-    U's rows, with no update dict and no re-check (`_fan_budget`).
+    Replaces the name rows of U and v3 and lowers U's budget rows in f's
+    table (`_fan_budget`: U's positive entries at the colors named 1, and
+    in case 2.2 also 2).  Returns whether the step is case 2.1, v2's colors
+    now named 1 and 2 (the second None in case 2.1) and v3's color now
+    named 1.  Each fan neighbour's row is read straight off its edge's
+    matching dict (`_name_row`): only the colors left unmatched pay for a
+    completion.
     """
     s = h.s
-    at2 = _names_at(names, v2, s)
+    at2 = names.get(v2) or {i: i for i in range(1, s + 1)}
     res2 = {i: val for i, val in residual_at(g, h, f, dict(pre), v2).items()
             if i in h.list_of(v2)}
     if not res2:
@@ -588,12 +603,10 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
 
     # Rename each fan neighbour's fiber so that its matching with v2 pairs
     # equal names; v1 and vp keep theirs unless they sit on the fan.
-    child = dict(names)
-    child.pop(v2, None)
     for u in (*U, v3):
-        child[u] = _name_row({cu: at2[c2] for c2, cu in h._pairs(v2, u)}, names.get(u), s)
-    one3 = next(i for i, k in child[v3].items() if k == 1)
-    return child, _fan_budget(f, U, child, case21), case21, cstar, second, one3
+        names[u] = _name_row({cu: at2[c2] for c2, cu in h._pairs(v2, u)}, names.get(u), s)
+    _fan_budget(f, U, names, case21)
+    return case21, cstar, second, next(i for i, k in names[v3].items() if k == 1)
 
 
 def _name_row(row: dict[int, int], at: dict[int, int] | None, s: int) -> dict[int, int]:
@@ -618,17 +631,15 @@ def _name_row(row: dict[int, int], at: dict[int, int] | None, s: int) -> dict[in
 
 
 def _fan_budget(f: Budget, U: tuple[int, ...], names: dict[int, dict[int, int]],
-                case21: bool) -> Budget:
-    """The budget of a fan step's child: f with each entry of U named 1
-    dropped in case 2.1, and each named 1 or 2 lowered by one in case 2.2,
-    given the child's name table.  An entry that reaches 0 is dropped, and
-    so is a row that ends empty.
-
-    Copies the table of rows once and builds only U's rows, unchecked:
+                case21: bool) -> None:
+    """Lower a fan step's budget in f's table, in place, given the renamed
+    name table: drop each entry of U named 1 in case 2.1, and lower each
+    named 1 or 2 by one in case 2.2.  An entry that reaches 0 is dropped,
+    and so is a row that ends empty.  Only U's rows are replaced, unchecked:
     lowering keeps every value in 1..cap.
     """
     lowered, cut = ((1,), 2) if case21 else ((1, 2), 1)  # values are at most 2
-    rows = dict(f._rows)
+    rows = f._rows
     for u in U:
         if u in rows:
             at = names[u]
@@ -636,12 +647,6 @@ def _fan_budget(f: Budget, U: tuple[int, ...], names: dict[int, dict[int, int]],
                        if (left := val - cut if at.get(i) in lowered else val) > 0}
             if not rows[u]:
                 del rows[u]
-    return Budget._trusted(f.s, f.cap, rows)
-
-
-def _names_at(names: dict[int, dict[int, int]], v: int, s: int) -> dict[int, int]:
-    """v's row of a name table: {input color: name} over 1..s."""
-    return names.get(v) or {i: i for i in range(1, s + 1)}
 
 
 def _color_third(g: SimpleGraph, h: Cover, f: Budget,
@@ -653,10 +658,13 @@ def _color_third(g: SimpleGraph, h: Cover, f: Budget,
     return r, pre + _color_greedily(g, h, f, r, (v,), names)
 
 
-def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
-                       order: Order, v: int) -> bool:
+def _reinsertion_valid(adj: dict[int, frozenset[int]], h: Cover,
+                       rows: dict[int, dict[int, int]], r: Coloring, order: Order,
+                       v: int) -> bool:
     """The definition check order_is_valid(induced_pair_graph(g, h, f, r),
-    order) after v's pair was inserted into a valid order of the rest.
+    order) after v's pair was inserted into a valid order of the rest, on
+    the adjacency rows `adj` and budget rows `rows` of v's closed
+    neighbourhood N[v] in g and f.
 
     Precondition: order lists r's pairs, and without (v, r(v)) it is a valid
     order of G - v under a budget that differs from f only at neighbours
@@ -669,11 +677,11 @@ def _reinsertion_valid(g: SimpleGraph, h: Cover, f: Budget, r: Coloring,
     if r[v] not in h.list_of(v):
         return False
     pos = {u: k for k, (u, _) in enumerate(order)}
-    adj, matched = g.adj, h.matched
+    matched = h.matched
     for x in (v, *adj[v]):
         cx, kx = r[x], pos[x]
         earlier = sum(1 for w in adj[x] if pos[w] < kx and matched(x, cx, w, r[w]))
-        if earlier >= f.get(x, cx):
+        if earlier >= rows[x].get(cx, 0):
             return False
     return True
 

@@ -39,6 +39,10 @@ the current code must return:
 - `token_read_graph`, `token_parse_cover`, `token_parse_budget` and
   `token_parse_coloring`, the parsers that read lines through a generator
   and convert every token by its own checked call.
+
+Besides the oracles, it holds the shapes the tests solve (`grid`, `wheel`,
+`drawn_shape` and the rest) and `input_tables`, which copies every table
+of an input so that a test can tell whether a call changed it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,15 @@ import random
 import sys
 from itertools import permutations, product
 
-from dpfcolor import Budget, Cover, PairGraph, SimpleGraph, PlaneGraph, gen_planar_triangulation
+from dpfcolor import (
+    Budget,
+    Cover,
+    PairGraph,
+    PlaneGraph,
+    SimpleGraph,
+    gen_planar_triangulation,
+    triangulate_interior,
+)
 from dpfcolor.coloring import _check_precoloring, induced_pair_graph
 from dpfcolor.degeneracy import strictly_degenerate_order
 from dpfcolor.errors import InternalInvariantViolated, InvalidPrecoloring, LimitExceeded, ParseError
@@ -419,6 +431,29 @@ def glued_triangulations(n1: int, n2: int, seed: int) -> PlaneGraph:
     edges = list(t1.graph.edges) + [(label[u], label[v]) for u, v in t2.graph.edges]
     pg = PlaneGraph(SimpleGraph(n1 + n2 - 1, edges), rotation, ())
     return pg.with_outer(max(trace_faces(pg), key=len))
+
+
+def drawn_shape(kind: str, seed: int) -> PlaneGraph:
+    """A plane graph of 4 to 30 vertices of one kind, from a seed: a stacked
+    triangulation ("stacked"), one with some edges removed ("thin"), a
+    random triangulated polygon ("fanned"), two glued triangulations
+    ("glued") or a triangulated grid ("grid")."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    return {"stacked": lambda: gen_planar_triangulation(n, seed),
+            "thin": lambda: thin_triangulation(gen_planar_triangulation(n, seed), rng),
+            "fanned": lambda: triangulated_polygon(n, rng),
+            "glued": lambda: glued_triangulations(n // 2 + 2, n // 3 + 2, seed),
+            "grid": lambda: triangulate_interior(grid(2 + n // 8, seed=seed))}[kind]()
+
+
+def input_tables(pg: PlaneGraph, h: Cover, f: Budget):
+    """Copies of every table of a plane graph, a cover and a budget, rows
+    included, with the rows of each dict in its key order."""
+    return ([(v, set(row)) for v, row in pg.graph.adj.items()], pg.graph.vertices,
+            list(pg.rotation.items()), pg.outer, [(v, set(cs)) for v, cs in h.lists.items()],
+            [(e, dict(m)) for e, m in h._matchings.items()],
+            [(v, dict(row)) for v, row in f._rows.items()])
 
 
 def _face_edges(walk):

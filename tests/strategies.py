@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from dpfcolor import gen_planar_triangulation, gen_random_budget, gen_random_cover
 from dpfcolor.formats import emit_budget, emit_coloring, emit_cover, emit_graph, emit_plane
 
+# The kinds of `oracles.drawn_shape`.
+SHAPE_KINDS = st.sampled_from(["stacked", "thin", "fanned", "glued", "grid"])
 TOKENS = st.one_of(
     st.integers(-1, 5).map(str),
     st.sampled_from(["+1", "1_0", "\u0661", "\u0663", "00", "x", "2.0", "-", "0x1", "1__0"]),

@@ -197,9 +197,9 @@ def test_loc_counts_code_lines_only(tmp_path, capsys):
 
 
 def test_planar_and_solvers_stay_under_the_code_line_ceiling():
-    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 678 code
+    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 673 code
     lines, as `bench/loc.py` counts them."""
     loc = _loc()
     total = sum(loc.code_lines((SRC / name).read_text(encoding="utf-8"))
                 for name in ("planar.py", "solvers.py"))
-    assert total <= 678, total
+    assert total <= 673, total

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -500,6 +502,34 @@ class TestExitCodeMapping:
         assert payload["diagnostics"] == [
             f"ParseError: line 1: vertex count must be at most {sys.maxsize}"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check-family", "solve-planar"])
+    def test_vertex_count_past_memory_exits_two(self, k4_files, tmp_path, command):
+        """A vertex count below sys.maxsize whose tables do not fit in memory
+        is a malformed file too (exit 2, a ParseError on the header line),
+        not an internal error (exit 3) from a MemoryError.  The CLI runs in
+        a child process that caps its own address space at 1 GiB."""
+        huge = tmp_path / "huge.txt"
+        huge.write_text("# far too many vertices\ngraph 1000000000000\nouter 0 1 2\n",
+                        encoding="utf-8")
+        argv = {"check-family": ["--graph", str(huge), "--family", "noadj34"],
+                "solve-planar": ["--plane", str(huge), "--cover", k4_files["cover"],
+                                 "--budget", k4_files["budget"]]}[command]
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from dpfcolor.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", child, command, *argv, "--json"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["status"] == "error"
+        assert payload["diagnostics"] == [
+            "ParseError: line 2: vertex count 1000000000000 does not fit in memory"]
+        assert "Traceback" not in done.stderr
 
     def test_reduce_prints_both_sections_without_out_paths(self, tmp_path, capsys):
         g = complete_graph(3)

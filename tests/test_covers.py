@@ -40,7 +40,14 @@ from dpfcolor.coloring import _residuals, residual_at
 from dpfcolor.formats import emit_cover, parse_cover
 from dpfcolor.planar import _piece, delete_vertex
 
-from oracles import grid, random_graph, thin_triangulation, triangulated_polygon, wheel
+from oracles import (
+    grid,
+    input_tables,
+    random_graph,
+    thin_triangulation,
+    triangulated_polygon,
+    wheel,
+)
 
 
 class TestRelabelNeedsBijections:
@@ -300,19 +307,23 @@ class TestTrustedPathsMatchValidatingConstructors:
         assert splits > 150
 
     def test_solver_pieces(self, monkeypatch):
-        """Every piece the planar solver builds is the restriction of its
-        parent and shares all rows but those of the vertices that lose a
-        neighbour: the chord ends of a split, the deleted vertex's
-        neighbours of a fan step or of a chord that cuts off a bare
-        triangle.  Triangles cut off in place leave the same piece, and
-        leave the tables they were copied from unchanged."""
-        import dpfcolor.planar as planar
+        """Every piece the planar solver builds or edits is the restriction
+        of its parent and shares all rows but those of the vertices that
+        lose a neighbour: the chord ends of a split, and the deleted
+        vertex's neighbours of a fan step, of an end of the outer walk cut
+        off with piece 1 of a split, and of a run of bare triangles cut off
+        at one hub.  A frame edits its own tables in place, so each edit is
+        checked against a copy of the tables taken just before it; a run
+        leaves what deleting its vertices one at a time leaves.  The
+        caller's tables are unchanged after every solve."""
         import dpfcolor.solvers as solvers
 
-        split, delete = solvers._split, solvers.delete_vertex
-        copy, peel = planar._Tables.__init__, planar._Tables.delete
+        split, drop, run = solvers._split, solvers._drop, solvers._cut_run
         seen = {"split": 0, "fan": 0, "ear": 0}
-        copied = []
+
+        def tables(adj, rotation, outer=()):
+            return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), dict(adj)),
+                                       dict(rotation), tuple(outer))
 
         def checked_split(pg, chord):
             parts = split(pg, chord)
@@ -322,39 +333,37 @@ class TestTrustedPathsMatchValidatingConstructors:
                 _assert_shares_rows(pg, part, (pg.outer[chord[0]], pg.outer[chord[1]]))
             return parts
 
-        def checked_delete(pg, v, outer):
-            part = delete(pg, v, outer)
+        def checked_drop(adj, rotation, x, *rest):
+            before = tables(adj, rotation)
+            row = drop(adj, rotation, x, *rest)
             # A fan pivot has inner neighbours; a chord that cuts off piece 1,
             # the bare triangle at an end of the outer walk, deletes its
             # degree-2 end.
-            seen["fan" if len(pg.graph.adj[v]) > 2 else "ear"] += 1
-            _assert_restriction(pg, part)
-            _assert_shares_rows(pg, part, pg.graph.adj[v])
-            return part
-
-        def checked_copy(tables, pg):
-            copy(tables, pg)
-            copied.append((pg, _plane_tables(pg)))
-
-        def checked_peel(tables, i):
-            adj = tables.adj
-            before = PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), dict(adj)),
-                                         dict(tables.rotation), tables.outer)
-            x = before.outer[i + 1]
-            row = peel(tables, i)
-            seen["ear"] += 1
-            part = tables.plane()
-            assert row == before.graph.adj[x] == {before.outer[i], before.outer[i + 2]}
-            assert part.outer == before.outer[:i + 1] + before.outer[i + 2:]
+            seen["fan" if len(row) > 2 else "ear"] += 1
+            part = tables(adj, rotation)
+            assert x not in part.graph.adj and row == before.graph.adj[x]
             _assert_restriction(before, part)
             _assert_shares_rows(before, part, row)
-            assert _plane_tables(part) == _plane_tables(delete(before, x, part.outer))
             return row
 
+        def checked_run(adj, rotation, outer, on_outer, i, cut):
+            before, had = tables(adj, rotation, outer), len(cut)
+            run(adj, rotation, outer, on_outer, i, cut)
+            part, gone = tables(adj, rotation, outer), list(cut)[had:]
+            seen["ear"] += len(gone)
+            expected = before
+            for x in gone:
+                assert expected.outer[i + 1] == x
+                assert cut[x] == expected.graph.adj[x] == {expected.outer[i], expected.outer[i + 2]}
+                expected = delete_vertex(expected, x, expected.outer[:i + 1] + expected.outer[i + 2:])
+            assert gone and on_outer == set(outer)
+            assert _plane_tables(part) == _plane_tables(expected)
+            _assert_restriction(before, part)
+            _assert_shares_rows(before, part, set().union(*map(cut.get, gone)))
+
         monkeypatch.setattr(solvers, "_split", checked_split)
-        monkeypatch.setattr(solvers, "delete_vertex", checked_delete)
-        monkeypatch.setattr(planar._Tables, "__init__", checked_copy)
-        monkeypatch.setattr(planar._Tables, "delete", checked_peel)
+        monkeypatch.setattr(solvers, "_drop", checked_drop)
+        monkeypatch.setattr(solvers, "_cut_run", checked_run)
         shapes = [gen_planar_triangulation(10 + 10 * t, t) for t in range(8)]
         shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7)]
         shapes += [wheel(p) for p in (4, 6, 9)]
@@ -363,10 +372,11 @@ class TestTrustedPathsMatchValidatingConstructors:
         for t, pg in enumerate(shapes):
             h = gen_random_cover(pg.graph, 5, 5, (1.0, 0.5)[t % 2], seed=t)
             f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
+            before = input_tables(pg, h, f)
             r, _ = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None
+            assert input_tables(pg, h, f) == before
         assert seen["split"] > 100 and seen["fan"] > 40 and seen["ear"] > 200, seen
-        assert copied and all(_plane_tables(pg) == tables for pg, tables in copied)
 
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):

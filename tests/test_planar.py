@@ -26,8 +26,11 @@ from dpfcolor.errors import (
 )
 from dpfcolor.planar import _split, is_two_connected, trace_faces
 
+from strategies import SHAPE_KINDS
+
 from oracles import (
     canonical_faces,
+    drawn_shape,
     flood_find_separating_triangle,
     flood_split_on_chord,
     glued_triangulations,
@@ -351,19 +354,6 @@ def _keyed_tables(pg):
     return (*_plane_tables(pg), list(pg.graph.adj), list(pg.rotation))
 
 
-def _drawn_shape(kind, seed):
-    rng = random.Random(seed)
-    n = rng.randint(4, 30)
-    return {"stacked": lambda: gen_planar_triangulation(n, seed),
-            "thin": lambda: thin_triangulation(gen_planar_triangulation(n, seed), rng),
-            "fanned": lambda: triangulated_polygon(n, rng),
-            "glued": lambda: glued_triangulations(n // 2 + 2, n // 3 + 2, seed),
-            "grid": lambda: triangulate_interior(grid(2 + n // 8, seed=seed))}[kind]()
-
-
-SHAPE_KINDS = st.sampled_from(["stacked", "thin", "fanned", "glued", "grid"])
-
-
 class TestSplitSearchesTheSmallerSide:
     """`_split` searches the two sub-disks in lockstep, builds the piece of
     the side exhausted first by `_piece` and the other from a copy of the
@@ -395,7 +385,7 @@ class TestSplitSearchesTheSmallerSide:
 
     @given(kind=SHAPE_KINDS, seed=st.integers(0, 10 ** 6), data=st.data())
     def test_matches_side_split(self, kind, seed, data):
-        pg = _drawn_shape(kind, seed)
+        pg = drawn_shape(kind, seed)
         self._check_every_chord(pg, [data.draw(st.sampled_from(trace_faces(pg)))])
 
     def test_reads_rows_of_the_smaller_piece_only(self):
@@ -455,7 +445,7 @@ class TestSeparatingTrianglesFromOneFaceTrace:
 
     @given(kind=SHAPE_KINDS, seed=st.integers(0, 10 ** 6), data=st.data())
     def test_matches_side_search(self, kind, seed, data):
-        pg = _drawn_shape(kind, seed)
+        pg = drawn_shape(kind, seed)
         q = pg.with_outer(data.draw(st.sampled_from(trace_faces(pg))))
         assert find_separating_triangle(q) == side_find_separating_triangle(q)
 

@@ -3,6 +3,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpfcolor import (
     Budget,
@@ -39,10 +41,14 @@ from dpfcolor.cycles import FamilyA, check_family
 from dpfcolor.degeneracy import _orderable_with
 from dpfcolor.planar import delete_vertex, fan_neighbors
 
+from strategies import SHAPE_KINDS
+
 from oracles import (
     coloring_exists_by_enumeration,
     composed_name_row,
+    drawn_shape,
     grid,
+    input_tables,
     polygon,
     random_graph,
     reference_solve_exact,
@@ -851,63 +857,85 @@ def _run_instances():
 
 
 def test_resumed_chord_scan_matches_pairwise_scan(monkeypatch):
-    """A frame that cuts off a run of bare triangles in place resumes the
-    chord scan at the position of the chord just used: the positions before
-    it keep their rows, and so gain no chord, and its row lost the deleted
-    vertex.  At every step of every run, the resumed scan must start there
+    """A frame edits its piece in place and resumes the chord scan: after a
+    run of bare triangles cut off at position i, at i, since the positions
+    before it keep their rows and so gain no chord, and its row lost the
+    deleted vertices; after a fan step, at 0 and only up to position |U|,
+    since every new chord ends in U.  Every scan must start and stop there
     and find the chord that the scan of every pair of outer positions finds
-    on the current piece."""
-    import dpfcolor.planar as planar
+    on the current piece, and every run must cut off exactly the vertices
+    that pairwise scans, one deletion at a time, cut off."""
+    import dpfcolor.solvers as solvers
 
-    copy, peel, chord = planar._Tables.__init__, planar._Tables.delete, planar._Tables.chord
-    runs, cut_at = [], []
+    scan, run, drop = solvers._chord_from, solvers._cut_run, solvers._drop
+    expected, runs = [], []
 
-    def new_run(tables, pg):
-        copy(tables, pg)
-        runs.append(0)
+    def pairwise(adj, outer):
+        return scan_find_chord(PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), {},
+                                                   tuple(outer)))
 
-    def record_peel(tables, i):
-        cut_at.append(i)
-        return peel(tables, i)
-
-    def checked_chord(tables, start):
-        assert start == cut_at.pop(), start
-        got = chord(tables, start)
-        adj = tables.adj
-        piece = PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), tables.rotation,
-                                    tables.outer)
-        assert got == scan_find_chord(piece), (start, got)
-        runs[-1] += 1
+    def checked_scan(adj, outer, on_outer, start, stop=None):
+        assert (start, stop) == (expected.pop() if expected else (0, None))
+        got = scan(adj, outer, on_outer, start, stop)
+        assert on_outer == set(outer)
+        assert got == pairwise(adj, outer), (start, stop, got)
         return got
 
-    monkeypatch.setattr(planar._Tables, "__init__", new_run)
-    monkeypatch.setattr(planar._Tables, "delete", record_peel)
-    monkeypatch.setattr(planar._Tables, "chord", checked_chord)
-    for pg, h, f in _run_instances():
+    def checked_run(adj, rotation, outer, on_outer, i, cut):
+        ref_adj, ref_outer, cuts = dict(adj), list(outer), []
+        while pairwise(ref_adj, ref_outer) == (i, i + 2) and len(ref_adj[ref_outer[i + 1]]) == 2:
+            x = ref_outer.pop(i + 1)
+            cuts.append(x)
+            for u in ref_adj.pop(x):
+                ref_adj[u] = ref_adj[u] - {x}
+        had = len(cut)
+        run(adj, rotation, outer, on_outer, i, cut)
+        assert list(cut)[had:] == cuts and outer == ref_outer and adj == ref_adj, (i, cuts)
+        runs.append(len(cuts))
+        expected.append((i, None))
+
+    def note_fan(adj, rotation, x, *rest):
+        row = drop(adj, rotation, x, *rest)
+        if len(row) > 2:  # a fan pivot, whose neighbours but v1 and v3 join the walk
+            expected.append((0, len(row) - 1))
+            fans[0] += 1
+        return row
+
+    monkeypatch.setattr(solvers, "_chord_from", checked_scan)
+    monkeypatch.setattr(solvers, "_cut_run", checked_run)
+    monkeypatch.setattr(solvers, "_drop", note_fan)
+    fans = [0]
+    for pg, h, f in list(_run_instances()) + list(_fan_instances())[:12]:
         r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
-    assert not cut_at
+        assert not expected
     assert sum(1 for k in runs if k >= 2) > 90, Counter(runs).most_common(5)
+    assert fans[0] > 100, fans
 
 
 @pytest.mark.parametrize("shape", ["fanned", "wheel"])
 def test_deep_fans_cut_their_triangles_in_linear_scans(shape, monkeypatch):
     """A fanned 5000-gon and a wheel of 5000 vertices solve and verify.
-    Their constructions are runs of triangles cut off at one hub, each run
-    in one frame that resumes its chord scan where the last chord was: the
-    scan visits at most 4·n outer positions over the whole solve (n on the
-    fanned polygon, 2·n on the wheel), in at most 10 frames (1 and 2).
-    Counts, not wall time, are bounded."""
-    import dpfcolor.planar as planar
+    Their constructions are runs of triangles cut off at one hub, the
+    wheel's after one fan step, each run taken in place in one frame that
+    tests one position per cut and resumes its chord scan where the last
+    chord was: the scans visit at most 4·n outer positions over the whole
+    solve, in at most 10 frames (one on each shape).  Counts, not wall
+    time, are bounded."""
     import dpfcolor.solvers as solvers
 
-    scan, step = planar._chord_from, solvers._step
+    scan, run, step = solvers._chord_from, solvers._cut_run, solvers._step
     visited, frames = [0], [0]
 
-    def count_positions(adj, outer, on_outer, start):
-        got = scan(adj, outer, on_outer, start)
-        visited[0] += (got[0] + 1 if got else len(outer)) - start
+    def count_positions(adj, outer, on_outer, start, stop=None):
+        got = scan(adj, outer, on_outer, start, stop)
+        visited[0] += (got[0] + 1 if got else len(outer) if stop is None else stop) - start
         return got
+
+    def count_cuts(adj, rotation, outer, on_outer, i, cut):
+        had = len(cut)
+        run(adj, rotation, outer, on_outer, i, cut)
+        visited[0] += len(cut) - had  # one position tested per cut
 
     def count_frames(*args):
         frames[0] += 1
@@ -916,7 +944,8 @@ def test_deep_fans_cut_their_triangles_in_linear_scans(shape, monkeypatch):
     pg = triangulate_interior(polygon(5000)) if shape == "fanned" else wheel(4999)
     h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=6)
     f = gen_random_budget(pg.graph, 5, 5, 2, seed=7, lists=h.lists)
-    monkeypatch.setattr(planar, "_chord_from", count_positions)
+    monkeypatch.setattr(solvers, "_chord_from", count_positions)
+    monkeypatch.setattr(solvers, "_cut_run", count_cuts)
     monkeypatch.setattr(solvers, "_step", count_frames)
     r, order = solve_planar_dpg52(pg, h, f)
     assert pg.n == 5000
@@ -931,11 +960,10 @@ def test_no_split_builds_a_bare_triangle(monkeypatch):
     vertex in place: no split builds a 3-vertex piece, and no split frame
     a 3-vertex pair graph.  Each triangle cut off in place counts as a
     piece towards the floor."""
-    import dpfcolor.planar as planar
     import dpfcolor.solvers as solvers
 
-    split, delete, build = solvers._split, solvers.delete_vertex, solvers.induced_pair_graph
-    peel = planar._Tables.delete
+    split, drop, run = solvers._split, solvers._drop, solvers._cut_run
+    build = solvers.induced_pair_graph
     built = Counter()
 
     def record_split(pg, chord):
@@ -943,14 +971,15 @@ def test_no_split_builds_a_bare_triangle(monkeypatch):
         built.update(("piece", part.n) for part in parts)
         return parts
 
-    def record_delete(pg, v, outer):
-        part = delete(pg, v, outer)
-        built["piece", part.n] += 1
-        return part
+    def record_drop(adj, rotation, x, *rest):
+        row = drop(adj, rotation, x, *rest)
+        built["piece", len(adj)] += 1  # what is left: a fan step's child, or a piece 2
+        return row
 
-    def record_peel(tables, i):
-        built["peeled"] += 1
-        return peel(tables, i)
+    def record_run(adj, rotation, outer, on_outer, i, cut):
+        had = len(cut)
+        run(adj, rotation, outer, on_outer, i, cut)
+        built["peeled"] += len(cut) - had
 
     def record_build(g, h, f, r):
         pairs = build(g, h, f, r)
@@ -958,8 +987,8 @@ def test_no_split_builds_a_bare_triangle(monkeypatch):
         return pairs
 
     monkeypatch.setattr(solvers, "_split", record_split)
-    monkeypatch.setattr(solvers, "delete_vertex", record_delete)
-    monkeypatch.setattr(planar._Tables, "delete", record_peel)
+    monkeypatch.setattr(solvers, "_drop", record_drop)
+    monkeypatch.setattr(solvers, "_cut_run", record_run)
     monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
     for pg, h, f in _chord_only_instances():
         built.clear()
@@ -973,12 +1002,16 @@ def test_no_split_builds_a_bare_triangle(monkeypatch):
 def test_split_frames_release_what_they_no_longer_read(monkeypatch):
     """A frame waiting on piece 1 holds only piece 2 and the chord ends, so
     however deep the construction goes, few large pieces are alive at once.
-    Every graph `planar` builds, and every copy of a piece's tables that a
-    frame cuts triangles from in place, is weakly referenced, and at each
-    build the live ones with more than n/10 vertices are counted.  The
-    pieces that waiting frames hold and the piece being split have disjoint
-    insides, so at most 10 of them are that large; the input's
-    triangulation and the two pieces of the split under way make 13."""
+    Every graph `planar` and `solvers` build is weakly referenced: the
+    pieces, the tables a frame owns and edits in place, and the copies a
+    split frame keeps of piece 2.  At each build the live ones with more
+    than n/10 vertices are counted, by their adjacency dicts, which a frame
+    edits in place.  The pieces that waiting frames hold and the piece
+    being split have disjoint insides, so at most 10 of them are that
+    large; the input's triangulation and the two pieces of the split under
+    way make 13.  Besides the chord-only instances, a random triangulated
+    4000-gon nests its splits deep enough that a frame which kept piece 2
+    while piece 2 is solved would hold 15."""
     import weakref
 
     import dpfcolor.planar as planar
@@ -986,31 +1019,23 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
 
     refs, peak = [], [0]
 
-    def count(new):
-        live = [x for ref in refs if (x := ref()) is not None] + [new]
-        refs[:] = map(weakref.ref, live)
-        size = [x.n if isinstance(x, SimpleGraph) else len(x.adj) for x in live]
-        peak[0] = max(peak[0], sum(1 for k in size if 10 * k > n))
-
     class Tracked(SimpleGraph):
         __slots__ = ("__weakref__",)
 
         @classmethod
         def _trusted(cls, vertices, adj):
             g = super()._trusted(vertices, adj)
-            count(g)
+            live = [x for ref in refs if (x := ref()) is not None] + [g]
+            refs[:] = map(weakref.ref, live)
+            peak[0] = max(peak[0], sum(1 for x in live if 10 * len(x.adj) > n))
             return g
 
-    class TrackedTables(planar._Tables):
-        __slots__ = ("__weakref__",)
-
-        def __init__(self, pg):
-            super().__init__(pg)
-            count(self)
-
     instances = list(_chord_only_instances())
+    deep = triangulated_polygon(4000, random.Random("chords/4000"))
+    h = gen_random_cover(deep.graph, 5, 5, 1.0, seed=1)
+    instances.append((deep, h, gen_random_budget(deep.graph, 5, 5, 2, seed=11, lists=h.lists)))
     monkeypatch.setattr(planar, "SimpleGraph", Tracked)
-    monkeypatch.setattr(solvers, "_Tables", TrackedTables)
+    monkeypatch.setattr(solvers, "SimpleGraph", Tracked)
     for pg, h, f in instances:
         n, peak[0] = pg.n, 0
         r, _ = solve_planar_dpg52(pg, h, f)
@@ -1053,17 +1078,26 @@ def _track_wants(monkeypatch):
 
 
 def _record_checks(monkeypatch):
-    """Record the inputs and verdict of every fan-step reinsertion check."""
+    """Record the inputs and verdict of every fan-step reinsertion check,
+    with copies of the whole piece and of its budget at the step.  A frame
+    edits its tables in place, so they are copied when the step starts
+    (`_fan_colors`), before the pivot is deleted and its fan lowered."""
     import dpfcolor.solvers as solvers
 
-    calls = []
-    check = solvers._reinsertion_valid
+    calls, whole = [], {}
+    check, fan_colors = solvers._reinsertion_valid, solvers._fan_colors
 
-    def record(g, h, f, r, order, v):
-        verdict = check(g, h, f, r, order, v)
-        calls.append(((g, h, f, dict(r), order, v), verdict))
+    def note_piece(g, h, f, pre, names, v2, *rest):
+        whole[v2] = (SimpleGraph._trusted(tuple(g.adj), dict(g.adj)),
+                     Budget._trusted(f.s, f.cap, dict(f._rows)))
+        return fan_colors(g, h, f, pre, names, v2, *rest)
+
+    def record(adj, h, rows, r, order, v):
+        verdict = check(adj, h, rows, r, order, v)
+        calls.append(((adj, h, rows, dict(r), order, v), whole[v], verdict))
         return verdict
 
+    monkeypatch.setattr(solvers, "_fan_colors", note_piece)
     monkeypatch.setattr(solvers, "_reinsertion_valid", record)
     return check, calls
 
@@ -1082,9 +1116,9 @@ def _other_colors_and_places(h, r, order, v):
 
 def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
     """Solve with one U budget entry of the given fan step left unlowered,
-    restored in the budget that `_fan_budget` builds for the step's child.
-    Steps are counted over the fan frames that want their order, the ones
-    that check their reinsertion.
+    restored in the solve's budget table right after `_fan_budget` lowers
+    it for the step's child.  Steps are counted over the fan frames that
+    want their order, the ones that check their reinsertion.
 
     Returns the InternalInvariantViolated raised (or None), the corrupted
     step's pivot, outer length and case, and the recorded checks.
@@ -1093,36 +1127,28 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
 
     _, calls = _record_checks(monkeypatch)
     running = _track_wants(monkeypatch)
-    lower, delete, fan_colors = solvers._fan_budget, solvers.delete_vertex, solvers._fan_colors
+    lower, fan_colors = solvers._fan_budget, solvers._fan_colors
     fault = {}
 
     def lower_all_but_one(f, U, names, case21):
-        out = lower(f, U, names, case21)
+        old = Budget._trusted(f.s, f.cap, {u: f._rows[u] for u in U if u in f._rows})
+        lower(f, U, names, case21)
         if not running[-1]:
-            return out
+            return
         fault["calls"] = fault.get("calls", 0) + 1
-        lowered = sorted((u, i) for u in U for i in f.support(u) if out.get(u, i) < f.get(u, i))
+        lowered = sorted((u, i) for u in U for i in old.support(u) if f.get(u, i) < old.get(u, i))
         if fault["calls"] == step + 1 and lowered:
             fault["kept"] = (u, i) = rng.choice(lowered)
-            rows = dict(out._rows)
-            rows[u] = {**rows.get(u, {}), i: f.get(u, i)}
-            out = Budget._trusted(out.s, out.cap, rows)
-        return out
+            f._rows[u] = {**f._rows.get(u, {}), i: old.get(u, i)}
 
-    def note_case(*args):
-        out = fan_colors(*args)
+    def note_case(g, h, f, pre, names, v2, U, v3, p):
+        out = fan_colors(g, h, f, pre, names, v2, U, v3, p)
         if "kept" in fault and "case21" not in fault:
-            fault["case21"] = out[2]
+            fault["case21"], fault["pivot"], fault["p"] = out[0], v2, p
         return out
-
-    def note_pivot(pg, v, outer):
-        if "case21" in fault and "pivot" not in fault:
-            fault["pivot"], fault["p"] = v, len(pg.outer)
-        return delete(pg, v, outer)
 
     monkeypatch.setattr(solvers, "_fan_budget", lower_all_but_one)
     monkeypatch.setattr(solvers, "_fan_colors", note_case)
-    monkeypatch.setattr(solvers, "delete_vertex", note_pivot)
     try:
         solve_planar_dpg52(pg, h, f)
         raised = None
@@ -1154,10 +1180,10 @@ class TestLocalReinsertionCheck:
         for pg, h, f in _fan_instances():
             solve_planar_dpg52(pg, h, f)
         verdicts = Counter()
-        for (g, h, f, r, order, v), verdict in calls:
+        for (adj, h, rows, r, order, v), (g, f), verdict in calls:
             assert verdict and whole_graph_reinsertion_check(g, h, f, r, order)
             for r2, order2 in _other_colors_and_places(h, r, order, v):
-                got = check(g, h, f, r2, order2, v)
+                got = check(adj, h, rows, r2, order2, v)
                 assert got == whole_graph_reinsertion_check(g, h, f, r2, order2), (order2, v)
                 verdicts[got] += 1
         assert len(calls) > 100
@@ -1169,7 +1195,7 @@ class TestLocalReinsertionCheck:
             rng = random.Random(f"unlowered/{t}")
             for step in range(0, 40, 2):
                 raised, _, calls = _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng)
-                for (g, h2, f2, r, order, v), verdict in calls:
+                for (_, h2, _, r, order, _), (g, f2), verdict in calls:
                     assert verdict == whole_graph_reinsertion_check(g, h2, f2, r, order)
                     outcomes[verdict] += 1
                 outcomes[type(raised).__name__] += 1
@@ -1179,7 +1205,7 @@ class TestLocalReinsertionCheck:
         pg, h, f, raised, fault, calls = _first_broken_reinsertion(monkeypatch)
         assert str(raised) == ("reinserting the fan pivot broke the order "
                                f"(p={fault['p']}, case21={fault['case21']})")
-        (g, h2, f2, r, order, v), verdict = calls[-1]
+        (_, h2, _, r, order, v), (g, f2), verdict = calls[-1]
         assert v == fault["pivot"] and not verdict
         assert not whole_graph_reinsertion_check(g, h2, f2, r, order)
         assert solve_planar_dpg52(pg, h, f)  # the same instance solves without the fault
@@ -1250,6 +1276,54 @@ class TestFanNames:
         assert len(fan_steps) > 100
 
 
+class TestOneOwnedInstance:
+    """The root frame copies the caller's tables once, and every frame edits
+    its piece, the solve's budget table and its name table in place."""
+
+    @given(kind=SHAPE_KINDS, seed=st.integers(0, 10 ** 6),
+           density=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_caller_input_stays_unchanged(self, kind, seed, density):
+        """Every table of the plane graph, cover and budget, rows included,
+        is as it was after the solve, and the output verifies.  Glued
+        shapes share a cut vertex, so they are rejected, and must be left
+        unchanged too."""
+        pg = drawn_shape(kind, seed)
+        h = gen_random_cover(pg.graph, 5, 5, density, seed=seed)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
+        before = input_tables(pg, h, f)
+        try:
+            r, order = solve_planar_dpg52(pg, h, f)
+        except NotTwoConnected:
+            assert kind == "glued"
+            r = None
+        assert input_tables(pg, h, f) == before
+        if r is not None:
+            assert verify_coloring(pg.graph, h, f, r) is not None
+            assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
+
+    def test_one_budget_table_per_solve(self, monkeypatch):
+        """A stacked n = 2000 solve hands at most 3·n budget rows to
+        `Budget._trusted`, the root's copy of the table among them.  Fan
+        steps lower rows in the solve's one table, and a split frame keeps
+        piece 2's inner rows in a dict, not in a Budget of its own.  A
+        budget copied at every fan step handed it 669·n rows."""
+        pg = gen_planar_triangulation(2000, 1)
+        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=2)
+        f = gen_random_budget(pg.graph, 5, 5, 2, seed=3, lists=h.lists)
+        trusted, handed = Budget._trusted.__func__, Counter()
+
+        def counted(cls, s, cap, rows):
+            handed["rows"] += len(rows)
+            handed["calls"] += 1
+            return trusted(cls, s, cap, rows)
+
+        monkeypatch.setattr(Budget, "_trusted", classmethod(counted))
+        r, order = solve_planar_dpg52(pg, h, f)
+        monkeypatch.undo()
+        assert verify_coloring(pg.graph, h, f, r) is not None
+        assert 0 < handed["rows"] <= 3 * pg.n, handed
+
+
 def _split_instances():
     """Seeded instances whose construction takes many chord splits, more
     than 100 of them in frames that want their order."""
@@ -1264,66 +1338,75 @@ def _split_instances():
         yield pg, h, f
 
 
-def _is_ear(pg, v):
-    """Whether deleting v from pg cuts off piece 1 of a chord split, the
-    bare triangle at an end of the outer walk.  A fan step deletes the
-    second outer vertex, and a split whose piece 2 is a bare triangle an
-    inner vertex of the walk; neither deletes a precolored end."""
-    return v in (pg.outer[0], pg.outer[-1])
+def _is_ear(row):
+    """Whether `solvers._drop` deleting a vertex with adjacency row `row`
+    cuts off piece 1 of a chord split, the bare triangle at an end of the
+    outer walk.  The only other vertices it deletes are fan pivots, whose
+    inner neighbours give them degree at least 3."""
+    return len(row) == 2
 
 
 def _record_splits(monkeypatch):
-    """Record every chord split check: the split piece's graph, piece 1's
-    solution, and the check's inputs and verdict.  The check reads piece 2's
-    pair graph, which the split frame builds with `induced_pair_graph`, so
-    each pair graph is traced back to its piece's graph.  Piece 2 comes from
-    `_split`, or from `delete_vertex` when piece 1 is the bare triangle at
-    an end of the outer walk; that triangle is solved in place by
-    `_color_third` on the parent's graph.  The tables are keyed by id and
-    keep every keyed object alive, so no id is reused."""
+    """Record every chord split check: copies of the split piece's graph and
+    of the solve's budget at the split, piece 1's solution, and the check's
+    inputs and verdict.  The check reads piece 2's pair graph, which the
+    split frame builds with `induced_pair_graph` on a copy of piece 2's
+    tables kept at the split, so each pair graph is traced back to its
+    split by piece 2's vertices.  Piece 2 comes from `_split`, or from
+    `_drop` deleting an end of the outer walk when piece 1 is the bare
+    triangle there; that triangle is solved in place by `_color_third` on
+    the split frame's own tables.  The tables are keyed by id and keep
+    every keyed object alive, so no id is reused."""
     import dpfcolor.solvers as solvers
 
     split, step, check = solvers._split, solvers._step, solvers._split_valid
-    build, delete, third = solvers.induced_pair_graph, solvers.delete_vertex, solvers._color_third
-    parents, graphs, results, colored, calls = {}, {}, {}, {}, []
+    build, drop, third = solvers.induced_pair_graph, solvers._drop, solvers._color_third
+    parents, graphs, results, colored, calls, budget = {}, {}, {}, {}, [], []
+
+    def snapshot():
+        f = budget[-1]
+        return Budget._trusted(f.s, f.cap, dict(f._rows))
 
     def record_split(pg, chord):
         pg1, pg2 = split(pg, chord)
-        parents[id(pg2.graph)] = pg2.graph, pg.graph, lambda: results[id(pg1)][1]
+        g = SimpleGraph._trusted(pg.graph.vertices, dict(pg.graph.adj))
+        parents[pg2.graph.vertices] = g, snapshot(), lambda: results[id(pg1)][1]
         return pg1, pg2
 
-    def record_delete(pg, v, outer):
-        part = delete(pg, v, outer)
-        if _is_ear(pg, v):
-            solved = colored[id(pg.graph)][1]
-            parents[id(part.graph)] = part.graph, pg.graph, lambda: solved
-        return part
+    def record_drop(adj, rotation, x, *rest):
+        if not _is_ear(adj[x]):
+            return drop(adj, rotation, x, *rest)
+        g, f, solved = SimpleGraph._trusted(tuple(adj), dict(adj)), snapshot(), colored[id(adj)][1]
+        row = drop(adj, rotation, x, *rest)
+        parents[tuple(adj)] = g, f, lambda: solved
+        return row
 
     def record_third(g, h, f, pre, v, names):
         result = third(g, h, f, pre, v, names)
-        colored[id(g)] = g, result
+        colored[id(g.adj)] = g, result
         return result
 
     def record_build(g, h, f, r):
         pairs = build(g, h, f, r)
-        graphs[id(pairs)] = pairs, g, h, f
+        graphs[id(pairs)] = pairs, g, h
         return pairs
 
     def record_step(pg, h, f, pre, names, want):
+        budget.append(f)
         result = yield from step(pg, h, f, pre, names, want)
         results[id(pg)] = pg, result
         return result
 
     def record_check(pairs, r2, s2p, head):
         verdict = check(pairs, r2, s2p, head)
-        _, g2, h, f = graphs[id(pairs)]
-        _, g, solved = parents[id(g2)]
+        _, g2, h = graphs[id(pairs)]
+        g, f, solved = parents[g2.vertices]
         r1, s1 = solved()
         calls.append(((g, g2, h, f, r1, s1, dict(r2), s2p, head), verdict))
         return verdict
 
     monkeypatch.setattr(solvers, "_split", record_split)
-    monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+    monkeypatch.setattr(solvers, "_drop", record_drop)
     monkeypatch.setattr(solvers, "_color_third", record_third)
     monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
     monkeypatch.setattr(solvers, "_step", record_step)
@@ -1395,11 +1478,14 @@ class TestLocalSplitCheck:
         assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
     def test_pair_graphs_are_built_on_pieces_and_once_on_the_input(self, monkeypatch):
+        """Every pair graph but the final check's is built on piece 2 of a
+        split whose frame wants its order, as piece 2 was at the split: its
+        frames edit it in place, so the split frame builds it on a copy."""
         import dpfcolor.coloring as coloring
         import dpfcolor.solvers as solvers
 
-        built, pieces = [], []
-        build, split, delete = coloring.induced_pair_graph, solvers._split, solvers.delete_vertex
+        built, pieces = [], {}
+        build, split, drop = coloring.induced_pair_graph, solvers._split, solvers._drop
         running = _track_wants(monkeypatch)
 
         def record_build(g, h, f, r):
@@ -1409,19 +1495,19 @@ class TestLocalSplitCheck:
         def record_split(pg, chord):
             pg1, pg2 = split(pg, chord)
             if running[-1]:
-                pieces.append(pg2.graph)
+                pieces[pg2.graph.vertices] = dict(pg2.graph.adj)
             return pg1, pg2
 
-        def record_delete(pg, v, outer):
-            part = delete(pg, v, outer)
-            if _is_ear(pg, v) and running[-1]:
-                pieces.append(part.graph)
-            return part
+        def record_drop(adj, rotation, x, *rest):
+            row = drop(adj, rotation, x, *rest)
+            if _is_ear(row) and running[-1]:
+                pieces[tuple(adj)] = dict(adj)
+            return row
 
         monkeypatch.setattr(coloring, "induced_pair_graph", record_build)
         monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
         monkeypatch.setattr(solvers, "_split", record_split)
-        monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+        monkeypatch.setattr(solvers, "_drop", record_drop)
         splits = 0
         for pg, h, f in _split_instances():
             built.clear()
@@ -1429,7 +1515,8 @@ class TestLocalSplitCheck:
             solve_planar_dpg52(pg, h, f)
             assert [g is pg.graph for g in built].count(True) == 1
             assert built[-1] is pg.graph
-            assert sorted(map(id, built[:-1])) == sorted(map(id, pieces))
+            assert sorted(g.vertices for g in built[:-1]) == sorted(pieces)
+            assert all(g.adj == pieces[g.vertices] for g in built[:-1])
             splits += len(pieces)
         assert splits > 100
 
@@ -1565,14 +1652,18 @@ class TestOrdersOnDemand:
         """A frame's order is read if it is the root, or a piece 1 whose
         chord ends are both inside the outer walk (its split frame asks
         which comes first), or if it is not a piece 2 and its parent's order
-        is read.  That is derived here from the pieces `_split` and
-        `delete_vertex` build, not from the solver's flag: only frames whose
-        order is read may re-eliminate or check a reinsertion, so none below
-        a piece-2 yield does unless an asked piece 1 lies between."""
+        is read.  That is derived here from the pieces `_split` builds and
+        the ends of the outer walk `_drop` deletes to leave a piece 2, not
+        from the solver's flag: only frames whose order is read may
+        re-eliminate or check a reinsertion, so none below a piece-2 yield
+        does unless an asked piece 1 lies between.  A fan step runs in its
+        frame and counts with it, read or unread, as the frame of its own it
+        once had."""
         import dpfcolor.solvers as solvers
 
-        step, split, delete = solvers._step, solvers._split, solvers.delete_vertex
+        step, split, drop = solvers._step, solvers._split, solvers._drop
         eliminate, reinsert = solvers.eliminate_with_prefix, solvers._reinsertion_valid
+        fan_colors = solvers._fan_colors
         second, asked, read, seen = {}, {}, [], Counter()
 
         def record_split(pg, chord):
@@ -1583,19 +1674,24 @@ class TestOrdersOnDemand:
             second[id(pg2.graph)] = pg2.graph
             return pg1, pg2
 
-        def record_delete(pg, v, outer):
-            part = delete(pg, v, outer)
-            if _is_ear(pg, v):
-                second[id(part.graph)] = part.graph
-            return part
+        def record_drop(adj, rotation, x, *rest):
+            row = drop(adj, rotation, x, *rest)
+            if _is_ear(row):  # the frame hands what is left, tables and all, to piece 2
+                second[id(adj)] = adj
+            return row
 
         def record_step(pg, *rest):
             parent = not read or read[-1]
-            read.append(id(pg.graph) in asked or parent and id(pg.graph) not in second)
+            piece2 = id(pg.graph) in second or id(pg.graph.adj) in second
+            read.append(id(pg.graph) in asked or parent and not piece2)
             seen["read" if read[-1] else "unread"] += 1
             result = yield from step(pg, *rest)
             read.pop()
             return result
+
+        def record_fan_step(*args):
+            seen["read" if read[-1] else "unread"] += 1
+            return fan_colors(*args)
 
         def record_eliminate(pairs, prefix):
             seen["eliminate", read[-1]] += 1
@@ -1606,8 +1702,9 @@ class TestOrdersOnDemand:
             return reinsert(*args)
 
         monkeypatch.setattr(solvers, "_split", record_split)
-        monkeypatch.setattr(solvers, "delete_vertex", record_delete)
+        monkeypatch.setattr(solvers, "_drop", record_drop)
         monkeypatch.setattr(solvers, "_step", record_step)
+        monkeypatch.setattr(solvers, "_fan_colors", record_fan_step)
         monkeypatch.setattr(solvers, "eliminate_with_prefix", record_eliminate)
         monkeypatch.setattr(solvers, "_reinsertion_valid", record_reinsert)
         shapes = [grid(12, seed=12), triangulated_polygon(200, random.Random("below/200")),
