@@ -3,10 +3,14 @@
     python3 bench/ladder.py --label mychange
     python3 bench/ladder.py --label base --src /path/to/other/checkout/src
 
-For each shape and each size n = 500, 1000, 2000, 4000 and 8000, a fresh
+For each shape and each size n = 500, 1000, 2000, 4000, 8000, 16000 and
+32000, and for stacked triangulations and polygons also n = 64000, a fresh
 Python process builds the instance, runs `solve_planar_dpg52` and
 `verify_coloring` on it and reports the wall time of the two calls (op
-"solve").  Three more
+"solve").  A solve case also records `pair_vertices_per_n`: the vertices
+of the pair graphs that the solver's chord-split frames build, counted
+through `dpfcolor.solvers.induced_pair_graph` with the final check on the
+whole input left out, per input vertex.  Three more
 rungs run on stacked triangulations of n = 4000, 16000 and 64000.  Two
 time verification alone with a valid coloring: `verify_coloring` on the
 objects (op "verify"), and `dpfcolor verify --json` run in-process through
@@ -56,16 +60,21 @@ The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
      vertices, seed, total_ms, scaled_ms, gen2_collections, peak_rss_mb}
-     (ops "exact" and "exact_path" add nodes, backtracks and nodes_per_s)
+     (op "solve" adds pair_vertices_per_n; ops "exact" and "exact_path"
+     add nodes, backtracks and nodes_per_s)
      or {op, shape, n, seed, error, ...}],
-     growth: {shape or op: exponent}, rss_growth: {shape or op: exponent}}
+     growth: {shape or op: exponent}, rss_growth: {shape or op: exponent},
+     growth_to_8k: {shape: exponent}, rss_growth_to_8k: {shape: exponent}}
 
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
 slope of log(scaled_ms) against log(vertices) over the successful cases of a
 shape (op "solve") or of one of the other ops; rss_growth is the
 same slope for log(peak_rss_mb), which includes the interpreter's own few
-tens of MB and so reads low on the small rungs.  Files written before
+tens of MB and so reads low on the small rungs.  The `_to_8k` tables fit
+only the solve rungs of n <= 8000, the range every ladder file before the
+16k and 32k solve rungs covers, so that exponents stay comparable across
+files.  Files written before
 the verify rungs have cases without "op"; they count as "solve", and
 files written before the calibration have no `scaled_ms`.  The
 script then prints the change against the other `BENCH_*.json` in that
@@ -98,7 +107,9 @@ from perfbench.run import Speedometer  # noqa: E402
 from perfbench.tracing import slope  # noqa: E402
 
 SHAPES = ("stacked", "polygon", "fanned", "grid")
-SIZES = (500, 1000, 2000, 4000, 8000)
+SIZES = (500, 1000, 2000, 4000, 8000, 16000, 32000)
+TOP_SIZE, TOP_SHAPES = 64000, ("stacked", "polygon")  # one more solve rung for these
+FIT_TO = 8000  # the largest rung of the comparable fit
 STACKED_OPS = ("verify", "verify_cli", "solve_cli")
 STACKED_SIZES = (4000, 16000, 64000)
 EXACT_SIZES = (32, 64, 128, 256)
@@ -173,10 +184,26 @@ class Span:
 
 
 def solve(dp, pg, h, f) -> Span:
-    with Span() as span:
-        coloring, _ = dp.solve_planar_dpg52(pg, h, f)
-        if dp.verify_coloring(pg.graph, h, f, coloring) is None:
-            raise AssertionError("solver output failed verification")
+    """Solve and verify; the pair graphs built on the split frames' pieces
+    are counted on the span, the final check's on the whole input not."""
+    from dpfcolor import solvers
+
+    build, built = solvers.induced_pair_graph, [0]
+
+    def counted(g, *rest):
+        if g is not pg.graph:
+            built[0] += g.n
+        return build(g, *rest)
+
+    solvers.induced_pair_graph = counted
+    try:
+        with Span() as span:
+            coloring, _ = dp.solve_planar_dpg52(pg, h, f)
+            if dp.verify_coloring(pg.graph, h, f, coloring) is None:
+                raise AssertionError("solver output failed verification")
+    finally:
+        solvers.induced_pair_graph = build
+    span.counters = {"pair_vertices_per_n": round(built[0] / pg.n, 2)}
     return span
 
 
@@ -332,7 +359,9 @@ def describe_gc(case: dict) -> str:
     return f"gen-2 {case['gen2_collections']}" if "gen2_collections" in case else ""
 
 
-def describe_search(case: dict) -> str:
+def describe_counters(case: dict) -> str:
+    if "pair_vertices_per_n" in case:
+        return f"pair graphs {case['pair_vertices_per_n']}·n"
     if "nodes" not in case:
         return ""
     return f"{case['nodes']} nodes {case['backtracks']} backtracks {case['nodes_per_s']}/s"
@@ -361,7 +390,8 @@ def print_delta(old: dict, new: dict) -> None:
         prev = before.get(case_key(case))
         line = f"  {case_name(case)} "
         if prev is None:
-            print(line + f"(new) {describe(case)} {describe_memory(case)} {describe_search(case)}")
+            print(line + f"(new) {describe(case)} {describe_memory(case)}"
+                  f" {describe_counters(case)}")
             continue
         line += f"{describe(prev):>24} -> {describe(case):<24}"
         if "total_ms" in case and "total_ms" in prev:
@@ -371,20 +401,26 @@ def print_delta(old: dict, new: dict) -> None:
             line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         if "gen2_collections" in case:
             line += f"  {describe_gc(prev) or 'gen-2 ?'} -> {case['gen2_collections']}"
-        if "nodes" in case:
-            line += f"  {describe_search(prev) or 'nodes ?'} -> {describe_search(case)}"
+        if "nodes" in case or "pair_vertices_per_n" in case:
+            line += f"  {describe_counters(prev) or '?'} -> {describe_counters(case)}"
         print(line)
     for name, exp in new["growth"].items():
         print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
               f"  rss {old.get('rss_growth', {}).get(name)} -> {new['rss_growth'][name]}")
+    # a file from before the 16k and 32k solve rungs fits 500-8k in "growth"
+    old_time = old.get("growth_to_8k", old["growth"])
+    old_rss = old.get("rss_growth_to_8k", old.get("rss_growth", {}))
+    for name, exp in new.get("growth_to_8k", {}).items():
+        print(f"  growth to 8k {name:10} {old_time.get(name)} -> {exp}"
+              f"  rss {old_rss.get(name)} -> {new['rss_growth_to_8k'][name]}")
 
 
-def fits(cases: list[dict]) -> tuple[dict, dict]:
+def fits(cases: list[dict], largest: float = math.inf) -> tuple[dict, dict]:
     """Time and RSS growth exponents of each shape's and each other op's
-    successful cases."""
+    successful cases, over the rungs of n <= largest."""
     growth, rss_growth = {}, {}
     for name in SHAPES + STACKED_OPS + ("exact", "exact_path"):
-        done = [c for c in cases if series(c) == name and "total_ms" in c]
+        done = [c for c in cases if series(c) == name and "total_ms" in c and c["n"] <= largest]
         for table, key in ((growth, time_key(*done)), (rss_growth, "peak_rss_mb")):
             points = [(c["vertices"], c[key]) for c in done]
             table[name] = round(slope(points), 3) if len(points) > 1 else None
@@ -408,7 +444,8 @@ def main(argv=None) -> int:
     if not args.label:
         ap.error("--label is required")
 
-    rungs = ([("solve", shape, n) for shape in SHAPES for n in SIZES]
+    rungs = ([("solve", shape, n) for shape in SHAPES
+              for n in SIZES + ((TOP_SIZE,) if shape in TOP_SHAPES else ())]
              + [(op, "stacked", n) for op in STACKED_OPS for n in STACKED_SIZES]
              + [("exact", "stacked", n) for n in EXACT_SIZES]
              + [("exact_path", "path", n) for n in EXACT_PATH_SIZES])
@@ -416,15 +453,18 @@ def main(argv=None) -> int:
     for rung in rungs:
         case = spawn(*rung, src)
         print(f"{case_name(case)} {describe(case)} {describe_memory(case)} {describe_gc(case)}"
-              f" {describe_search(case)}", flush=True)
+              f" {describe_counters(case)}", flush=True)
         cases.append(case)
     growth, rss_growth = fits(cases)
+    growth_to_8k, rss_growth_to_8k = ({shape: fit[shape] for shape in SHAPES}
+                                      for fit in fits(cases, FIT_TO))
     commit, dirty = git_state(src)
     result = {"label": args.label,
               "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "python": platform.python_version(),
               "cpus": os.cpu_count(), "commit": commit, "dirty": dirty,
-              "cases": cases, "growth": growth, "rss_growth": rss_growth}
+              "cases": cases, "growth": growth, "rss_growth": rss_growth,
+              "growth_to_8k": growth_to_8k, "rss_growth_to_8k": rss_growth_to_8k}
     out = HERE / f"BENCH_{args.label}.json"
     others = [json.loads(p.read_text()) for p in HERE.glob("BENCH_*.json") if p != out]
     out.write_text(json.dumps(result, indent=1) + "\n")

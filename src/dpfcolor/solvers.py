@@ -24,15 +24,20 @@ budget table; it replaces only the fan neighbours' rows, the name rows
 read off their matchings with the pivot.  A chord split builds piece 2's
 pair graph once and both orders and checks piece 2 on it.  When a
 frame's split or base case returns, it unwinds its run: it reinserts its
-fan pivots and colors its cut vertices, last step first.  The base case
+fan pivots and colors its cut vertices, last step first.  The precolored
+outer edge (or the whole of a graph of at most 2 vertices), the base case
 and the cut vertices are colored by the one greedy placement,
 `coloring._color_greedily`, which the configuration extension shares.
 So every step reads the caller's cover and a budget in input colors, and
 returns input colors: nothing is copied to be renamed or translated back.
-Only a step whose witness order something reads builds one: the root,
-and a piece 1 whose split asks which chord end comes first.  The steps
-inside a piece 2 return colorings alone, since its split re-orders and
-checks the whole of piece 2 on piece 2's pair graph.
+Only a step whose whole witness order something reads builds it: the
+root, and piece 1 of such a step.  The steps inside a piece 2 return
+colorings alone, since its split re-orders and checks the whole of piece
+2 on piece 2's pair graph.  A split there that asks which chord end comes
+first in its piece 1 hands piece 1 the chord ends as a watched pair:
+piece 1 returns an order in which only its watched pairs stand as in its
+whole order, and re-orders a piece 2 of its own only where a watched pair
+lies inside it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .coloring import (
     _check_precoloring,
     _color_greedily,
     combine_colorings,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
-    greedy_extend,
+    greedy_extend,  # noqa: F401  unused here; kept because perfbench/tracing.py probes it
     induced_pair_graph,
     order_with_prefix,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
     residual_at,
@@ -278,17 +283,6 @@ def _check_budget(g: SimpleGraph, h: Cover, f: Budget, total: int) -> None:
         raise BadBudget(f"list-restricted budget total below {total} at {low}")
 
 
-def _greedy_seed(g: SimpleGraph, h: Cover, f: Budget,
-                 vertices: tuple[int, ...]) -> tuple[dict[int, int], Order]:
-    """Color `vertices` one after another by the greedy rule: the whole of a
-    1- or 2-vertex graph, or the precolored outer edge."""
-    partial: dict[int, int] = {}
-    order: Order = ()
-    for v in vertices:
-        partial, order = greedy_extend(g, h, f, partial, order, v)
-    return partial, order
-
-
 def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, int], Order]:
     """Color a plane graph whose budgets total >= 5 per vertex with cap 2.
 
@@ -301,8 +295,9 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     _check_budget(g, h, f, 5)
     if not g.is_connected():
         raise NotTwoConnected("graph must be connected")
-    if g.n <= 2:
-        return _greedy_seed(g, h, f, g.vertices)
+    if g.n <= 2:  # cannot fail: a vertex has 3 colors of positive budget, a neighbour hits 1
+        r = {}
+        return r, _color_greedily(g, h, f, r, g.vertices, {})
     tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
 
     # Precolor the lexicographically smallest outer edge (v1, vp), greedily:
@@ -314,7 +309,7 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     if walk[1] < walk[-1]:
         walk = walk[:1] + walk[:0:-1]
     tpg = tpg.with_outer(walk)
-    _, pre = _greedy_seed(g, h, f, (walk[0], walk[-1]))
+    pre = _color_greedily(g, h, f, {}, (walk[0], walk[-1]), {})
     result, order = _extend(tpg, h, f, pre)
 
     if not order_is_valid(induced_pair_graph(g, h, f, result), order):
@@ -353,7 +348,7 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
 
 def _step(pg: PlaneGraph, h: Cover, f: Budget,
           pre: tuple[tuple[int, int], tuple[int, int]], names: dict[int, dict[int, int]],
-          want: bool):
+          want: bool | tuple[tuple[int, int], ...]):
     """One frame of `_extend`: a run of bare-triangle cuts and fan steps on
     the frame's own piece, in place, then a base triangle or a chord split.
 
@@ -387,7 +382,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     and lowers U's budget rows (`_fan_colors`).  The walk had no chord, so
     every chord now has an end in U, and the scan looks only at positions
     0..|U|.  On the way back it gives v2 a color by name and, if the frame
-    wants its order, counts earlier matched neighbours over v2's closed
+    wants its whole order, counts earlier matched neighbours over v2's closed
     neighbourhood only (`_reinsertion_valid`), on the rows of N[v2] kept at
     the step (`_neighbourhood`).  `names` maps a vertex to {input color:
     name}; a vertex it lacks, or maps to None, names each color by itself.
@@ -406,39 +401,57 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     whatever v3's row says.  When piece 1 is the triangle v1 w vp, the frame colors w right after the precolored pair
     and deletes the degree-2 end of the outer walk in place: what is left is
     piece 2, which the usual split check covers.  Each frame returns its
-    piece's coloring in input colors and, if it wants one, a valid order
-    of its piece under the input cover and its own budget; it checks only
-    what it built itself, and its children have checked the rest.
+    piece's coloring in input colors and, if it wants its whole order, a
+    valid order of its piece under the input cover and its own budget; it
+    checks only what it built itself, and its children have checked the
+    rest.
 
-    `want` says whether the caller reads the returned order.  The root
-    wants it.  Piece 2 never wants it, since its split frame re-orders the
-    whole of piece 2.  Piece 1 wants its order if the frame does, or if the
-    frame must ask which chord end comes first in it; the precolored pair
+    `want` says what the caller reads of the returned order, and has three
+    values.  True: the whole order, which the root reads, and so does a
+    frame that wants True of its piece 1.  False: nothing, which is what
+    piece 2 gets, since its split frame re-orders the whole of piece 2.  A
+    tuple of watched pairs (x, y): only which vertex of each pair comes
+    first.  A split frame whose `want` is not True hands piece 1 its
+    watched pairs with both vertices in piece 1 and, if it must ask which
+    chord end comes first, the chord ends (vi, vj); the precolored pair
     heads every order, so the answer is fixed when a chord end is v1 or vp.
-    A frame that wants no order returns (coloring, None).  It builds no
-    pair graph, re-orders nothing and runs neither `_split_valid` nor
-    `_reinsertion_valid`, but it still checks that piece 2 keeps the chord
-    ends' colors.  Its output is checked above it: the nearest frame above
-    that wants its order is a split frame whose piece 2 holds this frame's
-    piece, and it re-orders and checks all of piece 2 on piece 2's pair
-    graph under its own budget.  The final check in `solve_planar_dpg52`
-    covers the whole input.  A split frame that wants its order builds
-    piece 2's pair graph once, on piece 2 as it was at the split: before
-    it yields piece 2, whose frames edit it, it copies piece 2's adjacency
-    dict and keeps the budget rows of piece 2's inner vertices, the only
-    ones those frames lower (`_inner_rows`), and it puts them back in the
-    table when piece 2 returns.  It checks that piece 2's coloring keeps
-    the chord ends' colors from piece 1, re-orders piece 2 on that pair
-    graph (`eliminate_with_prefix`), and checks the new order on the same
-    pair graph (`_split_valid`, which gives why piece 2 alone decides the
-    union).
+    An empty tuple reads nothing, as False does.
+
+    A frame that wants no order returns (coloring, None).  A frame that
+    watches pairs returns an order that starts with its precolored pair,
+    in which each watched pair's two vertices stand as in the whole order;
+    the other pairs stand in the coloring's order, which starts with the
+    precolored pair too.  Each watched pair stays exact: every pair of s1
+    comes before every inner pair of piece 2, the run's vertices are
+    placed by the same unwinding as in the whole order, a pair inside piece
+    1 is passed down, and a pair with both vertices inside piece 2, neither
+    a chord end, makes the frame re-order piece 2 as a frame that wants
+    True does.  Only there does a frame whose `want` is not True build a
+    pair graph and run `_split_valid`, and it never runs
+    `_reinsertion_valid`; every frame checks that piece 2 keeps the chord
+    ends' colors.  Such a frame's coloring is checked above it: the nearest
+    frame above that wants True is a split frame whose piece 2 holds this
+    frame's piece, and it re-orders and checks all of piece 2 on piece 2's
+    pair graph under its own budget.  The final check in
+    `solve_planar_dpg52` covers the whole input.  A split frame that
+    re-orders piece 2 builds piece 2's pair graph once, on piece 2 as it
+    was at the split: before it yields piece 2, whose frames edit it, it
+    copies piece 2's adjacency dict and keeps the budget rows of piece 2's
+    inner vertices, the only ones those frames lower (`_inner_rows`), and
+    it puts them back in the table when piece 2 returns.  It checks that
+    piece 2's coloring keeps the chord ends' colors from piece 1, re-orders
+    piece 2 on that pair graph (`eliminate_with_prefix`), and checks the
+    new order on the same pair graph (`_split_valid`, which gives why piece
+    2 alone decides the union).
 
     A suspended frame keeps its locals alive, so a frame lets go of its
     tables before it yields, and keeps of its run only the cut vertices'
-    rows and, if it wants its order, N[v2]'s rows for each fan step.  While
+    rows and, if it wants True, N[v2]'s rows for each fan step.  While
     piece 1 is solved it holds only piece 2, and while piece 2 is solved
-    only what its pair graph reads, if it wants its order.  No comprehension here reads a local: that would make the
-    local a cell, which every frame allocates, split frames included.
+    only what its pair graph reads, if it re-orders piece 2.  No
+    comprehension here reads a local: that would make the local a cell,
+    which every frame allocates, split frames included; `_watched` reads
+    the watched pairs instead.
     """
     (v1, _), (vp, _) = pre
     g, rotation, outer = pg.graph, pg.rotation, list(pg.outer)
@@ -455,7 +468,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             if fan[0] != v1 or fan[-1] != v3:
                 raise InternalInvariantViolated("fan does not run from v1 to v3")
             U = fan[1:-1]
-            seen = _neighbourhood(adj, f, v2) if want else None
+            seen = _neighbourhood(adj, f, v2) if want is True else None
             steps.append((v2, v3, p, seen, *_fan_colors(g, h, f, pre, names, v2, U, v3, p)))
             _drop(adj, rotation, v2)
             outer[1:2] = U
@@ -494,7 +507,8 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             # Piece 1 waits in a list that the yield empties, so that no name
             # of this frame keeps it alive while it is solved.
             pieces = list(_split(pieces.pop(), chord))
-            r1, s1 = yield pieces.pop(0), h, f, pre, names, want or ask
+            watch = want is True or _watched(want, pieces[0].graph.adj, ()) + ((vi, vj),) * ask
+            r1, s1 = yield pieces.pop(0), h, f, pre, names, watch
         pg2 = pieces.pop()
         # Piece 2's outer walk runs from vi to vj; it must start with
         # whichever of the two comes first in s1.
@@ -509,7 +523,8 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             pg2 = pg2.with_outer(pg2.outer[::-1])
         head = ((first, r1[first]), (second, r1[second]))
         rest = [(pg2, h, f, head, names, False)]
-        if want:  # piece 2's frames edit its tables and lower its inner rows
+        exact = want is True or _watched(want, pg2.graph.adj, (vi, vj))
+        if exact:  # piece 2's frames edit its tables and lower its inner rows
             g2 = SimpleGraph._trusted(pg2.graph.vertices, dict(pg2.graph.adj))
             inner = _inner_rows(f, g2.vertices, pg2.outer)
         del pg2
@@ -517,7 +532,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         if r2[first] != r1[first] or r2[second] != r1[second]:  # a child moved a chord end
             raise InternalInvariantViolated(_SPLIT_FAILED)
         r, order = {**r1, **r2}, None
-        if want:
+        if exact:
             f._rows.update(inner)
             pairs = induced_pair_graph(g2, h, f, r2)
             s2p = eliminate_with_prefix(pairs, head)
@@ -525,7 +540,8 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
                 raise InternalInvariantViolated("shared chord pair cannot head the order")
             if not _split_valid(pairs, r2, s2p, head):
                 raise InternalInvariantViolated(_SPLIT_FAILED)
-            order = s1 + s2p[2:]
+        if want:  # unwatched pairs in the colorings' order, which starts with their pre
+            order = (s1 or tuple(r1.items())) + (s2p if exact else tuple(r2.items()))[2:]
 
     for step in reversed(steps):
         if type(step) is dict:  # cut vertices, last cut first
@@ -540,10 +556,17 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
                 raise InternalInvariantViolated("recursive order lost its precolored prefix")
             order = (order + ((v2, t),) if case21 and p > 3 else
                      order[:2] + ((v2, t),) + order[2:])
-            if not _reinsertion_valid(seen[0], h, seen[1], r, order, v2):
-                raise InternalInvariantViolated(
-                    f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
+        if want is True and not _reinsertion_valid(seen[0], h, seen[1], r, order, v2):
+            raise InternalInvariantViolated(
+                f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
     return r, order if want else None
+
+
+def _watched(want: bool | tuple[tuple[int, int], ...], adj: dict, ends: tuple[int, ...]
+             ) -> tuple[tuple[int, int], ...]:
+    """The watched pairs of `want` (none unless it is a tuple) whose two
+    vertices are in adj and not in ends."""
+    return tuple((x, y) for x, y in want or () if x in adj and y in adj and {x, y}.isdisjoint(ends))
 
 
 def _neighbourhood(adj: dict[int, frozenset[int]], f: Budget, v: int
