@@ -51,9 +51,9 @@ def check_configuration_conditions(g: SimpleGraph, f: Budget, k: int,
     kset = set(K)
     if len(kset) != len(K):
         raise NotInduced("configuration vertices repeat")
-    unknown = kset - set(g.vertices)
+    unknown = sorted(v for v in kset if v not in g.adj)
     if unknown:
-        raise NotInduced(f"unknown vertices {sorted(unknown)}")
+        raise NotInduced(f"unknown vertices {unknown}")
     m = len(K)
     v1, vm = K[0], K[-1]
 
@@ -63,10 +63,11 @@ def check_configuration_conditions(g: SimpleGraph, f: Budget, k: int,
         return False
     if g.adj[vm] & kset != {v1, K[-2]}:
         return False
-    outside = set(g.vertices) - kset
+    # (iii) reads a neighbor's position in K, -1 outside it, so each call
+    # costs the degrees of K, not |K| times the order of g.
+    pos = {v: idx for idx, v in enumerate(K)}
     for idx in range(1, m - 1):
-        allowed = set(K[:idx]) | outside
-        if len(g.adj[K[idx]] & allowed) > k - 1:
+        if sum(pos.get(u, -1) < idx for u in g.adj[K[idx]]) > k - 1:
             return False
     return True
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BadSpec, LimitExceeded
 from .graphs import SimpleGraph
@@ -10,6 +11,27 @@ from .graphs import SimpleGraph
 MAX_CYCLE_LEN = 10
 
 CycleSet = dict[int, list[tuple[int, ...]]]
+
+
+def _closed_paths(g: SimpleGraph, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Every simple cycle of length 3..max_len, as a path from its smallest
+    vertex, once in each direction, in depth-first order.
+
+    A caller that needs each cycle once keeps the direction with
+    `path[1] < path[-1]`.  Filtering inside the walk would be slower to the
+    first cycle: from a start vertex, every path through its largest
+    neighbour closes in the other direction, so the walk would search that
+    whole subtree before it yields anything.
+    """
+    for start in g.vertices:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for nxt in sorted(g.adj[path[-1]]):
+                if nxt == start and len(path) >= 3:
+                    yield path
+                elif nxt > start and nxt not in path and len(path) < max_len:
+                    stack.append(path + (nxt,))
 
 
 def enumerate_cycles(g: SimpleGraph, max_len: int) -> CycleSet:
@@ -21,24 +43,10 @@ def enumerate_cycles(g: SimpleGraph, max_len: int) -> CycleSet:
     if max_len > MAX_CYCLE_LEN:
         raise LimitExceeded(f"cycle enumeration capped at length {MAX_CYCLE_LEN}")
     out: CycleSet = {}
-    if max_len < 3:
-        return out
-    for start in g.vertices:
-        stack: list[tuple[tuple[int, ...], set[int]]] = [((start,), {start})]
-        while stack:
-            path, used = stack.pop()
-            last = path[-1]
-            for nxt in sorted(g.adj[last]):
-                if nxt <= start:
-                    if nxt == start and len(path) >= 3 and path[1] < path[-1]:
-                        out.setdefault(len(path), []).append(path)
-                    continue
-                if nxt in used or len(path) == max_len:
-                    continue
-                stack.append((path + (nxt,), used | {nxt}))
-    for length in out:
-        out[length].sort()
-    return out
+    for path in _closed_paths(g, max_len):
+        if path[1] < path[-1]:
+            out.setdefault(len(path), []).append(path)
+    return {length: sorted(paths) for length, paths in out.items()}
 
 
 def cycle_edges(cycle: tuple[int, ...]) -> frozenset[tuple[int, int]]:
@@ -99,6 +107,6 @@ def check_family(g: SimpleGraph, spec: FamilySpec) -> bool:
                         return False
         return True
     if isinstance(spec, NoCycleLengths):
-        cs = enumerate_cycles(g, max(spec.lengths))
-        return not any(cs.get(length) for length in spec.lengths)
+        # Stops at the first cycle of a forbidden length, in either direction.
+        return not any(len(path) in spec.lengths for path in _closed_paths(g, max(spec.lengths)))
     raise BadSpec(f"unknown family spec {spec!r}")

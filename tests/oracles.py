@@ -39,6 +39,11 @@ the current code must return:
 - `token_read_graph`, `token_parse_cover`, `token_parse_budget` and
   `token_parse_coloring`, the parsers that read lines through a generator
   and convert every token by its own checked call.
+- `reference_enumerate_cycles` and `reference_no_cycle_lengths`, the
+  cycle walk that filters directions inside it and the family check that
+  lists every cycle before it reads one;
+- `reference_configuration_conditions`, the configuration conditions with
+  condition (iii) checked against the set of every vertex outside K.
 
 Besides the oracles, it holds the shapes the tests solve (`grid`, `wheel`,
 `drawn_shape` and the rest) and `input_tables`, which copies every table
@@ -644,6 +649,60 @@ def naive_cycle_lengths(g: SimpleGraph) -> set[int]:
     for s in verts:
         dfs(s, [s], {s})
     return lengths
+
+
+def reference_enumerate_cycles(g: SimpleGraph, max_len: int) -> dict[int, list[tuple[int, ...]]]:
+    """`cycles.enumerate_cycles` before its walk became a generator: the
+    direction filter sits in the walk, and every cycle is listed before any
+    is read."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    if max_len < 3:
+        return out
+    for start in g.vertices:
+        stack: list[tuple[tuple[int, ...], set[int]]] = [((start,), {start})]
+        while stack:
+            path, used = stack.pop()
+            last = path[-1]
+            for nxt in sorted(g.adj[last]):
+                if nxt <= start:
+                    if nxt == start and len(path) >= 3 and path[1] < path[-1]:
+                        out.setdefault(len(path), []).append(path)
+                    continue
+                if nxt in used or len(path) == max_len:
+                    continue
+                stack.append((path + (nxt,), used | {nxt}))
+    for length in out:
+        out[length].sort()
+    return out
+
+
+def reference_no_cycle_lengths(g: SimpleGraph, lengths) -> bool:
+    """The no-cycle-lengths check on every cycle `reference_enumerate_cycles`
+    lists up to the longest forbidden length."""
+    cs = reference_enumerate_cycles(g, max(lengths))
+    return not any(cs.get(length) for length in lengths)
+
+
+def reference_configuration_conditions(g: SimpleGraph, k: int, K) -> bool:
+    """`configurations.check_configuration_conditions` on a valid K (k >= 3,
+    at least 3 distinct vertices of g) as it was written first: condition
+    (iii) intersects each middle vertex's neighbors with the set of the
+    vertices before it in K and every vertex outside K."""
+    K = tuple(K)
+    kset = set(K)
+    v1, vm = K[0], K[-1]
+    if k - (g.degree(v1) - len(g.adj[v1] & kset)) < 3:
+        return False
+    if g.degree(vm) > k:
+        return False
+    if g.adj[vm] & kset != {v1, K[-2]}:
+        return False
+    outside = set(g.vertices) - kset
+    for idx in range(1, len(K) - 1):
+        allowed = set(K[:idx]) | outside
+        if len(g.adj[K[idx]] & allowed) > k - 1:
+            return False
+    return True
 
 
 def fan_configuration_instance(seed: int, k: int):

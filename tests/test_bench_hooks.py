@@ -216,3 +216,11 @@ def test_planar_and_solvers_stay_under_the_code_line_ceiling():
     total = sum(loc.code_lines((SRC / name).read_text(encoding="utf-8"))
                 for name in ("planar.py", "solvers.py"))
     assert total <= 673, total
+
+
+@pytest.mark.parametrize("name,ceiling", [("formats.py", 288), ("cycles.py", 68)])
+def test_module_stays_under_its_code_line_ceiling(name, ceiling):
+    """ROADMAP aim 2 holds `formats.py` (one line grammar, one error path
+    per parser) and `cycles.py` (one closed-path walk) at the code lines,
+    as `bench/loc.py` counts them, that they reached with those designs."""
+    assert _loc().code_lines((SRC / name).read_text(encoding="utf-8")) <= ceiling, name

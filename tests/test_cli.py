@@ -327,6 +327,24 @@ class TestCheckFamilyAndReduce:
                            "--family", "noadj34")
         assert (code, out.strip()) == (1, "false")
 
+    def test_no_cycle_lengths_on_a_large_triangulation_stops_at_a_witness(self, tmp_path, capsys):
+        """A stacked triangulation of 16,000 vertices has a 4-cycle through
+        vertex 0, so the check says false at the first closed walk of a
+        forbidden length, well within the child's 60 s.  Listing every
+        cycle of length <= 9 before reading one does not finish in that
+        time."""
+        code, out, _ = run(capsys, "gen", "triangulation", "--n", "16000", "--seed", "1")
+        assert code == 0
+        (tmp_path / "tri.txt").write_text(out, encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "dpfcolor.cli", "check-family",
+                               "--graph", str(tmp_path / "tri.txt"),
+                               "--family", "no-cycle-lengths", "--lengths", "4,6,7,9"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout.strip()) == (1, "false"), done.stderr
+
     def test_bad_lengths_exit_two(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text(emit_graph(complete_graph(3)), encoding="utf-8")
         code, _, err = run(capsys, "check-family", "--graph", str(tmp_path / "g.txt"),

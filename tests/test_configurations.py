@@ -1,6 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfcolor import (
     Budget,
@@ -12,7 +15,12 @@ from dpfcolor import (
 )
 from dpfcolor.errors import BadIndex, NotInduced, PreconditionViolated
 
-from oracles import fan_configuration_instance, relabel_extend_over_configuration
+from oracles import (
+    fan_configuration_instance,
+    random_graph,
+    reference_configuration_conditions,
+    relabel_extend_over_configuration,
+)
 
 
 def fan_graph(extra_v1_external=0):
@@ -90,6 +98,39 @@ class TestConditions:
             check_configuration_conditions(g, flat_budget(g, 4), 4, [0, 1, 1, 2])
         with pytest.raises(NotInduced):
             check_configuration_conditions(g, flat_budget(g, 4), 4, [0, 1, 2, 99])
+
+
+def _conditions_as_reference(g, k, K):
+    got = check_configuration_conditions(g, flat_budget(g, k), k, K)
+    assert got == reference_configuration_conditions(g, k, K), (g.edge_list(), k, K)
+    return got
+
+
+def test_conditions_match_reference_on_seeded_configurations():
+    """The position-map check of condition (iii) against the check that
+    intersects with every vertex outside K, on random graphs and orders and
+    on the seeded configurations the extension tests use."""
+    verdicts = Counter()
+    rng = random.Random("configurations/conditions")
+    for _ in range(400):
+        g = random_graph(rng.randint(3, 12), rng.choice([0.2, 0.35, 0.5]), rng)
+        K = rng.sample(g.vertices, rng.randint(3, g.n))
+        verdicts[_conditions_as_reference(g, rng.randint(3, 6), K)] += 1
+    for seed in range(10):
+        for k in (3, 4):
+            g, _, _, K, _ = fan_configuration_instance(seed, k)
+            for K2 in (K, K[::-1], K[1:] + K[:1]):
+                verdicts[_conditions_as_reference(g, k, K2)] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+
+
+@settings(max_examples=150)
+@given(n=st.integers(3, 9), data=st.data())
+def test_conditions_match_reference_on_drawn_configurations(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = SimpleGraph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    K = data.draw(st.permutations(range(n)))[:data.draw(st.integers(3, n))]
+    _conditions_as_reference(g, data.draw(st.integers(3, 7)), K)
 
 
 class TestExtension:

@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfcolor import (
     FamilyA,
@@ -22,6 +24,8 @@ from oracles import (
     grid,
     naive_cycle_lengths,
     random_graph,
+    reference_enumerate_cycles,
+    reference_no_cycle_lengths,
     thin_triangulation,
     triangulated_polygon,
     wheel,
@@ -195,3 +199,41 @@ def test_check_family_matches_networkx():
             verdicts[spec, expected] += 1
     # Every spec meets graphs on both sides.
     assert len(verdicts) == 2 * len(SPECS), verdicts
+
+
+# -- the closed-path walk against the walk that lists every cycle first --------
+
+NO_CYCLE_LENGTHS = [frozenset({4, 6, 7, 9}), frozenset({4, 6, 8, 9}), frozenset({4, 7, 8, 9})]
+
+
+def assert_as_reference(g):
+    """enumerate_cycles as `oracles.reference_enumerate_cycles` lists it,
+    dict key order included, at every length bound, and each
+    no-cycle-lengths verdict as the check that reads the whole list."""
+    for max_len in range(0, 10):
+        got = enumerate_cycles(g, max_len)
+        assert list(got.items()) == list(reference_enumerate_cycles(g, max_len).items()), (
+            g.edge_list(), max_len)
+    verdicts = [check_family(g, NoCycleLengths(ls)) for ls in NO_CYCLE_LENGTHS]
+    assert verdicts == [reference_no_cycle_lengths(g, ls) for ls in NO_CYCLE_LENGTHS], (
+        g.edge_list())
+    return verdicts
+
+
+def test_closed_path_walk_matches_reference_on_seeded_graphs():
+    verdicts = Counter()
+    for g in _oracle_graphs():
+        verdicts.update(assert_as_reference(g))
+    for seed in range(5):
+        g = gen_planar_triangulation(12 + seed, seed).graph
+        verdicts.update(assert_as_reference(g))
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@settings(max_examples=150)
+@given(n=st.integers(0, 9), data=st.data())
+def test_closed_path_walk_matches_reference_on_drawn_graphs(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    assert_as_reference(SimpleGraph(n, edges))
+

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 import sys
 
@@ -14,8 +16,10 @@ from dpfcolor import (
     gen_random_budget,
     gen_random_cover,
 )
+from dpfcolor import formats
 from dpfcolor.errors import InvalidEmbedding, ParseError
 from dpfcolor.formats import (
+    _LINES,
     _read_graph,
     emit_budget,
     emit_coloring,
@@ -509,6 +513,59 @@ def test_shuffled_match_lines_parse_as_with_token_parsers(seed):
        | format_texts("coloring"))
 def test_fuzzed_texts_parse_as_with_token_parsers(text):
     assert_same_as_token_parsers(text)
+
+
+# -- the line grammar ---------------------------------------------------------
+
+# Each directive's file kind (a key of PARSER_PAIRS) and that kind's header.
+KINDS = {"graph": "graph", "edge": "graph", "rot": "plane", "outer": "plane",
+         "cover": "cover", "list": "cover", "match": "cover",
+         "budget": "budget", "f": "budget", "color": "coloring"}
+HEADER_LINES = {"graph": "graph 4\n", "plane": "graph 4\n", "cover": "cover 3\n",
+                "budget": "budget 3 2\n", "coloring": ""}
+
+
+def _grammar_lines(directive):
+    """(line, message prefix) for the line one field short, one field long
+    (fixed counts only), with a bad first field and with a bad last field."""
+    form, count, names = _LINES[directive]
+    listed = form.endswith("...>")
+    fields = ["1"] * (count - 1) + (["1", "1"] if listed else [])
+    lines = []
+    if count > 1:
+        lines.append((" ".join([directive] + fields[:count - 2]), f"expected: {form}"))
+    if not listed:
+        lines.append((" ".join([directive] + fields + ["1"]), f"expected: {form}"))
+    lines.append((" ".join([directive, "x"] + fields[1:]), f"{names[0]} must be an integer"))
+    lines.append((" ".join([directive] + fields[:-1] + ["y"]), f"{names[-1]} must be an integer"))
+    return lines
+
+
+@pytest.mark.parametrize("directive", sorted(_LINES))
+def test_every_directive_reports_its_grammar_faults_as_the_token_parsers(directive):
+    kind = KINDS[directive]
+    parse, reference, tables = PARSER_PAIRS[kind]
+    header = "" if directive in ("graph", "cover", "budget") else HEADER_LINES[kind]
+    for line, message in _grammar_lines(directive):
+        text = header + line + "\n"
+        outcome = _outcome(parse, tables, text)
+        assert outcome == _outcome(reference, tables, text), text
+        assert outcome[:2] == ("error", text.count("\n")), text
+        assert outcome[2].startswith(f"line {outcome[1]}: {message}"), (text, outcome)
+
+
+def test_grammar_table_names_exactly_the_directives_the_parsers_read():
+    """The strings the parsers compare a line's first token with are the
+    keys of `_LINES`, and each file kind's parser reads its own."""
+    compared = set()
+    for node in ast.walk(ast.parse(inspect.getsource(formats))):
+        if isinstance(node, ast.Compare) and ast.unparse(node.left) in ("d", "toks[0]"):
+            compared.update(c.value for c in node.comparators if isinstance(c, ast.Constant))
+    assert compared == set(_LINES) == set(KINDS)
+    for directive, kind in KINDS.items():
+        parse, _, tables = PARSER_PAIRS[kind]
+        outcome = _outcome(parse, tables, HEADER_LINES[kind] + directive + " x\n")
+        assert "unknown directive" not in outcome[-1], (directive, outcome)
 
 
 # -- round trips of whatever parses -------------------------------------------
