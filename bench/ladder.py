@@ -10,7 +10,11 @@ Python process builds the instance, runs `solve_planar_dpg52` and
 "solve").  A solve case also records `pair_vertices_per_n`: the vertices
 of the pair graphs that the solver's chord-split frames build, counted
 through `dpfcolor.solvers.induced_pair_graph` with the final check on the
-whole input left out, per input vertex.  Three more
+whole input left out, per input vertex.  It records `split_rows_per_n`
+too: the adjacency rows of the piece dicts that the solver's chord splits
+build or copy, counted through `dpfcolor.solvers._split` as the size of
+each returned piece's adjacency dict, except a piece whose dict is the
+one the split was handed, per input vertex.  Three more
 rungs run on stacked triangulations of n = 4000, 16000 and 64000.  Two
 time verification alone with a valid coloring: `verify_coloring` on the
 objects (op "verify"), and `dpfcolor verify --json` run in-process through
@@ -60,7 +64,7 @@ The results go to `BENCH_<label>.json` next to this script:
 
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
      vertices, seed, total_ms, scaled_ms, gen2_collections, peak_rss_mb}
-     (op "solve" adds pair_vertices_per_n; ops "exact" and "exact_path"
+     (op "solve" adds pair_vertices_per_n and split_rows_per_n; ops "exact" and "exact_path"
      add nodes, backtracks and nodes_per_s)
      or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent},
@@ -185,25 +189,33 @@ class Span:
 
 def solve(dp, pg, h, f) -> Span:
     """Solve and verify; the pair graphs built on the split frames' pieces
-    are counted on the span, the final check's on the whole input not."""
+    are counted on the span, the final check's on the whole input not, and
+    so are the adjacency rows of the pieces that the splits build or copy."""
     from dpfcolor import solvers
 
-    build, built = solvers.induced_pair_graph, [0]
+    build, split, built, rows = solvers.induced_pair_graph, solvers._split, [0], [0]
 
     def counted(g, *rest):
         if g is not pg.graph:
             built[0] += g.n
         return build(g, *rest)
 
-    solvers.induced_pair_graph = counted
+    def counted_split(piece, chord):
+        handed = piece.graph.adj
+        parts = split(piece, chord)
+        rows[0] += sum(len(part.graph.adj) for part in parts if part.graph.adj is not handed)
+        return parts
+
+    solvers.induced_pair_graph, solvers._split = counted, counted_split
     try:
         with Span() as span:
             coloring, _ = dp.solve_planar_dpg52(pg, h, f)
             if dp.verify_coloring(pg.graph, h, f, coloring) is None:
                 raise AssertionError("solver output failed verification")
     finally:
-        solvers.induced_pair_graph = build
-    span.counters = {"pair_vertices_per_n": round(built[0] / pg.n, 2)}
+        solvers.induced_pair_graph, solvers._split = build, split
+    span.counters = {"pair_vertices_per_n": round(built[0] / pg.n, 2),
+                     "split_rows_per_n": round(rows[0] / pg.n, 2)}
     return span
 
 
@@ -361,7 +373,9 @@ def describe_gc(case: dict) -> str:
 
 def describe_counters(case: dict) -> str:
     if "pair_vertices_per_n" in case:
-        return f"pair graphs {case['pair_vertices_per_n']}·n"
+        rows = case.get("split_rows_per_n")
+        return (f"pair graphs {case['pair_vertices_per_n']}·n"
+                + ("" if rows is None else f", split rows {rows}·n"))
     if "nodes" not in case:
         return ""
     return f"{case['nodes']} nodes {case['backtracks']} backtracks {case['nodes_per_s']}/s"

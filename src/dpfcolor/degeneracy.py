@@ -61,11 +61,11 @@ def _eliminate(pg: PairGraph, rng: random.Random | None = None,
     consumes the same random numbers as choosing from the sorted list of
     candidates.
     """
-    budgets, adj = pg.budgets, pg.adj
+    budgets, adj, n = pg.budgets, pg.adj, pg.n
     deg = [len(a) for a in adj]
     ready: list[int] = []
     ready_prefix: list[int] = []
-    for i in range(pg.n):  # ascending, so both pools start as valid heaps
+    for i in range(n):  # ascending, so both pools start as valid heaps
         if deg[i] < budgets[i]:
             (ready_prefix if i in prefix else ready).append(i)
     if rng is None:
@@ -75,9 +75,9 @@ def _eliminate(pg: PairGraph, rng: random.Random | None = None,
 
         def pop(pool: list[int]) -> int:
             return pool.pop(rng.choice(range(len(pool))))
-    rest = pg.n - len(prefix)
+    rest = n - len(prefix)
     removed: list[int] = []
-    while len(removed) < pg.n:
+    while len(removed) < n:
         pool = ready if rest else ready_prefix
         if not pool:
             return None

@@ -105,6 +105,20 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
+class _OwnedGraph(SimpleGraph):
+    """A graph on an adjacency dict that its one owner edits in place, by
+    deleting keys and replacing rows, so the keys stay in vertex order.
+    The vertex tuple is read off the keys at each access: it is never
+    stale, and a graph whose vertices nothing reads never builds it."""
+
+    __slots__ = ()
+    vertices = property(lambda self: tuple(self.adj))
+    n = property(lambda self: len(self.adj))
+
+    def __init__(self, adj: dict[int, frozenset[int]]):
+        self.adj = adj
+
+
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

@@ -9,12 +9,16 @@ The planar recursion's pieces rebuild only the rows of vertices that lose
 a neighbour and share the rest with the parent.  A chord split (`_split`)
 rebuilds only the chord's two ends: the chord and the two outer arcs bound
 two closed sub-disks, and an edge from one sub-disk's inside to the
-other's would have to cross the chord or the outer face.  It searches the
-two insides in lockstep and stops when the smaller is exhausted, builds
-that piece's dicts from its own vertices in sorted order (`_piece`), and
-the larger piece's by one C-level copy of the parent's dicts less the
-smaller piece's vertices off the chord.  So a split costs the smaller
-piece's size in Python, besides that copy.
+other's would have to cross the chord or the outer face.  When every
+vertex lies on the outer walk, each side is its arc and the shorter arc
+gives the smaller piece; otherwise it searches the two insides in
+lockstep and stops when the smaller is exhausted.  It builds the smaller
+piece's dicts from its own vertices in sorted order (`_piece`), and edits
+the parent's dicts, which its caller owns, into the larger piece: it
+deletes the smaller piece's vertices off the chord.  So a split costs the
+smaller piece's size, and copies nothing of the larger.  The pieces'
+graphs (`graphs._OwnedGraph`) read their vertex tuple off the adjacency
+dict when something asks for it, so no split builds one.
 
 Between splits the solver edits a piece's own tables in place.  A fan
 step deletes its pivot with `_drop`, which rebuilds only the pivot's
@@ -45,7 +49,7 @@ from .errors import (
     NotOnOuterCycle,
     NotTwoConnected,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _OwnedGraph
 
 
 class PlaneGraph:
@@ -85,7 +89,8 @@ class PlaneGraph:
         graph.adj[v] for every vertex, keyed in vertex order.  Tables may
         be shared, so none is mutated, but by the planar solver's frames:
         each edits the dicts of the piece it owns, which no other object
-        holds, and replaces rows without mutating them."""
+        holds, and replaces rows without mutating them, and `_split`
+        edits a frame's dicts into the larger of its pieces."""
         pg = cls.__new__(cls)
         pg.graph, pg.rotation, pg.outer = graph, rotation, outer
         return pg
@@ -344,6 +349,8 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
 
     The parts keep original vertex ids; they share exactly the chord edge
     and its endpoints, and their vertex sets union to the whole graph.
+    pg is left as it was: `_split` edits the two dicts it is handed into
+    the larger part, so it is handed copies.
     """
     outer = pg.outer
     p = len(outer)
@@ -356,19 +363,23 @@ def split_on_chord(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, 
     faces(pg)  # _split holds only for a valid embedding
     if len(set(outer)) != p:
         raise NotAChord(f"({a},{b}) does not separate two bounded regions")
-    return _split(pg, chord)
+    return _split(PlaneGraph._trusted(_OwnedGraph(dict(pg.graph.adj)), dict(pg.rotation), outer),
+                  chord)
 
 
 def _split(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGraph]:
     """split_on_chord without its checks, for a valid embedding whose outer
-    cycle is simple and a chord given by valid positions.  Piece 2's outer
-    walk runs from outer[i] to outer[j].
+    cycle is simple and a chord given by valid positions, on tables the
+    caller owns: pg's two dicts are edited in place into the larger piece.
+    Piece 2's outer walk runs from outer[i] to outer[j].
 
-    The insides of the two sub-disks are searched in lockstep, one vertex
-    per side per turn, until one side is exhausted (Even and Shiloach, "An
-    on-line edge-deletion problem", J. ACM 28(1), 1981), so the search
-    reads O(rows of the smaller piece).  Side 1's search starts from its
-    arc's inner vertices outer[j + 1:] + outer[:i], side 2's from
+    When every vertex lies on the outer walk, each side is exactly its arc,
+    and the shorter arc's side is the smaller piece.  Otherwise the insides
+    of the two sub-disks are searched in lockstep, one vertex per side per
+    turn, until one side is exhausted (Even and Shiloach, "An on-line
+    edge-deletion problem", J. ACM 28(1), 1981), so the search reads
+    O(rows of the smaller piece).  Side 1's search starts from its arc's
+    inner vertices outer[j + 1:] + outer[:i], side 2's from
     outer[i + 1:j], and neither enters the outer walk.  Each chord end's
     inner neighbours seed the two searches too, split by its rotation read
     from the other end round: those before the first of its two outer
@@ -376,72 +387,76 @@ def _split(pg: PlaneGraph, chord: tuple[int, int]) -> tuple[PlaneGraph, PlaneGra
     other's.  These seeds reach inner vertices that touch no arc vertex,
     which a plane graph that is not a near-triangulation may have.
 
-    The exhausted side's piece is built fresh by `_piece`.  The other piece
-    is one C-level copy of pg's two dicts less the first piece's vertices
-    off the chord, with only the chord ends' rows rebuilt, since no other
-    vertex of it has a neighbour in the first.  Both pieces equal what
-    `_piece` builds from each side, dict key order included, since pg's
-    dicts are keyed in vertex order.
+    The smaller piece is built fresh by `_piece`, from pg's rows before
+    they are deleted.  Then pg's dicts lose that piece's vertices off the
+    chord and have only the chord ends' rows rebuilt, since no other
+    vertex of the larger piece has a neighbour in the smaller: they are
+    the larger piece.  So a split costs the smaller piece's size, and no
+    copy of the parent.  Both pieces equal what `_piece` builds from each
+    side, dict key order included, since pg's dicts are keyed in vertex
+    order and deleting keys keeps the order of the rest.
     """
-    outer, adj0, rot0 = pg.outer, pg.graph.adj, pg.rotation
+    outer, adj, rotation = pg.outer, pg.graph.adj, pg.rotation
     i, j = chord
     ends = a, b = outer[i], outer[j]
     walks = (outer[:i + 1] + outer[j:], outer[i:j + 1])
     arcs = (outer[j + 1:] + outer[:i], outer[i + 1:j])
-    work, found, seen = (list(arcs[0]), list(arcs[1])), ([], []), set(outer)
-    # Index 0 is side 1 and index 1 side 2.  Each arc starts and ends next
-    # to the chord ends: a's outer neighbours are arcs[0][-1] on side 1 and
-    # arcs[1][0] on side 2, b's are arcs[0][0] and arcs[1][-1].
-    for x, y, one, two in ((a, b, arcs[0][-1], arcs[1][0]), (b, a, arcs[0][0], arcs[1][-1])):
-        k = rot0[x].index(y)
-        turn = rot0[x][k + 1:] + rot0[x][:k]
-        m = min(turn.index(one), turn.index(two))
-        for s, seeds in ((turn[m] == two, turn[:m]), (turn[m] == one, turn[m + 2:])):
-            fresh = [w for w in seeds if w not in seen]
-            seen.update(fresh)
-            found[s].extend(fresh)
-            work[s].extend(fresh)
-    while work[0] and work[1]:
-        for stack, got in zip(work, found):
-            for w in adj0[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    got.append(w)
-                    stack.append(w)
-    s = 0 if not work[0] else 1
+    if len(adj) == len(outer):  # no inner vertex: each side is its arc
+        s, found = int(len(arcs[1]) < len(arcs[0])), ([], [])
+    else:
+        work, found, seen = (list(arcs[0]), list(arcs[1])), ([], []), set(outer)
+        # Index 0 is side 1 and index 1 side 2.  Each arc starts and ends next
+        # to the chord ends: a's outer neighbours are arcs[0][-1] on side 1 and
+        # arcs[1][0] on side 2, b's are arcs[0][0] and arcs[1][-1].
+        for x, y, one, two in ((a, b, arcs[0][-1], arcs[1][0]), (b, a, arcs[0][0], arcs[1][-1])):
+            k = rotation[x].index(y)
+            turn = rotation[x][k + 1:] + rotation[x][:k]
+            m = min(turn.index(one), turn.index(two))
+            for s, seeds in ((turn[m] == two, turn[:m]), (turn[m] == one, turn[m + 2:])):
+                fresh = [w for w in seeds if w not in seen]
+                seen.update(fresh)
+                found[s].extend(fresh)
+                work[s].extend(fresh)
+        while work[0] and work[1]:
+            for stack, got in zip(work, found):
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        got.append(w)
+                        stack.append(w)
+        s = 0 if not work[0] else 1
     gone = set(found[s]).union(arcs[s])
-    adj, rotation = dict(adj0), dict(rot0)
+    pieces = [_piece(pg, gone.union(ends), walks[s], ends),
+              PlaneGraph._trusted(_OwnedGraph(adj), rotation, walks[1 - s])]
     for v in gone:
         del adj[v], rotation[v]
     for v in ends:
         adj[v] = adj[v] - gone
         rotation[v] = tuple(filterfalse(gone.__contains__, rotation[v]))
-    pieces = [_piece(pg, gone.union(ends), walks[s], ends),
-              PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, walks[1 - s])]
     return pieces[s], pieces[1 - s]
 
 
 def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
            cut: Iterable[int]) -> PlaneGraph:
-    """The plane graph induced on `keep`, with the given outer walk.
+    """The plane graph induced on `keep`, with the given outer walk, on
+    fresh dicts that the caller owns.
 
     `cut` must hold every kept vertex with a neighbour outside `keep`:
     only those rows are rebuilt, and every other adjacency and rotation
     row is shared with pg.  The dicts are built from `keep` alone, in
     sorted order, as a SimpleGraph's vertices are, so a piece costs its own
-    size, not its parent's.  Dropping vertices keeps the induced rotations
-    a plane embedding.  `_split` builds its smaller piece so, cut at the
-    chord's two ends, since the chord and the outer arcs bound two closed
-    sub-disks that no other edge joins; deleting a vertex cuts at its
-    neighbours.
+    size, not its parent's, and builds no vertex tuple (`_OwnedGraph`).
+    Dropping vertices keeps the induced rotations a plane embedding.
+    `_split` builds its smaller piece so, cut at the chord's two ends,
+    since the chord and the outer arcs bound two closed sub-disks that no
+    other edge joins; deleting a vertex cuts at its neighbours.
     """
     adj0, rot0, verts = pg.graph.adj, pg.rotation, sorted(keep)
-    adj = {v: adj0[v] for v in verts}
-    rotation = {v: rot0[v] for v in verts}
+    adj, rotation = {v: adj0[v] for v in verts}, {v: rot0[v] for v in verts}
     for v in cut:
         adj[v] = adj[v] & keep
         rotation[v] = tuple(filter(keep.__contains__, rotation[v]))
-    return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, tuple(outer))
+    return PlaneGraph._trusted(_OwnedGraph(adj), rotation, tuple(outer))
 
 
 def _drop(adj: dict[int, frozenset[int]], rotation: dict[int, tuple[int, ...]],

@@ -18,7 +18,11 @@ wait on an explicit work stack, so its depth costs heap, not Python stack.
 The solve copies the caller's tables once, and each frame owns its piece
 and edits it in place: it cuts off a whole run of bare triangles and
 takes every fan step on its own tables, and yields only at a chord split,
-whose pieces its children own.  A fan step renames colors in the solve's
+whose pieces its children own.  The split edits the frame's tables into
+the larger piece and builds only the smaller one fresh, and no piece's
+graph holds a vertex tuple until something reads it (`_OwnedGraph`): a
+split frame builds piece 2's, from the copy of piece 2's adjacency it
+keeps for piece 2's pair graph.  A fan step renames colors in the solve's
 one table of names, not in the cover, and lowers budgets in its one
 budget table; it replaces only the fan neighbours' rows, the name rows
 read off their matchings with the pivot.  A chord split builds piece 2's
@@ -74,7 +78,7 @@ from .errors import (
     NotTwoConnected,
     TheoremViolation,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _OwnedGraph
 from .planar import (
     PlaneGraph,
     _chord_from,
@@ -330,8 +334,7 @@ def _extend(pg: PlaneGraph, h: Cover, f: Budget,
     pg's two dicts and f's table of rows are copied here once, at C level,
     and pg, h and f stay as they are.
     """
-    stack = [_step(PlaneGraph._trusted(SimpleGraph._trusted(pg.graph.vertices, dict(pg.graph.adj)),
-                                       dict(pg.rotation), pg.outer),
+    stack = [_step(PlaneGraph._trusted(_OwnedGraph(dict(pg.graph.adj)), dict(pg.rotation), pg.outer),
                    h, Budget._trusted(f.s, f.cap, dict(f._rows)), pre, {}, True)]
     solved = None
     while stack:
@@ -354,6 +357,10 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
 
     The frame owns pg's adjacency and rotation dicts and edits them in
     place, on an outer walk it keeps as a list; no other frame reads them.
+    At a chord split it hands them on, and `_split` edits them into the
+    larger piece, so the child that solves that piece owns them next.
+    pg's graph reads its vertex tuple off the adjacency dict on demand
+    (`_OwnedGraph`), so it is never stale and the frame builds none.
     f's table of rows and the name table `names` are the solve's own, one
     of each, and every frame edits them in place: a fan step replaces the
     rows of its pivot's neighbours, and no other vertex's.  A vertex's
@@ -436,9 +443,10 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     `solve_planar_dpg52` covers the whole input.  A split frame that
     re-orders piece 2 builds piece 2's pair graph once, on piece 2 as it
     was at the split: before it yields piece 2, whose frames edit it, it
-    copies piece 2's adjacency dict and keeps the budget rows of piece 2's
-    inner vertices, the only ones those frames lower (`_inner_rows`), and
-    it puts them back in the table when piece 2 returns.  It checks that
+    copies piece 2's adjacency dict, with the vertex tuple the pair graph
+    numbers its pairs by, and keeps the budget rows of piece 2's inner
+    vertices, the only ones those frames lower (`_inner_rows`), and it
+    puts them back in the table when piece 2 returns.  It checks that
     piece 2's coloring keeps the chord ends' colors from piece 1, re-orders
     piece 2 on that pair graph (`eliminate_with_prefix`), and checks the
     new order on the same pair graph (`_split_valid`, which gives why piece
@@ -501,7 +509,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         if ear is not None:
             r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi, names)
             _drop(adj, rotation, outer.pop(ear))
-        pieces = [PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), rotation, tuple(outer))]
+        pieces = [PlaneGraph._trusted(g, rotation, tuple(outer))]
         del pg, g, adj, rotation, outer, on_outer
         if ear is None:
             # Piece 1 waits in a list that the yield empties, so that no name
@@ -545,8 +553,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
 
     for step in reversed(steps):
         if type(step) is dict:  # cut vertices, last cut first
-            colored = _color_greedily(SimpleGraph._trusted(tuple(step), step), h, f, r,
-                                      reversed(step), names)
+            colored = _color_greedily(_OwnedGraph(step), h, f, r, reversed(step), names)
             order = order + colored if want else None
             continue
         v2, v3, p, seen, case21, one, two, one3 = step

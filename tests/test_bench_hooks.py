@@ -120,7 +120,8 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     """Every ladder figure comes from `bench/ladder.py`.  Run each of its ops
     at a tiny size in this process, fit the growth over every rung and up
     to a largest one, and print the change between two results, with and
-    without the calibrated times and the solve's pair-graph count."""
+    without the calibrated times and the solve's pair-graph and split-row
+    counts."""
     monkeypatch.setattr(sys, "path", [str(ROOT), *sys.path])  # ladder.py imports perfbench
     spec = importlib.util.spec_from_file_location("bench_ladder", ROOT / "bench" / "ladder.py")
     ladder = importlib.util.module_from_spec(spec)
@@ -137,7 +138,9 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     assert (cases[-1]["nodes"], cases[-1]["backtracks"]) == (30, 0)
     # a stacked triangulation of 30 vertices splits on chords below its root
     assert 0 < cases[0]["pair_vertices_per_n"] < 30, cases[0]
-    assert all("pair_vertices_per_n" not in c for c in cases[1:])
+    # ... and builds pieces at those splits
+    assert 0 < cases[0]["split_rows_per_n"] < 30, cases[0]
+    assert all("pair_vertices_per_n" not in c and "split_rows_per_n" not in c for c in cases[1:])
     growth, rss_growth = ladder.fits(cases * 2)
     assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.STACKED_OPS,
                                               "exact", "exact_path"}
@@ -147,18 +150,25 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
            "rss_growth": rss_growth,
            "growth_to_8k": {shape: growth[shape] for shape in ladder.SHAPES},
            "rss_growth_to_8k": {shape: rss_growth[shape] for shape in ladder.SHAPES}}
-    # a file from before the calibration and the pair-graph count
+    # a file from before the calibration and the pair-graph count, and one
+    # from before the split-row count
     old = {"label": "old", "commit": "a", "growth": {},
-           "cases": [{k: v for k, v in c.items() if k not in ("scaled_ms", "pair_vertices_per_n")}
+           "cases": [{k: v for k, v in c.items()
+                      if k not in ("scaled_ms", "pair_vertices_per_n", "split_rows_per_n")}
                      for c in cases]}
+    older = {**new, "cases": [{k: v for k, v in c.items() if k != "split_rows_per_n"}
+                              for c in cases]}
     ladder.print_delta(new, new)
     ladder.print_delta(old, new)
+    ladder.print_delta(older, new)
     out = capsys.readouterr().out
-    assert out.count("of the scaled time") == len(cases), out
+    assert out.count("of the scaled time") == 2 * len(cases), out
     assert out.count("of the total time") == len(cases), out
     pairs = f"pair graphs {cases[0]['pair_vertices_per_n']}·n"
-    assert out.count(f"{pairs} -> {pairs}") == 1 and out.count(f"? -> {pairs}") == 1, out
-    assert out.count("growth to 8k") == 2 * len(ladder.SHAPES), out
+    counters = f"{pairs}, split rows {cases[0]['split_rows_per_n']}·n"
+    assert out.count(f"{counters} -> {counters}") == 1, out
+    assert out.count(f"? -> {counters}") == 1 and out.count(f"{pairs} -> {counters}") == 1, out
+    assert out.count("growth to 8k") == 3 * len(ladder.SHAPES), out
 
 
 _LOC_SAMPLE = '''"""Module docstring,

@@ -312,7 +312,8 @@ class TestTrustedPathsMatchValidatingConstructors:
         lose a neighbour: the chord ends of a split, and the deleted
         vertex's neighbours of a fan step, of an end of the outer walk cut
         off with piece 1 of a split, and of a run of bare triangles cut off
-        at one hub.  A frame edits its own tables in place, so each edit is
+        at one hub.  A frame edits its own tables in place, a split too,
+        whose larger piece is the frame's own dicts, so each edit is
         checked against a copy of the tables taken just before it; a run
         leaves what deleting its vertices one at a time leaves.  The
         caller's tables are unchanged after every solve."""
@@ -326,11 +327,16 @@ class TestTrustedPathsMatchValidatingConstructors:
                                        dict(rotation), tuple(outer))
 
         def checked_split(pg, chord):
+            adj, rotation, before = pg.graph.adj, pg.rotation, tables(pg.graph.adj, pg.rotation)
             parts = split(pg, chord)
             seen["split"] += 1
             for part in parts:
-                _assert_restriction(pg, part)
-                _assert_shares_rows(pg, part, (pg.outer[chord[0]], pg.outer[chord[1]]))
+                _assert_restriction(before, part)
+                _assert_shares_rows(before, part, (pg.outer[chord[0]], pg.outer[chord[1]]))
+            # The frame's own dicts become the larger piece; the smaller one is fresh.
+            small, large = sorted(parts, key=lambda part: part.graph.adj is adj)
+            assert large.graph.adj is adj and large.rotation is rotation and small.n <= large.n
+            assert small.graph.adj is not adj and small.rotation is not rotation
             return parts
 
         def checked_drop(adj, rotation, x, *rest):

@@ -1,6 +1,7 @@
 import pytest
 
 from dpfcolor import SimpleGraph, complete_graph, cycle_graph, path_graph
+from dpfcolor.graphs import _OwnedGraph
 
 
 def test_basic_invariants():
@@ -47,3 +48,17 @@ def test_factories():
 def test_equality():
     assert SimpleGraph(3, [(0, 1)]) == SimpleGraph(3, [(1, 0)])
     assert SimpleGraph(3, [(0, 1)]) != SimpleGraph(3, [(0, 2)])
+
+
+def test_owned_graph_reads_its_vertices_off_its_dict():
+    """A graph on a dict that its owner edits in place: its vertices and n
+    follow the dict's keys, so they are never stale, and it equals the
+    SimpleGraph on the same tables."""
+    g = cycle_graph(5)
+    adj = dict(g.adj)
+    owned = _OwnedGraph(adj)
+    assert owned == g and owned.vertices == g.vertices and owned.n == 5
+    del adj[2]
+    adj[1], adj[3] = adj[1] - {2}, adj[3] - {2}
+    assert type(owned.vertices) is tuple and owned.vertices == (0, 1, 3, 4) and owned.n == 4
+    assert owned == g.delete(2) and owned.m == 3

@@ -24,6 +24,7 @@ from dpfcolor.errors import (
     NotOnOuterCycle,
     NotTwoConnected,
 )
+from dpfcolor.graphs import _OwnedGraph
 from dpfcolor.planar import _split, is_two_connected, trace_faces
 
 from strategies import SHAPE_KINDS
@@ -305,6 +306,23 @@ def _plane_tables(pg):
     return pg.graph.vertices, pg.graph.edges, pg.graph.adj, pg.rotation, pg.outer
 
 
+class CountingRows(dict):
+    """An adjacency dict that counts its `__getitem__` calls, which a
+    C-level `dict(rows)` copy does not make."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return dict.__getitem__(self, v)
+
+
+def _owned(pg, rows=dict):
+    """pg on copies of its two dicts, the adjacency one of type `rows`,
+    which `_split` may edit in place."""
+    return PlaneGraph._trusted(_OwnedGraph(rows(pg.graph.adj)), dict(pg.rotation), pg.outer)
+
+
 def _outer_chords(pg):
     outer = pg.outer
     p = len(outer)
@@ -333,7 +351,8 @@ class TestSideSearchMatchesFaceFlood:
                                                      for part in flood_split_on_chord(q, chord)])
                         assert got == expected, (outer, chord)
                         if isinstance(got, list):  # the solver's unchecked core agrees
-                            assert got == [_plane_tables(part) for part in _split(q, chord)]
+                            assert got == [_plane_tables(part)
+                                           for part in _split(_owned(q), chord)]
                         seen[isinstance(got, list), len(set(outer)) == p] += 1
         # A chord splits exactly when the outer walk is a simple cycle.
         assert set(seen) == {(True, True), (False, False)}, seen
@@ -355,16 +374,36 @@ def _keyed_tables(pg):
 
 
 class TestSplitSearchesTheSmallerSide:
-    """`_split` searches the two sub-disks in lockstep, builds the piece of
-    the side exhausted first by `_piece` and the other from a copy of the
-    parent's dicts.  The split it replaced (`oracles.side_split`: one side
-    searched, both pieces built by `_piece`) is the reference, on every
-    table and on the key order of both dicts, and the parent's tables stay
-    as they were."""
+    """`_split` edits the two dicts it is handed into the larger piece and
+    builds only the smaller piece, by `_piece`: with no search when every
+    vertex lies on the outer walk, and otherwise after a lockstep search of
+    the two sub-disks.  The split it replaced (`oracles.side_split`: one
+    side searched, both pieces built fresh by `_piece`) is the reference,
+    on the untouched original, on every table and on the key order of both
+    dicts.  Each split reads at most 4 parent rows per vertex of its
+    smaller piece, and a split of a piece with no vertex off its outer walk
+    at most one per vertex of its smaller piece, plus the chord ends'."""
 
     @staticmethod
-    def _check_every_chord(pg, walks):
-        """Split on every chord of each simple walk, both ways round."""
+    def _check_split(q, chord):
+        """Split an owned copy of q's tables on the chord, check where its
+        pieces live and how many parent rows it read, and return the pieces
+        and that count."""
+        owned = _owned(q, CountingRows)
+        adj, rotation = owned.graph.adj, owned.rotation
+        pieces = _split(owned, chord)
+        small, large = sorted(pieces, key=lambda part: part.graph.adj is adj)
+        assert large.graph.adj is adj and large.rotation is rotation
+        assert small.graph.adj is not adj and small.rotation is not rotation
+        assert small.n <= large.n
+        assert adj.reads <= 4 * small.n, (q.outer, chord, adj.reads)
+        if q.n == len(q.outer):
+            assert adj.reads <= small.n + 2, (q.outer, chord, adj.reads)
+        return pieces, adj.reads
+
+    def _check_every_chord(self, pg, walks):
+        """Split on every chord of each simple walk, both ways round; the
+        parent's tables stay as they were."""
         splits = 0
         for walk in walks:
             if len(set(walk)) != len(walk):
@@ -373,9 +412,9 @@ class TestSplitSearchesTheSmallerSide:
                 q = pg.with_outer(outer)
                 before = _keyed_tables(q)
                 for chord in _outer_chords(q):
-                    got = [_keyed_tables(part) for part in _split(q, chord)]
-                    assert got == [_keyed_tables(part) for part in side_split(q, chord)], \
-                        (outer, chord)
+                    pieces, _ = self._check_split(q, chord)
+                    assert [_keyed_tables(part) for part in pieces] == \
+                        [_keyed_tables(part) for part in side_split(q, chord)], (outer, chord)
                     assert _keyed_tables(q) == before
                     splits += 1
         return splits
@@ -389,28 +428,18 @@ class TestSplitSearchesTheSmallerSide:
         self._check_every_chord(pg, [data.draw(st.sampled_from(trace_faces(pg)))])
 
     def test_reads_rows_of_the_smaller_piece_only(self):
-        """On a triangulated 2000-gon, every chord split reads at most 4
-        adjacency rows of the parent per vertex of its smaller piece.  The
-        rows are counted by a dict that counts `__getitem__`, which a
-        C-level `dict(rows)` copy does not call."""
-
-        class CountingRows(dict):
-            reads = 0
-
-            def __getitem__(self, v):
-                self.reads += 1
-                return dict.__getitem__(self, v)
-
+        """On a triangulated 2000-gon, where no piece has a vertex off its
+        outer walk, every chord split reads at most one adjacency row of the
+        parent per vertex of its smaller piece plus the two chord ends', so
+        at most 4 per vertex of its smaller piece."""
         pg = triangulated_polygon(2000, random.Random("smaller-side"))
-        rows = CountingRows(pg.graph.adj)
-        q = PlaneGraph._trusted(SimpleGraph._trusted(pg.graph.vertices, rows), pg.rotation,
-                                pg.outer)
         worst = 0.0
-        for i, x in enumerate(q.outer):  # on this polygon, outer[k] == k
+        for i, x in enumerate(pg.outer):  # on this polygon, outer[k] == k
             for j in sorted(w for w in pg.graph.adj[x] if w > i + 1 and (i, w) != (0, 1999)):
-                rows.reads = 0
-                pieces = _split(q, (i, j))
-                worst = max(worst, rows.reads / min(part.n for part in pieces))
+                pieces, reads = self._check_split(pg, (i, j))
+                small = min(part.n for part in pieces)
+                assert reads <= small + 2, (i, j, reads)
+                worst = max(worst, reads / small)
         assert 0 < worst <= 4, worst
 
 
@@ -470,7 +499,7 @@ def test_split_pieces_are_plane_graphs_by_networkx():
             for outer in (walk, walk[::-1]):
                 q = pg.with_outer(outer)
                 for chord in _outer_chords(q):
-                    for part in (*split_on_chord(q, chord), *_split(q, chord)):
+                    for part in (*split_on_chord(q, chord), *_split(_owned(q), chord)):
                         nxg = nx.Graph(part.graph.edge_list())
                         assert nx.check_planarity(nxg)[0], (outer, chord)
                         emb = nx.PlanarEmbedding()
@@ -513,6 +542,28 @@ def test_split_on_chord_keeps_its_checks():
                         split_on_chord(pg.with_outer(walk), chord)
                     rejected += 1
     assert rejected > 0
+
+
+def test_split_on_chord_keeps_its_input():
+    """`_split` edits the tables it is handed into the larger piece, so
+    `split_on_chord` hands it copies: after a split on every chord of every
+    simple face walk of the seeded shapes, the caller's adjacency and
+    rotation dicts are the same objects, with the same rows in the same key
+    order."""
+    splits = 0
+    for pg in _chord_shapes():
+        adj, rotation = pg.graph.adj, pg.rotation
+        before = list(adj.items()), list(rotation.items())
+        for walk in trace_faces(pg):
+            if len(set(walk)) != len(walk):
+                continue
+            q = pg.with_outer(walk)
+            for chord in _outer_chords(q):
+                split_on_chord(q, chord)
+                assert q.graph.adj is adj and q.rotation is rotation
+                assert (list(adj.items()), list(rotation.items())) == before, (walk, chord)
+                splits += 1
+    assert splits > 450, splits
 
 
 class TestOuterFaceMatch:

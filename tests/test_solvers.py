@@ -39,6 +39,7 @@ from dpfcolor.errors import (
 from dpfcolor import coloring, solvers
 from dpfcolor.cycles import FamilyA, check_family
 from dpfcolor.degeneracy import _orderable_with
+from dpfcolor.graphs import _OwnedGraph
 from dpfcolor.planar import delete_vertex, fan_neighbors
 
 from strategies import SHAPE_KINDS
@@ -1005,8 +1006,8 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
     Every graph `planar` and `solvers` build is weakly referenced: the
     pieces, the tables a frame owns and edits in place, and the copies a
     split frame keeps of piece 2.  At each build the live ones with more
-    than n/10 vertices are counted, by their adjacency dicts, which a frame
-    edits in place.  The pieces that waiting frames hold and the piece
+    than n/10 vertices are counted, by their distinct adjacency dicts,
+    which a frame edits in place and a split hands on as its larger piece.  The pieces that waiting frames hold and the piece
     being split have disjoint insides, so at most 10 of them are that
     large; the input's triangulation and the two pieces of the split under
     way make 13.  Besides the chord-only instances, a random triangulated
@@ -1019,16 +1020,26 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
 
     refs, peak = [], [0]
 
+    def track(g):
+        live = [x for ref in refs if (x := ref()) is not None] + [g]
+        refs[:] = map(weakref.ref, live)
+        peak[0] = max(peak[0], len({id(x.adj) for x in live if 10 * len(x.adj) > n}))
+
     class Tracked(SimpleGraph):
         __slots__ = ("__weakref__",)
 
         @classmethod
         def _trusted(cls, vertices, adj):
             g = super()._trusted(vertices, adj)
-            live = [x for ref in refs if (x := ref()) is not None] + [g]
-            refs[:] = map(weakref.ref, live)
-            peak[0] = max(peak[0], sum(1 for x in live if 10 * len(x.adj) > n))
+            track(g)
             return g
+
+    class TrackedOwned(_OwnedGraph):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, adj):
+            super().__init__(adj)
+            track(self)
 
     instances = list(_chord_only_instances())
     deep = triangulated_polygon(4000, random.Random("chords/4000"))
@@ -1036,6 +1047,8 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
     instances.append((deep, h, gen_random_budget(deep.graph, 5, 5, 2, seed=11, lists=h.lists)))
     monkeypatch.setattr(planar, "SimpleGraph", Tracked)
     monkeypatch.setattr(solvers, "SimpleGraph", Tracked)
+    monkeypatch.setattr(planar, "_OwnedGraph", TrackedOwned)
+    monkeypatch.setattr(solvers, "_OwnedGraph", TrackedOwned)
     for pg, h, f in instances:
         n, peak[0] = pg.n, 0
         r, _ = solve_planar_dpg52(pg, h, f)
@@ -1374,8 +1387,8 @@ def _record_splits(monkeypatch):
         return Budget._trusted(f.s, f.cap, dict(f._rows))
 
     def record_split(pg, chord):
+        g = SimpleGraph._trusted(pg.graph.vertices, dict(pg.graph.adj))  # split edits pg's
         pg1, pg2 = split(pg, chord)
-        g = SimpleGraph._trusted(pg.graph.vertices, dict(pg.graph.adj))
         parents[pg2.graph.vertices] = g, snapshot(), lambda: results[id(pg1)][1]
         return pg1, pg2
 
@@ -1727,7 +1740,9 @@ class TestOrdersOnDemand:
             return row
 
         def record_step(pg, *rest):
-            piece2 = id(pg.graph) in second or id(pg.graph.adj) in second
+            # A mark is read once, by the piece 2 frame it is made for: a
+            # later split hands the same dicts on to its larger piece.
+            piece2 = any([second.pop(id(pg.graph), None), second.pop(id(pg.graph.adj), None)])
             whole = not frames or frames[-1][0] and not piece2
             frames.append([whole, [] if whole or piece2 else watched[id(pg.graph)], False])
             seen["read" if whole else "unread"] += 1
