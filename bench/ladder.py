@@ -7,14 +7,14 @@ For each shape and each size n = 500, 1000, 2000, 4000, 8000, 16000 and
 32000, and for stacked triangulations and polygons also n = 64000, a fresh
 Python process builds the instance, runs `solve_planar_dpg52` and
 `verify_coloring` on it and reports the wall time of the two calls (op
-"solve").  A solve case also records `pair_vertices_per_n`: the vertices
-of the pair graphs that the solver's chord-split frames build, counted
-through `dpfcolor.solvers.induced_pair_graph` with the final check on the
-whole input left out, per input vertex.  It records `split_rows_per_n`
-too: the adjacency rows of the piece dicts that the solver's chord splits
-build or copy, counted through `dpfcolor.solvers._split` as the size of
-each returned piece's adjacency dict, except a piece whose dict is the
-one the split was handed, per input vertex.  Three more
+"solve").  A solve case also records two counts of `bench/probe.py`, per
+input vertex.  `pair_vertices_per_n` counts the vertices of the pair
+graphs that the solver's chord-split frames build, with the final check
+on the whole input left out.  `split_rows_per_n` counts the adjacency
+rows of the piece dicts that the solver's chord splits build: the size of
+each piece's adjacency dict, except a piece whose dict is the one the
+split was handed.  The probe wraps `induced_pair_graph` and `_split`
+only, so the timed calls run with those two wrapped.  Three more
 rungs run on stacked triangulations of n = 4000, 16000 and 64000.  Two
 time verification alone with a valid coloring: `verify_coloring` on the
 objects (op "verify"), and `dpfcolor verify --json` run in-process through
@@ -58,7 +58,10 @@ calibration's reference speed by the mean of the two medians, beside the
 wall time `total_ms`.  One 1.4 ms sample a side proved too noisy: on
 four of the six verify rungs it left the scaled times spread wider across
 runs than the wall times.  The growth fits and the printed change use
-`scaled_ms` wherever every case compared has it.
+`scaled_ms`.  It removes most of a drift, not all: between two files
+written at different times, rungs whose code had not changed read 1.50 to
+2.91 times slower in wall time and 1.00 to 1.45 times in scaled time.  A
+claimed change is measured by `--case` runs of both sides, alternated.
 
 The results go to `BENCH_<label>.json` next to this script:
 
@@ -78,12 +81,9 @@ same slope for log(peak_rss_mb), which includes the interpreter's own few
 tens of MB and so reads low on the small rungs.  The `_to_8k` tables fit
 only the solve rungs of n <= 8000, the range every ladder file before the
 16k and 32k solve rungs covers, so that exponents stay comparable across
-files.  Files written before
-the verify rungs have cases without "op"; they count as "solve", and
-files written before the calibration have no `scaled_ms`.  The
-script then prints the change against the other `BENCH_*.json` in that
-directory with the latest `written` time.  It needs only the standard
-library.
+files.  The script then prints the change against the other
+`BENCH_*.json` in that directory with the latest `written` time, which
+must have every field above.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -188,34 +188,16 @@ class Span:
 
 
 def solve(dp, pg, h, f) -> Span:
-    """Solve and verify; the pair graphs built on the split frames' pieces
-    are counted on the span, the final check's on the whole input not, and
-    so are the adjacency rows of the pieces that the splits build or copy."""
-    from dpfcolor import solvers
+    """Solve and verify; the probe's counts of the split frames' pair-graph
+    vertices and of the splits' piece rows go on the span."""
+    from probe import Probe
 
-    build, split, built, rows = solvers.induced_pair_graph, solvers._split, [0], [0]
-
-    def counted(g, *rest):
-        if g is not pg.graph:
-            built[0] += g.n
-        return build(g, *rest)
-
-    def counted_split(piece, chord):
-        handed = piece.graph.adj
-        parts = split(piece, chord)
-        rows[0] += sum(len(part.graph.adj) for part in parts if part.graph.adj is not handed)
-        return parts
-
-    solvers.induced_pair_graph, solvers._split = counted, counted_split
-    try:
-        with Span() as span:
-            coloring, _ = dp.solve_planar_dpg52(pg, h, f)
-            if dp.verify_coloring(pg.graph, h, f, coloring) is None:
-                raise AssertionError("solver output failed verification")
-    finally:
-        solvers.induced_pair_graph, solvers._split = build, split
-    span.counters = {"pair_vertices_per_n": round(built[0] / pg.n, 2),
-                     "split_rows_per_n": round(rows[0] / pg.n, 2)}
+    with Probe("pairs", "splits") as probe, Span() as span:
+        coloring, _ = dp.solve_planar_dpg52(pg, h, f)
+        if dp.verify_coloring(pg.graph, h, f, coloring) is None:
+            raise AssertionError("solver output failed verification")
+    span.counters = {"pair_vertices_per_n": round(probe.counts["pair_vertices"] / pg.n, 2),
+                     "split_rows_per_n": round(probe.counts["split_rows"] / pg.n, 2)}
     return span
 
 
@@ -351,19 +333,13 @@ def git_state(src: Path) -> tuple[str, bool]:
 
 
 def describe(case: dict) -> str:
-    if "scaled_ms" in case:
-        return f"{case['total_ms']:.0f} ms ({case['scaled_ms']:.0f} scaled)"
     if "total_ms" in case:
-        return f"{case['total_ms']:.0f} ms"
+        return f"{case['total_ms']:.0f} ms ({case['scaled_ms']:.0f} scaled)"
     return case["error"].split(":")[0]
 
 
-def time_key(*cases: dict) -> str:
-    """The time to compare cases by: scaled_ms if every one has it."""
-    return "scaled_ms" if all("scaled_ms" in c for c in cases) else "total_ms"
-
-
 def describe_memory(case: dict) -> str:
+    # a case whose process failed to start or to answer has none
     return f"{case['peak_rss_mb']:.0f} MB" if "peak_rss_mb" in case else ""
 
 
@@ -373,16 +349,14 @@ def describe_gc(case: dict) -> str:
 
 def describe_counters(case: dict) -> str:
     if "pair_vertices_per_n" in case:
-        rows = case.get("split_rows_per_n")
-        return (f"pair graphs {case['pair_vertices_per_n']}·n"
-                + ("" if rows is None else f", split rows {rows}·n"))
+        return "pair graphs {pair_vertices_per_n}·n, split rows {split_rows_per_n}·n".format(**case)
     if "nodes" not in case:
         return ""
     return f"{case['nodes']} nodes {case['backtracks']} backtracks {case['nodes_per_s']}/s"
 
 
 def case_key(case: dict) -> tuple[str, str, int]:
-    return case.get("op", "solve"), case["shape"], case["n"]
+    return case["op"], case["shape"], case["n"]
 
 
 def series(case: dict) -> str:
@@ -409,10 +383,8 @@ def print_delta(old: dict, new: dict) -> None:
             continue
         line += f"{describe(prev):>24} -> {describe(case):<24}"
         if "total_ms" in case and "total_ms" in prev:
-            key = time_key(case, prev)
-            line += f" ({case[key] / prev[key]:.2f} of the {key[:-3]} time)"
-        if "peak_rss_mb" in case or "peak_rss_mb" in prev:
-            line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
+            line += f" ({case['scaled_ms'] / prev['scaled_ms']:.2f} of the scaled time)"
+        line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         if "gen2_collections" in case:
             line += f"  {describe_gc(prev) or 'gen-2 ?'} -> {case['gen2_collections']}"
         if "nodes" in case or "pair_vertices_per_n" in case:
@@ -420,13 +392,10 @@ def print_delta(old: dict, new: dict) -> None:
         print(line)
     for name, exp in new["growth"].items():
         print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
-              f"  rss {old.get('rss_growth', {}).get(name)} -> {new['rss_growth'][name]}")
-    # a file from before the 16k and 32k solve rungs fits 500-8k in "growth"
-    old_time = old.get("growth_to_8k", old["growth"])
-    old_rss = old.get("rss_growth_to_8k", old.get("rss_growth", {}))
-    for name, exp in new.get("growth_to_8k", {}).items():
-        print(f"  growth to 8k {name:10} {old_time.get(name)} -> {exp}"
-              f"  rss {old_rss.get(name)} -> {new['rss_growth_to_8k'][name]}")
+              f"  rss {old['rss_growth'].get(name)} -> {new['rss_growth'][name]}")
+    for name, exp in new["growth_to_8k"].items():
+        print(f"  growth to 8k {name:10} {old['growth_to_8k'].get(name)} -> {exp}"
+              f"  rss {old['rss_growth_to_8k'].get(name)} -> {new['rss_growth_to_8k'][name]}")
 
 
 def fits(cases: list[dict], largest: float = math.inf) -> tuple[dict, dict]:
@@ -435,7 +404,7 @@ def fits(cases: list[dict], largest: float = math.inf) -> tuple[dict, dict]:
     growth, rss_growth = {}, {}
     for name in SHAPES + STACKED_OPS + ("exact", "exact_path"):
         done = [c for c in cases if series(c) == name and "total_ms" in c and c["n"] <= largest]
-        for table, key in ((growth, time_key(*done)), (rss_growth, "peak_rss_mb")):
+        for table, key in ((growth, "scaled_ms"), (rss_growth, "peak_rss_mb")):
             points = [(c["vertices"], c[key]) for c in done]
             table[name] = round(slope(points), 3) if len(points) > 1 else None
     return growth, rss_growth

@@ -6,6 +6,8 @@ uncolorable, an internal invariant broke, or any other exception (such as
 a RecursionError) escaped.  `--json` replaces the
 plain output with a machine-readable report
 {status, witness?, diagnostics[], seed?, stats{nodes, backtracks, millis}}.
+stats.nodes and stats.backtracks are the exact solver's counts
+(`solve-exact`); every other command reports 0 there.
 """
 
 from __future__ import annotations

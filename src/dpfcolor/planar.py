@@ -449,7 +449,7 @@ def _piece(pg: PlaneGraph, keep: set[int], outer: Iterable[int],
     Dropping vertices keeps the induced rotations a plane embedding.
     `_split` builds its smaller piece so, cut at the chord's two ends,
     since the chord and the outer arcs bound two closed sub-disks that no
-    other edge joins; deleting a vertex cuts at its neighbours.
+    other edge joins.
     """
     adj0, rot0, verts = pg.graph.adj, pg.rotation, sorted(keep)
     adj, rotation = {v: adj0[v] for v in verts}, {v: rot0[v] for v in verts}

@@ -405,9 +405,10 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     renames is never read in piece 2, where they are precolored.  A step
     reads a precolored vertex's name row only as v3 of a fan step on a
     triangle, which is case 2.1, where the pivot takes its color named 1
-    whatever v3's row says.  When piece 1 is the triangle v1 w vp, the frame colors w right after the precolored pair
-    and deletes the degree-2 end of the outer walk in place: what is left is
-    piece 2, which the usual split check covers.  Each frame returns its
+    whatever v3's row says.  When piece 1 is the triangle v1 w vp, the
+    frame colors w right after the precolored pair and deletes the degree-2
+    end of the outer walk in place: what is left is piece 2, which the
+    usual split check covers.  Each frame returns its
     piece's coloring in input colors and, if it wants its whole order, a
     valid order of its piece under the input cover and its own budget; it
     checks only what it built itself, and its children have checked the

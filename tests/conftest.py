@@ -4,6 +4,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))  # probe.py
 
 settings.register_profile(
     "det",

@@ -11,7 +11,6 @@ import time
 from itertools import combinations, permutations
 
 from dpfcolor import (
-    Budget,
     PairGraph,
     SimpleGraph,
     budget_forest,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from dpfcolor.cli import main
 from dpfcolor.formats import emit_budget, emit_coloring, emit_cover, emit_graph, emit_plane
 from dpfcolor import (
-    Budget,
     SimpleGraph,
     budget_list,
     complete_graph,

@@ -238,7 +238,7 @@ class TestExtensionSpecExamples:
         # K = triangle (1,2,3) hanging off base vertex 0, k = 3, budget
         # totals exactly 3, external matchings empty
         g = SimpleGraph(4, [(1, 2), (2, 3), (1, 3), (0, 3), (0, 2)])
-        from dpfcolor import Cover, solve_exact
+        from dpfcolor import Cover
         lists = {v: frozenset((1, 2)) for v in g.vertices}
         matchings = {
             (1, 2): [(1, 1), (2, 2)],

@@ -18,6 +18,7 @@ table, including that `Budget.assign` drops a row it empties.
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,8 @@ from dpfcolor import (
 from dpfcolor.coloring import _residuals, residual_at
 from dpfcolor.formats import emit_cover, parse_cover
 from dpfcolor.planar import _piece, delete_vertex
+
+from probe import Probe
 
 from oracles import (
     grid,
@@ -179,6 +182,37 @@ def _assert_shares_rows(pg: PlaneGraph, part: PlaneGraph, cut) -> None:
         assert part.rotation[v] is pg.rotation[v], v
 
 
+def _assert_solver_edit(edit) -> None:
+    """One edit of the planar solver's own tables, a probe event, against
+    the probe's copies of them before and after it."""
+    before = edit.before
+    if edit.kind == "split":
+        for part in edit.after:
+            _assert_restriction(before, part)
+            _assert_shares_rows(before, part, edit.ends)
+        # The frame's own dicts become the larger piece; the smaller one is fresh.
+        assert sorted(edit.handed) == [(False, False), (True, True)], edit.handed
+        (small, _), (large, _) = sorted(zip(edit.after, edit.handed), key=lambda piece: piece[1])
+        assert small.n <= large.n
+    elif edit.kind == "cut":
+        i, expected = edit.at, before
+        for x, row in edit.removed.items():
+            assert expected.outer[i + 1] == x
+            assert row == expected.graph.adj[x] == {expected.outer[i], expected.outer[i + 2]}
+            expected = delete_vertex(expected, x, expected.outer[:i + 1] + expected.outer[i + 2:])
+        (part,) = edit.after
+        assert edit.removed and edit.on_outer == set(part.outer)
+        assert _plane_tables(part) == _plane_tables(expected)
+        _assert_restriction(before, part)
+        _assert_shares_rows(before, part, set().union(*edit.removed.values()))
+    else:  # a fan pivot, or an end of the outer walk cut off with piece 1
+        ((x, row),) = edit.removed.items()
+        (part,) = edit.after
+        assert x not in part.graph.adj and row == before.graph.adj[x]
+        _assert_restriction(before, part)
+        _assert_shares_rows(before, part, row)
+
+
 def _instances(count):
     """(g, h, f, perms) with seeded random covers, budgets and renamings."""
     for t in range(count):
@@ -306,7 +340,7 @@ class TestTrustedPathsMatchValidatingConstructors:
             assert (_plane_tables(pg), _plane_tables(stacked)) == before
         assert splits > 150
 
-    def test_solver_pieces(self, monkeypatch):
+    def test_solver_pieces(self):
         """Every piece the planar solver builds or edits is the restriction
         of its parent and shares all rows but those of the vertices that
         lose a neighbour: the chord ends of a split, and the deleted
@@ -314,62 +348,10 @@ class TestTrustedPathsMatchValidatingConstructors:
         off with piece 1 of a split, and of a run of bare triangles cut off
         at one hub.  A frame edits its own tables in place, a split too,
         whose larger piece is the frame's own dicts, so each edit is
-        checked against a copy of the tables taken just before it; a run
-        leaves what deleting its vertices one at a time leaves.  The
-        caller's tables are unchanged after every solve."""
-        import dpfcolor.solvers as solvers
-
-        split, drop, run = solvers._split, solvers._drop, solvers._cut_run
-        seen = {"split": 0, "fan": 0, "ear": 0}
-
-        def tables(adj, rotation, outer=()):
-            return PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), dict(adj)),
-                                       dict(rotation), tuple(outer))
-
-        def checked_split(pg, chord):
-            adj, rotation, before = pg.graph.adj, pg.rotation, tables(pg.graph.adj, pg.rotation)
-            parts = split(pg, chord)
-            seen["split"] += 1
-            for part in parts:
-                _assert_restriction(before, part)
-                _assert_shares_rows(before, part, (pg.outer[chord[0]], pg.outer[chord[1]]))
-            # The frame's own dicts become the larger piece; the smaller one is fresh.
-            small, large = sorted(parts, key=lambda part: part.graph.adj is adj)
-            assert large.graph.adj is adj and large.rotation is rotation and small.n <= large.n
-            assert small.graph.adj is not adj and small.rotation is not rotation
-            return parts
-
-        def checked_drop(adj, rotation, x, *rest):
-            before = tables(adj, rotation)
-            row = drop(adj, rotation, x, *rest)
-            # A fan pivot has inner neighbours; a chord that cuts off piece 1,
-            # the bare triangle at an end of the outer walk, deletes its
-            # degree-2 end.
-            seen["fan" if len(row) > 2 else "ear"] += 1
-            part = tables(adj, rotation)
-            assert x not in part.graph.adj and row == before.graph.adj[x]
-            _assert_restriction(before, part)
-            _assert_shares_rows(before, part, row)
-            return row
-
-        def checked_run(adj, rotation, outer, on_outer, i, cut):
-            before, had = tables(adj, rotation, outer), len(cut)
-            run(adj, rotation, outer, on_outer, i, cut)
-            part, gone = tables(adj, rotation, outer), list(cut)[had:]
-            seen["ear"] += len(gone)
-            expected = before
-            for x in gone:
-                assert expected.outer[i + 1] == x
-                assert cut[x] == expected.graph.adj[x] == {expected.outer[i], expected.outer[i + 2]}
-                expected = delete_vertex(expected, x, expected.outer[:i + 1] + expected.outer[i + 2:])
-            assert gone and on_outer == set(outer)
-            assert _plane_tables(part) == _plane_tables(expected)
-            _assert_restriction(before, part)
-            _assert_shares_rows(before, part, set().union(*map(cut.get, gone)))
-
-        monkeypatch.setattr(solvers, "_split", checked_split)
-        monkeypatch.setattr(solvers, "_drop", checked_drop)
-        monkeypatch.setattr(solvers, "_cut_run", checked_run)
+        checked against the probe's copy of the tables taken just before
+        it; a run leaves what deleting its vertices one at a time leaves.
+        The caller's tables are unchanged after every solve."""
+        seen = Counter()
         shapes = [gen_planar_triangulation(10 + 10 * t, t) for t in range(8)]
         shapes += [grid(k, seed=k) for k in (3, 4, 5, 6, 7)]
         shapes += [wheel(p) for p in (4, 6, 9)]
@@ -379,10 +361,15 @@ class TestTrustedPathsMatchValidatingConstructors:
             h = gen_random_cover(pg.graph, 5, 5, (1.0, 0.5)[t % 2], seed=t)
             f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
             before = input_tables(pg, h, f)
-            r, _ = solve_planar_dpg52(pg, h, f)
+            with Probe("splits", "drops", "cuts", tables=True) as probe:
+                r, _ = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None
             assert input_tables(pg, h, f) == before
-        assert seen["split"] > 100 and seen["fan"] > 40 and seen["ear"] > 200, seen
+            for edit in probe.events:
+                _assert_solver_edit(edit)
+                seen[edit.kind] += len(edit.removed) if edit.kind == "cut" else 1
+        # each cut vertex, like an ear, is the third vertex of a bare triangle
+        assert seen["split"] > 100 and seen["pivot"] > 40 and seen["ear"] + seen["cut"] > 200, seen
 
     def test_relabel_round_trips(self):
         for _, g, h, f, perms in _instances(200):
@@ -411,8 +398,11 @@ def test_verdict_is_invariant_under_relabeling():
 
 def test_raising_a_budget_entry_keeps_a_witness_valid():
     """A larger allowance never blocks an order: after raising any single
-    entry of the budget, every valid witness is still valid."""
-    checked = 0
+    entry of the budget, every valid witness is still valid.  The pair
+    graph's `budget_of` reads the raised budget at each of its pairs, and
+    raises KeyError for a pair it does not have: the raised color, if it is
+    not the vertex's own, or color 0."""
+    checked = Counter()
     for rng, g, h, f, _ in _instances(300):
         r = {v: rng.choice(sorted(h.lists[v])) for v in g.vertices}
         order = verify_coloring(g, h, f, r)
@@ -423,9 +413,13 @@ def test_raising_a_budget_entry_keeps_a_witness_valid():
                 values = dict(f.items())
                 values[(v, i)] = f.get(v, i) + 1
                 raised = Budget(f.s, f.cap + 1, values)
-                assert order_is_valid(induced_pair_graph(g, h, raised, r), order)
-                checked += 1
-    assert checked > 500
+                pairs = induced_pair_graph(g, h, raised, r)
+                assert order_is_valid(pairs, order)
+                assert all(pairs.budget_of((u, r[u])) == raised.get(u, r[u]) for u in g.vertices)
+                with pytest.raises(KeyError):
+                    pairs.budget_of((v, 0 if i == r[v] else i))
+                checked["raised own" if i == r[v] else "raised other"] += 1
+    assert sum(checked.values()) > 500 and checked["raised other"] > 100, checked
 
 
 def test_matched_agrees_with_matching_in_both_orientations():

@@ -34,7 +34,6 @@ from dpfcolor.errors import (
     LimitExceeded,
     NotInFamily,
     NotTwoConnected,
-    TheoremViolation,
 )
 from dpfcolor import coloring, solvers
 from dpfcolor.cycles import FamilyA, check_family
@@ -42,6 +41,7 @@ from dpfcolor.degeneracy import _orderable_with
 from dpfcolor.graphs import _OwnedGraph
 from dpfcolor.planar import delete_vertex, fan_neighbors
 
+from probe import Probe
 from strategies import SHAPE_KINDS
 
 from oracles import (
@@ -747,11 +747,6 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
     inside one split fails there, not only in the final check.  The first
     re-ordered piece 2 that some swap of two adjacent inner pairs makes
     invalid gets the last such swap."""
-    import dpfcolor.solvers as solvers
-    from dpfcolor.errors import InternalInvariantViolated
-
-    from oracles import triangulated_polygon
-
     original = solvers.eliminate_with_prefix
     corrupted = []
 
@@ -781,8 +776,6 @@ def test_greedy_fault_names_its_vertex(monkeypatch):
     InternalInvariantViolated naming that vertex.  The fault is injected
     into the last placement of a solve that has base cases, runs of cut
     triangles and fan steps."""
-    from dpfcolor import coloring
-
     pg = gen_planar_triangulation(30, seed=2)
     h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=2)
     f = gen_random_budget(pg.graph, 5, 5, 2, seed=2, lists=h.lists)
@@ -857,7 +850,7 @@ def _run_instances():
         yield pg, h, f
 
 
-def test_resumed_chord_scan_matches_pairwise_scan(monkeypatch):
+def test_resumed_chord_scan_matches_pairwise_scan():
     """A frame edits its piece in place and resumes the chord scan: after a
     run of bare triangles cut off at position i, at i, since the positions
     before it keep their rows and so gain no chord, and its row lost the
@@ -865,57 +858,48 @@ def test_resumed_chord_scan_matches_pairwise_scan(monkeypatch):
     since every new chord ends in U.  Every scan must start and stop there
     and find the chord that the scan of every pair of outer positions finds
     on the current piece, and every run must cut off exactly the vertices
-    that pairwise scans, one deletion at a time, cut off."""
-    import dpfcolor.solvers as solvers
-
-    scan, run, drop = solvers._chord_from, solvers._cut_run, solvers._drop
-    expected, runs = [], []
-
+    that pairwise scans, one deletion at a time, cut off.  The probe keeps
+    each scan's tables and each run's before and after."""
     def pairwise(adj, outer):
         return scan_find_chord(PlaneGraph._trusted(SimpleGraph._trusted(tuple(adj), adj), {},
                                                    tuple(outer)))
 
-    def checked_scan(adj, outer, on_outer, start, stop=None):
-        assert (start, stop) == (expected.pop() if expected else (0, None))
-        got = scan(adj, outer, on_outer, start, stop)
-        assert on_outer == set(outer)
-        assert got == pairwise(adj, outer), (start, stop, got)
-        return got
-
-    def checked_run(adj, rotation, outer, on_outer, i, cut):
-        ref_adj, ref_outer, cuts = dict(adj), list(outer), []
-        while pairwise(ref_adj, ref_outer) == (i, i + 2) and len(ref_adj[ref_outer[i + 1]]) == 2:
-            x = ref_outer.pop(i + 1)
-            cuts.append(x)
-            for u in ref_adj.pop(x):
-                ref_adj[u] = ref_adj[u] - {x}
-        had = len(cut)
-        run(adj, rotation, outer, on_outer, i, cut)
-        assert list(cut)[had:] == cuts and outer == ref_outer and adj == ref_adj, (i, cuts)
-        runs.append(len(cuts))
-        expected.append((i, None))
-
-    def note_fan(adj, rotation, x, *rest):
-        row = drop(adj, rotation, x, *rest)
-        if len(row) > 2:  # a fan pivot, whose neighbours but v1 and v3 join the walk
-            expected.append((0, len(row) - 1))
-            fans[0] += 1
-        return row
-
-    monkeypatch.setattr(solvers, "_chord_from", checked_scan)
-    monkeypatch.setattr(solvers, "_cut_run", checked_run)
-    monkeypatch.setattr(solvers, "_drop", note_fan)
-    fans = [0]
+    runs, fans = [], 0
     for pg, h, f in list(_run_instances()) + list(_fan_instances())[:12]:
-        r, order = solve_planar_dpg52(pg, h, f)
+        with Probe("scans", "cuts", "drops", tables=True) as probe:
+            r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
-        assert not expected
+        expected = None  # where the next scan starts and stops, if not at (0, None)
+        for event in probe.events:
+            if event.kind == "scan":
+                adj, outer = event.before.graph.adj, event.before.outer
+                assert (event.start, event.stop) == (expected or (0, None))
+                assert event.on_outer == set(outer)
+                assert event.chord == pairwise(adj, outer), (event.start, event.stop, event.chord)
+                expected = None
+            elif event.kind == "cut":
+                i, before, (after,) = event.at, event.before, event.after
+                ref_adj, ref_outer, cuts = dict(before.graph.adj), list(before.outer), []
+                while (pairwise(ref_adj, ref_outer) == (i, i + 2)
+                       and len(ref_adj[ref_outer[i + 1]]) == 2):
+                    x = ref_outer.pop(i + 1)
+                    cuts.append(x)
+                    for u in ref_adj.pop(x):
+                        ref_adj[u] = ref_adj[u] - {x}
+                assert list(event.removed) == cuts, (i, cuts)
+                assert after.outer == tuple(ref_outer) and after.graph.adj == ref_adj, (i, cuts)
+                runs.append(len(cuts))
+                expected = i, None
+            elif event.kind == "pivot":  # its neighbours but v1 and v3 join the walk
+                expected = 0, len(next(iter(event.removed.values()))) - 1
+                fans += 1
+        assert expected is None
     assert sum(1 for k in runs if k >= 2) > 90, Counter(runs).most_common(5)
-    assert fans[0] > 100, fans
+    assert fans > 100, fans
 
 
 @pytest.mark.parametrize("shape", ["fanned", "wheel"])
-def test_deep_fans_cut_their_triangles_in_linear_scans(shape, monkeypatch):
+def test_deep_fans_cut_their_triangles_in_linear_scans(shape):
     """A fanned 5000-gon and a wheel of 5000 vertices solve and verify.
     Their constructions are runs of triangles cut off at one hub, the
     wheel's after one fan step, each run taken in place in one frame that
@@ -923,81 +907,34 @@ def test_deep_fans_cut_their_triangles_in_linear_scans(shape, monkeypatch):
     chord was: the scans visit at most 4·n outer positions over the whole
     solve, in at most 10 frames (one on each shape).  Counts, not wall
     time, are bounded."""
-    import dpfcolor.solvers as solvers
-
-    scan, run, step = solvers._chord_from, solvers._cut_run, solvers._step
-    visited, frames = [0], [0]
-
-    def count_positions(adj, outer, on_outer, start, stop=None):
-        got = scan(adj, outer, on_outer, start, stop)
-        visited[0] += (got[0] + 1 if got else len(outer) if stop is None else stop) - start
-        return got
-
-    def count_cuts(adj, rotation, outer, on_outer, i, cut):
-        had = len(cut)
-        run(adj, rotation, outer, on_outer, i, cut)
-        visited[0] += len(cut) - had  # one position tested per cut
-
-    def count_frames(*args):
-        frames[0] += 1
-        return (yield from step(*args))
-
     pg = triangulate_interior(polygon(5000)) if shape == "fanned" else wheel(4999)
     h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=6)
     f = gen_random_budget(pg.graph, 5, 5, 2, seed=7, lists=h.lists)
-    monkeypatch.setattr(solvers, "_chord_from", count_positions)
-    monkeypatch.setattr(solvers, "_cut_run", count_cuts)
-    monkeypatch.setattr(solvers, "_step", count_frames)
-    r, order = solve_planar_dpg52(pg, h, f)
+    with Probe("scans", "cuts", "frames") as probe:
+        r, order = solve_planar_dpg52(pg, h, f)
     assert pg.n == 5000
     assert verify_coloring(pg.graph, h, f, r) is not None
     assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
-    assert visited[0] <= 4 * pg.n, visited
-    assert frames[0] <= 10, frames
+    # one position tested per cut
+    visited = probe.counts["scan_positions"] + probe.counts["cut_vertices"]
+    assert visited <= 4 * pg.n, visited
+    assert probe.counts["frames"] <= 10, probe.counts["frames"]
 
 
-def test_no_split_builds_a_bare_triangle(monkeypatch):
+def test_no_split_builds_a_bare_triangle():
     """A chord that cuts off a bare triangle deletes the triangle's third
-    vertex in place: no split builds a 3-vertex piece, and no split frame
-    a 3-vertex pair graph.  Each triangle cut off in place counts as a
-    piece towards the floor."""
-    import dpfcolor.solvers as solvers
-
-    split, drop, run = solvers._split, solvers._drop, solvers._cut_run
-    build = solvers.induced_pair_graph
-    built = Counter()
-
-    def record_split(pg, chord):
-        parts = split(pg, chord)
-        built.update(("piece", part.n) for part in parts)
-        return parts
-
-    def record_drop(adj, rotation, x, *rest):
-        row = drop(adj, rotation, x, *rest)
-        built["piece", len(adj)] += 1  # what is left: a fan step's child, or a piece 2
-        return row
-
-    def record_run(adj, rotation, outer, on_outer, i, cut):
-        had = len(cut)
-        run(adj, rotation, outer, on_outer, i, cut)
-        built["peeled"] += len(cut) - had
-
-    def record_build(g, h, f, r):
-        pairs = build(g, h, f, r)
-        built["pairs", pairs.n] += 1
-        return pairs
-
-    monkeypatch.setattr(solvers, "_split", record_split)
-    monkeypatch.setattr(solvers, "_drop", record_drop)
-    monkeypatch.setattr(solvers, "_cut_run", record_run)
-    monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
+    vertex in place: no split builds a 3-vertex piece, no ear leaves one as
+    piece 2, and no split frame builds a 3-vertex pair graph.  Each
+    triangle cut off in place counts as a piece towards the floor.  Neither
+    instance takes a fan step, so every piece is a split's or an ear's."""
     for pg, h, f in _chord_only_instances():
-        built.clear()
-        r, _ = solve_planar_dpg52(pg, h, f)
+        with Probe("splits", "drops", "cuts", "pairs") as probe:
+            r, _ = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
-        pieces = sum(k for key, k in built.items() if key[0] == "piece")
-        assert pieces + built["peeled"] > 500
-        assert built["piece", 3] == 0 and built["pairs", 3] == 0, sorted(built.items())[:4]
+        pieces, pairs = probe.pieces, probe.pair_sizes
+        assert sum(pieces.values()) + probe.counts["cut_vertices"] > 500
+        assert probe.counts["fan_pivots"] == 0
+        assert pieces[3] == 0 and pairs[3] == 0, (sorted(pieces.items())[:4], sorted(pairs)[:4])
 
 
 def test_split_frames_release_what_they_no_longer_read(monkeypatch):
@@ -1016,8 +953,6 @@ def test_split_frames_release_what_they_no_longer_read(monkeypatch):
     import weakref
 
     import dpfcolor.planar as planar
-    import dpfcolor.solvers as solvers
-
     refs, peak = [], [0]
 
     def track(g):
@@ -1070,49 +1005,17 @@ def _fan_instances():
         yield pg, h, f
 
 
-def _track_wants(monkeypatch):
-    """Wrap `_step` so that the last entry of the returned list says whether
-    the running frame wants its order.  Frames run one at a time, at the top
-    of the work stack, and each runs its code up to its first yield in the
-    send that starts it, after its wrapper has pushed its flag.  A frame
-    that raises leaves its entry, below the next solve's."""
-    import dpfcolor.solvers as solvers
-
-    step, running = solvers._step, []
-
-    def tracked(pg, h, f, pre, names, want):
-        running.append(want)
-        result = yield from step(pg, h, f, pre, names, want)
-        running.pop()
-        return result
-
-    monkeypatch.setattr(solvers, "_step", tracked)
-    return running
-
-
-def _record_checks(monkeypatch):
-    """Record the inputs and verdict of every fan-step reinsertion check,
-    with copies of the whole piece and of its budget at the step.  A frame
-    edits its tables in place, so they are copied when the step starts
-    (`_fan_colors`), before the pivot is deleted and its fan lowered."""
-    import dpfcolor.solvers as solvers
-
-    calls, whole = [], {}
-    check, fan_colors = solvers._reinsertion_valid, solvers._fan_colors
-
-    def note_piece(g, h, f, pre, names, v2, *rest):
-        whole[v2] = (SimpleGraph._trusted(tuple(g.adj), dict(g.adj)),
-                     Budget._trusted(f.s, f.cap, dict(f._rows)))
-        return fan_colors(g, h, f, pre, names, v2, *rest)
-
-    def record(adj, h, rows, r, order, v):
-        verdict = check(adj, h, rows, r, order, v)
-        calls.append(((adj, h, rows, dict(r), order, v), whole[v], verdict))
-        return verdict
-
-    monkeypatch.setattr(solvers, "_fan_colors", note_piece)
-    monkeypatch.setattr(solvers, "_reinsertion_valid", record)
-    return check, calls
+def _reinsertion_checks(probe):
+    """The inputs and verdict of every fan-step reinsertion check the probe
+    saw, each with the probe's copies of the whole piece and of its budget
+    at the step, taken before the pivot is deleted and its fan lowered."""
+    at, checks = {}, []
+    for event in probe.events:
+        if event.kind == "fan":
+            at[event.pivot] = event.graph, event.budget
+        elif event.kind == "reinsertion":
+            checks.append((event.args, at[event.pivot], event.verdict))
+    return checks
 
 
 def _other_colors_and_places(h, r, order, v):
@@ -1134,42 +1037,36 @@ def _solve_with_unlowered_budget(monkeypatch, pg, h, f, step, rng):
     want their order, the ones that check their reinsertion.
 
     Returns the InternalInvariantViolated raised (or None), the corrupted
-    step's pivot, outer length and case, and the recorded checks.
+    step's pivot, outer length and case, and the recorded checks
+    (`_reinsertion_checks`).
     """
-    import dpfcolor.solvers as solvers
-
-    _, calls = _record_checks(monkeypatch)
-    running = _track_wants(monkeypatch)
-    lower, fan_colors = solvers._fan_budget, solvers._fan_colors
-    fault = {}
+    lower, fault = solvers._fan_budget, {}
 
     def lower_all_but_one(f, U, names, case21):
         old = Budget._trusted(f.s, f.cap, {u: f._rows[u] for u in U if u in f._rows})
         lower(f, U, names, case21)
-        if not running[-1]:
+        if not probe.stack[-1].want:
             return
         fault["calls"] = fault.get("calls", 0) + 1
         lowered = sorted((u, i) for u in U for i in old.support(u) if f.get(u, i) < old.get(u, i))
         if fault["calls"] == step + 1 and lowered:
             fault["kept"] = (u, i) = rng.choice(lowered)
+            fault["step"] = probe.counts["fan_steps"]  # the steps done before this one
             f._rows[u] = {**f._rows.get(u, {}), i: old.get(u, i)}
 
-    def note_case(g, h, f, pre, names, v2, U, v3, p):
-        out = fan_colors(g, h, f, pre, names, v2, U, v3, p)
-        if "kept" in fault and "case21" not in fault:
-            fault["case21"], fault["pivot"], fault["p"] = out[0], v2, p
-        return out
-
-    monkeypatch.setattr(solvers, "_fan_budget", lower_all_but_one)
-    monkeypatch.setattr(solvers, "_fan_colors", note_case)
-    try:
-        solve_planar_dpg52(pg, h, f)
-        raised = None
-    except InternalInvariantViolated as exc:
-        raised = exc
-    finally:
-        monkeypatch.undo()
-    return raised, fault, calls
+    with Probe("frames", "fans", "reinsertions", tables=True) as probe:
+        monkeypatch.setattr(solvers, "_fan_budget", lower_all_but_one)
+        try:
+            solve_planar_dpg52(pg, h, f)
+            raised = None
+        except InternalInvariantViolated as exc:
+            raised = exc
+        finally:
+            monkeypatch.undo()
+    if "kept" in fault:
+        corrupted = [event for event in probe.events if event.kind == "fan"][fault["step"]]
+        fault.update(case21=corrupted.case21, pivot=corrupted.pivot, p=corrupted.p)
+    return raised, fault, _reinsertion_checks(probe)
 
 
 def _first_broken_reinsertion(monkeypatch):
@@ -1188,11 +1085,12 @@ class TestLocalReinsertionCheck:
     variants corrupted in the step's own parts, that verdict must equal the
     definition check on the pair graph of the whole piece."""
 
-    def test_matches_whole_graph_check(self, monkeypatch):
-        check, calls = _record_checks(monkeypatch)
-        for pg, h, f in _fan_instances():
-            solve_planar_dpg52(pg, h, f)
-        verdicts = Counter()
+    def test_matches_whole_graph_check(self):
+        check = solvers._reinsertion_valid
+        with Probe("fans", "reinsertions", tables=True) as probe:
+            for pg, h, f in _fan_instances():
+                solve_planar_dpg52(pg, h, f)
+        calls, verdicts = _reinsertion_checks(probe), Counter()
         for (adj, h, rows, r, order, v), (g, f), verdict in calls:
             assert verdict and whole_graph_reinsertion_check(g, h, f, r, order)
             for r2, order2 in _other_colors_and_places(h, r, order, v):
@@ -1256,37 +1154,20 @@ class TestFanNames:
             completed[len(row) < s] += 1
         assert completed[True] > 2000 and completed[False] > 100, completed
 
-    def test_frames_read_the_input_cover_and_return_input_colors(self, monkeypatch):
-        import dpfcolor.solvers as solvers
-
-        step, fan_colors = solvers._step, solvers._fan_colors
-        covers, colorings, fan_steps = [], [], []
-
-        def record_step(pg, h, f, pre, names, want):
-            covers.append(h)
-            r, order = yield from step(pg, h, f, pre, names, want)
-            colorings.append(dict(r))
-            return r, order
-
-        def count_fan_step(g, h, f, pre, names, v2, *rest):
-            fan_steps.append(v2)
-            return fan_colors(g, h, f, pre, names, v2, *rest)
-
-        monkeypatch.setattr(solvers, "_step", record_step)
-        monkeypatch.setattr(solvers, "_fan_colors", count_fan_step)
+    def test_frames_read_the_input_cover_and_return_input_colors(self):
+        fan_steps = 0
         for pg, h, f in _fan_instances():
             lists, rows = dict(h.lists), {v: dict(row) for v, row in f._rows.items()}
             matchings = {e: dict(m) for e, m in h._matchings.items()}
-            covers.clear()
-            colorings.clear()
-            solve_planar_dpg52(pg, h, f)
-            assert covers and all(seen is h for seen in covers)
+            with Probe("frames", "fans") as probe:
+                solve_planar_dpg52(pg, h, f)
+            assert probe.frames and all(frame.h is h for frame in probe.frames)
             assert h.lists == lists and h._matchings == matchings and f._rows == rows
-            assert len(colorings) == len(covers)
-            for r in colorings:
-                bad = {v: c for v, c in r.items() if c not in h.list_of(v)}
+            for frame in probe.frames:
+                bad = {v: c for v, c in frame.result[0].items() if c not in h.list_of(v)}
                 assert not bad, bad
-        assert len(fan_steps) > 100
+            fan_steps += probe.counts["fan_steps"]
+        assert fan_steps > 100
 
 
 class TestOneOwnedInstance:
@@ -1314,7 +1195,7 @@ class TestOneOwnedInstance:
             assert verify_coloring(pg.graph, h, f, r) is not None
             assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
 
-    def test_one_budget_table_per_solve(self, monkeypatch):
+    def test_one_budget_table_per_solve(self):
         """A stacked n = 2000 solve hands at most 3·n budget rows to
         `Budget._trusted`, the root's copy of the table among them.  Fan
         steps lower rows in the solve's one table, and a split frame keeps
@@ -1323,18 +1204,10 @@ class TestOneOwnedInstance:
         pg = gen_planar_triangulation(2000, 1)
         h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=2)
         f = gen_random_budget(pg.graph, 5, 5, 2, seed=3, lists=h.lists)
-        trusted, handed = Budget._trusted.__func__, Counter()
-
-        def counted(cls, s, cap, rows):
-            handed["rows"] += len(rows)
-            handed["calls"] += 1
-            return trusted(cls, s, cap, rows)
-
-        monkeypatch.setattr(Budget, "_trusted", classmethod(counted))
-        r, order = solve_planar_dpg52(pg, h, f)
-        monkeypatch.undo()
+        with Probe("budgets") as probe:
+            r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
-        assert 0 < handed["rows"] <= 3 * pg.n, handed
+        assert 0 < probe.counts["budget_rows"] <= 3 * pg.n, probe.counts
 
 
 def _split_instances():
@@ -1355,82 +1228,30 @@ def _split_instances():
         yield pg, h, f
 
 
-def _is_ear(row):
-    """Whether `solvers._drop` deleting a vertex with adjacency row `row`
-    cuts off piece 1 of a chord split, the bare triangle at an end of the
-    outer walk.  The only other vertices it deletes are fan pivots, whose
-    inner neighbours give them degree at least 3."""
-    return len(row) == 2
-
-
-def _record_splits(monkeypatch):
-    """Record every chord split check: copies of the split piece's graph and
-    of the solve's budget at the split, piece 1's solution, the check's
-    inputs and verdict, and whether the split frame wants its whole order,
-    which makes piece 1's order a valid one.  The check reads piece 2's
-    pair graph, which the split frame builds with `induced_pair_graph` on a
-    copy of piece 2's tables kept at the split, so each pair graph is
-    traced back to its split by piece 2's vertices.  Piece 2 comes from `_split`, or from
-    `_drop` deleting an end of the outer walk when piece 1 is the bare
-    triangle there; that triangle is solved in place by `_color_third` on
-    the split frame's own tables.  The tables are keyed by id and keep
-    every keyed object alive, so no id is reused."""
-    import dpfcolor.solvers as solvers
-
-    running = _track_wants(monkeypatch)
-    split, step, check = solvers._split, solvers._step, solvers._split_valid
-    build, drop, third = solvers.induced_pair_graph, solvers._drop, solvers._color_third
-    parents, graphs, results, colored, calls, budget = {}, {}, {}, {}, [], []
-
-    def snapshot():
-        f = budget[-1]
-        return Budget._trusted(f.s, f.cap, dict(f._rows))
-
-    def record_split(pg, chord):
-        g = SimpleGraph._trusted(pg.graph.vertices, dict(pg.graph.adj))  # split edits pg's
-        pg1, pg2 = split(pg, chord)
-        parents[pg2.graph.vertices] = g, snapshot(), lambda: results[id(pg1)][1]
-        return pg1, pg2
-
-    def record_drop(adj, rotation, x, *rest):
-        if not _is_ear(adj[x]):
-            return drop(adj, rotation, x, *rest)
-        g, f, solved = SimpleGraph._trusted(tuple(adj), dict(adj)), snapshot(), colored[id(adj)][1]
-        row = drop(adj, rotation, x, *rest)
-        parents[tuple(adj)] = g, f, lambda: solved
-        return row
-
-    def record_third(g, h, f, pre, v, names):
-        result = third(g, h, f, pre, v, names)
-        colored[id(g.adj)] = g, result
-        return result
-
-    def record_build(g, h, f, r):
-        pairs = build(g, h, f, r)
-        graphs[id(pairs)] = pairs, g, h
-        return pairs
-
-    def record_step(pg, h, f, pre, names, want):
-        budget.append(f)
-        result = yield from step(pg, h, f, pre, names, want)
-        results[id(pg)] = pg, result
-        return result
-
-    def record_check(pairs, r2, s2p, head):
-        verdict = check(pairs, r2, s2p, head)
-        _, g2, h = graphs[id(pairs)]
-        g, f, solved = parents[g2.vertices]
-        r1, s1 = solved()
-        calls.append(((g, g2, h, f, r1, s1, dict(r2), s2p, head), verdict, running[-1] is True))
-        return verdict
-
-    monkeypatch.setattr(solvers, "_split", record_split)
-    monkeypatch.setattr(solvers, "_drop", record_drop)
-    monkeypatch.setattr(solvers, "_color_third", record_third)
-    monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
-    monkeypatch.setattr(solvers, "_step", record_step)
-    monkeypatch.setattr(solvers, "_split_valid", record_check)
-    return check, calls
+def _split_checks(pg, h, f):
+    """Solve, and yield every chord split check of the solve: copies of the
+    split piece's graph and of the solve's budget at the split, piece 1's
+    solution, the check's inputs and verdict, and whether the split frame
+    wants its whole order, which makes piece 1's order a valid one.  A
+    split frame that re-orders piece 2 checks it on the pair graph it
+    re-orders.  Piece 2 comes from `_split`, or from `_drop` deleting an
+    end of the outer walk when piece 1 is the bare triangle there: the
+    frame colors that triangle's third vertex, a chord end, right after
+    its precolored pair, so piece 1's solution is read off the frame's."""
+    with Probe("frames", "splits", "drops", "orders", tables=True) as probe:
+        solve_planar_dpg52(pg, h, f)
+    for event in [event for event in probe.events if event.kind == "order"]:
+        frame, pairs, head, s2p = event.frame, event.pairs, event.prefix, event.order
+        split, r2 = frame.split, frame.children[-1].result[0]
+        if split.kind == "split":
+            r1, s1 = frame.children[0].result
+        else:  # piece 1 is the triangle of the precolored pair and a chord end
+            (w,) = set(split.ends).difference(dict(frame.pre))
+            s1 = frame.pre + ((w, frame.result[0][w]),)
+            r1 = dict(s1)
+        verdict = solvers._split_valid(pairs, r2, s2p, head)
+        yield ((split.before.graph, split.after[-1].graph, h, split.budget, r1, s1,
+                dict(r2), s2p, head), verdict, frame.want is True)
 
 
 def _split_variants(h, r2, s2p, rng):
@@ -1478,13 +1299,12 @@ class TestLocalSplitCheck:
     piece 2's pair graph (for an order that starts with the chord pairs) and
     the check of the concatenated order on the union of both pieces."""
 
-    def test_matches_piece_and_union_checks(self, monkeypatch):
+    def test_matches_piece_and_union_checks(self):
         """A split frame that only watches pairs checks piece 2 as well, but
         its piece 1 returns an order valid only at the watched pairs, or
         none: its checks are held to the piece check alone."""
-        check, calls = _record_splits(monkeypatch)
-        for pg, h, f in _split_instances():
-            solve_planar_dpg52(pg, h, f)
+        check = solvers._split_valid
+        calls = [call for pg, h, f in _split_instances() for call in _split_checks(pg, h, f)]
         verdicts = Counter()
         for t, ((g, g2, h, f, r1, s1, r2, s2p, head), verdict, whole) in enumerate(calls):
             assert verdict and (not whole or _union_verdict(g, h, f, r1, s1, r2, s2p, head))
@@ -1500,50 +1320,26 @@ class TestLocalSplitCheck:
         assert sum(whole for *_, whole in calls) > 100 and not all(whole for *_, whole in calls)
         assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
-    def test_pair_graphs_are_built_on_pieces_and_once_on_the_input(self, monkeypatch):
+    def test_pair_graphs_are_built_on_pieces_and_once_on_the_input(self):
         """Every pair graph but the final check's is built on piece 2 of a
         split whose frame reads piece 2's order, as piece 2 was at the
         split: its frames edit it in place, so the split frame builds it on
         a copy.  A frame reads piece 2's order if it wants its whole order,
         or if it watches a pair with both vertices in piece 2 and neither a
-        chord end."""
-        import dpfcolor.coloring as coloring
-        import dpfcolor.solvers as solvers
-
-        built, pieces = [], {}
-        build, split, drop = coloring.induced_pair_graph, solvers._split, solvers._drop
-        running = _track_wants(monkeypatch)
-
-        def reads(piece, ends):
-            inside = set(piece) - set(ends)
-            return running[-1] is True or any(x in inside and y in inside
-                                              for x, y in running[-1] or ())
-
-        def record_build(g, h, f, r):
-            built.append(g)
-            return build(g, h, f, r)
-
-        def record_split(pg, chord):
-            pg1, pg2 = split(pg, chord)
-            if reads(pg2.graph.adj, (pg.outer[chord[0]], pg.outer[chord[1]])):
-                pieces[pg2.graph.vertices] = dict(pg2.graph.adj)
-            return pg1, pg2
-
-        def record_drop(adj, rotation, x, *rest):
-            row = drop(adj, rotation, x, *rest)
-            if _is_ear(row) and reads(adj, row):
-                pieces[tuple(adj)] = dict(adj)
-            return row
-
-        monkeypatch.setattr(coloring, "induced_pair_graph", record_build)
-        monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
-        monkeypatch.setattr(solvers, "_split", record_split)
-        monkeypatch.setattr(solvers, "_drop", record_drop)
+        chord end.  The probe counts the builds made through
+        `dpfcolor.coloring`'s name too."""
         splits = 0
         for pg, h, f in _split_instances():
-            built.clear()
-            pieces.clear()
-            solve_planar_dpg52(pg, h, f)
+            with Probe("frames", "splits", "drops", "pairs", tables=True) as probe:
+                solve_planar_dpg52(pg, h, f)
+            pieces = {}
+            for split in probe.events:
+                if split.kind in ("split", "ear"):
+                    piece, want = split.after[-1].graph, split.frame.want
+                    inside = set(piece.adj) - set(split.ends)
+                    if want is True or any(x in inside and y in inside for x, y in want or ()):
+                        pieces[piece.vertices] = piece.adj
+            built = probe.builds
             assert [g is pg.graph for g in built].count(True) == 1
             assert built[-1] is pg.graph
             assert sorted(g.vertices for g in built[:-1]) == sorted(pieces)
@@ -1553,24 +1349,19 @@ class TestLocalSplitCheck:
 
     def test_split_without_a_prefix_first_order_is_caught(self, monkeypatch):
         """On the first instance whose solve re-eliminates two piece 2s."""
-        import dpfcolor.solvers as solvers
-
+        for pg, h, f in _split_instances():
+            with Probe("orders") as probe:
+                solve_planar_dpg52(pg, h, f)
+            if probe.counts["orders"] >= 2:
+                break
+        else:
+            pytest.fail("no solve re-eliminates two piece 2s")
         original, calls = solvers.eliminate_with_prefix, []
 
         def none_at_the_second(pairs, prefix):
             calls.append(pairs)
             return None if len(calls) == 2 else original(pairs, prefix)
 
-        monkeypatch.setattr(solvers, "eliminate_with_prefix",
-                            lambda pairs, prefix: calls.append(pairs) or original(pairs, prefix))
-        for pg, h, f in _split_instances():
-            calls.clear()
-            solve_planar_dpg52(pg, h, f)
-            if len(calls) >= 2:
-                break
-        else:
-            pytest.fail("no solve re-eliminates two piece 2s")
-        calls.clear()
         monkeypatch.setattr(solvers, "eliminate_with_prefix", none_at_the_second)
         with pytest.raises(InternalInvariantViolated,
                            match="^shared chord pair cannot head the order$"):
@@ -1585,21 +1376,14 @@ class TestLocalSplitCheck:
         combination message, and the CLI exits 3, not 2 (an input error)."""
         import json
 
-        import dpfcolor.solvers as solvers
         from dpfcolor.cli import main
         from dpfcolor.formats import emit_budget, emit_cover, emit_plane
 
-        split, step = solvers._split, solvers._step
-        second_pieces, moved = {}, []
-
-        def record_split(pg, chord):
-            pg1, pg2 = split(pg, chord)
-            second_pieces[id(pg2.graph)] = pg2.graph
-            return pg1, pg2
+        step, moved = solvers._step, []
 
         def move_a_chord_end(pg, h, f, pre, names, want):
             r, order = yield from step(pg, h, f, pre, names, want)
-            if not moved and id(pg.graph) in second_pieces:
+            if not moved and want is False:  # only a piece 2 is handed False
                 v, c = pre[0]
                 r = {**r, v: min(h.list_of(v) - {c})}
                 moved.append(v)
@@ -1607,7 +1391,6 @@ class TestLocalSplitCheck:
 
         pg, h, f = next(_split_instances())
         solve_planar_dpg52(pg, h, f)  # solves when nothing is moved
-        monkeypatch.setattr(solvers, "_split", record_split)
         monkeypatch.setattr(solvers, "_step", move_a_chord_end)
         with pytest.raises(InternalInvariantViolated, match="^chord combination failed: second "
                            "coloring's witness is not valid under the residual budget$"):
@@ -1630,8 +1413,6 @@ class TestLocalSplitCheck:
     def test_invalid_final_order_is_caught(self, monkeypatch):
         """The final definition check stays: an order the steps let through
         broken still fails on the whole input."""
-        import dpfcolor.solvers as solvers
-
         original, swapped = solvers._extend, []
 
         def swap_two(pg, h, f, pre):
@@ -1666,7 +1447,7 @@ class TestOrdersOnDemand:
 
     @pytest.mark.parametrize("k, seed", [(45, 45), (50, 50), (70, 70), (50, 1), (50, 5), (50, 10)],
                              ids=["45", "50", "70", "50-seed1", "50-seed5", "50-seed10"])
-    def test_grid_pair_graphs_stay_linear(self, k, seed, monkeypatch):
+    def test_grid_pair_graphs_stay_linear(self, k, seed):
         """The pair graphs the split frames build sum to at most 15·n
         vertices on a deep grid with shuffled labels; re-ordering every
         nested piece 2 built 221·n at k = 45 and 281·n at k = 50.
@@ -1676,108 +1457,64 @@ class TestOrdersOnDemand:
         and 28.3·n at k = 45, 50 and 70, and the 50×50 grids of seeds 1, 5
         and 10 built 17.6·n, 15.9·n and 16.7·n.  With watched pairs they
         build 6.4·n, 8.1·n, 12.1·n, 10.8·n, 10.1·n and 11.5·n."""
-        import dpfcolor.solvers as solvers
-
-        build, built = solvers.induced_pair_graph, []
-
-        def record_build(g, h, f, r):
-            built.append(g)
-            return build(g, h, f, r)
-
         pg = grid(k, seed=seed)
         h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
         f = gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
-        monkeypatch.setattr(solvers, "induced_pair_graph", record_build)
-        r, order = solve_planar_dpg52(pg, h, f)
+        with Probe("pairs") as probe:
+            r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
         assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
-        assert built[-1] is pg.graph
-        assert sum(g.n for g in built[:-1]) <= 15 * pg.n, sum(g.n for g in built[:-1]) / pg.n
+        assert probe.counts["final_checks"] == 1
+        built = probe.counts["pair_vertices"]
+        assert built <= 15 * pg.n, built / pg.n
 
-    def test_no_frame_below_a_piece_2_yield_re_eliminates(self, monkeypatch):
+    def test_no_frame_below_a_piece_2_yield_re_eliminates(self):
         """A frame's whole order is read if it is the root, or if it is not
         a piece 2 and its parent's whole order is read.  A piece 1 of any
         other frame watches pairs: those its parent watches with both
         vertices in piece 1, and its chord ends if both are inside the outer
         walk (its split frame asks which comes first).  That is derived here
-        from the pieces `_split` builds and the ends of the outer walk
-        `_drop` deletes to leave a piece 2, not from the solver's flag.
-        Only frames whose whole order is read may check a reinsertion, and
-        only they and the frames that watch a pair with both vertices in
-        piece 2, neither a chord end, may re-eliminate, so no other frame
-        below a piece-2 yield does.  A fan step runs in its frame and counts
-        with it, read or unread, as the frame of its own it once had."""
-        import dpfcolor.solvers as solvers
-
-        step, split, drop = solvers._step, solvers._split, solvers._drop
-        eliminate, reinsert = solvers.eliminate_with_prefix, solvers._reinsertion_valid
-        fan_colors = solvers._fan_colors
-        second, watched, frames, seen = {}, {}, [], Counter()
-
-        def at_split(piece2, ends):
-            # frames[-1] is [whole order read, watched pairs, may re-eliminate]
-            inside = set(piece2) - set(ends)
-            frame = frames[-1]
-            frame[2] = frame[0] or any(x in inside and y in inside for x, y in frame[1])
-
-        def record_split(pg, chord):
-            pg1, pg2 = split(pg, chord)
-            vi, vj = pg.outer[chord[0]], pg.outer[chord[1]]
-            at_split(pg2.graph.adj, (vi, vj))
-            inside = pg1.graph.adj
-            watch = [(x, y) for x, y in frames[-1][1] if x in inside and y in inside]
-            if vi != pg.outer[0] and vj != pg.outer[-1]:
-                watch.append((vi, vj))
-            watched[id(pg1.graph)] = watch
-            second[id(pg2.graph)] = pg2.graph
-            return pg1, pg2
-
-        def record_drop(adj, rotation, x, *rest):
-            row = drop(adj, rotation, x, *rest)
-            if _is_ear(row):  # the frame hands what is left, tables and all, to piece 2
-                at_split(adj, row)
-                second[id(adj)] = adj
-            return row
-
-        def record_step(pg, *rest):
-            # A mark is read once, by the piece 2 frame it is made for: a
-            # later split hands the same dicts on to its larger piece.
-            piece2 = any([second.pop(id(pg.graph), None), second.pop(id(pg.graph.adj), None)])
-            whole = not frames or frames[-1][0] and not piece2
-            frames.append([whole, [] if whole or piece2 else watched[id(pg.graph)], False])
-            seen["read" if whole else "unread"] += 1
-            seen["watching"] += bool(frames[-1][1])
-            result = yield from step(pg, *rest)
-            frames.pop()
-            return result
-
-        def record_fan_step(*args):
-            seen["read" if frames[-1][0] else "unread"] += 1
-            return fan_colors(*args)
-
-        def record_eliminate(pairs, prefix):
-            seen["eliminate", frames[-1][2]] += 1
-            seen["eliminate for a watched pair"] += not frames[-1][0]
-            return eliminate(pairs, prefix)
-
-        def record_reinsert(*args):
-            seen["reinsert", frames[-1][0]] += 1
-            return reinsert(*args)
-
-        monkeypatch.setattr(solvers, "_split", record_split)
-        monkeypatch.setattr(solvers, "_drop", record_drop)
-        monkeypatch.setattr(solvers, "_step", record_step)
-        monkeypatch.setattr(solvers, "_fan_colors", record_fan_step)
-        monkeypatch.setattr(solvers, "eliminate_with_prefix", record_eliminate)
-        monkeypatch.setattr(solvers, "_reinsertion_valid", record_reinsert)
+        from the probe's records of the pieces `_split` builds and of the
+        ends of the outer walk `_drop` deletes to leave a piece 2, not from
+        the solver's flag.  Only frames whose whole order is read may check
+        a reinsertion, and only they and the frames that watch a pair with
+        both vertices in piece 2, neither a chord end, may re-eliminate, so
+        no other frame below a piece-2 yield does.  A fan step runs in its
+        frame and counts with it, read or unread, as the frame of its own
+        it once had."""
+        seen = Counter()
         shapes = [grid(12, seed=12), triangulated_polygon(200, random.Random("below/200")),
                   gen_planar_triangulation(200, 3), gen_planar_triangulation(200, 5),
                   grid(10, seed=10)]
         for t, pg in enumerate(shapes):
             h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t)
             f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 1, lists=h.lists)
-            r, _ = solve_planar_dpg52(pg, h, f)
+            with Probe("frames", "splits", "drops", "fans", "orders", "reinsertions",
+                       tables=True) as probe:
+                r, _ = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None
+            read, watched = {}, {}
+            for frame in probe.frames:  # each after its parent
+                parent, piece2 = frame.parent, frame.role == "piece 2"
+                read[frame] = whole = parent is None or read[parent] and not piece2
+                watch = watched[frame] = []
+                if not whole and not piece2:  # a piece 1: its parent split on a chord
+                    split = parent.split
+                    inside = split.after[0].graph.adj
+                    watch += [(x, y) for x, y in watched[parent] if x in inside and y in inside]
+                    (vi, vj), outer = split.ends, split.before.outer
+                    if vi != outer[0] and vj != outer[-1]:
+                        watch.append((vi, vj))
+                # may re-eliminate: reads its order, or watches a pair inside piece 2
+                split = frame.split
+                inside = () if split is None else set(split.after[-1].graph.adj) - set(split.ends)
+                may = whole or any(x in inside and y in inside for x, y in watch)
+                counts = frame.counts
+                seen["read" if whole else "unread"] += 1 + counts["fan_steps"]
+                seen["watching"] += bool(watch)
+                seen["eliminate", may] += counts["orders"]
+                seen["eliminate for a watched pair"] += not whole and counts["orders"]
+                seen["reinsert", whole] += counts["reinsertions"]
         assert seen["eliminate", False] == seen["reinsert", False] == 0, seen
         assert seen["unread"] > 300 and seen["eliminate", True] > 10, seen
         assert seen["reinsert", True] > 10, seen
@@ -1791,8 +1528,6 @@ class TestOrdersOnDemand:
         raise: the forbidden pair can never be eliminated.  The same holds
         for a fault in a frame that watches pairs of its order, which checks
         no more than a frame that wants none."""
-        import dpfcolor.solvers as solvers
-
         pg = grid(12, seed=12)
         h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
         f_in = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
@@ -1801,26 +1536,28 @@ class TestOrdersOnDemand:
                  lambda want, parent: not want and not parent,
                  "watched pairs": lambda want, parent: type(want) is tuple and want != ()}
         for case, faulty in cases.items():
-            running = _track_wants(monkeypatch)
-            step, faults = solvers._step, []
+            faults = []
+            with Probe("frames") as probe:
+                step = solvers._step
 
-            def forbid_one_color(pg, h, f, pre, names, want):
-                r, order = yield from step(pg, h, f, pre, names, want)
-                if not faults and faulty(want, running[-1]):
-                    ends = {v for v, _ in pre}
-                    for v in sorted(set(r) - ends):
-                        forbidden = sorted(c for c in h.list_of(v) if not f_in.get(v, c))
-                        if forbidden:
-                            faults.append((v, r[v], forbidden[0]))
-                            r = {**r, v: forbidden[0]}
-                            break
-                return r, order
+                def forbid_one_color(pg, h, f, pre, names, want):
+                    r, order = yield from step(pg, h, f, pre, names, want)
+                    # once this frame returns, the probe's stack ends with its parent
+                    if not faults and faulty(want, probe.stack[-1].want):
+                        ends = {v for v, _ in pre}
+                        for v in sorted(set(r) - ends):
+                            forbidden = sorted(c for c in h.list_of(v) if not f_in.get(v, c))
+                            if forbidden:
+                                faults.append((v, r[v], forbidden[0]))
+                                r = {**r, v: forbidden[0]}
+                                break
+                    return r, order
 
-            monkeypatch.setattr(solvers, "_step", forbid_one_color)
-            with pytest.raises(InternalInvariantViolated,
-                               match="^shared chord pair cannot head the order$"):
-                solve_planar_dpg52(pg, h, f_in)
-            monkeypatch.undo()
+                monkeypatch.setattr(solvers, "_step", forbid_one_color)
+                with pytest.raises(InternalInvariantViolated,
+                                   match="^shared chord pair cannot head the order$"):
+                    solve_planar_dpg52(pg, h, f_in)
+                monkeypatch.undo()
             assert len(faults) == 1, (case, faults)
 
 
