@@ -192,7 +192,7 @@ def solve(dp, pg, h, f) -> Span:
     vertices and of the splits' piece rows go on the span."""
     from probe import Probe
 
-    with Probe("pairs", "splits") as probe, Span() as span:
+    with Probe("pairs", "splits", graph=pg.graph) as probe, Span() as span:
         coloring, _ = dp.solve_planar_dpg52(pg, h, f)
         if dp.verify_coloring(pg.graph, h, f, coloring) is None:
             raise AssertionError("solver output failed verification")

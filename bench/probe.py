@@ -9,7 +9,7 @@ them back when its `with` block ends.  So a change to a step's arity or
 contract edits this module, and the tests and the ladder read the same
 counts as before.
 
-    with Probe("pairs", "splits") as probe:
+    with Probe("pairs", "splits", graph=pg.graph) as probe:
         solve_planar_dpg52(pg, h, f)
     probe.counts["pair_vertices"], probe.counts["split_rows"]
 
@@ -17,26 +17,27 @@ Each watch wraps one step and adds these to `counts`:
 
     frames        solvers._step: frames.  Each frame gets a `Frame`
                   record in `frames`; the running ones are in `stack`.
-    splits        solvers._split: chord_splits, and split_rows, the rows
-                  of the pieces' adjacency dicts that a split builds
-                  rather than takes over from the dicts it is handed.
-                  Both pieces' sizes go to `pieces`.
-    drops         solvers._drop: fan_pivots, and ears, the ends of the
-                  outer walk deleted when a chord cuts off the bare
-                  triangle there as piece 1.  The piece 2 an ear leaves
-                  has its size go to `pieces`.
+    splits        solvers._split: split_rows, the rows of the pieces'
+                  adjacency dicts that a split builds rather than takes
+                  over from the dicts it is handed.  Both pieces' sizes go
+                  to `pieces`.
+    drops         solvers._drop: fan_pivots.  An ear, an end of the outer
+                  walk deleted when a chord cuts off the bare triangle
+                  there as piece 1, has the size of the piece 2 it leaves
+                  go to `pieces`.
     cuts          solvers._cut_run: cut_vertices.
     scans         solvers._chord_from: scan_positions, the outer
                   positions the chord scans visit.
-    fans          solvers._fan_colors: fan_steps, case_21 and case_22.
+    fans          solvers._fan_colors: fan_steps.
     reinsertions  solvers._reinsertion_valid: reinsertions.
     pairs         solvers.induced_pair_graph: final_checks, the builds
-                  that `solve_planar_dpg52` makes itself on the whole
-                  input, and pair_vertices, the vertices of every other
-                  build.  Those builds' sizes go to `pair_sizes`.
+                  on `graph`, the input graph the probe is given, which
+                  `solve_planar_dpg52` makes to check its result, and
+                  pair_vertices, the vertices of every other build.
+                  Those builds' sizes go to `pair_sizes`.
     orders        solvers.eliminate_with_prefix: orders, the re-orderings
                   of a piece 2.
-    budgets       Budget._trusted: budget_tables and budget_rows.
+    budgets       Budget._trusted: budget_rows.
 
 A count made while a frame runs is added to that frame's `counts` too.
 Each split, drop, cut, scan, fan step, reinsertion check and re-ordering
@@ -56,65 +57,13 @@ over.
 Direct patches.  Some tests still patch a step themselves: they inject a
 fault, or inspect each call's arguments while it is made.  The seam
 register in `tests/test_bench_hooks.py` allows only the patches of
-`dpfcolor.solvers`, `planar`, `coloring` and `degeneracy` that this list
-names, by file (indent 4), function (indent 8) and name (indent 12):
-
-    tests/test_solvers.py
-        TestSolveExact.test_probes_only_uncolored_slots_wholly_at_zero_residual
-            solvers._orderable_with: inspection of each orderability test
-                of the exact search, which no planar step reaches.
-        TestExtendTriangle.record_verifications
-            coloring.verify_on_domain: inspection of the precolorings
-                verified, in call order.
-        test_corrupted_step_order_is_caught_at_the_step
-            solvers.eliminate_with_prefix: a fault, two pairs swapped in
-                one re-ordered piece 2.
-        test_greedy_fault_names_its_vertex
-            coloring._greedy_color: inspection, then a fault: the last
-                greedy placement fails.
-        test_split_frames_release_what_they_no_longer_read
-            planar.SimpleGraph: inspection by weak references to every
-                graph built, counting the large ones alive at each
-                build; the next three likewise.
-            solvers.SimpleGraph
-            planar._OwnedGraph
-            solvers._OwnedGraph
-        _solve_with_unlowered_budget
-            solvers._fan_budget: a fault, one budget entry of a fan step
-                left unlowered.
-        TestLocalSplitCheck.test_split_without_a_prefix_first_order_is_caught
-            solvers.eliminate_with_prefix: a fault, the second
-                re-ordering finds no order.
-        TestLocalSplitCheck.test_piece_coloring_that_moves_a_chord_end_is_an_internal_fault
-            solvers._step: a fault, a piece 2 returns a chord end in
-                another color.
-        TestLocalSplitCheck.test_invalid_final_order_is_caught
-            solvers._extend: a fault, two pairs of the construction's
-                order swapped.
-        TestOrdersOnDemand.test_fault_in_a_subtree_without_an_order_is_caught
-            solvers._step: a fault, a frame returns a color that the
-                budget forbids.
-        _solve_recording_answers
-            solvers._step: inspection and a changed rule: each piece 2's
-                precolored pair, and on request a frame handed its
-                whole order for watched pairs.  `TestWatchedOrders`
-                reads it as it was written.
-            solvers.eliminate_with_prefix: inspection of the
-                re-orderings made for watched pairs.
-    tests/test_coloring.py
-        TestSingleUnionCheck.test_success_path_builds_no_subgraph_or_residual
-            coloring._residuals: a fault, the residual budget raises if
-                the success path builds one.
-    tests/test_configurations.py
-        test_greedy_fault_names_its_vertex
-            coloring._greedy_color: inspection, then a fault: the last
-                greedy placement fails.
+`dpfcolor.solvers`, `planar`, `coloring` and `degeneracy` that
+`DIRECT_PATCHES` names, by file, function and name, each with its reason.
 """
 
 from __future__ import annotations
 
 import copy
-import sys
 from collections import Counter
 from functools import partial
 from types import SimpleNamespace
@@ -132,31 +81,39 @@ WATCHES = {"frames": (solvers, "_step"), "splits": (solvers, "_split"),
            "budgets": (Budget, "_trusted")}
 
 
-def _direct_patches(doc: str) -> frozenset[tuple[str, str, str]]:
-    """(file, function, module.name) of each patch the docstring's list allows."""
-    found, place = set(), {}
-    for line in doc.partition("Direct patches.")[2].splitlines():
-        indent = len(line) - len(line.lstrip())
-        place[indent] = line.strip().split(":")[0]
-        if indent == 12:
-            found.add((place[4], place[8], place[12]))
-    return frozenset(found)
-
-
-DIRECT_PATCHES = _direct_patches(__doc__)
-
-
-class Frame:
-    """One frame of `_extend`'s work stack.  `role` is "root", "piece 1" or
-    "piece 2" (None unless splits are watched), and h, f, pre and want are
-    what the frame was handed.  `split` is its chord split, an edit of kind
-    "split" or "ear", if splits or drops are watched.  `children` are the
-    frames it yielded, `counts` the counts made while it ran, and `result`
-    what it returned (None if it raised)."""
-
-    def __init__(self, parent: Frame | None, role: str | None, h, f, pre, want):
-        self.parent, self.role, self.h, self.f, self.pre, self.want = parent, role, h, f, pre, want
-        self.split, self.children, self.counts, self.result = None, [], Counter(), None
+_SOLVERS, _RELEASE = "tests/test_solvers.py", "test_split_frames_release_what_they_no_longer_read"
+# (file, function, module.name) of each patch made outside this module: its reason
+DIRECT_PATCHES = {
+    (_SOLVERS, "TestSolveExact.test_probes_only_uncolored_slots_wholly_at_zero_residual",
+     "solvers._orderable_with"): "inspection of each orderability test of the exact search",
+    (_SOLVERS, "TestExtendTriangle.record_verifications", "coloring.verify_on_domain"):
+        "inspection of the precolorings verified, in call order",
+    (_SOLVERS, "test_corrupted_step_order_is_caught_at_the_step", "solvers.eliminate_with_prefix"):
+        "a fault: two pairs swapped in one re-ordered piece 2",
+    **{(_SOLVERS, _RELEASE, name): "inspection by weak references to every graph built"
+       for name in ("planar.SimpleGraph", "solvers.SimpleGraph", "planar._OwnedGraph",
+                    "solvers._OwnedGraph")},
+    (_SOLVERS, "_solve_with_unlowered_budget", "solvers._fan_budget"):
+        "a fault: one budget entry of a fan step left unlowered",
+    (_SOLVERS, "TestLocalSplitCheck.test_split_without_a_prefix_first_order_is_caught",
+     "solvers.eliminate_with_prefix"): "a fault: the second re-ordering finds no order",
+    (_SOLVERS,
+     "TestLocalSplitCheck.test_piece_coloring_that_moves_a_chord_end_is_an_internal_fault",
+     "solvers._step"): "a fault: a piece 2 returns a chord end in another color",
+    (_SOLVERS, "TestLocalSplitCheck.test_invalid_final_order_is_caught", "solvers._extend"):
+        "a fault: two pairs of the construction's order swapped",
+    (_SOLVERS, "TestOrdersOnDemand.test_fault_in_a_subtree_without_an_order_is_caught",
+     "solvers._step"): "a fault: a frame returns a color that the budget forbids",
+    (_SOLVERS, "_solve_recording_answers", "solvers._step"):
+        "inspection and a changed rule, which `TestWatchedOrders` reads as it was written",
+    (_SOLVERS, "_solve_recording_answers", "solvers.eliminate_with_prefix"):
+        "inspection of the re-orderings made for watched pairs",
+    ("tests/test_coloring.py",
+     "TestSingleUnionCheck.test_success_path_builds_no_subgraph_or_residual",
+     "coloring._residuals"): "a fault: the residual budget raises if the success path builds one",
+    ("tests/conftest.py", "fail_last_greedy_placement.arm", "coloring._greedy_color"):
+        "inspection, then a fault: the last greedy placement fails",
+}
 
 
 def _copy_budget(f: Budget) -> Budget:
@@ -172,12 +129,26 @@ def _copy(adj: dict, rotation: dict, outer=()) -> PlaneGraph:
                                tuple(outer))
 
 
+class Frame(SimpleNamespace):
+    """One frame of `_extend`'s work stack.  Its `parent` is the frame that
+    yielded it, and h, f, pre and want are what it was handed.  `piece2`
+    tells a split's or an ear's piece 2 if splits and drops are watched.
+    `split` is its chord split, an event of kind "split" or "ear", if splits
+    or drops are watched.  `children` are the frames it yielded, `counts`
+    the counts made while it ran, and `result` what it returned (None if it
+    raised).  Two frames are equal only if they are the same frame."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+
 class Probe:
     """Watch the named steps (keys of WATCHES) of every solve made in a
-    `with` block.
+    `with` block.  `graph` is the input graph of the solves, if the caller
+    gives it: a pair graph built on it is the final check (see `pairs`).
 
-    `events` holds a record per step seen, in order.  Each has `kind` and
-    `frame`, the Frame it ran in if frames are watched.  By kind:
+    `frames` holds a `Frame` per frame, in the order they start.  `events`
+    holds a record per step seen, in order.  Each has `kind` and `frame`,
+    the Frame it ran in if frames are watched.  By kind:
 
     split        `ends`, the chord ends its pieces share, and `handed`,
                  for each piece whether its adjacency and its rotation
@@ -201,8 +172,8 @@ class Probe:
     `pairs`, `prefix` and `order`, its pair graph, prefix and result.
     """
 
-    def __init__(self, *watches: str, tables: bool = False):
-        self.watches, self.tables = watches, tables
+    def __init__(self, *watches: str, tables: bool = False, graph: SimpleGraph | None = None):
+        self.watches, self.tables, self.graph = watches, tables, graph
         self.counts, self.pieces, self.pair_sizes = Counter(), Counter(), Counter()
         self.frames, self.stack, self.events, self.builds, self._undo = [], [], [], [], []
 
@@ -229,9 +200,9 @@ class Probe:
         setattr(owner, name, new)
         self._undo.append((owner, name, old, new))
 
-    def _count(self, *keys: str, k: int = 1) -> None:
+    def _count(self, key: str, k: int = 1) -> None:
         for counts in (self.counts, *(frame.counts for frame in self.stack[-1:])):
-            counts.update(dict.fromkeys(keys, k))
+            counts[key] += k
 
     def _event(self, kind: str, **fields) -> SimpleNamespace:
         frame = self.stack[-1] if self.stack else None
@@ -246,10 +217,10 @@ class Probe:
 
     def _frames(self, step, pg, h, f, pre, names, want):
         parent = self.stack[-1] if self.stack else None
-        role = ("root" if parent is None else None if "splits" not in self.watches
-                else "piece 1" if parent.split and parent.split.kind == "split"
-                and not parent.children else "piece 2")
-        record = Frame(parent, role, h, f, pre, want)
+        piece2 = parent is not None and (bool(parent.children) or parent.split is None
+                                         or parent.split.kind == "ear")
+        record = Frame(parent=parent, piece2=piece2, h=h, f=f, pre=pre, want=want, split=None,
+                       children=[], counts=Counter(), result=None)
         if parent is not None:
             parent.children.append(record)
         self._count("frames")
@@ -267,7 +238,6 @@ class Probe:
         parts = split(pg, chord)
         handed = tuple((part.graph.adj is adj, part.rotation is rotation) for part in parts)
         sizes = tuple(len(part.graph.adj) for part in parts)
-        self._count("chord_splits")
         self._count("split_rows", k=sum(n for n, (own, _) in zip(sizes, handed) if not own))
         self.pieces.update(sizes)
         event = self._event("split", ends=ends, handed=handed)
@@ -280,11 +250,12 @@ class Probe:
         if self.tables:
             before, budget = _copy(adj, rotation), self._solve_budget()
         row = drop(adj, rotation, x, *rest)
-        ear = len(row) == 2  # a fan pivot has inner neighbours besides v1 and v3
-        self._count("ears" if ear else "fan_pivots")
-        if ear:
+        if len(row) == 2:  # an ear: a fan pivot has inner neighbours besides v1 and v3
             self.pieces[len(adj)] += 1
-        event = self._event("ear", ends=tuple(sorted(row))) if ear else self._event("pivot")
+            event = self._event("ear", ends=tuple(sorted(row)))
+        else:
+            self._count("fan_pivots")
+            event = self._event("pivot")
         if self.tables:
             event.before, event.budget, event.removed = before, budget, {x: row}
             event.after = (_copy(adj, rotation),)
@@ -316,7 +287,7 @@ class Probe:
         if self.tables:
             graph, budget = SimpleGraph._trusted(tuple(g.adj), dict(g.adj)), _copy_budget(f)
         out = fan_colors(g, h, f, pre, names, v2, U, v3, p)
-        self._count("fan_steps", "case_21" if out[0] else "case_22")
+        self._count("fan_steps")
         event = self._event("fan", pivot=v2, p=p, case21=out[0])
         if self.tables:
             event.graph, event.budget = graph, budget
@@ -331,7 +302,7 @@ class Probe:
         return verdict
 
     def _pairs(self, build, g, *rest):
-        if sys._getframe(1).f_code is solvers.solve_planar_dpg52.__code__:
+        if g is self.graph:
             self._count("final_checks")
         else:
             self._count("pair_vertices", k=g.n)
@@ -349,6 +320,5 @@ class Probe:
         return order
 
     def _budgets(self, trusted, cls, s, cap, rows):
-        self._count("budget_tables")
         self._count("budget_rows", k=len(rows))
         return trusted(cls, s, cap, rows)

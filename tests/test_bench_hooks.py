@@ -142,8 +142,8 @@ def _patches(tree: ast.Module) -> list[tuple[str, str]]:
 def test_every_seam_patch_is_registered():
     """The seam register: outside `bench/probe.py`, the tests and the
     benches patch a name on `dpfcolor.solvers`, `planar`, `coloring` or
-    `degeneracy` only where the probe's list of direct patches names it,
-    and that list names no patch that is gone.  A work-bound test reads
+    `degeneracy` only where the probe's `DIRECT_PATCHES` names it, and
+    that dict names no patch that is gone.  A work-bound test reads
     the probe's counts instead, so a change to a private step edits the
     probe."""
     sample = ast.parse(
@@ -163,8 +163,8 @@ def test_every_seam_patch_is_registered():
             rel = path.relative_to(ROOT).as_posix()
             found |= {(rel, *patch) for patch in _patches(ast.parse(path.read_text("utf-8")))}
     assert len(found) > 10
-    assert sorted(found - DIRECT_PATCHES) == [], "patches the probe does not name"
-    assert sorted(DIRECT_PATCHES - found) == [], "listed patches that are gone"
+    assert sorted(found - DIRECT_PATCHES.keys()) == [], "patches the probe does not name"
+    assert sorted(DIRECT_PATCHES.keys() - found) == [], "listed patches that are gone"
 
 
 @pytest.mark.parametrize("name", ["planar_fan", "planar_chord", "exact_desk", "verify_files"])

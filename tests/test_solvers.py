@@ -69,6 +69,12 @@ def identity_instance(g, colors, value=1, cap=None):
     return h, f
 
 
+def _cover_and_budget(pg, seed, budget_seed, list_size=5, density=1.0):
+    """A random cover of 5 colors and a budget of total 5 and cap 2 on pg."""
+    h = gen_random_cover(pg.graph, 5, list_size, density, seed=seed)
+    return h, gen_random_budget(pg.graph, 5, 5, 2, seed=budget_seed, lists=h.lists)
+
+
 def disk(n, seed):
     pg = gen_planar_triangulation(n, seed)
     fan = fan_neighbors(pg, 0)
@@ -434,16 +440,14 @@ class TestSolvePlanar:
 
     def test_k4_random_cover_seed1(self):
         pg = gen_planar_triangulation(4, seed=1)
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=1)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
+        h, f = _cover_and_budget(pg, 1, 1)
         r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
         assert solve_exact(pg.graph, h, f) is not None
 
     def test_stacked_n12_seed3(self):
         pg = gen_planar_triangulation(12, seed=3)
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=3)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=3, lists=h.lists)
+        h, f = _cover_and_budget(pg, 3, 3)
         r, order = solve_planar_dpg52(pg, h, f)
         assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
 
@@ -460,8 +464,7 @@ class TestSolvePlanar:
     def test_disks_and_polygons(self):
         for seed in range(12):
             pg = disk(5 + seed % 7, seed)
-            h = gen_random_cover(pg.graph, 5, 4, 1.0, seed=seed + 40)
-            f = gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 80, lists=h.lists)
+            h, f = _cover_and_budget(pg, seed + 40, seed + 80, list_size=4)
             r, order = solve_planar_dpg52(pg, h, f)
             assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
         for p in (4, 5, 7, 9):
@@ -487,8 +490,7 @@ class TestSolvePlanar:
 
     def test_order_starts_with_precolored_pair(self):
         pg = gen_planar_triangulation(9, seed=11)
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=11)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=11, lists=h.lists)
+        h, f = _cover_and_budget(pg, 11, 11)
         r, order = solve_planar_dpg52(pg, h, f)
         assert order[0][0] == 0 and order[1][0] == 1  # smallest outer edge is (0, 1)
 
@@ -727,8 +729,7 @@ def test_precolored_color_outside_list_raises_invalid_precoloring():
 
 def test_planar_solver_scales_past_the_exact_limit():
     pg = gen_planar_triangulation(25, seed=25)
-    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=26)
-    f = gen_random_budget(pg.graph, 5, 5, 2, seed=27, lists=h.lists)
+    h, f = _cover_and_budget(pg, 26, 27)
     r, order = solve_planar_dpg52(pg, h, f)
     assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
 
@@ -761,8 +762,7 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
         return order
 
     pg = triangulated_polygon(40, random.Random(0))
-    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
-    f = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
+    h, f = _cover_and_budget(pg, 0, 1)
     solve_planar_dpg52(pg, h, f)  # solves when nothing is corrupted
     monkeypatch.setattr(solvers, "eliminate_with_prefix", swap_two)
     with pytest.raises(InternalInvariantViolated, match="^chord combination failed: second "
@@ -771,32 +771,17 @@ def test_corrupted_step_order_is_caught_at_the_step(monkeypatch):
     assert len(corrupted) == 1
 
 
-def test_greedy_fault_names_its_vertex(monkeypatch):
+def test_greedy_fault_names_its_vertex(fail_last_greedy_placement):
     """A greedy placement that finds no residual color stops the solve with
     InternalInvariantViolated naming that vertex.  The fault is injected
     into the last placement of a solve that has base cases, runs of cut
     triangles and fan steps."""
     pg = gen_planar_triangulation(30, seed=2)
-    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=2)
-    f = gen_random_budget(pg.graph, 5, 5, 2, seed=2, lists=h.lists)
-    greedy = coloring._greedy_color
-    placed = []
-
-    def record(g, h, f, r, v, row=None):
-        placed.append(v)
-        return greedy(g, h, f, r, v, row)
-
-    monkeypatch.setattr(coloring, "_greedy_color", record)
-    solve_planar_dpg52(pg, h, f)
+    h, f = _cover_and_budget(pg, 2, 2)
+    placed = fail_last_greedy_placement(lambda: solve_planar_dpg52(pg, h, f))
     assert len(placed) > 2  # the first two color the precolored outer edge
-    victim = placed[-1]
-
-    def fail_at_victim(g, h, f, r, v, row=None):
-        return None if v == victim else greedy(g, h, f, r, v, row)
-
-    monkeypatch.setattr(coloring, "_greedy_color", fail_at_victim)
     with pytest.raises(InternalInvariantViolated,
-                       match=f"^greedy step failed: no residual color for vertex {victim}$"):
+                       match=f"^greedy step failed: no residual color for vertex {placed[-1]}$"):
         solve_planar_dpg52(pg, h, f)
 
 
@@ -814,8 +799,7 @@ def test_deep_instances_need_no_deep_python_stack(shape):
     pivot per step, so the construction runs hundreds of steps deep; its
     frames wait on a work stack, not on the Python stack."""
     pg = triangulate_interior(polygon(400)) if shape == "fanned-400" else grid(20)
-    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=4)
-    f = gen_random_budget(pg.graph, 5, 5, 2, seed=5, lists=h.lists)
+    h, f = _cover_and_budget(pg, 4, 5)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -833,8 +817,7 @@ def _chord_only_instances():
     shapes = [triangulate_interior(polygon(1000)),
               triangulated_polygon(1000, random.Random("chords/1000"))]
     for t, pg in enumerate(shapes):
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 10, lists=h.lists)
+        h, f = _cover_and_budget(pg, t, t + 10)
         yield pg, h, f
 
 
@@ -845,8 +828,7 @@ def _run_instances():
     shapes = [wheel(p) for p in (4, 5, 9, 40, 300)]
     shapes += [triangulate_interior(polygon(p)) for p in (4, 5, 9, 40, 300)]
     for t, pg in enumerate(shapes):
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t + 20)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 30, lists=h.lists)
+        h, f = _cover_and_budget(pg, t + 20, t + 30)
         yield pg, h, f
 
 
@@ -871,11 +853,10 @@ def test_resumed_chord_scan_matches_pairwise_scan():
         assert verify_coloring(pg.graph, h, f, r) is not None
         expected = None  # where the next scan starts and stops, if not at (0, None)
         for event in probe.events:
-            if event.kind == "scan":
-                adj, outer = event.before.graph.adj, event.before.outer
+            if event.kind == "scan":  # `before` holds the piece's adjacency and its walk
                 assert (event.start, event.stop) == (expected or (0, None))
-                assert event.on_outer == set(outer)
-                assert event.chord == pairwise(adj, outer), (event.start, event.stop, event.chord)
+                assert event.on_outer == set(event.before.outer)
+                assert event.chord == scan_find_chord(event.before), (event.start, event.stop)
                 expected = None
             elif event.kind == "cut":
                 i, before, (after,) = event.at, event.before, event.after
@@ -889,8 +870,10 @@ def test_resumed_chord_scan_matches_pairwise_scan():
                 assert list(event.removed) == cuts, (i, cuts)
                 assert after.outer == tuple(ref_outer) and after.graph.adj == ref_adj, (i, cuts)
                 runs.append(len(cuts))
+                assert expected is None, (event.kind, expected)
                 expected = i, None
             elif event.kind == "pivot":  # its neighbours but v1 and v3 join the walk
+                assert expected is None, (event.kind, expected)
                 expected = 0, len(next(iter(event.removed.values()))) - 1
                 fans += 1
         assert expected is None
@@ -908,8 +891,7 @@ def test_deep_fans_cut_their_triangles_in_linear_scans(shape):
     solve, in at most 10 frames (one on each shape).  Counts, not wall
     time, are bounded."""
     pg = triangulate_interior(polygon(5000)) if shape == "fanned" else wheel(4999)
-    h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=6)
-    f = gen_random_budget(pg.graph, 5, 5, 2, seed=7, lists=h.lists)
+    h, f = _cover_and_budget(pg, 6, 7)
     with Probe("scans", "cuts", "frames") as probe:
         r, order = solve_planar_dpg52(pg, h, f)
     assert pg.n == 5000
@@ -928,7 +910,7 @@ def test_no_split_builds_a_bare_triangle():
     triangle cut off in place counts as a piece towards the floor.  Neither
     instance takes a fan step, so every piece is a split's or an ear's."""
     for pg, h, f in _chord_only_instances():
-        with Probe("splits", "drops", "cuts", "pairs") as probe:
+        with Probe("splits", "drops", "cuts", "pairs", graph=pg.graph) as probe:
             r, _ = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
         pieces, pairs = probe.pieces, probe.pair_sizes
@@ -1000,8 +982,7 @@ def _fan_instances():
     shapes += [gen_planar_triangulation(20, seed) for seed in range(6, 36)]
     shapes += [grid(10, seed=seed) for seed in range(10)]
     for t, pg in enumerate(shapes):
-        h = gen_random_cover(pg.graph, 5, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2], seed=t)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 50, lists=h.lists)
+        h, f = _cover_and_budget(pg, t, t + 50, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2])
         yield pg, h, f
 
 
@@ -1182,8 +1163,7 @@ class TestOneOwnedInstance:
         shapes share a cut vertex, so they are rejected, and must be left
         unchanged too."""
         pg = drawn_shape(kind, seed)
-        h = gen_random_cover(pg.graph, 5, 5, density, seed=seed)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
+        h, f = _cover_and_budget(pg, seed, seed + 1, density=density)
         before = input_tables(pg, h, f)
         try:
             r, order = solve_planar_dpg52(pg, h, f)
@@ -1202,8 +1182,7 @@ class TestOneOwnedInstance:
         piece 2's inner rows in a dict, not in a Budget of its own.  A
         budget copied at every fan step handed it 669·n rows."""
         pg = gen_planar_triangulation(2000, 1)
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=2)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=3, lists=h.lists)
+        h, f = _cover_and_budget(pg, 2, 3)
         with Probe("budgets") as probe:
             r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
@@ -1223,8 +1202,7 @@ def _split_instances():
     shapes += [gen_planar_triangulation(100 + 10 * seed, seed) for seed in range(3, 8)]
     shapes += [grid(k, seed=k) for k in (10, 12)]
     for t, pg in enumerate(shapes):
-        h = gen_random_cover(pg.graph, 5, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2], seed=t)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 70, lists=h.lists)
+        h, f = _cover_and_budget(pg, t, t + 70, (5, 4)[t % 2], (1.0, 0.5)[t % 3 == 2])
         yield pg, h, f
 
 
@@ -1458,9 +1436,8 @@ class TestOrdersOnDemand:
         and 10 built 17.6·n, 15.9·n and 16.7·n.  With watched pairs they
         build 6.4·n, 8.1·n, 12.1·n, 10.8·n, 10.1·n and 11.5·n."""
         pg = grid(k, seed=seed)
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
-        f = gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
-        with Probe("pairs") as probe:
+        h, f = _cover_and_budget(pg, seed, seed + 1)
+        with Probe("pairs", graph=pg.graph) as probe:
             r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
         assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
@@ -1487,15 +1464,14 @@ class TestOrdersOnDemand:
                   gen_planar_triangulation(200, 3), gen_planar_triangulation(200, 5),
                   grid(10, seed=10)]
         for t, pg in enumerate(shapes):
-            h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=t)
-            f = gen_random_budget(pg.graph, 5, 5, 2, seed=t + 1, lists=h.lists)
+            h, f = _cover_and_budget(pg, t, t + 1)
             with Probe("frames", "splits", "drops", "fans", "orders", "reinsertions",
                        tables=True) as probe:
                 r, _ = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None
             read, watched = {}, {}
             for frame in probe.frames:  # each after its parent
-                parent, piece2 = frame.parent, frame.role == "piece 2"
+                parent, piece2 = frame.parent, frame.piece2
                 read[frame] = whole = parent is None or read[parent] and not piece2
                 watch = watched[frame] = []
                 if not whole and not piece2:  # a piece 1: its parent split on a chord
@@ -1529,8 +1505,7 @@ class TestOrdersOnDemand:
         for a fault in a frame that watches pairs of its order, which checks
         no more than a frame that wants none."""
         pg = grid(12, seed=12)
-        h = gen_random_cover(pg.graph, 5, 5, 1.0, seed=0)
-        f_in = gen_random_budget(pg.graph, 5, 5, 2, seed=1, lists=h.lists)
+        h, f_in = _cover_and_budget(pg, 0, 1)
         assert solve_planar_dpg52(pg, h, f_in)  # solves when nothing is forbidden
         cases = {"no order, under a frame that wants none":
                  lambda want, parent: not want and not parent,
@@ -1554,10 +1529,12 @@ class TestOrdersOnDemand:
                     return r, order
 
                 monkeypatch.setattr(solvers, "_step", forbid_one_color)
-                with pytest.raises(InternalInvariantViolated,
-                                   match="^shared chord pair cannot head the order$"):
-                    solve_planar_dpg52(pg, h, f_in)
-                monkeypatch.undo()
+                try:
+                    with pytest.raises(InternalInvariantViolated,
+                                       match="^shared chord pair cannot head the order$"):
+                        solve_planar_dpg52(pg, h, f_in)
+                finally:
+                    monkeypatch.undo()
             assert len(faults) == 1, (case, faults)
 
 
