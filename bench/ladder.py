@@ -22,7 +22,11 @@ objects (op "verify"), and `dpfcolor verify --json` run in-process through
 "verify_cli").  The third runs `dpfcolor solve-planar --json` in-process
 through `cli.main` on the emitted plane graph, cover and budget files
 (op "solve_cli"): parsing, the solver with its final definition check,
-and the JSON report.  The
+and the JSON report.  The rungs of op "triangulate" time
+`triangulate_interior` alone, at n = 4000, 16000 and 64000, on stacked
+triangulations, where it only validates its input (one face trace, which
+also tells whether the graph is 2-connected), and on grids, where it also
+adds a chord to every bounded face.  The
 exact solver has rungs of its own (op "exact"): `solve_exact` with
 `limit = n` on a DP 4-coloring of a stacked triangulation of n = 32, 64,
 128 and 256 vertices (4 colors, lists of 4, density 1.0, every budget 1;
@@ -76,7 +80,8 @@ The results go to `BENCH_<label>.json` next to this script:
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
 slope of log(scaled_ms) against log(vertices) over the successful cases of a
-shape (op "solve") or of one of the other ops; rss_growth is the
+shape (op "solve"), of op "triangulate" on one shape ("triangulate
+stacked", "triangulate grid") or of one of the other ops; rss_growth is the
 same slope for log(peak_rss_mb), which includes the interpreter's own few
 tens of MB and so reads low on the small rungs.  The `_to_8k` tables fit
 only the solve rungs of n <= 8000, the range every ladder file before the
@@ -116,6 +121,7 @@ TOP_SIZE, TOP_SHAPES = 64000, ("stacked", "polygon")  # one more solve rung for 
 FIT_TO = 8000  # the largest rung of the comparable fit
 STACKED_OPS = ("verify", "verify_cli", "solve_cli")
 STACKED_SIZES = (4000, 16000, 64000)
+TRIANGULATE_SHAPES = ("stacked", "grid")  # op "triangulate" runs at STACKED_SIZES
 EXACT_SIZES = (32, 64, 128, 256)
 EXACT_PATH_SIZES = (550, 1100, 2200, 4400)
 SEED = 1
@@ -261,6 +267,13 @@ def search(dp, g, h, f) -> Span:
     return span
 
 
+def triangulate(dp, pg, _h, _f) -> Span:
+    """`triangulate_interior` alone."""
+    with Span() as span:
+        dp.triangulate_interior(pg)
+    return span
+
+
 def exact(dp, pg, _h, _f) -> Span:
     """`solve_exact` on a DP 4-coloring with unit budgets."""
     h = dp.gen_random_cover(pg.graph, 4, 4, 1.0, seed=8)
@@ -278,7 +291,7 @@ def exact_path(dp, pg, _h, _f) -> Span:
 
 
 OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "solve_cli": solve_cli,
-       "exact": exact, "exact_path": exact_path}
+       "triangulate": triangulate, "exact": exact, "exact_path": exact_path}
 
 
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
@@ -361,14 +374,14 @@ def case_key(case: dict) -> tuple[str, str, int]:
 
 def series(case: dict) -> str:
     """What a case's growth exponent is taken over: its shape for op
-    "solve", its op otherwise."""
+    "solve", its op and shape for op "triangulate", its op otherwise."""
     op, shape, _ = case_key(case)
-    return shape if op == "solve" else op
+    return shape if op == "solve" else f"{op} {shape}" if op == "triangulate" else op
 
 
 def case_name(case: dict) -> str:
     op, shape, n = case_key(case)
-    return f"{op:10} {shape:8} n={n:<5}"
+    return f"{op:11} {shape:8} n={n:<5}"
 
 
 def print_delta(old: dict, new: dict) -> None:
@@ -402,7 +415,8 @@ def fits(cases: list[dict], largest: float = math.inf) -> tuple[dict, dict]:
     """Time and RSS growth exponents of each shape's and each other op's
     successful cases, over the rungs of n <= largest."""
     growth, rss_growth = {}, {}
-    for name in SHAPES + STACKED_OPS + ("exact", "exact_path"):
+    for name in (*SHAPES, *STACKED_OPS, *(f"triangulate {s}" for s in TRIANGULATE_SHAPES),
+                 "exact", "exact_path"):
         done = [c for c in cases if series(c) == name and "total_ms" in c and c["n"] <= largest]
         for table, key in ((growth, "scaled_ms"), (rss_growth, "peak_rss_mb")):
             points = [(c["vertices"], c[key]) for c in done]
@@ -430,6 +444,7 @@ def main(argv=None) -> int:
     rungs = ([("solve", shape, n) for shape in SHAPES
               for n in SIZES + ((TOP_SIZE,) if shape in TOP_SHAPES else ())]
              + [(op, "stacked", n) for op in STACKED_OPS for n in STACKED_SIZES]
+             + [("triangulate", shape, n) for shape in TRIANGULATE_SHAPES for n in STACKED_SIZES]
              + [("exact", "stacked", n) for n in EXACT_SIZES]
              + [("exact_path", "path", n) for n in EXACT_PATH_SIZES])
     cases = []

@@ -108,6 +108,9 @@ DIRECT_PATCHES = {
         "inspection and a changed rule, which `TestWatchedOrders` reads as it was written",
     (_SOLVERS, "_solve_recording_answers", "solvers.eliminate_with_prefix"):
         "inspection of the re-orderings made for watched pairs",
+    **{(_SOLVERS, "test_a_valid_solve_traces_faces_once_and_runs_no_lowpoint_dfs", name):
+       "inspection: the face traces and lowpoint DFS runs of each solve"
+       for name in ("planar.trace_faces", "planar.is_two_connected")},
     ("tests/test_coloring.py",
      "TestSingleUnionCheck.test_success_path_builds_no_subgraph_or_residual",
      "coloring._residuals"): "a fault: the residual budget raises if the success path builds one",

@@ -4,6 +4,12 @@ A plane graph is a simple graph plus a clockwise cyclic neighbor order per
 vertex and a designated outer face.  Faces are traced by following, from
 each directed edge (u, v), the dart (v, w) where w is the successor of u
 in the rotation at v; this visits every dart exactly once.
+`triangulate_interior`, which the planar solver runs on every input,
+checks its input from the one trace that `faces` makes: the Euler count
+and the outer face, and 2-connectivity too, since a connected plane graph
+of at least 3 vertices is 2-connected exactly when every face walk is
+simple.  The lowpoint DFS `is_two_connected` runs only on an input whose
+embedding check fails.
 
 The planar recursion's pieces rebuild only the rows of vertices that lose
 a neighbour and share the rest with the parent.  A chord split (`_split`)
@@ -119,27 +125,27 @@ class FaceSet:
 
 
 def trace_faces(pg: PlaneGraph) -> list[tuple[int, ...]]:
-    """Raw face walks from the rotation system, deterministic order."""
-    rotation = pg.rotation
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, rot in rotation.items():
-        d = len(rot)
-        for k, u in enumerate(rot):
-            succ[(u, v)] = (v, rot[(k + 1) % d])
-    faces = []
-    seen: set[tuple[int, int]] = set()
-    # The darts in sorted order: each rotation row permutes its vertex's
-    # neighbours, so the darts out of u are (u, v) for v in rotation[u].
-    for dart in ((u, v) for u in sorted(rotation) for v in sorted(rotation[u])):
-        if dart in seen:
-            continue
-        walk = []
-        cur = dart
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur[0])
-            cur = succ[cur]
-        faces.append(tuple(walk))
+    """Raw face walks from the rotation system, deterministic order.
+
+    `nxt[v][u]` is the neighbour w such that dart (u, v) is followed by
+    (v, w).  Following a dart pops its entry, so a pop marks the dart as
+    walked, and each dart is read once, with no set of walked darts.
+    Walks start at the darts (u, v) in sorted order, so the walks, their
+    starts and their order do not depend on the key order of the tables.
+    """
+    rotation, faces = pg.rotation, []
+    nxt = {v: dict(zip(rot, rot[1:] + rot[:1])) for v, rot in rotation.items()}
+    # Each rotation row permutes its vertex's neighbours, so the darts out
+    # of u are (u, v) for v in rotation[u]; (u, v) is unwalked while
+    # nxt[v] holds u.
+    for u in sorted(rotation):
+        for v in sorted(rotation[u]):
+            if u in nxt[v]:
+                walk, a, b = [], u, v
+                while (c := nxt[b].pop(a, None)) is not None:
+                    walk.append(a)
+                    a, b = b, c
+                faces.append(tuple(walk))
     return faces
 
 
@@ -187,7 +193,10 @@ def is_two_connected(g: SimpleGraph) -> bool:
 
     One iterative lowpoint DFS (Hopcroft and Tarjan, CACM 1973): a cut
     vertex exists iff the root has more than one DFS child, or some other
-    vertex v has a child w with low[w] >= disc[v].
+    vertex v has a child w with low[w] >= disc[v].  It needs no embedding.
+    `triangulate_interior` reads 2-connectivity off its face trace, and
+    runs this only on an input whose embedding check fails, to tell a
+    graph that is not 2-connected from an embedding fault.
     """
     if g.n < 3:
         return False
@@ -241,12 +250,29 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     among its vertices lie outside it without crossing, so together with
     the cycle they form an outerplanar graph; a degree-2 vertex of that
     graph (an ear) has no edge to any non-neighbor on the face.
+
+    The input is checked from that one trace.  After the outer walk is
+    found to be a simple cycle, `faces` checks connectivity, the Euler
+    count and that the outer walk is a face.  Then the graph is
+    2-connected exactly when every face walk is simple: a connected plane
+    graph of at least 3 vertices is 2-connected iff every face is bounded
+    by a cycle (Diestel, Graph Theory, Prop. 4.2.6).  A graph that is not
+    2-connected is reported as such before any embedding fault, so when
+    `faces` raises, the lowpoint DFS decides which error to raise: the
+    embedding's only if the graph is 2-connected.  So the DFS runs only
+    on an input that fails.
     """
     if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
         raise NotTwoConnected("outer face is not a simple cycle")
-    if not is_two_connected(pg.graph):
+    try:
+        fs = faces(pg)
+    except InvalidEmbedding:
+        if is_two_connected(pg.graph):
+            raise
+        fs = None
+    if fs is None or pg.n < 3 or any(len(set(w)) != len(w) for w in fs.faces):
         raise NotTwoConnected("triangulation needs a 2-connected plane graph")
-    long_faces = [f for f in faces(pg).bounded if len(f) > 3]
+    long_faces = [f for f in fs.bounded if len(f) > 3]
     if not long_faces:
         return pg
     adj = dict(pg.graph.adj)

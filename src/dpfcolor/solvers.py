@@ -46,6 +46,8 @@ lies inside it.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .coloring import (
     _check_precoloring,
     _color_greedily,
@@ -277,12 +279,17 @@ def solve_exact(g: SimpleGraph, h: Cover, f: Budget,
 
 def _check_budget(g: SimpleGraph, h: Cover, f: Budget, total: int) -> None:
     """Raise BadBudget unless every budget value is at most 2 and every
-    vertex's budget summed over its list is at least `total`."""
-    rows, lists = f._rows, h.lists  # budget rows hold only values >= 1
-    if any(val > 2 for row in rows.values() for val in row.values()):
+    vertex's budget summed over its list is at least `total`.
+
+    The cap is one `max` over every row's values at C level.  A row whose
+    colors all lie in the vertex's list, the usual case, sums its values
+    at C level too; only another row filters its colors one by one."""
+    rows, lists, empty = f._rows, h.lists, frozenset()  # budget rows hold only values >= 1
+    if max(chain.from_iterable(map(dict.values, rows.values())), default=0) > 2:
         raise BadBudget("budget values must be capped at 2")
-    low = [v for v in g.vertices
-           if sum(val for i, val in rows.get(v, {}).items() if i in lists.get(v, ())) < total]
+    low = [v for v in g.vertices if total > (
+        sum(row.values()) if (row := rows.get(v, {})).keys() <= (lst := lists.get(v, empty))
+        else sum(val for i, val in row.items() if i in lst))]
     if low:
         raise BadBudget(f"list-restricted budget total below {total} at {low}")
 

@@ -28,8 +28,13 @@ the current code must return:
   edge list through `PairGraph.__init__`;
 - `three_check_combine_colorings`, which checks the first coloring, the
   residual one and the union separately;
+- `side_trace_faces`, the face trace that keeps a successor and a seen
+  set keyed by dart tuples, which `planar.trace_faces` must walk as;
 - `canonical_faces`, which finds the outer face by comparing the minimal
-  rotation or reflection of every walk;
+  rotation or reflection of every walk of `side_trace_faces`;
+- `two_pass_triangulate_checks`, the input checks of
+  `triangulate_interior` in their old order: the outer walk, then the
+  lowpoint DFS, then the embedding;
 - `scan_find_chord`, which tries every pair of outer positions;
 - `relabel_extend_over_configuration`, the configuration extension on
   relabeled copies of the cover and budgets, translated back through
@@ -420,8 +425,6 @@ def glued_triangulations(n1: int, n2: int, seed: int) -> PlaneGraph:
     """Two stacked triangulations sharing one vertex, the second drawn in a
     face corner of the first; the outer face is the longest face walk,
     which passes the shared vertex twice."""
-    from dpfcolor.planar import trace_faces
-
     rng = random.Random(seed)
     t1 = gen_planar_triangulation(n1, seed)
     t2 = gen_planar_triangulation(n2, seed + 1)
@@ -435,7 +438,7 @@ def glued_triangulations(n1: int, n2: int, seed: int) -> PlaneGraph:
     rotation[x1] = r1[k1:] + r1[:k1] + r2[k2:] + r2[:k2]
     edges = list(t1.graph.edges) + [(label[u], label[v]) for u, v in t2.graph.edges]
     pg = PlaneGraph(SimpleGraph(n1 + n2 - 1, edges), rotation, ())
-    return pg.with_outer(max(trace_faces(pg), key=len))
+    return pg.with_outer(max(side_trace_faces(pg), key=len))
 
 
 def drawn_shape(kind: str, seed: int) -> PlaneGraph:
@@ -926,16 +929,41 @@ def _canonical_cycle(seq):
                for k in range(len(cand)))
 
 
+def side_trace_faces(pg: PlaneGraph) -> list[tuple[int, ...]]:
+    """`trace_faces` as a successor table and a set of walked darts, both
+    keyed by dart tuples: the same walks, from the same starts, in the
+    same order."""
+    rotation = pg.rotation
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for v, rot in rotation.items():
+        d = len(rot)
+        for k, u in enumerate(rot):
+            succ[(u, v)] = (v, rot[(k + 1) % d])
+    walks = []
+    seen: set[tuple[int, int]] = set()
+    for dart in ((u, v) for u in sorted(rotation) for v in sorted(rotation[u])):
+        if dart in seen:
+            continue
+        walk = []
+        cur = dart
+        while cur not in seen:
+            seen.add(cur)
+            walk.append(cur[0])
+            cur = succ[cur]
+        walks.append(tuple(walk))
+    return walks
+
+
 def canonical_faces(pg: PlaneGraph):
     """`faces`, matching the outer cycle by its canonical rotation."""
     from dpfcolor.errors import InvalidEmbedding
-    from dpfcolor.planar import FaceSet, trace_faces
+    from dpfcolor.planar import FaceSet
 
     if not pg.graph.is_connected():
         raise InvalidEmbedding("graph is not connected")
     if pg.n == 1:
         return FaceSet(((),), 0)
-    walks = trace_faces(pg)
+    walks = side_trace_faces(pg)
     if pg.n - pg.graph.m + len(walks) != 2:
         raise InvalidEmbedding(
             f"Euler check failed: {pg.n} - {pg.graph.m} + {len(walks)} != 2")
@@ -944,6 +972,21 @@ def canonical_faces(pg: PlaneGraph):
         if _canonical_cycle(w) == target:
             return FaceSet(tuple(walks), i)
     raise InvalidEmbedding("designated outer cycle is not a face")
+
+
+def two_pass_triangulate_checks(pg: PlaneGraph) -> None:
+    """Raise what `triangulate_interior` raises on pg, by its checks in the
+    order they ran before it read 2-connectivity off the face trace: the
+    outer walk is a simple cycle, the lowpoint DFS finds no cut vertex,
+    and only then is the embedding checked (by `canonical_faces`)."""
+    from dpfcolor.errors import NotTwoConnected
+    from dpfcolor.planar import is_two_connected
+
+    if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
+        raise NotTwoConnected("outer face is not a simple cycle")
+    if not is_two_connected(pg.graph):
+        raise NotTwoConnected("triangulation needs a 2-connected plane graph")
+    canonical_faces(pg)
 
 
 def scan_find_chord(pg: PlaneGraph):

@@ -201,9 +201,10 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     spec.loader.exec_module(ladder)
     sizes = {"solve": ("stacked", 30), "verify": ("stacked", 40),
              "verify_cli": ("stacked", 40), "solve_cli": ("stacked", 40),
-             "exact": ("stacked", 16), "exact_path": ("path", 20)}
+             "triangulate": ("grid", 36), "exact": ("stacked", 16), "exact_path": ("path", 20)}
     assert set(sizes) == set(ladder.OPS)
     cases = [ladder.run_case(op, shape, n, ladder.SEED) for op, (shape, n) in sizes.items()]
+    cases.insert(-2, ladder.run_case("triangulate", "stacked", 40, ladder.SEED))
     for case in cases:
         assert "error" not in case, case
         assert case["total_ms"] >= 0 and case["scaled_ms"] >= 0 and case["peak_rss_mb"] > 0
@@ -216,7 +217,9 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     assert all("pair_vertices_per_n" not in c and "split_rows_per_n" not in c for c in cases[1:])
     growth, rss_growth = ladder.fits(cases * 2)
     assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.STACKED_OPS,
+                                              "triangulate stacked", "triangulate grid",
                                               "exact", "exact_path"}
+    assert [ladder.series(c) for c in cases[4:6]] == ["triangulate grid", "triangulate stacked"]
     assert ladder.fits(cases * 2, 30)[0]["stacked"] == growth["stacked"]
     assert ladder.fits(cases * 2, 29)[0]["stacked"] is None
     new = {"label": "new", "commit": "b", "cases": cases, "growth": growth,

@@ -9,12 +9,15 @@ from dpfcolor import (
     PlaneGraph,
     SimpleGraph,
     cycle_graph,
+    gen_random_budget,
+    gen_random_cover,
     faces,
     fan_neighbors,
     find_chord,
     find_separating_triangle,
     gen_planar_triangulation,
     path_graph,
+    solve_planar_dpg52,
     split_on_chord,
     triangulate_interior,
 )
@@ -41,8 +44,10 @@ from oracles import (
     scan_find_chord,
     side_find_separating_triangle,
     side_split,
+    side_trace_faces,
     thin_triangulation,
     triangulated_polygon,
+    two_pass_triangulate_checks,
     wheel,
 )
 
@@ -143,6 +148,11 @@ class TestTriangulate:
         pg = PlaneGraph(g, {0: (1,), 1: (0, 2), 2: (1,)}, (0, 1, 2, 1))
         with pytest.raises(NotTwoConnected):
             triangulate_interior(pg)
+        # One vertex passes `faces` with one empty walk, which is simple;
+        # `with_outer` does not check that its walk names vertices.
+        lone = PlaneGraph(SimpleGraph(1), {}, (0,)).with_outer((0, 1, 2))
+        with pytest.raises(NotTwoConnected, match="^triangulation needs a 2-connected plane graph$"):
+            triangulate_interior(lone)
 
 
 class TestChords:
@@ -661,3 +671,138 @@ class TestTwoConnected:
         g = SimpleGraph(n, edges)
         assert g.degree(0) == 4 and all(g.degree(v) == 2 for v in range(1, n))
         assert not is_two_connected(g)
+
+
+class TestOneFaceTrace:
+    """`trace_faces` walks as the dart-tuple trace in `oracles` does, and
+    `triangulate_interior` reads 2-connectivity off its walks: a connected
+    plane graph of at least 3 vertices is 2-connected exactly when every
+    face walk is simple."""
+
+    def test_matches_side_trace_on_seeded_shapes(self):
+        through_cut_vertex = 0
+        for pg in _chord_shapes():
+            walks = trace_faces(pg)
+            assert walks == side_trace_faces(pg)
+            through_cut_vertex += any(len(set(w)) != len(w) for w in walks)
+        assert through_cut_vertex >= 40, through_cut_vertex  # the glued shapes
+
+    @given(kind=SHAPE_KINDS, seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_matches_side_trace(self, kind, seed, data):
+        """On a drawn shape, and on it with one rotation row scrambled, which
+        is no longer a plane embedding but still has a face trace."""
+        pg = drawn_shape(kind, seed)
+        assert trace_faces(pg) == side_trace_faces(pg)
+        v = data.draw(st.sampled_from(pg.graph.vertices))
+        rotation = dict(pg.rotation)
+        rotation[v] = tuple(data.draw(st.permutations(rotation[v])))
+        scrambled = PlaneGraph(pg.graph, rotation, pg.outer)
+        assert trace_faces(scrambled) == side_trace_faces(scrambled)
+
+    @staticmethod
+    def _embeddings(nx):
+        """(networkx graph, plane graph) for seeded planar graphs of 3 to 14
+        vertices in networkx's embedding, both ways round.  A third are a
+        random tree plus random edges, so connected, mostly with bridges; a
+        third are a stacked triangulation with random edges removed, which
+        may leave it 2-connected, with bridges, or disconnected; a third
+        are two such triangulations on vertices 0..a-1 and a-1..n-1, which
+        share the cut vertex a - 1 and often no bridge."""
+        for t in range(600):
+            rng = random.Random(f"face-rule/{t}")
+            n = 3 + t % 12
+            if t % 3 == 0:
+                p = rng.choice([0.0, 0.1, 0.25, 0.5])
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+                edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+            else:
+                a = rng.randint(3, n - 2) if t % 3 == 2 and n >= 5 else n
+                keep = rng.choice([0.5, 0.65, 0.8, 1.0] if a == n else [0.8, 1.0, 1.0])
+                parts = [gen_planar_triangulation(a, t).graph.edges]
+                if a < n:
+                    second = gen_planar_triangulation(n - a + 1, t + 1).graph.edges
+                    parts.append({(u + a - 1, v + a - 1) for u, v in second})
+                edges = {e for part in parts for e in part if rng.random() < keep}
+            nxg = nx.Graph(edges)
+            nxg.add_nodes_from(range(n))
+            planar, emb = nx.check_planarity(nxg)
+            if planar:
+                g = SimpleGraph(n, edges)
+                cw = {v: tuple(emb.neighbors_cw_order(v)) for v in range(n)}
+                for rotation in (cw, {v: row[::-1] for v, row in cw.items()}):
+                    yield nxg, PlaneGraph(g, rotation, ())
+
+    def test_face_walks_are_simple_exactly_when_biconnected(self):
+        """Diestel, Graph Theory, Prop. 4.2.6, on every seeded embedding
+        where the Euler count holds: networkx's, and each with one
+        rotation row reversed."""
+        nx = pytest.importorskip("networkx")
+        seen = Counter()
+        for nxg, pg in self._embeddings(nx):
+            if not nx.is_connected(nxg):
+                continue
+            v = max(pg.graph.vertices, key=pg.graph.degree)
+            rotation = {**pg.rotation, v: pg.rotation[v][::-1]}
+            for q in (pg, PlaneGraph(pg.graph, rotation, ())):
+                walks = trace_faces(q)
+                if q.n - q.graph.m + len(walks) != 2:
+                    assert q is not pg
+                    continue
+                simple = all(len(set(w)) == len(w) for w in walks)
+                assert simple == nx.is_biconnected(nxg), (nxg.edges, q.rotation)
+                seen[simple, any(nx.bridges(nxg))] += 1
+        # (simple, has a bridge): 2-connected, cut vertices but no bridge, bridges
+        assert sum(seen.values()) > 1200 and min(
+            seen[True, False], seen[False, False], seen[False, True]) > 200, seen
+
+    @staticmethod
+    def _input_class(nx, nxg, pg) -> str:
+        """The class of an input by the checks in their old order, told by
+        networkx and the dart-tuple trace."""
+        if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
+            return "outer walk not simple"
+        if not nx.is_connected(nxg):
+            return "disconnected"
+        kind = "2-connected" if nx.is_biconnected(nxg) else "cut vertex"
+        walks = side_trace_faces(pg)
+        if pg.n - pg.graph.m + len(walks) != 2:
+            return f"{kind}, Euler count fails"
+        if not any(w in _rotations(pg.outer) for w in walks):
+            return f"{kind}, outer walk not a face"
+        return f"{kind}, valid embedding"
+
+    def test_errors_come_in_the_old_order(self):
+        """Every input gets the type and message of the old order of checks
+        (`oracles.two_pass_triangulate_checks`), from `triangulate_interior`
+        and from `solve_planar_dpg52`, which reports a disconnected graph
+        itself.  The inputs are the seeded embeddings and each with one
+        rotation row reversed, each with every face walk as its outer walk,
+        and with three vertices that need not bound a face."""
+        nx = pytest.importorskip("networkx")
+        seen = Counter()
+        for t, (nxg, pg) in enumerate(self._embeddings(nx)):
+            rng = random.Random(f"error-order/{t}")
+            v = rng.choice(pg.graph.vertices)
+            rotation = {**pg.rotation, v: pg.rotation[v][::-1]}
+            h = gen_random_cover(pg.graph, 5, 5, 1.0, t)
+            f = gen_random_budget(pg.graph, 5, 5, 2, t, lists=h.lists)
+            for embedded in (pg, PlaneGraph(pg.graph, rotation, ())):
+                for outer in side_trace_faces(embedded) + [tuple(rng.sample(pg.graph.vertices, 3))]:
+                    q = embedded.with_outer(outer)
+                    expected = _error_outcome(lambda: two_pass_triangulate_checks(q) or "ok")
+                    got = _error_outcome(lambda: triangulate_interior(q) and "ok")
+                    assert got == expected, (nxg.edges, q.rotation, outer)
+                    if not nx.is_connected(nxg):
+                        expected = NotTwoConnected, "graph must be connected"
+                    got = _error_outcome(lambda: solve_planar_dpg52(q, h, f) and "ok")
+                    assert got == expected, (nxg.edges, q.rotation, outer)
+                    seen[self._input_class(nx, nxg, q), got] += 1
+        classes = Counter(kind for kind, _ in seen.elements())
+        assert {kind for kind, count in classes.items() if count >= 100} == {
+            "outer walk not simple", "disconnected",
+            *(f"{kind}, {case}" for kind in ("2-connected", "cut vertex")
+              for case in ("Euler count fails", "outer walk not a face", "valid embedding"))
+        }, classes
+        assert {got for kind, got in seen if kind == "cut vertex, valid embedding"} == {
+            (NotTwoConnected, "triangulation needs a 2-connected plane graph")}
+        assert {got for kind, got in seen if kind == "2-connected, valid embedding"} == {"ok"}

@@ -29,13 +29,14 @@ from dpfcolor import (
 from dpfcolor.errors import (
     BadBudget,
     InternalInvariantViolated,
+    InvalidEmbedding,
     InvalidInput,
     InvalidPrecoloring,
     LimitExceeded,
     NotInFamily,
     NotTwoConnected,
 )
-from dpfcolor import coloring, solvers
+from dpfcolor import coloring, planar, solvers
 from dpfcolor.cycles import FamilyA, check_family
 from dpfcolor.degeneracy import _orderable_with
 from dpfcolor.graphs import _OwnedGraph
@@ -536,6 +537,8 @@ class TestSolvePlanar:
             solve_planar_dpg52(pg, h, f)
         with pytest.raises(BadBudget, match="^budget values must be capped at 2$"):
             solve_planar_dpg52(pg, h, Budget(6, 3, {**values, (3, 1): 3}))
+        with pytest.raises(BadBudget, match=r"^list-restricted budget total below 5 at \[0, 1, "):
+            solve_planar_dpg52(pg, h, Budget(6, 2))  # no row at all: no value to cap
         k4 = gen_planar_triangulation(4, seed=0)
         lists = {v: {1, 2, 3, 4} for v in k4.graph.vertices}
         values = {(v, c): 1 for v in k4.graph.vertices for c in lists[v]}
@@ -1187,6 +1190,39 @@ class TestOneOwnedInstance:
             r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
         assert 0 < probe.counts["budget_rows"] <= 3 * pg.n, probe.counts
+
+
+def test_a_valid_solve_traces_faces_once_and_runs_no_lowpoint_dfs(monkeypatch):
+    """The solve validates its input from one face trace: on seeded shapes
+    of every 2-connected drawn kind, on polygons that it triangulates, a
+    wheel, a grid and a stacked n = 500, it calls `trace_faces` once and
+    `is_two_connected` never.  The lowpoint DFS runs only on an input that
+    already fails, to tell a cut vertex from an embedding fault."""
+    calls = Counter()
+
+    def counted(fn):
+        def count(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return count
+
+    monkeypatch.setattr(planar, "trace_faces", counted(planar.trace_faces))
+    monkeypatch.setattr(planar, "is_two_connected", counted(planar.is_two_connected))
+    shapes = [drawn_shape(kind, seed) for kind in ("stacked", "thin", "fanned", "grid")
+              for seed in range(8)]
+    shapes += [polygon(5), polygon(9), wheel(7), grid(5, seed=5), gen_planar_triangulation(500, 1)]
+    for t, pg in enumerate(shapes):
+        h, f = _cover_and_budget(pg, t, t + 1)
+        before = calls.copy()
+        r, _ = solve_planar_dpg52(pg, h, f)
+        assert verify_coloring(pg.graph, h, f, r) is not None
+        assert calls - before == Counter(trace_faces=1), (t, calls - before)
+    pg = gen_planar_triangulation(8, 4)
+    rotation = {**pg.rotation, 0: pg.rotation[0][1::-1] + pg.rotation[0][2:]}
+    before = calls.copy()
+    with pytest.raises(InvalidEmbedding, match="^Euler check failed"):
+        solve_planar_dpg52(PlaneGraph(pg.graph, rotation, pg.outer), *_cover_and_budget(pg, 1, 2))
+    assert calls - before == Counter(trace_faces=1, is_two_connected=1)
 
 
 def _split_instances():
