@@ -26,7 +26,12 @@ and the JSON report.  The rungs of op "triangulate" time
 `triangulate_interior` alone, at n = 4000, 16000 and 64000, on stacked
 triangulations, where it only validates its input (one face trace, which
 also tells whether the graph is 2-connected), and on grids, where it also
-adds a chord to every bounded face.  The
+adds a chord to every bounded face.  The rungs of op "family" time
+`check_family` for `NoAdj34` and then `FamilyA`, each alone, at n = 4000,
+16000 and 64000 on two graphs that lie in both families, so that every
+edge is read: grids with a triangle hung on every 4th vertex ("pendant";
+a k x k grid with k = round(sqrt(n / 1.5))), and windmills of n // 2
+triangles whose hub is labelled last ("windmill").  The
 exact solver has rungs of its own (op "exact"): `solve_exact` with
 `limit = n` on a DP 4-coloring of a stacked triangulation of n = 32, 64,
 128 and 256 vertices (4 colors, lists of 4, density 1.0, every budget 1;
@@ -72,7 +77,8 @@ The results go to `BENCH_<label>.json` next to this script:
     {label, written, python, cpus, commit, dirty, cases: [{op, shape, n,
      vertices, seed, total_ms, scaled_ms, gen2_collections, peak_rss_mb}
      (op "solve" adds pair_vertices_per_n and split_rows_per_n; ops "exact" and "exact_path"
-     add nodes, backtracks and nodes_per_s)
+     add nodes, backtracks and nodes_per_s; op "family" adds parts_ms, the
+     scaled ms of each family's check)
      or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent},
      growth_to_8k: {shape: exponent}, rss_growth_to_8k: {shape: exponent}}
@@ -81,7 +87,10 @@ where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
 slope of log(scaled_ms) against log(vertices) over the successful cases of a
 shape (op "solve"), of op "triangulate" on one shape ("triangulate
-stacked", "triangulate grid") or of one of the other ops; rss_growth is the
+stacked", "triangulate grid"), of one family's check on one shape
+("noadj34 pendant", "family-a windmill", ...) or of one of the other ops;
+a family's growth is fitted to its own part of the scaled time, and its
+rss_growth to the peak of the process that ran both; rss_growth is the
 same slope for log(peak_rss_mb), which includes the interpreter's own few
 tens of MB and so reads low on the small rungs.  The `_to_8k` tables fit
 only the solve rungs of n <= 8000, the range every ladder file before the
@@ -122,6 +131,7 @@ FIT_TO = 8000  # the largest rung of the comparable fit
 STACKED_OPS = ("verify", "verify_cli", "solve_cli")
 STACKED_SIZES = (4000, 16000, 64000)
 TRIANGULATE_SHAPES = ("stacked", "grid")  # op "triangulate" runs at STACKED_SIZES
+FAMILY_SHAPES = ("pendant", "windmill")  # op "family" runs at STACKED_SIZES
 EXACT_SIZES = (32, 64, 128, 256)
 EXACT_PATH_SIZES = (550, 1100, 2200, 4400)
 SEED = 1
@@ -143,6 +153,19 @@ def build(dp, shape: str, n: int, seed: int):
         return dp.triangulate_interior(dp.PlaneGraph(g, rot, tuple(range(n))))
     if shape == "grid":
         return shapes.grid(dp, round(math.sqrt(n)), seed)
+    if shape == "pendant":
+        k = round(math.sqrt(n / 1.5))
+        edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+        edges += [(v, v + k) for v in range(k * k - k)]
+        size = k * k
+        for v in range(0, k * k, 4):
+            edges += [(v, size), (v, size + 1), (size, size + 1)]
+            size += 2
+        return dp.SimpleGraph(size, edges)
+    if shape == "windmill":
+        t = n // 2
+        return dp.SimpleGraph(2 * t + 1, [e for a in range(0, 2 * t, 2)
+                                          for e in ((a, a + 1), (a, 2 * t), (a + 1, 2 * t))])
     if shape == "path":
         g = dp.SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
         rot = {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)}
@@ -290,16 +313,33 @@ def exact_path(dp, pg, _h, _f) -> Span:
     return search(dp, g, h, f)
 
 
+def family(dp, g, _h, _f) -> Span:
+    """`check_family` for `NoAdj34` and then `FamilyA`; each one's time
+    goes on the span as a part."""
+    parts = {}
+    with Span() as span:
+        for name, spec in (("noadj34", dp.NoAdj34()), ("family-a", dp.FamilyA())):
+            t0 = time.perf_counter()
+            if not dp.check_family(g, spec):
+                raise AssertionError(f"the graph is not in {name}")
+            parts[name] = time.perf_counter() - t0
+    span.parts = parts
+    return span
+
+
 OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "solve_cli": solve_cli,
-       "triangulate": triangulate, "exact": exact, "exact_path": exact_path}
+       "triangulate": triangulate, "family": family, "exact": exact, "exact_path": exact_path}
 
 
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     import dpfcolor as dp
 
     pg = build(dp, shape, n, seed)
-    h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
-    f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
+    if op == "family":  # a SimpleGraph, checked without lists
+        h = f = None
+    else:
+        h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
+        f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
     case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
     speed = Speedometer()  # its first sample warms the calibration loop up
     before = calibration_s(speed)
@@ -311,6 +351,8 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
         case["scaled_ms"] = round(span.seconds * 1e3 * scale, 1)
         case["gen2_collections"] = span.gen2
         case.update(getattr(span, "counters", {}))
+        if hasattr(span, "parts"):
+            case["parts_ms"] = {name: round(s * 1e3 * scale, 1) for name, s in span.parts.items()}
     except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
         case["error_after_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
@@ -361,6 +403,8 @@ def describe_gc(case: dict) -> str:
 
 
 def describe_counters(case: dict) -> str:
+    if "parts_ms" in case:
+        return ", ".join(f"{name} {ms} scaled ms" for name, ms in case["parts_ms"].items())
     if "pair_vertices_per_n" in case:
         return "pair graphs {pair_vertices_per_n}·n, split rows {split_rows_per_n}·n".format(**case)
     if "nodes" not in case:
@@ -400,7 +444,7 @@ def print_delta(old: dict, new: dict) -> None:
         line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
         if "gen2_collections" in case:
             line += f"  {describe_gc(prev) or 'gen-2 ?'} -> {case['gen2_collections']}"
-        if "nodes" in case or "pair_vertices_per_n" in case:
+        if {"nodes", "pair_vertices_per_n", "parts_ms"} & case.keys():
             line += f"  {describe_counters(prev) or '?'} -> {describe_counters(case)}"
         print(line)
     for name, exp in new["growth"].items():
@@ -411,15 +455,25 @@ def print_delta(old: dict, new: dict) -> None:
               f"  rss {old['rss_growth_to_8k'].get(name)} -> {new['rss_growth_to_8k'][name]}")
 
 
+def timed_series(case: dict) -> list[tuple[str, float]]:
+    """Each series a successful case adds a point to, with its scaled ms:
+    one per family for op "family", its `series` otherwise."""
+    if "parts_ms" in case:
+        return [(f"{name} {case['shape']}", ms) for name, ms in case["parts_ms"].items()]
+    return [(series(case), case["scaled_ms"])]
+
+
 def fits(cases: list[dict], largest: float = math.inf) -> tuple[dict, dict]:
-    """Time and RSS growth exponents of each shape's and each other op's
-    successful cases, over the rungs of n <= largest."""
+    """Time and RSS growth exponents of each shape's, each family's and
+    each other op's successful cases, over the rungs of n <= largest."""
     growth, rss_growth = {}, {}
     for name in (*SHAPES, *STACKED_OPS, *(f"triangulate {s}" for s in TRIANGULATE_SHAPES),
+                 *(f"{f} {s}" for f in ("noadj34", "family-a") for s in FAMILY_SHAPES),
                  "exact", "exact_path"):
-        done = [c for c in cases if series(c) == name and "total_ms" in c and c["n"] <= largest]
-        for table, key in ((growth, "scaled_ms"), (rss_growth, "peak_rss_mb")):
-            points = [(c["vertices"], c[key]) for c in done]
+        done = [(c, ms) for c in cases if "total_ms" in c and c["n"] <= largest
+                for named, ms in timed_series(c) if named == name]
+        for table, points in ((growth, [(c["vertices"], ms) for c, ms in done]),
+                              (rss_growth, [(c["vertices"], c["peak_rss_mb"]) for c, _ in done])):
             table[name] = round(slope(points), 3) if len(points) > 1 else None
     return growth, rss_growth
 
@@ -445,6 +499,7 @@ def main(argv=None) -> int:
               for n in SIZES + ((TOP_SIZE,) if shape in TOP_SHAPES else ())]
              + [(op, "stacked", n) for op in STACKED_OPS for n in STACKED_SIZES]
              + [("triangulate", shape, n) for shape in TRIANGULATE_SHAPES for n in STACKED_SIZES]
+             + [("family", shape, n) for shape in FAMILY_SHAPES for n in STACKED_SIZES]
              + [("exact", "stacked", n) for n in EXACT_SIZES]
              + [("exact_path", "path", n) for n in EXACT_PATH_SIZES])
     cases = []

@@ -153,11 +153,13 @@ def faces(pg: PlaneGraph) -> FaceSet:
     """All faces with the outer face flagged; validates the embedding.
 
     Raises InvalidEmbedding when the graph is disconnected, the Euler count
-    n - m + #faces != 2, or the designated outer cycle is not a face.
+    n - m + #faces != 2, or the designated outer cycle is not a face.  A
+    single vertex has one empty face when its outer walk is empty or names
+    that vertex; any other walk has no face and fails the Euler count.
     """
     if not pg.graph.is_connected():
         raise InvalidEmbedding("graph is not connected")
-    if pg.n == 1:
+    if pg.n == 1 and pg.outer in ((), pg.graph.vertices):
         return FaceSet(((),), 0)
     walks = trace_faces(pg)
     if pg.n - pg.graph.m + len(walks) != 2:
@@ -256,11 +258,12 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     count and that the outer walk is a face.  Then the graph is
     2-connected exactly when every face walk is simple: a connected plane
     graph of at least 3 vertices is 2-connected iff every face is bounded
-    by a cycle (Diestel, Graph Theory, Prop. 4.2.6).  A graph that is not
-    2-connected is reported as such before any embedding fault, so when
-    `faces` raises, the lowpoint DFS decides which error to raise: the
-    embedding's only if the graph is 2-connected.  So the DFS runs only
-    on an input that fails.
+    by a cycle (Diestel, Graph Theory, Prop. 4.2.6).  A smaller graph never
+    passes `faces` here: its outer walk has 3 distinct vertices, so it
+    names a vertex the graph lacks.  A graph that is not 2-connected is
+    reported as such before any embedding fault, so when `faces` raises,
+    the lowpoint DFS decides which error to raise: the embedding's only if
+    the graph is 2-connected.  So the DFS runs only on an input that fails.
     """
     if len(set(pg.outer)) != len(pg.outer) or len(pg.outer) < 3:
         raise NotTwoConnected("outer face is not a simple cycle")
@@ -270,7 +273,7 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
         if is_two_connected(pg.graph):
             raise
         fs = None
-    if fs is None or pg.n < 3 or any(len(set(w)) != len(w) for w in fs.faces):
+    if fs is None or any(len(set(w)) != len(w) for w in fs.faces):
         raise NotTwoConnected("triangulation needs a 2-connected plane graph")
     long_faces = [f for f in fs.bounded if len(f) > 3]
     if not long_faces:

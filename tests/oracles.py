@@ -47,11 +47,15 @@ the current code must return:
 - `reference_enumerate_cycles` and `reference_no_cycle_lengths`, the
   cycle walk that filters directions inside it and the family check that
   lists every cycle before it reads one;
+- `listing_check_family`, the `NoAdj34` and `FamilyA` checks that list
+  every cycle of length <= 4 or 5 and test every pair of a triangle and a
+  4-cycle (and every 5-cycle with such a pair) for shared edges;
 - `reference_configuration_conditions`, the configuration conditions with
   condition (iii) checked against the set of every vertex outside K.
 
 Besides the oracles, it holds the shapes the tests solve (`grid`, `wheel`,
-`drawn_shape` and the rest) and `input_tables`, which copies every table
+`drawn_shape` and the rest), the graphs the cycle-family tests check
+(`windmill`, `pendant_grid`), and `input_tables`, which copies every table
 of an input so that a test can tell whether a call changed it.
 """
 
@@ -64,9 +68,11 @@ from itertools import permutations, product
 from dpfcolor import (
     Budget,
     Cover,
+    NoAdj34,
     PairGraph,
     PlaneGraph,
     SimpleGraph,
+    enumerate_cycles,
     gen_planar_triangulation,
     triangulate_interior,
 )
@@ -421,6 +427,24 @@ def triangulated_polygon(p: int, rng: random.Random) -> PlaneGraph:
     return PlaneGraph(g, rot, tuple(range(p)))
 
 
+def windmill(t: int, hub: int) -> SimpleGraph:
+    """t triangles sharing the vertex `hub`, which is 0 or 2t."""
+    blades = [v for v in range(2 * t + 1) if v != hub]
+    return SimpleGraph(2 * t + 1, [e for a, b in zip(blades[::2], blades[1::2])
+                                   for e in ((a, b), (a, hub), (b, hub))])
+
+
+def pendant_grid(k: int) -> SimpleGraph:
+    """A k x k grid with a triangle hung on every 4th vertex."""
+    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+    edges += [(v, v + k) for v in range(k * k - k)]
+    n = k * k
+    for v in range(0, k * k, 4):
+        edges += [(v, n), (v, n + 1), (n, n + 1)]
+        n += 2
+    return SimpleGraph(n, edges)
+
+
 def glued_triangulations(n1: int, n2: int, seed: int) -> PlaneGraph:
     """Two stacked triangulations sharing one vertex, the second drawn in a
     face corner of the first; the outer face is the longest face walk,
@@ -684,6 +708,38 @@ def reference_no_cycle_lengths(g: SimpleGraph, lengths) -> bool:
     lists up to the longest forbidden length."""
     cs = reference_enumerate_cycles(g, max(lengths))
     return not any(cs.get(length) for length in lengths)
+
+
+def cycle_edges(cycle: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    out = set()
+    for t in range(len(cycle)):
+        u, v = cycle[t], cycle[(t + 1) % len(cycle)]
+        out.add((u, v) if u < v else (v, u))
+    return frozenset(out)
+
+
+def listing_check_family(g: SimpleGraph, spec) -> bool:
+    """`check_family` on `NoAdj34` or `FamilyA` as it was before it read
+    each edge's neighbourhoods: list every cycle up to length 4 or 5, then
+    test every triangle against every 4-cycle (and 5-cycle) for shared
+    edges."""
+    if isinstance(spec, NoAdj34):
+        cs = enumerate_cycles(g, 4)
+        threes = [cycle_edges(c) for c in cs.get(3, [])]
+        fours = [cycle_edges(c) for c in cs.get(4, [])]
+        return not any(t & q for t in threes for q in fours)
+    cs = enumerate_cycles(g, 5)
+    threes = [cycle_edges(c) for c in cs.get(3, [])]
+    fours = [cycle_edges(c) for c in cs.get(4, [])]
+    fives = [cycle_edges(c) for c in cs.get(5, [])]
+    for t in threes:
+        for q in fours:
+            if not t & q:
+                continue
+            for p in fives:
+                if t & p and q & p:
+                    return False
+    return True
 
 
 def reference_configuration_conditions(g: SimpleGraph, k: int, K) -> bool:
@@ -961,7 +1017,7 @@ def canonical_faces(pg: PlaneGraph):
 
     if not pg.graph.is_connected():
         raise InvalidEmbedding("graph is not connected")
-    if pg.n == 1:
+    if pg.n == 1 and pg.outer in ((), pg.graph.vertices):
         return FaceSet(((),), 0)
     walks = side_trace_faces(pg)
     if pg.n - pg.graph.m + len(walks) != 2:

@@ -201,10 +201,12 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     spec.loader.exec_module(ladder)
     sizes = {"solve": ("stacked", 30), "verify": ("stacked", 40),
              "verify_cli": ("stacked", 40), "solve_cli": ("stacked", 40),
-             "triangulate": ("grid", 36), "exact": ("stacked", 16), "exact_path": ("path", 20)}
+             "triangulate": ("grid", 36), "family": ("pendant", 40),
+             "exact": ("stacked", 16), "exact_path": ("path", 20)}
     assert set(sizes) == set(ladder.OPS)
     cases = [ladder.run_case(op, shape, n, ladder.SEED) for op, (shape, n) in sizes.items()]
-    cases.insert(-2, ladder.run_case("triangulate", "stacked", 40, ladder.SEED))
+    cases.insert(5, ladder.run_case("triangulate", "stacked", 40, ladder.SEED))
+    cases.insert(7, ladder.run_case("family", "windmill", 41, ladder.SEED))
     for case in cases:
         assert "error" not in case, case
         assert case["total_ms"] >= 0 and case["scaled_ms"] >= 0 and case["peak_rss_mb"] > 0
@@ -215,9 +217,15 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     # ... and builds pieces at those splits
     assert 0 < cases[0]["split_rows_per_n"] < 30, cases[0]
     assert all("pair_vertices_per_n" not in c and "split_rows_per_n" not in c for c in cases[1:])
+    # a 5 x 5 grid with 7 hung triangles, and a windmill of 20 triangles
+    assert [c["vertices"] for c in cases[6:8]] == [39, 41]
+    assert all(list(c["parts_ms"]) == ["noadj34", "family-a"] for c in cases[6:8])
+    assert all("parts_ms" not in c for c in cases[:6] + cases[8:])
     growth, rss_growth = ladder.fits(cases * 2)
     assert set(growth) == set(rss_growth) == {*ladder.SHAPES, *ladder.STACKED_OPS,
                                               "triangulate stacked", "triangulate grid",
+                                              "noadj34 pendant", "noadj34 windmill",
+                                              "family-a pendant", "family-a windmill",
                                               "exact", "exact_path"}
     assert [ladder.series(c) for c in cases[4:6]] == ["triangulate grid", "triangulate stacked"]
     assert ladder.fits(cases * 2, 30)[0]["stacked"] == growth["stacked"]
@@ -232,6 +240,9 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     counters = (f"pair graphs {cases[0]['pair_vertices_per_n']}·n, "
                 f"split rows {cases[0]['split_rows_per_n']}·n")
     assert out.count(f"{counters} -> {counters}") == 1, out
+    for case in cases[6:8]:
+        parts = ladder.describe_counters(case)
+        assert parts.startswith("noadj34 ") and f"{parts} -> {parts}" in out, out
     assert out.count("growth to 8k") == len(ladder.SHAPES), out
 
 
@@ -292,9 +303,11 @@ def test_planar_and_solvers_stay_under_the_code_line_ceiling():
     assert total <= 673, total
 
 
-@pytest.mark.parametrize("name,ceiling", [("formats.py", 288), ("cycles.py", 68)])
+@pytest.mark.parametrize("name,ceiling", [("formats.py", 288), ("cycles.py", 60)])
 def test_module_stays_under_its_code_line_ceiling(name, ceiling):
     """ROADMAP aim 2 holds `formats.py` (one line grammar, one error path
-    per parser) and `cycles.py` (one closed-path walk) at the code lines,
-    as `bench/loc.py` counts them, that they reached with those designs."""
+    per parser) and `cycles.py` (one closed-path walk, and family checks
+    that read each edge's neighbourhoods instead of listing cycles) at the
+    code lines, as `bench/loc.py` counts them, that they reached with those
+    designs."""
     assert _loc().code_lines((SRC / name).read_text(encoding="utf-8")) <= ceiling, name

@@ -21,6 +21,7 @@ from dpfcolor import (
     identity_cover,
 )
 
+from oracles import windmill
 from strategies import directive_texts, instance_texts, mutated, solver_texts
 
 
@@ -50,6 +51,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def check_family_in_child(path, timeout, family, *argv):
+    """Exit code and output of `dpfcolor check-family` on the graph file
+    at `path`, run in a child process that must end within `timeout` s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "dpfcolor.cli", "check-family",
+                           "--graph", str(path), "--family", family, *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    assert done.returncode in (0, 1), done.stderr
+    return done.returncode, done.stdout.strip()
 
 
 class TestVerify:
@@ -332,17 +346,38 @@ class TestCheckFamilyAndReduce:
         forbidden length, well within the child's 60 s.  Listing every
         cycle of length <= 9 before reading one does not finish in that
         time."""
+        path = self._large_triangulation(tmp_path, capsys)
+        assert check_family_in_child(path, 60, "no-cycle-lengths", "--lengths", "4,6,7,9") == (
+            1, "false")
+
+    def test_families_on_a_large_triangulation_stop_at_a_witness(self, tmp_path, capsys):
+        """`noadj34` and `family-a` read each edge's neighbourhoods, so on
+        the same triangulation each says false well within 10 s.  Listing
+        every cycle of length <= 5 and testing every triangle against every
+        4-cycle took 21.5 s for `family-a` alone."""
+        path = self._large_triangulation(tmp_path, capsys)
+        for family in ("noadj34", "family-a"):
+            assert check_family_in_child(path, 10, family) == (1, "false"), family
+
+    def test_families_on_a_large_windmill_read_hub_edges_from_their_blades(self, tmp_path):
+        """A windmill of 32,000 triangles is in both families.  Each hub
+        edge is read from its degree-2 end whether the hub is labelled
+        last or first, so each check stays linear and ends within 10 s;
+        read from the hub, each of the 64,000 hub edges would scan all of
+        the hub's neighbours."""
+        t = 32_000
+        for hub in (2 * t, 0):
+            path = tmp_path / f"windmill-{hub}.txt"
+            path.write_text(emit_graph(windmill(t, hub)), encoding="utf-8")
+            for family in ("noadj34", "family-a"):
+                assert check_family_in_child(path, 10, family) == (0, "true"), (hub, family)
+
+    @staticmethod
+    def _large_triangulation(tmp_path, capsys):
         code, out, _ = run(capsys, "gen", "triangulation", "--n", "16000", "--seed", "1")
         assert code == 0
         (tmp_path / "tri.txt").write_text(out, encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "dpfcolor.cli", "check-family",
-                               "--graph", str(tmp_path / "tri.txt"),
-                               "--family", "no-cycle-lengths", "--lengths", "4,6,7,9"],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert (done.returncode, done.stdout.strip()) == (1, "false"), done.stderr
+        return tmp_path / "tri.txt"
 
     def test_bad_lengths_exit_two(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text(emit_graph(complete_graph(3)), encoding="utf-8")

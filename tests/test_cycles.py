@@ -22,13 +22,16 @@ from dpfcolor.errors import BadSpec, LimitExceeded
 
 from oracles import (
     grid,
+    listing_check_family,
     naive_cycle_lengths,
+    pendant_grid,
     random_graph,
     reference_enumerate_cycles,
     reference_no_cycle_lengths,
     thin_triangulation,
     triangulated_polygon,
     wheel,
+    windmill,
 )
 
 
@@ -237,3 +240,68 @@ def test_closed_path_walk_matches_reference_on_drawn_graphs(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     assert_as_reference(SimpleGraph(n, edges))
 
+
+# -- the edge-local family checks against the checks that list cycles ---------
+
+def assert_families_as_listed(g):
+    """`NoAdj34` and `FamilyA` verdicts as `oracles.listing_check_family`
+    and the networkx definition give them; returns the two verdicts,
+    whether some triangle and 4-cycle share exactly one edge (a case (a)
+    pair) and whether some share two (a diamond)."""
+    cycles = _nx_cycles(g, 5)
+    verdicts = []
+    for spec in (NoAdj34(), FamilyA()):
+        verdicts.append(check_family(g, spec))
+        assert verdicts[-1] == listing_check_family(g, spec) == _nx_in_family(cycles, spec), (
+            g.edge_list(), spec)
+    shared = {len(set(map(frozenset, zip(t, t[1:] + t[:1])))
+                  & set(map(frozenset, zip(q, q[1:] + q[:1]))))
+              for t in cycles.get(3, []) for q in cycles.get(4, [])}
+    return (*verdicts, 1 in shared, 2 in shared)
+
+
+def test_family_checks_match_listing_on_every_atlas_graph():
+    """Every graph on at most 7 vertices, under 3 seeded relabelings.  The
+    floors make sure each of the check's cases meets graphs here."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("cycles/atlas")
+    seen = Counter()
+    for a in nx.graph_atlas_g():
+        for _ in range(3):
+            perm = list(range(a.number_of_nodes()))
+            rng.shuffle(perm)
+            g = SimpleGraph(len(perm), [(perm[u], perm[v]) for u, v in a.edges])
+            in_34, in_a, one_edge, diamond = assert_families_as_listed(g)
+            seen["family-a", in_a] += 1
+            seen["noadj34", in_34] += 1
+            seen["case (a) pair"] += one_edge
+            seen["rejected by case (b) alone"] += not in_a and not one_edge
+            seen["in family-a with a diamond"] += in_a and diamond
+    assert seen["rejected by case (b) alone"] >= 30, seen
+    assert seen["in family-a with a diamond"] >= 300, seen
+    assert seen["case (a) pair"] >= 2000, seen
+    assert all(seen[fam, verdict] for fam in ("family-a", "noadj34")
+               for verdict in (True, False)), seen
+
+
+def test_family_checks_match_listing_on_planar_shapes():
+    seen = Counter()
+    rng = random.Random("cycles/planar")
+    shapes = [*_oracle_graphs(), *(windmill(t, hub) for t in (1, 2, 5) for hub in (0, 2 * t)),
+              *(pendant_grid(k) for k in (2, 3, 5))]
+    for t in range(40):
+        stacked = gen_planar_triangulation(rng.randint(5, 14), t)
+        shapes += [stacked.graph, thin_triangulation(stacked, rng).graph,
+                   triangulated_polygon(rng.randint(5, 12), rng).graph]
+    for g in shapes:
+        seen[assert_families_as_listed(g)[:2]] += 1
+    # (NoAdj34, FamilyA): NoAdj34 lies inside FamilyA
+    assert seen[True, True] and seen[False, False] and seen[False, True], seen
+
+
+@settings(max_examples=200)
+@given(n=st.integers(0, 9), data=st.data())
+def test_family_checks_match_listing_on_drawn_graphs(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    assert_families_as_listed(SimpleGraph(n, edges))

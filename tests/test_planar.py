@@ -28,7 +28,7 @@ from dpfcolor.errors import (
     NotTwoConnected,
 )
 from dpfcolor.graphs import _OwnedGraph
-from dpfcolor.planar import _split, is_two_connected, trace_faces
+from dpfcolor.planar import FaceSet, _split, is_two_connected, trace_faces
 
 from strategies import SHAPE_KINDS
 
@@ -148,8 +148,9 @@ class TestTriangulate:
         pg = PlaneGraph(g, {0: (1,), 1: (0, 2), 2: (1,)}, (0, 1, 2, 1))
         with pytest.raises(NotTwoConnected):
             triangulate_interior(pg)
-        # One vertex passes `faces` with one empty walk, which is simple;
-        # `with_outer` does not check that its walk names vertices.
+        # `with_outer` does not check that its walk names vertices; on one
+        # vertex such a walk fails the Euler count, and one vertex is not
+        # 2-connected.
         lone = PlaneGraph(SimpleGraph(1), {}, (0,)).with_outer((0, 1, 2))
         with pytest.raises(NotTwoConnected, match="^triangulation needs a 2-connected plane graph$"):
             triangulate_interior(lone)
@@ -613,9 +614,18 @@ class TestOuterFaceMatch:
         g = SimpleGraph(4, [(0, 1), (2, 3)])
         for q in (PlaneGraph(pg.graph, rot, pg.outer),
                   PlaneGraph(g, {0: (1,), 1: (0,), 2: (3,), 3: (2,)}, (0, 1)),
-                  PlaneGraph(SimpleGraph(1), {}, (0,))):
+                  PlaneGraph(SimpleGraph(1), {}, (0,)),
+                  PlaneGraph(SimpleGraph(1), {}, (0,)).with_outer((0, 1, 2))):
             got = _error_outcome(lambda: faces(q).outer_index)
             assert got == _error_outcome(lambda: canonical_faces(q).outer_index)
+
+    def test_one_vertex_has_a_face_only_for_its_own_outer_walk(self):
+        lone = PlaneGraph(SimpleGraph(1), {}, (0,))
+        for outer in ((), (0,)):
+            assert faces(lone.with_outer(outer)) == FaceSet(((),), 0)
+        for outer in ((0, 1, 2), (1,), (0, 0)):
+            with pytest.raises(InvalidEmbedding, match="^Euler check failed: 1 - 0 \\+ 0 != 2$"):
+                faces(lone.with_outer(outer))
 
 
 def test_find_chord_matches_pairwise_scan():
