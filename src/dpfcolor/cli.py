@@ -3,7 +3,8 @@
 Exit codes: 0 success/true/found, 1 invalid/false/absent, 2 usage or
 parse/precondition error, 3 a guaranteed-colorable instance came back
 uncolorable, an internal invariant broke, or any other exception (such as
-a RecursionError) escaped.  `--json` replaces the
+a RecursionError) escaped.  `_OUTCOMES` is the one table that maps an
+exception to its status and exit code.  `--json` replaces the
 plain output with a machine-readable report
 {status, witness?, diagnostics[], seed?, stats{nodes, backtracks, millis}}.
 stats.nodes and stats.backtracks are the exact solver's counts
@@ -43,15 +44,33 @@ from .solvers import (
     solve_planar_dpg52,
 )
 
-DIAGNOSTIC_ERRORS = (errors.TheoremViolation, errors.InternalInvariantViolated)
-# Caught after DIAGNOSTIC_ERRORS, so every other library error is an input
-# or precondition error.
-USAGE_ERRORS = (errors.ColoringError, OSError, ValueError)
+# (classes, status, exit code) of an escaped exception, read in order: the
+# diagnostic classes come first, so every other library error is an input
+# or precondition error, and anything else is a fault of the program.
+_OUTCOMES = (
+    ((errors.TheoremViolation, errors.InternalInvariantViolated), "theorem-violation", 3),
+    ((errors.ColoringError, OSError, ValueError), "error", 2),
+    (Exception, "internal-error", 3),
+)
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _inputs(args, part: str = "graph") -> tuple:
+    """The graph (for `part="plane"`: the plane graph), cover and budget
+    files of a command, parsed in that order, so a diagnostic names the
+    first malformed one."""
+    parse = parse_plane if part == "plane" else parse_graph_or_plane
+    return (parse(_read(getattr(args, part))), parse_cover(_read(args.cover)),
+            parse_budget(_read(args.budget)))
 
 
 def _witness_json(coloring: Coloring, order: Order | None) -> dict:
@@ -106,9 +125,7 @@ def _found(report: Report, coloring: Coloring, order: Order) -> None:
 
 
 def _cmd_verify(args, report: Report) -> None:
-    g = parse_graph_or_plane(_read(args.graph))
-    h = parse_cover(_read(args.cover))
-    f = parse_budget(_read(args.budget))
+    g, h, f = _inputs(args)
     r = parse_coloring(_read(args.coloring))
     order = verify_coloring(g, h, f, r)
     if order is None:
@@ -121,9 +138,7 @@ def _cmd_verify(args, report: Report) -> None:
 
 
 def _cmd_solve_exact(args, report: Report) -> None:
-    g = parse_graph_or_plane(_read(args.graph))
-    h = parse_cover(_read(args.cover))
-    f = parse_budget(_read(args.budget))
+    g, h, f = _inputs(args)
     pre = parse_coloring(_read(args.precolored)) if args.precolored else None
     stats: dict = {}
     res = solve_exact(g, h, f, precolored=pre, limit=args.limit, stats=stats)
@@ -136,16 +151,11 @@ def _cmd_solve_exact(args, report: Report) -> None:
 
 
 def _cmd_solve_planar(args, report: Report) -> None:
-    pg = parse_plane(_read(args.plane))
-    h = parse_cover(_read(args.cover))
-    f = parse_budget(_read(args.budget))
-    _found(report, *solve_planar_dpg52(pg, h, f))
+    _found(report, *solve_planar_dpg52(*_inputs(args, "plane")))
 
 
 def _cmd_extend_triangle(args, report: Report) -> None:
-    pg = parse_plane(_read(args.plane))
-    h = parse_cover(_read(args.cover))
-    f = parse_budget(_read(args.budget))
+    pg, h, f = _inputs(args, "plane")
     c0 = parse_coloring(_read(args.precolored))
     _found(report, *extend_precolored_triangle(pg, h, f, c0, limit=args.limit))
 
@@ -168,11 +178,9 @@ def _cmd_reduce(args, report: Report) -> None:
     h = identity_cover(g, lists, s=f.s)
     cover_text, budget_text = emit_cover(h), emit_budget(f)
     if args.out_cover:
-        with open(args.out_cover, "w", encoding="utf-8") as fh:
-            fh.write(cover_text)
+        _write(args.out_cover, cover_text)
     if args.out_budget:
-        with open(args.out_budget, "w", encoding="utf-8") as fh:
-            fh.write(budget_text)
+        _write(args.out_budget, budget_text)
     report.status, report.exit_code = "ok", 0
     if not (args.out_cover and args.out_budget):
         report.plain = ["# identity cover", cover_text.rstrip("\n"),
@@ -188,28 +196,23 @@ def _cmd_check_family(args, report: Report) -> None:
     else:
         if not args.lengths:
             raise errors.BadSpec("no-cycle-lengths needs --lengths")
-        lengths = frozenset(int(t) for t in args.lengths.split(","))
-        spec = NoCycleLengths(lengths)
+        spec = NoCycleLengths(frozenset(int(t) for t in args.lengths.split(",")))
     ok = check_family(g, spec)
-    report.status = "true" if ok else "false"
-    report.exit_code = 0 if ok else 1
+    report.status, report.exit_code = ("true", 0) if ok else ("false", 1)
     report.plain = [report.status]
 
 
 def _cmd_gen(args, report: Report) -> None:
     report.seed = args.seed
     if args.kind == "triangulation":
-        pg = gen_planar_triangulation(args.n, args.seed)
-        text = emit_plane(pg)
+        text = emit_plane(gen_planar_triangulation(args.n, args.seed))
     elif args.kind == "cover":
         g = parse_graph_or_plane(_read(args.graph))
         h = gen_random_cover(g, args.colors, args.list_size, args.density, args.seed)
         text = emit_cover(h)
     else:
         g = parse_graph_or_plane(_read(args.graph))
-        lists = None
-        if args.cover:
-            lists = parse_cover(_read(args.cover)).lists
+        lists = parse_cover(_read(args.cover)).lists if args.cover else None
         f = gen_random_budget(g, args.colors, args.sum_min, args.cap, args.seed,
                               lists=lists)
         text = emit_budget(f)
@@ -225,47 +228,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Correspondence coloring with variable degeneracy budgets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+    def command(name, func, help, *files):
+        """A subcommand that runs `func`, with one required `--FILE` per
+        file part, in order."""
+        p = sub.add_parser(name, help=help)
+        for part in files:
+            p.add_argument("--" + part, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="verify a coloring and print its witness order")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--budget", required=True)
-    p.add_argument("--coloring", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("solve-exact", help="exhaustive search for a coloring")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--budget", required=True)
+    command("verify", _cmd_verify, "verify a coloring and print its witness order",
+            "graph", "cover", "budget", "coloring")
+    p = command("solve-exact", _cmd_solve_exact, "exhaustive search for a coloring",
+                "graph", "cover", "budget")
     p.add_argument("--precolored")
     p.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT)
-    add_json(p)
-    p.set_defaults(func=_cmd_solve_exact)
-
-    p = sub.add_parser("solve-planar",
-                       help="constructive solver for budgets >= 5 capped at 2")
-    p.add_argument("--plane", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--budget", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_solve_planar)
-
-    p = sub.add_parser("extend-triangle",
-                       help="extend a precolored triangle (family without "
-                            "pairwise adjacent 3-,4-,5-cycles)")
-    p.add_argument("--plane", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--budget", required=True)
-    p.add_argument("--precolored", required=True)
+    command("solve-planar", _cmd_solve_planar,
+            "constructive solver for budgets >= 5 capped at 2", "plane", "cover", "budget")
+    p = command("extend-triangle", _cmd_extend_triangle,
+                "extend a precolored triangle (family without "
+                "pairwise adjacent 3-,4-,5-cycles)",
+                "plane", "cover", "budget", "precolored")
     p.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT)
-    add_json(p)
-    p.set_defaults(func=_cmd_extend_triangle)
-
-    p = sub.add_parser("reduce",
-                       help="encode list/forest/mixed coloring as cover + budget")
+    p = command("reduce", _cmd_reduce, "encode list/forest/mixed coloring as cover + budget")
     p.add_argument("--mode", required=True, choices=["list", "forest", "mixed"])
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True,
@@ -274,16 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--out-cover")
     p.add_argument("--out-budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("check-family", help="cycle-family membership predicates")
-    p.add_argument("--graph", required=True)
+    p = command("check-family", _cmd_check_family, "cycle-family membership predicates", "graph")
     p.add_argument("--family", required=True,
                    choices=["noadj34", "family-a", "no-cycle-lengths"])
     p.add_argument("--lengths", help="comma-separated lengths, e.g. 4,6,7,9")
-    add_json(p)
-    p.set_defaults(func=_cmd_check_family)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("gen", help="seeded generators")
     gensub = p.add_subparsers(dest="kind", required=True)
@@ -291,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = gensub.add_parser("triangulation")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--seed", type=int, required=True)
-    q.set_defaults(func=_cmd_gen, json=False)
+    q.set_defaults(func=_cmd_gen)
 
     q = gensub.add_parser("cover")
     q.add_argument("--graph", required=True)
@@ -299,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--list-size", type=int, required=True)
     q.add_argument("--density", type=float, required=True)
     q.add_argument("--seed", type=int, required=True)
-    q.set_defaults(func=_cmd_gen, json=False)
+    q.set_defaults(func=_cmd_gen)
 
     q = gensub.add_parser("budget")
     q.add_argument("--graph", required=True)
@@ -308,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cap", type=int, required=True)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--cover", help="restrict budget support to these lists")
-    q.set_defaults(func=_cmd_gen, json=False)
+    q.set_defaults(func=_cmd_gen)
 
     return parser
 
@@ -319,17 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args.func(args, report)
-    except DIAGNOSTIC_ERRORS as exc:
-        report.status = "theorem-violation"
-        report.exit_code = 3
-        report.diagnostics.append(f"{type(exc).__name__}: {exc}")
-    except USAGE_ERRORS as exc:
-        report.status = "error"
-        report.exit_code = 2
-        report.diagnostics.append(f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # a fault of the program: exit 3, no traceback
-        report.status = "internal-error"
-        report.exit_code = 3
+    except Exception as exc:  # mapped by _OUTCOMES, with no traceback
+        report.status, report.exit_code = next(
+            (status, code) for classes, status, code in _OUTCOMES if isinstance(exc, classes))
         report.diagnostics.append(f"{type(exc).__name__}: {exc}")
     return _finish(report, getattr(args, "json", False), started)
 

@@ -67,7 +67,9 @@ class SimpleGraph:
         return v in self.adj.get(u, ())
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """`sorted(self.edges)`, built row by row: the vertices are in
+        order, so no set of every edge is built and sorted."""
+        return [(u, w) for u in self.vertices for w in sorted(self.adj[u]) if u < w]
 
     def induced(self, keep: Iterable[int]) -> "SimpleGraph":
         """Induced subgraph on `keep`, preserving vertex ids."""

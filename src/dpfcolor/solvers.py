@@ -298,9 +298,14 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     """Color a plane graph whose budgets total >= 5 per vertex with cap 2.
 
     The instance is guaranteed colorable; the solver triangulates bounded
-    faces (added edges carry empty matchings, so the pair graph is
-    unchanged), precolors the lexicographically smallest outer edge and
-    extends the precoloring step by step.  Output always passes verification.
+    faces, precolors the lexicographically smallest outer edge and extends
+    the precoloring step by step.  An added chord reads the cover's
+    matching on its two ends.  That matching is empty when the cover
+    matches colors only on edges of `pg`, so the pair graph is unchanged.
+    A cover may match any vertex pair, though; then the chord's matching
+    only restricts the coloring, which stays valid on `pg` but can differ
+    from the one for the cover restricted to `pg`'s edges.  Output always
+    passes verification.
     """
     g = pg.graph
     _check_budget(g, h, f, 5)

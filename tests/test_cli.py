@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfcolor.cli import main
+from dpfcolor.cli import build_parser, main
 from dpfcolor.formats import emit_budget, emit_coloring, emit_cover, emit_graph, emit_plane
 from dpfcolor import (
     SimpleGraph,
@@ -524,6 +525,19 @@ class TestExitCodeMapping:
         assert out == ""
         assert err == "RuntimeError: forced for the exit-code test\n"
 
+    def test_missing_file_exits_two(self, k4_files, tmp_path, capsys):
+        """An unreadable file is an input error (exit 2), not a fault of the
+        program (exit 3)."""
+        missing = str(tmp_path / "missing.txt")
+        argv = ["solve-planar", "--plane", k4_files["plane"], "--cover", missing,
+                "--budget", k4_files["budget"]]
+        diagnostic = f"FileNotFoundError: [Errno 2] No such file or directory: '{missing}'"
+        assert run(capsys, *argv) == (2, "", diagnostic + "\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["status"] == "error" and payload["diagnostics"] == [diagnostic]
+
     @pytest.mark.parametrize("which, text", [
         ("plane", "graph 3\nedge 1\nouter 0 1 2\n"),
         ("plane", "graph -2\nouter 0 1 2\n"),
@@ -662,3 +676,113 @@ def test_graph_flags_accept_plane_files(tmp_path, capsys):
                       "--cover", str(tmp_path / "h.txt"),
                       "--budget", str(tmp_path / "f.txt"), "--coloring", str(rfile))
     assert code2 == 0
+
+
+_FILE = (True, None, None, None)      # a required file flag
+_JSON = ("--json", "json", False, None, False, None)
+
+# Each command's options after -h, in order: (flag, dest, required, type,
+# default, choices).  Under `gen`, the key is the kind and there is no --json.
+OPTION_TABLE = {
+    "verify": [("--graph", "graph", *_FILE), ("--cover", "cover", *_FILE),
+               ("--budget", "budget", *_FILE), ("--coloring", "coloring", *_FILE), _JSON],
+    "solve-exact": [("--graph", "graph", *_FILE), ("--cover", "cover", *_FILE),
+                    ("--budget", "budget", *_FILE),
+                    ("--precolored", "precolored", False, None, None, None),
+                    ("--limit", "limit", False, int, 12, None), _JSON],
+    "solve-planar": [("--plane", "plane", *_FILE), ("--cover", "cover", *_FILE),
+                     ("--budget", "budget", *_FILE), _JSON],
+    "extend-triangle": [("--plane", "plane", *_FILE), ("--cover", "cover", *_FILE),
+                        ("--budget", "budget", *_FILE), ("--precolored", "precolored", *_FILE),
+                        ("--limit", "limit", False, int, 12, None), _JSON],
+    "reduce": [("--mode", "mode", True, None, None, ["list", "forest", "mixed"]),
+               ("--graph", "graph", *_FILE), ("--lists", "lists", *_FILE),
+               ("--d", "d", False, int, None, None), ("--k", "k", False, int, None, None),
+               ("--out-cover", "out_cover", False, None, None, None),
+               ("--out-budget", "out_budget", False, None, None, None), _JSON],
+    "check-family": [("--graph", "graph", *_FILE),
+                     ("--family", "family", True, None, None,
+                      ["noadj34", "family-a", "no-cycle-lengths"]),
+                     ("--lengths", "lengths", False, None, None, None), _JSON],
+    "gen": {
+        "triangulation": [("--n", "n", True, int, None, None),
+                          ("--seed", "seed", True, int, None, None)],
+        "cover": [("--graph", "graph", *_FILE), ("--colors", "colors", True, int, None, None),
+                  ("--list-size", "list_size", True, int, None, None),
+                  ("--density", "density", True, float, None, None),
+                  ("--seed", "seed", True, int, None, None)],
+        "budget": [("--graph", "graph", *_FILE), ("--colors", "colors", True, int, None, None),
+                   ("--sum-min", "sum_min", True, int, None, None),
+                   ("--cap", "cap", True, int, None, None),
+                   ("--seed", "seed", True, int, None, None),
+                   ("--cover", "cover", False, None, None, None)],
+    },
+}
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(parser):
+    rows = []
+    for a in parser._actions:
+        if isinstance(a, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        [flag] = a.option_strings
+        rows.append((flag, a.dest, a.required, a.type, a.default, a.choices))
+    return rows
+
+
+def test_every_command_keeps_its_options():
+    """Commands, `gen` kinds and each one's options keep their order, names,
+    types, defaults and choices."""
+    commands = _subcommands(build_parser())
+    assert list(commands) == list(OPTION_TABLE)
+    for name, table in OPTION_TABLE.items():
+        if name == "gen":
+            kinds = _subcommands(commands[name])
+            assert list(kinds) == list(table)
+            for kind, rows in table.items():
+                assert _options(kinds[kind]) == rows, kind
+        else:
+            assert _options(commands[name]) == table, name
+
+
+# One fault per file kind, each with its own message.
+MALFORMED = {
+    "graph": ("edge 0 1\ngraph 3\n", "edge before graph header"),
+    "cover": ("match 0 1 1 1\ncover 3\n", "match before cover header"),
+    "budget": ("f 0 1 1\nbudget 3\n", "f line before budget header"),
+    "coloring": ("bogus 1\n", "unknown directive 'bogus' in coloring file"),
+}
+MALFORMED["plane"] = MALFORMED["graph"]
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["verify"], [("--graph", "graph"), ("--cover", "cover"), ("--budget", "budget"),
+                  ("--coloring", "coloring")]),
+    (["solve-exact"], [("--graph", "graph"), ("--cover", "cover"), ("--budget", "budget"),
+                       ("--precolored", "coloring")]),
+    (["solve-planar"], [("--plane", "plane"), ("--cover", "cover"), ("--budget", "budget")]),
+    (["extend-triangle"], [("--plane", "plane"), ("--cover", "cover"), ("--budget", "budget"),
+                           ("--precolored", "coloring")]),
+    (["reduce", "--mode", "list"], [("--graph", "graph"), ("--lists", "cover")]),
+    (["gen", "budget", "--colors", "5", "--sum-min", "5", "--cap", "2", "--seed", "3"],
+     [("--graph", "graph"), ("--cover", "cover")]),
+], ids=["verify", "solve-exact", "solve-planar", "extend-triangle", "reduce", "gen-budget"])
+def test_files_are_read_in_flag_order(k4_files, tmp_path, capsys, argv, files):
+    """With its first i files well formed and the rest malformed, a command
+    reports the fault of file i: the files are read in the order of `files`."""
+    bad = {}
+    for _, part in files:
+        bad[part] = tmp_path / f"bad-{part}.txt"
+        bad[part].write_text(MALFORMED[part][0], encoding="utf-8")
+    for i, (_, first_bad) in enumerate(files):
+        args = list(argv)
+        for j, (flag, part) in enumerate(files):
+            args += [flag, str(bad[part]) if j >= i else k4_files[part]]
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == f"ParseError: line 1: {MALFORMED[first_bad][1]}\n", args

@@ -1,6 +1,7 @@
 import pytest
 
-from dpfcolor import SimpleGraph, complete_graph, cycle_graph, path_graph
+from dpfcolor import (SimpleGraph, complete_graph, cycle_graph, gen_planar_triangulation,
+                      path_graph)
 from dpfcolor.graphs import _OwnedGraph
 
 
@@ -62,3 +63,28 @@ def test_owned_graph_reads_its_vertices_off_its_dict():
     adj[1], adj[3] = adj[1] - {2}, adj[3] - {2}
     assert type(owned.vertices) is tuple and owned.vertices == (0, 1, 3, 4) and owned.n == 4
     assert owned == g.delete(2) and owned.m == 3
+
+
+def test_edge_list_is_the_sorted_edge_set():
+    """`edge_list` reads the rows in vertex order instead of sorting the
+    edge set; both give the same list on stacked triangulations, on an
+    induced subgraph with gaps in its vertex ids, with isolated vertices,
+    and on an owned graph after deletions."""
+    stacked = [gen_planar_triangulation(n, seed).graph for n, seed in
+               [(3, 0), (4, 1), (10, 2), (57, 3), (300, 4)]]
+    big = stacked[-1]
+    adj = dict(big.adj)
+    for v in (0, 7, 150, 299):
+        for w in adj.pop(v):
+            if w in adj:
+                adj[w] = adj[w] - {v}
+    owned = _OwnedGraph(adj)
+    graphs = stacked + [
+        big.induced(v for v in big.vertices if v % 3),
+        SimpleGraph.on_vertices([9, 2, 40, 5, 17], [(40, 2), (9, 5)]),
+        SimpleGraph(6),
+        owned,
+    ]
+    for g in graphs:
+        assert g.edge_list() == sorted(g.edges), g
+    assert owned == big.induced(set(big.vertices) - {0, 7, 150, 299})

@@ -476,6 +476,22 @@ class TestSolvePlanar:
             r, order = solve_planar_dpg52(pg, h, f)
             assert all(r[u] != r[v] for u, v in pg.graph.edge_list())
 
+    def test_matchings_on_non_edges_leave_the_output_valid_on_the_input(self):
+        """A cover may match colors on any vertex pair, and a chord that
+        `triangulate_interior` adds reads its pair's matching.  On seeded
+        n-gons with a full 5x5 matching on every vertex pair, each solve
+        still succeeds and its coloring verifies on the polygon."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = 4 + seed % 8
+            pg = polygon(n)
+            lists = {v: range(1, 6) for v in pg.graph.vertices}
+            h = Cover(5, lists, {(u, v): list(zip(range(1, 6), rng.sample(range(1, 6), 5)))
+                                 for u in range(n) for v in range(u + 1, n)})
+            f = budget_list(lists)
+            r, order = solve_planar_dpg52(pg, h, f)
+            assert verify_coloring(pg.graph, h, f, r) is not None, seed
+
     def test_budget_over_fewer_colors_than_the_cover(self):
         # Budget s=4 under a 5-color cover: color 5 simply carries budget 0.
         # Fan steps rename by bijections of the cover's 1..5, which used to
