@@ -3,60 +3,62 @@
     python3 bench/ladder.py --label mychange
     python3 bench/ladder.py --label base --src /path/to/other/checkout/src
 
-For each shape and each size n = 500, 1000, 2000, 4000, 8000, 16000 and
-32000, and for stacked triangulations and polygons also n = 64000, a fresh
-Python process builds the instance, runs `solve_planar_dpg52` and
-`verify_coloring` on it and reports the wall time of the two calls (op
-"solve").  A solve case also records two counts of `bench/probe.py`, per
-input vertex.  `pair_vertices_per_n` counts the vertices of the pair
-graphs that the solver's chord-split frames build, with the final check
-on the whole input left out.  `split_rows_per_n` counts the adjacency
-rows of the piece dicts that the solver's chord splits build: the size of
-each piece's adjacency dict, except a piece whose dict is the one the
-split was handed.  The probe wraps `induced_pair_graph` and `_split`
-only, so the timed calls run with those two wrapped.  Three more
-rungs run on stacked triangulations of n = 4000, 16000 and 64000.  Two
-time verification alone with a valid coloring: `verify_coloring` on the
-objects (op "verify"), and `dpfcolor verify --json` run in-process through
-`cli.main` on the files the emitters write, parsing included (op
-"verify_cli").  The third runs `dpfcolor solve-planar --json` in-process
-through `cli.main` on the emitted plane graph, cover and budget files
-(op "solve_cli"): parsing, the solver with its final definition check,
-and the JSON report.  The rungs of op "triangulate" time
-`triangulate_interior` alone, at n = 4000, 16000 and 64000, on stacked
-triangulations, where it only validates its input (one face trace, which
-also tells whether the graph is 2-connected), and on grids, where it also
-adds a chord to every bounded face.  The rungs of op "family" time
-`check_family` for `NoAdj34` and then `FamilyA`, each alone, at n = 4000,
-16000 and 64000 on two graphs that lie in both families, so that every
-edge is read: grids with a triangle hung on every 4th vertex ("pendant";
-a k x k grid with k = round(sqrt(n / 1.5))), and windmills of n // 2
-triangles whose hub is labelled last ("windmill").  The
-exact solver has rungs of its own (op "exact"): `solve_exact` with
-`limit = n` on a DP 4-coloring of a stacked triangulation of n = 32, 64,
-128 and 256 vertices (4 colors, lists of 4, density 1.0, every budget 1;
-cover seed 8, budget seed 9), timed alone and verified afterwards, with
-its node and backtrack counts and nodes per second.  A stacked
-triangulation is 3-degenerate, so such a coloring always exists.  The
-rungs of op "exact_path" time `solve_exact` the same way on a path of
-n = 550, 1100, 2200 and 4400 vertices with an identity cover of 2 colors
-and every budget 1, a proper 2-coloring: the search goes one level deeper
-per vertex and never backtracks, so its nodes per second show what a node
-costs as the partial coloring grows.  The
-shapes are stacked triangulations, random triangulated polygons and grids
-(the last two from `perfbench/shapes.py`), and polygons fanned by
-`triangulate_interior`.
-Covers use 5 colors, lists of 5 and density 1.0; budgets have total 5 and
-cap 2.  A case that raises, or runs longer than TIMEOUT_S, records its
-error instead of a time.  The solver keeps its pending steps on a work
-stack, so no case meets the recursion limit, but on grids the fan steps
-waiting on that stack hold memory that grows much faster than n.
+The table `RUNGS` names each op with the shapes it runs on and the sizes n
+of each shape; the ladder runs every (op, shape, n) rung in the table's
+order, each in a fresh Python process that builds the instance and times
+the op, the function of that name:
+
+- "solve": `solve_planar_dpg52` and `verify_coloring`.  A solve case also
+  records two counts of `bench/probe.py`, per input vertex.
+  `pair_vertices_per_n` counts the vertices of the pair graphs that the
+  solver's chord-split frames build, with the final check on the whole
+  input left out.  `split_rows_per_n` counts the adjacency rows of the
+  piece dicts that the solver's chord splits build: the size of each
+  piece's adjacency dict, except a piece whose dict is the one the split
+  was handed.  The probe wraps `induced_pair_graph` and `_split` only, so
+  the timed calls run with those two wrapped.
+- "verify": `verify_coloring` alone, on a valid coloring.
+- "verify_cli": `dpfcolor verify --json` run in-process through
+  `cli.main` on the files the emitters write, parsing included.
+- "solve_cli": `dpfcolor solve-planar --json` run in-process through
+  `cli.main` on the emitted plane graph, cover and budget files: parsing,
+  the solver with its final definition check, and the JSON report.
+- "triangulate": `triangulate_interior` alone.  On stacked triangulations
+  it only validates its input (one face trace, which also tells whether
+  the graph is 2-connected); on grids it also adds a chord to every
+  bounded face.
+- "family": `check_family` for `NoAdj34` and then `FamilyA`, each alone,
+  on graphs that lie in both families, so that every edge is read.
+- "exact": `solve_exact` with `limit = n` on a DP 4-coloring of a stacked
+  triangulation (4 colors, lists of 4, density 1.0, every budget 1; cover
+  seed 8, budget seed 9), timed alone and verified afterwards, with its
+  node and backtrack counts and nodes per second.  A stacked triangulation
+  is 3-degenerate, so such a coloring always exists.
+- "exact_path": `solve_exact` the same way on a path with an identity
+  cover of 2 colors and every budget 1, a proper 2-coloring: the search
+  goes one level deeper per vertex and never backtracks, so its nodes per
+  second show what a node costs as the partial coloring grows.
+
+`BUILD` builds each shape: stacked triangulations ("stacked"), random
+triangulated polygons and grids ("polygon", "grid", from
+`perfbench/shapes.py`), polygons fanned by `triangulate_interior`
+("fanned"), grids with a triangle hung on every 4th vertex ("pendant";
+a k x k grid with k = round(sqrt(n / 1.5))), windmills of n // 2 triangles
+whose hub is labelled last ("windmill"), and paths ("path").  The bare
+polygon, the pendant grid, the windmill and the path come from
+`bench/builders.py`, which the tests share.  An op of four parameters is
+handed the instance's cover and budget; op "family", of two, checks the
+bare graph.  Covers use 5 colors, lists of 5 and density 1.0; budgets have
+total 5 and cap 2.  A case that raises, or runs longer than TIMEOUT_S,
+records its error instead of a time.  The solver keeps its pending steps
+on a work stack, so no case meets the recursion limit, but on grids the
+fan steps waiting on that stack hold memory that grows much faster than n.
 Each case process therefore caps its address space at MEMORY_CAP_BYTES,
 and a case over the cap records a MemoryError instead of pushing the
 machine into swap or the kernel's out-of-memory killer.  Every case
 records its process's peak resident set size, and how many full (gen-2)
-collections the cyclic garbage collector made during the timed calls, as
-a delta of `gc.get_stats()`.
+collections the cyclic garbage collector made during the timed calls, as a
+delta of `gc.get_stats()`.
 
 On a shared host the speed of a core drifts by up to a factor of two, so
 a ladder file compared with one written at another time would report that
@@ -85,17 +87,17 @@ The results go to `BENCH_<label>.json` next to this script:
 
 where n is the rung of the ladder and vertices the instance's size (a grid
 has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
-slope of log(scaled_ms) against log(vertices) over the successful cases of a
-shape (op "solve"), of op "triangulate" on one shape ("triangulate
-stacked", "triangulate grid"), of one family's check on one shape
-("noadj34 pendant", "family-a windmill", ...) or of one of the other ops;
-a family's growth is fitted to its own part of the scaled time, and its
-rss_growth to the peak of the process that ran both; rss_growth is the
-same slope for log(peak_rss_mb), which includes the interpreter's own few
-tens of MB and so reads low on the small rungs.  The `_to_8k` tables fit
-only the solve rungs of n <= 8000, the range every ladder file before the
-16k and 32k solve rungs covers, so that exponents stay comparable across
-files.  The script then prints the change against the other
+slope of log(scaled_ms) against log(vertices) over the successful cases of
+one series (`series`): a shape of op "solve", op "triangulate" on one
+shape ("triangulate stacked", "triangulate grid"), one family's check on
+one shape ("noadj34 pendant", "family-a windmill", ...) or one of the
+other ops; a family's growth is fitted to its own part of the scaled time,
+and its rss_growth to the peak of the process that ran both; rss_growth is
+the same slope for log(peak_rss_mb), which includes the interpreter's own
+few tens of MB and so reads low on the small rungs.  The `_to_8k` tables
+fit only the solve rungs of n <= 8000, the range every ladder file before
+the 16k and 32k solve rungs covers, so that exponents stay comparable
+across files.  The script then prints the change against the other
 `BENCH_*.json` in that directory with the latest `written` time, which
 must have every field above.  It needs only the standard library.
 """
@@ -120,20 +122,13 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
+import builders  # noqa: E402  bench/builders.py, beside this script
 from perfbench import shapes  # noqa: E402
 from perfbench.run import Speedometer  # noqa: E402
 from perfbench.tracing import slope  # noqa: E402
 
-SHAPES = ("stacked", "polygon", "fanned", "grid")
-SIZES = (500, 1000, 2000, 4000, 8000, 16000, 32000)
-TOP_SIZE, TOP_SHAPES = 64000, ("stacked", "polygon")  # one more solve rung for these
 FIT_TO = 8000  # the largest rung of the comparable fit
-STACKED_OPS = ("verify", "verify_cli", "solve_cli")
-STACKED_SIZES = (4000, 16000, 64000)
-TRIANGULATE_SHAPES = ("stacked", "grid")  # op "triangulate" runs at STACKED_SIZES
-FAMILY_SHAPES = ("pendant", "windmill")  # op "family" runs at STACKED_SIZES
-EXACT_SIZES = (32, 64, 128, 256)
-EXACT_PATH_SIZES = (550, 1100, 2200, 4400)
+FAMILIES = ("noadj34", "family-a")  # the parts of op "family", in the order it checks them
 SEED = 1
 TIMEOUT_S = 600
 CALIBRATION_SAMPLES = 25
@@ -142,35 +137,15 @@ MEMORY_CAP_BYTES = 3 << 30
 
 # -- one case, in its own process -------------------------------------------
 
-def build(dp, shape: str, n: int, seed: int):
-    if shape == "stacked":
-        return dp.gen_planar_triangulation(n, seed)
-    if shape == "polygon":
-        return shapes.triangulated_polygon(dp, n, seed)
-    if shape == "fanned":
-        g = dp.SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-        rot = {i: ((i - 1) % n, (i + 1) % n) for i in range(n)}
-        return dp.triangulate_interior(dp.PlaneGraph(g, rot, tuple(range(n))))
-    if shape == "grid":
-        return shapes.grid(dp, round(math.sqrt(n)), seed)
-    if shape == "pendant":
-        k = round(math.sqrt(n / 1.5))
-        edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
-        edges += [(v, v + k) for v in range(k * k - k)]
-        size = k * k
-        for v in range(0, k * k, 4):
-            edges += [(v, size), (v, size + 1), (size, size + 1)]
-            size += 2
-        return dp.SimpleGraph(size, edges)
-    if shape == "windmill":
-        t = n // 2
-        return dp.SimpleGraph(2 * t + 1, [e for a in range(0, 2 * t, 2)
-                                          for e in ((a, a + 1), (a, 2 * t), (a + 1, 2 * t))])
-    if shape == "path":
-        g = dp.SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
-        rot = {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)}
-        return dp.PlaneGraph(g, rot, tuple(range(n)) + tuple(range(n - 2, 0, -1)))
-    raise ValueError(f"unknown shape {shape}")
+BUILD = {  # shape: its instance of rung n, from the package dp and a seed
+    "stacked": lambda dp, n, seed: dp.gen_planar_triangulation(n, seed),
+    "polygon": lambda dp, n, seed: shapes.triangulated_polygon(dp, n, seed),
+    "fanned": lambda dp, n, _: dp.triangulate_interior(builders.polygon(dp, n)),
+    "grid": lambda dp, n, seed: shapes.grid(dp, round(math.sqrt(n)), seed),
+    "pendant": lambda dp, n, _: builders.pendant_grid(dp, round(math.sqrt(n / 1.5))),
+    "windmill": lambda dp, n, _: builders.windmill(dp, n // 2, hub=n // 2 * 2),
+    "path": lambda dp, n, _: builders.path(dp, n),
+}
 
 
 def cap_memory(limit: int) -> None:
@@ -179,10 +154,6 @@ def cap_memory(limit: int) -> None:
     if hard != resource.RLIM_INFINITY:
         limit = min(limit, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-
-
-def peak_rss_mb() -> float:
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def stacking_coloring(g, h, f) -> dict[int, int]:
@@ -313,12 +284,12 @@ def exact_path(dp, pg, _h, _f) -> Span:
     return search(dp, g, h, f)
 
 
-def family(dp, g, _h, _f) -> Span:
+def family(dp, g) -> Span:
     """`check_family` for `NoAdj34` and then `FamilyA`; each one's time
     goes on the span as a part."""
     parts = {}
     with Span() as span:
-        for name, spec in (("noadj34", dp.NoAdj34()), ("family-a", dp.FamilyA())):
+        for name, spec in zip(FAMILIES, (dp.NoAdj34(), dp.FamilyA())):
             t0 = time.perf_counter()
             if not dp.check_family(g, spec):
                 raise AssertionError(f"the graph is not in {name}")
@@ -327,25 +298,43 @@ def family(dp, g, _h, _f) -> Span:
     return span
 
 
-OPS = {"solve": solve, "verify": verify, "verify_cli": verify_cli, "solve_cli": solve_cli,
-       "triangulate": triangulate, "family": family, "exact": exact, "exact_path": exact_path}
+RUNGS = {  # op: ((shape, sizes n), ...), run in this order
+    solve: (("stacked", (500, 1000, 2000, 4000, 8000, 16000, 32000, 64000)),
+            ("polygon", (500, 1000, 2000, 4000, 8000, 16000, 32000, 64000)),
+            ("fanned", (500, 1000, 2000, 4000, 8000, 16000, 32000)),
+            ("grid", (500, 1000, 2000, 4000, 8000, 16000, 32000))),
+    verify: (("stacked", (4000, 16000, 64000)),),
+    verify_cli: (("stacked", (4000, 16000, 64000)),),
+    solve_cli: (("stacked", (4000, 16000, 64000)),),
+    triangulate: (("stacked", (4000, 16000, 64000)), ("grid", (4000, 16000, 64000))),
+    family: (("pendant", (4000, 16000, 64000)), ("windmill", (4000, 16000, 64000))),
+    exact: (("stacked", (32, 64, 128, 256)),),
+    exact_path: (("path", (550, 1100, 2200, 4400)),),
+}
+OPS = {op.__name__: op for op in RUNGS}
+
+
+def rungs() -> list[tuple[str, str, int]]:
+    """Every (op, shape, n) of the ladder, in the order it runs them."""
+    return [(op.__name__, shape, n) for op, by_shape in RUNGS.items()
+            for shape, sizes in by_shape for n in sizes]
 
 
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     import dpfcolor as dp
 
-    pg = build(dp, shape, n, seed)
-    if op == "family":  # a SimpleGraph, checked without lists
-        h = f = None
-    else:
+    run = OPS[op]
+    pg = BUILD[shape](dp, n, seed)
+    args = [pg]
+    if run.__code__.co_argcount == 4:  # the op takes a cover and a budget
         h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
-        f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
+        args += [h, dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)]
     case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
     speed = Speedometer()  # its first sample warms the calibration loop up
     before = calibration_s(speed)
     t0 = time.perf_counter()
     try:
-        span = OPS[op](dp, pg, h, f)
+        span = run(dp, *args)
         scale = 2 * speed.REFERENCE_S / (before + calibration_s(speed))
         case["total_ms"] = round(span.seconds * 1e3, 1)
         case["scaled_ms"] = round(span.seconds * 1e3 * scale, 1)
@@ -356,7 +345,7 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
         case["error_after_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
-    case["peak_rss_mb"] = peak_rss_mb()
+    case["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return case
 
 
@@ -416,11 +405,13 @@ def case_key(case: dict) -> tuple[str, str, int]:
     return case["op"], case["shape"], case["n"]
 
 
-def series(case: dict) -> str:
-    """What a case's growth exponent is taken over: its shape for op
-    "solve", its op and shape for op "triangulate", its op otherwise."""
-    op, shape, _ = case_key(case)
-    return shape if op == "solve" else f"{op} {shape}" if op == "triangulate" else op
+def series(op: str, shape: str) -> list[str]:
+    """The growth series a case of `op` on `shape` adds a point to: its
+    shape for op "solve", its op and shape for op "triangulate", each
+    family's name and the shape for op "family", its op otherwise."""
+    if op == "family":
+        return [f"{name} {shape}" for name in FAMILIES]
+    return [shape if op == "solve" else f"{op} {shape}" if op == "triangulate" else op]
 
 
 def case_name(case: dict) -> str:
@@ -457,19 +448,19 @@ def print_delta(old: dict, new: dict) -> None:
 
 def timed_series(case: dict) -> list[tuple[str, float]]:
     """Each series a successful case adds a point to, with its scaled ms:
-    one per family for op "family", its `series` otherwise."""
-    if "parts_ms" in case:
-        return [(f"{name} {case['shape']}", ms) for name, ms in case["parts_ms"].items()]
-    return [(series(case), case["scaled_ms"])]
+    each family's part for op "family", the whole time otherwise."""
+    times = case["parts_ms"].values() if "parts_ms" in case else [case["scaled_ms"]]
+    return list(zip(series(case["op"], case["shape"]), times))
 
 
 def fits(cases: list[dict], largest: float = math.inf) -> tuple[dict, dict]:
-    """Time and RSS growth exponents of each shape's, each family's and
-    each other op's successful cases, over the rungs of n <= largest."""
+    """Time and RSS growth exponents of each series' successful cases, over
+    the rungs of n <= largest.  The series come in the order of `RUNGS`,
+    and within an op its shapes vary fastest."""
     growth, rss_growth = {}, {}
-    for name in (*SHAPES, *STACKED_OPS, *(f"triangulate {s}" for s in TRIANGULATE_SHAPES),
-                 *(f"{f} {s}" for f in ("noadj34", "family-a") for s in FAMILY_SHAPES),
-                 "exact", "exact_path"):
+    for name in (name for op, by_shape in RUNGS.items()
+                 for names in zip(*(series(op.__name__, shape) for shape, _ in by_shape))
+                 for name in names):
         done = [(c, ms) for c in cases if "total_ms" in c and c["n"] <= largest
                 for named, ms in timed_series(c) if named == name]
         for table, points in ((growth, [(c["vertices"], ms) for c, ms in done]),
@@ -495,21 +486,14 @@ def main(argv=None) -> int:
     if not args.label:
         ap.error("--label is required")
 
-    rungs = ([("solve", shape, n) for shape in SHAPES
-              for n in SIZES + ((TOP_SIZE,) if shape in TOP_SHAPES else ())]
-             + [(op, "stacked", n) for op in STACKED_OPS for n in STACKED_SIZES]
-             + [("triangulate", shape, n) for shape in TRIANGULATE_SHAPES for n in STACKED_SIZES]
-             + [("family", shape, n) for shape in FAMILY_SHAPES for n in STACKED_SIZES]
-             + [("exact", "stacked", n) for n in EXACT_SIZES]
-             + [("exact_path", "path", n) for n in EXACT_PATH_SIZES])
     cases = []
-    for rung in rungs:
+    for rung in rungs():
         case = spawn(*rung, src)
         print(f"{case_name(case)} {describe(case)} {describe_memory(case)} {describe_gc(case)}"
               f" {describe_counters(case)}", flush=True)
         cases.append(case)
     growth, rss_growth = fits(cases)
-    growth_to_8k, rss_growth_to_8k = ({shape: fit[shape] for shape in SHAPES}
+    growth_to_8k, rss_growth_to_8k = ({shape: fit[shape] for shape, _ in RUNGS[solve]}
                                       for fit in fits(cases, FIT_TO))
     commit, dirty = git_state(src)
     result = {"label": args.label,

@@ -308,8 +308,8 @@ def emit_cover(h: Cover) -> str:
     out = [f"cover {h.s}"]
     for v in sorted(h.lists):
         out.append("list " + " ".join(str(x) for x in (v,) + tuple(sorted(h.lists[v]))))
-    for (u, v), pairs in h.matching_items():
-        for cu, cv in sorted(pairs):
+    for (u, v), m in sorted(h._matchings.items()):
+        for cu, cv in sorted(m.items()):
             out.append(f"match {u} {v} {cu} {cv}")
     return "\n".join(out) + "\n"
 

@@ -62,15 +62,13 @@ def gen_random_cover(g: SimpleGraph, s: int, list_size: int, density: float,
         raise InfeasibleParameters(f"density {density} outside [0, 1]")
     rng = random.Random(seed)
     lists = {v: sorted(rng.sample(range(1, s + 1), list_size)) for v in g.vertices}
-    matchings = {}
-    for (u, v) in g.edge_list():
-        size = round(density * min(len(lists[u]), len(lists[v])))
-        if size == 0:
-            continue
-        left = rng.sample(sorted(lists[u]), size)
-        right = rng.sample(sorted(lists[v]), size)
-        matchings[(u, v)] = list(zip(left, right))
-    return Cover(s, lists, matchings)
+    size = round(density * list_size)  # every list has list_size colors
+    matchings = {(u, v): dict(zip(rng.sample(lists[u], size), rng.sample(lists[v], size)))
+                 for u, v in (g.edge_list() if size else ())}
+    # Cover's own tables, valid by construction: each side of a matching
+    # is sampled without repeats from its list, every edge has u < v, and
+    # no matching is empty.
+    return Cover._trusted(s, {v: frozenset(cs) for v, cs in lists.items()}, matchings)
 
 
 def gen_random_budget(g: SimpleGraph, s: int, sum_min: int, cap: int, seed: int,

@@ -233,11 +233,6 @@ def is_two_connected(g: SimpleGraph) -> bool:
     return len(disc) == g.n and root_children == 1
 
 
-def _insert_before(rot: tuple[int, ...], anchor: int, new: int) -> tuple[int, ...]:
-    i = rot.index(anchor)
-    return rot[:i] + (new,) + rot[i:]
-
-
 def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
     """Add chords until every bounded face is a triangle.
 
@@ -301,7 +296,8 @@ def triangulate_interior(pg: PlaneGraph) -> PlaneGraph:
         for t in range(2, l - 1):
             w = cyc[t]
             adj[w] = adj[w] | {apex}
-            rotation[w] = _insert_before(rotation[w], cyc[t + 1], apex)
+            k = (rot := rotation[w]).index(cyc[t + 1])
+            rotation[w] = rot[:k] + (apex,) + rot[k:]
     # pg's tables were checked on the way in and by faces(), and the chords
     # follow the rotation rule, so the result needs no second check.
     return PlaneGraph._trusted(SimpleGraph._trusted(pg.graph.vertices, adj), rotation, pg.outer)

@@ -299,13 +299,15 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
 
     The instance is guaranteed colorable; the solver triangulates bounded
     faces, precolors the lexicographically smallest outer edge and extends
-    the precoloring step by step.  An added chord reads the cover's
-    matching on its two ends.  That matching is empty when the cover
-    matches colors only on edges of `pg`, so the pair graph is unchanged.
-    A cover may match any vertex pair, though; then the chord's matching
-    only restricts the coloring, which stays valid on `pg` but can differ
-    from the one for the cover restricted to `pg`'s edges.  Output always
-    passes verification.
+    the precoloring step by step.  The output depends only on the graph,
+    the cover's matchings on its edges and the budget.  A cover may match
+    colors on any vertex pair, but the chords `triangulate_interior` adds
+    read no matching: when one of them carries a matching, the solve runs
+    on a copy of the cover without those chords' matchings, built once.
+    Dropping a matching only removes pair-graph edges, and the theorem
+    holds on the triangulation with empty chords.  The chords are read off
+    the adjacency rows the triangulation replaced.  Output always passes
+    verification.
     """
     g = pg.graph
     _check_budget(g, h, f, 5)
@@ -315,6 +317,10 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
         r = {}
         return r, _color_greedily(g, h, f, r, g.vertices, {})
     tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
+    chords = set() if tpg is pg else {(u, w) for u, row in tpg.graph.adj.items()
+                                      if row is not g.adj[u] for w in row - g.adj[u] if u < w}
+    if not h._matchings.keys().isdisjoint(chords):  # a chord reads no matching
+        h = Cover._trusted(h.s, h.lists, {e: m for e, m in h._matchings.items() if e not in chords})
 
     # Precolor the lexicographically smallest outer edge (v1, vp), greedily:
     # walk the outer cycle from its least vertex v1 towards its larger
@@ -677,19 +683,21 @@ def _fan_budget(f: Budget, U: tuple[int, ...], names: dict[int, dict[int, int]],
                 case21: bool) -> None:
     """Lower a fan step's budget in f's table, in place, given the renamed
     name table: drop each entry of U named 1 in case 2.1, and lower each
-    named 1 or 2 by one in case 2.2.  An entry that reaches 0 is dropped,
-    and so is a row that ends empty.  Only U's rows are replaced, unchecked:
-    lowering keeps every value in 1..cap.
+    named 1 or 2 by one in case 2.2.  An entry that reaches 0 is dropped.
+    Only U's rows are replaced, unchecked: lowering keeps every value in
+    1..cap.
+
+    Every u in U has a row, and it never ends empty: `_check_budget` gives
+    every vertex a list-restricted total of at least 5, and a fan step
+    lowers a vertex's row once, when the vertex leaves the interior for
+    the outer walk, by at most 2 in all.
     """
     lowered, cut = ((1,), 2) if case21 else ((1, 2), 1)  # values are at most 2
     rows = f._rows
     for u in U:
-        if u in rows:
-            at = names[u]
-            rows[u] = {i: left for i, val in rows[u].items()
-                       if (left := val - cut if at.get(i) in lowered else val) > 0}
-            if not rows[u]:
-                del rows[u]
+        at = names[u]
+        rows[u] = {i: left for i, val in rows[u].items()
+                   if (left := val - cut if at.get(i) in lowered else val) > 0}
 
 
 def _color_third(g: SimpleGraph, h: Cover, f: Budget,

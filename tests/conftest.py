@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
-sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))  # probe.py
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))  # probe.py, builders.py
 
 settings.register_profile(
     "det",

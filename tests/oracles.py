@@ -56,15 +56,20 @@ the current code must return:
 Besides the oracles, it holds the shapes the tests solve (`grid`, `wheel`,
 `drawn_shape` and the rest), the graphs the cycle-family tests check
 (`windmill`, `pendant_grid`), and `input_tables`, which copies every table
-of an input so that a test can tell whether a call changed it.
+of an input so that a test can tell whether a call changed it.  `polygon`,
+`windmill` and `pendant_grid` are the scaling ladder's builders
+(`bench/builders.py`), bound to the package.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from functools import partial
 from itertools import permutations, product
 
+import builders  # bench/builders.py, which conftest.py puts on the path
+import dpfcolor
 from dpfcolor import (
     Budget,
     Cover,
@@ -349,10 +354,10 @@ def random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def polygon(p: int) -> PlaneGraph:
-    g = SimpleGraph(p, [(i, (i + 1) % p) for i in range(p)])
-    rot = {i: ((i - 1) % p, (i + 1) % p) for i in range(p)}
-    return PlaneGraph(g, rot, tuple(range(p)))
+# The builders the scaling ladder shares, bound to this package.
+polygon = partial(builders.polygon, dpfcolor)
+windmill = partial(builders.windmill, dpfcolor)
+pendant_grid = partial(builders.pendant_grid, dpfcolor)
 
 
 def wheel(p: int) -> PlaneGraph:
@@ -425,24 +430,6 @@ def triangulated_polygon(p: int, rng: random.Random) -> PlaneGraph:
     # Clockwise at i in the drawing: i-1 first, then ever smaller labels, i+1 last.
     rot = {i: tuple(sorted(g.adj[i], key=lambda w: (i - w) % p)) for i in range(p)}
     return PlaneGraph(g, rot, tuple(range(p)))
-
-
-def windmill(t: int, hub: int) -> SimpleGraph:
-    """t triangles sharing the vertex `hub`, which is 0 or 2t."""
-    blades = [v for v in range(2 * t + 1) if v != hub]
-    return SimpleGraph(2 * t + 1, [e for a, b in zip(blades[::2], blades[1::2])
-                                   for e in ((a, b), (a, hub), (b, hub))])
-
-
-def pendant_grid(k: int) -> SimpleGraph:
-    """A k x k grid with a triangle hung on every 4th vertex."""
-    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
-    edges += [(v, v + k) for v in range(k * k - k)]
-    n = k * k
-    for v in range(0, k * k, 4):
-        edges += [(v, n), (v, n + 1), (n, n + 1)]
-        n += 2
-    return SimpleGraph(n, edges)
 
 
 def glued_triangulations(n1: int, n2: int, seed: int) -> PlaneGraph:

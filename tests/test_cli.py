@@ -54,6 +54,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def identity_files(tmp_path, g, lists) -> list[str]:
+    """Write g, its identity cover on `lists` and their list budget to
+    g.txt, h.txt and f.txt under `tmp_path`; the `--graph`, `--cover` and
+    `--budget` options that name those files."""
+    argv = []
+    for flag, name, text in [("graph", "g", emit_graph(g)),
+                             ("cover", "h", emit_cover(identity_cover(g, lists))),
+                             ("budget", "f", emit_budget(budget_list(lists)))]:
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        argv += [f"--{flag}", str(tmp_path / f"{name}.txt")]
+    return argv
+
+
 def check_family_in_child(path, timeout, family, *argv):
     """Exit code and output of `dpfcolor check-family` on the graph file
     at `path`, run in a child process that must end within `timeout` s."""
@@ -184,8 +197,16 @@ def test_fuzzed_verify_exits_with_a_documented_code(seed, as_json, data):
     texts = instance_texts(seed)
     parts = {"graph": data.draw(st.sampled_from(["graph", "plane"])),
              "cover": "cover", "budget": "budget", "coloring": "coloring"}
+    _run_fuzzed(["verify"] + (["--json"] if as_json else []), parts, texts, data, STATUS_OF_EXIT)
+
+
+def _run_fuzzed(argv, parts, texts, data, status_of_exit) -> None:
+    """Run `argv` with one `--FLAG PATH` per entry flag: part of `parts`,
+    the path naming a file that holds the instance's text of that part,
+    or, for a drawn set of flags, a mutated or directive-shaped text.
+    Check that the run exits with a code of `status_of_exit`, prints its
+    status under `--json`, and never prints a traceback."""
     disturbed = data.draw(st.sets(st.sampled_from(sorted(parts))))
-    argv = ["verify"] + (["--json"] if as_json else [])
     with tempfile.TemporaryDirectory() as tmp:
         for flag, part in parts.items():
             text = texts[part]
@@ -198,9 +219,9 @@ def test_fuzzed_verify_exits_with_a_documented_code(seed, as_json, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    assert code in STATUS_OF_EXIT, err.getvalue() or out.getvalue()
-    if as_json:
-        assert json.loads(out.getvalue())["status"] == STATUS_OF_EXIT[code]
+    assert code in status_of_exit, err.getvalue() or out.getvalue()
+    if "--json" in argv:
+        assert json.loads(out.getvalue())["status"] == status_of_exit[code]
 
 
 # Per command: its file flags with the instance file each reads, and the
@@ -252,48 +273,23 @@ def test_fuzzed_commands_exit_with_a_documented_code(command, seed, as_json, dat
     parts = {**parts, **more_parts}
     if parts.get("graph") == "graph":
         parts["graph"] = data.draw(st.sampled_from(["graph", "plane"]))
-    texts = solver_texts(seed)
-    disturbed = data.draw(st.sets(st.sampled_from(sorted(parts))))
-    argv = [command] + options + (["--json"] if as_json else [])
-    with tempfile.TemporaryDirectory() as tmp:
-        for flag, part in parts.items():
-            text = texts[part]
-            if flag in disturbed:
-                text = data.draw(st.one_of(mutated(text), directive_texts()))
-            path = Path(tmp) / f"{flag}.txt"
-            path.write_text(text, encoding="utf-8", newline="")
-            argv += [f"--{flag}", str(path)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    assert code in status_of_exit, err.getvalue() or out.getvalue()
-    if as_json:
-        assert json.loads(out.getvalue())["status"] == status_of_exit[code]
+    _run_fuzzed([command] + options + (["--json"] if as_json else []), parts,
+                solver_texts(seed), data, status_of_exit)
 
 
 class TestSolvers:
     def test_solve_exact_k5_four_colors_absent(self, tmp_path, capsys):
         g = complete_graph(5)
         lists = {v: {1, 2, 3, 4} for v in g.vertices}
-        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-        (tmp_path / "h.txt").write_text(emit_cover(identity_cover(g, lists)), encoding="utf-8")
-        (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
-        code, out, _ = run(capsys, "solve-exact", "--graph", str(tmp_path / "g.txt"),
-                           "--cover", str(tmp_path / "h.txt"),
-                           "--budget", str(tmp_path / "f.txt"))
+        code, out, _ = run(capsys, "solve-exact", *identity_files(tmp_path, g, lists))
         assert code == 1
         assert out.strip() == "absent"
 
     def test_solve_exact_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         g = SimpleGraph(1100)
         lists = {v: {1} for v in g.vertices}
-        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-        (tmp_path / "h.txt").write_text(emit_cover(identity_cover(g, lists)), encoding="utf-8")
-        (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
-        code, out, err = run(capsys, "solve-exact", "--graph", str(tmp_path / "g.txt"),
-                             "--cover", str(tmp_path / "h.txt"),
-                             "--budget", str(tmp_path / "f.txt"), "--limit", "2000", "--json")
+        code, out, err = run(capsys, "solve-exact", *identity_files(tmp_path, g, lists),
+                             "--limit", "2000", "--json")
         assert code == 0, err
         payload = json.loads(out)
         assert payload["status"] == "found"
@@ -439,13 +435,8 @@ class TestExitCodeMapping:
         from dpfcolor import cycle_graph
         g = cycle_graph(4)
         lists = {v: {1, 2} for v in g.vertices}
-        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-        (tmp_path / "h.txt").write_text(emit_cover(identity_cover(g, lists)), encoding="utf-8")
-        (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
         (tmp_path / "pre.txt").write_text("color 0 2\n", encoding="utf-8")
-        code, out, _ = run(capsys, "solve-exact", "--graph", str(tmp_path / "g.txt"),
-                           "--cover", str(tmp_path / "h.txt"),
-                           "--budget", str(tmp_path / "f.txt"),
+        code, out, _ = run(capsys, "solve-exact", *identity_files(tmp_path, g, lists),
                            "--precolored", str(tmp_path / "pre.txt"))
         assert code == 0
         assert "color 0 2" in out
@@ -454,12 +445,7 @@ class TestExitCodeMapping:
         from dpfcolor import cycle_graph
         g = cycle_graph(5)
         lists = {v: {1, 2, 3} for v in g.vertices}
-        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-        (tmp_path / "h.txt").write_text(emit_cover(identity_cover(g, lists)), encoding="utf-8")
-        (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
-        code, out, _ = run(capsys, "solve-exact", "--graph", str(tmp_path / "g.txt"),
-                           "--cover", str(tmp_path / "h.txt"),
-                           "--budget", str(tmp_path / "f.txt"))
+        code, out, _ = run(capsys, "solve-exact", *identity_files(tmp_path, g, lists))
         assert code == 0
         rfile = tmp_path / "r.txt"
         rfile.write_text("\n".join(l for l in out.splitlines() if l.startswith("color")) + "\n",
@@ -613,12 +599,7 @@ def test_json_reports_identical_apart_from_millis(tmp_path, capsys):
     from dpfcolor import cycle_graph
     g = cycle_graph(5)
     lists = {v: {1, 2, 3} for v in g.vertices}
-    (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-    (tmp_path / "h.txt").write_text(emit_cover(identity_cover(g, lists)), encoding="utf-8")
-    (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
-    args = ["solve-exact", "--graph", str(tmp_path / "g.txt"),
-            "--cover", str(tmp_path / "h.txt"), "--budget", str(tmp_path / "f.txt"),
-            "--json"]
+    args = ["solve-exact", *identity_files(tmp_path, g, lists), "--json"]
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     p1, p2 = json.loads(out1), json.loads(out2)

@@ -104,6 +104,13 @@ class TestCover:
         assert parse_cover(text) == h
         assert emit_cover(parse_cover(text)) == text
 
+    def test_matches_are_emitted_in_edge_then_color_order(self):
+        """Whatever order the matchings and their pairs were given in."""
+        h = Cover(3, {0: [1, 2, 3], 1: [1, 2, 3], 2: [1, 2]},
+                  {(2, 1): [(2, 3), (1, 1)], (0, 1): [(3, 1), (1, 2)]})
+        assert emit_cover(h) == ("cover 3\nlist 0 1 2 3\nlist 1 1 2 3\nlist 2 1 2\n"
+                                 "match 0 1 1 2\nmatch 0 1 3 1\nmatch 1 2 1 1\nmatch 1 2 3 2\n")
+
     def test_match_color_outside_list_rejected(self):
         text = "cover 2\nlist 0 1\nlist 1 1 2\nmatch 0 1 2 1\n"
         with pytest.raises(ParseError) as exc:

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from dpfcolor import (
     budget_list,
     complete_graph,
     cycle_graph,
+    extend_over_configuration,
     extend_precolored_triangle,
     gen_planar_triangulation,
     gen_random_budget,
@@ -49,6 +51,7 @@ from oracles import (
     coloring_exists_by_enumeration,
     composed_name_row,
     drawn_shape,
+    fan_configuration_instance,
     grid,
     input_tables,
     polygon,
@@ -477,10 +480,11 @@ class TestSolvePlanar:
             assert all(r[u] != r[v] for u, v in pg.graph.edge_list())
 
     def test_matchings_on_non_edges_leave_the_output_valid_on_the_input(self):
-        """A cover may match colors on any vertex pair, and a chord that
-        `triangulate_interior` adds reads its pair's matching.  On seeded
-        n-gons with a full 5x5 matching on every vertex pair, each solve
-        still succeeds and its coloring verifies on the polygon."""
+        """A cover may match colors on any vertex pair, but the chords that
+        `triangulate_interior` adds read no matching.  On seeded n-gons
+        with a full 5x5 matching on every vertex pair, each solve succeeds,
+        its coloring verifies on the polygon, and its output is the solve
+        on the cover restricted to the polygon's edges."""
         for seed in range(300):
             rng = random.Random(seed)
             n = 4 + seed % 8
@@ -491,6 +495,9 @@ class TestSolvePlanar:
             f = budget_list(lists)
             r, order = solve_planar_dpg52(pg, h, f)
             assert verify_coloring(pg.graph, h, f, r) is not None, seed
+            on_edges = Cover(5, lists, {e: h.matching(*e) for e in pg.graph.edge_list()})
+            r_edges, order_edges = solve_planar_dpg52(pg, on_edges, f)
+            assert (list(r.items()), order) == (list(r_edges.items()), order_edges), seed
 
     def test_budget_over_fewer_colors_than_the_cover(self):
         # Budget s=4 under a 5-color cover: color 5 simply carries budget 0.
@@ -617,6 +624,79 @@ class TestSolvePlanar:
             f = gen_random_budget(pg.graph, 5, 5, 2, seed=trial * 13, lists=h.lists)
             r, order = solve_planar_dpg52(pg, h, f)
             assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
+
+
+def _with_non_edge_matchings(g, h, rng):
+    """h with a random matching added on about half of the vertex pairs
+    that are not edges of g, each as large as the smaller list allows; the
+    matchings come in edge order, as a parsed cover file gives them."""
+    matchings = dict(h.matching_items())
+    for u, v in combinations(g.vertices, 2):
+        if not g.has_edge(u, v) and rng.random() < 0.5:
+            lu, lv = sorted(h.list_of(u)), sorted(h.list_of(v))
+            size = min(len(lu), len(lv))
+            matchings[u, v] = list(zip(rng.sample(lu, size), rng.sample(lv, size)))
+    return Cover(h.s, h.lists, dict(sorted(matchings.items())))
+
+
+def _items(x):
+    """x with each dict, at any depth in tuples, as its list of items, so
+    that comparing two results compares their item order too."""
+    if isinstance(x, dict):
+        return [(k, _items(v)) for k, v in x.items()]
+    return tuple(map(_items, x)) if isinstance(x, tuple) else x
+
+
+def _ear_polygon(p):
+    """The p-cycle with the chord 0-2: a triangle beside a (p - 1)-cycle,
+    so for p >= 7 a plane graph of FamilyA with a triangle to precolor."""
+    rot = {i: ((i - 1) % p, (i + 1) % p) for i in range(p)}
+    rot[0], rot[2] = (p - 1, 2, 1), (1, 0, 3)
+    g = SimpleGraph(p, [(i, (i + 1) % p) for i in range(p)] + [(0, 2)])
+    return PlaneGraph(g, rot, tuple(range(p)))
+
+
+@given(seed=st.integers(0, 10**6), kind=SHAPE_KINDS)
+def test_matchings_on_non_edges_change_no_output(seed, kind):
+    """Metamorphic: what a public solver or the verifier returns is a
+    function of the graph, the cover on its edges and the budget.  Random
+    matchings added on vertex pairs that are not edges leave every output,
+    errors included, the same item for item: the planar solve (whose
+    chords are such pairs), the exact search with its counters, the
+    triangle extension, the configuration extension and verification."""
+    rng = random.Random(seed)
+    pg = drawn_shape(kind, seed)
+    h, f = _cover_and_budget(pg, seed, seed + 1, list_size=rng.randint(3, 5),
+                             density=rng.choice([0.5, 1.0]))
+    g = random_graph(rng.randint(2, 7), 0.5, rng)
+    hx = gen_random_cover(g, 4, 3, 1.0, seed)
+    fx = gen_random_budget(g, 4, rng.randint(1, 4), 2, seed + 1, lists=hx.lists)
+    ear = _ear_polygon(rng.randint(7, 12))
+    ht = gen_random_cover(ear.graph, 5, 4, 1.0, seed)
+    ft = gen_random_budget(ear.graph, 5, 4, 2, seed + 1, lists=ht.lists)
+    c0s = (dict(enumerate(cs)) for cs in product(*(sorted(ht.lists[v]) for v in (0, 1, 2))))
+    c0 = next(c for c in c0s if verify_coloring(ear.graph.induced((0, 1, 2)), ht, ft, c))
+    k = rng.randint(3, 4)
+    gc, hc, fc, K, r0 = fan_configuration_instance(seed % 50, k)
+    found = solve_exact(g, hx, fx)
+    r = found[0] if found else {v: min(hx.lists[v]) for v in g.vertices}
+
+    def exact(h):
+        stats = {}
+        return solve_exact(g, h, fx, stats=stats), stats
+
+    for call, graph, cover in [
+            (lambda h: solve_planar_dpg52(pg, h, f), pg.graph, h), (exact, g, hx),
+            (lambda h: extend_precolored_triangle(ear, h, ft, c0), ear.graph, ht),
+            (lambda h: extend_over_configuration(gc, h, fc, k, K, r0), gc, hc),
+            (lambda h: verify_coloring(g, h, fx, r), g, hx)]:
+        outcomes = []
+        for given_cover in (cover, _with_non_edge_matchings(graph, cover, rng)):
+            try:
+                outcomes.append(_items(call(given_cover)))
+            except Exception as exc:  # an error must be the same one too
+                outcomes.append((type(exc).__name__, str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestExtendTriangle:
