@@ -37,10 +37,3 @@ def pendant_grid(dp, k: int):
         n += 2
     return dp.SimpleGraph(n, edges)
 
-
-def path(dp, n: int):
-    """The path 0, 1, ..., n-1 as a plane graph; its one face walks it there
-    and back."""
-    g = dp.SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
-    rot = {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)}
-    return dp.PlaneGraph(g, rot, tuple(range(n)) + tuple(range(n - 2, 0, -1)))

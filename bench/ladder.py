@@ -45,10 +45,10 @@ triangulated polygons and grids ("polygon", "grid", from
 ("fanned"), grids with a triangle hung on every 4th vertex ("pendant";
 a k x k grid with k = round(sqrt(n / 1.5))), windmills of n // 2 triangles
 whose hub is labelled last ("windmill"), and paths ("path").  The bare
-polygon, the pendant grid, the windmill and the path come from
-`bench/builders.py`, which the tests share.  An op of four parameters is
-handed the instance's cover and budget; op "family", of two, checks the
-bare graph.  Covers use 5 colors, lists of 5 and density 1.0; budgets have
+polygon, the pendant grid and the windmill come from
+`bench/builders.py`, which the tests share.  Every op but "family" is
+handed the instance's cover and budget; op "family" checks the bare
+graph.  Covers use 5 colors, lists of 5 and density 1.0; budgets have
 total 5 and cap 2.  A case that raises, or runs longer than TIMEOUT_S,
 records its error instead of a time.  The solver keeps its pending steps
 on a work stack, so no case meets the recursion limit, but on grids the
@@ -144,7 +144,9 @@ BUILD = {  # shape: its instance of rung n, from the package dp and a seed
     "grid": lambda dp, n, seed: shapes.grid(dp, round(math.sqrt(n)), seed),
     "pendant": lambda dp, n, _: builders.pendant_grid(dp, round(math.sqrt(n / 1.5))),
     "windmill": lambda dp, n, _: builders.windmill(dp, n // 2, hub=n // 2 * 2),
-    "path": lambda dp, n, _: builders.path(dp, n),
+    "path": lambda dp, n, _: dp.PlaneGraph(  # its one face walks it there and back
+        dp.path_graph(n), {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)},
+        tuple(range(n)) + tuple(range(n - 2, 0, -1))),
 }
 
 
@@ -209,12 +211,15 @@ def verify(dp, pg, h, f) -> Span:
     return span
 
 
-def run_cli(command: str, texts: dict[str, str]) -> Span:
+def run_cli(command: str, plane: str, pg, h, f, **more: str) -> Span:
     """`dpfcolor COMMAND --json` in-process through `cli.main`, with one
-    `--PART PATH` per entry of `texts` naming a file that holds it; only
-    the command is timed, not writing its files."""
-    from dpfcolor import cli
+    `--PART PATH` naming a file that holds each part: the emitted plane
+    graph as part `plane`, the cover, the budget, then each text of
+    `more`; only the command is timed, not writing its files."""
+    from dpfcolor import cli, formats
 
+    texts = {plane: formats.emit_plane(pg), "cover": formats.emit_cover(h),
+             "budget": formats.emit_budget(f), **more}
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, "--json"]
         for part, text in texts.items():
@@ -232,22 +237,16 @@ def run_cli(command: str, texts: dict[str, str]) -> Span:
 
 def verify_cli(dp, pg, h, f) -> Span:
     """`dpfcolor verify --json` on emitted files of a valid coloring."""
-    from dpfcolor import formats
+    from dpfcolor.formats import emit_coloring
 
-    r = stacking_coloring(pg.graph, h, f)
-    return run_cli("verify", {"graph": formats.emit_plane(pg), "cover": formats.emit_cover(h),
-                              "budget": formats.emit_budget(f),
-                              "coloring": formats.emit_coloring(r)})
+    return run_cli("verify", "graph", pg, h, f,
+                   coloring=emit_coloring(stacking_coloring(pg.graph, h, f)))
 
 
 def solve_cli(dp, pg, h, f) -> Span:
     """`dpfcolor solve-planar --json` on emitted files; exit 0 means a
     coloring was found and passed the solver's final check."""
-    from dpfcolor import formats
-
-    return run_cli("solve-planar", {"plane": formats.emit_plane(pg),
-                                    "cover": formats.emit_cover(h),
-                                    "budget": formats.emit_budget(f)})
+    return run_cli("solve-planar", "plane", pg, h, f)
 
 
 def search(dp, g, h, f) -> Span:
@@ -284,7 +283,7 @@ def exact_path(dp, pg, _h, _f) -> Span:
     return search(dp, g, h, f)
 
 
-def family(dp, g) -> Span:
+def family(dp, g, _h, _f) -> Span:
     """`check_family` for `NoAdj34` and then `FamilyA`; each one's time
     goes on the span as a part."""
     parts = {}
@@ -323,18 +322,17 @@ def rungs() -> list[tuple[str, str, int]]:
 def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     import dpfcolor as dp
 
-    run = OPS[op]
     pg = BUILD[shape](dp, n, seed)
-    args = [pg]
-    if run.__code__.co_argcount == 4:  # the op takes a cover and a budget
+    h = f = None  # op "family" checks a SimpleGraph without lists
+    if op != "family":
         h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
-        args += [h, dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)]
+        f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
     case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
     speed = Speedometer()  # its first sample warms the calibration loop up
     before = calibration_s(speed)
     t0 = time.perf_counter()
     try:
-        span = run(dp, *args)
+        span = OPS[op](dp, pg, h, f)
         scale = 2 * speed.REFERENCE_S / (before + calibration_s(speed))
         case["total_ms"] = round(span.seconds * 1e3, 1)
         case["scaled_ms"] = round(span.seconds * 1e3 * scale, 1)

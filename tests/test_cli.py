@@ -33,19 +33,14 @@ def k4_files(tmp_path):
     lists = {v: {1, 2, 3, 4, 5} for v in g.vertices}
     h = identity_cover(g, lists)
     f = budget_list(lists)
-    paths = {}
-    for name, text in [
+    return {name: write(tmp_path / f"{name}.txt", text) for name, text in [
         ("plane", emit_plane(pg)),
         ("graph", emit_graph(g)),
         ("cover", emit_cover(h)),
         ("budget", emit_budget(f)),
         ("coloring", emit_coloring({0: 1, 1: 2, 2: 3, 3: 4})),
         ("badcol", emit_coloring({0: 1, 1: 1, 2: 3, 3: 4})),
-    ]:
-        p = tmp_path / f"{name}.txt"
-        p.write_text(text, encoding="utf-8")
-        paths[name] = str(p)
-    return paths
+    ]}
 
 
 def run(capsys, *argv):
@@ -54,17 +49,25 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write(path: Path, text: str) -> str:
+    """Write `text` to `path`; the path, as an option's value."""
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def file_options(tmp_path, **texts: str) -> list[str]:
+    """Write each text to PART.txt under `tmp_path`; one `--PART PATH`
+    option per text, in order."""
+    return [arg for part, text in texts.items()
+            for arg in (f"--{part}", write(tmp_path / f"{part}.txt", text))]
+
+
 def identity_files(tmp_path, g, lists) -> list[str]:
-    """Write g, its identity cover on `lists` and their list budget to
-    g.txt, h.txt and f.txt under `tmp_path`; the `--graph`, `--cover` and
-    `--budget` options that name those files."""
-    argv = []
-    for flag, name, text in [("graph", "g", emit_graph(g)),
-                             ("cover", "h", emit_cover(identity_cover(g, lists))),
-                             ("budget", "f", emit_budget(budget_list(lists)))]:
-        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
-        argv += [f"--{flag}", str(tmp_path / f"{name}.txt")]
-    return argv
+    """The `--graph`, `--cover` and `--budget` options of files that hold
+    g, its identity cover on `lists` and their list budget."""
+    return file_options(tmp_path, graph=emit_graph(g),
+                        cover=emit_cover(identity_cover(g, lists)),
+                        budget=emit_budget(budget_list(lists)))
 
 
 def check_family_in_child(path, timeout, family, *argv):
@@ -107,9 +110,8 @@ class TestVerify:
         assert payload["diagnostics"] == []
 
     def test_parse_error_exits_two(self, tmp_path, k4_files, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("graph 3\nedge 0 1\nedge 0 1\n", encoding="utf-8")
-        code, _, err = run(capsys, "verify", "--graph", str(bad),
+        bad = write(tmp_path / "bad.txt", "graph 3\nedge 0 1\nedge 0 1\n")
+        code, _, err = run(capsys, "verify", "--graph", bad,
                            "--cover", k4_files["cover"], "--budget", k4_files["budget"],
                            "--coloring", k4_files["coloring"])
         assert code == 2
@@ -125,30 +127,21 @@ class TestVerify:
         g = complete_graph(3)
         lists = {v: {1, 2, 3, 4, 5} for v in g.vertices}
         plane = emit_graph(g) + "rot 0 1 2\nrot 1 2 0\nrot 2 0 1\n" + tail
-        files = [("graph" if command == "verify" else "plane", plane),
-                 ("cover", emit_cover(identity_cover(g, lists))),
-                 ("budget", emit_budget(budget_list(lists)))]
+        texts = {"graph" if command == "verify" else "plane": plane,
+                 "cover": emit_cover(identity_cover(g, lists)),
+                 "budget": emit_budget(budget_list(lists))}
         if command == "verify":
-            files.append(("coloring", emit_coloring({0: 1, 1: 2, 2: 3})))
-        argv = [command, "--json"]
-        for name, text in files:
-            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
-            argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
-        code, out, _ = run(capsys, *argv)
+            texts["coloring"] = emit_coloring({0: 1, 1: 2, 2: 3})
+        code, out, _ = run(capsys, command, "--json", *file_options(tmp_path, **texts))
         assert code == 2
         assert json.loads(out)["diagnostics"] == [f"InvalidEmbedding: {message}"]
 
     def test_coloring_of_a_vertex_not_in_the_graph_exits_two(self, tmp_path, capsys):
         g = complete_graph(3)
         lists = {v: {1, 2, 3} for v in g.vertices}
-        argv = ["verify", "--json"]
-        for name, text in [("graph", emit_graph(g)),
-                           ("cover", emit_cover(identity_cover(g, lists))),
-                           ("budget", emit_budget(budget_list(lists))),
-                           ("coloring", emit_coloring({0: 1, 1: 2, 2: 3, 7: 9}))]:
-            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
-            argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
-        code, out, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, "verify", "--json", *identity_files(tmp_path, g, lists),
+                           *file_options(tmp_path,
+                                         coloring=emit_coloring({0: 1, 1: 2, 2: 3, 7: 9})))
         assert code == 2
         payload = json.loads(out)
         assert payload["status"] == "error"
@@ -168,9 +161,8 @@ def test_vertex_without_a_list_line_has_the_empty_list(k4_files, tmp_path, capsy
                     or (line.startswith("match ") and "3" in line.split()[1:3]))]
     outcomes = []
     for name, lines in [("omitted", kept), ("empty", kept + ["list 3"])]:
-        cover = tmp_path / f"{name}.txt"
-        cover.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        files = ["--cover", str(cover), "--budget", k4_files["budget"]]
+        cover = write(tmp_path / f"{name}.txt", "\n".join(lines) + "\n")
+        files = ["--cover", cover, "--budget", k4_files["budget"]]
         argv = {
             "verify": ["verify", "--graph", k4_files["graph"], *files,
                        "--coloring", k4_files["coloring"]],
@@ -178,7 +170,7 @@ def test_vertex_without_a_list_line_has_the_empty_list(k4_files, tmp_path, capsy
             "solve-planar": ["solve-planar", "--plane", k4_files["plane"], *files],
             "gen-budget": ["gen", "budget", "--graph", k4_files["graph"], "--colors", "5",
                            "--sum-min", "5", "--cap", "2", "--seed", "4",
-                           "--cover", str(cover)],
+                           "--cover", cover],
         }[command]
         outcomes.append(run(capsys, *argv))
     assert outcomes[0] == outcomes[1]
@@ -299,28 +291,24 @@ class TestSolvers:
         code, out, _ = run(capsys, "solve-planar", "--plane", k4_files["plane"],
                            "--cover", k4_files["cover"], "--budget", k4_files["budget"])
         assert code == 0
-        color_lines = [l for l in out.splitlines() if l.startswith("color")]
-        rfile = tmp_path / "r.txt"
-        rfile.write_text("\n".join(color_lines) + "\n", encoding="utf-8")
+        r = "\n".join(l for l in out.splitlines() if l.startswith("color")) + "\n"
         code2, out2, _ = run(capsys, "verify", "--graph", k4_files["graph"],
                              "--cover", k4_files["cover"], "--budget", k4_files["budget"],
-                             "--coloring", str(rfile))
+                             "--coloring", write(tmp_path / "r.txt", r))
         assert code2 == 0
 
     def test_solve_planar_bad_budget_exits_two(self, k4_files, tmp_path, capsys):
-        weak = tmp_path / "weak.txt"
-        weak.write_text("budget 5 2\nf 0 1 2\n", encoding="utf-8")
+        weak = write(tmp_path / "weak.txt", "budget 5 2\nf 0 1 2\n")
         code, _, err = run(capsys, "solve-planar", "--plane", k4_files["plane"],
-                           "--cover", k4_files["cover"], "--budget", str(weak))
+                           "--cover", k4_files["cover"], "--budget", weak)
         assert code == 2
         assert "BadBudget" in err
 
     def test_extend_triangle_found(self, k4_files, tmp_path, capsys):
-        pre = tmp_path / "pre.txt"
-        pre.write_text("color 0 1\ncolor 1 2\ncolor 2 3\n", encoding="utf-8")
+        pre = write(tmp_path / "pre.txt", "color 0 1\ncolor 1 2\ncolor 2 3\n")
         code, out, _ = run(capsys, "extend-triangle", "--plane", k4_files["plane"],
                            "--cover", k4_files["cover"], "--budget", k4_files["budget"],
-                           "--precolored", str(pre))
+                           "--precolored", pre)
         assert code == 0
         assert "color 3" in out
 
@@ -328,12 +316,12 @@ class TestSolvers:
 class TestCheckFamilyAndReduce:
     def test_check_family_true_false(self, tmp_path, capsys):
         from dpfcolor import cycle_graph
-        (tmp_path / "c5.txt").write_text(emit_graph(cycle_graph(5)), encoding="utf-8")
-        (tmp_path / "k4.txt").write_text(emit_graph(complete_graph(4)), encoding="utf-8")
-        code, out, _ = run(capsys, "check-family", "--graph", str(tmp_path / "c5.txt"),
+        c5 = write(tmp_path / "c5.txt", emit_graph(cycle_graph(5)))
+        k4 = write(tmp_path / "k4.txt", emit_graph(complete_graph(4)))
+        code, out, _ = run(capsys, "check-family", "--graph", c5,
                            "--family", "no-cycle-lengths", "--lengths", "4,6,7,9")
         assert (code, out.strip()) == (0, "true")
-        code, out, _ = run(capsys, "check-family", "--graph", str(tmp_path / "k4.txt"),
+        code, out, _ = run(capsys, "check-family", "--graph", k4,
                            "--family", "noadj34")
         assert (code, out.strip()) == (1, "false")
 
@@ -364,8 +352,7 @@ class TestCheckFamilyAndReduce:
         the hub's neighbours."""
         t = 32_000
         for hub in (2 * t, 0):
-            path = tmp_path / f"windmill-{hub}.txt"
-            path.write_text(emit_graph(windmill(t, hub)), encoding="utf-8")
+            path = write(tmp_path / f"windmill-{hub}.txt", emit_graph(windmill(t, hub)))
             for family in ("noadj34", "family-a"):
                 assert check_family_in_child(path, 10, family) == (0, "true"), (hub, family)
 
@@ -373,12 +360,11 @@ class TestCheckFamilyAndReduce:
     def _large_triangulation(tmp_path, capsys):
         code, out, _ = run(capsys, "gen", "triangulation", "--n", "16000", "--seed", "1")
         assert code == 0
-        (tmp_path / "tri.txt").write_text(out, encoding="utf-8")
-        return tmp_path / "tri.txt"
+        return write(tmp_path / "tri.txt", out)
 
     def test_bad_lengths_exit_two(self, tmp_path, capsys):
-        (tmp_path / "g.txt").write_text(emit_graph(complete_graph(3)), encoding="utf-8")
-        code, _, err = run(capsys, "check-family", "--graph", str(tmp_path / "g.txt"),
+        code, _, err = run(capsys, "check-family",
+                           "--graph", write(tmp_path / "g.txt", emit_graph(complete_graph(3))),
                            "--family", "no-cycle-lengths", "--lengths", "4,5,6,9")
         assert code == 2
         assert "BadSpec" in err
@@ -386,13 +372,11 @@ class TestCheckFamilyAndReduce:
     def test_reduce_writes_cover_and_budget(self, tmp_path, capsys):
         g = complete_graph(3)
         lists = {v: {1, 2, 3, 4} for v in g.vertices}
-        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-        (tmp_path / "lists.txt").write_text(emit_cover(identity_cover(g, lists)),
-                                            encoding="utf-8")
         out_cover = tmp_path / "out_cover.txt"
         out_budget = tmp_path / "out_budget.txt"
-        code, _, _ = run(capsys, "reduce", "--mode", "mixed", "--graph",
-                         str(tmp_path / "g.txt"), "--lists", str(tmp_path / "lists.txt"),
+        code, _, _ = run(capsys, "reduce", "--mode", "mixed",
+                         *file_options(tmp_path, graph=emit_graph(g),
+                                       lists=emit_cover(identity_cover(g, lists))),
                          "--d", "4", "--k", "5",
                          "--out-cover", str(out_cover), "--out-budget", str(out_budget))
         assert code == 0
@@ -409,13 +393,13 @@ class TestGen:
         assert out1.count("edge") == 24
 
     def test_cover_and_budget_deterministic(self, tmp_path, capsys):
-        (tmp_path / "g.txt").write_text(emit_graph(complete_graph(5)), encoding="utf-8")
-        args = ["gen", "cover", "--graph", str(tmp_path / "g.txt"), "--colors", "5",
+        graph = write(tmp_path / "g.txt", emit_graph(complete_graph(5)))
+        args = ["gen", "cover", "--graph", graph, "--colors", "5",
                 "--list-size", "3", "--density", "0.5", "--seed", "3"]
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
-        bargs = ["gen", "budget", "--graph", str(tmp_path / "g.txt"), "--colors", "5",
+        bargs = ["gen", "budget", "--graph", graph, "--colors", "5",
                  "--sum-min", "5", "--cap", "2", "--seed", "4"]
         _, bout1, _ = run(capsys, *bargs)
         _, bout2, _ = run(capsys, *bargs)
@@ -423,8 +407,8 @@ class TestGen:
         assert bout1.startswith("budget 5 2")
 
     def test_infeasible_budget_params_exit_two(self, tmp_path, capsys):
-        (tmp_path / "g.txt").write_text(emit_graph(complete_graph(3)), encoding="utf-8")
-        code, _, err = run(capsys, "gen", "budget", "--graph", str(tmp_path / "g.txt"),
+        code, _, err = run(capsys, "gen", "budget",
+                           "--graph", write(tmp_path / "g.txt", emit_graph(complete_graph(3))),
                            "--colors", "2", "--sum-min", "5", "--cap", "2", "--seed", "0")
         assert code == 2
         assert "InfeasibleParameters" in err
@@ -435,9 +419,8 @@ class TestExitCodeMapping:
         from dpfcolor import cycle_graph
         g = cycle_graph(4)
         lists = {v: {1, 2} for v in g.vertices}
-        (tmp_path / "pre.txt").write_text("color 0 2\n", encoding="utf-8")
         code, out, _ = run(capsys, "solve-exact", *identity_files(tmp_path, g, lists),
-                           "--precolored", str(tmp_path / "pre.txt"))
+                           "--precolored", write(tmp_path / "pre.txt", "color 0 2\n"))
         assert code == 0
         assert "color 0 2" in out
 
@@ -445,15 +428,11 @@ class TestExitCodeMapping:
         from dpfcolor import cycle_graph
         g = cycle_graph(5)
         lists = {v: {1, 2, 3} for v in g.vertices}
-        code, out, _ = run(capsys, "solve-exact", *identity_files(tmp_path, g, lists))
+        files = identity_files(tmp_path, g, lists)
+        code, out, _ = run(capsys, "solve-exact", *files)
         assert code == 0
-        rfile = tmp_path / "r.txt"
-        rfile.write_text("\n".join(l for l in out.splitlines() if l.startswith("color")) + "\n",
-                         encoding="utf-8")
-        code2, _, _ = run(capsys, "verify", "--graph", str(tmp_path / "g.txt"),
-                          "--cover", str(tmp_path / "h.txt"),
-                          "--budget", str(tmp_path / "f.txt"),
-                          "--coloring", str(rfile))
+        r = "\n".join(l for l in out.splitlines() if l.startswith("color")) + "\n"
+        code2, _, _ = run(capsys, "verify", *files, "--coloring", write(tmp_path / "r.txt", r))
         assert code2 == 0
 
     def test_theorem_violation_maps_to_exit_three(self, k4_files, tmp_path, capsys,
@@ -465,11 +444,10 @@ class TestExitCodeMapping:
             raise TheoremViolation("forced for the exit-code test")
 
         monkeypatch.setattr(cli_mod, "extend_precolored_triangle", boom)
-        pre = tmp_path / "pre.txt"
-        pre.write_text("color 0 1\ncolor 1 2\ncolor 2 3\n", encoding="utf-8")
+        pre = write(tmp_path / "pre.txt", "color 0 1\ncolor 1 2\ncolor 2 3\n")
         code, out, err = run(capsys, "extend-triangle", "--plane", k4_files["plane"],
                              "--cover", k4_files["cover"], "--budget", k4_files["budget"],
-                             "--precolored", str(pre), "--json")
+                             "--precolored", pre, "--json")
         assert code == 3
         payload = json.loads(out)
         assert payload["status"] == "theorem-violation"
@@ -530,9 +508,7 @@ class TestExitCodeMapping:
         ("cover", "cover 3\nlist\n"),
     ], ids=["edge-arity", "negative-n", "bare-list"])
     def test_malformed_files_exit_two(self, k4_files, tmp_path, capsys, which, text):
-        files = dict(k4_files)
-        files[which] = str(tmp_path / "malformed.txt")
-        (tmp_path / "malformed.txt").write_text(text, encoding="utf-8")
+        files = {**k4_files, which: write(tmp_path / "malformed.txt", text)}
         code, out, err = run(capsys, "solve-planar", "--plane", files["plane"],
                              "--cover", files["cover"], "--budget", files["budget"])
         assert code == 2
@@ -542,10 +518,9 @@ class TestExitCodeMapping:
     def test_oversized_vertex_count_exits_two(self, k4_files, tmp_path, capsys, command):
         """A vertex count past sys.maxsize is a malformed file (exit 2), not
         an internal error (exit 3) from the OverflowError of range(n)."""
-        huge = tmp_path / "huge.txt"
-        huge.write_text("graph 9999999999999999999\nouter 0 1 2\n", encoding="utf-8")
-        argv = {"check-family": ["--graph", str(huge), "--family", "noadj34"],
-                "solve-planar": ["--plane", str(huge), "--cover", k4_files["cover"],
+        huge = write(tmp_path / "huge.txt", "graph 9999999999999999999\nouter 0 1 2\n")
+        argv = {"check-family": ["--graph", huge, "--family", "noadj34"],
+                "solve-planar": ["--plane", huge, "--cover", k4_files["cover"],
                                  "--budget", k4_files["budget"]]}[command]
         code, out, err = run(capsys, command, *argv, "--json")
         assert code == 2
@@ -561,11 +536,10 @@ class TestExitCodeMapping:
         is a malformed file too (exit 2, a ParseError on the header line),
         not an internal error (exit 3) from a MemoryError.  The CLI runs in
         a child process that caps its own address space at 1 GiB."""
-        huge = tmp_path / "huge.txt"
-        huge.write_text("# far too many vertices\ngraph 1000000000000\nouter 0 1 2\n",
-                        encoding="utf-8")
-        argv = {"check-family": ["--graph", str(huge), "--family", "noadj34"],
-                "solve-planar": ["--plane", str(huge), "--cover", k4_files["cover"],
+        huge = write(tmp_path / "huge.txt",
+                     "# far too many vertices\ngraph 1000000000000\nouter 0 1 2\n")
+        argv = {"check-family": ["--graph", huge, "--family", "noadj34"],
+                "solve-planar": ["--plane", huge, "--cover", k4_files["cover"],
                                  "--budget", k4_files["budget"]]}[command]
         child = ("import resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -586,11 +560,9 @@ class TestExitCodeMapping:
     def test_reduce_prints_both_sections_without_out_paths(self, tmp_path, capsys):
         g = complete_graph(3)
         lists = {v: {1, 2} for v in g.vertices}
-        (tmp_path / "g.txt").write_text(emit_graph(g), encoding="utf-8")
-        (tmp_path / "lists.txt").write_text(emit_cover(identity_cover(g, lists)),
-                                            encoding="utf-8")
-        code, out, _ = run(capsys, "reduce", "--mode", "forest", "--graph",
-                           str(tmp_path / "g.txt"), "--lists", str(tmp_path / "lists.txt"))
+        code, out, _ = run(capsys, "reduce", "--mode", "forest",
+                           *file_options(tmp_path, graph=emit_graph(g),
+                                         lists=emit_cover(identity_cover(g, lists))))
         assert code == 0
         assert "cover 2" in out and "budget 2 2" in out
 
@@ -642,20 +614,14 @@ def test_graph_flags_accept_plane_files(tmp_path, capsys):
     from dpfcolor.formats import emit_plane
     pg = gen_planar_triangulation(6, seed=2)
     lists = {v: {1, 2, 3, 4, 5} for v in pg.graph.vertices}
-    (tmp_path / "pg.txt").write_text(emit_plane(pg), encoding="utf-8")
-    (tmp_path / "h.txt").write_text(emit_cover(identity_cover(pg.graph, lists)),
-                                    encoding="utf-8")
-    (tmp_path / "f.txt").write_text(emit_budget(budget_list(lists)), encoding="utf-8")
-    code, out, _ = run(capsys, "solve-planar", "--plane", str(tmp_path / "pg.txt"),
-                       "--cover", str(tmp_path / "h.txt"),
-                       "--budget", str(tmp_path / "f.txt"))
+    files = file_options(tmp_path, plane=emit_plane(pg),
+                         cover=emit_cover(identity_cover(pg.graph, lists)),
+                         budget=emit_budget(budget_list(lists)))
+    code, out, _ = run(capsys, "solve-planar", *files)
     assert code == 0
-    rfile = tmp_path / "r.txt"
-    rfile.write_text("\n".join(l for l in out.splitlines() if l.startswith("color")) + "\n",
-                     encoding="utf-8")
-    code2, _, _ = run(capsys, "verify", "--graph", str(tmp_path / "pg.txt"),
-                      "--cover", str(tmp_path / "h.txt"),
-                      "--budget", str(tmp_path / "f.txt"), "--coloring", str(rfile))
+    r = "\n".join(l for l in out.splitlines() if l.startswith("color")) + "\n"
+    code2, _, _ = run(capsys, "verify", "--graph", *files[1:],
+                      "--coloring", write(tmp_path / "r.txt", r))
     assert code2 == 0
 
 
@@ -756,14 +722,11 @@ MALFORMED["plane"] = MALFORMED["graph"]
 def test_files_are_read_in_flag_order(k4_files, tmp_path, capsys, argv, files):
     """With its first i files well formed and the rest malformed, a command
     reports the fault of file i: the files are read in the order of `files`."""
-    bad = {}
-    for _, part in files:
-        bad[part] = tmp_path / f"bad-{part}.txt"
-        bad[part].write_text(MALFORMED[part][0], encoding="utf-8")
+    bad = {part: write(tmp_path / f"bad-{part}.txt", MALFORMED[part][0]) for _, part in files}
     for i, (_, first_bad) in enumerate(files):
         args = list(argv)
         for j, (flag, part) in enumerate(files):
-            args += [flag, str(bad[part]) if j >= i else k4_files[part]]
+            args += [flag, bad[part] if j >= i else k4_files[part]]
         code, out, err = run(capsys, *args)
         assert (code, out) == (2, "")
         assert err == f"ParseError: line 1: {MALFORMED[first_bad][1]}\n", args

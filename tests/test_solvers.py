@@ -435,9 +435,7 @@ class TestSolvePlanar:
     def test_triangle_identity_five_colors(self):
         g = cycle_graph(3)
         pg = PlaneGraph(g, {0: (1, 2), 1: (2, 0), 2: (0, 1)}, (0, 1, 2))
-        lists = {v: {1, 2, 3, 4, 5} for v in g.vertices}
-        h = identity_cover(g, lists)
-        f = budget_list(lists)
+        h, f = identity_instance(g, (1, 2, 3, 4, 5))
         r, order = solve_planar_dpg52(pg, h, f)
         assert len({r[0], r[1], r[2]}) == 3
         assert verify_coloring(g, h, f, r) is not None
@@ -458,9 +456,7 @@ class TestSolvePlanar:
     def test_wheels_with_unit_budgets_give_proper_colorings(self):
         for p in (4, 5, 6, 7, 8):
             pg = wheel(p)
-            lists = {v: {1, 2, 3, 4, 5} for v in pg.graph.vertices}
-            h = identity_cover(pg.graph, lists)
-            f = budget_list(lists)
+            h, f = identity_instance(pg.graph, (1, 2, 3, 4, 5))
             r, order = solve_planar_dpg52(pg, h, f)
             assert all(r[u] != r[v] for u, v in pg.graph.edge_list())
             assert verify_coloring(pg.graph, h, f, r) is not None
@@ -473,9 +469,7 @@ class TestSolvePlanar:
             assert order_is_valid(induced_pair_graph(pg.graph, h, f, r), order)
         for p in (4, 5, 7, 9):
             pg = polygon(p)
-            lists = {v: {1, 2, 3, 4, 5} for v in pg.graph.vertices}
-            h = identity_cover(pg.graph, lists)
-            f = budget_list(lists)
+            h, f = identity_instance(pg.graph, (1, 2, 3, 4, 5))
             r, order = solve_planar_dpg52(pg, h, f)
             assert all(r[u] != r[v] for u, v in pg.graph.edge_list())
 
@@ -521,25 +515,19 @@ class TestSolvePlanar:
     def test_small_graphs_without_embedding(self):
         g = SimpleGraph(2, [(0, 1)])
         pg = PlaneGraph(g, {0: (1,), 1: (0,)}, (0, 1))
-        lists = {v: {1, 2, 3} for v in g.vertices}
-        h = identity_cover(g, lists)
-        f = Budget(3, 2, {(v, c): 2 for v in g.vertices for c in (1, 2, 3)})
+        h, f = identity_instance(g, (1, 2, 3), value=2)
         r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(g, h, f, r) is not None
 
     def test_budget_below_five_rejected(self):
         pg = gen_planar_triangulation(5, seed=0)
-        lists = {v: {1, 2} for v in pg.graph.vertices}
-        h = identity_cover(pg.graph, lists)
-        f = Budget(2, 2, {(v, c): 2 for v in pg.graph.vertices for c in (1, 2)})
+        h, f = identity_instance(pg.graph, (1, 2), value=2)
         with pytest.raises(BadBudget):
             solve_planar_dpg52(pg, h, f)
 
     def test_cap_above_two_rejected(self):
         pg = gen_planar_triangulation(5, seed=0)
-        lists = {v: {1, 2} for v in pg.graph.vertices}
-        h = identity_cover(pg.graph, lists)
-        f = Budget(2, 3, {(v, c): 3 for v in pg.graph.vertices for c in (1, 2)})
+        h, f = identity_instance(pg.graph, (1, 2), value=3)
         with pytest.raises(BadBudget):
             solve_planar_dpg52(pg, h, f)
 
@@ -576,9 +564,7 @@ class TestSolvePlanar:
         g = SimpleGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         rot = {0: (1, 2), 1: (2, 0), 2: (0, 1, 4, 3), 3: (2, 4), 4: (3, 2)}
         pg = PlaneGraph(g, rot, (0, 1, 2, 3, 4, 2))
-        lists = {v: {1, 2, 3} for v in g.vertices}
-        h = identity_cover(g, lists)
-        f = Budget(3, 2, {(v, c): 2 for v in g.vertices for c in (1, 2, 3)})
+        h, f = identity_instance(g, (1, 2, 3), value=2)
         with pytest.raises(NotTwoConnected):
             solve_planar_dpg52(pg, h, f)
 
@@ -594,9 +580,7 @@ class TestSolvePlanar:
         g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         rot = {0: (1, 2), 1: (2, 0), 2: (0, 1), 3: (4, 5), 4: (5, 3), 5: (3, 4)}
         pg = PlaneGraph(g, rot, (0, 1, 2))
-        lists = {v: {1, 2, 3} for v in g.vertices}
-        h = identity_cover(g, lists)
-        f = Budget(3, 2, {(v, c): 2 for v in g.vertices for c in (1, 2, 3)})
+        h, f = identity_instance(g, (1, 2, 3), value=2)
         with pytest.raises(NotTwoConnected, match="^graph must be connected$"):
             solve_planar_dpg52(pg, h, f)
         paths = []
@@ -702,9 +686,7 @@ def test_matchings_on_non_edges_change_no_output(seed, kind):
 class TestExtendTriangle:
     def k4_instance(self):
         pg = gen_planar_triangulation(4, seed=0)
-        lists = {v: {1, 2, 3, 4} for v in pg.graph.vertices}
-        h = identity_cover(pg.graph, lists)
-        f = budget_list(lists)
+        h, f = identity_instance(pg.graph, (1, 2, 3, 4))
         return pg, h, f
 
     def test_k4_triangle_extends(self):
@@ -719,9 +701,7 @@ class TestExtendTriangle:
         pg = PlaneGraph(SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
                         {0: (4, 2, 1), 1: (0, 2), 2: (1, 0, 3), 3: (2, 4), 4: (3, 0)},
                         (0, 1, 2, 3, 4))
-        lists = {v: {1, 2, 3, 4} for v in pg.graph.vertices}
-        h = identity_cover(pg.graph, lists)
-        f = budget_list(lists)
+        h, f = identity_instance(pg.graph, (1, 2, 3, 4))
         with pytest.raises(NotInFamily):
             extend_precolored_triangle(pg, h, f, {0: 1, 1: 2, 2: 3})
 
@@ -757,13 +737,8 @@ class TestExtendTriangle:
     def chorded_13_cycle():
         """The 13-cycle with the chord 0-2: one triangle and no 4- or
         5-cycle, so it is in family A, and past the default exact limit."""
-        n = 13
-        rotation = {v: (v - 1, v + 1) for v in range(3, n - 1)}
-        rotation.update({0: (n - 1, 2, 1), 1: (0, 2), 2: (1, 0, 3), n - 1: (n - 2, 0)})
-        edges = [(v, (v + 1) % n) for v in range(n)] + [(0, 2)]
-        pg = PlaneGraph(SimpleGraph(n, edges), rotation, range(n))
-        lists = {v: {1, 2, 3, 4} for v in pg.graph.vertices}
-        return pg, identity_cover(pg.graph, lists), budget_list(lists)
+        pg = _ear_polygon(13)
+        return (pg, *identity_instance(pg.graph, (1, 2, 3, 4)))
 
     def test_errors_past_the_limit_stay_as_they_were(self, monkeypatch):
         """Each public function reports what it reported when both verified
@@ -797,9 +772,7 @@ class TestExtendTriangle:
 
     def test_low_budget_rejected(self):
         pg, _, _ = self.k4_instance()
-        lists = {v: {1, 2, 3} for v in pg.graph.vertices}
-        h = identity_cover(pg.graph, lists)
-        f = budget_list(lists)
+        h, f = identity_instance(pg.graph, (1, 2, 3))
         with pytest.raises(BadBudget):
             extend_precolored_triangle(pg, h, f, {0: 1, 1: 2, 2: 3})
 
@@ -819,9 +792,7 @@ class TestExtendTriangle:
 
 def test_precolored_color_outside_list_raises_invalid_precoloring():
     g = cycle_graph(4)
-    lists = {v: {1, 2} for v in g.vertices}
-    h = identity_cover(g, lists)
-    f = Budget(2, 1, {(v, c): 1 for v in g.vertices for c in (1, 2)})
+    h, f = identity_instance(g, (1, 2))
     with pytest.raises(InvalidPrecoloring):
         solve_exact(g, h, f, precolored={0: 9})
 
@@ -835,9 +806,7 @@ def test_planar_solver_scales_past_the_exact_limit():
 
 def test_triangle_precoloring_outside_lists_raises_invalid_precoloring():
     pg = gen_planar_triangulation(4, seed=0)
-    lists = {v: {1, 2, 3, 4} for v in pg.graph.vertices}
-    h = identity_cover(pg.graph, lists)
-    f = budget_list(lists)
+    h, f = identity_instance(pg.graph, (1, 2, 3, 4))
     with pytest.raises(InvalidPrecoloring):
         extend_precolored_triangle(pg, h, f, {0: 9, 1: 2, 2: 3})
 
