@@ -89,25 +89,12 @@ class Budget:
         return b
 
     def assign(self, updates: Mapping[Pair, int]) -> "Budget":
-        """New budget with the given entries replaced (0 deletes)."""
-        rows = dict(self._rows)
-        copied: set[int] = set()
-        for (v, i), val in updates.items():
-            if not 1 <= i <= self.s:
-                raise ValueError(f"color {i} outside 1..{self.s}")
-            if val < 0 or val > self.cap:
-                raise ValueError(f"value {val} for ({v},{i}) outside 0..{self.cap}")
-            if v not in copied:
-                copied.add(v)
-                rows[v] = dict(rows.get(v, ()))
-            if val == 0:
-                rows[v].pop(i, None)
-            else:
-                rows[v][i] = val
-        for v in copied:
-            if not rows[v]:
-                del rows[v]
-        return Budget._trusted(self.s, self.cap, rows)
+        """New budget with the given entries replaced (0 deletes).  The
+        constructor reads the updates before the untouched entries, so it
+        reports the first faulty update."""
+        kept = (((v, i), val) for v, row in self._rows.items() for i, val in row.items()
+                if (v, i) not in updates)
+        return Budget(self.s, self.cap, [*updates.items(), *kept])
 
     def relabel(self, perms: Mapping[int, Mapping[int, int]]) -> "Budget":
         """Rename colors per vertex: new index perms[v][i] gets f_i(v).
@@ -116,15 +103,9 @@ class Budget:
         keep their labels.  A renamed entry outside 1..s raises ValueError.
         """
         _check_permutations(perms)
-        rows = dict(self._rows)
-        for v, p in perms.items():
-            row = rows.get(v)
-            if row is None:
-                continue
-            rows[v] = new_row = {p.get(i, i): val for i, val in row.items()}
-            if max(new_row) > self.s:
-                raise ValueError(f"color {max(new_row)} outside 1..{self.s}")
-        return Budget._trusted(self.s, self.cap, rows)
+        renamed = (((v, perms[v].get(i, i) if v in perms else i), val)
+                   for v, row in self._rows.items() for i, val in row.items())
+        return Budget(self.s, self.cap, renamed)
 
     def __eq__(self, other):
         if not isinstance(other, Budget):
@@ -225,25 +206,17 @@ class Cover:
         Each perms[v] must be a bijection of 1..k for some k; colors above
         k, and vertices absent from `perms`, keep their labels.  A renamed
         color outside 1..s raises ValueError.  Relabeling is an isomorphism
-        of the cover, so colorability is preserved exactly and the result
-        needs no further validation: only the renamed fibers and the
-        matchings at them are rebuilt, and the untouched ones are shared
-        with this cover.  One pass over the matchings finds the ones at
-        renamed vertices.
+        of the cover, so colorability is preserved exactly.
         """
         _check_permutations(perms)
-        lists = dict(self.lists)
-        for v, p in perms.items():
-            if v in lists:
-                lists[v] = cs = frozenset(p.get(c, c) for c in lists[v])
-                if cs and max(cs) > self.s:
-                    raise ValueError(f"list of {v} has colors outside 1..{self.s}")
-        matchings = dict(self._matchings)
-        for (u, v), pairs in self._matchings.items():
-            if u in perms or v in perms:
-                pu, pv = perms.get(u, {}), perms.get(v, {})
-                matchings[(u, v)] = {pu.get(cu, cu): pv.get(cv, cv) for cu, cv in pairs.items()}
-        return Cover._trusted(self.s, lists, matchings)
+
+        def named(v: int, c: int) -> int:
+            return perms[v].get(c, c) if v in perms else c
+
+        lists = {v: [named(v, c) for c in cs] for v, cs in self.lists.items()}
+        matchings = {(u, v): [(named(u, cu), named(v, cv)) for cu, cv in m.items()]
+                     for (u, v), m in self._matchings.items()}
+        return Cover(self.s, lists, matchings)
 
     def __eq__(self, other):
         if not isinstance(other, Cover):

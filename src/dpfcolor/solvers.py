@@ -302,25 +302,32 @@ def solve_planar_dpg52(pg: PlaneGraph, h: Cover, f: Budget) -> tuple[dict[int, i
     the precoloring step by step.  The output depends only on the graph,
     the cover's matchings on its edges and the budget.  A cover may match
     colors on any vertex pair, but the chords `triangulate_interior` adds
-    read no matching: when one of them carries a matching, the solve runs
-    on a copy of the cover without those chords' matchings, built once.
-    Dropping a matching only removes pair-graph edges, and the theorem
-    holds on the triangulation with empty chords.  The chords are read off
-    the adjacency rows the triangulation replaced.  Output always passes
-    verification.
+    read no matching: when it adds chords and some matching lies off the
+    input's edges, the solve runs on a copy of the cover with only the
+    matchings on the input's edges, built once.  Dropping a matching only
+    removes pair-graph edges, and the theorem holds on the triangulation
+    with empty chords.  Output always passes verification.
+
+    Connectivity is searched once: up front for n <= 2, and otherwise only
+    after `triangulate_interior` rejects the input, to report a
+    disconnected graph as such.
     """
     g = pg.graph
     _check_budget(g, h, f, 5)
-    if not g.is_connected():
-        raise NotTwoConnected("graph must be connected")
-    if g.n <= 2:  # cannot fail: a vertex has 3 colors of positive budget, a neighbour hits 1
+    if g.n <= 2 and g.is_connected():
+        # Cannot fail: a vertex has 3 colors of positive budget, a neighbour hits 1.
         r = {}
         return r, _color_greedily(g, h, f, r, g.vertices, {})
-    tpg = triangulate_interior(pg)  # validates the outer cycle, 2-connectivity, embedding
-    chords = set() if tpg is pg else {(u, w) for u, row in tpg.graph.adj.items()
-                                      if row is not g.adj[u] for w in row - g.adj[u] if u < w}
-    if not h._matchings.keys().isdisjoint(chords):  # a chord reads no matching
-        h = Cover._trusted(h.s, h.lists, {e: m for e, m in h._matchings.items() if e not in chords})
+    try:
+        tpg = triangulate_interior(pg)  # validates the outer cycle, (2-)connectivity, embedding
+    except NotTwoConnected:
+        if not g.is_connected():
+            raise NotTwoConnected("graph must be connected") from None
+        raise
+    if tpg is not pg and not all(w in g.adj.get(u, ()) for u, w in h._matchings):
+        # Some matching lies off g's edges, maybe on a chord, which reads none.
+        h = Cover._trusted(h.s, h.lists, {(u, w): m for (u, w), m in h._matchings.items()
+                                          if w in g.adj.get(u, ())})
 
     # Precolor the lexicographically smallest outer edge (v1, vp), greedily:
     # walk the outer cycle from its least vertex v1 towards its larger
@@ -510,8 +517,9 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         else:
             break
 
-    if len(adj) == 3:
-        r, order = _color_third(g, h, f, pre, outer[1], names)
+    if len(adj) == 3:  # the base case: outer[1] is adjacent to both precolored vertices
+        r = dict(pre)
+        order = pre + _color_greedily(g, h, f, r, (outer[1],), names)
     else:
         # The solver splits only near-triangulations it built itself from the
         # validated input, so the split needs no embedding or cycle check.
@@ -526,7 +534,8 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         ear = (p - 1 if chord == (0, p - 2) and len(adj[vp]) == 2 else
                0 if chord == (1, p - 1) and len(adj[v1]) == 2 else None)
         if ear is not None:
-            r1, s1 = _color_third(g, h, f, pre, vj if i == 0 else vi, names)
+            r1 = dict(pre)
+            s1 = pre + _color_greedily(g, h, f, r1, (vj if i == 0 else vi,), names)
             _drop(adj, rotation, outer.pop(ear))
         pieces = [PlaneGraph._trusted(g, rotation, tuple(outer))]
         del pg, g, adj, rotation, outer, on_outer
@@ -698,15 +707,6 @@ def _fan_budget(f: Budget, U: tuple[int, ...], names: dict[int, dict[int, int]],
         at = names[u]
         rows[u] = {i: left for i, val in rows[u].items()
                    if (left := val - cut if at.get(i) in lowered else val) > 0}
-
-
-def _color_third(g: SimpleGraph, h: Cover, f: Budget,
-                 pre: tuple[tuple[int, int], tuple[int, int]],
-                 v: int, names: dict[int, dict[int, int]]) -> tuple[dict[int, int], Order]:
-    """The base case: color v, adjacent to both precolored vertices of `pre`,
-    after them by `_color_greedily` on v's names.  g need only hold v's row."""
-    r = dict(pre)
-    return r, pre + _color_greedily(g, h, f, r, (v,), names)
 
 
 def _reinsertion_valid(adj: dict[int, frozenset[int]], h: Cover,

@@ -350,24 +350,25 @@ def test_loc_counts_code_lines_only(tmp_path, capsys):
 
 
 def test_planar_and_solvers_stay_under_the_code_line_ceiling():
-    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 672 code
+    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 671 code
     lines, as `bench/loc.py` counts them."""
     loc = _loc()
     total = sum(loc.code_lines((SRC / name).read_text(encoding="utf-8"))
                 for name in ("planar.py", "solvers.py"))
-    assert total <= 672, total
+    assert total <= 671, total
 
 
 @pytest.mark.parametrize("path,ceiling", [(SRC / "formats.py", 288), (SRC / "cycles.py", 60),
-                                          (SRC / "cli.py", 241),
+                                          (SRC / "cli.py", 241), (SRC / "covers.py", 190),
                                           (ROOT / "bench" / "ladder.py", 298)],
                          ids=lambda x: x.name if isinstance(x, Path) else None)
 def test_module_stays_under_its_code_line_ceiling(path, ceiling):
     """ROADMAP aim 2 holds `formats.py` (one line grammar, one error path
     per parser), `cycles.py` (one closed-path walk, and family checks that
     read each edge's neighbourhoods instead of listing cycles), `cli.py`
-    (each command's files declared and read once, one exit-code table) and
-    `bench/ladder.py` (each rung declared once, in one table) at the code
-    lines, as `bench/loc.py` counts them, that they reached with those
-    designs."""
+    (each command's files declared and read once, one exit-code table),
+    `covers.py` (renamed and updated copies built by the validating
+    constructors) and `bench/ladder.py` (each rung declared once, in one
+    table) at the code lines, as `bench/loc.py` counts them, that they
+    reached with those designs."""
     assert _loc().code_lines(path.read_text(encoding="utf-8")) <= ceiling, path

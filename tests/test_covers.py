@@ -1,14 +1,15 @@
-"""Renaming colors in covers and budgets, updating budgets, and the other
+"""Renaming colors in covers and budgets, updating budgets, and the
 objects built without validation.
 
-`Cover.relabel`, `Budget.relabel`, `Budget.assign`, `SimpleGraph.induced`,
-the residual budget of the planar recursion and its plane pieces
-(`split_on_chord`, `delete_vertex`, `with_outer`) build their results
-without the validating constructors; these tests compare them with objects
-built through `Cover(...)`, `Budget(...)`, `SimpleGraph.on_vertices(...)`
-and `PlaneGraph(...)` from the same data.  A plane piece must also share
-(`is`) every row of its parent except those of the vertices that lose a
-neighbour.
+`Cover.relabel`, `Budget.relabel` and `Budget.assign` build their results
+through the validating constructors, so a faulty entry raises the
+constructor's error.  `SimpleGraph.induced`, the residual budget of the
+planar recursion and its plane pieces (`split_on_chord`, `delete_vertex`,
+`with_outer`) build theirs without them; these tests compare them, and the
+renamed and updated copies, with objects built through `Cover(...)`,
+`Budget(...)`, `SimpleGraph.on_vertices(...)` and `PlaneGraph(...)` from
+the same data.  A plane piece must also share (`is`) every row of its
+parent except those of the vertices that lose a neighbour.
 
 A graph stores only its adjacency sets, and `edges` is derived from them;
 a budget stores only its per-vertex rows, and a row is never empty.  So
@@ -18,6 +19,7 @@ table, including that `Budget.assign` drops a row it empties.
 
 import gc
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -105,6 +107,28 @@ class TestAssignValidates:
             f.assign({(0, 2): 3})
         with pytest.raises(ValueError):
             f.assign({(0, 2): -1})
+
+
+_F = Budget(3, 2, {(0, 1): 1, (1, 2): 2})
+_H = Cover(3, {0: [1, 2], 1: [1, 3]}, {(0, 1): [(2, 3)]})
+_PAST_S = {0: {1: 4, 2: 2, 3: 3, 4: 1}}  # a bijection of 1..4 that sends color 1 past s = 3
+
+
+@pytest.mark.parametrize("call,build", [
+    (lambda: _F.relabel(_PAST_S), lambda: Budget(3, 2, {(0, 4): 1, (1, 2): 2})),
+    (lambda: _H.relabel(_PAST_S), lambda: Cover(3, {0: [4, 2], 1: [1, 3]}, {(0, 1): [(2, 3)]})),
+    (lambda: _F.assign({(0, 4): 1}), lambda: Budget(3, 2, {(0, 4): 1, (0, 1): 1, (1, 2): 2})),
+    (lambda: _F.assign({(1, 2): 3}), lambda: Budget(3, 2, {(0, 1): 1, (1, 2): 3})),
+    (lambda: _F.assign({(2, 3): -1}), lambda: Budget(3, 2, {(2, 3): -1, (0, 1): 1, (1, 2): 2})),
+], ids=["budget-relabel-past-s", "cover-relabel-past-s", "assign-color", "assign-value-above-cap",
+        "assign-negative-value"])
+def test_one_faulty_entry_raises_the_constructors_message(call, build):
+    """A renamed or updated copy with one faulty entry raises the same
+    ValueError message as the validating constructor on the same entries."""
+    with pytest.raises(ValueError) as built:
+        build()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+        call()
 
 
 @pytest.mark.parametrize("values", [

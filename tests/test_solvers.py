@@ -592,6 +592,15 @@ class TestSolvePlanar:
         payload = json.loads(capsys.readouterr().out)
         assert payload["diagnostics"] == ["NotTwoConnected: graph must be connected"]
 
+    @pytest.mark.parametrize("outer", [(), (0, 1), (1, 0)])
+    def test_two_separate_vertices_rejected_as_not_connected(self, outer):
+        """Graphs of at most 2 vertices skip the triangulation, so the
+        solver checks their connectivity before coloring them."""
+        g = SimpleGraph(2, [])
+        h, f = identity_instance(g, (1, 2, 3), value=2)
+        with pytest.raises(NotTwoConnected, match="^graph must be connected$"):
+            solve_planar_dpg52(PlaneGraph(g, {}, outer), h, f)
+
     def test_always_succeeds_on_mixed_random_instances(self):
         rng = random.Random(999)
         for trial in range(40):
@@ -1260,9 +1269,10 @@ class TestOneOwnedInstance:
 def test_a_valid_solve_traces_faces_once_and_runs_no_lowpoint_dfs(monkeypatch):
     """The solve validates its input from one face trace: on seeded shapes
     of every 2-connected drawn kind, on polygons that it triangulates, a
-    wheel, a grid and a stacked n = 500, it calls `trace_faces` once and
-    `is_two_connected` never.  The lowpoint DFS runs only on an input that
-    already fails, to tell a cut vertex from an embedding fault."""
+    wheel, a grid and a stacked n = 500, it calls `trace_faces` once,
+    `SimpleGraph.is_connected` once and `is_two_connected` never.  The
+    lowpoint DFS runs only on an input that already fails, to tell a cut
+    vertex from an embedding fault."""
     calls = Counter()
 
     def counted(fn):
@@ -1273,6 +1283,7 @@ def test_a_valid_solve_traces_faces_once_and_runs_no_lowpoint_dfs(monkeypatch):
 
     monkeypatch.setattr(planar, "trace_faces", counted(planar.trace_faces))
     monkeypatch.setattr(planar, "is_two_connected", counted(planar.is_two_connected))
+    monkeypatch.setattr(SimpleGraph, "is_connected", counted(SimpleGraph.is_connected))
     shapes = [drawn_shape(kind, seed) for kind in ("stacked", "thin", "fanned", "grid")
               for seed in range(8)]
     shapes += [polygon(5), polygon(9), wheel(7), grid(5, seed=5), gen_planar_triangulation(500, 1)]
@@ -1281,13 +1292,13 @@ def test_a_valid_solve_traces_faces_once_and_runs_no_lowpoint_dfs(monkeypatch):
         before = calls.copy()
         r, _ = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
-        assert calls - before == Counter(trace_faces=1), (t, calls - before)
+        assert calls - before == Counter(trace_faces=1, is_connected=1), (t, calls - before)
     pg = gen_planar_triangulation(8, 4)
     rotation = {**pg.rotation, 0: pg.rotation[0][1::-1] + pg.rotation[0][2:]}
     before = calls.copy()
     with pytest.raises(InvalidEmbedding, match="^Euler check failed"):
         solve_planar_dpg52(PlaneGraph(pg.graph, rotation, pg.outer), *_cover_and_budget(pg, 1, 2))
-    assert calls - before == Counter(trace_faces=1, is_two_connected=1)
+    assert calls - before == Counter(trace_faces=1, is_two_connected=1, is_connected=1)
 
 
 def _split_instances():
