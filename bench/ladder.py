@@ -38,6 +38,9 @@ the op, the function of that name:
   cover of 2 colors and every budget 1, a proper 2-coloring: the search
   goes one level deeper per vertex and never backtracks, so its nodes per
   second show what a node costs as the partial coloring grows.
+- "gen": `gen_random_cover` and then `gen_random_budget` on its lists,
+  with the parameters every other op's instance is built with, each
+  timed alone.
 
 `BUILD` builds each shape: stacked triangulations ("stacked"), random
 triangulated polygons and grids ("polygon", "grid", from
@@ -46,13 +49,14 @@ triangulated polygons and grids ("polygon", "grid", from
 a k x k grid with k = round(sqrt(n / 1.5))), windmills of n // 2 triangles
 whose hub is labelled last ("windmill"), and paths ("path").  The bare
 polygon, the pendant grid and the windmill come from
-`bench/builders.py`, which the tests share.  Every op but "family" is
-handed the instance's cover and budget; op "family" checks the bare
-graph.  Covers use 5 colors, lists of 5 and density 1.0; budgets have
-total 5 and cap 2.  A case that raises, or runs longer than TIMEOUT_S,
-records its error instead of a time.  The solver keeps its pending steps
-on a work stack, so no case meets the recursion limit, but on grids the
-fan steps waiting on that stack hold memory that grows much faster than n.
+`bench/builders.py`, which the tests share.  Every op but "family" and
+"gen" is handed the instance's cover and budget; op "family" checks the
+bare graph, and op "gen" builds its own.  Covers use 5 colors, lists of
+5 and density 1.0; budgets have total 5 and cap 2.  A case that raises,
+or runs longer than TIMEOUT_S, records its error instead of a time.  The
+solver keeps its pending steps on a work stack, so no case meets the
+recursion limit, but on grids the fan steps waiting on that stack hold
+memory that grows much faster than n.
 Each case process therefore caps its address space at MEMORY_CAP_BYTES,
 and a case over the cap records a MemoryError instead of pushing the
 machine into swap or the kernel's out-of-memory killer.  Every case
@@ -80,7 +84,8 @@ The results go to `BENCH_<label>.json` next to this script:
      vertices, seed, total_ms, scaled_ms, gen2_collections, peak_rss_mb}
      (op "solve" adds pair_vertices_per_n and split_rows_per_n; ops "exact" and "exact_path"
      add nodes, backtracks and nodes_per_s; op "family" adds parts_ms, the
-     scaled ms of each family's check)
+     scaled ms of each family's check, and op "gen" the scaled ms of each
+     generator)
      or {op, shape, n, seed, error, ...}],
      growth: {shape or op: exponent}, rss_growth: {shape or op: exponent},
      growth_to_8k: {shape: exponent}, rss_growth_to_8k: {shape: exponent}}
@@ -90,8 +95,9 @@ has round(sqrt(n))^2 vertices), and a growth exponent is the least-squares
 slope of log(scaled_ms) against log(vertices) over the successful cases of
 one series (`series`): a shape of op "solve", op "triangulate" on one
 shape ("triangulate stacked", "triangulate grid"), one family's check on
-one shape ("noadj34 pendant", "family-a windmill", ...) or one of the
-other ops; a family's growth is fitted to its own part of the scaled time,
+one shape ("noadj34 pendant", "family-a windmill", ...), one generator
+on one shape ("gen-cover stacked", "gen-budget stacked") or one of the
+other ops; a part's growth is fitted to its own part of the scaled time,
 and its rss_growth to the peak of the process that ran both; rss_growth is
 the same slope for log(peak_rss_mb), which includes the interpreter's own
 few tens of MB and so reads low on the small rungs.  The `_to_8k` tables
@@ -128,7 +134,7 @@ from perfbench.run import Speedometer  # noqa: E402
 from perfbench.tracing import slope  # noqa: E402
 
 FIT_TO = 8000  # the largest rung of the comparable fit
-FAMILIES = ("noadj34", "family-a")  # the parts of op "family", in the order it checks them
+PARTS = {"family": ("noadj34", "family-a"), "gen": ("gen-cover", "gen-budget")}  # in run order
 SEED = 1
 TIMEOUT_S = 600
 CALIBRATION_SAMPLES = 25
@@ -177,12 +183,19 @@ def calibration_s(speed: Speedometer) -> float:
 
 
 class Span:
-    """Wall time and full (gen-2) garbage collections of a `with` block."""
+    """Wall time and full (gen-2) garbage collections of a `with` block,
+    and the wall time of each part of it that `lap` names."""
 
     def __enter__(self) -> "Span":
         self.gen2 = gc.get_stats()[2]["collections"]
-        self.t0 = time.perf_counter()
+        self.parts: dict[str, float] = {}
+        self.t0 = self.lapped = time.perf_counter()
         return self
+
+    def lap(self, name: str) -> None:
+        """Time the block since its start or its last lap as part `name`."""
+        now = time.perf_counter()
+        self.parts[name], self.lapped = now - self.lapped, now
 
     def __exit__(self, *exc) -> None:
         self.seconds = time.perf_counter() - self.t0
@@ -198,8 +211,8 @@ def solve(dp, pg, h, f) -> Span:
         coloring, _ = dp.solve_planar_dpg52(pg, h, f)
         if dp.verify_coloring(pg.graph, h, f, coloring) is None:
             raise AssertionError("solver output failed verification")
-    span.counters = {"pair_vertices_per_n": round(probe.counts["pair_vertices"] / pg.n, 2),
-                     "split_rows_per_n": round(probe.counts["split_rows"] / pg.n, 2)}
+    span.counters = {f"{name}_per_n": round(probe.counts[name] / pg.n, 2)
+                     for name in ("pair_vertices", "split_rows")}
     return span
 
 
@@ -223,10 +236,9 @@ def run_cli(command: str, plane: str, pg, h, f, **more: str) -> Span:
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, "--json"]
         for part, text in texts.items():
-            path = os.path.join(tmp, f"{part}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            argv += ["--" + part, path]
+            path = Path(tmp, f"{part}.txt")
+            path.write_text(text, encoding="utf-8")
+            argv += ["--" + part, str(path)]
         out = io.StringIO()
         with Span() as span, contextlib.redirect_stdout(out):
             code = cli.main(argv)
@@ -277,23 +289,29 @@ def exact(dp, pg, _h, _f) -> Span:
 def exact_path(dp, pg, _h, _f) -> Span:
     """`solve_exact` on a proper 2-coloring of a path: an identity cover of
     2 colors and every budget 1."""
-    g = pg.graph
-    h = dp.identity_cover(g, {v: {1, 2} for v in g.vertices}, s=2)
-    f = dp.Budget(2, 1, {(v, c): 1 for v in g.vertices for c in (1, 2)})
-    return search(dp, g, h, f)
+    lists = {v: {1, 2} for v in pg.graph.vertices}
+    return search(dp, pg.graph, dp.identity_cover(pg.graph, lists), dp.budget_list(lists))
 
 
 def family(dp, g, _h, _f) -> Span:
     """`check_family` for `NoAdj34` and then `FamilyA`; each one's time
     goes on the span as a part."""
-    parts = {}
     with Span() as span:
-        for name, spec in zip(FAMILIES, (dp.NoAdj34(), dp.FamilyA())):
-            t0 = time.perf_counter()
+        for name, spec in zip(PARTS["family"], (dp.NoAdj34(), dp.FamilyA())):
             if not dp.check_family(g, spec):
                 raise AssertionError(f"the graph is not in {name}")
-            parts[name] = time.perf_counter() - t0
-    span.parts = parts
+            span.lap(name)
+    return span
+
+
+def gen(dp, pg, _h, _f) -> Span:
+    """`gen_random_cover` and then `gen_random_budget` on its lists; each
+    one's time goes on the span as a part."""
+    with Span() as span:
+        h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=SEED)
+        span.lap("gen-cover")
+        dp.gen_random_budget(pg.graph, 5, 5, 2, seed=SEED + 1, lists=h.lists)
+        span.lap("gen-budget")
     return span
 
 
@@ -309,6 +327,7 @@ RUNGS = {  # op: ((shape, sizes n), ...), run in this order
     family: (("pendant", (4000, 16000, 64000)), ("windmill", (4000, 16000, 64000))),
     exact: (("stacked", (32, 64, 128, 256)),),
     exact_path: (("path", (550, 1100, 2200, 4400)),),
+    gen: (("stacked", (4000, 16000, 64000)),),
 }
 OPS = {op.__name__: op for op in RUNGS}
 
@@ -323,8 +342,8 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
     import dpfcolor as dp
 
     pg = BUILD[shape](dp, n, seed)
-    h = f = None  # op "family" checks a SimpleGraph without lists
-    if op != "family":
+    h = f = None  # op "family" checks a SimpleGraph without lists; op "gen" builds them
+    if op not in PARTS:
         h = dp.gen_random_cover(pg.graph, 5, 5, 1.0, seed=seed)
         f = dp.gen_random_budget(pg.graph, 5, 5, 2, seed=seed + 1, lists=h.lists)
     case = {"op": op, "shape": shape, "n": n, "vertices": pg.n, "seed": seed}
@@ -338,7 +357,7 @@ def run_case(op: str, shape: str, n: int, seed: int) -> dict:
         case["scaled_ms"] = round(span.seconds * 1e3 * scale, 1)
         case["gen2_collections"] = span.gen2
         case.update(getattr(span, "counters", {}))
-        if hasattr(span, "parts"):
+        if span.parts:
             case["parts_ms"] = {name: round(s * 1e3 * scale, 1) for name, s in span.parts.items()}
     except Exception as exc:  # MemoryError included: it is a result here
         case["error"] = f"{type(exc).__name__}: {exc}"
@@ -406,9 +425,9 @@ def case_key(case: dict) -> tuple[str, str, int]:
 def series(op: str, shape: str) -> list[str]:
     """The growth series a case of `op` on `shape` adds a point to: its
     shape for op "solve", its op and shape for op "triangulate", each
-    family's name and the shape for op "family", its op otherwise."""
-    if op == "family":
-        return [f"{name} {shape}" for name in FAMILIES]
+    part's name and the shape for ops "family" and "gen", its op otherwise."""
+    if op in PARTS:
+        return [f"{name} {shape}" for name in PARTS[op]]
     return [shape if op == "solve" else f"{op} {shape}" if op == "triangulate" else op]
 
 
@@ -421,13 +440,8 @@ def print_delta(old: dict, new: dict) -> None:
     before = {case_key(c): c for c in old["cases"]}
     print(f"change against {old.get('label')} ({old.get('commit')}):")
     for case in new["cases"]:
-        prev = before.get(case_key(case))
-        line = f"  {case_name(case)} "
-        if prev is None:
-            print(line + f"(new) {describe(case)} {describe_memory(case)}"
-                  f" {describe_counters(case)}")
-            continue
-        line += f"{describe(prev):>24} -> {describe(case):<24}"
+        prev = before.get(case_key(case), {"error": "new"})
+        line = f"  {case_name(case)} {describe(prev):>24} -> {describe(case):<24}"
         if "total_ms" in case and "total_ms" in prev:
             line += f" ({case['scaled_ms'] / prev['scaled_ms']:.2f} of the scaled time)"
         line += f"  peak {describe_memory(prev) or '?':>7} -> {describe_memory(case) or '?'}"
@@ -436,17 +450,15 @@ def print_delta(old: dict, new: dict) -> None:
         if {"nodes", "pair_vertices_per_n", "parts_ms"} & case.keys():
             line += f"  {describe_counters(prev) or '?'} -> {describe_counters(case)}"
         print(line)
-    for name, exp in new["growth"].items():
-        print(f"  growth {name:10} {old['growth'].get(name)} -> {exp}"
-              f"  rss {old['rss_growth'].get(name)} -> {new['rss_growth'][name]}")
-    for name, exp in new["growth_to_8k"].items():
-        print(f"  growth to 8k {name:10} {old['growth_to_8k'].get(name)} -> {exp}"
-              f"  rss {old['rss_growth_to_8k'].get(name)} -> {new['rss_growth_to_8k'][name]}")
+    for fit in ("growth", "growth_to_8k"):  # printed as "growth", "growth to 8k"
+        for name, exp in new[fit].items():
+            print(f"  {fit.replace('_', ' ')} {name:10} {old[fit].get(name)} -> {exp}"
+                  f"  rss {old['rss_' + fit].get(name)} -> {new['rss_' + fit][name]}")
 
 
 def timed_series(case: dict) -> list[tuple[str, float]]:
     """Each series a successful case adds a point to, with its scaled ms:
-    each family's part for op "family", the whole time otherwise."""
+    each part for ops "family" and "gen", the whole time otherwise."""
     times = case["parts_ms"].values() if "parts_ms" in case else [case["scaled_ms"]]
     return list(zip(series(case["op"], case["shape"]), times))
 

@@ -307,10 +307,10 @@ def parse_cover(text: str) -> Cover:
 def emit_cover(h: Cover) -> str:
     out = [f"cover {h.s}"]
     for v in sorted(h.lists):
-        out.append("list " + " ".join(str(x) for x in (v,) + tuple(sorted(h.lists[v]))))
+        out.append("list " + " ".join(map(str, (v, *sorted(h.lists[v])))))
     for (u, v), m in sorted(h._matchings.items()):
-        for cu, cv in sorted(m.items()):
-            out.append(f"match {u} {v} {cu} {cv}")
+        edge = f"match {u} {v} "  # one string per edge, not per match, lowers the peak
+        out.append("\n".join(f"{edge}{cu} {cv}" for cu, cv in sorted(m.items())))
     return "\n".join(out) + "\n"
 
 

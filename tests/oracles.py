@@ -51,7 +51,12 @@ the current code must return:
   every cycle of length <= 4 or 5 and test every pair of a triangle and a
   4-cycle (and every 5-cycle with such a pair) for shared edges;
 - `reference_configuration_conditions`, the configuration conditions with
-  condition (iii) checked against the set of every vertex outside K.
+  condition (iii) checked against the set of every vertex outside K;
+- `sample_gen_planar_triangulation`, `sample_gen_random_cover` and
+  `sample_gen_random_budget`, the seeded generators written on
+  `random.Random`'s `randrange`, `sample` and `choice` (the budget's
+  choice among the colors still below cap, sorted again before every
+  draw), which the generators' own draws from `getrandbits` must match.
 
 Besides the oracles, it holds the shapes the tests solve (`grid`, `wheel`,
 `drawn_shape` and the rest), the graphs the cycle-family tests check
@@ -83,7 +88,13 @@ from dpfcolor import (
 )
 from dpfcolor.coloring import _check_precoloring, induced_pair_graph
 from dpfcolor.degeneracy import strictly_degenerate_order
-from dpfcolor.errors import InternalInvariantViolated, InvalidPrecoloring, LimitExceeded, ParseError
+from dpfcolor.errors import (
+    InfeasibleParameters,
+    InternalInvariantViolated,
+    InvalidPrecoloring,
+    LimitExceeded,
+    ParseError,
+)
 from dpfcolor.solvers import DEFAULT_EXACT_LIMIT
 
 
@@ -1247,3 +1258,58 @@ def token_parse_coloring(text: str) -> dict[int, int]:
             raise ParseError(no, f"vertex {v} colored twice")
         out[v] = c
     return out
+
+
+def sample_gen_planar_triangulation(n: int, seed: int) -> PlaneGraph:
+    if n < 3:
+        raise InfeasibleParameters(f"need n >= 3, got {n}")
+    rng = random.Random(seed)
+    edges = {(0, 1), (0, 2), (1, 2)}
+    rotation: dict[int, list[int]] = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    outer = (0, 1, 2)
+    bounded: list[tuple[int, int, int]] = [(0, 2, 1)]
+    for x in range(3, n):
+        idx = rng.randrange(len(bounded))
+        a, b, c = bounded[idx]
+        for u, v in ((a, x), (b, x), (c, x)):
+            edges.add((u, v) if u < v else (v, u))
+        for corner, pred in ((a, c), (b, a), (c, b)):
+            rot = rotation[corner]
+            rot.insert(rot.index(pred) + 1, x)
+        rotation[x] = [a, c, b]
+        bounded[idx:idx + 1] = [(a, b, x), (b, c, x), (c, a, x)]
+    graph = SimpleGraph(n, edges)
+    return PlaneGraph(graph, {v: tuple(r) for v, r in rotation.items()}, outer)
+
+
+def sample_gen_random_cover(g: SimpleGraph, s: int, list_size: int, density: float,
+                            seed: int) -> Cover:
+    if list_size < 1 or list_size > s:
+        raise InfeasibleParameters(f"list size {list_size} outside 1..{s}")
+    if not 0.0 <= density <= 1.0:
+        raise InfeasibleParameters(f"density {density} outside [0, 1]")
+    rng = random.Random(seed)
+    lists = {v: sorted(rng.sample(range(1, s + 1), list_size)) for v in g.vertices}
+    size = round(density * list_size)
+    matchings = {(u, v): dict(zip(rng.sample(lists[u], size), rng.sample(lists[v], size)))
+                 for u, v in (g.edge_list() if size else ())}
+    return Cover._trusted(s, {v: frozenset(cs) for v, cs in lists.items()}, matchings)
+
+
+def sample_gen_random_budget(g: SimpleGraph, s: int, sum_min: int, cap: int, seed: int,
+                             lists=None) -> Budget:
+    rng = random.Random(seed)
+    values = {}
+    for v in g.vertices:
+        support = sorted(lists.get(v, ())) if lists is not None else list(range(1, s + 1))
+        if sum_min > cap * len(support):
+            raise InfeasibleParameters(
+                f"cannot reach total {sum_min} with cap {cap} over {len(support)} colors")
+        vec = {i: 0 for i in support}
+        for _ in range(sum_min):
+            i = rng.choice(sorted(c for c in support if vec[c] < cap))
+            vec[i] += 1
+        for i, val in vec.items():
+            if val:
+                values[(v, i)] = val
+    return Budget(s, cap, values)

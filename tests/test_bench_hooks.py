@@ -212,20 +212,22 @@ family pendant 4000 16000 64000
 family windmill 4000 16000 64000
 exact stacked 32 64 128 256
 exact_path path 550 1100 2200 4400
+gen stacked 4000 16000 64000
 """
 LADDER_SERIES = ["stacked", "polygon", "fanned", "grid", "verify", "verify_cli", "solve_cli",
                  "triangulate stacked", "triangulate grid", "noadj34 pendant", "noadj34 windmill",
-                 "family-a pendant", "family-a windmill", "exact", "exact_path"]
+                 "family-a pendant", "family-a windmill", "exact", "exact_path",
+                 "gen-cover stacked", "gen-budget stacked"]
 
 
 def test_ladder_table_yields_the_same_rungs_and_series(monkeypatch):
     """`RUNGS` declares each rung once; the ladder still runs the 59 rungs
-    it ran before the table, in the same order, and fits the same 15
-    growth series, in the same order."""
+    it ran before the table, in the same order, then op "gen"'s 3, and
+    fits the same 15 growth series, in the same order, then op "gen"'s 2."""
     ladder = _ladder(monkeypatch)
     expected = [(op, shape, int(n)) for line in LADDER_RUNGS.split("\n") if line
                 for op, shape, *sizes in [line.split()] for n in sizes]
-    assert len(expected) == 59
+    assert len(expected) == 62
     assert ladder.rungs() == expected
     growth, rss_growth = ladder.fits([])
     assert list(growth) == list(rss_growth) == LADDER_SERIES
@@ -260,14 +262,14 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     ladder = _ladder(monkeypatch)
     cases = [ladder.run_case(op.__name__, shape, 40, ladder.SEED)
              for op, by_shape in ladder.RUNGS.items() for shape, _ in by_shape]
-    assert len(cases) == 13
+    assert len(cases) == 14
     by_key = {(c["op"], c["shape"]): c for c in cases}
     for case in cases:
         assert "error" not in case, case
         assert case["total_ms"] >= 0 and case["scaled_ms"] >= 0 and case["peak_rss_mb"] > 0
         assert ("pair_vertices_per_n" in case) == ("split_rows_per_n" in case) == (
             case["op"] == "solve"), case
-        assert ("parts_ms" in case) == (case["op"] == "family"), case
+        assert ("parts_ms" in case) == (case["op"] in ("family", "gen")), case
         assert ("nodes" in case) == case["op"].startswith("exact"), case
     assert by_key["exact", "stacked"]["nodes"] > 0
     path = by_key["exact_path", "path"]
@@ -281,6 +283,7 @@ def test_ladder_runs_every_op_and_prints_a_change(monkeypatch, capsys):
     families = [by_key["family", "pendant"], by_key["family", "windmill"]]
     assert [c["vertices"] for c in families] == [39, 41]
     assert all(list(c["parts_ms"]) == ["noadj34", "family-a"] for c in families)
+    assert list(by_key["gen", "stacked"]["parts_ms"]) == ["gen-cover", "gen-budget"]
     growth, rss_growth = ladder.fits(cases * 2)
     assert list(growth) == list(rss_growth) == LADDER_SERIES
     assert all(growth[name] is not None for name in LADDER_SERIES)

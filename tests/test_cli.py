@@ -413,6 +413,18 @@ class TestGen:
         assert code == 2
         assert "InfeasibleParameters" in err
 
+    @pytest.mark.parametrize("sum_min, cap, message", [
+        ("-1", "2", "need sum_min >= 0, got -1"),
+        ("0", "-1", "need cap >= 0, got -1"),
+        ("5", "-1", "need cap >= 0, got -1"),
+    ])
+    def test_negative_budget_params_exit_two(self, tmp_path, capsys, sum_min, cap, message):
+        code, out, err = run(capsys, "gen", "budget",
+                             "--graph", write(tmp_path / "g.txt", emit_graph(complete_graph(3))),
+                             "--colors", "5", "--sum-min", sum_min, "--cap", cap, "--seed", "0")
+        assert code == 2 and not out
+        assert "InfeasibleParameters" in err and message in err
+
 
 class TestExitCodeMapping:
     def test_solve_exact_with_precoloring(self, tmp_path, capsys):
