@@ -171,8 +171,10 @@ class Probe:
     adjacency row of each vertex it deletes, and a cut or a scan
     `on_outer`, a copy of the set of walk vertices after it.  A fan step
     has `graph` and `budget`, copies of its piece's graph and budget
-    before it, a reinsertion check `args`, its arguments, and an order
-    `pairs`, `prefix` and `order`, its pair graph, prefix and result.
+    before it, its precolored pair `pre`, what it returned `out` and
+    `names`, copies of the name table before and after it.  A reinsertion
+    check has `args`, its arguments, and an order `pairs`, `prefix` and
+    `order`, its pair graph, prefix and result.
     """
 
     def __init__(self, *watches: str, tables: bool = False, graph: SimpleGraph | None = None):
@@ -289,11 +291,13 @@ class Probe:
     def _fans(self, fan_colors, g, h, f, pre, names, v2, U, v3, p):
         if self.tables:
             graph, budget = SimpleGraph._trusted(tuple(g.adj), dict(g.adj)), _copy_budget(f)
+            before = {v: dict(row) for v, row in names.items()}
         out = fan_colors(g, h, f, pre, names, v2, U, v3, p)
         self._count("fan_steps")
         event = self._event("fan", pivot=v2, p=p, case21=out[0])
         if self.tables:
-            event.graph, event.budget = graph, budget
+            event.graph, event.budget, event.pre, event.out = graph, budget, pre, out
+            event.names = before, {v: dict(row) for v, row in names.items()}
         return out
 
     def _reinsertions(self, check, adj, h, rows, r, order, v):

@@ -153,21 +153,26 @@ def _greedy_color(g: SimpleGraph, h: Cover, f: Budget, r: Coloring, v: int,
                   row: dict[int, int] | None = None) -> int | None:
     """The greedy rule: v's color of its list with positive residual budget
     after r and the lowest name, or None when it has none.  `row` maps v's
-    input colors to names ({input color: name}); without it each color
+    list colors to names ({list color: name}); without it each color
     names itself.  Appending v's pair to a valid order of r's pairs keeps
     it valid, since the pair's earlier matched neighbours are exactly the
     ones the residual discounts.
 
-    It reads v's budget row against its hit counts (`_hits`, as
-    `residual_at` does) and takes the minimum directly: names are distinct,
-    so no residual dict and no sort are needed.
+    One plain pass over v's budget row against its hit counts (`_hits`, as
+    `residual_at` does) keeps the lowest name seen: names are distinct, so
+    no residual dict, no sort and no key function are needed.
     """
     budget = f._rows.get(v)
     if not budget:
         return None
-    lst, hits = h.list_of(v), _hits(g, h, r, v)
-    return min((i for i, val in budget.items() if val > hits.get(i, 0) and i in lst),
-               key=row.get if row else None, default=None)
+    lst, hits = h.lists.get(v, ()), _hits(g, h, r, v)
+    best = low = None
+    for i, val in budget.items():
+        if val > hits.get(i, 0) and i in lst:
+            name = row[i] if row else i
+            if low is None or name < low:
+                best, low = i, name
+    return best
 
 
 def _color_greedily(g: SimpleGraph, h: Cover, f: Budget, r: dict[int, int],

@@ -148,13 +148,22 @@ def gen_random_budget(g: SimpleGraph, s: int, sum_min: int, cap: int, seed: int,
     its list, encoding "color not available" as a zero entry; a vertex
     missing from `lists` has the empty list.  Each unit of a vertex's
     total goes to a uniformly drawn color of its support still below cap.
+
+    The parameters, s >= 1 and the lists of g's vertices within 1..s among
+    them, are checked before any draw, so the rows are valid by
+    construction and wrapped unchecked (`Budget._trusted`).
     """
     if sum_min < 0:
         raise InfeasibleParameters(f"need sum_min >= 0, got {sum_min}")
     if cap < 0:
         raise InfeasibleParameters(f"need cap >= 0, got {cap}")
+    if s < 1:
+        raise InfeasibleParameters(f"need s >= 1, got {s}")
+    for v in g.vertices if lists is not None else ():
+        if not all(1 <= c <= s for c in lists.get(v, ())):
+            raise InfeasibleParameters(f"list of {v} has colors outside 1..{s}")
     below = _Draws(seed).below
-    values = {}
+    rows = {}
     for v in g.vertices:
         support = sorted(lists.get(v, ())) if lists is not None else list(range(1, s + 1))
         if sum_min > cap * len(support):
@@ -168,7 +177,6 @@ def gen_random_budget(g: SimpleGraph, s: int, sum_min: int, cap: int, seed: int,
             vec[i] += 1
             if vec[i] == cap:
                 del open_colors[j]
-        for i, val in vec.items():
-            if val:
-                values[(v, i)] = val
-    return Budget(s, cap, values)
+        if row := {i: val for i, val in vec.items() if val}:
+            rows[v] = row
+    return Budget._trusted(s, cap, rows)

@@ -25,12 +25,16 @@ split frame builds piece 2's, from the copy of piece 2's adjacency it
 keeps for piece 2's pair graph.  A fan step renames colors in the solve's
 one table of names, not in the cover, and lowers budgets in its one
 budget table; it replaces only the fan neighbours' rows, the name rows
-read off their matchings with the pivot.  A chord split builds piece 2's
-pair graph once and both orders and checks piece 2 on it.  When a
-frame's split or base case returns, it unwinds its run: it reinserts its
-fan pivots and colors its cut vertices, last step first.  The precolored
-outer edge (or the whole of a graph of at most 2 vertices), the base case
-and the cut vertices are colored by the one greedy placement,
+read off their matchings with the pivot.  A name row holds only its
+vertex's list colors, the only colors any choice reads, so a fan step
+costs what the lists hold, not the color count s the cover declares; and
+the pivot's residual counts hits from the precolored pair alone, its only
+colored neighbours.  A chord split builds piece 2's pair graph once and
+both orders and checks piece 2 on it.  When a frame's split or base case
+returns, it unwinds its run: it reinserts its fan pivots and colors its
+cut vertices, last step first.  The precolored outer edge (or the whole
+of a graph of at most 2 vertices), the base case and the cut vertices
+are colored by the one greedy placement,
 `coloring._color_greedily`, which the configuration extension shares.
 So every step reads the caller's cover and a budget in input colors, and
 returns input colors: nothing is copied to be renamed or translated back.
@@ -55,7 +59,7 @@ from .coloring import (
     greedy_extend,  # noqa: F401  unused here; kept because perfbench/tracing.py probes it
     induced_pair_graph,
     order_with_prefix,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
-    residual_at,
+    residual_at,  # noqa: F401  unused here; kept because perfbench/tracing.py wraps it
 )
 from .covers import (
     Budget,
@@ -416,7 +420,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     0..|U|.  On the way back it gives v2 a color by name and, if the frame
     wants its whole order, counts earlier matched neighbours over v2's closed
     neighbourhood only (`_reinsertion_valid`), on the rows of N[v2] kept at
-    the step (`_neighbourhood`).  `names` maps a vertex to {input color:
+    the step (`_neighbourhood`).  `names` maps a vertex to {list color:
     name}; a vertex it lacks, or maps to None, names each color by itself.
     Every choice the construction makes by the lowest color reads the
     lowest name, so each step chooses as it would on a cover renamed by
@@ -496,8 +500,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         if chord is None:
             # Chordless outer cycle: delete the second outer vertex and lower
             # budgets along its fan; its pair is reinserted on the way back.
-            p = len(outer)
-            v2, v3 = outer[1], outer[2]
+            p, v2, v3 = len(outer), outer[1], outer[2]
             fan = fan_neighbors(PlaneGraph._trusted(g, rotation, outer), v2)
             if fan[0] != v1 or fan[-1] != v3:
                 raise InternalInvariantViolated("fan does not run from v1 to v3")
@@ -620,71 +623,81 @@ def _inner_rows(f: Budget, vertices: tuple[int, ...], outer: tuple[int, ...]
     return {v: rows[v] for v in set(vertices).difference(outer) if v in rows}
 
 
-def _fan_colors(g: SimpleGraph, h: Cover, f: Budget,
-                pre: tuple[tuple[int, int], tuple[int, int]],
+def _fan_colors(g: SimpleGraph, h: Cover, f: Budget, pre: tuple[tuple[int, int], tuple[int, int]],
                 names: dict[int, dict[int, int]], v2: int, U: tuple[int, ...], v3: int,
-                p: int) -> tuple[bool, int, int | None, int]:
+                p: int) -> tuple[bool, int, int | None, int | None]:
     """Rename and lower, in place, for a fan step whose pivot is v2, its fan
     neighbours U and v3, on an outer cycle of length p.
 
     The construction names colors so that v2's best residual color is 1 (in
     case 2.2 its next one is 2) and each fan neighbour's color matched to
-    v2's color named k is named k too.  `names` maps v -> {input color:
+    v2's color named k is named k too.  `names` maps v -> {list color:
     name}; a vertex it lacks names each color by itself.  Every choice
     reads names where a renamed cover would read labels: ties go to the
     lowest name, as on that cover.
+
+    v2's residual counts hits from the precolored pair alone: v1, and vp
+    when p == 3.  The outer walk is chordless at a fan step, so these are
+    v2's only colored neighbours, and g, the piece's graph, is not read.
+    One sort of (-residual, name, color) over v2's list colors ranks them;
+    values are at most 2, so in case 2.2 every residual is 1 and the second
+    entry is the lowest-named other.
 
     Replaces the name rows of U and v3 and lowers U's budget rows in f's
     table (`_fan_budget`: U's positive entries at the colors named 1, and
     in case 2.2 also 2).  Returns whether the step is case 2.1, v2's colors
     now named 1 and 2 (the second None in case 2.1) and v3's color now
-    named 1.  Each fan neighbour's row is read straight off its edge's
-    matching dict (`_name_row`): only the colors left unmatched pay for a
-    completion.
+    named 1, None when no color of v3's list has that name.  Each fan
+    neighbour's row is read straight off its edge's matching dict
+    (`_name_row`): only the list colors left unmatched pay for a completion.
     """
-    s = h.s
-    at2 = names.get(v2) or {i: i for i in range(1, s + 1)}
-    res2 = {i: val for i, val in residual_at(g, h, f, dict(pre), v2).items()
-            if i in h.list_of(v2)}
-    if not res2:
+    matchings, lst2, at2 = h._matchings, h.lists[v2], names.get(v2)
+    hit = [dict(h._pairs(x, v2)).get(cx) for x, cx in (pre if p == 3 else pre[:1])]
+    ranked = sorted([(-left, at2[i] if at2 else i, i) for i, val in f._rows[v2].items()
+                     if (left := val - hit.count(i)) > 0 and i in lst2])
+    if not ranked:
         raise InternalInvariantViolated("fan pivot has no residual color")
-    best = max(res2.values())
-    cstar = min((i for i, val in res2.items() if val == best), key=at2.get)
-    case21 = (p == 3) or (best >= 2)
-    second = None
-    if not case21:
-        others = [i for i in res2 if i != cstar]
-        if not others:
-            raise InternalInvariantViolated("fan pivot lacks a second residual color")
-        second = min(others, key=at2.get)
-    at2 = _name_row({cstar: 1} if case21 else {cstar: 1, second: 2}, names.get(v2), s)
+    best, _, cstar = ranked[0]
+    case21 = p == 3 or best < -1
+    if not case21 and len(ranked) < 2:
+        raise InternalInvariantViolated("fan pivot lacks a second residual color")
+    second = None if case21 else ranked[1][2]
+    at2 = _name_row({cstar: 1} if case21 else {cstar: 1, second: 2}, at2, lst2)
 
     # Rename each fan neighbour's fiber so that its matching with v2 pairs
     # equal names; v1 and vp keep theirs unless they sit on the fan.
     for u in (*U, v3):
-        names[u] = _name_row({cu: at2[c2] for c2, cu in h._pairs(v2, u)}, names.get(u), s)
+        m = matchings.get((v2, u) if v2 < u else (u, v2), {})
+        pairs = m.items() if v2 < u else zip(m.values(), m)  # (color of v2, color of u)
+        names[u] = _name_row({cu: at2[c2] for c2, cu in pairs}, names.get(u), h.lists[u])
     _fan_budget(f, U, names, case21)
-    return case21, cstar, second, next(i for i, k in names[v3].items() if k == 1)
+    return case21, cstar, second, next((i for i, k in names[v3].items() if k == 1), None)
 
 
-def _name_row(row: dict[int, int], at: dict[int, int] | None, s: int) -> dict[int, int]:
-    """A vertex's row of a fan step's name table, given `row`, the new names
-    of some of its colors, and `at`, its old row (None: each color names
-    itself).  The other colors, by old name, take the unused names in
-    ascending order.
+def _name_row(row: dict[int, int], at: dict[int, int] | None, lst: frozenset[int]) -> dict[int, int]:
+    """A vertex's row of a fan step's name table over its list colors
+    `lst`, given `row`, the new names of some of them, and `at`, its old
+    row (None: each color names itself).  The others take the unused names
+    in the order of their old names.
 
     `row` must be injective.  v2's best residual colors take 1 and 2, and a
     fan neighbour's colors matched to v2 take v2's new names of their
     partners, which a matching and v2's row keep injective.  The result is
     the old row composed with the completion of the map from old names to
-    new ones (`covers.complete_permutation`), built without that map: only
-    a row with fewer than s named colors pays for a sort.
+    new ones over 1..s (`covers.complete_permutation`), restricted to the
+    list: an unmatched color with old name a takes the k-th smallest name
+    not in `row`, where k = a - #{colors of `row` with old name < a}.  So
+    a row costs what the list holds, not the declared color count s.
     """
-    if len(row) < s:
-        used = set(row.values())
-        row.update(zip(sorted((i for i in range(1, s + 1) if i not in row),
-                              key=at.get if at else None),
-                       [k for k in range(1, s + 1) if k not in used]))
+    if len(row) < len(lst):
+        olds, used = [at[c] if at else c for c in row], sorted(row.values())
+        for i in lst - row.keys():
+            k = a = at[i] if at else i
+            for o in olds:
+                k -= o < a
+            for u in used:
+                k += u <= k
+            row[i] = k
     return row
 
 
@@ -694,7 +707,8 @@ def _fan_budget(f: Budget, U: tuple[int, ...], names: dict[int, dict[int, int]],
     name table: drop each entry of U named 1 in case 2.1, and lower each
     named 1 or 2 by one in case 2.2.  An entry that reaches 0 is dropped.
     Only U's rows are replaced, unchecked: lowering keeps every value in
-    1..cap.
+    1..cap.  A name row holds only list colors, so an entry off u's list
+    is never lowered; no choice reads it, so no output changes.
 
     Every u in U has a row, and it never ends empty: `_check_budget` gives
     every vertex a list-restricted total of at least 5, and a fan step

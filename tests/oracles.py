@@ -23,7 +23,14 @@ the current code must return:
   `side_find_separating_triangle`, which searches one side of every
   triangle instead of reading the face trace;
 - `composed_name_row`, a fan step's new name row as the old row composed
-  with the completed map of renamed names (`covers.complete_permutation`);
+  with the completed map of renamed names (`covers.complete_permutation`),
+  over all of 1..s;
+- `residual_fan_choice`, a fan step's choice of the pivot's colors named
+  1 and 2 from `coloring.residual_at` over every neighbour of the pivot,
+  then `max` and `min` by name;
+- `lowest_named_residual_color`, the greedy rule by brute force: every
+  list color's residual counted by `Cover.matched` over every colored
+  neighbour;
 - `sorted_induced_pair_graph`, which builds the pair graph from the sorted
   edge list through `PairGraph.__init__`;
 - `three_check_combine_colorings`, which checks the first coloring, the
@@ -86,7 +93,7 @@ from dpfcolor import (
     gen_planar_triangulation,
     triangulate_interior,
 )
-from dpfcolor.coloring import _check_precoloring, induced_pair_graph
+from dpfcolor.coloring import _check_precoloring, induced_pair_graph, residual_at
 from dpfcolor.degeneracy import strictly_degenerate_order
 from dpfcolor.errors import (
     InfeasibleParameters,
@@ -655,6 +662,32 @@ def composed_name_row(row, at, s: int) -> dict[int, int]:
 
     perm = complete_permutation({at[c]: k for c, k in row.items()}, s)
     return {i: perm[k] for i, k in at.items()}
+
+
+def residual_fan_choice(g: SimpleGraph, h: Cover, f: Budget, pre, at2, v2: int,
+                        p: int) -> tuple[bool, int, int | None]:
+    """A fan step's (case21, cstar, second): v2's residual list colors under
+    the precolored pair `pre`, counted over every neighbour of v2 in g; the
+    best residual's lowest-named color, and in case 2.2 the lowest-named
+    other.  `at2` is v2's name row (None: each color names itself)."""
+    res2 = {i: val for i, val in residual_at(g, h, f, dict(pre), v2).items()
+            if i in h.list_of(v2)}
+    best = max(res2.values())
+    key = at2.get if at2 else None
+    cstar = min((i for i, val in res2.items() if val == best), key=key)
+    case21 = p == 3 or best >= 2
+    return case21, cstar, None if case21 else min((i for i in res2 if i != cstar), key=key)
+
+
+def lowest_named_residual_color(g: SimpleGraph, h: Cover, f: Budget, r, v: int,
+                                row=None) -> int | None:
+    """v's list color with positive residual after r whose name (row[i], or
+    i without a row) is lowest, or None; each residual counted one
+    neighbour at a time by `Cover.matched`."""
+    residual = {i: f.get(v, i) - sum(1 for x in g.adj[v] if x in r and h.matched(v, i, x, r[x]))
+                for i in h.list_of(v)}
+    names = {i: row[i] if row else i for i, val in residual.items() if val > 0}
+    return min(names, key=names.get, default=None)
 
 
 def naive_cycle_lengths(g: SimpleGraph) -> set[int]:
@@ -1298,6 +1331,11 @@ def sample_gen_random_cover(g: SimpleGraph, s: int, list_size: int, density: flo
 
 def sample_gen_random_budget(g: SimpleGraph, s: int, sum_min: int, cap: int, seed: int,
                              lists=None) -> Budget:
+    if s < 1:
+        raise InfeasibleParameters(f"need s >= 1, got {s}")
+    for v in g.vertices:
+        if lists is not None and any(c < 1 or c > s for c in lists.get(v, ())):
+            raise InfeasibleParameters(f"list of {v} has colors outside 1..{s}")
     rng = random.Random(seed)
     values = {}
     for v in g.vertices:

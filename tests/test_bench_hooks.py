@@ -363,6 +363,7 @@ def test_planar_and_solvers_stay_under_the_code_line_ceiling():
 
 @pytest.mark.parametrize("path,ceiling", [(SRC / "formats.py", 288), (SRC / "cycles.py", 60),
                                           (SRC / "cli.py", 241), (SRC / "covers.py", 190),
+                                          (SRC / "coloring.py", 152),
                                           (ROOT / "bench" / "ladder.py", 298)],
                          ids=lambda x: x.name if isinstance(x, Path) else None)
 def test_module_stays_under_its_code_line_ceiling(path, ceiling):
@@ -371,7 +372,9 @@ def test_module_stays_under_its_code_line_ceiling(path, ceiling):
     read each edge's neighbourhoods instead of listing cycles), `cli.py`
     (each command's files declared and read once, one exit-code table),
     `covers.py` (renamed and updated copies built by the validating
-    constructors) and `bench/ladder.py` (each rung declared once, in one
-    table) at the code lines, as `bench/loc.py` counts them, that they
-    reached with those designs."""
+    constructors), `coloring.py` (one greedy rule and one residual count,
+    which the solvers share: solver code moved there would dodge the cap
+    on `planar.py` plus `solvers.py`) and `bench/ladder.py` (each rung
+    declared once, in one table) at the code lines, as `bench/loc.py`
+    counts them, that they reached with those designs."""
     assert _loc().code_lines(path.read_text(encoding="utf-8")) <= ceiling, path

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dpfcolor.cli import build_parser, main
 from dpfcolor.formats import emit_budget, emit_coloring, emit_cover, emit_graph, emit_plane
 from dpfcolor import (
+    Cover,
     SimpleGraph,
     budget_list,
     complete_graph,
@@ -412,6 +413,17 @@ class TestGen:
                            "--colors", "2", "--sum-min", "5", "--cap", "2", "--seed", "0")
         assert code == 2
         assert "InfeasibleParameters" in err
+
+    def test_cover_colors_above_colors_exit_two(self, tmp_path, capsys):
+        """A cover whose lists reach above `--colors` is an infeasible
+        parameter of the budget, reported as such before any draw."""
+        g = complete_graph(3)
+        cover = Cover(7, {0: {1, 2, 3}, 1: {2, 7}, 2: {4, 5}})
+        code, out, err = run(capsys, "gen", "budget", "--graph", write(tmp_path / "g.txt", emit_graph(g)),
+                             "--cover", write(tmp_path / "c.txt", emit_cover(cover)),
+                             "--colors", "5", "--sum-min", "2", "--cap", "2", "--seed", "0")
+        assert code == 2 and not out
+        assert "InfeasibleParameters" in err and "list of 1 has colors outside 1..5" in err
 
     @pytest.mark.parametrize("sum_min, cap, message", [
         ("-1", "2", "need sum_min >= 0, got -1"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from dpfcolor import (
     residual_budget,
     verify_coloring,
 )
-from dpfcolor.coloring import _color_greedily
+from dpfcolor.coloring import _color_greedily, _greedy_color
 from dpfcolor.degeneracy import strictly_degenerate_order
 from dpfcolor.errors import (
     ColorNotInList,
@@ -30,6 +31,7 @@ from dpfcolor.errors import (
 )
 
 from oracles import (
+    lowest_named_residual_color,
     random_graph,
     scan_eliminate,
     sorted_induced_pair_graph,
@@ -262,6 +264,39 @@ class TestColorGreedily:
         # A name table decides ties: naming color 2 first at vertex 0 makes it take 2.
         r = {}
         assert _color_greedily(g, h, f, r, (0, 1), {0: {1: 2, 2: 1}}) == ((0, 2), (1, 1))
+
+    def test_greedy_rule_matches_the_lowest_named_residual_oracle(self):
+        """`_greedy_color` against a brute-force count of each list color's
+        residual, on random rows: no names, names that permute 1..s, names
+        over the list colors only (sparse), and budget rows that also hold
+        colors off the list."""
+        rng = random.Random("greedy rows")
+        seen = Counter()
+        for trial in range(1500):
+            s = rng.randint(1, 7)
+            g = random_graph(rng.randint(1, 7), rng.random(), rng)
+            lists = {v: rng.sample(range(1, s + 1), rng.randint(0, s)) for v in g.vertices}
+            matchings = {}
+            for u, w in g.edge_list():
+                k = rng.randint(0, min(len(lists[u]), len(lists[w])))
+                matchings[(u, w)] = list(zip(rng.sample(lists[u], k), rng.sample(lists[w], k)))
+            h = Cover(s, lists, matchings)
+            f = Budget(s, 2, {(v, i): rng.randint(0, 2) for v in g.vertices for i in range(1, s + 1)
+                              if i in lists[v] or rng.random() < 0.4})
+            r = {v: rng.choice(lists[v]) for v in g.vertices if lists[v] and rng.random() < 0.5}
+            kind = ("none", "full", "sparse")[trial % 3]
+            for v in g.vertices:
+                if v in r:
+                    continue
+                row = (None if kind == "none" else
+                       dict(zip(range(1, s + 1), rng.sample(range(1, s + 1), s))) if kind == "full"
+                       else dict(zip(lists[v], rng.sample(range(1, s + 1), len(lists[v])))))
+                got = _greedy_color(g, h, f, r, v, row)
+                assert got == lowest_named_residual_color(g, h, f, r, v, row), (trial, v)
+                off = any(i not in lists[v] for i in f._rows.get(v, ()))
+                seen[kind, got is None, off] += 1
+        for kind in ("none", "full", "sparse"):
+            assert seen[kind, False, True] > 100 and seen[kind, True, False] > 50, seen
 
     def test_matches_repeated_greedy_extend(self):
         rng = random.Random(5)

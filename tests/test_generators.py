@@ -181,10 +181,36 @@ def test_budgets_draw_as_choice(s, sum_min, cap, lists):
                     given = {v: cs | {s + 2} for v, cs in given.items()}
                 elif lists == "some missing":
                     given = {v: cs for v, cs in given.items() if v % 3}
-            assert (outcome(budget_tables, gen_random_budget, g, s, sum_min, cap, seed,
-                            lists=given)
-                    == outcome(budget_tables, oracles.sample_gen_random_budget,
-                               g, s, sum_min, cap, seed, lists=given)), (name, seed)
+            got = outcome(budget_tables, gen_random_budget, g, s, sum_min, cap, seed, lists=given)
+            assert got == outcome(budget_tables, oracles.sample_gen_random_budget,
+                                  g, s, sum_min, cap, seed, lists=given), (name, seed)
+            if s < 1:
+                assert got == (InfeasibleParameters, f"need s >= 1, got {s}"), (name, seed)
+            elif lists == "above s":  # every list holds s + 2
+                assert got == (InfeasibleParameters,
+                               f"list of {g.vertices[0]} has colors outside 1..{s}"), (name, seed)
+
+
+@pytest.mark.parametrize("s, lists, message", [
+    (5, {0: {1, 2}, 1: {3, 7}, 2: {6}}, "list of 1 has colors outside 1..5"),
+    (5, {0: {0, 1}}, "list of 0 has colors outside 1..5"),
+    (0, {}, "need s >= 1, got 0"),
+    (0, None, "need s >= 1, got 0"),
+    (-2, None, "need s >= 1, got -2"),
+])
+def test_colors_outside_1_to_s_rejected_before_any_draw(monkeypatch, s, lists, message):
+    """A list color outside 1..s is an infeasible parameter, found before any
+    draw: the budget's rows are then valid by construction."""
+    monkeypatch.setattr(random.Random, "getrandbits", refuse)
+    with pytest.raises(InfeasibleParameters, match=f"^{message}$"):
+        gen_random_budget(complete_graph(3), s, 5, 2, seed=0, lists=lists)
+
+
+def test_lists_of_vertices_outside_the_graph_are_not_read():
+    f = gen_random_budget(complete_graph(3), 5, 5, 2, seed=0,
+                          lists={v: frozenset({1, 2, 3}) for v in range(3)} | {9: frozenset({8})})
+    assert f == oracles.sample_gen_random_budget(complete_graph(3), 5, 5, 2, 0,
+                                                 lists={v: {1, 2, 3} for v in range(3)})
 
 
 def refuse(*args, **kwargs):

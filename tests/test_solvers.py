@@ -57,6 +57,7 @@ from oracles import (
     polygon,
     random_graph,
     reference_solve_exact,
+    residual_fan_choice,
     scan_find_chord,
     three_check_combine_colorings,
     triangulated_polygon,
@@ -1186,31 +1187,69 @@ class TestFanNames:
 
     def test_name_rows_match_the_composed_completion(self):
         """`_name_row` against the old row composed with the completed map of
-        renamed names, on random name rows: a fan neighbour's rows from
-        lists shorter than s and matching densities from 0 to 1, and the
-        pivot's rows with its best colors named 1 (and 2), each with and
-        without an old row."""
+        renamed names over 1..s, restricted to the vertex's list, on random
+        name rows: a fan neighbour's rows from lists shorter than s and
+        matching densities from 0 to 1, and the pivot's rows with its best
+        colors named 1 (and 2), each with and without an old row."""
         rng = random.Random("fan rows")
         completed = Counter()
         for trial in range(3000):
             s = rng.randint(1, 8)
+            full = trial % 5 == 0  # whole lists, as in the benchmark's covers
+            lst = frozenset(rng.sample(range(1, s + 1), s if full else rng.randint(1, s)))
             at2 = dict(zip(range(1, s + 1), rng.sample(range(1, s + 1), s)))
             at = dict(zip(range(1, s + 1), rng.sample(range(1, s + 1), s)))
             if trial % 10 == 9:  # the pivot: one or two best colors
-                row = dict(zip(rng.sample(range(1, s + 1), min(s, rng.randint(1, 2))), (1, 2)))
+                row = dict(zip(rng.sample(sorted(lst), min(len(lst), rng.randint(1, 2))), (1, 2)))
             else:  # a fan neighbour: its colors matched to the pivot
-                full = trial % 5 == 0  # whole lists, as in the benchmark's covers
                 list2 = rng.sample(range(1, s + 1), s if full else rng.randint(0, s))
-                listu = rng.sample(range(1, s + 1), s if full else rng.randint(0, s))
+                listu = rng.sample(sorted(lst), len(lst))
                 density = (1.0 if full or trial % 4 == 1 else 0.0 if trial % 4 == 2
                            else rng.random())
                 row = {cu: at2[c2] for c2, cu in zip(list2, listu) if rng.random() < density}
             old = None if trial % 3 == 0 else at
             identity = {i: i for i in range(1, s + 1)}
             expected = composed_name_row(row, old or identity, s)
-            assert solvers._name_row(dict(row), old, s) == expected, (s, row, old)
-            completed[len(row) < s] += 1
-        assert completed[True] > 2000 and completed[False] > 100, completed
+            got = solvers._name_row(dict(row), old and {i: old[i] for i in lst}, lst)
+            assert got == {i: expected[i] for i in lst}, (s, lst, row, old)
+            completed[len(row) < len(lst)] += 1
+        assert completed[True] > 1500 and completed[False] > 1000, completed
+
+    def test_declared_color_count_changes_no_output(self):
+        """Re-declaring the same lists, matchings and budget rows at s = 5, 50
+        and 500 gives byte-identical colorings and orders: a fan step names
+        list colors only.  Every other instance's budget also holds colors
+        off its lists of 4, which fan steps do not lower."""
+        for t, (pg, h, f) in enumerate(_fan_instances()):
+            rows = {v: dict(row) for v, row in f._rows.items()}
+            if t % 2:
+                for v in pg.graph.vertices:
+                    rows[v].update(dict.fromkeys(set(range(1, 6)) - h.lists[v], 1 + v % 2))
+            matchings = {e: m.items() for e, m in h._matchings.items()}
+            entries = [((v, i), val) for v, row in rows.items() for i, val in row.items()]
+            outputs = {repr(solve_planar_dpg52(pg, Cover(s, h.lists, matchings), Budget(s, 2, entries)))
+                       for s in (5, 50, 500)}
+            assert len(outputs) == 1, t
+
+    def test_fan_steps_name_list_colors_and_choose_by_the_residual_rule(self):
+        """On every fan step of the seeded fan corpus, every row of the name
+        table holds exactly its vertex's list colors, and the step's
+        (case21, cstar, second) is what `residual_fan_choice` gives by
+        `residual_at` over all of v2's neighbours in the piece."""
+        cases = Counter()
+        for pg, h, f in _fan_instances():
+            with Probe("fans", tables=True) as probe:
+                solve_planar_dpg52(pg, h, f)
+            for event in probe.events:
+                before, after = event.names
+                bad = {v: sorted(row) for v, row in after.items() if row.keys() != h.lists[v]}
+                assert not bad, bad
+                choice = residual_fan_choice(event.graph, h, event.budget, event.pre,
+                                             before.get(event.pivot), event.pivot, event.p)
+                assert event.out[:3] == choice, (event.pivot, event.out, choice)
+                cases[event.out[0], event.out[3] is None] += 1
+        assert cases[True, False] > 100 and cases[False, False] > 40, cases
+        assert cases[True, True] + cases[False, True] > 10, cases
 
     def test_frames_read_the_input_cover_and_return_input_colors(self):
         fan_steps = 0
