@@ -139,7 +139,10 @@ class Frame(SimpleNamespace):
     `split` is its chord split, an event of kind "split" or "ear", if splits
     or drops are watched.  `children` are the frames it yielded, `counts`
     the counts made while it ran, and `result` what it returned (None if it
-    raised).  Two frames are equal only if they are the same frame."""
+    raised).  With tables, `rows_in` and `rows_out` are copies of the
+    solve's budget table (f's rows) when it started and when it returned
+    (None if it raised).  Two frames are equal only if they are the same
+    frame."""
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -173,7 +176,8 @@ class Probe:
     has `graph` and `budget`, copies of its piece's graph and budget
     before it, its precolored pair `pre`, what it returned `out` and
     `names`, copies of the name table before and after it.  A reinsertion
-    check has `args`, its arguments, and an order `pairs`, `prefix` and
+    check has `args`, its arguments, with a copy of the budget rows it is
+    handed, the solve's live table, and an order `pairs`, `prefix` and
     `order`, its pair graph, prefix and result.
     """
 
@@ -225,13 +229,16 @@ class Probe:
         piece2 = parent is not None and (bool(parent.children) or parent.split is None
                                          or parent.split.kind == "ear")
         record = Frame(parent=parent, piece2=piece2, h=h, f=f, pre=pre, want=want, split=None,
-                       children=[], counts=Counter(), result=None)
+                       children=[], counts=Counter(), result=None, rows_out=None,
+                       rows_in=dict(f._rows) if self.tables else None)
         if parent is not None:
             parent.children.append(record)
         self._count("frames")
         self.frames.append(record)
         self.stack.append(record)
         record.result = yield from step(pg, h, f, pre, names, want)
+        if self.tables:
+            record.rows_out = dict(f._rows)
         self.stack.pop()
         return record.result
 
@@ -305,7 +312,7 @@ class Probe:
         self._count("reinsertions")
         event = self._event("reinsertion", pivot=v, verdict=verdict)
         if self.tables:
-            event.args = adj, h, rows, dict(r), order, v
+            event.args = adj, h, dict(rows), dict(r), order, v
         return verdict
 
     def _pairs(self, build, g, *rest):

@@ -41,7 +41,7 @@ def check_configuration_conditions(g: SimpleGraph, f: Budget, k: int,
 
     The budget `f` is accepted but not read: the verdict depends on g, k
     and K alone.  `extend_over_configuration` checks its budget itself
-    (values capped at 2, total at least k at every vertex).
+    (values capped at 2, total at least k over every vertex's list).
     """
     if k < 3:
         raise BadIndex(f"need k >= 3, got {k}")
@@ -94,7 +94,8 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
     """Extend a coloring of G - K across the configuration K = v1..vm.
 
     Preconditions: the configuration conditions hold, every vertex has
-    budget total >= k with values capped at 2, and r0 is a verified
+    budget total >= k over its list with values capped at 2 (entries off
+    the list count for nothing and are never read), and r0 is a verified
     coloring of exactly G - K.  Success is guaranteed; a failure past the
     precondition checks raises InternalInvariantViolated.
     """
@@ -103,9 +104,9 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
         raise PreconditionViolated("configuration conditions do not hold")
     if f.cap > 2:
         raise PreconditionViolated(f"budget cap {f.cap} exceeds 2")
-    low = [v for v in g.vertices if f.total(v) < k]
+    low = [v for v in g.vertices if sum(f.get(v, i) for i in h.list_of(v)) < k]
     if low:
-        raise PreconditionViolated(f"budget total below {k} at {low}")
+        raise PreconditionViolated(f"list-restricted budget total below {k} at {low}")
     if set(r0) != set(g.vertices) - set(K):
         raise PreconditionViolated("r0 must color exactly the vertices outside K")
     s0 = verify_on_domain(g, h, f, r0)
@@ -115,15 +116,16 @@ def extend_over_configuration(g: SimpleGraph, h: Cover, f: Budget, k: int,
     v1, vm, vm1 = K[0], K[-1], K[-2]
     f_star = _residuals(g, h, f, r0)
 
-    # Residual vector of vm trimmed to total exactly 2 (lowest colors kept);
-    # solving under the smaller vector is enough since raising budgets never
-    # invalidates an order.
-    bm = _reduce_to_two({i: f_star.get(vm, i) for i in f_star.support(vm)})
+    # Residual vector of vm over its list, trimmed to total exactly 2 (lowest
+    # colors kept); solving under the smaller vector is enough since raising
+    # budgets never invalidates an order.  A budget entry off a vertex's list
+    # is never read.
+    bm = _reduce_to_two({i: f_star.get(vm, i) for i in f_star.support(vm) if i in h.lists[vm]})
 
     # Align the fibers of v1 and v_{m-1} with vm's colors.
     pi1 = complete_permutation({c1: cm for cm, c1 in h.matching(vm, v1)}, h.s)
     pi2 = complete_permutation({c2: cm for cm, c2 in h.matching(vm, vm1)}, h.s)
-    b1 = {pi1[i]: f_star.get(v1, i) for i in f_star.support(v1)}
+    b1 = {pi1[i]: f_star.get(v1, i) for i in f_star.support(v1) if i in h.lists[v1]}
     if sum(b1.values()) < 3:
         raise InternalInvariantViolated("residual of v1 dropped below 3")
 

@@ -31,21 +31,22 @@ costs what the lists hold, not the color count s the cover declares; and
 the pivot's residual counts hits from the precolored pair alone, its only
 colored neighbours.  A chord split builds piece 2's pair graph once and
 both orders and checks piece 2 on it.  When a frame's split or base case
-returns, it unwinds its run: it reinserts its fan pivots and colors its
-cut vertices, last step first.  The precolored outer edge (or the whole
-of a graph of at most 2 vertices), the base case and the cut vertices
-are colored by the one greedy placement,
-`coloring._color_greedily`, which the configuration extension shares.
-So every step reads the caller's cover and a budget in input colors, and
-returns input colors: nothing is copied to be renamed or translated back.
-Only a step whose whole witness order something reads builds it: the
-root, and piece 1 of such a step.  The steps inside a piece 2 return
-colorings alone, since its split re-orders and checks the whole of piece
-2 on piece 2's pair graph.  A split there that asks which chord end comes
-first in its piece 1 hands piece 1 the chord ends as a watched pair:
-piece 1 returns an order in which only its watched pairs stand as in its
-whole order, and re-orders a piece 2 of its own only where a watched pair
-lies inside it.
+returns, it unwinds its run: it puts back the budget rows its fan steps
+lowered, reinserts its fan pivots and colors its cut vertices, last step
+first, so every frame leaves the budget table as it found it.  The
+precolored outer edge (or the whole of a graph of at most 2 vertices),
+the base case and the cut vertices are colored by the one greedy
+placement, `coloring._color_greedily`, which the configuration extension
+shares.  So every step reads the caller's cover and a budget in input
+colors, and returns input colors: nothing is copied to be renamed or
+translated back.  Only a step whose whole witness order something reads
+builds it: the root, and piece 1 of such a step.  The steps inside a
+piece 2 return colorings alone, since its split re-orders and checks the
+whole of piece 2 on piece 2's pair graph.  A split there that asks which
+chord end comes first in its piece 1 hands piece 1 the chord ends as a
+watched pair: piece 1 returns an order in which only its watched pairs
+stand as in its whole order, and re-orders a piece 2 of its own only
+where a watched pair lies inside it.
 """
 
 from __future__ import annotations
@@ -397,8 +398,21 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     puts it on the outer walk, and a vertex on the outer walk stays on the
     walk of every piece that holds it.  A frame yields only at a chord
     split.  When the split or the base case returns, the frame unwinds its
-    run last step first: it reinserts each fan pivot and colors each
-    stretch of cut vertices, as a frame per step would.
+    run last step first: it puts back the budget rows each fan step
+    lowered, then reinserts the fan pivot, and colors each stretch of cut
+    vertices, as a frame per step would.  So every frame leaves the budget
+    table as it found it, and keeps no budget rows but the ones it puts
+    back.
+
+    The put-back changes no output, against a table whose rows stay
+    lowered once a step is done.  A frame lowers only rows of vertices
+    that are inner in its piece, and a row is lowered at most once.  Rows
+    are replaced, never mutated, so a row kept at a fan step is the row as
+    it was there.  And no choice reads a row that a frame which has already
+    returned lowered: piece 2 of a split shares only the chord ends with
+    piece 1, and they lie on piece 1's walk; a cut vertex or a fan pivot
+    has left its piece before any later step of its run lowers a row, and
+    is colored after those steps are put back.
 
     Most chords cut off a bare triangle vi x vj, where x = outer[i + 1] has
     no other neighbour, and such a chord is never split on.  While the first
@@ -417,14 +431,15 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     neighbours U on the walk, renames U's and v3's colors in the name table
     and lowers U's budget rows (`_fan_colors`).  The walk had no chord, so
     every chord now has an end in U, and the scan looks only at positions
-    0..|U|.  On the way back it gives v2 a color by name and, if the frame
-    wants its whole order, counts earlier matched neighbours over v2's closed
-    neighbourhood only (`_reinsertion_valid`), on the rows of N[v2] kept at
-    the step (`_neighbourhood`).  `names` maps a vertex to {list color:
-    name}; a vertex it lacks, or maps to None, names each color by itself.
-    Every choice the construction makes by the lowest color reads the
-    lowest name, so each step chooses as it would on a cover renamed by
-    the table.
+    0..|U|.  On the way back it puts U's rows back, gives v2 a color by
+    name and, if the frame wants its whole order, counts earlier matched
+    neighbours over v2's closed neighbourhood only (`_reinsertion_valid`),
+    on the adjacency rows of N[v2] kept at the step (`_neighbourhood`) and
+    the budget table, which holds N[v2]'s rows as they were at the step.
+    `names` maps a vertex to {list color: name}; a vertex it lacks, or maps
+    to None, names each color by itself.  Every choice the construction
+    makes by the lowest color reads the lowest name, so each step chooses
+    as it would on a cover renamed by the table.
 
     A split frame solves piece 1, orients piece 2 by the order of the chord
     ends in piece 1's witness and solves it, re-orders piece 2 so that the
@@ -474,22 +489,22 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
     re-orders piece 2 builds piece 2's pair graph once, on piece 2 as it
     was at the split: before it yields piece 2, whose frames edit it, it
     copies piece 2's adjacency dict, with the vertex tuple the pair graph
-    numbers its pairs by, and keeps the budget rows of piece 2's inner
-    vertices, the only ones those frames lower (`_inner_rows`), and it
-    puts them back in the table when piece 2 returns.  It checks that
-    piece 2's coloring keeps the chord ends' colors from piece 1, re-orders
-    piece 2 on that pair graph (`eliminate_with_prefix`), and checks the
-    new order on the same pair graph (`_split_valid`, which gives why piece
-    2 alone decides the union).
+    numbers its pairs by.  Piece 2's frames leave the budget table as they
+    found it, so the pair graph reads piece 2's rows as they were at the
+    split.  It checks that piece 2's coloring keeps the chord ends' colors
+    from piece 1, re-orders piece 2 on that pair graph
+    (`eliminate_with_prefix`), and checks the new order on the same pair
+    graph (`_split_valid`, which gives why piece 2 alone decides the
+    union).
 
     A suspended frame keeps its locals alive, so a frame lets go of its
     tables before it yields, and keeps of its run only the cut vertices'
-    rows and, if it wants True, N[v2]'s rows for each fan step.  While
-    piece 1 is solved it holds only piece 2, and while piece 2 is solved
-    only what its pair graph reads, if it re-orders piece 2.  No
-    comprehension here reads a local: that would make the local a cell,
-    which every frame allocates, split frames included; `_watched` reads
-    the watched pairs instead.
+    rows and, for each fan step, U's budget rows as they were and, if it
+    wants True, N[v2]'s adjacency rows.  While piece 1 is solved it holds
+    only piece 2, and while piece 2 is solved only what its pair graph
+    reads, if it re-orders piece 2.  No comprehension here reads a local:
+    that would make the local a cell, which every frame allocates, split
+    frames included; `_watched` reads the watched pairs instead.
     """
     (v1, _), (vp, _) = pre
     g, rotation, outer = pg.graph, pg.rotation, list(pg.outer)
@@ -505,7 +520,7 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             if fan[0] != v1 or fan[-1] != v3:
                 raise InternalInvariantViolated("fan does not run from v1 to v3")
             U = fan[1:-1]
-            seen = _neighbourhood(adj, f, v2) if want is True else None
+            seen = _neighbourhood(adj, v2) if want is True else None
             steps.append((v2, v3, p, seen, *_fan_colors(g, h, f, pre, names, v2, U, v3, p)))
             _drop(adj, rotation, v2)
             outer[1:2] = U
@@ -563,16 +578,14 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
         head = ((first, r1[first]), (second, r1[second]))
         rest = [(pg2, h, f, head, names, False)]
         exact = want is True or _watched(want, pg2.graph.adj, (vi, vj))
-        if exact:  # piece 2's frames edit its tables and lower its inner rows
+        if exact:  # piece 2's frames edit its tables
             g2 = SimpleGraph._trusted(pg2.graph.vertices, dict(pg2.graph.adj))
-            inner = _inner_rows(f, g2.vertices, pg2.outer)
         del pg2
         r2, _ = yield rest.pop()
         if r2[first] != r1[first] or r2[second] != r1[second]:  # a child moved a chord end
             raise InternalInvariantViolated(_SPLIT_FAILED)
         r, order = {**r1, **r2}, None
         if exact:
-            f._rows.update(inner)
             pairs = induced_pair_graph(g2, h, f, r2)
             s2p = eliminate_with_prefix(pairs, head)
             if s2p is None:
@@ -587,14 +600,15 @@ def _step(pg: PlaneGraph, h: Cover, f: Budget,
             colored = _color_greedily(_OwnedGraph(step), h, f, r, reversed(step), names)
             order = order + colored if want else None
             continue
-        v2, v3, p, seen, case21, one, two, one3 = step
+        v2, v3, p, seen, case21, one, two, one3, rows = step
+        f._rows.update(rows)  # U's rows as they were at the step
         r[v2] = t = one if case21 or r.get(v3) != one3 else two
         if want:
             if order[0] != pre[0] or order[1] != pre[1]:
                 raise InternalInvariantViolated("recursive order lost its precolored prefix")
             order = (order + ((v2, t),) if case21 and p > 3 else
                      order[:2] + ((v2, t),) + order[2:])
-        if want is True and not _reinsertion_valid(seen[0], h, seen[1], r, order, v2):
+        if want is True and not _reinsertion_valid(seen, h, f._rows, r, order, v2):
             raise InternalInvariantViolated(
                 f"reinserting the fan pivot broke the order (p={p}, case21={case21})")
     return r, order if want else None
@@ -607,25 +621,15 @@ def _watched(want: bool | tuple[tuple[int, int], ...], adj: dict, ends: tuple[in
     return tuple((x, y) for x, y in want or () if x in adj and y in adj and {x, y}.isdisjoint(ends))
 
 
-def _neighbourhood(adj: dict[int, frozenset[int]], f: Budget, v: int
-                   ) -> tuple[dict[int, frozenset[int]], dict[int, dict[int, int]]]:
-    """The adjacency and budget rows of N[v] before a fan step deletes its
-    pivot v, which `_reinsertion_valid` reads when v is reinserted."""
-    around, rows = (v, *adj[v]), f._rows
-    return {x: adj[x] for x in around}, {x: rows.get(x, {}) for x in around}
-
-
-def _inner_rows(f: Budget, vertices: tuple[int, ...], outer: tuple[int, ...]
-                ) -> dict[int, dict[int, int]]:
-    """f's rows of the vertices off the outer walk: the only rows the frames
-    of a piece with these vertices and this walk lower."""
-    rows = f._rows
-    return {v: rows[v] for v in set(vertices).difference(outer) if v in rows}
+def _neighbourhood(adj: dict[int, frozenset[int]], v: int) -> dict[int, frozenset[int]]:
+    """The adjacency rows of N[v] before a fan step deletes its pivot v,
+    which `_reinsertion_valid` reads when v is reinserted."""
+    return {x: adj[x] for x in (v, *adj[v])}
 
 
 def _fan_colors(g: SimpleGraph, h: Cover, f: Budget, pre: tuple[tuple[int, int], tuple[int, int]],
                 names: dict[int, dict[int, int]], v2: int, U: tuple[int, ...], v3: int,
-                p: int) -> tuple[bool, int, int | None, int | None]:
+                p: int) -> tuple[bool, int, int | None, int | None, dict[int, dict[int, int]]]:
     """Rename and lower, in place, for a fan step whose pivot is v2, its fan
     neighbours U and v3, on an outer cycle of length p.
 
@@ -646,8 +650,9 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget, pre: tuple[tuple[int, int],
     Replaces the name rows of U and v3 and lowers U's budget rows in f's
     table (`_fan_budget`: U's positive entries at the colors named 1, and
     in case 2.2 also 2).  Returns whether the step is case 2.1, v2's colors
-    now named 1 and 2 (the second None in case 2.1) and v3's color now
-    named 1, None when no color of v3's list has that name.  Each fan
+    now named 1 and 2 (the second None in case 2.1), v3's color now named
+    1, None when no color of v3's list has that name, and U's budget rows
+    as they were before, which the step puts back as it unwinds.  Each fan
     neighbour's row is read straight off its edge's matching dict
     (`_name_row`): only the list colors left unmatched pay for a completion.
     """
@@ -670,8 +675,9 @@ def _fan_colors(g: SimpleGraph, h: Cover, f: Budget, pre: tuple[tuple[int, int],
         m = matchings.get((v2, u) if v2 < u else (u, v2), {})
         pairs = m.items() if v2 < u else zip(m.values(), m)  # (color of v2, color of u)
         names[u] = _name_row({cu: at2[c2] for c2, cu in pairs}, names.get(u), h.lists[u])
+    rows = {u: f._rows[u] for u in U}
     _fan_budget(f, U, names, case21)
-    return case21, cstar, second, next((i for i, k in names[v3].items() if k == 1), None)
+    return case21, cstar, second, next((i for i, k in names[v3].items() if k == 1), None), rows
 
 
 def _name_row(row: dict[int, int], at: dict[int, int] | None, lst: frozenset[int]) -> dict[int, int]:

@@ -353,12 +353,12 @@ def test_loc_counts_code_lines_only(tmp_path, capsys):
 
 
 def test_planar_and_solvers_stay_under_the_code_line_ceiling():
-    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 671 code
+    """ROADMAP direction 1 caps `planar.py` plus `solvers.py` at 665 code
     lines, as `bench/loc.py` counts them."""
     loc = _loc()
     total = sum(loc.code_lines((SRC / name).read_text(encoding="utf-8"))
                 for name in ("planar.py", "solvers.py"))
-    assert total <= 671, total
+    assert total <= 665, total
 
 
 @pytest.mark.parametrize("path,ceiling", [(SRC / "formats.py", 288), (SRC / "cycles.py", 60),

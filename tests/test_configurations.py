@@ -217,6 +217,58 @@ class TestNamesMatchRelabeledCopies:
         assert seen["PreconditionViolated"] > 100, seen
 
 
+def _off_list_variants():
+    """Seeded instances in which every vertex of K misses some color of
+    1..s, each with two budgets that put one unit on the lowest missing
+    color of every vertex of K: `extra` adds it, so every list total stays
+    as it was, and `moved` takes it off the vertex's highest list color
+    that has budget, so every declared total stays as it was."""
+    for k in (3, 4, 5, 6):
+        for seed in range(120):
+            g, h, f, K, r0 = fan_configuration_instance(seed, k)
+            if any(len(h.list_of(v)) == h.s for v in K):
+                continue
+            extra, moved = dict(f.items()), dict(f.items())
+            for v in K:
+                off = min(set(range(1, h.s + 1)) - h.list_of(v))
+                on = max(i for i in h.list_of(v) if f.get(v, i))
+                extra[v, off] = moved[v, off] = 1
+                moved[v, on] -= 1
+            yield g, h, f, k, K, r0, Budget(f.s, f.cap, extra), Budget(f.s, f.cap, moved)
+
+
+class TestOffListBudget:
+    """A budget entry off a vertex's list counts for nothing, as in the
+    planar solver: the extension checks each total over the vertex's list
+    and reads vm's and v1's residuals there."""
+
+    def test_extra_off_list_entries_change_no_extension(self):
+        """With an extra off-list entry at every vertex of K, each instance
+        extends to the same coloring and order as without it, and the
+        order is valid under the budget with the entries."""
+        count = 0
+        for g, h, f, k, K, r0, extra, _ in _off_list_variants():
+            r, order = extend_over_configuration(g, h, extra, k, K, r0)
+            assert (list(r.items()), order) == _outcome(extend_over_configuration,
+                                                        g, h, f, k, K, r0)
+            assert order_is_valid(induced_pair_graph(g, h, extra, r), order)
+            count += 1
+        assert count > 200, count
+
+    def test_budget_moved_off_the_list_rejected(self):
+        """With one unit moved off the list at every vertex of K, every
+        declared total stays at least k, and some list total falls to
+        k - 1: each instance is rejected before any construction."""
+        count = 0
+        for g, h, f, k, K, r0, _, moved in _off_list_variants():
+            assert all(moved.total(v) >= k for v in g.vertices)
+            with pytest.raises(PreconditionViolated,
+                               match=f"^list-restricted budget total below {k} at "):
+                extend_over_configuration(g, h, moved, k, K, r0)
+            count += 1
+        assert count > 200, count
+
+
 class TestExtensionSpecExamples:
     def test_triangle_configuration_off_colored_base(self):
         # K = triangle (1,2,3) hanging off base vertex 0, k = 3, budget

@@ -1294,15 +1294,28 @@ class TestOneOwnedInstance:
     def test_one_budget_table_per_solve(self):
         """A stacked n = 2000 solve hands at most 3·n budget rows to
         `Budget._trusted`, the root's copy of the table among them.  Fan
-        steps lower rows in the solve's one table, and a split frame keeps
-        piece 2's inner rows in a dict, not in a Budget of its own.  A
-        budget copied at every fan step handed it 669·n rows."""
+        steps lower rows in the solve's one table and put them back as they
+        unwind; no frame builds a Budget of its own.  A budget copied at
+        every fan step handed it 669·n rows."""
         pg = gen_planar_triangulation(2000, 1)
         h, f = _cover_and_budget(pg, 2, 3)
         with Probe("budgets") as probe:
             r, order = solve_planar_dpg52(pg, h, f)
         assert verify_coloring(pg.graph, h, f, r) is not None
         assert 0 < probe.counts["budget_rows"] <= 3 * pg.n, probe.counts
+
+    def test_every_frame_returns_the_budget_table_as_it_found_it(self):
+        """Each frame puts back the budget rows its fan steps lowered: on
+        every frame of the fan corpus, the solve's budget table when the
+        frame returns equals the table when it started.  Fan steps run both
+        in frames that want their whole order and in frames that do not."""
+        with Probe("frames", "fans", tables=True) as probe:
+            for pg, h, f in _fan_instances():
+                solve_planar_dpg52(pg, h, f)
+        changed = [frame for frame in probe.frames if frame.rows_out != frame.rows_in]
+        assert not changed, f"{len(changed)} of {len(probe.frames)} frames changed the table"
+        fans = Counter(event.frame.want is True for event in probe.events if event.kind == "fan")
+        assert fans[True] > 100 and fans[False] > 100, fans
 
 
 def test_a_valid_solve_traces_faces_once_and_runs_no_lowpoint_dfs(monkeypatch):
